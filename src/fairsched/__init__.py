@@ -55,11 +55,13 @@ from .sensors import (
     ProcessModel,
     ThresholdPolicy,
     build_cost_curve,
+    build_cost_curves,
     classify_stability,
     cost_eval,
     lipschitz_bounds,
     no_comm_limit,
     steady_state_filter_cov,
+    steady_state_filter_covs,
     threshold_from_rate,
 )
 from .simulate import SimResult, simulate_allocation, simulate_policy

@@ -257,8 +257,9 @@ def project_feasible(x, region: FeasibleRegion, tol: float = 1e-12) -> np.ndarra
     budget. Otherwise the budget is active and the projection is
     ``clamp(x - lam)`` for the unique multiplier ``lam >= 0`` solving
     ``sum(clamp(x - lam, lb, ub)) = total``; ``lam`` is bracketed on
-    ``[0, max(x - lb)]`` and found by bisection, then polished to machine
-    precision by solving exactly on the identified free set.
+    ``[0, max(x - lb)]`` and found by bisection (down to ``tol`` or to float
+    spacing, whichever is wider), then polished to machine precision by
+    solving exactly on the identified free set.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != region.lower.shape:
@@ -273,6 +274,8 @@ def project_feasible(x, region: FeasibleRegion, tol: float = 1e-12) -> np.ndarra
     lo, hi = 0.0, float(np.max(x - region.lower))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # float spacing at |x| is wider than tol
+            break
         if np.clip(x - mid, region.lower, region.upper).sum() > region.total:
             lo = mid
         else:

@@ -49,12 +49,15 @@ def _region_and_costs(cfg: RunConfig):
     return region, costs, mask
 
 
+_SETUP_ERRORS = (alloc.InfeasibleRegionError, CostDomainError, NumericalError)
+
+
 def run_solve(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         region, costs, mask = _region_and_costs(cfg)
         rates, trace = alloc.solve_maxmin(costs, region, cfg.solver, mask)
-    except (alloc.InfeasibleRegionError, CostDomainError, NumericalError) as exc:
+    except _SETUP_ERRORS as exc:
         print(f"cannot solve this configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
@@ -136,10 +139,14 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
 
     horizon = cfg.simulation.horizon
     use_seed = cfg.simulation.seed if seed is None else seed
-    _, costs, _ = _region_and_costs(cfg)
+    try:
+        _, costs, _ = _region_and_costs(cfg)
+    except _SETUP_ERRORS as exc:
+        print(f"cannot set up this configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     try:
         results = simulate_allocation(cfg.processes, rates, horizon, use_seed)
-        analytic = [costs.eval(i, float(r)) for i, r in enumerate(rates)]
+        analytic = costs.values(rates).tolist()
     except CostDomainError as exc:
         print(f"allocation is outside the supported rate domain: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -175,7 +182,11 @@ def run_distributed(cfg: RunConfig, out_dir: Path) -> int:
         print("config has no 'distributed' section", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     out_dir.mkdir(parents=True, exist_ok=True)
-    region, costs, mask = _region_and_costs(cfg)
+    try:
+        region, costs, mask = _region_and_costs(cfg)
+    except _SETUP_ERRORS as exc:
+        print(f"cannot set up this configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     settings = cfg.distributed
     try:
         graph = dist.CommGraph.from_adjacency(settings.adjacency)

@@ -13,6 +13,14 @@ of the average transmission rate ``r`` is piecewise linear, convex, continuous
 and strictly decreasing; this module builds that curve and evaluates it in
 closed form. The closed form is independently validated against the Monte
 Carlo simulator in ``fairsched.simulate``.
+
+Curves are built in batches: processes are grouped by dimension, and the
+Riccati steady state, the stable no-communication limit and the trace
+sequence run on stacked ``(k, d, d)`` arrays. Each process keeps its own stop
+rule and leaves the batch when it is met, so a batched curve equals the one
+built for that process alone; the one-process functions are one-element
+calls of the same code. ``CurveCostModel`` keeps every curve's affine
+segments in one flat table and evaluates all agents by a gather.
 """
 
 from __future__ import annotations
@@ -33,9 +41,11 @@ __all__ = [
     "CurveCostModel",
     "classify_stability",
     "steady_state_filter_cov",
+    "steady_state_filter_covs",
     "no_comm_limit",
     "threshold_from_rate",
     "build_cost_curve",
+    "build_cost_curves",
     "cost_eval",
     "lipschitz_bounds",
 ]
@@ -43,8 +53,17 @@ __all__ = [
 # the rate is nudged down by this relative amount before taking floor(1/r - 1),
 # so the threshold is stable when 1/r lands exactly on an integer
 _XI_NUDGE = 1e-12
+_XI_NUMERATOR = 1.0 + _XI_NUDGE
 
 _STABILITY_TOL = 1e-10
+
+# rates up to this bound count as 1 (the budget projection rounds)
+_RATE_MAX = 1.0 + 1e-12
+
+# Fewer agents than this: ``CurveCostModel.values`` walks the flat table in a
+# Python loop, which beats numpy's fixed per-call cost of a vectorised gather
+# (measured crossover between 40 and 48 agents on a 2-core x86 machine).
+_GATHER_MIN_AGENTS = 40
 
 
 class NumericalError(RuntimeError):
@@ -131,13 +150,96 @@ def _matrix_sqrt_psd(M):
     return vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
+def _mT(X):
+    return X.swapaxes(-1, -2)
+
+
+def _stable(A) -> np.ndarray:
+    """Spectral radius below 1, per matrix of a stack; the boundary counts as unstable."""
+    return np.abs(np.linalg.eigvals(A)).max(axis=-1) < 1.0 - _STABILITY_TOL
+
+
 def classify_stability(A) -> bool:
     """True iff the spectral radius of ``A`` is below 1; the boundary counts as unstable."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got shape {A.shape}")
-    rho = float(np.max(np.abs(np.linalg.eigvals(A))))
-    return rho < 1.0 - _STABILITY_TOL
+    return bool(_stable(A))
+
+
+def _groups(ps) -> list[np.ndarray]:
+    """Indices of ``ps`` grouped by the shape of ``C`` (measurement by state dimension)."""
+    groups = {}
+    for i, p in enumerate(ps):
+        groups.setdefault(p.C.shape, []).append(i)
+    return [np.array(g) for g in groups.values()]
+
+
+def _stack(ps, name: str) -> np.ndarray:
+    return np.stack([getattr(p, name) for p in ps])
+
+
+def _converge(step, X, params, tol, max_iters, failure) -> np.ndarray:
+    """Iterate ``X <- sym(step(X, *params))`` on a stack of matrices.
+
+    A matrix leaves the batch, with its parameters, once its own Frobenius
+    change is within ``tol``; it ends where it would end iterated alone.
+    """
+    out = np.empty_like(X)
+    rows = np.arange(len(X))
+    for _ in range(max_iters):
+        if not rows.size:
+            break
+        X_new = step(X, *params)
+        X_new = 0.5 * (X_new + _mT(X_new))
+        done = np.sqrt(((X_new - X) ** 2).sum(axis=(1, 2))) <= tol
+        if done.any():
+            out[rows[done]] = X_new[done]
+            keep = ~done
+            rows, X_new, params = rows[keep], X_new[keep], [a[keep] for a in params]
+        X = X_new
+    if rows.size:
+        raise NumericalError(failure)
+    return out
+
+
+def _riccati_step(X, A, Q, C, R):
+    Xp = A @ X @ _mT(A) + Q
+    G = Xp @ _mT(C)
+    return Xp - G @ np.linalg.solve(C @ Xp @ _mT(C) + R, _mT(G))
+
+
+def _predict_step(X, A, Q):
+    return A @ X @ _mT(A) + Q
+
+
+def _filter_covs(group, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
+    """Filter steady states of processes sharing one shape, as a stack."""
+    A, Q, C, R = (_stack(group, name) for name in ("A", "Q", "C", "R_meas"))
+    X0 = np.stack([np.zeros(p.A.shape) if p.Pi0 is None else p.Pi0 for p in group])
+    return _converge(
+        _riccati_step, X0, (A, Q, C, R), tol, max_iters,
+        "filter covariance iteration did not converge; the model is ill posed",
+    )
+
+
+def _no_comm_limits(A, Q, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
+    """``Tr(P_inf)`` with ``P_inf = A P_inf A' + Q`` for stacked stable ``A``, iterated from zero."""
+    X = _converge(
+        _predict_step, np.zeros_like(A), (A, Q), tol, max_iters,
+        "prediction covariance iteration did not converge",
+    )
+    return np.trace(X, axis1=1, axis2=2)
+
+
+def steady_state_filter_covs(ps, tol: float = 1e-12, max_iters: int = 10**6) -> list[np.ndarray]:
+    """:func:`steady_state_filter_cov` of every process, one batched iteration per shape."""
+    ps = list(ps)
+    out = [None] * len(ps)
+    for rows in _groups(ps):
+        for i, X in zip(rows, _filter_covs([ps[i] for i in rows], tol, max_iters)):
+            out[i] = X
+    return out
 
 
 def steady_state_filter_cov(p: ProcessModel, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
@@ -147,17 +249,7 @@ def steady_state_filter_cov(p: ProcessModel, tol: float = 1e-12, max_iters: int 
     ``X = X- - X- C' (C X- C' + R)^-1 C X-`` from ``Pi0`` (zero by default)
     until the Frobenius change drops below ``tol``.
     """
-    X = np.zeros((p.dim, p.dim)) if p.Pi0 is None else np.array(p.Pi0)
-    A, Q, C, R = p.A, p.Q, p.C, p.R_meas
-    for _ in range(max_iters):
-        Xp = A @ X @ A.T + Q
-        G = Xp @ C.T
-        X_new = Xp - G @ np.linalg.solve(C @ Xp @ C.T + R, G.T)
-        X_new = 0.5 * (X_new + X_new.T)
-        if np.linalg.norm(X_new - X) <= tol:
-            return X_new
-        X = X_new
-    raise NumericalError("filter covariance iteration did not converge; the model is ill posed")
+    return steady_state_filter_covs([p], tol, max_iters)[0]
 
 
 def no_comm_limit(p: ProcessModel, tol: float = 1e-12, max_iters: int = 10**6) -> float:
@@ -168,14 +260,40 @@ def no_comm_limit(p: ProcessModel, tol: float = 1e-12, max_iters: int = 10**6) -
     """
     if not classify_stability(p.A):
         raise CostDomainError("no_comm_limit requires a stable process")
-    X = np.zeros((p.dim, p.dim))
-    for _ in range(max_iters):
-        X_new = p.A @ X @ p.A.T + p.Q
-        X_new = 0.5 * (X_new + X_new.T)
-        if np.linalg.norm(X_new - X) <= tol:
-            return float(np.trace(X_new))
-        X = X_new
-    raise NumericalError("prediction covariance iteration did not converge")
+    return float(_no_comm_limits(p.A[None], p.Q[None], tol, max_iters)[0])
+
+
+def _trace_steps(A, Q, M, caps, limits, tail_cuts, floors):
+    """``Tr(h^t(M))``, ``t = 0, 1, ...``, for stacked processes, each up to its own stop.
+
+    A process stops after step ``caps + 1``, or from step 1 on once its trace
+    is within ``tail_cuts`` of ``limits`` (NaN: never). Returns every
+    process's sequence length and, per step, the traces of the processes
+    still running, in index order: those whose length exceeds the step.
+    """
+    rows = np.arange(len(M))
+    lengths = np.empty(len(M), dtype=np.intp)
+    tr = np.trace(M, axis1=1, axis2=2)
+    steps = [tr]
+    t = 0
+    while True:
+        stop = (t >= caps + 1) | ((t >= 1) & (np.abs(tr - limits) <= tail_cuts))
+        if stop.any():
+            lengths[rows[stop]] = t + 1
+            keep = ~stop
+            rows, A, Q, M, caps, limits, tail_cuts = (x[keep] for x in (rows, A, Q, M, caps, limits, tail_cuts))
+            if not rows.size:
+                return steps, lengths
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            M = A @ M @ _mT(A) + Q
+            M = 0.5 * (M + _mT(M))
+        t += 1
+        tr = np.trace(M, axis1=1, axis2=2)
+        finite = np.isfinite(tr)
+        if not finite.all():
+            floor = floors[rows[~finite][0]]
+            raise NumericalError(f"trace sequence overflowed at step {t}; the rate floor {floor} is too small")
+        steps.append(tr)
 
 
 @dataclass(frozen=True)
@@ -205,7 +323,7 @@ class ThresholdPolicy:
 
 def _xi_of(r: float) -> int:
     """Threshold index of the segment containing rate ``r``; no validation."""
-    return max(0, math.floor((1.0 + _XI_NUDGE) / r - 1.0))
+    return max(0, math.floor(_XI_NUMERATOR / r - 1.0))
 
 
 def threshold_from_rate(r: float) -> ThresholdPolicy:
@@ -250,6 +368,132 @@ class CostCurve:
         return float(self.cumsums[-1] - self.traces.size * self.stable_limit)
 
 
+class _CurveTable:
+    """Many cost curves in two flat arrays; each curve's arrays are views of them.
+
+    Curve ``i`` owns slots ``first[i] .. first[i] + size[i]`` of ``traces``
+    and ``cumsums``: its own entries, then one slot holding its stable limit
+    in ``traces`` (NaN if unstable). Its segment ``j`` has ``anchor =
+    traces[first + j + 1]`` and ``cumsum = cumsums[first + j]``, also for the
+    affine tail ``j = size - 1`` of a stable curve. ``last`` is the row that
+    rates below the stored range use, ``xi_max`` the largest threshold index
+    the curve covers and ``lo`` its smallest rate.
+    """
+
+    def __init__(self, traces, cumsums, sizes, limits, floors):
+        sizes = np.asarray(sizes, dtype=np.intp)
+        stable = np.array([limit is not None for limit in limits], dtype=bool)
+        first = np.cumsum(sizes + 1) - (sizes + 1)
+        traces.setflags(write=False)  # shared by every curve's views
+        cumsums.setflags(write=False)
+        self.traces, self.cumsums = traces, cumsums
+        self.curves = [
+            CostCurve(traces=traces[f:f + n], cumsums=cumsums[f:f + n], stable_limit=limit, domain_floor=floor)
+            for f, n, limit, floor in zip(first.tolist(), sizes.tolist(), limits, floors)
+        ]
+        self.first = first.astype(float)
+        self.last = np.where(stable, sizes - 1.0, sizes - 2.0)
+        self.xi_max = np.where(stable, np.inf, sizes - 2.0)
+        self.lo = np.array(floors, dtype=float) * (1.0 - 1e-9)
+        self.scalar = None  # the small-fleet loop's view: indexing a memoryview yields Python floats
+        if len(sizes) < _GATHER_MIN_AGENTS:
+            agents = zip(first.tolist(), self.last.astype(int).tolist(), self.xi_max.tolist(), self.lo.tolist(),
+                         stable.tolist())
+            self.scalar = (memoryview(traces), memoryview(cumsums), list(agents))
+
+    @classmethod
+    def pack(cls, curves) -> _CurveTable:
+        """A table holding copies of ``curves``."""
+        sizes = [c.traces.size for c in curves]
+        traces = np.full(sum(sizes) + len(sizes), np.nan)
+        cumsums = np.full_like(traces, np.nan)
+        at = 0
+        for c, n in zip(curves, sizes):
+            traces[at:at + n], cumsums[at:at + n] = c.traces, c.cumsums
+            if c.stable_limit is not None:
+                traces[at + n] = c.stable_limit
+            at += n + 1
+        return cls(traces, cumsums, sizes, [c.stable_limit for c in curves], [c.domain_floor for c in curves])
+
+    def costs(self, xi, r, agents=slice(None)) -> np.ndarray:
+        """:func:`cost_eval`'s arithmetic for ``agents`` at rates ``r`` with threshold indices ``xi``."""
+        j = np.minimum(xi, self.last[agents])
+        k = (self.first[agents] + j).astype(np.intp)
+        anchor = self.traces.take(k + 1)
+        return anchor + r * (self.cumsums.take(k) - (j + 1.0) * anchor)
+
+
+def _scatter(runs, first, lengths, traces) -> None:
+    """Write each group's steps into ``traces``, freeing them group by group."""
+    while runs:
+        rows, steps = runs.pop()
+        start, running = first[rows], lengths[rows]
+        for t, tr in enumerate(steps):
+            traces[start[running > t] + t] = tr
+        del steps
+
+
+def _build_table(processes, domain_floors, tail_tol: float) -> _CurveTable:
+    """Cost curves of all processes, one batched recursion per shape, written into one table.
+
+    Each group of equally shaped processes runs the Riccati steady state, the
+    stable no-communication limits and the trace sequences on stacked
+    ``(k, d, d)`` arrays. The traces of every step are then scattered into
+    the table, which is exactly the size of the output.
+    """
+    ps = list(processes)
+    floors = np.asarray(domain_floors, dtype=float)
+    if floors.shape != (len(ps),):
+        raise ValueError(f"need one domain floor per process, got shape {floors.shape}")
+    groups = _groups(ps)
+    stable = np.empty(len(ps), dtype=bool)
+    for rows in groups:
+        stable[rows] = _stable(_stack([ps[i] for i in rows], "A"))
+    for floor, is_stable in zip(floors.tolist(), stable.tolist()):
+        if not 0 <= floor <= 1:
+            raise CostDomainError(f"domain floor must lie in [0, 1], got {floor}")
+        if not is_stable and floor == 0:
+            raise CostDomainError("an unstable process needs a positive rate floor; its cost is unbounded at 0")
+
+    # last threshold index whose segment the curve must store; none without a floor
+    with np.errstate(divide="ignore"):
+        caps = np.where(floors > 0, np.floor(_XI_NUMERATOR / floors - 1.0), np.inf)
+    limits = np.full(len(ps), np.nan)
+    lengths = np.empty(len(ps), dtype=np.intp)
+    runs = []
+    for rows in groups:
+        group = [ps[i] for i in rows]
+        A, Q = _stack(group, "A"), _stack(group, "Q")
+        limits[rows[stable[rows]]] = _no_comm_limits(A[stable[rows]], Q[stable[rows]])
+        steps, lengths[rows] = _trace_steps(
+            A, Q, _filter_covs(group), caps[rows], limits[rows], tail_tol * np.maximum(limits[rows], 1e-300),
+            floors[rows],
+        )
+        runs.append((rows, steps))
+        del steps  # held by ``runs`` alone, so that _scatter frees it
+
+    first = np.cumsum(lengths + 1) - (lengths + 1)
+    traces = np.empty(int((lengths + 1).sum()))
+    _scatter(runs, first, lengths, traces)
+    traces[first + lengths] = limits
+    cumsums = np.empty_like(traces)
+    cumsums[first + lengths] = np.nan
+    for f, n in zip(first.tolist(), lengths.tolist()):
+        np.cumsum(traces[f:f + n], out=cumsums[f:f + n])
+    stable_limits = [limit if s else None for limit, s in zip(limits.tolist(), stable.tolist())]
+    return _CurveTable(traces, cumsums, lengths, stable_limits, floors.tolist())
+
+
+def build_cost_curves(processes, domain_floors, tail_tol: float = 1e-10) -> list[CostCurve]:
+    """:func:`build_cost_curve` for every process at its own floor, batched by shape.
+
+    Every process keeps its own stop rule and leaves its batch once it is
+    met, so each curve equals the one built for that process alone. The
+    curves' arrays are views of one shared flat table.
+    """
+    return _build_table(processes, domain_floors, tail_tol).curves
+
+
 def build_cost_curve(p: ProcessModel, domain_floor: float, tail_tol: float = 1e-10) -> CostCurve:
     """Precompute the trace sequence needed to evaluate costs on [domain_floor, 1].
 
@@ -258,47 +502,7 @@ def build_cost_curve(p: ProcessModel, domain_floor: float, tail_tol: float = 1e-
     containing the floor. For stable processes the sequence is additionally
     truncated once it is within ``tail_tol`` (relative) of the bounded limit.
     """
-    domain_floor = float(domain_floor)
-    stable = classify_stability(p.A)
-    if domain_floor < 0 or domain_floor > 1:
-        raise CostDomainError(f"domain floor must lie in [0, 1], got {domain_floor}")
-    if not stable and domain_floor == 0:
-        raise CostDomainError("an unstable process needs a positive rate floor; its cost is unbounded at 0")
-
-    limit = no_comm_limit(p) if stable else None
-    xi_cap = None
-    if domain_floor > 0:
-        xi_cap = threshold_from_rate(domain_floor).xi
-
-    pbar = steady_state_filter_cov(p)
-    M = np.array(pbar)
-    traces = [float(np.trace(M))]
-    tail_cut = None if limit is None else tail_tol * max(limit, 1e-300)
-    t = 0
-    while True:
-        if xi_cap is not None and t >= xi_cap + 1:
-            break
-        if tail_cut is not None and abs(traces[-1] - limit) <= tail_cut and t >= 1:
-            break
-        if xi_cap is None and tail_cut is None:  # unreachable by the guards above
-            raise CostDomainError("unbounded curve requires a rate floor")
-        M = p.A @ M @ p.A.T + p.Q
-        M = 0.5 * (M + M.T)
-        t += 1
-        tr = float(np.trace(M))
-        if not math.isfinite(tr):
-            raise NumericalError(
-                f"trace sequence overflowed at step {t}; the rate floor {domain_floor} is too small"
-            )
-        traces.append(tr)
-
-    traces = np.array(traces)
-    return CostCurve(
-        traces=traces,
-        cumsums=np.cumsum(traces),
-        stable_limit=limit,
-        domain_floor=domain_floor,
-    )
+    return build_cost_curves([p], [domain_floor], tail_tol)[0]
 
 
 def cost_eval(curve: CostCurve, r: float) -> float:
@@ -366,59 +570,113 @@ def lipschitz_bounds(curve: CostCurve, lb: float) -> tuple[float, float]:
 class CurveCostModel(CostModel):
     """Cost model backed by per-process cost curves.
 
-    When constructed from process models the curves extend themselves on
-    demand: evaluating an unstable agent below its current floor rebuilds
-    that curve with a smaller floor (under a lock, so concurrent readers only
-    ever see a complete curve). Curves handed in directly are fixed and
+    The curves live in one flat table (see ``_CurveTable``). ``values``
+    evaluates every agent from it, by a numpy gather for large fleets and by
+    a Python loop over the same table for small ones; both are bit-identical
+    to :func:`cost_eval`. When constructed from process models the curves
+    extend themselves on demand: evaluating unstable agents below their
+    current floors rebuilds those curves in one batch with smaller floors
+    (under a lock, so concurrent readers only ever see complete curves).
+    Curves handed in directly are copied into the table, stay fixed, and
     evaluating below their floor raises.
     """
 
     def __init__(self, curves, processes=None, tail_tol: float = 1e-10):
-        self._curves = list(curves)
+        self._init(_CurveTable.pack(list(curves)), processes, tail_tol)
+
+    def _init(self, table: _CurveTable, processes, tail_tol: float) -> None:
+        self._table = table
         self._processes = list(processes) if processes is not None else None
         self._tail_tol = tail_tol
         self._lock = threading.Lock()
-        self.n = len(self._curves)
+        self.n = len(table.curves)
         if self._processes is not None and len(self._processes) != self.n:
             raise ValueError("need one process per curve")
 
     @classmethod
     def from_processes(cls, processes, unstable_floor: float = 1e-3, tail_tol: float = 1e-10):
-        curves = [
-            build_cost_curve(p, 0.0 if classify_stability(p.A) else unstable_floor, tail_tol)
-            for p in processes
-        ]
-        return cls(curves, processes=processes, tail_tol=tail_tol)
+        processes = list(processes)
+        floors = [0.0 if classify_stability(p.A) else unstable_floor for p in processes]
+        model = cls.__new__(cls)
+        model._init(_build_table(processes, floors, tail_tol), processes, tail_tol)
+        return model
 
     @property
     def curves(self) -> list[CostCurve]:
-        return list(self._curves)
+        return list(self._table.curves)
 
-    def _extend(self, i: int, r: float) -> CostCurve:
+    def _extend(self, indices, rates) -> None:
+        """Rebuild, in one batch, each listed curve whose floor is above its rate ``r > 0``, down to ``r / 2``."""
         with self._lock:
-            curve = self._curves[i]
-            if r < curve.domain_floor:
-                curve = build_cost_curve(self._processes[i], 0.5 * r, self._tail_tol)
-                self._curves[i] = curve
-            return curve
+            grow = [(i, r) for i, r in zip(indices, rates) if 0 < r < self._table.curves[i].domain_floor]
+            if not grow:
+                return
+            rebuilt = build_cost_curves(
+                [self._processes[i] for i, _ in grow], [0.5 * r for _, r in grow], self._tail_tol
+            )
+            curves = list(self._table.curves)
+            for (i, _), curve in zip(grow, rebuilt):
+                curves[i] = curve
+            self._table = _CurveTable.pack(curves)
+
+    def _fill(self, misses, rates, out) -> None:
+        """Costs at rates the table does not cover: extend the curves that can be, raise for the rest."""
+        if self._processes is not None:
+            self._extend(misses, [float(rates[i]) for i in misses])
+        for i in misses:
+            out[i] = cost_eval(self._table.curves[i], float(rates[i]))
 
     def eval(self, i: int, r: float) -> float:
         try:
-            return cost_eval(self._curves[i], r)
+            return cost_eval(self._table.curves[i], r)
         except CostDomainError:
-            if self._processes is None or r <= 0:
+            if self._processes is None:
                 raise
-            return cost_eval(self._extend(i, r), r)
+            self._extend([i], [float(r)])
+            return cost_eval(self._table.curves[i], r)
+
+    def values(self, rates) -> np.ndarray:
+        r = np.asarray(rates, dtype=float)
+        if r.size != self.n:
+            raise ValueError(f"expected {self.n} rates, got {r.size}")
+        table = self._table
+        if table.scalar is not None:
+            return self._values_loop(table.scalar, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = np.floor(_XI_NUMERATOR / np.minimum(r, 1.0) - 1.0)
+        ok = (r >= table.lo) & (r <= _RATE_MAX) & (xi >= 0) & (xi <= table.xi_max)
+        if ok.all():
+            return table.costs(xi, r)
+        out = np.empty(self.n)
+        out[ok] = table.costs(xi[ok], r[ok], ok)
+        self._fill(np.flatnonzero(~ok).tolist(), r, out)
+        return out
+
+    def _values_loop(self, scalar, r) -> np.ndarray:
+        traces, cumsums, agents = scalar
+        floor = math.floor
+        out, misses = [], []
+        for i, x in enumerate(r.tolist()):
+            first, last, xi_max, lo, stable = agents[i]
+            if 0.0 < x <= _RATE_MAX and x >= lo:
+                xi = floor(_XI_NUMERATOR / (x if x < 1.0 else 1.0) - 1.0)
+                if xi <= xi_max:
+                    j = xi if xi < last else last
+                    anchor = traces[first + j + 1]
+                    out.append(anchor + x * (cumsums[first + j] - (j + 1) * anchor))
+                    continue
+            elif x == 0.0 and stable:
+                out.append(traces[first + last + 1])
+                continue
+            out.append(0.0)
+            misses.append(i)
+        if misses:
+            self._fill(misses, r, out)
+        return np.array(out)
 
     def slope_bounds(self, lower) -> tuple[np.ndarray, np.ndarray]:
-        lower = np.asarray(lower, dtype=float)
-        alphas, betas = [], []
-        for i in range(self.n):
-            lb = float(lower[i])
-            curve = self._curves[i]
-            if 0 < lb < curve.domain_floor and self._processes is not None:
-                curve = self._extend(i, lb)
-            a, b = lipschitz_bounds(curve, lb)
-            alphas.append(a)
-            betas.append(b)
-        return np.array(alphas), np.array(betas)
+        lower = np.asarray(lower, dtype=float).tolist()
+        if self._processes is not None:
+            self._extend(range(self.n), lower)
+        bounds = [lipschitz_bounds(curve, lb) for curve, lb in zip(self._table.curves, lower)]
+        return np.array([a for a, _ in bounds]), np.array([b for _, b in bounds])

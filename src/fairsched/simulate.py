@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import CostDomainError
-from .sensors import ProcessModel, ThresholdPolicy, classify_stability, steady_state_filter_cov, threshold_from_rate
+from .sensors import (
+    ProcessModel,
+    ThresholdPolicy,
+    classify_stability,
+    steady_state_filter_cov,
+    steady_state_filter_covs,
+    threshold_from_rate,
+)
 
 __all__ = ["SimResult", "simulate_policy", "simulate_allocation"]
 
@@ -34,9 +41,9 @@ class SimResult:
     seed: int
 
 
-def _trace_table(p: ProcessModel, upto: int) -> np.ndarray:
-    """Tr(P) after 0..upto prediction steps from the filter steady state."""
-    M = steady_state_filter_cov(p)
+def _trace_table(p: ProcessModel, pbar: np.ndarray, upto: int) -> np.ndarray:
+    """Tr(P) after 0..upto prediction steps from the filter steady state ``pbar``."""
+    M = pbar
     out = np.empty(upto + 1)
     out[0] = np.trace(M)
     for t in range(1, upto + 1):
@@ -48,7 +55,7 @@ def _trace_table(p: ProcessModel, upto: int) -> np.ndarray:
     return out
 
 
-def _run_cycles(p: ProcessModel, policy: ThresholdPolicy, horizon: int, rng) -> tuple[float, int]:
+def _run_cycles(p: ProcessModel, pbar: np.ndarray, policy: ThresholdPolicy, horizon: int, rng) -> tuple[float, int]:
     """(total error, transmissions) over `horizon` steps of the recursion.
 
     Starting right after a transmission the age visits 0..xi and the cycle
@@ -57,7 +64,7 @@ def _run_cycles(p: ProcessModel, policy: ThresholdPolicy, horizon: int, rng) -> 
     one transmission, decided at its last step.
     """
     xi, b = policy.xi, policy.b
-    traces = _trace_table(p, xi + 1)
+    traces = _trace_table(p, pbar, xi + 1)
     prefix = np.concatenate(([0.0], np.cumsum(traces)))
     short_len, long_len = xi + 1, xi + 2
     cost_short, cost_long = prefix[short_len], prefix[long_len]
@@ -88,13 +95,13 @@ def _run_cycles(p: ProcessModel, policy: ThresholdPolicy, horizon: int, rng) -> 
     return err_sum, n_tx
 
 
-def _no_comm_error_sum(p: ProcessModel, horizon: int) -> float:
+def _no_comm_error_sum(p: ProcessModel, pbar: np.ndarray, horizon: int) -> float:
     """Sum of Tr(P) over `horizon` prediction-only steps from the steady state.
 
     The trace sequence converges for stable processes; once successive values
     agree to machine precision the remaining steps contribute a constant.
     """
-    M = steady_state_filter_cov(p)
+    M = pbar
     err_sum = 0.0
     prev = None
     t = 0
@@ -116,7 +123,7 @@ def simulate_policy(p: ProcessModel, policy: ThresholdPolicy, horizon: int, seed
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     rng = np.random.default_rng(seed)
-    err_sum, n_tx = _run_cycles(p, policy, horizon, rng)
+    err_sum, n_tx = _run_cycles(p, steady_state_filter_cov(p), policy, horizon, rng)
     return SimResult(
         empirical_rate=n_tx / horizon,
         empirical_avg_error=float(err_sum) / horizon,
@@ -138,17 +145,18 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
         raise ValueError("horizon must be at least 1")
 
     children = np.random.SeedSequence(seed).spawn(len(ps))
+    pbars = steady_state_filter_covs(ps)
     results = []
-    for p, r, child in zip(ps, rates, children):
+    for p, pbar, r, child in zip(ps, pbars, rates, children):
         r = float(r)
         if r == 0.0:
             if not classify_stability(p.A):
                 raise CostDomainError("an unstable process cannot run at rate 0: its error is unbounded")
-            err_sum = _no_comm_error_sum(p, horizon)
+            err_sum = _no_comm_error_sum(p, pbar, horizon)
             results.append(SimResult(0.0, float(err_sum) / horizon, horizon, seed))
             continue
         policy = threshold_from_rate(r)
         rng = np.random.default_rng(child)
-        err_sum, n_tx = _run_cycles(p, policy, horizon, rng)
+        err_sum, n_tx = _run_cycles(p, pbar, policy, horizon, rng)
         results.append(SimResult(n_tx / horizon, float(err_sum) / horizon, horizon, seed))
     return results

@@ -1,15 +1,18 @@
 """Shared test utilities: brute-force oracles and fit helpers.
 
 The oracles here are deliberately independent of the library's own numerics:
-projections are checked against dense grid search and solver optimality
-against grid enumeration of the max-min objective.
+projections are checked against dense grid search, solver optimality
+against grid enumeration of the max-min objective, and the batched cost-curve
+build against a scalar one-process-at-a-time recursion.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from fairsched import FeasibleRegion
+from fairsched import CostCurve, CostDomainError, FeasibleRegion, NumericalError, classify_stability
 
 
 def grid_project(x, region: FeasibleRegion, resolution: float = 1e-3) -> np.ndarray:
@@ -90,3 +93,62 @@ def random_feasible_cloud(region: FeasibleRegion, rng, count: int) -> np.ndarray
         t = np.where(excess > 0, (region.total - lb.sum()) / excess, 1.0)
     t = np.minimum(1.0, 0.999 * t)
     return lb + t[:, None] * (u - lb)
+
+
+def reference_filter_cov(p, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
+    """Scalar predict-then-update Riccati iteration from ``Pi0`` (zero by default)."""
+    X = np.zeros((p.dim, p.dim)) if p.Pi0 is None else np.array(p.Pi0)
+    A, Q, C, R = p.A, p.Q, p.C, p.R_meas
+    for _ in range(max_iters):
+        Xp = A @ X @ A.T + Q
+        G = Xp @ C.T
+        X_new = Xp - G @ np.linalg.solve(C @ Xp @ C.T + R, G.T)
+        X_new = 0.5 * (X_new + X_new.T)
+        if np.linalg.norm(X_new - X) <= tol:
+            return X_new
+        X = X_new
+    raise NumericalError("filter covariance iteration did not converge")
+
+
+def reference_no_comm_limit(p, tol: float = 1e-12, max_iters: int = 10**6) -> float:
+    """Scalar prediction-only iteration from zero; trace of its fixed point."""
+    X = np.zeros((p.dim, p.dim))
+    for _ in range(max_iters):
+        X_new = p.A @ X @ p.A.T + p.Q
+        X_new = 0.5 * (X_new + X_new.T)
+        if np.linalg.norm(X_new - X) <= tol:
+            return float(np.trace(X_new))
+        X = X_new
+    raise NumericalError("prediction covariance iteration did not converge")
+
+
+def reference_cost_curve(p, domain_floor: float, tail_tol: float = 1e-10) -> CostCurve:
+    """One process's cost curve from the scalar recursion, one 2-d matrix product per step.
+
+    Same stop rule as ``build_cost_curve``: stop after the segment holding
+    the domain floor, or once a stable sequence is within ``tail_tol``
+    (relative) of its limit.
+    """
+    stable = classify_stability(p.A)
+    if not stable and domain_floor == 0:
+        raise CostDomainError("an unstable process needs a positive rate floor")
+    limit = reference_no_comm_limit(p) if stable else None
+    xi_cap = max(0, math.floor((1.0 + 1e-12) / domain_floor - 1.0)) if domain_floor > 0 else None
+    M = reference_filter_cov(p)
+    traces = [float(np.trace(M))]
+    tail_cut = None if limit is None else tail_tol * max(limit, 1e-300)
+    t = 0
+    while True:
+        if xi_cap is not None and t >= xi_cap + 1:
+            break
+        if tail_cut is not None and abs(traces[-1] - limit) <= tail_cut and t >= 1:
+            break
+        M = p.A @ M @ p.A.T + p.Q
+        M = 0.5 * (M + M.T)
+        t += 1
+        tr = float(np.trace(M))
+        if not math.isfinite(tr):
+            raise NumericalError(f"trace sequence overflowed at step {t}")
+        traces.append(tr)
+    traces = np.array(traces)
+    return CostCurve(traces=traces, cumsums=np.cumsum(traces), stable_limit=limit, domain_floor=float(domain_floor))

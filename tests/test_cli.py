@@ -213,6 +213,35 @@ class TestDistributedCommand:
         assert main(["distributed", "--config", str(path), "--out", str(tmp_path / "dg")]) == EXIT_CONFIG_ERROR
 
 
+def tiny_eta_fixture(tmp_path):
+    """The paper fixture with ``eta = 1e-9``: the rho = 1.2 curve overflows while it is built."""
+    payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+    payload["solver"]["eta"] = 1e-9
+    return write_config(tmp_path, payload, name="tiny_eta.json")
+
+
+class TestCurveOverflowExitsCleanly:
+    """A curve that overflows while it is built ends every command with exit 2 and one line on stderr."""
+
+    def check(self, capsys, argv):
+        assert main(argv) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "overflowed" in err
+
+    def test_solve(self, tmp_path, capsys):
+        self.check(capsys, ["solve", "--config", str(tiny_eta_fixture(tmp_path)), "--out", str(tmp_path / "s")])
+
+    def test_simulate(self, tmp_path, capsys):
+        alloc_path = tmp_path / "rates.json"
+        alloc_path.write_text(json.dumps({"rates": [0.4] * 5}))
+        self.check(capsys, ["simulate", "--config", str(tiny_eta_fixture(tmp_path)),
+                            "--allocation", str(alloc_path), "--out", str(tmp_path / "m")])
+
+    def test_distributed(self, tmp_path, capsys):
+        self.check(capsys, ["distributed", "--config", str(tiny_eta_fixture(tmp_path)), "--out", str(tmp_path / "d")])
+
+
 class TestValidateCommand:
     def test_ok(self):
         assert main(["validate-config", "--config", str(fs.fixture_path("paper_sec4"))]) == EXIT_OK

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,21 @@ def test_symmetric_overflow_splits_equally():
     region = unit_region(2, 1.0)
     out = fs.project_feasible(np.array([1.0, 1.0]), region)
     np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
+
+
+def test_far_point_terminates():
+    # at |x| ~ 1e6 float spacing exceeds the bisection tolerance; the loop must still stop
+    def hung(signum, frame):
+        raise TimeoutError("project_feasible did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        out = fs.project_feasible(np.array([1e6, 1e6]), unit_region(2, 1.0))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    np.testing.assert_array_equal(out, [0.5, 0.5])
 
 
 def test_corner_point_matches_grid_oracle():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 import fairsched as fs
 from fairsched.allocation import CostDomainError
+from fairsched.sensors import _GATHER_MIN_AGENTS
+from helpers import reference_cost_curve, reference_filter_cov
 
 
 class TestStability:
@@ -269,3 +273,166 @@ class TestCurveCostModel:
         alphas, betas = costs.slope_bounds(lower)
         assert alphas.shape == betas.shape == (5,)
         assert np.all(alphas > 0) and np.all(betas >= alphas)
+
+
+def mixed_processes(seed=20261018):
+    """Seeded 1-, 2- and 3-d processes, stable, unstable and with rho = 1, and their floors.
+
+    ``A`` is upper triangular, so its spectral radius is the largest diagonal
+    magnitude. Every other process has a non-identity ``C``/``R`` (fewer
+    outputs than states) and a ``Pi0``. Stable processes alternate between
+    floor 0 and a positive floor; the order is shuffled so the dimensions
+    interleave.
+    """
+    rng = np.random.default_rng(seed)
+    processes, floors = [], []
+    for dim in (1, 2, 3):
+        for rho in (0.3, 0.9, 1.0, 1.1, 1.25):
+            for variant in range(2):
+                A = np.triu(rng.uniform(-1.0, 1.0, (dim, dim)), 1)
+                A[np.diag_indices(dim)] = rng.uniform(0.0, rho, dim)
+                A[0, 0] = rho * rng.choice([-1.0, 1.0])
+                B = rng.normal(size=(dim, dim))
+                kwargs = {"A": A, "Q": B @ B.T + 0.1 * np.eye(dim)}
+                if variant:
+                    m = max(1, dim - 1)
+                    S = rng.normal(size=(m, m))
+                    P = rng.normal(size=(dim, dim))
+                    kwargs.update(C=rng.normal(size=(m, dim)), R_meas=S @ S.T + 0.5 * np.eye(m), Pi0=P @ P.T)
+                processes.append(fs.ProcessModel(**kwargs))
+                if rho < 1:
+                    floors.append(0.0 if variant else 0.02)
+                else:
+                    floors.append(float(rng.choice([0.2, 0.01, 0.004])))
+    order = rng.permutation(len(processes))
+    return [processes[i] for i in order], [floors[i] for i in order]
+
+
+class TestBatchedBuild:
+    def test_curves_equal_scalar_reference(self):
+        processes, floors = mixed_processes()
+        curves = fs.build_cost_curves(processes, floors)
+        for p, floor, curve in zip(processes, floors, curves):
+            ref = reference_cost_curve(p, floor)
+            np.testing.assert_array_equal(curve.traces, ref.traces)
+            np.testing.assert_array_equal(curve.cumsums, ref.cumsums)
+            assert curve.stable_limit == ref.stable_limit
+            assert curve.domain_floor == floor
+
+    def test_batch_covers_every_kind(self):
+        processes, floors = mixed_processes()
+        assert {p.dim for p in processes} == {1, 2, 3}
+        rhos = [max(abs(np.linalg.eigvals(p.A))) for p in processes]
+        assert min(rhos) < 1 and max(rhos) > 1
+        assert any(abs(p.A[0, 0]) == 1.0 and not fs.classify_stability(p.A) for p in processes)
+        assert any(p.Pi0 is not None and p.C.shape[0] < p.dim for p in processes)
+
+    def test_filter_covs_equal_scalar_reference(self):
+        processes, _ = mixed_processes()
+        for p, X in zip(processes, fs.steady_state_filter_covs(processes)):
+            np.testing.assert_array_equal(X, reference_filter_cov(p))
+            np.testing.assert_array_equal(fs.steady_state_filter_cov(p), X)
+
+    def test_one_element_calls_match_batch(self):
+        processes, floors = mixed_processes()
+        for p, floor, curve in zip(processes, floors, fs.build_cost_curves(processes, floors)):
+            single = fs.build_cost_curve(p, floor)
+            np.testing.assert_array_equal(single.traces, curve.traces)
+            if curve.stable_limit is not None:
+                assert fs.no_comm_limit(p) == curve.stable_limit
+
+    def test_overflow_in_healthy_batch_raises(self):
+        processes, floors = mixed_processes()
+        blowup = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
+        with pytest.raises(fs.NumericalError, match="overflowed.*1e-09"):
+            fs.build_cost_curves([*processes, blowup], [*floors, 1e-9])
+
+    def test_one_floor_per_process(self):
+        processes, floors = mixed_processes()
+        with pytest.raises(ValueError):
+            fs.build_cost_curves(processes, floors[:-1])
+
+
+def probe_rates(curve, rng, count=40):
+    """``count`` shuffled rates holding each of: r = 1, r = 1/k, the floor, 0 and below the stored range (stable)."""
+    points = [1.0, curve.domain_floor if curve.domain_floor > 0 else 1e-3]
+    points += [1.0 / k for k in range(2, min(curve.traces.size + 2, 26))]
+    if curve.stable_limit is not None:
+        points += [0.0, 1e-7]
+    points = [r for r in points if r >= curve.domain_floor or r == 0.0]
+    points += list(rng.uniform(curve.domain_floor, 1.0, 8))
+    assert len(points) <= count
+    return rng.permutation(np.resize(points, count))
+
+
+@pytest.mark.parametrize("n", [5, _GATHER_MIN_AGENTS + 3], ids=["loop", "gather"])
+class TestValuesMatchCostEval:
+    def model(self, n, extend=False):
+        processes, floors = mixed_processes()
+        processes, floors = (processes * n)[:n], (floors * n)[:n]
+        curves = fs.build_cost_curves(processes, floors)
+        return fs.CurveCostModel(curves, processes=processes if extend else None), curves, processes
+
+    def test_bitwise_at_probe_points(self, n):
+        model, curves, _ = self.model(n)
+        rng = np.random.default_rng(7)
+        probes = np.array([probe_rates(c, rng) for c in curves])
+        stable = np.array([c.stable_limit is not None for c in curves])
+        assert (probes[stable] == 0.0).any() and (probes == 1.0).any()
+        for rates in probes.T:
+            expected = [fs.cost_eval(c, r) for c, r in zip(curves, rates)]
+            assert model.values(rates).tolist() == expected
+
+    def test_below_floor_extends_bitwise(self, n):
+        model, curves, processes = self.model(n, extend=True)
+        rates = np.array([1.0 / (k % 7 + 1) for k in range(n)])
+        unstable = [i for i, c in enumerate(curves) if c.stable_limit is None]
+        assert unstable
+        rates[unstable] = [0.5 * curves[i].domain_floor for i in unstable]
+        got = model.values(rates)
+        for i, (p, r) in enumerate(zip(processes, rates)):
+            expected = fs.cost_eval(reference_cost_curve(p, 0.5 * r) if i in unstable else curves[i], r)
+            assert got[i] == expected
+        assert all(model.curves[i].domain_floor == 0.5 * rates[i] for i in unstable)
+
+    def test_out_of_domain_raises(self, n):
+        model, curves, _ = self.model(n)
+        for bad in (1.5, -0.1):
+            rates = np.full(n, 0.5)
+            rates[n - 1] = bad
+            with pytest.raises(CostDomainError):
+                model.values(rates)
+        unstable = next(i for i, c in enumerate(curves) if c.stable_limit is None)
+        rates = np.full(n, 0.5)
+        rates[unstable] = 0.5 * curves[unstable].domain_floor
+        with pytest.raises(CostDomainError):
+            model.values(rates)
+
+
+def test_concurrent_extension_keeps_values_exact():
+    # readers racing on-demand rebuilds must only ever see complete curves
+    processes = [fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), fs.ProcessModel(A=[[0.5]], Q=[[1.0]])] * 30
+    model = fs.CurveCostModel.from_processes(processes, unstable_floor=0.5)
+    reference = [reference_cost_curve(p, 0.0 if i % 2 else 0.005) for i, p in enumerate(processes)]
+    schedules = [np.linspace(0.45, 0.01, 12) + 1e-4 * w for w in range(4)]
+    failures = []
+
+    def reader(rates_schedule):
+        for rate in rates_schedule:
+            rates = np.full(len(processes), rate)
+            got = model.values(rates)
+            if got.tolist() != [fs.cost_eval(c, rate) for c in reference]:
+                failures.append(rate)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(s,)) for s in schedules]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
