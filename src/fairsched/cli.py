@@ -257,6 +257,10 @@ def main(argv=None) -> int:
             p.add_argument("--allocation", required=True, help="allocation JSON produced by 'solve'")
 
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.max_iters is not None and args.max_iters < 1:
+        parser.error(f"--max-iters must be at least 1, got {args.max_iters}")
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

@@ -29,11 +29,13 @@ controllability), with errors naming the offending process.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .allocation import SolverConfig
+from .distributed import DUAL_MODES
 from .sensors import ProcessModel
 
 __all__ = ["ConfigError", "SimulationSettings", "DistributedSettings", "RunConfig", "load_config", "fixture_path"]
@@ -72,6 +74,14 @@ class RunConfig:
 def _require(condition, message):
     if not condition:
         raise ConfigError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value) and value > 0
 
 
 def _matrix(entry, key, idx, optional=False):
@@ -129,19 +139,33 @@ def load_config(path) -> RunConfig:
         simulation = SimulationSettings(**raw.get("simulation", {}))
     except TypeError as exc:
         raise ConfigError(f"simulation section: {exc}") from exc
-    _require(simulation.horizon >= 1, "simulation.horizon must be at least 1")
+    _require(_is_int(simulation.horizon) and simulation.horizon >= 1,
+             f"simulation.horizon must be an integer of at least 1, got {simulation.horizon!r}")
+    _require(_is_int(simulation.seed) and simulation.seed >= 0,
+             f"simulation.seed must be a non-negative integer, got {simulation.seed!r}")
 
     distributed = None
     if "distributed" in raw:
+        _require(isinstance(raw["distributed"], dict), "distributed section must be an object")
         section = dict(raw["distributed"])
         _require("graph" in section, "distributed section needs a 'graph' adjacency list")
         adjacency = section.pop("graph")
         _require(isinstance(adjacency, list) and len(adjacency) == len(processes),
                  "distributed.graph must list the neighbors of every process")
+        for i, neighbors in enumerate(adjacency):
+            _require(isinstance(neighbors, list) and all(_is_int(j) for j in neighbors),
+                     f"distributed.graph[{i}] must be a list of integer node indices, got {neighbors!r}")
         try:
             distributed = DistributedSettings(adjacency=adjacency, **section)
         except TypeError as exc:
             raise ConfigError(f"distributed section: {exc}") from exc
+        _require(distributed.dual_mode in DUAL_MODES,
+                 f"distributed.dual_mode must be one of {DUAL_MODES}, got {distributed.dual_mode!r}")
+        for key in ("step_a", "step_c", "eps_r"):
+            value = getattr(distributed, key)
+            _require(_is_positive(value), f"distributed.{key} must be a positive number, got {value!r}")
+        _require(_is_int(distributed.max_iters) and distributed.max_iters >= 1,
+                 f"distributed.max_iters must be an integer of at least 1, got {distributed.max_iters!r}")
 
     output_dir = Path(raw["output_dir"]) if "output_dir" in raw else None
     return RunConfig(

@@ -27,6 +27,7 @@ Three couplings for the dual copies are provided:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -272,10 +273,12 @@ def solve_distributed(
         lam'    = dual step from (lam, r_hat) with eps
 
     where the dual step is mode-dependent (see module docstring) and always
-    ends with projection onto the nonnegative orthant. Stops once
-    ``||dr|| + ||dlam|| <= eps_r``. The returned allocation is the final
-    primal iterate projected onto the full region, so it is always feasible;
-    the raw iterate is available through the dual state.
+    ends with projection onto the nonnegative orthant. Both dual steps read
+    ``lam``, so one coupling product ``M @ lam`` per round serves both (``M`` is
+    ``W``, ``L + L'`` or ``L`` by mode). Stops once ``||dr|| + ||dlam|| <=
+    eps_r``. The returned allocation is the final primal iterate projected
+    onto the full region, so it is always feasible; the raw iterate is
+    available through the dual state.
 
     Returns ``(rates, DualState, DistributedTrace)``.
     """
@@ -287,10 +290,10 @@ def solve_distributed(
     hat_schedule = hat_schedule or schedule
 
     share = region.total / region.n
-    L = consensus_matrix(graph)
-    G = L + L.T
-    W = metropolis_matrix(graph)
     lb, ub = region.lower, region.upper
+    L = consensus_matrix(graph)
+    coupling = {"mixing": metropolis_matrix(graph), "penalty": L + L.T, "penalty-asym": L}[dual_mode]
+    mixing = dual_mode == "mixing"
 
     r = initial_allocation(region) if init_rates is None else np.array(init_rates, dtype=float)
     # warm-start the multiplier copies at the local costs: each node can
@@ -298,39 +301,40 @@ def solve_distributed(
     lam = costs.values(r).copy() if init_lambdas is None else np.array(init_lambdas, dtype=float)
     lam = np.maximum(lam, 0.0)
 
-    def dual_step(lam_cur, r_partner, eps):
-        drift = r_partner - share
-        if dual_mode == "mixing":
-            out = W @ lam_cur + eps * drift
-        elif dual_mode == "penalty":
-            out = lam_cur + eps * (drift - G @ lam_cur)
-        else:
-            out = lam_cur + eps * (drift - L @ lam_cur)
-        return np.maximum(out, 0.0)
-
     residuals = np.empty(max_iters)
     spreads = np.empty(max_iters)
     mins = np.empty(max_iters)
     status = MAX_INNER_ITERS
     used = 0
+    # at n ~ 5 numpy dispatch outweighs the arithmetic: minimum(maximum()) and
+    # sqrt(v.dot(v)) are np.clip's and np.linalg.norm's kernels minus their wrappers
     for k in range(max_iters):
         eps = schedule(k)
         eps_hat = hat_schedule(k)
         values = costs.values(r)
 
-        r_hat = np.clip(r + eps_hat * (values - lam), lb, ub)
-        lam_hat = dual_step(lam, r, eps_hat)
+        r_hat = np.minimum(np.maximum(r + eps_hat * (values - lam), lb), ub)
+        coupled = coupling @ lam
+        if mixing:
+            lam_hat = np.maximum(coupled + eps_hat * (r - share), 0.0)
+            lam_new = np.maximum(coupled + eps * (r_hat - share), 0.0)
+        else:
+            lam_hat = np.maximum(lam + eps_hat * ((r - share) - coupled), 0.0)
+            lam_new = np.maximum(lam + eps * ((r_hat - share) - coupled), 0.0)
+        r_new = np.minimum(np.maximum(r + eps * (values - lam_hat), lb), ub)
 
-        r_new = np.clip(r + eps * (values - lam_hat), lb, ub)
-        lam_new = dual_step(lam, r_hat, eps)
-
-        residual = float(np.linalg.norm(r_new - r) + np.linalg.norm(lam_new - lam))
+        dr = r_new - r
+        dlam = lam_new - lam
+        residual = math.sqrt(dr.dot(dr)) + math.sqrt(dlam.dot(dlam))
         r, lam = r_new, lam_new
+        copies = lam.tolist()  # min and max of a short list are cheaper in Python, and exact
+        lam_min = min(copies)
         residuals[k] = residual
-        spreads[k] = float(lam.max() - lam.min())
-        mins[k] = float(lam.min())
+        spreads[k] = max(copies) - lam_min
+        mins[k] = lam_min
         used = k + 1
-        if not (np.isfinite(lam).all() and np.linalg.norm(lam) < 1e6):
+        # NaN and inf fail the comparison too
+        if not math.sqrt(lam.dot(lam)) < 1e6:
             raise NumericalError("distributed iteration diverged (multiplier norm exceeded 1e6)")
         if residual <= eps_r:
             status = CONVERGED

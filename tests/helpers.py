@@ -2,8 +2,9 @@
 
 The oracles here are deliberately independent of the library's own numerics:
 projections are checked against dense grid search, solver optimality
-against grid enumeration of the max-min objective, and the batched cost-curve
-build against a scalar one-process-at-a-time recursion.
+against grid enumeration of the max-min objective, the batched cost-curve
+build against a scalar one-process-at-a-time recursion, and the fused
+distributed round against the two-dual-step loop it replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +14,16 @@ import math
 import numpy as np
 
 from fairsched import CostCurve, CostDomainError, FeasibleRegion, NumericalError, classify_stability
+from fairsched.allocation import CONVERGED, MAX_INNER_ITERS, initial_allocation, project_feasible
+from fairsched.distributed import (
+    DUAL_MODES,
+    DistributedTrace,
+    DualState,
+    GraphError,
+    StepSchedule,
+    consensus_matrix,
+    metropolis_matrix,
+)
 
 
 def grid_project(x, region: FeasibleRegion, resolution: float = 1e-3) -> np.ndarray:
@@ -152,3 +163,83 @@ def reference_cost_curve(p, domain_floor: float, tail_tol: float = 1e-10) -> Cos
         traces.append(tr)
     traces = np.array(traces)
     return CostCurve(traces=traces, cumsums=np.cumsum(traces), stable_limit=limit, domain_floor=float(domain_floor))
+
+
+def reference_solve_distributed(
+    costs,
+    region: FeasibleRegion,
+    graph,
+    schedule: StepSchedule | None = None,
+    max_iters: int = 200_000,
+    eps_r: float = 1e-6,
+    dual_mode: str = "mixing",
+    hat_schedule: StepSchedule | None = None,
+    init_rates=None,
+    init_lambdas=None,
+):
+    """``solve_distributed`` as one mode-branching dual step called twice per round.
+
+    Each call forms its own coupling product and the round goes through
+    ``np.clip`` and ``np.linalg.norm``; the library's fused round must match
+    it bit for bit.
+    """
+    if dual_mode not in DUAL_MODES:
+        raise ValueError(f"dual_mode must be one of {DUAL_MODES}")
+    if graph.n != region.n:
+        raise GraphError(f"graph has {graph.n} nodes but the region has {region.n} agents")
+    schedule = schedule or StepSchedule()
+    hat_schedule = hat_schedule or schedule
+
+    share = region.total / region.n
+    L = consensus_matrix(graph)
+    G = L + L.T
+    W = metropolis_matrix(graph)
+    lb, ub = region.lower, region.upper
+
+    r = initial_allocation(region) if init_rates is None else np.array(init_rates, dtype=float)
+    lam = costs.values(r).copy() if init_lambdas is None else np.array(init_lambdas, dtype=float)
+    lam = np.maximum(lam, 0.0)
+
+    def dual_step(lam_cur, r_partner, eps):
+        drift = r_partner - share
+        if dual_mode == "mixing":
+            out = W @ lam_cur + eps * drift
+        elif dual_mode == "penalty":
+            out = lam_cur + eps * (drift - G @ lam_cur)
+        else:
+            out = lam_cur + eps * (drift - L @ lam_cur)
+        return np.maximum(out, 0.0)
+
+    residuals = np.empty(max_iters)
+    spreads = np.empty(max_iters)
+    mins = np.empty(max_iters)
+    status = MAX_INNER_ITERS
+    used = 0
+    for k in range(max_iters):
+        eps = schedule(k)
+        eps_hat = hat_schedule(k)
+        values = costs.values(r)
+
+        r_hat = np.clip(r + eps_hat * (values - lam), lb, ub)
+        lam_hat = dual_step(lam, r, eps_hat)
+
+        r_new = np.clip(r + eps * (values - lam_hat), lb, ub)
+        lam_new = dual_step(lam, r_hat, eps)
+
+        residual = float(np.linalg.norm(r_new - r) + np.linalg.norm(lam_new - lam))
+        r, lam = r_new, lam_new
+        residuals[k] = residual
+        spreads[k] = float(lam.max() - lam.min())
+        mins[k] = float(lam.min())
+        used = k + 1
+        if not (np.isfinite(lam).all() and np.linalg.norm(lam) < 1e6):
+            raise NumericalError("distributed iteration diverged (multiplier norm exceeded 1e6)")
+        if residual <= eps_r:
+            status = CONVERGED
+            break
+
+    rates = project_feasible(r, region)
+    trace = DistributedTrace(
+        residuals=residuals[:used], lambda_spreads=spreads[:used], lambda_mins=mins[:used], status=status
+    )
+    return rates, DualState(lambdas=lam, rates=r), trace

@@ -249,3 +249,61 @@ class TestValidateCommand:
     def test_bad(self, tmp_path):
         path = write_config(tmp_path, {"total_rate": 1.0, "processes": [{"A": [[0.5]], "Q": [[-1.0]]}]})
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_ERROR
+
+
+def fixture_with(tmp_path, section, key, value):
+    """The paper fixture with one field of one section replaced."""
+    payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+    payload[section][key] = value
+    return write_config(tmp_path, payload, name=f"{section}_{key}.json")
+
+
+def assert_one_line_config_error(capsys, argv):
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+class TestSectionsValidatedAtLoad:
+    """Bad ``distributed`` and ``simulation`` fields fail ``load_config``, so every command exits 2."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("dual_mode", "foo"),
+        ("step_a", -1),
+        ("step_c", 0),
+        ("eps_r", -1),
+        ("max_iters", 0),
+        ("graph", [[1, 4], [0, 2], [1, 3], [2, 4], "x"]),
+        ("graph", [[1, 4], [0, 2], [1, 3], [2, 4], [3, 0.5]]),
+    ])
+    def test_distributed_field(self, tmp_path, capsys, key, value):
+        path = fixture_with(tmp_path, "distributed", key, value)
+        with pytest.raises(ConfigError, match="distributed"):
+            load_config(path)
+        for command in ("validate-config", "distributed"):
+            assert_one_line_config_error(capsys, [command, "--config", str(path), "--out", str(tmp_path / "d")])
+
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("seed", True), ("horizon", 1000.5), ("horizon", 0)])
+    def test_simulation_field(self, tmp_path, capsys, key, value):
+        path = fixture_with(tmp_path, "simulation", key, value)
+        with pytest.raises(ConfigError, match=f"simulation.{key}"):
+            load_config(path)
+        alloc_path = tmp_path / "rates.json"
+        alloc_path.write_text(json.dumps({"rates": [0.4] * 5}))
+        assert_one_line_config_error(capsys, ["validate-config", "--config", str(path)])
+        assert_one_line_config_error(capsys, ["simulate", "--config", str(path),
+                                              "--allocation", str(alloc_path), "--out", str(tmp_path / "m")])
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize("argv", [
+        ["distributed", "--max-iters", "-1"],
+        ["solve", "--max-iters", "-1"],
+        ["solve", "--max-iters", "0"],
+        ["simulate", "--allocation", "rates.json", "--seed", "-1"],
+    ])
+    def test_out_of_range_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(fs.fixture_path("paper_sec4"))])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert "Traceback" not in capsys.readouterr().err

@@ -3,7 +3,8 @@ import pytest
 
 import fairsched as fs
 from fairsched.allocation import CostDomainError
-from fairsched.distributed import GraphError
+from fairsched.distributed import DUAL_MODES, GraphError
+from helpers import reference_solve_distributed
 
 
 class TestCommGraph:
@@ -200,3 +201,50 @@ class TestSolveDistributed:
             )
             assert np.all(dual.lambdas >= 0.0)
             assert region.contains(rates, tol=1e-9)
+
+
+
+@pytest.fixture
+def affine_path(example1):
+    costs, region = example1
+    kwargs = dict(schedule=fs.StepSchedule(2.0, 10.0), hat_schedule=fs.StepSchedule(1.5, 4.0),
+                  init_lambdas=np.array([-1.0, 5.0, -0.25]))
+    return costs, region, fs.CommGraph.path(3), kwargs
+
+
+@pytest.fixture
+def fixture_ring(bench_instance):
+    cfg, region, costs, mask = bench_instance
+    floored = np.where(mask, np.maximum(cfg.solver.eta, region.lower), region.lower)
+    region = fs.FeasibleRegion(region.total, floored, region.upper)
+    # first steps below 2 / ||L + L'|| (~0.5 on the ring), so the penalty modes stay bounded
+    kwargs = dict(schedule=fs.StepSchedule(4.0, 10.0), hat_schedule=fs.StepSchedule(3.0, 10.0),
+                  init_lambdas=np.array([3.0, -2.0, 40.0, -0.5, 7.0]))
+    return costs, region, fs.CommGraph.from_adjacency(cfg.distributed.adjacency), kwargs
+
+
+class TestFusedRoundMatchesReference:
+    """The fused round reproduces the two-dual-step loop bit for bit."""
+
+    @pytest.mark.parametrize("mode", DUAL_MODES)
+    @pytest.mark.parametrize("instance", ["affine_path", "fixture_ring"])
+    def test_bitwise_equal(self, request, instance, mode):
+        costs, region, graph, kwargs = request.getfixturevalue(instance)
+        kwargs = dict(kwargs, max_iters=5000, eps_r=1e-12, dual_mode=mode)
+        rates, dual, trace = fs.solve_distributed(costs, region, graph, **kwargs)
+        ref_rates, ref_dual, ref_trace = reference_solve_distributed(costs, region, graph, **kwargs)
+        assert len(trace) == 5000
+        np.testing.assert_array_equal(rates, ref_rates)
+        np.testing.assert_array_equal(dual.lambdas, ref_dual.lambdas)
+        np.testing.assert_array_equal(dual.rates, ref_dual.rates)
+        np.testing.assert_array_equal(trace.residuals, ref_trace.residuals)
+        np.testing.assert_array_equal(trace.lambda_spreads, ref_trace.lambda_spreads)
+        np.testing.assert_array_equal(trace.lambda_mins, ref_trace.lambda_mins)
+        assert trace.status == ref_trace.status
+
+    def test_both_detect_divergence(self, example1):
+        costs, region = example1
+        kwargs = dict(schedule=fs.StepSchedule(50.0, 1.0), max_iters=10_000, eps_r=1e-9, dual_mode="penalty")
+        for solve in (fs.solve_distributed, reference_solve_distributed):
+            with pytest.raises(fs.NumericalError):
+                solve(costs, region, fs.CommGraph.path(3), **kwargs)
