@@ -27,7 +27,6 @@ from .allocation import (
     SolverConfig,
     SolverTrace,
     check_equilibrium,
-    game_value,
     initial_allocation,
     project_feasible,
     recover_weights,
@@ -58,8 +57,10 @@ from .sensors import (
     build_cost_curves,
     classify_stability,
     cost_eval,
+    first_rank_failure,
     lipschitz_bounds,
     no_comm_limit,
+    stable_mask,
     steady_state_filter_cov,
     steady_state_filter_covs,
     threshold_from_rate,

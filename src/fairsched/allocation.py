@@ -45,7 +45,6 @@ __all__ = [
     "solve_inner",
     "solve_maxmin",
     "initial_allocation",
-    "game_value",
     "recover_weights",
     "check_equilibrium",
 ]
@@ -385,17 +384,6 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
         work = FeasibleRegion(region.total, lower, region.upper)
         # shrinking floors only enlarges the region, so r stays feasible
     return r, rec.build(status)
-
-
-def game_value(weights, rates, costs: CostModel) -> float:
-    """Weighted cost ``sum_i w_i J_i(r_i)`` for simplex weights ``w``."""
-    weights = np.asarray(weights, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    if weights.shape != rates.shape:
-        raise ValueError("weights and rates must have equal length")
-    if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < -1e-12):
-        raise ValueError("weights must be a probability vector")
-    return float(weights @ costs.values(rates))
 
 
 def recover_weights(rates, costs: CostModel, tol: float = 1e-6) -> np.ndarray:

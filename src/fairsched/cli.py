@@ -17,7 +17,7 @@ import numpy as np
 from . import allocation as alloc
 from . import distributed as dist
 from .config import ConfigError, RunConfig, load_config
-from .sensors import CostDomainError, CurveCostModel, NumericalError, classify_stability
+from .sensors import CostDomainError, CurveCostModel, NumericalError
 from .simulate import simulate_allocation
 
 EXIT_OK = 0
@@ -25,16 +25,20 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _fmt(x: float) -> str:
-    # shortest representation that round-trips exactly
-    return repr(float(x))
+def _write_csv(path: Path, schema: str, header: list[str], values, labels=None) -> None:
+    """Stream a CSV: the schema line, the header, then one line per row of ``values``.
 
-
-def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
-    lines = [f"# fairsched {schema} v1", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    Floats print in their shortest exact form (``float.__repr__``), so an
+    integer-valued float prints as ``1.0``. ``labels``, if given, is an
+    integer first column printed as ``5``.
+    """
+    fmt = float.__repr__
+    rows = np.asarray(values, dtype=float).tolist()
+    heads = [""] * len(rows) if labels is None else [f"{label}," for label in np.asarray(labels).tolist()]
+    with path.open("w") as f:
+        f.write(f"# fairsched {schema} v1\n{','.join(header)}\n")
+        for head, row in zip(heads, rows):
+            f.write(head + ",".join(map(fmt, row)) + "\n")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -44,9 +48,8 @@ def _write_json(path: Path, payload) -> None:
 def _region_and_costs(cfg: RunConfig):
     n = len(cfg.processes)
     region = alloc.FeasibleRegion(cfg.total_rate, np.zeros(n), np.ones(n))
-    mask = np.array([not classify_stability(p.A) for p in cfg.processes])
     costs = CurveCostModel.from_processes(cfg.processes, unstable_floor=cfg.solver.eta)
-    return region, costs, mask
+    return region, costs, ~costs.stable
 
 
 _SETUP_ERRORS = (alloc.InfeasibleRegionError, CostDomainError, NumericalError)
@@ -66,21 +69,18 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> int:
         out_dir / "allocation_trace.csv",
         "allocation_trace",
         ["iteration"] + [f"r{i + 1}" for i in range(n)],
-        ([t, *row] for t, row in zip(trace.iterations, trace.rates)),
+        trace.rates,
+        trace.iterations,
     )
     _write_csv(
         out_dir / "cost_trace.csv",
         "cost_trace",
         ["iteration"] + [f"J{i + 1}" for i in range(n)],
-        ([t, *row] for t, row in zip(trace.iterations, trace.costs)),
+        trace.costs,
+        trace.iterations,
     )
     errors = np.linalg.norm(trace.rates - rates, axis=1)
-    _write_csv(
-        out_dir / "error_decay.csv",
-        "error_decay",
-        ["iteration", "error"],
-        ([t, e] for t, e in zip(trace.iterations, errors)),
-    )
+    _write_csv(out_dir / "error_decay.csv", "error_decay", ["iteration", "error"], errors[:, None], trace.iterations)
 
     # widen the cost-equality window to what the solve actually resolved
     active_tol = max(1e-6, 100.0 * trace.final_residual) if trace.converged else 1e-3
@@ -132,34 +132,35 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
     if rates.size != len(cfg.processes):
         print(f"allocation lists {rates.size} rates but config has {len(cfg.processes)} processes", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    for i, (p, r) in enumerate(zip(cfg.processes, rates)):
-        if r == 0 and not classify_stability(p.A):
-            print(f"refusing to simulate: process {i} is unstable and was allocated rate 0", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
 
     horizon = cfg.simulation.horizon
     use_seed = cfg.simulation.seed if seed is None else seed
     try:
-        _, costs, _ = _region_and_costs(cfg)
+        _, costs, unstable = _region_and_costs(cfg)
     except _SETUP_ERRORS as exc:
         print(f"cannot set up this configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    refused = np.flatnonzero(unstable & (rates == 0))
+    if refused.size:
+        print(f"refusing to simulate: process {refused[0]} is unstable and was allocated rate 0", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     try:
         results = simulate_allocation(cfg.processes, rates, horizon, use_seed)
-        analytic = costs.values(rates).tolist()
+        analytic = costs.values(rates)
     except CostDomainError as exc:
         print(f"allocation is outside the supported rate domain: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    rows = []
-    for i, (r, res, ref) in enumerate(zip(rates, results, analytic)):
-        gap = abs(res.empirical_avg_error - ref) / ref
-        rows.append([i + 1, r, res.empirical_rate, res.empirical_avg_error, ref, gap])
+    empirical_errors = np.array([res.empirical_avg_error for res in results])
+    gaps = np.abs(empirical_errors - analytic) / analytic
     _write_csv(
         out_dir / "simulation_report.csv",
         "simulation_report",
         ["process", "rate", "empirical_rate", "empirical_avg_error", "analytical_error", "relative_gap"],
-        rows,
+        np.column_stack([
+            np.arange(1, rates.size + 1), rates, [res.empirical_rate for res in results], empirical_errors,
+            analytic, gaps,
+        ]),
     )
     budget_exceeded = bool(rates.sum() > cfg.total_rate + 1e-9)
     _write_json(
@@ -167,7 +168,7 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
         {
             "horizon": horizon,
             "seed": use_seed,
-            "max_relative_gap": max(row[5] for row in rows),
+            "max_relative_gap": max(gaps.tolist()),
             "budget_exceeded": budget_exceeded,
         },
     )
@@ -210,11 +211,12 @@ def run_distributed(cfg: RunConfig, out_dir: Path) -> int:
 
     dual, trace = report.dual_state, report.distributed_trace
     stride = max(1, len(trace) // 2000)
+    kept = np.arange(0, len(trace), stride)
     _write_csv(
         out_dir / "dual_trace.csv",
         "dual_trace",
         ["iteration", "residual", "lambda_spread"],
-        ([k, trace.residuals[k], trace.lambda_spreads[k]] for k in range(0, len(trace), stride)),
+        np.column_stack([kept, trace.residuals[kept], trace.lambda_spreads[kept]]),
     )
     _write_json(
         out_dir / "comparison.json",

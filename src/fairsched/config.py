@@ -22,8 +22,9 @@ A run config is a single JSON object:
 
 All matrices are row-major nested lists. ``C`` and ``R`` default to identity.
 ``distributed.graph`` is an adjacency list (neighbors per node). Every process
-is fully validated at load time (shapes, definiteness, observability and
-controllability), with errors naming the offending process.
+is fully validated at load time (finite entries, shapes, definiteness,
+observability and controllability), with errors naming the first offending
+process.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from pathlib import Path
 
 from .allocation import SolverConfig
 from .distributed import DUAL_MODES
-from .sensors import ProcessModel
+from .sensors import ProcessModel, first_rank_failure
 
 __all__ = ["ConfigError", "SimulationSettings", "DistributedSettings", "RunConfig", "load_config", "fixture_path"]
 
@@ -98,17 +99,36 @@ def _matrix(entry, key, idx, optional=False):
 def _build_process(entry, idx) -> ProcessModel:
     _require(isinstance(entry, dict), f"processes[{idx}] must be an object")
     try:
-        model = ProcessModel(
+        return ProcessModel(
             A=_matrix(entry, "A", idx),
             Q=_matrix(entry, "Q", idx),
             C=_matrix(entry, "C", idx, optional=True),
             R_meas=_matrix(entry, "R", idx, optional=True),
             Pi0=_matrix(entry, "Pi0", idx, optional=True),
         )
-        model.validate()
     except ValueError as exc:
         raise ConfigError(f"processes[{idx}]: {exc}") from exc
-    return model
+
+
+def _build_processes(entries) -> list[ProcessModel]:
+    """Every process, constructed and rank tested; errors name the first bad one.
+
+    The rank tests run once over all processes built, so when construction
+    fails at some index, the processes before it are rank tested first.
+    """
+    processes, error = [], None
+    for i, entry in enumerate(entries):
+        try:
+            processes.append(_build_process(entry, i))
+        except ConfigError as exc:
+            error = exc
+            break
+    failure = first_rank_failure(processes)
+    if failure is not None:
+        raise ConfigError(f"processes[{failure[0]}]: {failure[1]}")
+    if error is not None:
+        raise error
+    return processes
 
 
 def load_config(path) -> RunConfig:
@@ -124,7 +144,7 @@ def load_config(path) -> RunConfig:
 
     _require("processes" in raw, "config is missing 'processes'")
     _require(isinstance(raw["processes"], list) and raw["processes"], "'processes' must be a non-empty list")
-    processes = [_build_process(entry, i) for i, entry in enumerate(raw["processes"])]
+    processes = _build_processes(raw["processes"])
 
     _require("total_rate" in raw, "config is missing 'total_rate'")
     total = raw["total_rate"]

@@ -23,6 +23,11 @@ Three couplings for the dual copies are provided:
   gradient, so the copies stall short of consensus on asymmetric instances;
   kept for comparison.
 * ``penalty-asym`` - same but with the unsymmetrized ``-eps * L lam``.
+
+The penalty modes are stable only while the first step ``a / c`` stays below
+``2 / ||L + L'||`` (about 0.55 on the paper fixture's 5-ring). At the
+fixture's ``step_a = 25``, ``step_c = 10`` the first step is 2.5, so
+``penalty`` diverges and ``penalty-asym`` ends unconverged; both exit 3.
 """
 
 from __future__ import annotations

@@ -40,6 +40,8 @@ __all__ = [
     "CostCurve",
     "CurveCostModel",
     "classify_stability",
+    "stable_mask",
+    "first_rank_failure",
     "steady_state_filter_cov",
     "steady_state_filter_covs",
     "no_comm_limit",
@@ -76,10 +78,11 @@ class ProcessModel:
 
     ``Q`` (process noise covariance) must be symmetric PSD, ``R_meas``
     (measurement noise covariance) symmetric PD. ``C`` and ``R_meas`` default
-    to identities of the state dimension. Shape and definiteness are checked
-    at construction; the observability / controllability rank tests live in
-    :meth:`validate` so degenerate fixtures (for instance ``Q = 0``) can still
-    be built for targeted tests.
+    to identities of the state dimension. Finiteness, shape and definiteness
+    are checked at construction; the observability / controllability rank
+    tests live in :meth:`validate` (batched over many processes by
+    :func:`first_rank_failure`) so degenerate fixtures (for instance
+    ``Q = 0``) can still be built for targeted tests.
     """
 
     A: np.ndarray
@@ -98,6 +101,9 @@ class ProcessModel:
         C = np.eye(n) if self.C is None else np.atleast_2d(np.array(self.C, dtype=float))
         R = np.eye(C.shape[0]) if self.R_meas is None else np.atleast_2d(np.array(self.R_meas, dtype=float))
         Pi0 = None if self.Pi0 is None else np.atleast_2d(np.array(self.Pi0, dtype=float))
+        for name, arr in (("A", A), ("Q", Q), ("C", C), ("R_meas", R), ("Pi0", Pi0)):
+            if arr is not None and not np.isfinite(arr).all():
+                raise ValueError(f"{name} must have finite entries (NaN or infinity found)")
 
         if Q.shape != (n, n):
             raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
@@ -125,29 +131,47 @@ class ProcessModel:
 
     def validate(self) -> None:
         """Rank tests: (A, C) observable and (A, sqrt(Q)) controllable."""
-        n = self.dim
-        obs = np.vstack([self.C @ np.linalg.matrix_power(self.A, k) for k in range(n)])
-        if np.linalg.matrix_rank(obs) < n:
-            raise ValueError("(A, C) is not observable")
-        sq = _matrix_sqrt_psd(self.Q)
-        ctr = np.hstack([np.linalg.matrix_power(self.A, k) @ sq for k in range(n)])
-        if np.linalg.matrix_rank(ctr) < n:
-            raise ValueError("(A, sqrt(Q)) is not controllable")
+        failure = first_rank_failure([self])
+        if failure is not None:
+            raise ValueError(failure[1])
+
+
+def first_rank_failure(ps) -> tuple[int, str] | None:
+    """``(index, reason)`` of the first process failing :meth:`ProcessModel.validate`, or None.
+
+    The observability and controllability matrices of equally shaped
+    processes are stacked, so each shape costs one rank computation per test.
+    """
+    ps = list(ps)
+    failures = []
+    for rows in _groups(ps):
+        group = [ps[i] for i in rows]
+        A, Q, C = (_stack(group, name) for name in ("A", "Q", "C"))
+        n = A.shape[-1]
+        powers = [np.linalg.matrix_power(A, k) for k in range(n)]
+        obs = np.concatenate([C @ P for P in powers], axis=1)
+        vals, vecs = np.linalg.eigh(0.5 * (Q + _mT(Q)))
+        sqrt_q = (vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]) @ _mT(vecs)
+        ctr = np.concatenate([P @ sqrt_q for P in powers], axis=2)
+        unobservable = np.linalg.matrix_rank(obs) < n
+        uncontrollable = np.linalg.matrix_rank(ctr) < n
+        bad = np.flatnonzero(unobservable | uncontrollable)
+        if bad.size:
+            j = bad[0]
+            reason = "(A, C) is not observable" if unobservable[j] else "(A, sqrt(Q)) is not controllable"
+            failures.append((int(rows[j]), reason))
+    return min(failures, default=None)
 
 
 def _check_symmetric_psd(M, name, definite):
-    if not np.allclose(M, M.T, atol=1e-9):
+    # np.allclose(M, M.T, atol=1e-9) without its per-call overhead
+    if not (np.abs(M - M.T) <= 1e-9 + 1e-5 * np.abs(M.T)).all():
         raise ValueError(f"{name} must be symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
     if definite and eigs.min() <= 0:
         raise ValueError(f"{name} must be positive definite (min eigenvalue {eigs.min():.3g})")
     if not definite and eigs.min() < -1e-10:
         raise ValueError(f"{name} must be positive semidefinite (min eigenvalue {eigs.min():.3g})")
-
-
-def _matrix_sqrt_psd(M):
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    return vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
 def _mT(X):
@@ -159,20 +183,34 @@ def _stable(A) -> np.ndarray:
     return np.abs(np.linalg.eigvals(A)).max(axis=-1) < 1.0 - _STABILITY_TOL
 
 
+def stable_mask(matrices) -> np.ndarray:
+    """:func:`classify_stability` of each square matrix, one eigenvalue call per shape."""
+    As = list(matrices)
+    out = np.empty(len(As), dtype=bool)
+    for rows in _group_by([A.shape for A in As]):
+        out[rows] = _stable(np.stack([As[i] for i in rows]))
+    return out
+
+
 def classify_stability(A) -> bool:
     """True iff the spectral radius of ``A`` is below 1; the boundary counts as unstable."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got shape {A.shape}")
-    return bool(_stable(A))
+    return bool(stable_mask([A])[0])
+
+
+def _group_by(keys) -> list[np.ndarray]:
+    """Indices grouped by equal keys, groups in order of first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [np.array(g) for g in groups.values()]
 
 
 def _groups(ps) -> list[np.ndarray]:
     """Indices of ``ps`` grouped by the shape of ``C`` (measurement by state dimension)."""
-    groups = {}
-    for i, p in enumerate(ps):
-        groups.setdefault(p.C.shape, []).append(i)
-    return [np.array(g) for g in groups.values()]
+    return _group_by([p.C.shape for p in ps])
 
 
 def _stack(ps, name: str) -> np.ndarray:
@@ -384,6 +422,8 @@ class _CurveTable:
         sizes = np.asarray(sizes, dtype=np.intp)
         stable = np.array([limit is not None for limit in limits], dtype=bool)
         first = np.cumsum(sizes + 1) - (sizes + 1)
+        stable.setflags(write=False)
+        self.stable = stable
         traces.setflags(write=False)  # shared by every curve's views
         cumsums.setflags(write=False)
         self.traces, self.cumsums = traces, cumsums
@@ -433,22 +473,22 @@ def _scatter(runs, first, lengths, traces) -> None:
         del steps
 
 
-def _build_table(processes, domain_floors, tail_tol: float) -> _CurveTable:
+def _build_table(processes, domain_floors, tail_tol: float, stable=None) -> _CurveTable:
     """Cost curves of all processes, one batched recursion per shape, written into one table.
 
     Each group of equally shaped processes runs the Riccati steady state, the
     stable no-communication limits and the trace sequences on stacked
     ``(k, d, d)`` arrays. The traces of every step are then scattered into
-    the table, which is exactly the size of the output.
+    the table, which is exactly the size of the output. ``stable`` is the
+    processes' :func:`stable_mask`, if the caller has it already.
     """
     ps = list(processes)
     floors = np.asarray(domain_floors, dtype=float)
     if floors.shape != (len(ps),):
         raise ValueError(f"need one domain floor per process, got shape {floors.shape}")
     groups = _groups(ps)
-    stable = np.empty(len(ps), dtype=bool)
-    for rows in groups:
-        stable[rows] = _stable(_stack([ps[i] for i in rows], "A"))
+    if stable is None:
+        stable = stable_mask([p.A for p in ps])
     for floor, is_stable in zip(floors.tolist(), stable.tolist()):
         if not 0 <= floor <= 1:
             raise CostDomainError(f"domain floor must lie in [0, 1], got {floor}")
@@ -596,10 +636,16 @@ class CurveCostModel(CostModel):
     @classmethod
     def from_processes(cls, processes, unstable_floor: float = 1e-3, tail_tol: float = 1e-10):
         processes = list(processes)
-        floors = [0.0 if classify_stability(p.A) else unstable_floor for p in processes]
+        stable = stable_mask([p.A for p in processes])
+        floors = np.where(stable, 0.0, float(unstable_floor))
         model = cls.__new__(cls)
-        model._init(_build_table(processes, floors, tail_tol), processes, tail_tol)
+        model._init(_build_table(processes, floors, tail_tol, stable), processes, tail_tol)
         return model
+
+    @property
+    def stable(self) -> np.ndarray:
+        """Per agent: whether its curve is stable, i.e. defined down to rate 0."""
+        return self._table.stable
 
     @property
     def curves(self) -> list[CostCurve]:

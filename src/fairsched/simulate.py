@@ -6,16 +6,20 @@ touches the piecewise-linear formula, only the raw recursion
 driven by the randomized threshold rule on the age counter.
 
 The age sequence is a renewal process, so the step loop is executed in
-vectorized form: one uniform draw decides each cycle's length, and the error
-accumulated over a cycle is a prefix sum of the recursion's own trace table.
-This is step-for-step identical to the scalar loop with the same draws.
-Results are deterministic given (inputs, horizon, seed); per-process streams
-in ``simulate_allocation`` are split off a single ``SeedSequence`` (PCG64),
-so they are independent and order-insensitive.
+vectorized form: one uniform draw decides each cycle's length, and the
+draws come in chunks sized to the expected cycle count. The cycles and
+transmissions are those of the scalar loop with the same draws. The error is
+summed from the counts of short and long cycles, each cycle's cost being a
+prefix sum of the recursion's own trace table, so it can differ from the
+scalar loop's running sum in the last bits. Results are deterministic given
+(inputs, horizon, seed); per-process streams in ``simulate_allocation`` are
+split off a single ``SeedSequence`` (PCG64), so they are independent and
+order-insensitive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +28,7 @@ from .allocation import CostDomainError
 from .sensors import (
     ProcessModel,
     ThresholdPolicy,
-    classify_stability,
+    stable_mask,
     steady_state_filter_cov,
     steady_state_filter_covs,
     threshold_from_rate,
@@ -45,14 +49,27 @@ def _trace_table(p: ProcessModel, pbar: np.ndarray, upto: int) -> np.ndarray:
     """Tr(P) after 0..upto prediction steps from the filter steady state ``pbar``."""
     M = pbar
     out = np.empty(upto + 1)
-    out[0] = np.trace(M)
+    out[0] = M.trace()
     for t in range(1, upto + 1):
         M = p.A @ M @ p.A.T + p.Q
         M = 0.5 * (M + M.T)
-        out[t] = np.trace(M)
+        out[t] = M.trace()
     if not np.isfinite(out).all():
         raise OverflowError("covariance recursion overflowed; the policy rate is too small")
     return out
+
+
+def _chunk_size(steps: int, policy: ThresholdPolicy) -> int:
+    """Uniforms to draw for ``steps`` more steps: the expected cycle count plus 4 sigma plus 16.
+
+    Cycles last ``xi + 1`` steps with probability ``b``, else ``xi + 2``; over
+    ``steps`` steps their count has mean ``steps / mu`` and variance
+    ``steps * b (1 - b) / mu^3``, ``mu = xi + 2 - b``. One chunk almost
+    always covers the horizon.
+    """
+    mean = policy.xi + 2.0 - policy.b
+    sigma = math.sqrt(steps * policy.b * (1.0 - policy.b) / mean**3)
+    return int(steps / mean + 4.0 * sigma) + 16
 
 
 def _run_cycles(p: ProcessModel, pbar: np.ndarray, policy: ThresholdPolicy, horizon: int, rng) -> tuple[float, int]:
@@ -61,38 +78,41 @@ def _run_cycles(p: ProcessModel, pbar: np.ndarray, policy: ThresholdPolicy, hori
     Starting right after a transmission the age visits 0..xi and the cycle
     closes there with probability b, else it runs one step longer. A cycle of
     length L contributes the first L entries of the trace table and exactly
-    one transmission, decided at its last step.
+    one transmission, decided at its last step. Cycle i draws the i-th
+    uniform of the stream, in chunks of any size; a cycle cut by the horizon
+    contributes its first entries and no transmission.
     """
     xi, b = policy.xi, policy.b
     traces = _trace_table(p, pbar, xi + 1)
     prefix = np.concatenate(([0.0], np.cumsum(traces)))
     short_len, long_len = xi + 1, xi + 2
-    cost_short, cost_long = prefix[short_len], prefix[long_len]
 
-    err_sum = 0.0
-    n_tx = 0
+    n_short = n_long = 0
     done = 0
     while done < horizon:
-        block = max(1024, (horizon - done) // short_len + 16)
-        u = rng.random(block)
-        short = u < b
-        lengths = np.where(short, short_len, long_len)
-        ends = done + np.cumsum(lengths)
-        k = int(np.searchsorted(ends, horizon, side="right"))
-        if k == block:
-            err_sum += np.where(short, cost_short, cost_long).sum()
-            n_tx += block
-            done = int(ends[-1])
+        chunk = _chunk_size(horizon - done, policy)
+        short = rng.random(chunk) < b
+        # Take cycles in runs that surely fit, even if all of them are long;
+        # the steps left shrink geometrically, and once fewer than a long
+        # cycle remain, only one more short cycle can fit.
+        k = 0
+        while True:
+            m = min((horizon - done) // long_len, chunk - k)
+            if not m:
+                break
+            k_short = int(np.count_nonzero(short[k:k + m]))
+            n_short += k_short
+            n_long += m - k_short
+            done += m * long_len - k_short
+            k += m
+        if k == chunk:
             continue
-        if k > 0:
-            err_sum += np.where(short[:k], cost_short, cost_long).sum()
-            n_tx += k
-            done = int(ends[k - 1])
-        remainder = horizon - done
-        if remainder > 0:
-            err_sum += float(prefix[remainder])
-            done = horizon
-    return err_sum, n_tx
+        if short[k] and done + short_len <= horizon:
+            n_short += 1
+            done += short_len
+        break
+    err_sum = n_short * prefix[short_len] + n_long * prefix[long_len] + prefix[horizon - done]
+    return float(err_sum), n_short + n_long
 
 
 def _no_comm_error_sum(p: ProcessModel, pbar: np.ndarray, horizon: int) -> float:
@@ -106,7 +126,7 @@ def _no_comm_error_sum(p: ProcessModel, pbar: np.ndarray, horizon: int) -> float
     prev = None
     t = 0
     while t < horizon:
-        tr = float(np.trace(M))
+        tr = float(M.trace())
         if prev is not None and abs(tr - prev) <= 1e-13 * max(abs(tr), 1.0):
             err_sum += (horizon - t) * tr
             return err_sum
@@ -144,14 +164,14 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
 
+    if not stable_mask([p.A for p, r in zip(ps, rates) if r == 0.0]).all():
+        raise CostDomainError("an unstable process cannot run at rate 0: its error is unbounded")
+
     children = np.random.SeedSequence(seed).spawn(len(ps))
     pbars = steady_state_filter_covs(ps)
     results = []
-    for p, pbar, r, child in zip(ps, pbars, rates, children):
-        r = float(r)
+    for p, pbar, r, child in zip(ps, pbars, rates.tolist(), children):
         if r == 0.0:
-            if not classify_stability(p.A):
-                raise CostDomainError("an unstable process cannot run at rate 0: its error is unbounded")
             err_sum = _no_comm_error_sum(p, pbar, horizon)
             results.append(SimResult(0.0, float(err_sum) / horizon, horizon, seed))
             continue

@@ -3,8 +3,11 @@
 The oracles here are deliberately independent of the library's own numerics:
 projections are checked against dense grid search, solver optimality
 against grid enumeration of the max-min objective, the batched cost-curve
-build against a scalar one-process-at-a-time recursion, and the fused
-distributed round against the two-dual-step loop it replaced.
+build against a scalar one-process-at-a-time recursion, the fused
+distributed round against the two-dual-step loop it replaced, the chunked
+Monte Carlo against a step-by-step simulation, the batched rank tests
+against one process at a time, and the streaming CSV writer against the
+per-cell formatting rule it replaced.
 """
 
 from __future__ import annotations
@@ -243,3 +246,50 @@ def reference_solve_distributed(
         residuals=residuals[:used], lambda_spreads=spreads[:used], lambda_mins=mins[:used], status=status
     )
     return rates, DualState(lambdas=lam, rates=r), trace
+
+
+def reference_rank_failure(p) -> str | None:
+    """One process's observability and controllability rank tests, 2-d matrices only."""
+    n = p.dim
+    obs = np.vstack([p.C @ np.linalg.matrix_power(p.A, k) for k in range(n)])
+    if np.linalg.matrix_rank(obs) < n:
+        return "(A, C) is not observable"
+    vals, vecs = np.linalg.eigh(0.5 * (p.Q + p.Q.T))
+    sq = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+    ctr = np.hstack([np.linalg.matrix_power(p.A, k) @ sq for k in range(n)])
+    if np.linalg.matrix_rank(ctr) < n:
+        return "(A, sqrt(Q)) is not controllable"
+    return None
+
+
+def reference_run_cycles(p, pbar, policy, horizon: int, rng) -> tuple[float, int]:
+    """(total error, transmissions) of the covariance recursion run one step at a time.
+
+    Each cycle draws one ``rng.random()`` when it starts; the fusion center's
+    covariance is propagated by the recursion itself and its trace summed
+    step by step.
+    """
+    xi, b = policy.xi, policy.b
+    P, age, u = pbar, 0, rng.random()
+    err_sum, n_tx = 0.0, 0
+    for _ in range(horizon):
+        err_sum += float(np.trace(P))
+        if age == xi + 1 or (age == xi and u < b):
+            n_tx += 1
+            P, age, u = pbar, 0, rng.random()
+        else:
+            P = p.A @ P @ p.A.T + p.Q
+            P = 0.5 * (P + P.T)
+            age += 1
+    return err_sum, n_tx
+
+
+def reference_csv_bytes(schema: str, header: list[str], rows) -> bytes:
+    """The CSV cell rule cell by cell: Python and numpy floats and Python ints print as
+    ``repr(float(v))``, anything else (numpy ints) as ``str(v)``."""
+    lines = [f"# fairsched {schema} v1", ",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            repr(float(v)) if isinstance(v, (int, float, np.floating)) else str(v) for v in row
+        ))
+    return ("\n".join(lines) + "\n").encode()

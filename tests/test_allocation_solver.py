@@ -122,18 +122,6 @@ def test_five_process_instance_needs_single_outer_pass(bench_instance):
     assert trace.outer_events == []
 
 
-def test_game_value_degenerate_and_uniform(example1):
-    costs, region = example1
-    r = np.array([1.0, 0.25, 0.25])
-    assert fs.game_value([1.0, 0.0, 0.0], r, costs) == pytest.approx(3.0)
-    same = fs.AffineCostModel([2.0, 2.0], [1.0, 1.0])
-    assert fs.game_value([0.5, 0.5], [0.3, 0.3], same) == pytest.approx(1.7)
-    with pytest.raises(ValueError):
-        fs.game_value([0.5, 0.5], r, costs)
-    with pytest.raises(ValueError):
-        fs.game_value([0.7, 0.2, 0.2], r, costs)
-
-
 def test_recover_weights(example1):
     costs, region = example1
     w = fs.recover_weights(np.array([1.0, 0.25, 0.25]), costs)

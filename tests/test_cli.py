@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import fairsched as fs
-from fairsched.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
+from fairsched.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, _region_and_costs, _write_csv, main
 from fairsched.config import ConfigError, load_config
+from helpers import reference_csv_bytes
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -65,6 +66,32 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
+
+    UNOBSERVABLE = {"A": [[1.1, 0.0], [0.0, 0.9]], "Q": [[1.0, 0.0], [0.0, 1.0]], "C": [[0.0, 1.0]], "R": [[1.0]]}
+
+    def test_rank_failure_named_before_later_construction_error(self, tmp_path):
+        # the rank tests run over all processes at once, after construction
+        payload = {"total_rate": 1.0, "processes": [
+            {"A": [[0.5]], "Q": [[1.0]]}, self.UNOBSERVABLE, {"A": [[0.5]], "Q": [[1.0]]}, {"A": [[0.5]], "Q": [[-1.0]]},
+        ]}
+        with pytest.raises(ConfigError, match=r"^processes\[1\]: \(A, C\) is not observable$"):
+            load_config(write_config(tmp_path, payload))
+
+    def test_construction_error_named_before_later_rank_failure(self, tmp_path):
+        payload = {"total_rate": 1.0, "processes": [
+            {"A": [[0.5]], "Q": [[1.0]]}, {"A": [[0.5]], "Q": [[-1.0]]}, self.UNOBSERVABLE,
+        ]}
+        with pytest.raises(ConfigError, match=r"^processes\[1\]: Q must be positive semidefinite"):
+            load_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("key", ["A", "Q", "C", "R", "Pi0"])
+    def test_non_finite_matrix_names_process_and_matrix(self, tmp_path, key):
+        entry = {"A": [[0.5]], "Q": [[1.0]], "C": [[1.0]], "R": [[1.0]], "Pi0": [[1.0]]}
+        entry[key] = [[float("nan")]]
+        path = write_config(tmp_path, {"total_rate": 1.0, "processes": [{"A": [[0.5]], "Q": [[1.0]]}, entry]})
+        name = "R_meas" if key == "R" else key
+        with pytest.raises(ConfigError, match=rf"^processes\[1\]: {name} must have finite entries"):
+            load_config(path)
 
 
 class TestSolveCommand:
@@ -250,6 +277,16 @@ class TestValidateCommand:
         path = write_config(tmp_path, {"total_rate": 1.0, "processes": [{"A": [[0.5]], "Q": [[-1.0]]}]})
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", ["validate-config", "solve"])
+    def test_non_finite_matrix_exits_2(self, tmp_path, capsys, command, text):
+        # Python's JSON parser accepts these literals
+        path = tmp_path / "nan.json"
+        path.write_text('{"total_rate": 1.0, "processes": [{"A": [[%s]], "Q": [[1.0]]}]}' % text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == "config error: processes[0]: A must have finite entries (NaN or infinity found)\n"
+
 
 def fixture_with(tmp_path, section, key, value):
     """The paper fixture with one field of one section replaced."""
@@ -307,3 +344,45 @@ class TestArgumentRanges:
             main([*argv, "--config", str(fs.fixture_path("paper_sec4"))])
         assert exc.value.code == EXIT_CONFIG_ERROR
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestCsvWriter:
+    """The streaming writer prints every cell as the per-cell rule ``reference_csv_bytes`` does."""
+
+    VALUES = np.array([
+        [-0.0, 1e-300, 1e16, 0.1 + 0.2],
+        [1.0, 5e-324, -1.5, 123456789.0],
+        [2.0 / 3.0, 1e300, 0.0, 1e-5],
+    ])
+
+    def test_integer_label_column(self, tmp_path):
+        labels = np.array([0, 5, 12])  # numpy ints, as in solver traces, print as integers
+        path = tmp_path / "t.csv"
+        _write_csv(path, "t", ["iteration", "a", "b", "c", "d"], self.VALUES, labels)
+        rows = [[t, *row] for t, row in zip(labels, self.VALUES)]
+        assert path.read_bytes() == reference_csv_bytes("t", ["iteration", "a", "b", "c", "d"], rows)
+        assert path.read_bytes().splitlines()[2] == b"0,-0.0,1e-300,1e+16,0.30000000000000004"
+
+    def test_python_int_column_prints_as_float(self, tmp_path):
+        # Python ints, as in the simulation report's process column, print as floats
+        path = tmp_path / "t.csv"
+        _write_csv(path, "t", ["process", "a", "b", "c", "d"], np.column_stack([[1, 2, 3], self.VALUES]))
+        rows = [[i + 1, *row] for i, row in enumerate(self.VALUES.tolist())]
+        assert path.read_bytes() == reference_csv_bytes("t", ["process", "a", "b", "c", "d"], rows)
+        assert path.read_bytes().splitlines()[3].startswith(b"2.0,1.0,5e-324,")
+
+    def test_fixture_solve_traces(self, tmp_path, bench_config):
+        out = tmp_path / "fx"
+        assert main(["solve", "--config", str(fs.fixture_path("paper_sec4")), "--out", str(out)]) == EXIT_OK
+        region, costs, mask = _region_and_costs(bench_config)
+        rates, trace = fs.solve_maxmin(costs, region, bench_config.solver, mask)
+        n = region.n
+        errors = np.linalg.norm(trace.rates - rates, axis=1)
+        expected = {
+            "allocation_trace.csv": (["iteration"] + [f"r{i + 1}" for i in range(n)], trace.rates),
+            "cost_trace.csv": (["iteration"] + [f"J{i + 1}" for i in range(n)], trace.costs),
+            "error_decay.csv": (["iteration", "error"], errors[:, None]),
+        }
+        for name, (header, values) in expected.items():
+            rows = [[t, *row] for t, row in zip(trace.iterations, values)]
+            assert (out / name).read_bytes() == reference_csv_bytes(name[:-4], header, rows), name

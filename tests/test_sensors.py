@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import fairsched as fs
 from fairsched.allocation import CostDomainError
 from fairsched.sensors import _GATHER_MIN_AGENTS
-from helpers import reference_cost_curve, reference_filter_cov
+from helpers import reference_cost_curve, reference_filter_cov, reference_rank_failure
 
 
 class TestStability:
@@ -251,6 +252,60 @@ class TestProcessModelValidation:
     def test_paper_processes_validate(self, bench_config):
         for p in bench_config.processes:
             p.validate()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["A", "Q", "C", "R_meas", "Pi0"])
+    def test_non_finite_entry_rejected(self, name, bad):
+        kwargs = {"A": np.eye(2) * 0.5, "Q": np.eye(2), "C": np.eye(2), "R_meas": np.eye(2), "Pi0": np.eye(2)}
+        kwargs[name] = kwargs[name].copy()
+        kwargs[name][1, 0] = bad
+        with pytest.raises(ValueError, match=rf"^{name} must have finite entries"):
+            fs.ProcessModel(**kwargs)
+
+
+def rank_test_mix(seed=7):
+    """The seeded mix of ``mixed_processes`` plus unobservable and uncontrollable ones, shuffled."""
+    rng = np.random.default_rng(seed)
+    processes, _ = mixed_processes()
+    for dim in (2, 3):
+        A = np.diag(rng.uniform(0.2, 1.3, dim))
+        C = np.eye(dim)[1:]  # fewer outputs than states, the first state unseen
+        Q = np.diag([0.0] + [1.0] * (dim - 1))  # no noise drives the first state
+        processes += [
+            fs.ProcessModel(A=A, Q=np.eye(dim), C=C, R_meas=np.eye(dim - 1)),
+            fs.ProcessModel(A=A, Q=Q),
+            fs.ProcessModel(A=A, Q=Q, C=C, R_meas=np.eye(dim - 1)),
+        ]
+    processes.append(fs.ProcessModel(A=[[0.4]], Q=[[0.0]]))
+    return [processes[i] for i in rng.permutation(len(processes))]
+
+
+class TestBatchedValidation:
+    def test_rank_tests_match_per_process(self):
+        processes = rank_test_mix()
+        reasons = [reference_rank_failure(p) for p in processes]
+        assert any(r is None for r in reasons)
+        assert {r for r in reasons if r} == {"(A, C) is not observable", "(A, sqrt(Q)) is not controllable"}
+        assert any(r and p.C.shape[0] < p.dim for p, r in zip(processes, reasons))
+        for start in range(len(processes)):
+            expected = next(((i - start, r) for i, r in enumerate(reasons) if i >= start and r), None)
+            assert fs.first_rank_failure(processes[start:]) == expected
+        for p, reason in zip(processes, reasons):
+            if reason is None:
+                p.validate()
+            else:
+                with pytest.raises(ValueError, match=re.escape(reason)):
+                    p.validate()
+
+    def test_stable_mask_matches_classify_stability(self):
+        processes = rank_test_mix()
+        mask = fs.stable_mask([p.A for p in processes])
+        assert mask.tolist() == [fs.classify_stability(p.A) for p in processes]
+        assert 0 < mask.sum() < len(processes)
+        assert fs.stable_mask([]).shape == (0,)
+        valid, _ = mixed_processes()
+        model = fs.CurveCostModel.from_processes(valid, unstable_floor=0.05)
+        np.testing.assert_array_equal(model.stable, fs.stable_mask([p.A for p in valid]))
 
 
 class TestCurveCostModel:

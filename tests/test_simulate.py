@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import fairsched as fs
+from fairsched import simulate
 from fairsched.allocation import CostDomainError
+
+from helpers import reference_run_cycles
 
 
 def test_always_transmit_is_exact(scalar_unit_process):
@@ -97,3 +100,50 @@ def test_invalid_horizon():
     p = fs.ProcessModel(A=[[0.0]], Q=[[1.0]])
     with pytest.raises(ValueError):
         fs.simulate_policy(p, fs.ThresholdPolicy(0, 1.0), horizon=0, seed=0)
+
+
+class TestChunkedCyclesMatchReference:
+    """The chunked, counted Monte Carlo against a step-by-step run on the same stream."""
+
+    PROCESS = fs.ProcessModel(A=[[1.05, 0.3], [0.0, 0.6]], Q=[[1.0, 0.2], [0.2, 0.5]])
+
+    def _check(self, policy, horizon, seed=4):
+        pbar = fs.steady_state_filter_cov(self.PROCESS)
+        err, n_tx = simulate._run_cycles(self.PROCESS, pbar, policy, horizon, np.random.default_rng(seed))
+        ref_err, ref_tx = reference_run_cycles(self.PROCESS, pbar, policy, horizon, np.random.default_rng(seed))
+        assert n_tx == ref_tx
+        assert err == pytest.approx(ref_err, rel=1e-12)
+
+    @pytest.mark.parametrize("xi", [0, 1, 5])
+    @pytest.mark.parametrize("b", [0.0, 0.37, 1.0])
+    def test_horizons(self, xi, b):
+        policy = fs.ThresholdPolicy(xi, b)
+        for horizon in (
+            max(xi, 1),  # shorter than one cycle (for xi = 0, shorter than a long one)
+            (xi + 1) * (xi + 2) * 40,  # an exact multiple of both cycle lengths
+            20_011,
+        ):
+            self._check(policy, horizon)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_small_chunks(self, monkeypatch, chunk):
+        # chunks far below the cycle count are used up again and again, some
+        # ending exactly at the horizon; the draws and results stay the same
+        monkeypatch.setattr(simulate, "_chunk_size", lambda steps, policy: chunk)
+        for xi, b in ((0, 0.37), (1, 0.0), (5, 1.0), (2, 0.6)):
+            for horizon in (1, 3 * (xi + 2), 997):
+                self._check(fs.ThresholdPolicy(xi, b), horizon)
+
+    def test_chunk_used_up_at_the_horizon(self, monkeypatch):
+        # a deterministic policy whose chunk holds exactly the cycles that fill the horizon
+        monkeypatch.setattr(simulate, "_chunk_size", lambda steps, policy: max(1, steps // (policy.xi + 2)))
+        self._check(fs.ThresholdPolicy(3, 0.0), 5 * 1000)
+        self._check(fs.ThresholdPolicy(3, 0.0), 5 * 1000 + 4)
+
+    def test_default_chunk_covers_the_horizon(self):
+        # the expected cycle count plus 4 sigma plus 16 exceeds the cycles of a typical run
+        policy = fs.threshold_from_rate(0.37)
+        horizon = 100_000
+        pbar = fs.steady_state_filter_cov(self.PROCESS)
+        _, n_tx = simulate._run_cycles(self.PROCESS, pbar, policy, horizon, np.random.default_rng(1))
+        assert n_tx < simulate._chunk_size(horizon, policy)
