@@ -42,10 +42,8 @@ from .distributed import (
     GraphError,
     StepSchedule,
     compare_with_centralized,
-    consensus_matrix,
     metropolis_matrix,
     solve_distributed,
-    tilde_cost,
 )
 from .sensors import (
     CostCurve,

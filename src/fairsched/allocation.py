@@ -115,7 +115,7 @@ class FeasibleRegion:
 
 
 class CostModel:
-    """Per-agent cost evaluator ``eval(i, r) -> J_i(r)``.
+    """Vectorised cost evaluator ``values(rates) -> [J_i(rates_i)]``.
 
     Concrete models must be safe for concurrent read-only evaluation. Costs
     are expected continuous, strictly decreasing, convex and positive on the
@@ -126,14 +126,8 @@ class CostModel:
 
     n: int
 
-    def eval(self, i: int, r: float) -> float:
-        raise NotImplementedError
-
     def values(self, rates: np.ndarray) -> np.ndarray:
-        rates = np.asarray(rates, dtype=float)
-        if rates.size != self.n:
-            raise ValueError(f"expected {self.n} rates, got {rates.size}")
-        return np.array([self.eval(i, float(rates[i])) for i in range(self.n)])
+        raise NotImplementedError
 
     def slope_bounds(self, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Per-agent (alpha_i, beta_i) slope-magnitude bounds on [lower_i, ub], if known."""
@@ -151,9 +145,6 @@ class AffineCostModel(CostModel):
         if np.any(self.slopes <= 0):
             raise ValueError("slopes must be strictly positive (costs strictly decreasing)")
         self.n = self.intercepts.size
-
-    def eval(self, i: int, r: float) -> float:
-        return float(self.intercepts[i] - self.slopes[i] * r)
 
     def values(self, rates: np.ndarray) -> np.ndarray:
         rates = np.asarray(rates, dtype=float)

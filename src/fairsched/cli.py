@@ -125,8 +125,12 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         payload = json.loads(Path(allocation_file).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object with a 'rates' list")
         rates = np.asarray(payload["rates"], dtype=float)
-    except (OSError, ValueError, KeyError) as exc:
+        if rates.ndim != 1:
+            raise ValueError("'rates' must be a flat list of numbers")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot read allocation file {allocation_file}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if rates.size != len(cfg.processes):
@@ -147,7 +151,7 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
     try:
         results = simulate_allocation(cfg.processes, rates, horizon, use_seed)
         analytic = costs.values(rates)
-    except CostDomainError as exc:
+    except (CostDomainError, NumericalError, OverflowError) as exc:
         print(f"allocation is outside the supported rate domain: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
@@ -200,7 +204,6 @@ def run_distributed(cfg: RunConfig, out_dir: Path) -> int:
             schedule=dist.StepSchedule(settings.step_a, settings.step_c),
             max_iters=settings.max_iters,
             eps_r=settings.eps_r,
-            dual_mode=settings.dual_mode,
         )
     except dist.GraphError as exc:
         print(f"graph error: {exc}", file=sys.stderr)
@@ -229,7 +232,6 @@ def run_distributed(cfg: RunConfig, out_dir: Path) -> int:
             "lambdas": dual.lambdas.tolist(),
             "centralized_status": report.centralized_status,
             "distributed_status": report.distributed_status,
-            "dual_mode": settings.dual_mode,
         },
     )
     print(f"distributed comparison written to {out_dir}")

@@ -15,16 +15,16 @@ A run config is a single JSON object:
       "simulation": {"horizon": 1000000, "seed": 0},         # optional
       "distributed": {"graph": [[1,4],[0,2],[1,3],[2,4],[3,0]],
                       "step_a": 25.0, "step_c": 10.0,
-                      "eps_r": 1e-6, "max_iters": 200000,
-                      "dual_mode": "mixing"},                # optional section
+                      "eps_r": 1e-6, "max_iters": 200000},  # optional section
       "output_dir": "out"                                    # optional
     }
 
 All matrices are row-major nested lists. ``C`` and ``R`` default to identity.
-``distributed.graph`` is an adjacency list (neighbors per node). Every process
-is fully validated at load time (finite entries, shapes, definiteness,
-observability and controllability), with errors naming the first offending
-process.
+``distributed.graph`` is an adjacency list (neighbors per node). A legacy
+``distributed.dual_mode`` key is accepted only as ``"mixing"``, the one
+coupling of the distributed solver, and ignored. Every process is fully
+validated at load time (finite entries, shapes, definiteness, observability
+and controllability), with errors naming the first offending process.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from importlib import resources
 from pathlib import Path
 
 from .allocation import SolverConfig
-from .distributed import DUAL_MODES
 from .sensors import ProcessModel, first_rank_failure
 
 __all__ = ["ConfigError", "SimulationSettings", "DistributedSettings", "RunConfig", "load_config", "fixture_path"]
@@ -59,7 +58,6 @@ class DistributedSettings:
     step_c: float = 10.0
     eps_r: float = 1e-6
     max_iters: int = 200_000
-    dual_mode: str = "mixing"
 
 
 @dataclass
@@ -175,12 +173,13 @@ def load_config(path) -> RunConfig:
         for i, neighbors in enumerate(adjacency):
             _require(isinstance(neighbors, list) and all(_is_int(j) for j in neighbors),
                      f"distributed.graph[{i}] must be a list of integer node indices, got {neighbors!r}")
+        dual_mode = section.pop("dual_mode", "mixing")
+        _require(dual_mode == "mixing", f"distributed.dual_mode {dual_mode!r} is not supported: the other "
+                                        "dual modes were removed and only 'mixing' remains")
         try:
             distributed = DistributedSettings(adjacency=adjacency, **section)
         except TypeError as exc:
             raise ConfigError(f"distributed section: {exc}") from exc
-        _require(distributed.dual_mode in DUAL_MODES,
-                 f"distributed.dual_mode must be one of {DUAL_MODES}, got {distributed.dual_mode!r}")
         for key in ("step_a", "step_c", "eps_r"):
             value = getattr(distributed, key)
             _require(_is_positive(value), f"distributed.{key} must be a positive number, got {value!r}")

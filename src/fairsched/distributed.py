@@ -11,37 +11,23 @@ Updates follow the perturbed primal-dual scheme: a lookahead ("hat") step
 produces one-step predictions of both variables, and the main step evaluates
 each player's gradient at the opponent's prediction.
 
-Three couplings for the dual copies are provided:
-
-* ``mixing`` (default) - each dual step averages the copies with fixed
-  Metropolis weights before adding the step-size-scaled budget gradient.
-  Disagreement between copies then contracts geometrically, so the copies
-  reach consensus and the scheme recovers the centralized solution.
-* ``penalty`` - literal gradient of the quadratic coupling ``-lam' L lam``
-  symmetrized, i.e. the dual step adds ``-eps * (L + L') lam``. With
-  diminishing steps the coupling force fades at the same rate as the budget
-  gradient, so the copies stall short of consensus on asymmetric instances;
-  kept for comparison.
-* ``penalty-asym`` - same but with the unsymmetrized ``-eps * L lam``.
-
-The penalty modes are stable only while the first step ``a / c`` stays below
-``2 / ||L + L'||`` (about 0.55 on the paper fixture's 5-ring). At the
-fixture's ``step_a = 25``, ``step_c = 10`` the first step is 2.5, so
-``penalty`` diverges and ``penalty-asym`` ends unconverged; both exit 3.
+The dual copies are coupled by mixing: each dual step averages the copies
+with fixed Metropolis weights before adding the step-size-scaled budget
+gradient. Disagreement between copies then contracts geometrically, so the
+copies reach consensus and the scheme recovers the centralized solution.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .allocation import (
     CONVERGED,
     MAX_INNER_ITERS,
-    CostDomainError,
     CostModel,
     FeasibleRegion,
     SolverConfig,
@@ -49,7 +35,7 @@ from .allocation import (
     project_feasible,
     solve_maxmin,
 )
-from .sensors import CostCurve, NumericalError, _xi_of
+from .sensors import NumericalError
 
 __all__ = [
     "GraphError",
@@ -58,15 +44,10 @@ __all__ = [
     "DualState",
     "DistributedTrace",
     "ComparisonReport",
-    "consensus_matrix",
     "metropolis_matrix",
-    "tilde_cost",
     "solve_distributed",
     "compare_with_centralized",
 ]
-
-DUAL_MODES = ("mixing", "penalty", "penalty-asym")
-
 
 class GraphError(ValueError):
     """The communication graph cannot support consensus."""
@@ -143,22 +124,6 @@ class CommGraph:
         return cls(n, frozenset((0, i) for i in range(1, n)))
 
 
-def consensus_matrix(g: CommGraph) -> np.ndarray:
-    """Disagreement matrix: unit diagonal, ``-1/deg(i)`` toward each neighbor.
-
-    Every row sums to zero, so consensus vectors are in its kernel. The
-    single-node graph degenerates to ``[[0]]``.
-    """
-    if g.n == 1:
-        return np.zeros((1, 1))
-    L = np.eye(g.n)
-    deg = g.degrees()
-    for i, j in g.edges:
-        L[i, j] = -1.0 / deg[i]
-        L[j, i] = -1.0 / deg[j]
-    return L
-
-
 def metropolis_matrix(g: CommGraph) -> np.ndarray:
     """Symmetric doubly stochastic averaging weights: ``1/(1 + max(deg_i, deg_j))`` per edge."""
     W = np.zeros((g.n, g.n))
@@ -169,53 +134,6 @@ def metropolis_matrix(g: CommGraph) -> np.ndarray:
         W[j, i] = w
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return W
-
-
-def tilde_cost(curve: CostCurve, r: float, base: float) -> float:
-    """Integral of ``-J`` from ``base`` to ``r`` along the piecewise-linear curve.
-
-    Each linear piece ``J(t) = c + m t`` contributes ``-(c t + m t^2 / 2)``
-    evaluated between the piece's overlap with [base, r]. The lower limit is
-    a caller-chosen anchor (typically the region's lower bound) because the
-    integral from zero diverges for unstable curves; shifting the anchor only
-    offsets the objective by a constant and leaves all gradients unchanged.
-    """
-    r, base = float(r), float(base)
-    if base > r:
-        raise CostDomainError(f"integration limits are reversed: base {base} > r {r}")
-    for limit in (base, r):
-        if limit != 0.0:
-            if limit < 0 or limit > 1 + 1e-12:
-                raise CostDomainError(f"integration limit {limit} outside [0, 1]")
-            if limit < curve.domain_floor * (1.0 - 1e-9):
-                raise CostDomainError(f"integration limit {limit} below the domain floor")
-        elif curve.stable_limit is None:
-            raise CostDomainError("integral from 0 diverges for an unstable curve")
-    if base == r:
-        return 0.0
-
-    def segment_piece(slope: float, intercept: float, lo: float, hi: float) -> float:
-        antideriv = lambda t: -(intercept * t + 0.5 * slope * t * t)
-        return antideriv(hi) - antideriv(lo)
-
-    total = 0.0
-    upper = r
-    k = _xi_of(min(r, 1.0))  # segment containing the upper limit
-    size = curve.traces.size
-    while upper > base:
-        if k + 1 >= size and curve.stable_limit is not None:
-            # every segment beyond the stored range shares one affine tail,
-            # so the rest of [base, upper] is a single piece (valid at base 0)
-            total += segment_piece(curve.segment_slope(k), curve.stable_limit, base, upper)
-            break
-        seg_lo = 1.0 / (k + 2.0)
-        lower = max(base, seg_lo)
-        total += segment_piece(curve.segment_slope(k), float(curve.traces[k + 1]), lower, upper)
-        upper = lower
-        k += 1
-        if k > 10**7:
-            raise NumericalError("tilde_cost segment walk did not terminate")
-    return total
 
 
 @dataclass(frozen=True)
@@ -263,7 +181,6 @@ def solve_distributed(
     schedule: StepSchedule | None = None,
     max_iters: int = 200_000,
     eps_r: float = 1e-6,
-    dual_mode: str = "mixing",
     hat_schedule: StepSchedule | None = None,
     init_rates=None,
     init_lambdas=None,
@@ -273,22 +190,18 @@ def solve_distributed(
     Per round, with local budget share ``R/n`` at every node:
 
         r_hat   = P_box(r + eps_hat * (J(r) - lam))
-        lam_hat = dual step from (lam, r) with eps_hat
+        lam_hat = max(W lam + eps_hat * (r - R/n), 0)
         r'      = P_box(r + eps * (J(r) - lam_hat))
-        lam'    = dual step from (lam, r_hat) with eps
+        lam'    = max(W lam + eps * (r_hat - R/n), 0)
 
-    where the dual step is mode-dependent (see module docstring) and always
-    ends with projection onto the nonnegative orthant. Both dual steps read
-    ``lam``, so one coupling product ``M @ lam`` per round serves both (``M`` is
-    ``W``, ``L + L'`` or ``L`` by mode). Stops once ``||dr|| + ||dlam|| <=
-    eps_r``. The returned allocation is the final primal iterate projected
-    onto the full region, so it is always feasible; the raw iterate is
-    available through the dual state.
+    with ``W`` the Metropolis weights of the graph. Both dual steps read
+    ``lam``, so one product ``W @ lam`` per round serves both. Stops once
+    ``||dr|| + ||dlam|| <= eps_r``. The returned allocation is the final
+    primal iterate projected onto the full region, so it is always feasible;
+    the raw iterate is available through the dual state.
 
     Returns ``(rates, DualState, DistributedTrace)``.
     """
-    if dual_mode not in DUAL_MODES:
-        raise ValueError(f"dual_mode must be one of {DUAL_MODES}")
     if graph.n != region.n:
         raise GraphError(f"graph has {graph.n} nodes but the region has {region.n} agents")
     schedule = schedule or StepSchedule()
@@ -296,9 +209,7 @@ def solve_distributed(
 
     share = region.total / region.n
     lb, ub = region.lower, region.upper
-    L = consensus_matrix(graph)
-    coupling = {"mixing": metropolis_matrix(graph), "penalty": L + L.T, "penalty-asym": L}[dual_mode]
-    mixing = dual_mode == "mixing"
+    W = metropolis_matrix(graph)
 
     r = initial_allocation(region) if init_rates is None else np.array(init_rates, dtype=float)
     # warm-start the multiplier copies at the local costs: each node can
@@ -319,13 +230,9 @@ def solve_distributed(
         values = costs.values(r)
 
         r_hat = np.minimum(np.maximum(r + eps_hat * (values - lam), lb), ub)
-        coupled = coupling @ lam
-        if mixing:
-            lam_hat = np.maximum(coupled + eps_hat * (r - share), 0.0)
-            lam_new = np.maximum(coupled + eps * (r_hat - share), 0.0)
-        else:
-            lam_hat = np.maximum(lam + eps_hat * ((r - share) - coupled), 0.0)
-            lam_new = np.maximum(lam + eps * ((r_hat - share) - coupled), 0.0)
+        coupled = W @ lam
+        lam_hat = np.maximum(coupled + eps_hat * (r - share), 0.0)
+        lam_new = np.maximum(coupled + eps * (r_hat - share), 0.0)
         r_new = np.minimum(np.maximum(r + eps * (values - lam_hat), lb), ub)
 
         dr = r_new - r

@@ -672,15 +672,6 @@ class CurveCostModel(CostModel):
         for i in misses:
             out[i] = cost_eval(self._table.curves[i], float(rates[i]))
 
-    def eval(self, i: int, r: float) -> float:
-        try:
-            return cost_eval(self._table.curves[i], r)
-        except CostDomainError:
-            if self._processes is None:
-                raise
-            self._extend([i], [float(r)])
-            return cost_eval(self._table.curves[i], r)
-
     def values(self, rates) -> np.ndarray:
         r = np.asarray(rates, dtype=float)
         if r.size != self.n:

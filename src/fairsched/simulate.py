@@ -50,12 +50,14 @@ def _trace_table(p: ProcessModel, pbar: np.ndarray, upto: int) -> np.ndarray:
     M = pbar
     out = np.empty(upto + 1)
     out[0] = M.trace()
-    for t in range(1, upto + 1):
-        M = p.A @ M @ p.A.T + p.Q
-        M = 0.5 * (M + M.T)
-        out[t] = M.trace()
-    if not np.isfinite(out).all():
-        raise OverflowError("covariance recursion overflowed; the policy rate is too small")
+    # the first non-finite trace raises, so numpy's overflow warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, upto + 1):
+            M = p.A @ M @ p.A.T + p.Q
+            M = 0.5 * (M + M.T)
+            out[t] = tr = M.trace()
+            if not math.isfinite(tr):
+                raise OverflowError("covariance recursion overflowed; the policy rate is too small")
     return out
 
 
@@ -80,10 +82,11 @@ def _run_cycles(p: ProcessModel, pbar: np.ndarray, policy: ThresholdPolicy, hori
     length L contributes the first L entries of the trace table and exactly
     one transmission, decided at its last step. Cycle i draws the i-th
     uniform of the stream, in chunks of any size; a cycle cut by the horizon
-    contributes its first entries and no transmission.
+    contributes its first entries and no transmission. No cycle reads past
+    entry ``horizon - 1``, so the table stops there.
     """
     xi, b = policy.xi, policy.b
-    traces = _trace_table(p, pbar, xi + 1)
+    traces = _trace_table(p, pbar, min(xi + 1, horizon - 1))
     prefix = np.concatenate(([0.0], np.cumsum(traces)))
     short_len, long_len = xi + 1, xi + 2
 
@@ -111,7 +114,10 @@ def _run_cycles(p: ProcessModel, pbar: np.ndarray, policy: ThresholdPolicy, hori
             n_short += 1
             done += short_len
         break
-    err_sum = n_short * prefix[short_len] + n_long * prefix[long_len] + prefix[horizon - done]
+    # a cycle longer than the horizon never completes; its count is 0 and its
+    # clamped prefix term adds exactly 0.0
+    top = prefix.size - 1
+    err_sum = n_short * prefix[min(short_len, top)] + n_long * prefix[min(long_len, top)] + prefix[horizon - done]
     return float(err_sum), n_short + n_long
 
 

@@ -18,15 +18,7 @@ import numpy as np
 
 from fairsched import CostCurve, CostDomainError, FeasibleRegion, NumericalError, classify_stability
 from fairsched.allocation import CONVERGED, MAX_INNER_ITERS, initial_allocation, project_feasible
-from fairsched.distributed import (
-    DUAL_MODES,
-    DistributedTrace,
-    DualState,
-    GraphError,
-    StepSchedule,
-    consensus_matrix,
-    metropolis_matrix,
-)
+from fairsched.distributed import DistributedTrace, DualState, GraphError, StepSchedule, metropolis_matrix
 
 
 def grid_project(x, region: FeasibleRegion, resolution: float = 1e-3) -> np.ndarray:
@@ -175,27 +167,22 @@ def reference_solve_distributed(
     schedule: StepSchedule | None = None,
     max_iters: int = 200_000,
     eps_r: float = 1e-6,
-    dual_mode: str = "mixing",
     hat_schedule: StepSchedule | None = None,
     init_rates=None,
     init_lambdas=None,
 ):
-    """``solve_distributed`` as one mode-branching dual step called twice per round.
+    """``solve_distributed`` as one mixing dual step called twice per round.
 
     Each call forms its own coupling product and the round goes through
     ``np.clip`` and ``np.linalg.norm``; the library's fused round must match
     it bit for bit.
     """
-    if dual_mode not in DUAL_MODES:
-        raise ValueError(f"dual_mode must be one of {DUAL_MODES}")
     if graph.n != region.n:
         raise GraphError(f"graph has {graph.n} nodes but the region has {region.n} agents")
     schedule = schedule or StepSchedule()
     hat_schedule = hat_schedule or schedule
 
     share = region.total / region.n
-    L = consensus_matrix(graph)
-    G = L + L.T
     W = metropolis_matrix(graph)
     lb, ub = region.lower, region.upper
 
@@ -204,14 +191,7 @@ def reference_solve_distributed(
     lam = np.maximum(lam, 0.0)
 
     def dual_step(lam_cur, r_partner, eps):
-        drift = r_partner - share
-        if dual_mode == "mixing":
-            out = W @ lam_cur + eps * drift
-        elif dual_mode == "penalty":
-            out = lam_cur + eps * (drift - G @ lam_cur)
-        else:
-            out = lam_cur + eps * (drift - L @ lam_cur)
-        return np.maximum(out, 0.0)
+        return np.maximum(W @ lam_cur + eps * (r_partner - share), 0.0)
 
     residuals = np.empty(max_iters)
     spreads = np.empty(max_iters)

@@ -216,7 +216,6 @@ def test_criterion_09_distributed_matches_centralized(bench_instance):
         schedule=fs.StepSchedule(settings.step_a, settings.step_c),
         max_iters=settings.max_iters,
         eps_r=settings.eps_r,
-        dual_mode=settings.dual_mode,
     )
     elapsed = time.perf_counter() - t0
     ok = (

@@ -1,4 +1,5 @@
 import json
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,16 @@ class TestSimulateCommand:
         assert outs["config"] == outs["same"]  # config seed is 9
         assert outs["config"] != outs["other"]
 
+    @pytest.mark.parametrize("payload", [[0.4] * 5, {"rates": [[0.4] * 5]}], ids=["array", "nested"])
+    def test_malformed_allocation_rejected(self, tmp_path, capsys, payload):
+        alloc_path = tmp_path / "malformed.json"
+        alloc_path.write_text(json.dumps(payload))
+        rc = main(["simulate", "--config", str(fs.fixture_path("paper_sec4")),
+                   "--allocation", str(alloc_path), "--out", str(tmp_path / "y")])
+        assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read allocation file") and err.count("\n") == 1
+
     def test_wrong_length_allocation_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path, SINGLE_STABLE)
         alloc_path = tmp_path / "wrong.json"
@@ -228,6 +239,7 @@ class TestDistributedCommand:
         comparison = json.loads((out / "comparison.json").read_text())
         assert comparison["linf_gap"] <= 1e-2
         assert comparison["lambda_spread"] <= 1e-3
+        assert "dual_mode" not in comparison
         assert (out / "dual_trace.csv").exists()
 
     def test_disconnected_graph_is_config_error(self, tmp_path):
@@ -267,6 +279,32 @@ class TestCurveOverflowExitsCleanly:
 
     def test_distributed(self, tmp_path, capsys):
         self.check(capsys, ["distributed", "--config", str(tiny_eta_fixture(tmp_path)), "--out", str(tmp_path / "d")])
+
+    def check_simulate_tiny_rate(self, tmp_path, capsys, config):
+        # rate 1e-9 on the rho = 1.2 process: a 10^9-step cycle, which must
+        # neither be stepped through nor sized as one table
+        alloc_path = tmp_path / "tiny.json"
+        alloc_path.write_text(json.dumps({"rates": [1e-9, 0.5, 0.5, 0.5, 0.4]}))
+
+        def hung(signum, frame):
+            raise TimeoutError("simulate did not terminate")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            self.check(capsys, ["simulate", "--config", str(config),
+                                "--allocation", str(alloc_path), "--out", str(tmp_path / "m")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_simulate_tiny_rate(self, tmp_path, capsys):
+        # the simulator's recursion overflows within the 10^6-step horizon
+        self.check_simulate_tiny_rate(tmp_path, capsys, fs.fixture_path("paper_sec4"))
+
+    def test_simulate_tiny_rate_short_horizon(self, tmp_path, capsys):
+        # 100 steps stay finite; extending the cost curve down to the rate overflows
+        self.check_simulate_tiny_rate(tmp_path, capsys, fixture_with(tmp_path, "simulation", "horizon", 100))
 
 
 class TestValidateCommand:
@@ -312,6 +350,8 @@ class TestSectionsValidatedAtLoad:
         ("max_iters", 0),
         ("graph", [[1, 4], [0, 2], [1, 3], [2, 4], "x"]),
         ("graph", [[1, 4], [0, 2], [1, 3], [2, 4], [3, 0.5]]),
+        ("dual_mode", "penalty"),
+        ("dual_mode", "penalty-asym"),
     ])
     def test_distributed_field(self, tmp_path, capsys, key, value):
         path = fixture_with(tmp_path, "distributed", key, value)
@@ -319,6 +359,17 @@ class TestSectionsValidatedAtLoad:
             load_config(path)
         for command in ("validate-config", "distributed"):
             assert_one_line_config_error(capsys, [command, "--config", str(path), "--out", str(tmp_path / "d")])
+
+    @pytest.mark.parametrize("value", ["penalty", "penalty-asym", "foo"])
+    def test_removed_dual_mode_names_the_one_left(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="dual modes were removed and only 'mixing' remains"):
+            load_config(fixture_with(tmp_path, "distributed", "dual_mode", value))
+
+    def test_legacy_mixing_key_is_ignored(self, tmp_path, bench_config):
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        assert payload["distributed"].pop("dual_mode") == "mixing"  # the shipped fixture still has it
+        assert load_config(write_config(tmp_path, payload)).distributed == bench_config.distributed
+        assert not hasattr(bench_config.distributed, "dual_mode")
 
     @pytest.mark.parametrize("key, value", [("seed", -1), ("seed", True), ("horizon", 1000.5), ("horizon", 0)])
     def test_simulation_field(self, tmp_path, capsys, key, value):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import fairsched as fs
-from fairsched.allocation import CostDomainError
-from fairsched.distributed import DUAL_MODES, GraphError
+from fairsched.distributed import GraphError
 from helpers import reference_solve_distributed
 
 
@@ -27,30 +26,7 @@ class TestCommGraph:
 
 
 class TestConsensusMatrix:
-    def test_two_node_path(self):
-        L = fs.consensus_matrix(fs.CommGraph.path(2))
-        np.testing.assert_array_equal(L, [[1.0, -1.0], [-1.0, 1.0]])
-
-    def test_triangle(self):
-        L = fs.consensus_matrix(fs.CommGraph.complete(3))
-        np.testing.assert_allclose(np.diag(L), 1.0)
-        off = L[~np.eye(3, dtype=bool)]
-        np.testing.assert_allclose(off, -0.5)
-
-    def test_star_rows(self):
-        L = fs.consensus_matrix(fs.CommGraph.star(4))
-        np.testing.assert_allclose(L[0], [1.0, -1 / 3, -1 / 3, -1 / 3])
-        np.testing.assert_allclose(L[1], [-1.0, 1.0, 0.0, 0.0])
-
-    def test_single_node_degenerates_to_zero(self):
-        np.testing.assert_array_equal(fs.consensus_matrix(fs.CommGraph(1, frozenset())), [[0.0]])
-
-    def test_rows_sum_to_zero(self):
-        # the diagonal is pinned at 1, so rows like 1 - 3*(1/3) cancel only
-        # to machine precision
-        for g in (fs.CommGraph.ring(5), fs.CommGraph.path(4), fs.CommGraph.star(6), fs.CommGraph.complete(4)):
-            L = fs.consensus_matrix(g)
-            np.testing.assert_allclose(L @ np.ones(g.n), np.zeros(g.n), atol=1e-14)
+    """The Metropolis weights that mix the dual copies."""
 
     def test_metropolis_doubly_stochastic(self):
         for g in (fs.CommGraph.ring(5), fs.CommGraph.star(4), fs.CommGraph.path(3)):
@@ -59,65 +35,6 @@ class TestConsensusMatrix:
             np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(W, W.T)
             assert np.all(W >= 0)
-
-
-class TestTildeCost:
-    def test_empty_integral(self, scalar_unit_process):
-        curve = fs.build_cost_curve(scalar_unit_process, 0.0)
-        assert fs.tilde_cost(curve, 0.4, 0.4) == 0.0
-
-    def test_scalar_closed_form(self, scalar_unit_process):
-        # J(t) = 1 - t/2 integrates to -(t - t^2/4)
-        curve = fs.build_cost_curve(scalar_unit_process, 0.0)
-        assert fs.tilde_cost(curve, 1.0, 0.0) == pytest.approx(-0.75, rel=1e-12)
-        assert fs.tilde_cost(curve, 0.5, 0.0) == pytest.approx(-(0.5 - 0.0625), rel=1e-12)
-        assert fs.tilde_cost(curve, 0.5, 0.2) == pytest.approx(-(0.3 - 0.0625 + 0.01), rel=1e-12)
-
-    def test_piecewise_matches_quadrature(self, bench_config):
-        # trapezoid quadrature over a fine grid as an independent oracle
-        p = bench_config.processes[0]
-        curve = fs.build_cost_curve(p, 0.05)
-        base, r = 0.07, 0.83
-        ts = np.linspace(base, r, 200_001)
-        vals = np.array([fs.cost_eval(curve, t) for t in ts])
-        quad = -np.trapezoid(vals, ts)
-        assert fs.tilde_cost(curve, r, base) == pytest.approx(quad, rel=1e-7)
-
-    def test_midpoint_convexity(self, bench_config):
-        p = bench_config.processes[2]
-        curve = fs.build_cost_curve(p, 0.05)
-        base = 0.05
-        rng = np.random.default_rng(23)
-        for _ in range(40):
-            a, b = sorted(rng.uniform(0.06, 1.0, 2))
-            mid = 0.5 * (a + b)
-            lhs = 0.5 * (fs.tilde_cost(curve, a, base) + fs.tilde_cost(curve, b, base))
-            assert lhs >= fs.tilde_cost(curve, mid, base) - 1e-10
-
-    def test_gradient_is_negative_cost(self, bench_config):
-        # finite differences of the integral recover -J at interior points;
-        # the anchor sits close enough that the integral stays O(1) and the
-        # difference is not lost to cancellation
-        for idx in (1, 4):
-            p = bench_config.processes[idx]
-            floor = 0.0 if fs.classify_stability(p.A) else 0.01
-            curve = fs.build_cost_curve(p, floor)
-            for r in (0.15, 0.33, 0.7):
-                h = 1e-6
-                base = max(floor, r - 0.05)
-                grad = (fs.tilde_cost(curve, r + h, base) - fs.tilde_cost(curve, r - h, base)) / (2 * h)
-                assert grad == pytest.approx(-fs.cost_eval(curve, r), abs=1e-4)
-
-    def test_reversed_limits_rejected(self, scalar_unit_process):
-        curve = fs.build_cost_curve(scalar_unit_process, 0.0)
-        with pytest.raises(CostDomainError):
-            fs.tilde_cost(curve, 0.2, 0.4)
-
-    def test_base_zero_diverges_for_unstable(self):
-        p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
-        curve = fs.build_cost_curve(p, 0.1)
-        with pytest.raises(CostDomainError):
-            fs.tilde_cost(curve, 0.5, 0.0)
 
 
 class TestSolveDistributed:
@@ -179,29 +96,20 @@ class TestSolveDistributed:
         with pytest.raises(fs.NumericalError):
             fs.solve_distributed(
                 costs, region, fs.CommGraph.path(3),
-                schedule=fs.StepSchedule(50.0, 1.0), max_iters=10_000, eps_r=1e-9,
-                dual_mode="penalty",
+                schedule=fs.StepSchedule(1e7, 1.0), max_iters=10_000, eps_r=1e-9,
             )
 
-    def test_mode_validation_and_graph_size(self, example1):
+    def test_graph_size_must_match_region(self, example1):
         costs, region = example1
-        with pytest.raises(ValueError):
-            fs.solve_distributed(costs, region, fs.CommGraph.path(3), dual_mode="nope")
         with pytest.raises(GraphError):
             fs.solve_distributed(costs, region, fs.CommGraph.path(2))
 
-    def test_penalty_modes_run_but_stall_short_of_consensus(self, example1):
-        # the step-scaled quadratic coupling leaves the multiplier copies
-        # disagreeing on asymmetric instances; kept as comparison modes
+    def test_no_dual_mode_argument(self, example1):
         costs, region = example1
-        for mode in ("penalty", "penalty-asym"):
-            rates, dual, trace = fs.solve_distributed(
-                costs, region, fs.CommGraph.path(3),
-                schedule=fs.StepSchedule(0.5, 10.0), max_iters=40_000, eps_r=1e-9, dual_mode=mode,
-            )
-            assert np.all(dual.lambdas >= 0.0)
-            assert region.contains(rates, tol=1e-9)
-
+        with pytest.raises(TypeError):
+            fs.solve_distributed(costs, region, fs.CommGraph.path(3), dual_mode="mixing")
+        with pytest.raises(TypeError):
+            fs.compare_with_centralized(costs, region, fs.CommGraph.path(3), dual_mode="mixing")
 
 
 @pytest.fixture
@@ -217,7 +125,6 @@ def fixture_ring(bench_instance):
     cfg, region, costs, mask = bench_instance
     floored = np.where(mask, np.maximum(cfg.solver.eta, region.lower), region.lower)
     region = fs.FeasibleRegion(region.total, floored, region.upper)
-    # first steps below 2 / ||L + L'|| (~0.5 on the ring), so the penalty modes stay bounded
     kwargs = dict(schedule=fs.StepSchedule(4.0, 10.0), hat_schedule=fs.StepSchedule(3.0, 10.0),
                   init_lambdas=np.array([3.0, -2.0, 40.0, -0.5, 7.0]))
     return costs, region, fs.CommGraph.from_adjacency(cfg.distributed.adjacency), kwargs
@@ -226,11 +133,10 @@ def fixture_ring(bench_instance):
 class TestFusedRoundMatchesReference:
     """The fused round reproduces the two-dual-step loop bit for bit."""
 
-    @pytest.mark.parametrize("mode", DUAL_MODES)
     @pytest.mark.parametrize("instance", ["affine_path", "fixture_ring"])
-    def test_bitwise_equal(self, request, instance, mode):
+    def test_bitwise_equal(self, request, instance):
         costs, region, graph, kwargs = request.getfixturevalue(instance)
-        kwargs = dict(kwargs, max_iters=5000, eps_r=1e-12, dual_mode=mode)
+        kwargs = dict(kwargs, max_iters=5000, eps_r=1e-12)
         rates, dual, trace = fs.solve_distributed(costs, region, graph, **kwargs)
         ref_rates, ref_dual, ref_trace = reference_solve_distributed(costs, region, graph, **kwargs)
         assert len(trace) == 5000
@@ -244,7 +150,7 @@ class TestFusedRoundMatchesReference:
 
     def test_both_detect_divergence(self, example1):
         costs, region = example1
-        kwargs = dict(schedule=fs.StepSchedule(50.0, 1.0), max_iters=10_000, eps_r=1e-9, dual_mode="penalty")
+        kwargs = dict(schedule=fs.StepSchedule(1e7, 1.0), max_iters=10_000, eps_r=1e-9)
         for solve in (fs.solve_distributed, reference_solve_distributed):
             with pytest.raises(fs.NumericalError):
                 solve(costs, region, fs.CommGraph.path(3), **kwargs)

@@ -313,14 +313,14 @@ class TestCurveCostModel:
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
         model = fs.CurveCostModel.from_processes([p], unstable_floor=0.5)
         direct = fs.build_cost_curve(p, 0.05)
-        assert model.eval(0, 0.1) == pytest.approx(fs.cost_eval(direct, 0.1), rel=1e-12)
+        assert model.values([0.1])[0] == pytest.approx(fs.cost_eval(direct, 0.1), rel=1e-12)
         assert model.curves[0].domain_floor <= 0.1
 
     def test_fixed_curves_raise_below_floor(self):
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
         model = fs.CurveCostModel([fs.build_cost_curve(p, 0.5)])
         with pytest.raises(CostDomainError):
-            model.eval(0, 0.1)
+            model.values([0.1])
 
     def test_slope_bounds_per_agent(self, bench_instance):
         _, region, costs, mask = bench_instance

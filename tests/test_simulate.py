@@ -140,6 +140,13 @@ class TestChunkedCyclesMatchReference:
         self._check(fs.ThresholdPolicy(3, 0.0), 5 * 1000)
         self._check(fs.ThresholdPolicy(3, 0.0), 5 * 1000 + 4)
 
+    @pytest.mark.parametrize("b", [0.0, 0.37, 1.0])
+    def test_cycles_longer_than_the_horizon(self, b):
+        # xi + 1 >= horizon: the trace table stops at the horizon, not at xi + 1
+        for xi, horizons in ((48, (1, 47, 48, 49, 50, 51)), (10**5, (1, 2, 500))):
+            for horizon in horizons:
+                self._check(fs.ThresholdPolicy(xi, b), horizon)
+
     def test_default_chunk_covers_the_horizon(self):
         # the expected cycle count plus 4 sigma plus 16 exceeds the cycles of a typical run
         policy = fs.threshold_from_rate(0.37)
