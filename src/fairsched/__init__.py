@@ -8,8 +8,8 @@ The package splits into:
   states, randomized threshold policies, piecewise-linear cost curves.
 * :mod:`fairsched.simulate` - Monte Carlo oracle for the cost curves and
   end-to-end validation of computed allocations.
-* :mod:`fairsched.distributed` - graph-based primal-dual variant of the
-  solver.
+* :mod:`fairsched.distributed` - graph-based gradient-tracking variant of
+  the solver.
 * :mod:`fairsched.config` / :mod:`fairsched.cli` - JSON run configs and the
   ``fairsched`` command line tool.
 """
@@ -40,7 +40,6 @@ from .distributed import (
     ComparisonReport,
     DualState,
     GraphError,
-    StepSchedule,
     compare_with_centralized,
     metropolis_matrix,
     solve_distributed,

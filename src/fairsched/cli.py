@@ -201,7 +201,8 @@ def run_distributed(cfg: RunConfig, out_dir: Path) -> int:
             graph,
             unstable_mask=mask,
             solver_cfg=cfg.solver,
-            schedule=dist.StepSchedule(settings.step_a, settings.step_c),
+            alpha=settings.alpha,
+            beta=settings.beta,
             max_iters=settings.max_iters,
             eps_r=settings.eps_r,
         )

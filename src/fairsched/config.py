@@ -14,17 +14,21 @@ A run config is a single JSON object:
                  "projection_tol": 1e-9},                    # optional, defaults shown
       "simulation": {"horizon": 1000000, "seed": 0},         # optional
       "distributed": {"graph": [[1,4],[0,2],[1,3],[2,4],[3,0]],
-                      "step_a": 25.0, "step_c": 10.0,
+                      "alpha": 0.01, "beta": 1.0,
                       "eps_r": 1e-6, "max_iters": 200000},  # optional section
       "output_dir": "out"                                    # optional
     }
 
 All matrices are row-major nested lists. ``C`` and ``R`` default to identity.
-``distributed.graph`` is an adjacency list (neighbors per node). A legacy
-``distributed.dual_mode`` key is accepted only as ``"mixing"``, the one
-coupling of the distributed solver, and ignored. Every process is fully
-validated at load time (finite entries, shapes, definiteness, observability
-and controllability), with errors naming the first offending process.
+``distributed.graph`` is an adjacency list (neighbors per node);
+``distributed.alpha`` and ``distributed.beta`` are the constant primal and
+dual steps of the distributed solver. A legacy ``distributed.dual_mode`` key
+is accepted only as ``"mixing"``, the one coupling of the distributed solver,
+and ignored. The ``step_a`` and ``step_c`` keys of the removed diminishing
+schedule are rejected with an error naming ``alpha`` and ``beta``. Every
+process is fully validated at load time (finite entries, shapes,
+definiteness, observability and controllability), with errors naming the
+first offending process.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ class SimulationSettings:
 @dataclass
 class DistributedSettings:
     adjacency: list
-    step_a: float = 0.5
-    step_c: float = 10.0
+    alpha: float = 0.01
+    beta: float = 1.0
     eps_r: float = 1e-6
     max_iters: int = 200_000
 
@@ -176,11 +180,14 @@ def load_config(path) -> RunConfig:
         dual_mode = section.pop("dual_mode", "mixing")
         _require(dual_mode == "mixing", f"distributed.dual_mode {dual_mode!r} is not supported: the other "
                                         "dual modes were removed and only 'mixing' remains")
+        for key in ("step_a", "step_c"):
+            _require(key not in section, f"distributed.{key} was removed with the diminishing step schedule; "
+                                         "set the constant steps distributed.alpha and distributed.beta instead")
         try:
             distributed = DistributedSettings(adjacency=adjacency, **section)
         except TypeError as exc:
             raise ConfigError(f"distributed section: {exc}") from exc
-        for key in ("step_a", "step_c", "eps_r"):
+        for key in ("alpha", "beta", "eps_r"):
             value = getattr(distributed, key)
             _require(_is_positive(value), f"distributed.{key} must be a positive number, got {value!r}")
         _require(_is_int(distributed.max_iters) and distributed.max_iters >= 1,

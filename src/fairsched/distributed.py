@@ -7,19 +7,19 @@ problem into a consensus-constrained dual ascent that needs only neighbor
 communication: each node updates its own rate from its own cost and its own
 multiplier copy, and the copies are driven toward agreement over the graph.
 
-Updates follow the perturbed primal-dual scheme: a lookahead ("hat") step
-produces one-step predictions of both variables, and the main step evaluates
-each player's gradient at the opponent's prediction.
-
-The dual copies are coupled by mixing: each dual step averages the copies
-with fixed Metropolis weights before adding the step-size-scaled budget
-gradient. Disagreement between copies then contracts geometrically, so the
-copies reach consensus and the scheme recovers the centralized solution.
+The round is gradient tracking with constant steps (DIGing; Nedic, Olshevsky
+and Shi, SIAM J. Optim. 2017) applied to the dual of the budget constraint,
+as in Xiao and Boyd 2006. Each node also keeps an estimate ``y_i`` of the
+network-average budget excess: it mixes the neighbours' estimates with fixed
+Metropolis weights and adds its own change of rate. The multiplier copies mix
+the same way and step along ``y``. Because the weights are doubly
+stochastic, ``sum(y)`` always equals ``sum(r) - R``, so at a fixed point the
+budget is met, the copies agree and every free agent's cost equals the
+common multiplier: the centralized max-min fair allocation.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,7 +40,6 @@ from .sensors import NumericalError
 __all__ = [
     "GraphError",
     "CommGraph",
-    "StepSchedule",
     "DualState",
     "DistributedTrace",
     "ComparisonReport",
@@ -136,21 +135,6 @@ def metropolis_matrix(g: CommGraph) -> np.ndarray:
     return W
 
 
-@dataclass(frozen=True)
-class StepSchedule:
-    """Diminishing steps ``eps(k) = a / (k + c)``."""
-
-    a: float = 0.5
-    c: float = 10.0
-
-    def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError("schedule parameters must be positive")
-
-    def __call__(self, k: int) -> float:
-        return self.a / (k + self.c)
-
-
 @dataclass
 class DualState:
     """Per-node multiplier copies and the primal iterate they pair with."""
@@ -178,24 +162,24 @@ def solve_distributed(
     costs: CostModel,
     region: FeasibleRegion,
     graph: CommGraph,
-    schedule: StepSchedule | None = None,
+    alpha: float = 0.01,
+    beta: float = 1.0,
     max_iters: int = 200_000,
     eps_r: float = 1e-6,
-    hat_schedule: StepSchedule | None = None,
     init_rates=None,
     init_lambdas=None,
 ):
-    """Perturbed primal-dual iteration over the communication graph.
+    """Constant-step gradient tracking over the communication graph.
 
-    Per round, with local budget share ``R/n`` at every node:
+    Per round, with ``g(r) = r - R/n`` the local budget excess,
+    ``y = g(r)`` at the start and ``W`` the Metropolis weights of the graph:
 
-        r_hat   = P_box(r + eps_hat * (J(r) - lam))
-        lam_hat = max(W lam + eps_hat * (r - R/n), 0)
-        r'      = P_box(r + eps * (J(r) - lam_hat))
-        lam'    = max(W lam + eps * (r_hat - R/n), 0)
+        r'   = P_box(r + alpha * (J(r) - lam))
+        y'   = W y + g(r') - g(r)
+        lam' = max(W lam + beta * y', 0)
 
-    with ``W`` the Metropolis weights of the graph. Both dual steps read
-    ``lam``, so one product ``W @ lam`` per round serves both. Stops once
+    ``alpha`` must stay below about 2 / (the cost slope where the iterates
+    live); ``beta`` near 1 suits Metropolis weights. Stops once
     ``||dr|| + ||dlam|| <= eps_r``. The returned allocation is the final
     primal iterate projected onto the full region, so it is always feasible;
     the raw iterate is available through the dual state.
@@ -204,10 +188,9 @@ def solve_distributed(
     """
     if graph.n != region.n:
         raise GraphError(f"graph has {graph.n} nodes but the region has {region.n} agents")
-    schedule = schedule or StepSchedule()
-    hat_schedule = hat_schedule or schedule
+    if not (alpha > 0 and beta > 0):
+        raise ValueError("step sizes must be positive")
 
-    share = region.total / region.n
     lb, ub = region.lower, region.upper
     W = metropolis_matrix(graph)
 
@@ -216,37 +199,27 @@ def solve_distributed(
     # evaluate its own cost, and the dual settles near the common cost level
     lam = costs.values(r).copy() if init_lambdas is None else np.array(init_lambdas, dtype=float)
     lam = np.maximum(lam, 0.0)
+    y = r - region.total / region.n
 
     residuals = np.empty(max_iters)
     spreads = np.empty(max_iters)
     mins = np.empty(max_iters)
     status = MAX_INNER_ITERS
     used = 0
-    # at n ~ 5 numpy dispatch outweighs the arithmetic: minimum(maximum()) and
-    # sqrt(v.dot(v)) are np.clip's and np.linalg.norm's kernels minus their wrappers
     for k in range(max_iters):
-        eps = schedule(k)
-        eps_hat = hat_schedule(k)
-        values = costs.values(r)
-
-        r_hat = np.minimum(np.maximum(r + eps_hat * (values - lam), lb), ub)
-        coupled = W @ lam
-        lam_hat = np.maximum(coupled + eps_hat * (r - share), 0.0)
-        lam_new = np.maximum(coupled + eps * (r_hat - share), 0.0)
-        r_new = np.minimum(np.maximum(r + eps * (values - lam_hat), lb), ub)
-
+        r_new = np.clip(r + alpha * (costs.values(r) - lam), lb, ub)
         dr = r_new - r
-        dlam = lam_new - lam
-        residual = math.sqrt(dr.dot(dr)) + math.sqrt(dlam.dot(dlam))
+        y = W @ y + dr  # g(r') - g(r) = r' - r
+        lam_new = np.maximum(W @ lam + beta * y, 0.0)
+
+        residual = float(np.linalg.norm(dr) + np.linalg.norm(lam_new - lam))
         r, lam = r_new, lam_new
-        copies = lam.tolist()  # min and max of a short list are cheaper in Python, and exact
-        lam_min = min(copies)
         residuals[k] = residual
-        spreads[k] = max(copies) - lam_min
-        mins[k] = lam_min
+        spreads[k] = lam.max() - lam.min()
+        mins[k] = lam.min()
         used = k + 1
         # NaN and inf fail the comparison too
-        if not math.sqrt(lam.dot(lam)) < 1e6:
+        if not np.linalg.norm(lam) < 1e6:
             raise NumericalError("distributed iteration diverged (multiplier norm exceeded 1e6)")
         if residual <= eps_r:
             status = CONVERGED

@@ -62,11 +62,6 @@ _STABILITY_TOL = 1e-10
 # rates up to this bound count as 1 (the budget projection rounds)
 _RATE_MAX = 1.0 + 1e-12
 
-# Fewer agents than this: ``CurveCostModel.values`` walks the flat table in a
-# Python loop, which beats numpy's fixed per-call cost of a vectorised gather
-# (measured crossover between 40 and 48 agents on a 2-core x86 machine).
-_GATHER_MIN_AGENTS = 40
-
 
 class NumericalError(RuntimeError):
     """A fixed-point iteration failed to converge or overflowed."""
@@ -435,11 +430,6 @@ class _CurveTable:
         self.last = np.where(stable, sizes - 1.0, sizes - 2.0)
         self.xi_max = np.where(stable, np.inf, sizes - 2.0)
         self.lo = np.array(floors, dtype=float) * (1.0 - 1e-9)
-        self.scalar = None  # the small-fleet loop's view: indexing a memoryview yields Python floats
-        if len(sizes) < _GATHER_MIN_AGENTS:
-            agents = zip(first.tolist(), self.last.astype(int).tolist(), self.xi_max.tolist(), self.lo.tolist(),
-                         stable.tolist())
-            self.scalar = (memoryview(traces), memoryview(cumsums), list(agents))
 
     @classmethod
     def pack(cls, curves) -> _CurveTable:
@@ -611,9 +601,8 @@ class CurveCostModel(CostModel):
     """Cost model backed by per-process cost curves.
 
     The curves live in one flat table (see ``_CurveTable``). ``values``
-    evaluates every agent from it, by a numpy gather for large fleets and by
-    a Python loop over the same table for small ones; both are bit-identical
-    to :func:`cost_eval`. When constructed from process models the curves
+    evaluates every agent from it by one numpy gather, bit-identical to
+    :func:`cost_eval`. When constructed from process models the curves
     extend themselves on demand: evaluating unstable agents below their
     current floors rebuilds those curves in one batch with smaller floors
     (under a lock, so concurrent readers only ever see complete curves).
@@ -677,8 +666,6 @@ class CurveCostModel(CostModel):
         if r.size != self.n:
             raise ValueError(f"expected {self.n} rates, got {r.size}")
         table = self._table
-        if table.scalar is not None:
-            return self._values_loop(table.scalar, r)
         with np.errstate(divide="ignore", invalid="ignore"):
             xi = np.floor(_XI_NUMERATOR / np.minimum(r, 1.0) - 1.0)
         ok = (r >= table.lo) & (r <= _RATE_MAX) & (xi >= 0) & (xi <= table.xi_max)
@@ -688,28 +675,6 @@ class CurveCostModel(CostModel):
         out[ok] = table.costs(xi[ok], r[ok], ok)
         self._fill(np.flatnonzero(~ok).tolist(), r, out)
         return out
-
-    def _values_loop(self, scalar, r) -> np.ndarray:
-        traces, cumsums, agents = scalar
-        floor = math.floor
-        out, misses = [], []
-        for i, x in enumerate(r.tolist()):
-            first, last, xi_max, lo, stable = agents[i]
-            if 0.0 < x <= _RATE_MAX and x >= lo:
-                xi = floor(_XI_NUMERATOR / (x if x < 1.0 else 1.0) - 1.0)
-                if xi <= xi_max:
-                    j = xi if xi < last else last
-                    anchor = traces[first + j + 1]
-                    out.append(anchor + x * (cumsums[first + j] - (j + 1) * anchor))
-                    continue
-            elif x == 0.0 and stable:
-                out.append(traces[first + last + 1])
-                continue
-            out.append(0.0)
-            misses.append(i)
-        if misses:
-            self._fill(misses, r, out)
-        return np.array(out)
 
     def slope_bounds(self, lower) -> tuple[np.ndarray, np.ndarray]:
         lower = np.asarray(lower, dtype=float).tolist()

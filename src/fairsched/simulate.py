@@ -46,18 +46,26 @@ class SimResult:
 
 
 def _trace_table(p: ProcessModel, pbar: np.ndarray, upto: int) -> np.ndarray:
-    """Tr(P) after 0..upto prediction steps from the filter steady state ``pbar``."""
+    """Tr(P) after 0..upto prediction steps from the filter steady state ``pbar``.
+
+    The recursion is deterministic, so once the covariance repeats bit for bit
+    every later step repeats it too, and the rest of the table is its trace.
+    """
     M = pbar
     out = np.empty(upto + 1)
     out[0] = M.trace()
     # the first non-finite trace raises, so numpy's overflow warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, upto + 1):
-            M = p.A @ M @ p.A.T + p.Q
-            M = 0.5 * (M + M.T)
-            out[t] = tr = M.trace()
+            M_next = p.A @ M @ p.A.T + p.Q
+            M_next = 0.5 * (M_next + M_next.T)
+            out[t] = tr = M_next.trace()
             if not math.isfinite(tr):
                 raise OverflowError("covariance recursion overflowed; the policy rate is too small")
+            if tr == out[t - 1] and np.array_equal(M_next, M):
+                out[t + 1:] = tr
+                break
+            M = M_next
     return out
 
 

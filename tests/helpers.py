@@ -3,8 +3,8 @@
 The oracles here are deliberately independent of the library's own numerics:
 projections are checked against dense grid search, solver optimality
 against grid enumeration of the max-min objective, the batched cost-curve
-build against a scalar one-process-at-a-time recursion, the fused
-distributed round against the two-dual-step loop it replaced, the chunked
+build against a scalar one-process-at-a-time recursion, the vectorised
+distributed round against a node-by-node neighbour-list round, the chunked
 Monte Carlo against a step-by-step simulation, the batched rank tests
 against one process at a time, and the streaming CSV writer against the
 per-cell formatting rule it replaced.
@@ -18,7 +18,7 @@ import numpy as np
 
 from fairsched import CostCurve, CostDomainError, FeasibleRegion, NumericalError, classify_stability
 from fairsched.allocation import CONVERGED, MAX_INNER_ITERS, initial_allocation, project_feasible
-from fairsched.distributed import DistributedTrace, DualState, GraphError, StepSchedule, metropolis_matrix
+from fairsched.distributed import DistributedTrace, DualState, GraphError
 
 
 def grid_project(x, region: FeasibleRegion, resolution: float = 1e-3) -> np.ndarray:
@@ -164,68 +164,65 @@ def reference_solve_distributed(
     costs,
     region: FeasibleRegion,
     graph,
-    schedule: StepSchedule | None = None,
+    alpha: float = 0.01,
+    beta: float = 1.0,
     max_iters: int = 200_000,
     eps_r: float = 1e-6,
-    hat_schedule: StepSchedule | None = None,
     init_rates=None,
     init_lambdas=None,
 ):
-    """``solve_distributed`` as one mixing dual step called twice per round.
+    """``solve_distributed`` node by node, each node reading only its neighbours' values.
 
-    Each call forms its own coupling product and the round goes through
-    ``np.clip`` and ``np.linalg.norm``; the library's fused round must match
-    it bit for bit.
+    Node ``i`` weighs neighbour ``j`` by ``1 / (1 + max(deg_i, deg_j))`` and
+    itself by what is left; no weight matrix is formed. Per round every node
+    steps its rate on its own cost and multiplier copy, mixes its neighbours'
+    excess estimates and adds its own change of rate, then mixes the
+    neighbours' multiplier copies and steps along its new estimate.
     """
     if graph.n != region.n:
         raise GraphError(f"graph has {graph.n} nodes but the region has {region.n} agents")
-    schedule = schedule or StepSchedule()
-    hat_schedule = hat_schedule or schedule
+    n = region.n
+    neighbors = graph.neighbor_lists()
+    weights = []
+    for i in range(n):
+        row = {j: 1.0 / (1 + max(len(neighbors[i]), len(neighbors[j]))) for j in neighbors[i]}
+        row[i] = 1.0 - sum(row.values())
+        weights.append(row)
 
-    share = region.total / region.n
-    W = metropolis_matrix(graph)
-    lb, ub = region.lower, region.upper
+    def mix(values, i):
+        return sum(w * values[j] for j, w in sorted(weights[i].items()))
 
-    r = initial_allocation(region) if init_rates is None else np.array(init_rates, dtype=float)
-    lam = costs.values(r).copy() if init_lambdas is None else np.array(init_lambdas, dtype=float)
-    lam = np.maximum(lam, 0.0)
+    lb, ub = region.lower.tolist(), region.upper.tolist()
+    r = (initial_allocation(region) if init_rates is None else np.array(init_rates, dtype=float)).tolist()
+    lam = costs.values(r).tolist() if init_lambdas is None else [float(v) for v in init_lambdas]
+    lam = [max(v, 0.0) for v in lam]
+    y = [ri - region.total / n for ri in r]
 
-    def dual_step(lam_cur, r_partner, eps):
-        return np.maximum(W @ lam_cur + eps * (r_partner - share), 0.0)
-
-    residuals = np.empty(max_iters)
-    spreads = np.empty(max_iters)
-    mins = np.empty(max_iters)
+    residuals, spreads, mins = [], [], []
     status = MAX_INNER_ITERS
-    used = 0
-    for k in range(max_iters):
-        eps = schedule(k)
-        eps_hat = hat_schedule(k)
-        values = costs.values(r)
+    for _ in range(max_iters):
+        values = costs.values(r).tolist()
+        r_new = [min(max(r[i] + alpha * (values[i] - lam[i]), lb[i]), ub[i]) for i in range(n)]
+        y = [mix(y, i) + r_new[i] - r[i] for i in range(n)]
+        lam_new = [max(mix(lam, i) + beta * y[i], 0.0) for i in range(n)]
 
-        r_hat = np.clip(r + eps_hat * (values - lam), lb, ub)
-        lam_hat = dual_step(lam, r, eps_hat)
-
-        r_new = np.clip(r + eps * (values - lam_hat), lb, ub)
-        lam_new = dual_step(lam, r_hat, eps)
-
-        residual = float(np.linalg.norm(r_new - r) + np.linalg.norm(lam_new - lam))
+        residual = (math.sqrt(sum((a - b) ** 2 for a, b in zip(r_new, r)))
+                    + math.sqrt(sum((a - b) ** 2 for a, b in zip(lam_new, lam))))
         r, lam = r_new, lam_new
-        residuals[k] = residual
-        spreads[k] = float(lam.max() - lam.min())
-        mins[k] = float(lam.min())
-        used = k + 1
-        if not (np.isfinite(lam).all() and np.linalg.norm(lam) < 1e6):
+        residuals.append(residual)
+        spreads.append(max(lam) - min(lam))
+        mins.append(min(lam))
+        if not math.sqrt(sum(v * v for v in lam)) < 1e6:
             raise NumericalError("distributed iteration diverged (multiplier norm exceeded 1e6)")
         if residual <= eps_r:
             status = CONVERGED
             break
 
-    rates = project_feasible(r, region)
+    r, lam = np.array(r), np.array(lam)
     trace = DistributedTrace(
-        residuals=residuals[:used], lambda_spreads=spreads[:used], lambda_mins=mins[:used], status=status
+        residuals=np.array(residuals), lambda_spreads=np.array(spreads), lambda_mins=np.array(mins), status=status
     )
-    return rates, DualState(lambdas=lam, rates=r), trace
+    return project_feasible(r, region), DualState(lambdas=lam, rates=r), trace
 
 
 def reference_rank_failure(p) -> str | None:
@@ -262,6 +259,21 @@ def reference_run_cycles(p, pbar, policy, horizon: int, rng) -> tuple[float, int
             P = 0.5 * (P + P.T)
             age += 1
     return err_sum, n_tx
+
+
+def reference_trace_table(p, pbar, upto: int) -> tuple[np.ndarray, int | None]:
+    """Tr(P) after 0..upto prediction steps, stepping the recursion every time, and the
+    first step whose covariance equals the one before it bit for bit (None if none does)."""
+    M, repeat = pbar, None
+    out = [float(np.trace(M))]
+    for t in range(1, upto + 1):
+        M_next = p.A @ M @ p.A.T + p.Q
+        M_next = 0.5 * (M_next + M_next.T)
+        if repeat is None and np.array_equal(M_next, M):
+            repeat = t
+        M = M_next
+        out.append(float(np.trace(M)))
+    return np.array(out), repeat
 
 
 def reference_csv_bytes(schema: str, header: list[str], rows) -> bytes:

@@ -213,7 +213,8 @@ def test_criterion_09_distributed_matches_centralized(bench_instance):
         costs, region, graph,
         unstable_mask=mask,
         solver_cfg=cfg.solver,
-        schedule=fs.StepSchedule(settings.step_a, settings.step_c),
+        alpha=settings.alpha,
+        beta=settings.beta,
         max_iters=settings.max_iters,
         eps_r=settings.eps_r,
     )

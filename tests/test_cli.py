@@ -1,3 +1,4 @@
+import contextlib
 import json
 import signal
 from pathlib import Path
@@ -9,6 +10,21 @@ import fairsched as fs
 from fairsched.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, _region_and_costs, _write_csv, main
 from fairsched.config import ConfigError, load_config
 from helpers import reference_csv_bytes
+
+
+@contextlib.contextmanager
+def time_limit(seconds, what):
+    """Raise ``TimeoutError`` in the block if it runs longer than ``seconds``."""
+    def hung(signum, frame):
+        raise TimeoutError(f"{what} did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -151,6 +167,17 @@ class TestSolveCommand:
 
 
 class TestSimulateCommand:
+    def test_tiny_rate_on_a_stable_process_is_fast(self, tmp_path):
+        # rate 1e-9 on the stable process 3: one 10^6-step cycle, whose trace
+        # table stops at the step where the covariance repeats
+        alloc_path = tmp_path / "tiny.json"
+        alloc_path.write_text(json.dumps({"rates": [0.5, 0.5, 0.5, 1e-9, 0.4]}))
+        with time_limit(5, "simulate"):
+            rc = main(["simulate", "--config", str(fs.fixture_path("paper_sec4")),
+                       "--allocation", str(alloc_path), "--out", str(tmp_path / "m")])
+        assert rc == EXIT_OK
+        assert (tmp_path / "m" / "simulation_report.csv").exists()
+
     def test_all_ones_allocation_exact(self, tmp_path, bench_config):
         cfg_path = fs.fixture_path("paper_sec4")
         alloc_path = tmp_path / "ones.json"
@@ -230,7 +257,7 @@ class TestDistributedCommand:
             "total_rate": 1.0,
             "processes": [{"A": [[0.5]], "Q": [[1.0]]}, {"A": [[0.7]], "Q": [[0.8]]}, {"A": [[0.3]], "Q": [[1.5]]}],
             "solver": {"eps0": 0.1, "eta": 0.5, "eps_r": 1e-8},
-            "distributed": {"graph": [[1, 2], [0, 2], [0, 1]], "step_a": 2.0, "step_c": 10.0,
+            "distributed": {"graph": [[1, 2], [0, 2], [0, 1]], "alpha": 0.01, "beta": 1.0,
                             "eps_r": 1e-8, "max_iters": 400000, "dual_mode": "mixing"},
         }
         path = write_config(tmp_path, payload)
@@ -285,18 +312,9 @@ class TestCurveOverflowExitsCleanly:
         # neither be stepped through nor sized as one table
         alloc_path = tmp_path / "tiny.json"
         alloc_path.write_text(json.dumps({"rates": [1e-9, 0.5, 0.5, 0.5, 0.4]}))
-
-        def hung(signum, frame):
-            raise TimeoutError("simulate did not terminate")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(5)
-        try:
+        with time_limit(5, "simulate"):
             self.check(capsys, ["simulate", "--config", str(config),
                                 "--allocation", str(alloc_path), "--out", str(tmp_path / "m")])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     def test_simulate_tiny_rate(self, tmp_path, capsys):
         # the simulator's recursion overflows within the 10^6-step horizon
@@ -352,6 +370,10 @@ class TestSectionsValidatedAtLoad:
         ("graph", [[1, 4], [0, 2], [1, 3], [2, 4], [3, 0.5]]),
         ("dual_mode", "penalty"),
         ("dual_mode", "penalty-asym"),
+        ("alpha", -1),
+        ("beta", 0),
+        ("alpha", True),
+        ("beta", "1"),
     ])
     def test_distributed_field(self, tmp_path, capsys, key, value):
         path = fixture_with(tmp_path, "distributed", key, value)
@@ -364,6 +386,16 @@ class TestSectionsValidatedAtLoad:
     def test_removed_dual_mode_names_the_one_left(self, tmp_path, value):
         with pytest.raises(ConfigError, match="dual modes were removed and only 'mixing' remains"):
             load_config(fixture_with(tmp_path, "distributed", "dual_mode", value))
+
+    @pytest.mark.parametrize("key", ["step_a", "step_c"])
+    def test_legacy_step_keys_name_their_replacements(self, tmp_path, capsys, key):
+        path = fixture_with(tmp_path, "distributed", key, 25.0)
+        for command in ("validate-config", "distributed"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "d")]) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == (
+                f"config error: distributed.{key} was removed with the diminishing step schedule; "
+                "set the constant steps distributed.alpha and distributed.beta instead\n"
+            )
 
     def test_legacy_mixing_key_is_ignored(self, tmp_path, bench_config):
         payload = json.loads(fs.fixture_path("paper_sec4").read_text())

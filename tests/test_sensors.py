@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import fairsched as fs
 from fairsched.allocation import CostDomainError
-from fairsched.sensors import _GATHER_MIN_AGENTS
 from helpers import reference_cost_curve, reference_filter_cov, reference_rank_failure
 
 
@@ -420,7 +419,7 @@ def probe_rates(curve, rng, count=40):
     return rng.permutation(np.resize(points, count))
 
 
-@pytest.mark.parametrize("n", [5, _GATHER_MIN_AGENTS + 3], ids=["loop", "gather"])
+@pytest.mark.parametrize("n", [5, 43])
 class TestValuesMatchCostEval:
     def model(self, n, extend=False):
         processes, floors = mixed_processes()

@@ -5,7 +5,7 @@ import fairsched as fs
 from fairsched import simulate
 from fairsched.allocation import CostDomainError
 
-from helpers import reference_run_cycles
+from helpers import reference_run_cycles, reference_trace_table
 
 
 def test_always_transmit_is_exact(scalar_unit_process):
@@ -94,6 +94,18 @@ def test_oracle_agreement_spanning_segments(bench_config):
         for r in (0.9, 0.45, 0.21):
             res = fs.simulate_policy(p, fs.threshold_from_rate(r), horizon=4 * 10**5, seed=idx * 31 + int(100 * r))
             assert res.empirical_avg_error == pytest.approx(fs.cost_eval(curve, r), rel=0.015)
+
+
+@pytest.mark.parametrize("idx, repeat", [(3, 170), (4, 18)])
+def test_trace_table_stops_at_a_repeated_covariance(bench_config, idx, repeat):
+    # the table is bitwise the step-every-time one at sizes around the step
+    # where the covariance first repeats, and far past it
+    p = bench_config.processes[idx]
+    pbar = fs.steady_state_filter_cov(p)
+    ref, first = reference_trace_table(p, pbar, 1000)
+    assert first == repeat
+    for upto in (repeat - 1, repeat, repeat + 1, 1000):
+        np.testing.assert_array_equal(simulate._trace_table(p, pbar, upto), ref[:upto + 1])
 
 
 def test_invalid_horizon():
