@@ -151,7 +151,7 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
     try:
         results = simulate_allocation(cfg.processes, rates, horizon, use_seed)
         analytic = costs.values(rates)
-    except (CostDomainError, NumericalError, OverflowError) as exc:
+    except (CostDomainError, NumericalError) as exc:
         print(f"allocation is outside the supported rate domain: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

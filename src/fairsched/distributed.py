@@ -48,6 +48,10 @@ __all__ = [
     "compare_with_centralized",
 ]
 
+STALLED = "stalled"
+_STALL_ROUNDS = 10_000  # rounds the best residual may go without a 1 % drop
+
+
 class GraphError(ValueError):
     """The communication graph cannot support consensus."""
 
@@ -180,7 +184,9 @@ def solve_distributed(
 
     ``alpha`` must stay below about 2 / (the cost slope where the iterates
     live); ``beta`` near 1 suits Metropolis weights. Stops once
-    ``||dr|| + ||dlam|| <= eps_r``. The returned allocation is the final
+    ``||dr|| + ||dlam|| <= eps_r``, or with status ``"stalled"`` once the best
+    residual has not dropped by 1 % in 10,000 rounds (a step too large for
+    the slopes makes the iterate cycle). The returned allocation is the final
     primal iterate projected onto the full region, so it is always feasible;
     the raw iterate is available through the dual state.
 
@@ -206,6 +212,7 @@ def solve_distributed(
     mins = np.empty(max_iters)
     status = MAX_INNER_ITERS
     used = 0
+    best, best_round = np.inf, 0
     for k in range(max_iters):
         r_new = np.clip(r + alpha * (costs.values(r) - lam), lb, ub)
         dr = r_new - r
@@ -223,6 +230,11 @@ def solve_distributed(
             raise NumericalError("distributed iteration diverged (multiplier norm exceeded 1e6)")
         if residual <= eps_r:
             status = CONVERGED
+            break
+        if residual < 0.99 * best:
+            best, best_round = residual, k
+        elif k - best_round >= _STALL_ROUNDS:
+            status = STALLED
             break
 
     rates = project_feasible(r, region)

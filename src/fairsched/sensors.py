@@ -11,8 +11,8 @@ with ``Pbar`` the filter's steady-state covariance. Under a randomized
 threshold transmission policy the long-run average of ``Tr(P)`` as a function
 of the average transmission rate ``r`` is piecewise linear, convex, continuous
 and strictly decreasing; this module builds that curve and evaluates it in
-closed form. The closed form is independently validated against the Monte
-Carlo simulator in ``fairsched.simulate``.
+closed form. The Monte Carlo simulator in ``fairsched.simulate`` checks the
+closed form; it shares the trace sequence (:func:`prediction_traces`).
 
 Curves are built in batches: processes are grouped by dimension, and the
 Riccati steady state, the stable no-communication limit and the trace
@@ -296,37 +296,74 @@ def no_comm_limit(p: ProcessModel, tol: float = 1e-12, max_iters: int = 10**6) -
     return float(_no_comm_limits(p.A[None], p.Q[None], tol, max_iters)[0])
 
 
-def _trace_steps(A, Q, M, caps, limits, tail_cuts, floors):
-    """``Tr(h^t(M))``, ``t = 0, 1, ...``, for stacked processes, each up to its own stop.
+def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
+    """``Tr(h^t(Pbar))``, ``t = 0, 1, ...``, ``h(X) = A X A' + Q``, from each process's filter steady state.
 
-    A process stops after step ``caps + 1``, or from step 1 on once its trace
-    is within ``tail_cuts`` of ``limits`` (NaN: never). Returns every
-    process's sequence length and, per step, the traces of the processes
-    still running, in index order: those whose length exceeds the step.
+    One batched recursion per shape; each process leaves it at its own stop,
+    so its sequence is the one it would get alone: after step ``caps[i] + 1``;
+    from step 1 on, where ``stable`` is set, within ``tail_tol`` (relative) of
+    its no-communication limit; or at a covariance equal, bit for bit, to the
+    one two steps back, after which the sequence repeats its last two entries
+    forever. Returns ``(traces, first, lengths)``: sequence ``i`` has
+    ``lengths[i]`` entries from ``traces[first[i]]``, then one slot holding its
+    limit (NaN where ``stable`` is not set). Overflow raises :class:`NumericalError`.
     """
-    rows = np.arange(len(M))
-    lengths = np.empty(len(M), dtype=np.intp)
-    tr = np.trace(M, axis1=1, axis2=2)
-    steps = [tr]
-    t = 0
-    while True:
-        stop = (t >= caps + 1) | ((t >= 1) & (np.abs(tr - limits) <= tail_cuts))
-        if stop.any():
-            lengths[rows[stop]] = t + 1
-            keep = ~stop
-            rows, A, Q, M, caps, limits, tail_cuts = (x[keep] for x in (rows, A, Q, M, caps, limits, tail_cuts))
-            if not rows.size:
-                return steps, lengths
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            M = A @ M @ _mT(A) + Q
-            M = 0.5 * (M + _mT(M))
-        t += 1
+    ps = list(ps)
+    caps, rates = np.asarray(caps, dtype=float), np.asarray(rates, dtype=float)
+    stable = np.zeros(len(ps), dtype=bool) if stable is None else np.asarray(stable, dtype=bool)
+    limits = np.full(len(ps), np.nan)
+    lengths = np.empty(len(ps), dtype=np.intp)
+    # blocks ``(t0, rows, traces)``: the traces of steps t0, t0 + 1, ... (one
+    # row each) of the processes ``rows`` (one column each), which all run through them
+    blocks = []
+    for group in _groups(ps):
+        members = [ps[i] for i in group]
+        A, Q, s = _stack(members, "A"), _stack(members, "Q"), stable[group]
+        limits[group[s]] = _no_comm_limits(A[s], Q[s])
+        rows, M, cap, limit = group, _filter_covs(members), caps[group], limits[group]
+        cut = tail_tol * np.maximum(limit, 1e-300)
+        tails = bool(s.any())  # whether any row has a tail rule to check
         tr = np.trace(M, axis1=1, axis2=2)
-        finite = np.isfinite(tr)
-        if not finite.all():
-            floor = floors[rows[~finite][0]]
-            raise NumericalError(f"trace sequence overflowed at step {t}; the rate floor {floor} is too small")
-        steps.append(tr)
+        steps, t0 = [tr], 0
+        prev, prev_tr = back, back_tr = M, tr  # one and two steps back; read from step 2 on
+        t = 0
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            while True:
+                stop = t > cap
+                if t and tails:
+                    stop |= np.abs(tr - limit) <= cut
+                if t >= 2:
+                    # traces first, so that only candidate rows compare whole matrices
+                    again = tr == back_tr
+                    if again.any():
+                        stop[again] |= (M[again] == back[again]).all(axis=(1, 2))
+                if stop.any() or len(steps) == 1024:  # 1024: a lone long run keeps few arrays
+                    blocks.append((t0, rows, np.stack(steps)))
+                    steps, t0 = [], t + 1
+                    lengths[rows[stop]] = t + 1
+                    keep = ~stop
+                    rows, A, Q, M, tr, prev, prev_tr, cap, limit, cut = (
+                        x[keep] for x in (rows, A, Q, M, tr, prev, prev_tr, cap, limit, cut)
+                    )
+                    if not rows.size:
+                        break
+                back, back_tr, prev, prev_tr = prev, prev_tr, M, tr
+                M = _predict_step(M, A, Q)
+                M = 0.5 * (M + _mT(M))
+                t += 1
+                tr = np.trace(M, axis1=1, axis2=2)
+                finite = np.isfinite(tr)
+                if not finite.all():
+                    rate = rates[rows[~finite][0]]
+                    raise NumericalError(f"trace sequence overflowed at step {t}; the rate {rate} is too small")
+                steps.append(tr)
+
+    first = np.cumsum(lengths + 1) - (lengths + 1)
+    traces = np.empty(int((lengths + 1).sum()))
+    for t0, rows, block in blocks:
+        traces[first[rows] + np.arange(t0, t0 + len(block))[:, None]] = block
+    traces[first + lengths] = limits
+    return traces, first, lengths
 
 
 @dataclass(frozen=True)
@@ -453,30 +490,15 @@ class _CurveTable:
         return anchor + r * (self.cumsums.take(k) - (j + 1.0) * anchor)
 
 
-def _scatter(runs, first, lengths, traces) -> None:
-    """Write each group's steps into ``traces``, freeing them group by group."""
-    while runs:
-        rows, steps = runs.pop()
-        start, running = first[rows], lengths[rows]
-        for t, tr in enumerate(steps):
-            traces[start[running > t] + t] = tr
-        del steps
-
-
 def _build_table(processes, domain_floors, tail_tol: float, stable=None) -> _CurveTable:
-    """Cost curves of all processes, one batched recursion per shape, written into one table.
+    """Cost curves of all processes in one table, which is that of :func:`prediction_traces`.
 
-    Each group of equally shaped processes runs the Riccati steady state, the
-    stable no-communication limits and the trace sequences on stacked
-    ``(k, d, d)`` arrays. The traces of every step are then scattered into
-    the table, which is exactly the size of the output. ``stable`` is the
-    processes' :func:`stable_mask`, if the caller has it already.
+    ``stable`` is the processes' :func:`stable_mask`, if the caller has it already.
     """
     ps = list(processes)
     floors = np.asarray(domain_floors, dtype=float)
     if floors.shape != (len(ps),):
         raise ValueError(f"need one domain floor per process, got shape {floors.shape}")
-    groups = _groups(ps)
     if stable is None:
         stable = stable_mask([p.A for p in ps])
     for floor, is_stable in zip(floors.tolist(), stable.tolist()):
@@ -488,24 +510,8 @@ def _build_table(processes, domain_floors, tail_tol: float, stable=None) -> _Cur
     # last threshold index whose segment the curve must store; none without a floor
     with np.errstate(divide="ignore"):
         caps = np.where(floors > 0, np.floor(_XI_NUMERATOR / floors - 1.0), np.inf)
-    limits = np.full(len(ps), np.nan)
-    lengths = np.empty(len(ps), dtype=np.intp)
-    runs = []
-    for rows in groups:
-        group = [ps[i] for i in rows]
-        A, Q = _stack(group, "A"), _stack(group, "Q")
-        limits[rows[stable[rows]]] = _no_comm_limits(A[stable[rows]], Q[stable[rows]])
-        steps, lengths[rows] = _trace_steps(
-            A, Q, _filter_covs(group), caps[rows], limits[rows], tail_tol * np.maximum(limits[rows], 1e-300),
-            floors[rows],
-        )
-        runs.append((rows, steps))
-        del steps  # held by ``runs`` alone, so that _scatter frees it
-
-    first = np.cumsum(lengths + 1) - (lengths + 1)
-    traces = np.empty(int((lengths + 1).sum()))
-    _scatter(runs, first, lengths, traces)
-    traces[first + lengths] = limits
+    traces, first, lengths = prediction_traces(ps, caps, floors, stable, tail_tol)
+    limits = traces[first + lengths]
     cumsums = np.empty_like(traces)
     cumsums[first + lengths] = np.nan
     for f, n in zip(first.tolist(), lengths.tolist()):

@@ -3,15 +3,19 @@
 Serves as the independent oracle for the closed-form cost curves: it never
 touches the piecewise-linear formula, only the raw recursion
 ``P(k+1) = Pbar`` after a transmission and ``P(k+1) = A P A' + Q`` otherwise,
-driven by the randomized threshold rule on the age counter.
+driven by the randomized threshold rule on the age counter. The recursion
+itself, the trace sequence ``Tr(h^t(Pbar))``, is shared with the curve
+builder (``sensors.prediction_traces``); what the simulator checks is the
+formula built on it.
 
 The age sequence is a renewal process, so the step loop is executed in
 vectorized form: one uniform draw decides each cycle's length, and the
 draws come in chunks sized to the expected cycle count. The cycles and
 transmissions are those of the scalar loop with the same draws. The error is
 summed from the counts of short and long cycles, each cycle's cost being a
-prefix sum of the recursion's own trace table, so it can differ from the
-scalar loop's running sum in the last bits. Results are deterministic given
+prefix sum of the trace sequence, so it can differ from the scalar loop's
+running sum in the last bits. A rate so small that the recursion overflows
+within the horizon raises ``NumericalError``. Results are deterministic given
 (inputs, horizon, seed); per-process streams in ``simulate_allocation`` are
 split off a single ``SeedSequence`` (PCG64), so they are independent and
 order-insensitive.
@@ -28,9 +32,8 @@ from .allocation import CostDomainError
 from .sensors import (
     ProcessModel,
     ThresholdPolicy,
+    prediction_traces,
     stable_mask,
-    steady_state_filter_cov,
-    steady_state_filter_covs,
     threshold_from_rate,
 )
 
@@ -45,28 +48,30 @@ class SimResult:
     seed: int
 
 
-def _trace_table(p: ProcessModel, pbar: np.ndarray, upto: int) -> np.ndarray:
-    """Tr(P) after 0..upto prediction steps from the filter steady state ``pbar``.
+def _summed(seq: np.ndarray):
+    """``k -> seq[0] + ... + seq[k - 1]``, with ``seq`` continued past its end by its last two entries, alternating."""
+    prefix = np.concatenate(([0.0], np.cumsum(seq)))
 
-    The recursion is deterministic, so once the covariance repeats bit for bit
-    every later step repeats it too, and the rest of the table is its trace.
+    def total(k: int) -> float:
+        if k <= seq.size:
+            return prefix[k]
+        m = k - seq.size
+        return prefix[-1] + ((m + 1) // 2) * seq[-2] + (m // 2) * seq[-1]
+
+    return total
+
+
+def _trace_sums(ps, policies, horizon: int) -> list:
+    """Per process, ``k -> Tr(P)`` summed over its first ``k`` steps from its filter steady state.
+
+    ``policies[i]`` is None for a process that never transmits. No cycle reads
+    past step ``xi + 1``, nor the run past step ``horizon - 1``, so the
+    sequences stop there, or earlier at a repeated covariance.
     """
-    M = pbar
-    out = np.empty(upto + 1)
-    out[0] = M.trace()
-    # the first non-finite trace raises, so numpy's overflow warning would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, upto + 1):
-            M_next = p.A @ M @ p.A.T + p.Q
-            M_next = 0.5 * (M_next + M_next.T)
-            out[t] = tr = M_next.trace()
-            if not math.isfinite(tr):
-                raise OverflowError("covariance recursion overflowed; the policy rate is too small")
-            if tr == out[t - 1] and np.array_equal(M_next, M):
-                out[t + 1:] = tr
-                break
-            M = M_next
-    return out
+    caps = [horizon - 2 if pol is None else min(pol.xi, horizon - 2) for pol in policies]
+    rates = [0.0 if pol is None else pol.rate for pol in policies]
+    traces, first, lengths = prediction_traces(ps, caps, rates)
+    return [_summed(traces[f:f + n]) for f, n in zip(first.tolist(), lengths.tolist())]
 
 
 def _chunk_size(steps: int, policy: ThresholdPolicy) -> int:
@@ -82,20 +87,17 @@ def _chunk_size(steps: int, policy: ThresholdPolicy) -> int:
     return int(steps / mean + 4.0 * sigma) + 16
 
 
-def _run_cycles(p: ProcessModel, pbar: np.ndarray, policy: ThresholdPolicy, horizon: int, rng) -> tuple[float, int]:
+def _run_cycles(total, policy: ThresholdPolicy, horizon: int, rng) -> tuple[float, int]:
     """(total error, transmissions) over `horizon` steps of the recursion.
 
     Starting right after a transmission the age visits 0..xi and the cycle
     closes there with probability b, else it runs one step longer. A cycle of
-    length L contributes the first L entries of the trace table and exactly
-    one transmission, decided at its last step. Cycle i draws the i-th
-    uniform of the stream, in chunks of any size; a cycle cut by the horizon
-    contributes its first entries and no transmission. No cycle reads past
-    entry ``horizon - 1``, so the table stops there.
+    length L contributes ``total(L)``, the sum of the first L traces, and
+    exactly one transmission, decided at its last step. Cycle i draws the
+    i-th uniform of the stream, in chunks of any size; a cycle cut by the
+    horizon contributes its first entries and no transmission.
     """
     xi, b = policy.xi, policy.b
-    traces = _trace_table(p, pbar, min(xi + 1, horizon - 1))
-    prefix = np.concatenate(([0.0], np.cumsum(traces)))
     short_len, long_len = xi + 1, xi + 2
 
     n_short = n_long = 0
@@ -123,41 +125,17 @@ def _run_cycles(p: ProcessModel, pbar: np.ndarray, policy: ThresholdPolicy, hori
             done += short_len
         break
     # a cycle longer than the horizon never completes; its count is 0 and its
-    # clamped prefix term adds exactly 0.0
-    top = prefix.size - 1
-    err_sum = n_short * prefix[min(short_len, top)] + n_long * prefix[min(long_len, top)] + prefix[horizon - done]
+    # clamped sum adds exactly 0.0
+    err_sum = n_short * total(min(short_len, horizon)) + n_long * total(min(long_len, horizon)) + total(horizon - done)
     return float(err_sum), n_short + n_long
-
-
-def _no_comm_error_sum(p: ProcessModel, pbar: np.ndarray, horizon: int) -> float:
-    """Sum of Tr(P) over `horizon` prediction-only steps from the steady state.
-
-    The trace sequence converges for stable processes; once successive values
-    agree to machine precision the remaining steps contribute a constant.
-    """
-    M = pbar
-    err_sum = 0.0
-    prev = None
-    t = 0
-    while t < horizon:
-        tr = float(M.trace())
-        if prev is not None and abs(tr - prev) <= 1e-13 * max(abs(tr), 1.0):
-            err_sum += (horizon - t) * tr
-            return err_sum
-        err_sum += tr
-        prev = tr
-        t += 1
-        M = p.A @ M @ p.A.T + p.Q
-        M = 0.5 * (M + M.T)
-    return err_sum
 
 
 def simulate_policy(p: ProcessModel, policy: ThresholdPolicy, horizon: int, seed: int = 0) -> SimResult:
     """Simulate one sensor under a randomized threshold policy."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    rng = np.random.default_rng(seed)
-    err_sum, n_tx = _run_cycles(p, steady_state_filter_cov(p), policy, horizon, rng)
+    (total,) = _trace_sums([p], [policy], horizon)
+    err_sum, n_tx = _run_cycles(total, policy, horizon, np.random.default_rng(seed))
     return SimResult(
         empirical_rate=n_tx / horizon,
         empirical_avg_error=float(err_sum) / horizon,
@@ -170,7 +148,11 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
     """Simulate every process at its allocated rate with independent substreams.
 
     A rate of exactly 0 means the sensor never transmits, which is only
-    meaningful for stable processes.
+    meaningful for stable processes; its error is the trace sum over the
+    whole horizon. The trace sequences of all processes come from the curve
+    builder's batched recursion (``prediction_traces``); its piecewise-linear
+    formula is never evaluated. A rate so small that the recursion overflows
+    within the horizon raises :class:`NumericalError`.
     """
     rates = np.asarray(rates, dtype=float)
     if len(ps) != rates.size:
@@ -182,15 +164,13 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
         raise CostDomainError("an unstable process cannot run at rate 0: its error is unbounded")
 
     children = np.random.SeedSequence(seed).spawn(len(ps))
-    pbars = steady_state_filter_covs(ps)
+    policies = [None if r == 0.0 else threshold_from_rate(r) for r in rates.tolist()]
+    totals = _trace_sums(ps, policies, horizon)
     results = []
-    for p, pbar, r, child in zip(ps, pbars, rates.tolist(), children):
-        if r == 0.0:
-            err_sum = _no_comm_error_sum(p, pbar, horizon)
-            results.append(SimResult(0.0, float(err_sum) / horizon, horizon, seed))
-            continue
-        policy = threshold_from_rate(r)
-        rng = np.random.default_rng(child)
-        err_sum, n_tx = _run_cycles(p, pbar, policy, horizon, rng)
+    for total, policy, child in zip(totals, policies, children):
+        if policy is None:
+            err_sum, n_tx = total(horizon), 0
+        else:
+            err_sum, n_tx = _run_cycles(total, policy, horizon, np.random.default_rng(child))
         results.append(SimResult(n_tx / horizon, float(err_sum) / horizon, horizon, seed))
     return results

@@ -1,4 +1,4 @@
-"""Shared test utilities: brute-force oracles and fit helpers.
+"""Shared test utilities: brute-force oracles, fit helpers and a wall-clock bound.
 
 The oracles here are deliberately independent of the library's own numerics:
 projections are checked against dense grid search, solver optimality
@@ -12,13 +12,30 @@ per-cell formatting rule it replaced.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 
 from fairsched import CostCurve, CostDomainError, FeasibleRegion, NumericalError, classify_stability
 from fairsched.allocation import CONVERGED, MAX_INNER_ITERS, initial_allocation, project_feasible
 from fairsched.distributed import DistributedTrace, DualState, GraphError
+
+
+@contextlib.contextmanager
+def time_limit(seconds, what):
+    """Raise ``TimeoutError`` in the block if it runs longer than ``seconds``."""
+    def hung(signum, frame):
+        raise TimeoutError(f"{what} did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def grid_project(x, region: FeasibleRegion, resolution: float = 1e-3) -> np.ndarray:
@@ -261,19 +278,33 @@ def reference_run_cycles(p, pbar, policy, horizon: int, rng) -> tuple[float, int
     return err_sum, n_tx
 
 
-def reference_trace_table(p, pbar, upto: int) -> tuple[np.ndarray, int | None]:
+def reference_trace_table(p, pbar, upto: int, lag: int = 1) -> tuple[np.ndarray, int | None]:
     """Tr(P) after 0..upto prediction steps, stepping the recursion every time, and the
-    first step whose covariance equals the one before it bit for bit (None if none does)."""
-    M, repeat = pbar, None
-    out = [float(np.trace(M))]
+    first step whose covariance equals the one ``lag`` steps before it bit for bit (None
+    if none does)."""
+    Ms, repeat = [pbar], None
     for t in range(1, upto + 1):
-        M_next = p.A @ M @ p.A.T + p.Q
-        M_next = 0.5 * (M_next + M_next.T)
-        if repeat is None and np.array_equal(M_next, M):
+        M = p.A @ Ms[-1] @ p.A.T + p.Q
+        M = 0.5 * (M + M.T)
+        if repeat is None and t >= lag and np.array_equal(M, Ms[-lag]):
             repeat = t
-        M = M_next
-        out.append(float(np.trace(M)))
-    return np.array(out), repeat
+        Ms.append(M)
+    return np.array([float(np.trace(M)) for M in Ms]), repeat
+
+
+def reference_trace_sum(p, pbar, horizon: int, settle: int = 1000) -> float:
+    """``math.fsum`` of Tr(P) over the first ``horizon`` prediction steps.
+
+    The recursion is stepped ``settle`` times, by which the covariance must
+    equal the one two steps back; from there the deterministic recursion
+    repeats its last two traces, which fill the rest of the ``horizon``
+    terms before the exact sum.
+    """
+    ref, repeat = reference_trace_table(p, pbar, settle, lag=2)
+    assert repeat is not None, "the covariance did not settle into period 1 or 2"
+    head = ref[:repeat + 1]
+    tail = np.resize(head[-2:], max(horizon - head.size, 0))
+    return math.fsum(np.concatenate([head, tail])[:horizon].tolist())
 
 
 def reference_csv_bytes(schema: str, header: list[str], rows) -> bytes:

@@ -1,6 +1,4 @@
-import contextlib
 import json
-import signal
 from pathlib import Path
 
 import numpy as np
@@ -9,22 +7,7 @@ import pytest
 import fairsched as fs
 from fairsched.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, _region_and_costs, _write_csv, main
 from fairsched.config import ConfigError, load_config
-from helpers import reference_csv_bytes
-
-
-@contextlib.contextmanager
-def time_limit(seconds, what):
-    """Raise ``TimeoutError`` in the block if it runs longer than ``seconds``."""
-    def hung(signum, frame):
-        raise TimeoutError(f"{what} did not finish within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+from helpers import reference_csv_bytes, time_limit
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -161,6 +144,14 @@ class TestSolveCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] != "converged"
 
+    def test_stable_curve_out_of_tail_cut_reach_converges(self, tmp_path):
+        # the first curve's tail cut is out of reach (see test_sensors); it used to build forever
+        payload = dict(SINGLE_STABLE, total_rate=1.0)
+        payload["processes"] = [{"A": [[0.5]], "Q": [[1e-3]]}, {"A": [[1.2]], "Q": [[1.0]]}]
+        path = write_config(tmp_path, payload)
+        with time_limit(5, "solve"):
+            assert main(["solve", "--config", str(path), "--out", str(tmp_path / "s")]) == EXIT_OK
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"total_rate": -1.0, "processes": [{"A": [[0.5]], "Q": [[1.0]]}]})
         assert main(["solve", "--config", str(path)]) == EXIT_CONFIG_ERROR
@@ -277,6 +268,18 @@ class TestDistributedCommand:
         }
         path = write_config(tmp_path, payload)
         assert main(["distributed", "--config", str(path), "--out", str(tmp_path / "dg")]) == EXIT_CONFIG_ERROR
+
+    def test_cycling_iterate_stops_as_stalled(self, tmp_path):
+        # alpha 0.1 on the fixture: the iterate cycles with the residual stuck
+        # at 8.18, so the run ends long before its 600,000 rounds
+        out = tmp_path / "st"
+        with time_limit(5, "distributed"):
+            rc = main(["distributed", "--config", str(fixture_with(tmp_path, "distributed", "alpha", 0.1)),
+                       "--out", str(out)])
+        assert rc == EXIT_NOT_CONVERGED
+        comparison = json.loads((out / "comparison.json").read_text())
+        assert comparison["distributed_status"] == "stalled"
+        assert comparison["lambda_spread"] > 1.0
 
 
 def tiny_eta_fixture(tmp_path):

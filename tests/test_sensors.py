@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fairsched as fs
 from fairsched.allocation import CostDomainError
-from helpers import reference_cost_curve, reference_filter_cov, reference_rank_failure
+from helpers import reference_cost_curve, reference_filter_cov, reference_rank_failure, time_limit
 
 
 class TestStability:
@@ -122,6 +122,16 @@ class TestCostCurve:
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
         with pytest.raises(CostDomainError):
             fs.build_cost_curve(p, 0.0)
+
+    def test_tail_cut_out_of_reach_ends_at_the_repeat(self):
+        # the no-communication limit is 3.1e-13 off the recursion's fixed point,
+        # beyond the 1.3e-13 tail cut, and floor 0 sets no cap: the sequence
+        # ends where the covariance repeats
+        p = fs.ProcessModel(A=[[0.5]], Q=[[1e-3]])
+        with time_limit(5, "build_cost_curve"):
+            curve = fs.build_cost_curve(p, 0.0)
+        assert abs(curve.traces[-1] - curve.stable_limit) > 1e-10 * curve.stable_limit
+        assert curve.traces[-1] == curve.traces[-2] == curve.traces[-3]
 
     def test_traces_nondecreasing(self, bench_config):
         for p in bench_config.processes:

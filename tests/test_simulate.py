@@ -4,8 +4,16 @@ import pytest
 import fairsched as fs
 from fairsched import simulate
 from fairsched.allocation import CostDomainError
+from fairsched.sensors import prediction_traces
 
-from helpers import reference_run_cycles, reference_trace_table
+from helpers import reference_run_cycles, reference_trace_sum, reference_trace_table, time_limit
+
+# process 33 of the seed-7 perfbench fleet: its covariance settles into a
+# last-bit 2-cycle and never repeats with period 1
+PERIOD_TWO = fs.ProcessModel(
+    A=[[0.5155432572351986, 0.7297554323949981], [0.0, -0.5474647790516991]],
+    Q=np.diag([2.870295047681087, 1.4463690327439993]),
+)
 
 
 def test_always_transmit_is_exact(scalar_unit_process):
@@ -96,16 +104,54 @@ def test_oracle_agreement_spanning_segments(bench_config):
             assert res.empirical_avg_error == pytest.approx(fs.cost_eval(curve, r), rel=0.015)
 
 
+def check_continued_traces(p, lag, repeat):
+    # the shared recursion stops once the covariance equals the one two steps
+    # back; continued with period 2 it is bitwise the step-every-time table
+    # at sizes around the step where the covariance first repeats, and far past it
+    pbar = fs.steady_state_filter_cov(p)
+    ref, first = reference_trace_table(p, pbar, 1000, lag)
+    assert first == repeat
+    stop = repeat + 2 - lag  # the first step whose covariance equals the one two steps back
+    sizes = (repeat - 1, repeat, repeat + 1, 1000)
+    traces, starts, lengths = prediction_traces([p] * 4, [upto - 1 for upto in sizes], [0.5] * 4)
+    for upto, start, length in zip(sizes, starts, lengths):
+        assert length == min(upto + 1, stop + 1)
+        seq = traces[start:start + length]
+        np.testing.assert_array_equal(np.concatenate([seq, np.resize(seq[-2:], upto + 1 - length)]), ref[:upto + 1])
+
+
 @pytest.mark.parametrize("idx, repeat", [(3, 170), (4, 18)])
 def test_trace_table_stops_at_a_repeated_covariance(bench_config, idx, repeat):
-    # the table is bitwise the step-every-time one at sizes around the step
-    # where the covariance first repeats, and far past it
-    p = bench_config.processes[idx]
-    pbar = fs.steady_state_filter_cov(p)
-    ref, first = reference_trace_table(p, pbar, 1000)
-    assert first == repeat
-    for upto in (repeat - 1, repeat, repeat + 1, 1000):
-        np.testing.assert_array_equal(simulate._trace_table(p, pbar, upto), ref[:upto + 1])
+    check_continued_traces(bench_config.processes[idx], 1, repeat)
+
+
+def test_trace_table_stops_at_a_two_cycle():
+    assert reference_trace_table(PERIOD_TWO, fs.steady_state_filter_cov(PERIOD_TWO), 1000)[1] is None
+    check_continued_traces(PERIOD_TWO, 2, 33)
+
+
+def test_sums_past_the_stored_sequence_alternate_its_last_two_entries():
+    total = simulate._summed(np.array([1.0, 2.0, 4.0]))
+    continued = [1.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0]
+    assert [total(k) for k in range(9)] == [sum(continued[:k]) for k in range(9)]
+
+
+def test_tiny_rate_on_a_two_cycle_is_fast():
+    # one 10^6-step cycle, whose trace sums past step 33 are closed forms
+    with time_limit(5, "simulate_policy"):
+        res = fs.simulate_policy(PERIOD_TWO, fs.threshold_from_rate(1e-9), horizon=10**6, seed=3)
+    assert res.empirical_rate == 0.0
+
+
+@pytest.mark.parametrize("which", ["fixture-3", "fixture-4", "fleet-33"])
+def test_zero_rate_error_is_the_exact_trace_sum(bench_config, which):
+    # fixture processes by 0-based index; a constant tail from the first step
+    # where successive traces agree to 1e-13 was 4.0e-13 off on fixture-3
+    p = PERIOD_TWO if which == "fleet-33" else bench_config.processes[int(which[-1])]
+    horizon = 10**6
+    res = fs.simulate_allocation([p], [0.0], horizon=horizon, seed=2)[0]
+    exact = reference_trace_sum(p, fs.steady_state_filter_cov(p), horizon) / horizon
+    assert res.empirical_avg_error == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_invalid_horizon():
@@ -121,7 +167,8 @@ class TestChunkedCyclesMatchReference:
 
     def _check(self, policy, horizon, seed=4):
         pbar = fs.steady_state_filter_cov(self.PROCESS)
-        err, n_tx = simulate._run_cycles(self.PROCESS, pbar, policy, horizon, np.random.default_rng(seed))
+        (total,) = simulate._trace_sums([self.PROCESS], [policy], horizon)
+        err, n_tx = simulate._run_cycles(total, policy, horizon, np.random.default_rng(seed))
         ref_err, ref_tx = reference_run_cycles(self.PROCESS, pbar, policy, horizon, np.random.default_rng(seed))
         assert n_tx == ref_tx
         assert err == pytest.approx(ref_err, rel=1e-12)
@@ -163,6 +210,6 @@ class TestChunkedCyclesMatchReference:
         # the expected cycle count plus 4 sigma plus 16 exceeds the cycles of a typical run
         policy = fs.threshold_from_rate(0.37)
         horizon = 100_000
-        pbar = fs.steady_state_filter_cov(self.PROCESS)
-        _, n_tx = simulate._run_cycles(self.PROCESS, pbar, policy, horizon, np.random.default_rng(1))
+        (total,) = simulate._trace_sums([self.PROCESS], [policy], horizon)
+        _, n_tx = simulate._run_cycles(total, policy, horizon, np.random.default_rng(1))
         assert n_tx < simulate._chunk_size(horizon, policy)
