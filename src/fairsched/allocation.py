@@ -162,7 +162,6 @@ class SolverConfig:
     eta              shrink factor in (0,1); also the initial lower bound
                      installed for agents flagged unstable
     eps_r            inner-loop stopping tolerance on ||r(t) - r(t-1)||
-    projection_tol   slack used when testing whether a rate sits on a bound
     """
 
     eps0: float = 0.1
@@ -170,15 +169,14 @@ class SolverConfig:
     eps_r: float = 1e-6
     max_inner_iters: int = 100_000
     max_outer_iters: int = 50
-    projection_tol: float = 1e-9
 
     def __post_init__(self):
         if self.eps0 <= 0:
             raise ValueError("eps0 must be positive")
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie strictly inside (0, 1)")
-        if self.eps_r <= 0 or self.projection_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.eps_r <= 0:
+            raise ValueError("eps_r must be positive")
         if self.max_inner_iters < 1 or self.max_outer_iters < 1:
             raise ValueError("iteration budgets must be at least 1")
 
@@ -213,43 +211,47 @@ class SolverTrace:
 
 
 class _TraceRecorder:
-    def __init__(self):
-        self.iterations = []
-        self.rates = []
-        self.costs = []
-        self.step_sizes = []
-        self.residuals = []
-        self.outer_events = []
+    """Rows ``(iteration, step size, residual, rates, costs)`` in 64 KiB blocks, 8 bytes a value:
+    a solve can record ~10^5 rows, and one array object per row would cost several times as much."""
+
+    def __init__(self, rates, costs, eps):
+        self.blocks, self.filled, self.outer_events = [], 0, []
+        self.add(0, rates, costs, eps, math.nan)  # row 0: the initial point
 
     def add(self, t, rates, costs, eps, residual):
-        self.iterations.append(t)
-        self.rates.append(np.array(rates, dtype=float))
-        self.costs.append(np.array(costs, dtype=float))
-        self.step_sizes.append(float(eps))
-        self.residuals.append(float(residual))
+        row = np.concatenate(((t, eps, residual), rates, costs))
+        if not self.blocks or self.filled == len(self.blocks[-1]):
+            self.blocks.append(np.empty((max(1, 8192 // row.size), row.size)))
+            self.filled = 0
+        self.blocks[-1][self.filled] = row
+        self.filled += 1
 
     def build(self, status) -> SolverTrace:
+        table = np.concatenate(self.blocks[:-1] + [self.blocks[-1][:self.filled]])
+        n = (table.shape[1] - 3) // 2
         return SolverTrace(
-            iterations=np.array(self.iterations, dtype=int),
-            rates=np.vstack(self.rates),
-            costs=np.vstack(self.costs),
-            step_sizes=np.array(self.step_sizes),
-            residuals=np.array(self.residuals),
+            iterations=table[:, 0].astype(int),
+            rates=table[:, 3:3 + n],
+            costs=table[:, 3 + n:],
+            step_sizes=table[:, 1],
+            residuals=table[:, 2],
             status=status,
             outer_events=self.outer_events,
         )
 
 
-def project_feasible(x, region: FeasibleRegion, tol: float = 1e-12) -> np.ndarray:
+def project_feasible(x, region: FeasibleRegion) -> np.ndarray:
     """Euclidean projection of ``x`` onto the region.
 
     Clamping to the box is optimal whenever the clamped point satisfies the
-    budget. Otherwise the budget is active and the projection is
-    ``clamp(x - lam)`` for the unique multiplier ``lam >= 0`` solving
-    ``sum(clamp(x - lam, lb, ub)) = total``; ``lam`` is bracketed on
-    ``[0, max(x - lb)]`` and found by bisection (down to ``tol`` or to float
-    spacing, whichever is wider), then polished to machine precision by
-    solving exactly on the identified free set.
+    budget. Otherwise the projection is ``clamp(x - lam)`` for the multiplier
+    solving ``S(lam) = sum(clamp(x - lam, lb, ub)) = total``. ``S`` is piecewise
+    linear and nonincreasing with kinks at ``x - ub`` and ``x - lb``: bisecting
+    over the sorted kinks finds the segment holding the root in at most
+    ``ceil(log2(2n))`` passes, and ``lam`` is solved exactly from the
+    coordinates that segment leaves free. If rounding has merged the kinks
+    around the root (``|x|`` some 2**52 box widths out) none is free, and the
+    segment's feasible end is returned.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != region.lower.shape:
@@ -257,36 +259,28 @@ def project_feasible(x, region: FeasibleRegion, tol: float = 1e-12) -> np.ndarra
     if not np.isfinite(x).all():
         raise ValueError("cannot project a non-finite point")
 
-    clamped = np.clip(x, region.lower, region.upper)
-    if clamped.sum() <= region.total:
+    lb, ub, total = region.lower, region.upper, region.total
+    clamped = np.clip(x, lb, ub)
+    if clamped.sum() <= total:
         return clamped
 
-    lo, hi = 0.0, float(np.max(x - region.lower))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # float spacing at |x| is wider than tol
-            break
-        if np.clip(x - mid, region.lower, region.upper).sum() > region.total:
+    # invariant S(kinks[lo]) > total >= S(kinks[hi]): S(min kink) = sum(ub), S(max kink) = sum(lb)
+    kinks = np.sort(np.concatenate([x - ub, x - lb]))
+    lo, hi = 0, kinks.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.clip(x - kinks[mid], lb, ub).sum() > total:
             lo = mid
         else:
             hi = mid
-    lam = 0.5 * (lo + hi)
-
-    # Active sets are stable once lam is within tol of the root; one exact
-    # solve on the free coordinates removes the bisection error entirely.
-    for _ in range(x.size + 1):
-        shifted = x - lam
-        at_lower = shifted <= region.lower
-        at_upper = shifted >= region.upper
-        free = ~(at_lower | at_upper)
-        if not free.any():
-            break
-        fixed_sum = region.lower[at_lower].sum() + region.upper[at_upper].sum()
-        lam_exact = (x[free].sum() + fixed_sum - region.total) / free.sum()
-        if lam_exact == lam:
-            break
-        lam = lam_exact
-    return np.clip(x - lam, region.lower, region.upper)
+    at_lower = x - lb <= kinks[lo]
+    at_upper = x - ub >= kinks[hi]
+    free = ~(at_lower | at_upper)
+    if not free.any():  # rounding merged the kinks around the root
+        return np.clip(x - kinks[hi], lb, ub)
+    fixed_sum = lb[at_lower].sum() + ub[at_upper].sum()
+    lam = (x[free].sum() + fixed_sum - total) / free.sum()
+    return np.clip(x - lam, lb, ub)
 
 
 def step_map(r, eps: float, costs: CostModel, region: FeasibleRegion) -> np.ndarray:
@@ -328,8 +322,7 @@ def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig)
     is reported through ``trace.status``, never raised.
     """
     r = project_feasible(np.asarray(r0, dtype=float), region)
-    rec = _TraceRecorder()
-    rec.add(0, r, costs.values(r), cfg.eps0, math.nan)
+    rec = _TraceRecorder(r, costs.values(r), cfg.eps0)
     r, _, _, status = _run_inner(r, cfg.eps0, 0, costs, region, cfg, rec)
     return r, rec.build(status)
 
@@ -356,8 +349,7 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     work = FeasibleRegion(region.total, lower, region.upper)
 
     r = initial_allocation(work)
-    rec = _TraceRecorder()
-    rec.add(0, r, costs.values(r), cfg.eps0, math.nan)
+    rec = _TraceRecorder(r, costs.values(r), cfg.eps0)
 
     eps, t = cfg.eps0, 0
     status = MAX_OUTER_ITERS
@@ -366,7 +358,7 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
         if inner_status != CONVERGED:
             status = inner_status
             break
-        pinned = mask & (r <= work.lower + cfg.projection_tol)
+        pinned = mask & (r == work.lower)
         if not pinned.any():
             status = CONVERGED
             break

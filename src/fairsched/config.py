@@ -10,8 +10,7 @@ A run config is a single JSON object:
         ...
       ],
       "solver": {"eps0": 0.1, "eta": 0.001, "eps_r": 1e-6,
-                 "max_inner_iters": 200000, "max_outer_iters": 25,
-                 "projection_tol": 1e-9},                    # optional, defaults shown
+                 "max_inner_iters": 200000, "max_outer_iters": 25},  # optional, defaults shown
       "simulation": {"horizon": 1000000, "seed": 0},         # optional
       "distributed": {"graph": [[1,4],[0,2],[1,3],[2,4],[3,0]],
                       "alpha": 0.01, "beta": 1.0,
@@ -24,17 +23,17 @@ All matrices are row-major nested lists. ``C`` and ``R`` default to identity.
 ``distributed.alpha`` and ``distributed.beta`` are the constant primal and
 dual steps of the distributed solver. A legacy ``distributed.dual_mode`` key
 is accepted only as ``"mixing"``, the one coupling of the distributed solver,
-and ignored. The ``step_a`` and ``step_c`` keys of the removed diminishing
-schedule are rejected with an error naming ``alpha`` and ``beta``. Every
-process is fully validated at load time (finite entries, shapes,
-definiteness, observability and controllability), with errors naming the
-first offending process.
+and ignored, as is a legacy ``solver.projection_tol`` key. The ``step_a`` and
+``step_c`` keys of the removed diminishing schedule are rejected with an error
+naming ``alpha`` and ``beta``. Every process is fully validated at load time
+(finite entries, shapes, definiteness, observability and controllability),
+with errors naming the first offending process.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -84,7 +83,18 @@ def _is_int(value) -> bool:
 
 
 def _is_positive(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value) and value > 0
+    # the upper bound rejects NaN, infinity and integers too large for a float
+    return (_is_int(value) or isinstance(value, float)) and 0 < value <= sys.float_info.max
+
+
+def _check_fields(section, settings, positive, counts):
+    """Fields of a loaded section that must be positive finite numbers, or integers of at least 1."""
+    for key in positive:
+        value = getattr(settings, key)
+        _require(_is_positive(value), f"{section}.{key} must be a positive number, got {value!r}")
+    for key in counts:
+        value = getattr(settings, key)
+        _require(_is_int(value) and value >= 1, f"{section}.{key} must be an integer of at least 1, got {value!r}")
 
 
 def _matrix(entry, key, idx, optional=False):
@@ -150,19 +160,21 @@ def load_config(path) -> RunConfig:
 
     _require("total_rate" in raw, "config is missing 'total_rate'")
     total = raw["total_rate"]
-    _require(isinstance(total, (int, float)) and total > 0, f"'total_rate' must be positive, got {total!r}")
+    _require(_is_positive(total), f"'total_rate' must be a positive number, got {total!r}")
 
     try:
-        solver = SolverConfig(**raw.get("solver", {}))
+        solver_fields = dict(raw.get("solver", {}))
+        solver_fields.pop("projection_tol", None)  # legacy key, see the module docstring
+        solver = SolverConfig(**solver_fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver section: {exc}") from exc
+    _check_fields("solver", solver, positive=("eps0", "eps_r"), counts=("max_inner_iters", "max_outer_iters"))
 
     try:
         simulation = SimulationSettings(**raw.get("simulation", {}))
     except TypeError as exc:
         raise ConfigError(f"simulation section: {exc}") from exc
-    _require(_is_int(simulation.horizon) and simulation.horizon >= 1,
-             f"simulation.horizon must be an integer of at least 1, got {simulation.horizon!r}")
+    _check_fields("simulation", simulation, positive=(), counts=("horizon",))
     _require(_is_int(simulation.seed) and simulation.seed >= 0,
              f"simulation.seed must be a non-negative integer, got {simulation.seed!r}")
 
@@ -187,11 +199,7 @@ def load_config(path) -> RunConfig:
             distributed = DistributedSettings(adjacency=adjacency, **section)
         except TypeError as exc:
             raise ConfigError(f"distributed section: {exc}") from exc
-        for key in ("alpha", "beta", "eps_r"):
-            value = getattr(distributed, key)
-            _require(_is_positive(value), f"distributed.{key} must be a positive number, got {value!r}")
-        _require(_is_int(distributed.max_iters) and distributed.max_iters >= 1,
-                 f"distributed.max_iters must be an integer of at least 1, got {distributed.max_iters!r}")
+        _check_fields("distributed", distributed, positive=("alpha", "beta", "eps_r"), counts=("max_iters",))
 
     output_dir = Path(raw["output_dir"]) if "output_dir" in raw else None
     return RunConfig(

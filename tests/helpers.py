@@ -1,9 +1,10 @@
 """Shared test utilities: brute-force oracles, fit helpers and a wall-clock bound.
 
 The oracles here are deliberately independent of the library's own numerics:
-projections are checked against dense grid search, solver optimality
-against grid enumeration of the max-min objective, the batched cost-curve
-build against a scalar one-process-at-a-time recursion, the vectorised
+projections are checked against dense grid search and against the
+real-valued bisection they replaced, solver optimality against grid
+enumeration of the max-min objective, the batched cost-curve build against
+a scalar one-process-at-a-time recursion, the vectorised
 distributed round against a node-by-node neighbour-list round, the chunked
 Monte Carlo against a step-by-step simulation, the batched rank tests
 against one process at a time, and the streaming CSV writer against the
@@ -49,6 +50,44 @@ def grid_project(x, region: FeasibleRegion, resolution: float = 1e-3) -> np.ndar
     dist[~feasible] = np.inf
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     return np.array([g0[i], g1[j]])
+
+
+def reference_project(x, region: FeasibleRegion, tol: float = 1e-12) -> np.ndarray:
+    """Projection by bisection on the multiplier, then a polish on the free set.
+
+    The box clamp is returned when it meets the budget. Otherwise ``lam`` is
+    bracketed on ``[0, max(x - lb)]`` and bisected down to ``tol`` or to float
+    spacing, then re-solved exactly on the free coordinates it identifies
+    until it stops moving. Far from the box (``|x|`` some 10**6 box widths
+    and more) the result can leave the region, so comparisons check that first.
+    """
+    x = np.asarray(x, dtype=float)
+    clamped = np.clip(x, region.lower, region.upper)
+    if clamped.sum() <= region.total:
+        return clamped
+    lo, hi = 0.0, float(np.max(x - region.lower))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.clip(x - mid, region.lower, region.upper).sum() > region.total:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    for _ in range(x.size + 1):
+        shifted = x - lam
+        at_lower = shifted <= region.lower
+        at_upper = shifted >= region.upper
+        free = ~(at_lower | at_upper)
+        if not free.any():
+            break
+        fixed_sum = region.lower[at_lower].sum() + region.upper[at_upper].sum()
+        lam_exact = (x[free].sum() + fixed_sum - region.total) / free.sum()
+        if lam_exact == lam:
+            break
+        lam = lam_exact
+    return np.clip(x - lam, region.lower, region.upper)
 
 
 def grid_maxmin_value(costs, region: FeasibleRegion, resolution: float = 1e-3) -> float:

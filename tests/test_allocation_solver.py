@@ -86,7 +86,7 @@ def test_solve_maxmin_shrinks_pinned_unstable_floor():
     assert len(trace.outer_events) >= 1
     _, shrunk_lower = trace.outer_events[0]
     np.testing.assert_allclose(shrunk_lower, [0.04, 0.04], atol=1e-12)
-    assert r[1] > shrunk_lower[1] + cfg.projection_tol
+    assert r[1] > shrunk_lower[1] + 1e-9
     # rerunning with a tiny floor lands at the same point
     costs2 = fs.CurveCostModel.from_processes([p1, p2], unstable_floor=1e-3)
     cfg2 = fs.SolverConfig(eps0=0.05, eta=1e-3, eps_r=1e-8, max_outer_iters=20)

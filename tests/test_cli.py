@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -361,7 +362,8 @@ def assert_one_line_config_error(capsys, argv):
 
 
 class TestSectionsValidatedAtLoad:
-    """Bad ``distributed`` and ``simulation`` fields fail ``load_config``, so every command exits 2."""
+    """Bad ``distributed``, ``simulation`` and ``solver`` fields and a bad ``total_rate`` fail
+    ``load_config``, so every command exits 2."""
 
     @pytest.mark.parametrize("key, value", [
         ("dual_mode", "foo"),
@@ -377,6 +379,7 @@ class TestSectionsValidatedAtLoad:
         ("beta", 0),
         ("alpha", True),
         ("beta", "1"),
+        pytest.param("alpha", 10**400, id="alpha-huge-int"),
     ])
     def test_distributed_field(self, tmp_path, capsys, key, value):
         path = fixture_with(tmp_path, "distributed", key, value)
@@ -416,6 +419,49 @@ class TestSectionsValidatedAtLoad:
         assert_one_line_config_error(capsys, ["validate-config", "--config", str(path)])
         assert_one_line_config_error(capsys, ["simulate", "--config", str(path),
                                               "--allocation", str(alloc_path), "--out", str(tmp_path / "m")])
+
+    @pytest.mark.parametrize("key, value", [
+        ("eps0", math.nan),
+        ("eps0", math.inf),
+        ("eps_r", math.nan),
+        ("max_inner_iters", 2.5),
+        ("max_outer_iters", True),
+        pytest.param("eps0", 10**400, id="eps0-huge-int"),
+    ])
+    def test_solver_field(self, tmp_path, capsys, key, value):
+        path = fixture_with(tmp_path, "solver", key, value)
+        with pytest.raises(ConfigError, match=f"solver.{key} must be"):
+            load_config(path)
+        for command in ("validate-config", "solve"):
+            assert_one_line_config_error(capsys, [command, "--config", str(path), "--out", str(tmp_path / "s")])
+
+    @pytest.mark.parametrize("value", [True, math.inf])
+    def test_total_rate(self, tmp_path, capsys, value):
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        path = write_config(tmp_path, dict(payload, total_rate=value))
+        with pytest.raises(ConfigError, match="'total_rate' must be a positive number"):
+            load_config(path)
+        for command in ("validate-config", "solve"):
+            assert_one_line_config_error(capsys, [command, "--config", str(path), "--out", str(tmp_path / "s")])
+
+    def test_solver_section_must_be_an_object(self, tmp_path):
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        with pytest.raises(ConfigError, match="solver section: "):
+            load_config(write_config(tmp_path, dict(payload, solver=[0.05])))
+
+    def test_legacy_projection_tol_key_is_ignored(self, tmp_path, bench_config):
+        shipped = fs.fixture_path("paper_sec4")
+        assert "projection_tol" not in json.loads(shipped.read_text())["solver"]
+        legacy = fixture_with(tmp_path, "solver", "projection_tol", 1e-9)
+        assert load_config(legacy).solver == bench_config.solver
+        for name, path in (("shipped", shipped), ("legacy", legacy)):
+            assert main(["solve", "--config", str(path), "--out", str(tmp_path / name)]) == EXIT_OK
+        outputs = sorted(p.name for p in (tmp_path / "shipped").iterdir())
+        assert outputs == sorted(p.name for p in (tmp_path / "legacy").iterdir())
+        for name in outputs:
+            assert (tmp_path / "shipped" / name).read_bytes() == (tmp_path / "legacy" / name).read_bytes(), name
+        with pytest.raises(TypeError):
+            fs.SolverConfig(projection_tol=1e-9)
 
 
 class TestArgumentRanges:
