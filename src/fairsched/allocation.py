@@ -15,6 +15,17 @@ map are max-min fair allocations. The step size follows the diminishing rule
 ``eps <- 1 / (1/eps + 1)`` so that it eventually enters the contraction range
 without prior knowledge of the cost slopes.
 
+On an iteration where the raw step ``eps * J`` would move some coordinate
+farther than the box is wide (costs near an unstable agent's floor reach
+1e157), the solver steps on ``eps * log1p(J)`` instead; such a step is at
+most ~710 eps, and every other iteration keeps the raw step.
+The fixed points do not change: ``P(r + s * g(J)) = r`` holds iff ``g(J)``
+equals one multiplier ``lam`` on the free agents, is no smaller at upper
+bounds and no larger at lower bounds, with ``lam = 0`` where the budget is
+slack. That depends only on how ``g`` orders the costs and on its sign,
+both of which ``log1p`` keeps for positive costs. ``log`` would not: costs
+below 1 would turn negative and make agents give up a slack budget.
+
 ``solve_maxmin`` wraps the iteration in an outer loop that manages lower
 bounds for agents whose cost blows up as the rate approaches zero: such
 agents start with a small positive floor which is shrunk geometrically
@@ -298,11 +309,19 @@ def initial_allocation(region: FeasibleRegion) -> np.ndarray:
 
 
 def _run_inner(r, eps, t, costs, region, cfg, rec):
-    """Iterate until the residual drops below eps_r; returns (r, eps, t, status)."""
+    """Iterate until the residual drops below eps_r; returns (r, eps, t, status).
+
+    A raw step wider than the box is replaced by the step on ``log1p(J)``,
+    which has the same fixed points (see the module docstring).
+    """
+    width = float((region.upper - region.lower).max())
     values = costs.values(r)
     status = MAX_INNER_ITERS
     for _ in range(cfg.max_inner_iters):
-        r_next = project_feasible(r + eps * values, region)
+        step = eps * values
+        if step.max() > width:
+            step = eps * np.log1p(values)
+        r_next = project_feasible(r + step, region)
         residual = float(np.linalg.norm(r_next - r))
         values = costs.values(r_next)
         t += 1

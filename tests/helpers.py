@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the library's own numerics:
 projections are checked against dense grid search and against the
 real-valued bisection they replaced, solver optimality against grid
-enumeration of the max-min objective, the batched cost-curve build against
+enumeration of the max-min objective and, for cost curves of any number of
+agents, against the water-filling level, the batched cost-curve build against
 a scalar one-process-at-a-time recursion, the vectorised
 distributed round against a node-by-node neighbour-list round, the chunked
 Monte Carlo against a step-by-step simulation, the batched rank tests
@@ -120,6 +121,65 @@ def grid_maxmin_value(costs, region: FeasibleRegion, resolution: float = 1e-3) -
         worst[~ok] = np.inf
         return float(worst.min())
     raise NotImplementedError
+
+
+def _curve_knots(curve: CostCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Rates (decreasing) and costs (increasing) at the kinks of a piecewise-linear curve.
+
+    The curve passes through ``(1/(k+1), cumsums[k]/(k+1))`` for every stored
+    ``k``, the mean of the first ``k+1`` traces, and is linear in between; a
+    stable curve ends with its affine tail at ``(0, stable_limit)``.
+    """
+    k = np.arange(curve.traces.size)
+    rates, costs = 1.0 / (k + 1.0), curve.cumsums / (k + 1.0)
+    if curve.stable_limit is not None:
+        rates, costs = np.append(rates, 0.0), np.append(costs, curve.stable_limit)
+    return rates, costs
+
+
+def _inverse_rate(knots, level: float) -> float:
+    """The rate at which a curve costs ``level``: inf above its knots, 0 past a stable curve's limit."""
+    rates, costs = knots
+    if level <= costs[0]:
+        return math.inf
+    k = int(np.searchsorted(costs, level))  # costs[k-1] < level <= costs[k]
+    if k == costs.size:
+        assert rates[-1] == 0.0, f"level {level} lies beyond the curve's domain floor"
+        return 0.0
+    return float(rates[k - 1] + (level - costs[k - 1]) * (rates[k] - rates[k - 1]) / (costs[k] - costs[k - 1]))
+
+
+def solve_level(costs, region: FeasibleRegion) -> float:
+    """Max-min fair level of curve costs by water-filling (Bertsekas & Gallager, *Data Networks* §6.5).
+
+    Each curve is inverted exactly per segment from its ``traces``/``cumsums``,
+    and the level ``c`` solves ``S(c) = sum(clip(J_i^-1(c), lb_i, ub_i)) = total``
+    for the monotone ``S``, by geometric bisection of a bracket. With a slack
+    budget every agent takes its upper bound and the level is the largest cost
+    there. No solver code is used.
+    """
+    knots = [_curve_knots(curve) for curve in costs.curves]
+    lb, ub = region.lower.tolist(), region.upper.tolist()
+
+    def used(level):
+        return sum(min(max(_inverse_rate(k, level), lo), hi) for k, lo, hi in zip(knots, lb, ub))
+
+    at_upper = max(float(np.interp(-min(hi, 1.0), -k[0], k[1])) for k, hi in zip(knots, ub))
+    if used(at_upper) <= region.total:
+        return at_upper
+    # top of the bracket: the lowest cost at which an unstable curve's stored range ends,
+    # else the largest stable limit, above which every stable rate is 0
+    unstable_tops = [float(c[-1]) for r, c in knots if r[-1] > 0]
+    lo, hi = at_upper, min(unstable_tops) if unstable_tops else max(float(c[-1]) for _, c in knots)
+    assert used(hi) <= region.total, "the curves do not reach the level; lower their floors"
+    while True:  # invariant used(lo) > total >= used(hi)
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            return hi
+        if used(mid) > region.total:
+            lo = mid
+        else:
+            hi = mid
 
 
 def log_linear_fit(ts, values):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fairsched as fs
-from helpers import grid_maxmin_value, grid_project, random_feasible_point
+from helpers import grid_maxmin_value, grid_project, random_feasible_point, solve_level, time_limit
 
 
 def test_step_map_symmetric_fixed_point():
@@ -120,6 +120,63 @@ def test_five_process_instance_needs_single_outer_pass(bench_instance):
     rates, trace = fs.solve_maxmin(costs, region, cfg.solver, mask)
     assert trace.converged
     assert trace.outer_events == []
+
+
+def solve_to_level(processes, total, cfg):
+    """Solve curve costs at budget ``total`` under a time limit; returns (rates, costs, water-filling level)."""
+    n = len(processes)
+    mask = np.array([not fs.classify_stability(p.A) for p in processes])
+    costs = fs.CurveCostModel.from_processes(processes, unstable_floor=cfg.eta)
+    region = fs.FeasibleRegion(total, np.zeros(n), np.ones(n))
+    level = solve_level(costs, region)
+    with time_limit(10, f"solve at budget {total}"):
+        rates, trace = fs.solve_maxmin(costs, region, cfg, mask)
+    assert trace.converged, f"budget {total}: {trace.status}"
+    floor = trace.outer_events[-1][1] if trace.outer_events else np.where(mask, cfg.eta, region.lower)
+    assert np.all(rates[mask] > floor[mask]), f"budget {total}: an unstable rate is pinned at its floor"
+    return rates, costs, level
+
+
+@pytest.mark.parametrize("budget, expected_level", [
+    (0.2, 1319.3), (0.5, None), (1.0, 18.24), (1.5, None), (2.0, 6.035), (3.0, None), (4.0, 2.016),
+])
+def test_budget_sweep_reaches_the_water_filling_level(bench_config, budget, expected_level):
+    rates, costs, level = solve_to_level(bench_config.processes, budget, bench_config.solver)
+    assert costs.values(rates).max() == pytest.approx(level, rel=1e-2)
+    if expected_level is not None:
+        assert level == pytest.approx(expected_level, rel=1e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_scalar_fleet_reaches_the_water_filling_level(seed):
+    # 40 agents, about a third unstable: beyond the grid oracle's reach
+    rng = np.random.default_rng(seed)
+    processes = [fs.ProcessModel(A=[[rng.uniform(0.2, 1.15) * rng.choice([-1, 1])]], Q=[[rng.uniform(0.5, 4.0)]])
+                 for _ in range(40)]
+    cfg = fs.SolverConfig(eps0=0.05, eta=1e-3, max_inner_iters=200_000, max_outer_iters=25)
+    for total in (0.8, 4.0, 12.0, 24.0):
+        rates, costs, level = solve_to_level(processes, total, cfg)
+        assert costs.values(rates).max() == pytest.approx(level, rel=1e-2)
+
+
+def test_guarded_step_keeps_slack_budget_fixed_points():
+    # costs below 1 and a raw step wider than the box, so the guarded step is
+    # taken: on log(J) < 0 every agent would donate down to its lower bound
+    costs = fs.AffineCostModel([0.9, 0.9, 0.9], [0.5, 0.5, 0.5])
+    region = fs.FeasibleRegion(3.0, np.zeros(3), np.ones(3))
+    cfg = fs.SolverConfig(eps0=10.0)
+    assert cfg.eps0 * costs.values(region.lower).max() > 1.0
+    r, trace = fs.solve_inner(region.lower, costs, region, cfg)
+    assert trace.converged
+    np.testing.assert_array_equal(r, region.upper)
+
+
+def test_fixture_takes_only_raw_steps(bench_instance):
+    # criteria 2 and 10 derive their bounds for the raw step r + eps J(r);
+    # on the fixture no step reaches the box width 1, so the guard never fires
+    cfg, region, costs, mask = bench_instance
+    _, trace = fs.solve_maxmin(costs, region, cfg.solver, mask)
+    assert (trace.step_sizes[:-1] * trace.costs[:-1].max(axis=1)).max() <= 1.0
 
 
 def test_recover_weights(example1):

@@ -122,6 +122,17 @@ class TestSolveCommand:
         for row in rows:
             assert region.contains(row[1:], tol=1e-9)
 
+    @pytest.mark.parametrize("total_rate", [1.5, 0.2])
+    def test_fixture_at_a_tight_budget_converges(self, tmp_path, capsys, total_rate):
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        path = write_config(tmp_path, dict(payload, total_rate=total_rate))
+        out = tmp_path / "tight"
+        with time_limit(10, f"solve at total_rate {total_rate}"):
+            assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("status: converged")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "converged" and summary["outer_shrinks"] == 0
+
     def test_outputs_byte_identical_across_reruns(self, tmp_path):
         path = write_config(tmp_path, SINGLE_STABLE)
         out1, out2 = tmp_path / "a", tmp_path / "b"
