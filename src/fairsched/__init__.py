@@ -54,6 +54,7 @@ from .sensors import (
     build_cost_curves,
     classify_stability,
     cost_eval,
+    first_invalid,
     first_rank_failure,
     lipschitz_bounds,
     no_comm_limit,

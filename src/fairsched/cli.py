@@ -55,8 +55,19 @@ def _region_and_costs(cfg: RunConfig):
 _SETUP_ERRORS = (alloc.InfeasibleRegionError, CostDomainError, NumericalError)
 
 
+def _make_out_dir(out_dir: Path) -> bool:
+    """Create ``out_dir`` if missing; False, after one line on stderr, if a file is in the way."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or at one of its parents
+        print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def run_solve(cfg: RunConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _make_out_dir(out_dir):
+        return EXIT_CONFIG_ERROR
     try:
         region, costs, mask = _region_and_costs(cfg)
         rates, trace = alloc.solve_maxmin(costs, region, cfg.solver, mask)
@@ -122,7 +133,8 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int | None = None) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _make_out_dir(out_dir):
+        return EXIT_CONFIG_ERROR
     try:
         payload = json.loads(Path(allocation_file).read_text())
         if not isinstance(payload, dict):
@@ -186,7 +198,8 @@ def run_distributed(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.distributed is None:
         print("config has no 'distributed' section", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _make_out_dir(out_dir):
+        return EXIT_CONFIG_ERROR
     try:
         region, costs, mask = _region_and_costs(cfg)
     except _SETUP_ERRORS as exc:

@@ -9,8 +9,8 @@ A run config is a single JSON object:
          "R": [[...], ...], "Pi0": [[...], ...]},           # C, R, Pi0 optional
         ...
       ],
-      "solver": {"eps0": 0.1, "eta": 0.001, "eps_r": 1e-6,
-                 "max_inner_iters": 200000, "max_outer_iters": 25},  # optional, defaults shown
+      "solver": {"eps0": 0.1, "eta": 0.5, "eps_r": 1e-6,
+                 "max_inner_iters": 100000, "max_outer_iters": 50},  # optional, defaults shown
       "simulation": {"horizon": 1000000, "seed": 0},         # optional
       "distributed": {"graph": [[1,4],[0,2],[1,3],[2,4],[3,0]],
                       "alpha": 0.01, "beta": 1.0,
@@ -27,7 +27,10 @@ and ignored, as is a legacy ``solver.projection_tol`` key. The ``step_a`` and
 ``step_c`` keys of the removed diminishing schedule are rejected with an error
 naming ``alpha`` and ``beta``. Every process is fully validated at load time
 (finite entries, shapes, definiteness, observability and controllability),
-with errors naming the first offending process.
+with errors naming the first offending process. The entries are converted one
+by one; the checks then run once over all of them on stacked arrays, one
+stack per shape (``sensors.first_invalid``, then ``sensors.first_rank_failure``),
+and name the process and the failure that checking each entry in turn would.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from importlib import resources
 from pathlib import Path
 
 from .allocation import SolverConfig
-from .sensors import ProcessModel, first_rank_failure
+from .sensors import ProcessModel, first_invalid, first_rank_failure
 
 __all__ = ["ConfigError", "SimulationSettings", "DistributedSettings", "RunConfig", "load_config", "fixture_path"]
 
@@ -108,10 +111,10 @@ def _matrix(entry, key, idx, optional=False):
     return value
 
 
-def _build_process(entry, idx) -> ProcessModel:
+def _convert_process(entry, idx) -> ProcessModel:
     _require(isinstance(entry, dict), f"processes[{idx}] must be an object")
     try:
-        return ProcessModel(
+        return ProcessModel._unchecked(
             A=_matrix(entry, "A", idx),
             Q=_matrix(entry, "Q", idx),
             C=_matrix(entry, "C", idx, optional=True),
@@ -123,18 +126,25 @@ def _build_process(entry, idx) -> ProcessModel:
 
 
 def _build_processes(entries) -> list[ProcessModel]:
-    """Every process, constructed and rank tested; errors name the first bad one.
+    """Every process, converted, checked and rank tested; errors name the first bad one.
 
-    The rank tests run once over all processes built, so when construction
-    fails at some index, the processes before it are rank tested first.
+    Entries are converted one at a time, up to the first that cannot be.
+    The checks of ``ProcessModel`` then run once over all converted
+    processes (:func:`~fairsched.sensors.first_invalid`), and the rank tests
+    once over those before the first failure, so a rank failure before a
+    construction error outranks it and one after it does not.
     """
     processes, error = [], None
     for i, entry in enumerate(entries):
         try:
-            processes.append(_build_process(entry, i))
+            processes.append(_convert_process(entry, i))
         except ConfigError as exc:
             error = exc
             break
+    invalid = first_invalid(processes)
+    if invalid is not None:
+        error = ConfigError(f"processes[{invalid[0]}]: {invalid[1]}")
+        del processes[invalid[0]:]
     failure = first_rank_failure(processes)
     if failure is not None:
         raise ConfigError(f"processes[{failure[0]}]: {failure[1]}")
@@ -149,7 +159,11 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, or a file this user may not read
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
@@ -201,7 +215,10 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"distributed section: {exc}") from exc
         _check_fields("distributed", distributed, positive=("alpha", "beta", "eps_r"), counts=("max_iters",))
 
-    output_dir = Path(raw["output_dir"]) if "output_dir" in raw else None
+    output_dir = None
+    if "output_dir" in raw:
+        _require(isinstance(raw["output_dir"], str), f"'output_dir' must be a string path, got {raw['output_dir']!r}")
+        output_dir = Path(raw["output_dir"])
     return RunConfig(
         processes=processes,
         total_rate=float(total),

@@ -19,8 +19,15 @@ Riccati steady state, the stable no-communication limit and the trace
 sequence run on stacked ``(k, d, d)`` arrays. Each process keeps its own stop
 rule and leaves the batch when it is met, so a batched curve equals the one
 built for that process alone; the one-process functions are one-element
-calls of the same code. ``CurveCostModel`` keeps every curve's affine
-segments in one flat table and evaluates all agents by a gather.
+calls of the same code. The prediction recursions check their stop rules
+once per window of steps and drop the steps a process ran past its stop.
+``CurveCostModel`` keeps every curve's affine segments in one flat table and
+evaluates all agents by a gather.
+
+Processes are validated in batches too: :func:`first_invalid` (finiteness,
+shapes, definiteness) and :func:`first_rank_failure` (observability,
+controllability) stack equally shaped matrices, and ``ProcessModel`` runs
+the first on itself at construction.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ __all__ = [
     "CurveCostModel",
     "classify_stability",
     "stable_mask",
+    "first_invalid",
     "first_rank_failure",
     "steady_state_filter_cov",
     "steady_state_filter_covs",
@@ -73,11 +81,13 @@ class ProcessModel:
 
     ``Q`` (process noise covariance) must be symmetric PSD, ``R_meas``
     (measurement noise covariance) symmetric PD. ``C`` and ``R_meas`` default
-    to identities of the state dimension. Finiteness, shape and definiteness
-    are checked at construction; the observability / controllability rank
-    tests live in :meth:`validate` (batched over many processes by
-    :func:`first_rank_failure`) so degenerate fixtures (for instance
-    ``Q = 0``) can still be built for targeted tests.
+    to identities of the state dimension. Construction converts the entries
+    and runs :func:`first_invalid` on the one process: finiteness, shapes and
+    definiteness. ``config.load_config`` converts many processes first and
+    runs the same checks once over all of them. The observability /
+    controllability rank tests live in :meth:`validate` (batched over many
+    processes by :func:`first_rank_failure`) so degenerate fixtures (for
+    instance ``Q = 0``) can still be built for targeted tests.
     """
 
     A: np.ndarray
@@ -87,38 +97,32 @@ class ProcessModel:
     Pi0: np.ndarray = None
 
     def __post_init__(self):
+        self._convert(self.A, self.Q, self.C, self.R_meas, self.Pi0)
+        failure = first_invalid([self])
+        if failure is not None:
+            raise ValueError(failure[1])
+
+    def _convert(self, A, Q, C, R_meas, Pi0) -> None:
+        """Set the fields to read-only float arrays of at least two dimensions, ``C`` and ``R_meas`` filled in."""
         # copies: fields are frozen read-only and must not alias caller data
-        A = np.atleast_2d(np.array(self.A, dtype=float))
+        A = np.array(A, dtype=float, ndmin=2)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
-        n = A.shape[0]
-        Q = np.atleast_2d(np.array(self.Q, dtype=float))
-        C = np.eye(n) if self.C is None else np.atleast_2d(np.array(self.C, dtype=float))
-        R = np.eye(C.shape[0]) if self.R_meas is None else np.atleast_2d(np.array(self.R_meas, dtype=float))
-        Pi0 = None if self.Pi0 is None else np.atleast_2d(np.array(self.Pi0, dtype=float))
+        Q = np.array(Q, dtype=float, ndmin=2)
+        C = np.eye(A.shape[0]) if C is None else np.array(C, dtype=float, ndmin=2)
+        R = np.eye(C.shape[0]) if R_meas is None else np.array(R_meas, dtype=float, ndmin=2)
+        Pi0 = None if Pi0 is None else np.array(Pi0, dtype=float, ndmin=2)
         for name, arr in (("A", A), ("Q", Q), ("C", C), ("R_meas", R), ("Pi0", Pi0)):
-            if arr is not None and not np.isfinite(arr).all():
-                raise ValueError(f"{name} must have finite entries (NaN or infinity found)")
-
-        if Q.shape != (n, n):
-            raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
-        if C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns, got {C.shape}")
-        if R.shape != (C.shape[0], C.shape[0]):
-            raise ValueError(f"R_meas must be {C.shape[0]}x{C.shape[0]}, got {R.shape}")
-        _check_symmetric_psd(Q, "Q", definite=False)
-        _check_symmetric_psd(R, "R_meas", definite=True)
-        if Pi0 is not None:
-            if Pi0.shape != (n, n):
-                raise ValueError(f"Pi0 must be {n}x{n}, got {Pi0.shape}")
-            _check_symmetric_psd(Pi0, "Pi0", definite=False)
-
-        for name, arr in (("A", A), ("Q", Q), ("C", C), ("R_meas", R)):
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if Pi0 is not None:
-            Pi0.setflags(write=False)
-        object.__setattr__(self, "Pi0", Pi0)
+
+    @classmethod
+    def _unchecked(cls, A, Q, C=None, R_meas=None, Pi0=None) -> ProcessModel:
+        """A process converted as at construction but not checked; :func:`first_invalid` checks many at once."""
+        p = object.__new__(cls)
+        p._convert(A, Q, C, R_meas, Pi0)
+        return p
 
     @property
     def dim(self) -> int:
@@ -158,15 +162,85 @@ def first_rank_failure(ps) -> tuple[int, str] | None:
     return min(failures, default=None)
 
 
-def _check_symmetric_psd(M, name, definite):
-    # np.allclose(M, M.T, atol=1e-9) without its per-call overhead
-    if not (np.abs(M - M.T) <= 1e-9 + 1e-5 * np.abs(M.T)).all():
-        raise ValueError(f"{name} must be symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if definite and eigs.min() <= 0:
-        raise ValueError(f"{name} must be positive definite (min eigenvalue {eigs.min():.3g})")
-    if not definite and eigs.min() < -1e-10:
-        raise ValueError(f"{name} must be positive semidefinite (min eigenvalue {eigs.min():.3g})")
+def first_invalid(ps) -> tuple[int, str] | None:
+    """``(index, reason)`` of the first process failing a construction check, or None.
+
+    The checks, in the order each process runs them: finite entries of
+    ``A``, ``Q``, ``C``, ``R_meas`` and ``Pi0``; the shapes of ``Q``, ``C``
+    and ``R_meas``; ``Q`` symmetric PSD; ``R_meas`` symmetric PD; the shape
+    of ``Pi0``, then ``Pi0`` symmetric PSD. Each check runs once, over the
+    processes before the first failure found so far, all of which passed the
+    checks before it. The matrix tests run once per shape on stacked
+    matrices, as :func:`first_rank_failure` runs the rank tests.
+    """
+    ps, failure = list(ps), None
+    for check in (_first_non_finite, _first_misshapen, _first_bad_covariance):
+        bad = check(ps)
+        if bad is not None:
+            failure, ps = bad, ps[:bad[0]]
+    return failure
+
+
+def _first_non_finite(ps):
+    mats = [(i, name, M) for i, p in enumerate(ps) for name, M in
+            (("A", p.A), ("Q", p.Q), ("C", p.C), ("R_meas", p.R_meas), ("Pi0", p.Pi0)) if M is not None]
+    if not mats:
+        return None
+    finite = np.isfinite(np.concatenate([M.ravel() for _, _, M in mats]))
+    if finite.all():
+        return None
+    # the first non-finite entry lies in the first failing matrix of the first failing process
+    ends = np.cumsum([M.size for _, _, M in mats])
+    i, name, _ = mats[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
+    return i, f"{name} must have finite entries (NaN or infinity found)"
+
+
+def _first_misshapen(ps):
+    for i, p in enumerate(ps):
+        n, m = p.A.shape[0], p.C.shape[0]
+        if p.Q.shape != (n, n):
+            return i, f"Q must be {n}x{n}, got {p.Q.shape}"
+        if p.C.shape[1] != n:
+            return i, f"C must have {n} columns, got {p.C.shape}"
+        if p.R_meas.shape != (m, m):
+            return i, f"R_meas must be {m}x{m}, got {p.R_meas.shape}"
+    return None
+
+
+def _first_bad_covariance(ps):
+    """``Q`` symmetric PSD, ``R_meas`` symmetric PD, ``Pi0`` of ``A``'s shape and symmetric PSD, in that order.
+
+    All three matrices of every process are tested together, one stack per shape.
+    """
+    failures, mats = [], []  # (index, check, ...): the check's place in the order
+    for i, p in enumerate(ps):
+        mats += [(i, 0, "Q", p.Q), (i, 1, "R_meas", p.R_meas)]
+        if p.Pi0 is not None:
+            n = p.A.shape[0]
+            if p.Pi0.shape == (n, n):
+                mats.append((i, 3, "Pi0", p.Pi0))
+            else:
+                failures.append((i, 2, f"Pi0 must be {n}x{n}, got {p.Pi0.shape}"))
+    for rows in _group_by([M.shape for *_, M in mats]):
+        M = np.array([mats[k][3] for k in rows])
+        definite = np.array([mats[k][1] == 1 for k in rows])
+        # np.allclose(M, M.T, atol=1e-9) per matrix, without its per-call overhead
+        symmetric = (np.abs(M - _mT(M)) <= 1e-9 + 1e-5 * np.abs(_mT(M))).all(axis=(1, 2))
+        low = np.linalg.eigvalsh(0.5 * (M + _mT(M))).min(axis=1)
+        bad = np.flatnonzero(~symmetric | np.where(definite, low <= 0, low < -1e-10))
+        if bad.size:  # mats is in order, so the group's first failure is its least
+            j = bad[0]
+            i, check, name, _ = mats[rows[j]]
+            if not symmetric[j]:
+                reason = f"{name} must be symmetric"
+            else:
+                kind = "definite" if definite[j] else "semidefinite"
+                reason = f"{name} must be positive {kind} (min eigenvalue {low[j]:.3g})"
+            failures.append((i, check, reason))
+    if not failures:
+        return None
+    i, _, reason = min(failures)
+    return i, reason
 
 
 def _mT(X):
@@ -209,58 +283,81 @@ def _groups(ps) -> list[np.ndarray]:
 
 
 def _stack(ps, name: str) -> np.ndarray:
-    return np.stack([getattr(p, name) for p in ps])
+    return np.array([getattr(p, name) for p in ps])
 
 
-def _converge(step, X, params, tol, max_iters, failure) -> np.ndarray:
+# steps a recursion runs between two checks of its stop rules
+_WINDOW = 32
+
+
+def _run(Ms, start, step, params) -> None:
+    """``Ms[j] = sym(step(Ms[j - 1], *params))`` for ``j = start, ..., len(Ms) - 1``."""
+    for j in range(start, len(Ms)):
+        M = step(Ms[j - 1], *params)
+        np.add(M, _mT(M), out=Ms[j])
+        Ms[j] *= 0.5
+
+
+def _converge(step, X, params, tol, max_iters, failure, window) -> np.ndarray:
     """Iterate ``X <- sym(step(X, *params))`` on a stack of matrices.
 
     A matrix leaves the batch, with its parameters, once its own Frobenius
-    change is within ``tol``; it ends where it would end iterated alone.
+    change is within ``tol``; it ends where it would end iterated alone. The
+    change is checked once per ``window`` steps, and a matrix ends at the
+    first step of the window that meets it.
     """
     out = np.empty_like(X)
     rows = np.arange(len(X))
-    for _ in range(max_iters):
-        if not rows.size:
-            break
-        X_new = step(X, *params)
-        X_new = 0.5 * (X_new + _mT(X_new))
-        done = np.sqrt(((X_new - X) ** 2).sum(axis=(1, 2))) <= tol
+    Ms = np.empty((window + 1,) + X.shape)
+    Ms[0] = X
+    left = max_iters
+    while rows.size:
+        if not left:
+            raise NumericalError(failure)
+        n = min(window, left)
+        _run(Ms[:n + 1], 1, step, params)
+        met = np.sqrt(((Ms[1:n + 1] - Ms[:n]) ** 2).sum(axis=(2, 3))) <= tol
+        done = met.any(axis=0)
         if done.any():
-            out[rows[done]] = X_new[done]
+            out[rows[done]] = Ms[met.argmax(axis=0)[done] + 1, np.flatnonzero(done)]
             keep = ~done
-            rows, X_new, params = rows[keep], X_new[keep], [a[keep] for a in params]
-        X = X_new
-    if rows.size:
-        raise NumericalError(failure)
+            rows, Ms, params = rows[keep], Ms[:, keep], [a[keep] for a in params]
+        Ms[0] = Ms[n]
+        left -= n
     return out
 
 
-def _riccati_step(X, A, Q, C, R):
-    Xp = A @ X @ _mT(A) + Q
+def _riccati_step(X, A, At, Q, C, R):
+    Xp = A @ X @ At + Q
     G = Xp @ _mT(C)
     return Xp - G @ np.linalg.solve(C @ Xp @ _mT(C) + R, _mT(G))
 
 
-def _predict_step(X, A, Q):
-    return A @ X @ _mT(A) + Q
+def _predict_step(X, A, At, Q):
+    """``h(X) = A X A' + Q``; ``At`` is ``A'`` as a contiguous stack, which multiplies faster than a view."""
+    return A @ X @ At + Q
+
+
+def _transposed(A) -> np.ndarray:
+    return np.ascontiguousarray(_mT(A))
 
 
 def _filter_covs(group, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
     """Filter steady states of processes sharing one shape, as a stack."""
     A, Q, C, R = (_stack(group, name) for name in ("A", "Q", "C", "R_meas"))
     X0 = np.stack([np.zeros(p.A.shape) if p.Pi0 is None else p.Pi0 for p in group])
+    # a Riccati step costs more than the check, and most rows converge within a few dozen steps
     return _converge(
-        _riccati_step, X0, (A, Q, C, R), tol, max_iters,
-        "filter covariance iteration did not converge; the model is ill posed",
+        _riccati_step, X0, (A, _transposed(A), Q, C, R), tol, max_iters,
+        "filter covariance iteration did not converge; the model is ill posed", window=1,
     )
 
 
 def _no_comm_limits(A, Q, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
     """``Tr(P_inf)`` with ``P_inf = A P_inf A' + Q`` for stacked stable ``A``, iterated from zero."""
     X = _converge(
-        _predict_step, np.zeros_like(A), (A, Q), tol, max_iters,
-        "prediction covariance iteration did not converge",
+        _predict_step, np.zeros_like(A), (A, _transposed(A), Q), tol, max_iters,
+        "prediction covariance iteration did not converge", window=_WINDOW,
     )
     return np.trace(X, axis1=1, axis2=2)
 
@@ -307,6 +404,11 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
     forever. Returns ``(traces, first, lengths)``: sequence ``i`` has
     ``lengths[i]`` entries from ``traces[first[i]]``, then one slot holding its
     limit (NaN where ``stable`` is not set). Overflow raises :class:`NumericalError`.
+
+    The recursion runs ``_WINDOW`` steps at a time and checks the stop rules
+    on the whole window: a process stops at the first step of the window
+    that meets one, and the steps run past it are dropped, so every process
+    stops, and raises, exactly where checking after each step would.
     """
     ps = list(ps)
     caps, rates = np.asarray(caps, dtype=float), np.asarray(rates, dtype=float)
@@ -314,54 +416,65 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
     limits = np.full(len(ps), np.nan)
     lengths = np.empty(len(ps), dtype=np.intp)
     # blocks ``(t0, rows, traces)``: the traces of steps t0, t0 + 1, ... (one
-    # row each) of the processes ``rows`` (one column each), which all run through them
+    # row each) of the processes ``rows`` (one column each); a process's
+    # entries past its length were run past its stop and are not kept
     blocks = []
+    offsets = np.arange(_WINDOW, dtype=float)[:, None]
     for group in _groups(ps):
         members = [ps[i] for i in group]
         A, Q, s = _stack(members, "A"), _stack(members, "Q"), stable[group]
         limits[group[s]] = _no_comm_limits(A[s], Q[s])
-        rows, M, cap, limit = group, _filter_covs(members), caps[group], limits[group]
+        rows, At, cap, limit = group, _transposed(A), caps[group], limits[group]
         cut = tail_tol * np.maximum(limit, 1e-300)
         tails = bool(s.any())  # whether any row has a tail rule to check
-        tr = np.trace(M, axis1=1, axis2=2)
-        steps, t0 = [tr], 0
-        prev, prev_tr = back, back_tr = M, tr  # one and two steps back; read from step 2 on
-        t = 0
+        # Ms[2 + j] holds the covariances of step t0 + j; Ms[0] and Ms[1] the two before it
+        Ms = np.zeros((_WINDOW + 2,) + A.shape)
+        Ms[2] = _filter_covs(members)
+        steps, t0, block_t0 = [], 0, 0
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             while True:
+                _run(Ms, 3 if t0 == 0 else 2, _predict_step, (A, At, Q))
+                trs = np.trace(Ms, axis1=2, axis2=3)
+                tr, t = trs[2:], t0 + offsets
                 stop = t > cap
-                if t and tails:
-                    stop |= np.abs(tr - limit) <= cut
-                if t >= 2:
-                    # traces first, so that only candidate rows compare whole matrices
-                    again = tr == back_tr
-                    if again.any():
-                        stop[again] |= (M[again] == back[again]).all(axis=(1, 2))
-                if stop.any() or len(steps) == 1024:  # 1024: a lone long run keeps few arrays
-                    blocks.append((t0, rows, np.stack(steps)))
-                    steps, t0 = [], t + 1
-                    lengths[rows[stop]] = t + 1
-                    keep = ~stop
-                    rows, A, Q, M, tr, prev, prev_tr, cap, limit, cut = (
-                        x[keep] for x in (rows, A, Q, M, tr, prev, prev_tr, cap, limit, cut)
-                    )
+                if tails:
+                    stop |= (t >= 1) & (np.abs(tr - limit) <= cut)
+                # traces first, so that only candidate steps compare whole matrices
+                w, r = np.nonzero((tr == trs[:-2]) & (t >= 2))
+                if w.size:
+                    same = (Ms[w + 2, r] == Ms[w, r]).all(axis=(1, 2))
+                    stop[w[same], r[same]] = True
+                # per row, the offset of its stop in the window, or _WINDOW
+                ends = np.where(stop.any(axis=0), stop.argmax(axis=0), _WINDOW)
+                if not np.isfinite(tr).all():
+                    bad = ~np.isfinite(tr) & (t >= 1)
+                    at = bad.argmax(axis=0)
+                    raised = bad.any(axis=0) & (at <= ends)  # overflowed by its stop
+                    if raised.any():
+                        k = np.flatnonzero(raised & (at == at[raised].min()))[0]
+                        raise NumericalError(f"trace sequence overflowed at step {t0 + at[k]}; "
+                                             f"the rate {rates[rows[k]]} is too small")
+                steps.append(tr)
+                done = ends < _WINDOW
+                lengths[rows[done]] = t0 + ends[done] + 1
+                t0 += _WINDOW
+                if done.any() or t0 - block_t0 >= 1024:  # 1024: a lone long run keeps few arrays
+                    blocks.append((block_t0, rows, np.concatenate(steps)))
+                    steps, block_t0 = [], t0
+                if done.any():
+                    keep = ~done
+                    rows, A, At, Q, cap, limit, cut = (x[keep] for x in (rows, A, At, Q, cap, limit, cut))
+                    Ms = Ms[:, keep]
                     if not rows.size:
                         break
-                back, back_tr, prev, prev_tr = prev, prev_tr, M, tr
-                M = _predict_step(M, A, Q)
-                M = 0.5 * (M + _mT(M))
-                t += 1
-                tr = np.trace(M, axis1=1, axis2=2)
-                finite = np.isfinite(tr)
-                if not finite.all():
-                    rate = rates[rows[~finite][0]]
-                    raise NumericalError(f"trace sequence overflowed at step {t}; the rate {rate} is too small")
-                steps.append(tr)
+                Ms[:2] = Ms[-2:]
 
     first = np.cumsum(lengths + 1) - (lengths + 1)
     traces = np.empty(int((lengths + 1).sum()))
     for t0, rows, block in blocks:
-        traces[first[rows] + np.arange(t0, t0 + len(block))[:, None]] = block
+        t = np.arange(t0, t0 + len(block))[:, None]
+        kept = t < lengths[rows]
+        traces[(first[rows] + t)[kept]] = block[kept]
     traces[first + lengths] = limits
     return traces, first, lengths
 

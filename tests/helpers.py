@@ -8,8 +8,10 @@ agents, against the water-filling level, the batched cost-curve build against
 a scalar one-process-at-a-time recursion, the vectorised
 distributed round against a node-by-node neighbour-list round, the chunked
 Monte Carlo against a step-by-step simulation, the batched rank tests
-against one process at a time, and the streaming CSV writer against the
-per-cell formatting rule it replaced.
+against one process at a time, the batched config load against the
+per-entry load it replaced, the windowed trace recursion against the
+recursion that checks its stop rules after every step, and the streaming
+CSV writer against the per-cell formatting rule it replaced.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from __future__ import annotations
 import contextlib
 import math
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 
 from fairsched import CostCurve, CostDomainError, FeasibleRegion, NumericalError, classify_stability
 from fairsched.allocation import CONVERGED, MAX_INNER_ITERS, initial_allocation, project_feasible
+from fairsched.config import ConfigError
 from fairsched.distributed import DistributedTrace, DualState, GraphError
 
 
@@ -353,6 +357,167 @@ def reference_rank_failure(p) -> str | None:
     if np.linalg.matrix_rank(ctr) < n:
         return "(A, sqrt(Q)) is not controllable"
     return None
+
+
+def _reference_check_symmetric_psd(M, name, definite):
+    if not (np.abs(M - M.T) <= 1e-9 + 1e-5 * np.abs(M.T)).all():
+        raise ValueError(f"{name} must be symmetric")
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    if definite and eigs.min() <= 0:
+        raise ValueError(f"{name} must be positive definite (min eigenvalue {eigs.min():.3g})")
+    if not definite and eigs.min() < -1e-10:
+        raise ValueError(f"{name} must be positive semidefinite (min eigenvalue {eigs.min():.3g})")
+
+
+def reference_process(A, Q, C=None, R_meas=None, Pi0=None) -> SimpleNamespace:
+    """The fields of one ``ProcessModel``, converted and checked one matrix at a time.
+
+    Read-only float arrays of at least two dimensions, ``C`` and ``R_meas``
+    defaulting to identities; ``ValueError`` names the first failed check.
+    """
+    A = np.atleast_2d(np.array(A, dtype=float))
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be square, got shape {A.shape}")
+    n = A.shape[0]
+    Q = np.atleast_2d(np.array(Q, dtype=float))
+    C = np.eye(n) if C is None else np.atleast_2d(np.array(C, dtype=float))
+    R = np.eye(C.shape[0]) if R_meas is None else np.atleast_2d(np.array(R_meas, dtype=float))
+    Pi0 = None if Pi0 is None else np.atleast_2d(np.array(Pi0, dtype=float))
+    for name, arr in (("A", A), ("Q", Q), ("C", C), ("R_meas", R), ("Pi0", Pi0)):
+        if arr is not None and not np.isfinite(arr).all():
+            raise ValueError(f"{name} must have finite entries (NaN or infinity found)")
+    if Q.shape != (n, n):
+        raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
+    if C.shape[1] != n:
+        raise ValueError(f"C must have {n} columns, got {C.shape}")
+    if R.shape != (C.shape[0], C.shape[0]):
+        raise ValueError(f"R_meas must be {C.shape[0]}x{C.shape[0]}, got {R.shape}")
+    _reference_check_symmetric_psd(Q, "Q", definite=False)
+    _reference_check_symmetric_psd(R, "R_meas", definite=True)
+    if Pi0 is not None:
+        if Pi0.shape != (n, n):
+            raise ValueError(f"Pi0 must be {n}x{n}, got {Pi0.shape}")
+        _reference_check_symmetric_psd(Pi0, "Pi0", definite=False)
+    for arr in (A, Q, C, R, Pi0):
+        if arr is not None:
+            arr.setflags(write=False)
+    return SimpleNamespace(A=A, Q=Q, C=C, R_meas=R, Pi0=Pi0, dim=n)
+
+
+def _reference_matrix(entry, key, idx, optional=False):
+    if key not in entry:
+        if optional:
+            return None
+        raise ConfigError(f"processes[{idx}]: missing required matrix '{key}'")
+    value = entry[key]
+    if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)):
+        raise ConfigError(f"processes[{idx}]: '{key}' must be a non-empty row-major nested list")
+    return value
+
+
+def reference_build_processes(entries) -> list:
+    """A config's ``processes`` list built one entry at a time, each converted and checked in full.
+
+    The first entry that fails ends the loop; the rank tests
+    (:func:`reference_rank_failure`) then run over the entries before it,
+    so a rank failure before it is named instead. A matrix key that is
+    missing or not a nested list fails inside the per-entry ``ValueError``
+    handler, which prefixes the index a second time.
+    """
+    processes, error = [], None
+    for idx, entry in enumerate(entries):
+        try:
+            if not isinstance(entry, dict):
+                raise ConfigError(f"processes[{idx}] must be an object")
+            try:
+                processes.append(reference_process(
+                    A=_reference_matrix(entry, "A", idx),
+                    Q=_reference_matrix(entry, "Q", idx),
+                    C=_reference_matrix(entry, "C", idx, optional=True),
+                    R_meas=_reference_matrix(entry, "R", idx, optional=True),
+                    Pi0=_reference_matrix(entry, "Pi0", idx, optional=True),
+                ))
+            except ValueError as exc:
+                raise ConfigError(f"processes[{idx}]: {exc}") from exc
+        except ConfigError as exc:
+            error = exc
+            break
+    for i, p in enumerate(processes):
+        reason = reference_rank_failure(p)
+        if reason is not None:
+            raise ConfigError(f"processes[{i}]: {reason}")
+    if error is not None:
+        raise error
+    return processes
+
+
+def reference_prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
+    """``sensors.prediction_traces`` with every stop rule checked after every step.
+
+    Processes are batched by the shape of ``C``; the filter steady states and
+    the no-communication limits come from :func:`reference_filter_cov` and
+    :func:`reference_no_comm_limit`. A process leaves the batch at the first
+    step that meets a stop rule; a non-finite trace raises at once, naming
+    the first process in the batch that has one.
+    """
+    ps = list(ps)
+    caps, rates = np.asarray(caps, dtype=float), np.asarray(rates, dtype=float)
+    stable = np.zeros(len(ps), dtype=bool) if stable is None else np.asarray(stable, dtype=bool)
+    limits = np.full(len(ps), np.nan)
+    lengths = np.empty(len(ps), dtype=np.intp)
+    groups = {}
+    for i, p in enumerate(ps):
+        groups.setdefault(p.C.shape, []).append(i)
+    blocks = []
+    for group in map(np.array, groups.values()):
+        members = [ps[i] for i in group]
+        A, Q, s = np.stack([p.A for p in members]), np.stack([p.Q for p in members]), stable[group]
+        for i in group[s]:
+            limits[i] = reference_no_comm_limit(ps[i])
+        rows, cap, limit = group, caps[group], limits[group]
+        M = np.stack([reference_filter_cov(p) for p in members])
+        cut = tail_tol * np.maximum(limit, 1e-300)
+        tails = bool(s.any())
+        tr = np.trace(M, axis1=1, axis2=2)
+        steps, t0 = [tr], 0
+        prev, prev_tr = back, back_tr = M, tr
+        t = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                stop = t > cap
+                if t and tails:
+                    stop |= np.abs(tr - limit) <= cut
+                if t >= 2:
+                    again = tr == back_tr
+                    if again.any():
+                        stop[again] |= (M[again] == back[again]).all(axis=(1, 2))
+                if stop.any() or len(steps) == 1024:
+                    blocks.append((t0, rows, np.stack(steps)))
+                    steps, t0 = [], t + 1
+                    lengths[rows[stop]] = t + 1
+                    keep = ~stop
+                    rows, A, Q, M, tr, prev, prev_tr, cap, limit, cut = (
+                        x[keep] for x in (rows, A, Q, M, tr, prev, prev_tr, cap, limit, cut)
+                    )
+                    if not rows.size:
+                        break
+                back, back_tr, prev, prev_tr = prev, prev_tr, M, tr
+                M = A @ M @ A.swapaxes(-1, -2) + Q
+                M = 0.5 * (M + M.swapaxes(-1, -2))
+                t += 1
+                tr = np.trace(M, axis1=1, axis2=2)
+                finite = np.isfinite(tr)
+                if not finite.all():
+                    rate = rates[rows[~finite][0]]
+                    raise NumericalError(f"trace sequence overflowed at step {t}; the rate {rate} is too small")
+                steps.append(tr)
+
+    first = np.cumsum(lengths + 1) - (lengths + 1)
+    traces = np.empty(int((lengths + 1).sum()))
+    for t0, rows, block in blocks:
+        traces[first[rows] + np.arange(t0, t0 + len(block))[:, None]] = block
+    traces[first + lengths] = limits
+    return traces, first, lengths
 
 
 def reference_run_cycles(p, pbar, policy, horizon: int, rng) -> tuple[float, int]:

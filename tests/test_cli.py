@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import fairsched as fs
 from fairsched.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, _region_and_costs, _write_csv, main
 from fairsched.config import ConfigError, load_config
-from helpers import reference_csv_bytes, time_limit
+from helpers import reference_build_processes, reference_csv_bytes, reference_process, time_limit
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -93,6 +94,158 @@ class TestLoadConfig:
         name = "R_meas" if key == "R" else key
         with pytest.raises(ConfigError, match=rf"^processes\[1\]: {name} must have finite entries"):
             load_config(path)
+
+
+def load_mix(seed=10):
+    """Seeded config entries: good 1-, 2- and 3-d processes and one of each kind of bad entry, shuffled.
+
+    Good tails follow, so late start indices load; every other good process
+    has its own ``C``, ``R`` and ``Pi0``.
+    """
+    rng = np.random.default_rng(seed)
+
+    def good(dim):
+        A = np.triu(rng.uniform(-1.0, 1.0, (dim, dim)), 1)
+        A[np.diag_indices(dim)] = rng.uniform(0.2, 1.3, dim)
+        B = rng.normal(size=(dim, dim))
+        entry = {"A": A.tolist(), "Q": (B @ B.T + 0.1 * np.eye(dim)).tolist()}
+        if rng.random() < 0.5:
+            m = max(1, dim - 1)
+            S, P = rng.normal(size=(m, m)), rng.normal(size=(dim, dim))
+            entry.update(C=rng.normal(size=(m, dim)).tolist(), R=(S @ S.T + 0.5 * np.eye(m)).tolist(),
+                         Pi0=(P @ P.T).tolist())
+        return entry
+
+    full = {"A": [[0.5]], "Q": [[1.0]], "C": [[1.0]], "R": [[1.0]], "Pi0": [[1.0]]}
+    eye2 = [[1.0, 0.0], [0.0, 1.0]]
+    bad = [dict(full, **{key: [[value]]}) for key in full for value in (math.nan, math.inf, -math.inf)]
+    bad += [
+        {"A": [[0.5, 0.1]], "Q": [[1.0]]},  # A not square
+        {"A": [[0.5]], "Q": eye2},  # Q of the wrong shape
+        {"A": [[0.5]], "Q": [[1.0]], "C": [[1.0, 0.0]]},  # C with the wrong number of columns
+        {"A": [[0.5]], "Q": [[1.0]], "R": eye2},  # R of the wrong shape
+        {"A": [[0.5]], "Q": [[1.0]], "Pi0": eye2},  # Pi0 of the wrong shape
+        {"A": [[0.5, 0.0], [0.0, 0.5]], "Q": [[1.0, 0.0], [0.0]]},  # ragged rows
+        {"A": [[0.5, 0.0], [0.0, 0.5]], "Q": [[1.0, 0.5], [0.0, 1.0]]},  # Q not symmetric
+        {"A": [[0.5]], "Q": [[-0.1]]},  # Q indefinite
+        {"A": [[0.5, 0.0], [0.0, 0.5]], "Q": eye2, "Pi0": [[1.0, 0.0], [0.0, -1.0]]},  # Pi0 indefinite
+        {"A": [[0.5]], "Q": [[1.0]], "R": [[0.0]]},  # R only semidefinite
+        [[0.5]],  # not an object
+        {"Q": [[1.0]]},  # A missing
+        TestLoadConfig.UNOBSERVABLE,
+        {"A": [[0.5, 0.0], [0.0, 0.4]], "Q": [[1.0, 0.0], [0.0, 0.0]]},  # (A, sqrt(Q)) not controllable
+    ]
+    entries = bad + [good(dim) for dim in (1, 2, 3) for _ in range(4)]
+    entries = [entries[i] for i in rng.permutation(len(entries))]
+    return entries + [good(dim) for dim in (2, 1, 3, 2)], bad
+
+
+def assert_same_processes(processes, reference):
+    assert len(processes) == len(reference)
+    for p, ref in zip(processes, reference):
+        for name in ("A", "Q", "C", "R_meas", "Pi0"):
+            arr, expected = getattr(p, name), getattr(ref, name)
+            if expected is None:
+                assert arr is None
+                continue
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+            assert arr.shape == expected.shape and arr.tobytes() == expected.tobytes()
+
+
+class TestBatchedLoad:
+    """``load_config`` checks all processes at once; it loads what the per-entry loop loaded and
+    names the process and the failure that loop named."""
+
+    def test_matches_per_entry_reference_from_every_start(self, tmp_path):
+        entries, bad = load_mix()
+        messages = set()
+        for start in range(len(entries)):
+            path = write_config(tmp_path, {"total_rate": 1.0, "processes": entries[start:]})
+            try:
+                expected = reference_build_processes(entries[start:])
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as raised:
+                    load_config(path)
+                assert str(raised.value) == str(exc)
+                messages.add(str(exc))
+            else:
+                assert_same_processes(load_config(path).processes, expected)
+        # each bad entry is named when the slice starts at it
+        named = set()
+        for entry in bad:
+            with pytest.raises(ConfigError) as raised:
+                reference_build_processes([entry])
+            named.add(str(raised.value))
+        assert {re.sub(r"processes\[\d+\]", "processes[0]", m) for m in messages} == named
+
+    def test_constructor_matches_per_process_reference(self):
+        entries, _ = load_mix()
+        keys = {"A": "A", "Q": "Q", "C": "C", "R": "R_meas", "Pi0": "Pi0"}
+        for entry in entries:
+            if not isinstance(entry, dict) or "A" not in entry:
+                continue
+            kwargs = {keys[key]: value for key, value in entry.items()}
+            try:
+                expected = reference_process(**kwargs)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    fs.ProcessModel(**kwargs)
+                assert str(raised.value) == str(exc)
+            else:
+                assert_same_processes([fs.ProcessModel(**kwargs)], [expected])
+
+
+class TestUnreadableInputs:
+    """A config or an output path that cannot be used ends the command with exit 2 and one line."""
+
+    def check(self, capsys, argv, text):
+        assert main(argv) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert text in err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self.check(capsys, ["validate-config", "--config", str(tmp_path)], "cannot read config file")
+
+    def test_config_cannot_be_read(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, SINGLE_STABLE)
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        # file modes do not stop every user (root reads a mode-000 file), so the read itself is made to fail
+        monkeypatch.setattr(Path, "read_text", denied)
+        self.check(capsys, ["validate-config", "--config", str(path)], "Permission denied")
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"total_rate": 1.0, "output_dir": "caf\u00e9"}'.encode("latin-1"))
+        self.check(capsys, ["validate-config", "--config", str(path)], "is not UTF-8 text")
+
+    @pytest.mark.parametrize("value", [3, None, ["out"]])
+    def test_output_dir_must_be_a_string(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, dict(SINGLE_STABLE, output_dir=value))
+        self.check(capsys, ["validate-config", "--config", str(path)], "'output_dir' must be a string path")
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "distributed"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_is_a_file(self, tmp_path, capsys, command, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        argv = [command, "--config", str(fs.fixture_path("paper_sec4")), "--out", str(out)]
+        if command == "simulate":
+            rates = tmp_path / "rates.json"
+            rates.write_text(json.dumps({"rates": [0.4] * 5}))
+            argv += ["--allocation", str(rates)]
+        self.check(capsys, argv, "cannot create output directory")
+        assert blocker.read_text() == ""
+
+    def test_output_dir_is_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        path = write_config(tmp_path, dict(SINGLE_STABLE, output_dir=str(blocker / "sub")))
+        self.check(capsys, ["solve", "--config", str(path)], "cannot create output directory")
 
 
 class TestSolveCommand:

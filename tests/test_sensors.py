@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 import fairsched as fs
 from fairsched.allocation import CostDomainError
-from helpers import reference_cost_curve, reference_filter_cov, reference_rank_failure, time_limit
+from fairsched.sensors import _WINDOW, prediction_traces
+from helpers import (
+    reference_cost_curve,
+    reference_filter_cov,
+    reference_prediction_traces,
+    reference_rank_failure,
+    time_limit,
+)
+from test_simulate import PERIOD_TWO
 
 
 class TestStability:
@@ -415,6 +423,73 @@ class TestBatchedBuild:
         processes, floors = mixed_processes()
         with pytest.raises(ValueError):
             fs.build_cost_curves(processes, floors[:-1])
+
+
+class TestWindowedTraces:
+    """``prediction_traces`` checks its stop rules once per window of ``_WINDOW`` steps; each sequence
+    still stops, and raises, at the step where the recursion that checks after every step did."""
+
+    def check(self, ps, caps, rates, stable=None, tail_tol=0.0):
+        """The traces, starts and lengths, bitwise those of the per-step recursion, or its error."""
+        try:
+            expected = reference_prediction_traces(ps, caps, rates, stable, tail_tol)
+        except fs.NumericalError as exc:
+            with pytest.raises(fs.NumericalError) as raised:
+                prediction_traces(ps, caps, rates, stable, tail_tol)
+            assert str(raised.value) == str(exc)
+            return None
+        got = prediction_traces(ps, caps, rates, stable, tail_tol)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        return got
+
+    def test_caps_at_step_zero_and_around_window_edges(self, bench_config):
+        ps = [fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), bench_config.processes[0]]
+        caps = [-1, _WINDOW - 2, _WINDOW - 1, 2 * _WINDOW - 2, 2 * _WINDOW - 1, 5]
+        batch = [p for p in ps for _ in caps]
+        _, _, lengths = self.check(batch, caps * 2, [0.5] * len(batch))
+        # a sequence stops after step cap + 1: step 0, the last step of a window or the first of the next
+        assert lengths.tolist() == [cap + 2 for cap in caps] * 2
+
+    def test_repeat_across_a_window_edge(self, bench_config):
+        noiseless = fs.ProcessModel(A=[[0.5]], Q=[[0.0]])  # its covariance is 0 from step 0 on
+        ps = [PERIOD_TWO, bench_config.processes[3], bench_config.processes[4], noiseless]
+        _, _, lengths = self.check(ps, [1000] * 4, [0.5] * 4)
+        # the 2-cycle stops at step _WINDOW + 1 on the covariance of step _WINDOW - 1, in the window
+        # before; a zero covariance repeats at step 2, the first with one two steps back
+        assert lengths.tolist() == [_WINDOW + 2, 172, 20, 3]
+
+    def test_tail_cuts_in_a_mixed_batch(self):
+        processes, floors = mixed_processes()
+        stable = fs.stable_mask([p.A for p in processes])
+        caps = [np.inf if f == 0 else math.floor(1.0 / f) - 1 for f in floors]
+        _, _, lengths = self.check(processes, caps, [0.5] * len(processes), stable, 1e-10)
+        assert (lengths[np.isinf(caps)] > 1).all()
+
+    @pytest.mark.parametrize("a, step", [(1e5, _WINDOW - 1), (8e4, _WINDOW), (5.5e4, _WINDOW + 1)])
+    def test_overflow_around_the_cap(self, a, step):
+        blowup = fs.ProcessModel(A=[[a]], Q=[[1.0]])
+        with pytest.raises(fs.NumericalError, match=f"overflowed at step {step};"):
+            reference_prediction_traces([blowup], [10 * _WINDOW], [0.01])
+        healthy = fs.ProcessModel(A=[[1.1]], Q=[[1.0]])
+        for cap in range(step - 3, step + 2):
+            # the sequence runs through step cap + 1: it raises from cap = step - 1 on
+            raised = self.check([healthy, blowup, healthy], [10 * _WINDOW, cap, 3], [0.3, 0.01, 0.2]) is None
+            assert raised == (cap >= step - 1)
+        # of two sequences that overflow, the first to do so is named, then the first in the batch
+        self.check([fs.ProcessModel(A=[[5.5e4]], Q=[[1.0]]), blowup], [200, 200], [0.2, 0.1])
+        self.check([blowup, blowup], [200, 200], [0.2, 0.1])
+
+    def test_runs_past_a_block(self):
+        ps = [fs.ProcessModel(A=[[1.0005]], Q=[[1.0]]), fs.ProcessModel(A=[[1.0002, 0.1], [0.0, 0.5]], Q=np.eye(2))]
+        caps = [1021, 1022, 1023, 1024, 2100]
+        batch = [p for p in ps for _ in caps]
+        _, _, lengths = self.check(batch, caps * 2, [0.001] * len(batch))
+        assert lengths.max() > 2048
+
+    def test_lone_long_run(self):
+        _, _, lengths = self.check([fs.ProcessModel(A=[[1.0002]], Q=[[1.0]])], [5000], [1e-4])
+        assert lengths.tolist() == [5002]
 
 
 def probe_rates(curve, rng, count=40):
