@@ -18,7 +18,7 @@ A run config is a single JSON object:
       "output_dir": "out"                                    # optional
     }
 
-All matrices are row-major nested lists. ``C`` and ``R`` default to identity.
+All matrices are 2-d row-major nested lists of numbers. ``C`` and ``R`` default to identity.
 ``distributed.graph`` is an adjacency list (neighbors per node);
 ``distributed.alpha`` and ``distributed.beta`` are the constant primal and
 dual steps of the distributed solver. A legacy ``distributed.dual_mode`` key
@@ -113,14 +113,11 @@ def _matrix(entry, key, idx, optional=False):
 
 def _convert_process(entry, idx) -> ProcessModel:
     _require(isinstance(entry, dict), f"processes[{idx}] must be an object")
+    matrices = dict(A=_matrix(entry, "A", idx), Q=_matrix(entry, "Q", idx),
+                    C=_matrix(entry, "C", idx, optional=True), R_meas=_matrix(entry, "R", idx, optional=True),
+                    Pi0=_matrix(entry, "Pi0", idx, optional=True))
     try:
-        return ProcessModel._unchecked(
-            A=_matrix(entry, "A", idx),
-            Q=_matrix(entry, "Q", idx),
-            C=_matrix(entry, "C", idx, optional=True),
-            R_meas=_matrix(entry, "R", idx, optional=True),
-            Pi0=_matrix(entry, "Pi0", idx, optional=True),
-        )
+        return ProcessModel._unchecked(**matrices)
     except ValueError as exc:
         raise ConfigError(f"processes[{idx}]: {exc}") from exc
 

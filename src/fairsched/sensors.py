@@ -14,13 +14,15 @@ and strictly decreasing; this module builds that curve and evaluates it in
 closed form. The Monte Carlo simulator in ``fairsched.simulate`` checks the
 closed form; it shares the trace sequence (:func:`prediction_traces`).
 
-Curves are built in batches: processes are grouped by dimension, and the
-Riccati steady state, the stable no-communication limit and the trace
-sequence run on stacked ``(k, d, d)`` arrays. Each process keeps its own stop
-rule and leaves the batch when it is met, so a batched curve equals the one
-built for that process alone; the one-process functions are one-element
-calls of the same code. The prediction recursions check their stop rules
-once per window of steps and drop the steps a process ran past its stop.
+Curves are built in batches: processes are grouped by dimension and run on
+stacked ``(k, d, d)`` arrays. The stable no-communication limit, the fixed
+point of ``P = A P A' + Q``, is linear in ``P`` and solved exactly; the
+Riccati steady state and the trace sequence are iterated, each process to
+its own stop rule, so a batched curve equals the one built for that process
+alone. The trace recursion checks its stop rules once per window of steps
+and drops the steps run past a stop. A Riccati row, or a stable trace
+sequence short of its tail cut, that runs 10**6 steps (a spectral radius
+too close to 1) raises :class:`NumericalError`.
 ``CurveCostModel`` keeps every curve's affine segments in one flat table and
 evaluates all agents by a gather.
 
@@ -103,15 +105,15 @@ class ProcessModel:
             raise ValueError(failure[1])
 
     def _convert(self, A, Q, C, R_meas, Pi0) -> None:
-        """Set the fields to read-only float arrays of at least two dimensions, ``C`` and ``R_meas`` filled in."""
+        """Set the fields to read-only 2-d float arrays, ``C`` and ``R_meas`` filled in."""
         # copies: fields are frozen read-only and must not alias caller data
-        A = np.array(A, dtype=float, ndmin=2)
+        A = _as_matrix("A", A)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
-        Q = np.array(Q, dtype=float, ndmin=2)
-        C = np.eye(A.shape[0]) if C is None else np.array(C, dtype=float, ndmin=2)
-        R = np.eye(C.shape[0]) if R_meas is None else np.array(R_meas, dtype=float, ndmin=2)
-        Pi0 = None if Pi0 is None else np.array(Pi0, dtype=float, ndmin=2)
+        Q = _as_matrix("Q", Q)
+        C = np.eye(A.shape[0]) if C is None else _as_matrix("C", C)
+        R = np.eye(C.shape[0]) if R_meas is None else _as_matrix("R_meas", R_meas)
+        Pi0 = None if Pi0 is None else _as_matrix("Pi0", Pi0)
         for name, arr in (("A", A), ("Q", Q), ("C", C), ("R_meas", R), ("Pi0", Pi0)):
             if arr is not None:
                 arr.setflags(write=False)
@@ -133,6 +135,16 @@ class ProcessModel:
         failure = first_rank_failure([self])
         if failure is not None:
             raise ValueError(failure[1])
+
+
+def _as_matrix(name: str, value) -> np.ndarray:
+    try:
+        M = np.array(value, dtype=float, ndmin=2)
+    except TypeError as exc:  # an entry such as {} that is no number
+        raise ValueError(f"{name} must hold numbers only: {exc}") from exc
+    if M.ndim != 2:
+        raise ValueError(f"{name} must be a matrix, got {M.ndim} dimensions")
+    return M
 
 
 def first_rank_failure(ps) -> tuple[int, str] | None:
@@ -288,101 +300,70 @@ def _stack(ps, name: str) -> np.ndarray:
 
 # steps a recursion runs between two checks of its stop rules
 _WINDOW = 32
-
-
-def _run(Ms, start, step, params) -> None:
-    """``Ms[j] = sym(step(Ms[j - 1], *params))`` for ``j = start, ..., len(Ms) - 1``."""
-    for j in range(start, len(Ms)):
-        M = step(Ms[j - 1], *params)
-        np.add(M, _mT(M), out=Ms[j])
-        Ms[j] *= 0.5
-
-
-def _converge(step, X, params, tol, max_iters, failure, window) -> np.ndarray:
-    """Iterate ``X <- sym(step(X, *params))`` on a stack of matrices.
-
-    A matrix leaves the batch, with its parameters, once its own Frobenius
-    change is within ``tol``; it ends where it would end iterated alone. The
-    change is checked once per ``window`` steps, and a matrix ends at the
-    first step of the window that meets it.
-    """
-    out = np.empty_like(X)
-    rows = np.arange(len(X))
-    Ms = np.empty((window + 1,) + X.shape)
-    Ms[0] = X
-    left = max_iters
-    while rows.size:
-        if not left:
-            raise NumericalError(failure)
-        n = min(window, left)
-        _run(Ms[:n + 1], 1, step, params)
-        met = np.sqrt(((Ms[1:n + 1] - Ms[:n]) ** 2).sum(axis=(2, 3))) <= tol
-        done = met.any(axis=0)
-        if done.any():
-            out[rows[done]] = Ms[met.argmax(axis=0)[done] + 1, np.flatnonzero(done)]
-            keep = ~done
-            rows, Ms, params = rows[keep], Ms[:, keep], [a[keep] for a in params]
-        Ms[0] = Ms[n]
-        left -= n
-    return out
-
-
-def _riccati_step(X, A, At, Q, C, R):
-    Xp = A @ X @ At + Q
-    G = Xp @ _mT(C)
-    return Xp - G @ np.linalg.solve(C @ Xp @ _mT(C) + R, _mT(G))
-
-
-def _predict_step(X, A, At, Q):
-    """``h(X) = A X A' + Q``; ``At`` is ``A'`` as a contiguous stack, which multiplies faster than a view."""
-    return A @ X @ At + Q
+# a Riccati row converges once its Frobenius change is within _COV_TOL; it, and a
+# stable trace sequence short of its (relative) tail cut _TAIL_TOL, run at most _MAX_STEPS steps
+_COV_TOL, _TAIL_TOL, _MAX_STEPS = 1e-12, 1e-10, 10**6
 
 
 def _transposed(A) -> np.ndarray:
+    """``A'`` as a contiguous stack, which multiplies faster than a view."""
     return np.ascontiguousarray(_mT(A))
 
 
-def _filter_covs(group, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
-    """Filter steady states of processes sharing one shape, as a stack."""
+def _filter_covs(group) -> np.ndarray:
+    """Filter steady states of processes sharing one shape, as a stack; each row stops where it would alone."""
     A, Q, C, R = (_stack(group, name) for name in ("A", "Q", "C", "R_meas"))
-    X0 = np.stack([np.zeros(p.A.shape) if p.Pi0 is None else p.Pi0 for p in group])
-    # a Riccati step costs more than the check, and most rows converge within a few dozen steps
-    return _converge(
-        _riccati_step, X0, (A, _transposed(A), Q, C, R), tol, max_iters,
-        "filter covariance iteration did not converge; the model is ill posed", window=1,
-    )
+    At = _transposed(A)
+    X = np.stack([np.zeros(p.A.shape) if p.Pi0 is None else p.Pi0 for p in group])
+    out, rows = np.empty_like(X), np.arange(len(X))
+    for _ in range(_MAX_STEPS):
+        Xp = A @ X @ At + Q
+        G = Xp @ _mT(C)
+        M = Xp - G @ np.linalg.solve(C @ Xp @ _mT(C) + R, _mT(G))
+        X_new = M + _mT(M)
+        X_new *= 0.5
+        done = np.sqrt(((X_new - X) ** 2).sum(axis=(1, 2))) <= _COV_TOL
+        if done.any():
+            out[rows[done]] = X_new[done]
+            if done.all():
+                return out
+            keep = ~done
+            rows, X_new, A, At, Q, C, R = (x[keep] for x in (rows, X_new, A, At, Q, C, R))
+        X = X_new
+    raise NumericalError("filter covariance iteration did not converge; the model is ill posed")
 
 
-def _no_comm_limits(A, Q, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
-    """``Tr(P_inf)`` with ``P_inf = A P_inf A' + Q`` for stacked stable ``A``, iterated from zero."""
-    X = _converge(
-        _predict_step, np.zeros_like(A), (A, _transposed(A), Q), tol, max_iters,
-        "prediction covariance iteration did not converge", window=_WINDOW,
-    )
-    return np.trace(X, axis1=1, axis2=2)
+def _no_comm_covs(A, Q) -> np.ndarray:
+    """``P = A P A' + Q`` for stacked stable ``A``, solved exactly: ``(I - A kron A) vec(P) = vec(Q)``.
+
+    ``A kron A`` has the pairwise products of ``A``'s eigenvalues, all inside the unit disc.
+    """
+    k, d = A.shape[:2]
+    K = np.eye(d * d) - np.einsum("nik,njl->nijkl", A, A).reshape(k, d * d, d * d)
+    return np.linalg.solve(K, Q.reshape(k, d * d, 1)).reshape(k, d, d)
 
 
-def steady_state_filter_covs(ps, tol: float = 1e-12, max_iters: int = 10**6) -> list[np.ndarray]:
+def steady_state_filter_covs(ps) -> list[np.ndarray]:
     """:func:`steady_state_filter_cov` of every process, one batched iteration per shape."""
     ps = list(ps)
     out = [None] * len(ps)
     for rows in _groups(ps):
-        for i, X in zip(rows, _filter_covs([ps[i] for i in rows], tol, max_iters)):
+        for i, X in zip(rows, _filter_covs([ps[i] for i in rows])):
             out[i] = X
     return out
 
 
-def steady_state_filter_cov(p: ProcessModel, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
+def steady_state_filter_cov(p: ProcessModel) -> np.ndarray:
     """Steady state of the predict-then-update error covariance recursion.
 
     Iterates ``X- = A X A' + Q`` followed by the measurement update
     ``X = X- - X- C' (C X- C' + R)^-1 C X-`` from ``Pi0`` (zero by default)
-    until the Frobenius change drops below ``tol``.
+    until the Frobenius change is within 1e-12, for at most 10**6 steps.
     """
-    return steady_state_filter_covs([p], tol, max_iters)[0]
+    return steady_state_filter_covs([p])[0]
 
 
-def no_comm_limit(p: ProcessModel, tol: float = 1e-12, max_iters: int = 10**6) -> float:
+def no_comm_limit(p: ProcessModel) -> float:
     """``Tr(P_inf)`` where ``P_inf = A P_inf A' + Q``: the never-transmit average error.
 
     Only defined for stable ``A``; the prediction-only covariance has no
@@ -390,7 +371,7 @@ def no_comm_limit(p: ProcessModel, tol: float = 1e-12, max_iters: int = 10**6) -
     """
     if not classify_stability(p.A):
         raise CostDomainError("no_comm_limit requires a stable process")
-    return float(_no_comm_limits(p.A[None], p.Q[None], tol, max_iters)[0])
+    return float(np.trace(_no_comm_covs(p.A[None], p.Q[None])[0]))
 
 
 def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
@@ -403,7 +384,9 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
     one two steps back, after which the sequence repeats its last two entries
     forever. Returns ``(traces, first, lengths)``: sequence ``i`` has
     ``lengths[i]`` entries from ``traces[first[i]]``, then one slot holding its
-    limit (NaN where ``stable`` is not set). Overflow raises :class:`NumericalError`.
+    limit (NaN where ``stable`` is not set). Overflow raises :class:`NumericalError`,
+    and so does a process with ``stable`` set that has not stopped within
+    ``_MAX_STEPS`` steps (its spectral radius is too close to 1).
 
     The recursion runs ``_WINDOW`` steps at a time and checks the stop rules
     on the whole window: a process stops at the first step of the window
@@ -423,7 +406,7 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
     for group in _groups(ps):
         members = [ps[i] for i in group]
         A, Q, s = _stack(members, "A"), _stack(members, "Q"), stable[group]
-        limits[group[s]] = _no_comm_limits(A[s], Q[s])
+        limits[group[s]] = np.trace(_no_comm_covs(A[s], Q[s]), axis1=1, axis2=2)
         rows, At, cap, limit = group, _transposed(A), caps[group], limits[group]
         cut = tail_tol * np.maximum(limit, 1e-300)
         tails = bool(s.any())  # whether any row has a tail rule to check
@@ -433,7 +416,10 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
         steps, t0, block_t0 = [], 0, 0
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             while True:
-                _run(Ms, 3 if t0 == 0 else 2, _predict_step, (A, At, Q))
+                for j in range(3 if t0 == 0 else 2, _WINDOW + 2):  # Ms[j] = sym(h(Ms[j - 1]))
+                    M = A @ Ms[j - 1] @ At + Q
+                    np.add(M, _mT(M), out=Ms[j])
+                    Ms[j] *= 0.5
                 trs = np.trace(Ms, axis1=2, axis2=3)
                 tr, t = trs[2:], t0 + offsets
                 stop = t > cap
@@ -463,10 +449,14 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
                     steps, block_t0 = [], t0
                 if done.any():
                     keep = ~done
-                    rows, A, At, Q, cap, limit, cut = (x[keep] for x in (rows, A, At, Q, cap, limit, cut))
+                    rows, A, At, Q, s, cap, limit, cut = (x[keep] for x in (rows, A, At, Q, s, cap, limit, cut))
                     Ms = Ms[:, keep]
                     if not rows.size:
                         break
+                if t0 >= _MAX_STEPS and s.any():  # _WINDOW divides _MAX_STEPS
+                    rho = np.abs(np.linalg.eigvals(A[s][0])).max()
+                    raise NumericalError(f"trace sequence did not reach its limit within {_MAX_STEPS} steps; "
+                                         f"the stable process's spectral radius {rho:.9g} is too close to 1")
                 Ms[:2] = Ms[-2:]
 
     first = np.cumsum(lengths + 1) - (lengths + 1)
@@ -603,7 +593,7 @@ class _CurveTable:
         return anchor + r * (self.cumsums.take(k) - (j + 1.0) * anchor)
 
 
-def _build_table(processes, domain_floors, tail_tol: float, stable=None) -> _CurveTable:
+def _build_table(processes, domain_floors, stable=None) -> _CurveTable:
     """Cost curves of all processes in one table, which is that of :func:`prediction_traces`.
 
     ``stable`` is the processes' :func:`stable_mask`, if the caller has it already.
@@ -623,7 +613,7 @@ def _build_table(processes, domain_floors, tail_tol: float, stable=None) -> _Cur
     # last threshold index whose segment the curve must store; none without a floor
     with np.errstate(divide="ignore"):
         caps = np.where(floors > 0, np.floor(_XI_NUMERATOR / floors - 1.0), np.inf)
-    traces, first, lengths = prediction_traces(ps, caps, floors, stable, tail_tol)
+    traces, first, lengths = prediction_traces(ps, caps, floors, stable, _TAIL_TOL)
     limits = traces[first + lengths]
     cumsums = np.empty_like(traces)
     cumsums[first + lengths] = np.nan
@@ -633,25 +623,26 @@ def _build_table(processes, domain_floors, tail_tol: float, stable=None) -> _Cur
     return _CurveTable(traces, cumsums, lengths, stable_limits, floors.tolist())
 
 
-def build_cost_curves(processes, domain_floors, tail_tol: float = 1e-10) -> list[CostCurve]:
+def build_cost_curves(processes, domain_floors) -> list[CostCurve]:
     """:func:`build_cost_curve` for every process at its own floor, batched by shape.
 
     Every process keeps its own stop rule and leaves its batch once it is
     met, so each curve equals the one built for that process alone. The
     curves' arrays are views of one shared flat table.
     """
-    return _build_table(processes, domain_floors, tail_tol).curves
+    return _build_table(processes, domain_floors).curves
 
 
-def build_cost_curve(p: ProcessModel, domain_floor: float, tail_tol: float = 1e-10) -> CostCurve:
+def build_cost_curve(p: ProcessModel, domain_floor: float) -> CostCurve:
     """Precompute the trace sequence needed to evaluate costs on [domain_floor, 1].
 
     For unstable processes ``domain_floor`` must be positive (the curve is
     unbounded at rate zero) and the sequence is computed up to the segment
     containing the floor. For stable processes the sequence is additionally
-    truncated once it is within ``tail_tol`` (relative) of the bounded limit.
+    truncated once it is within 1e-10 (relative) of the bounded limit, which
+    must happen within 10**6 steps.
     """
-    return build_cost_curves([p], [domain_floor], tail_tol)[0]
+    return build_cost_curves([p], [domain_floor])[0]
 
 
 def cost_eval(curve: CostCurve, r: float) -> float:
@@ -729,25 +720,24 @@ class CurveCostModel(CostModel):
     evaluating below their floor raises.
     """
 
-    def __init__(self, curves, processes=None, tail_tol: float = 1e-10):
-        self._init(_CurveTable.pack(list(curves)), processes, tail_tol)
+    def __init__(self, curves, processes=None):
+        self._init(_CurveTable.pack(list(curves)), processes)
 
-    def _init(self, table: _CurveTable, processes, tail_tol: float) -> None:
+    def _init(self, table: _CurveTable, processes) -> None:
         self._table = table
         self._processes = list(processes) if processes is not None else None
-        self._tail_tol = tail_tol
         self._lock = threading.Lock()
         self.n = len(table.curves)
         if self._processes is not None and len(self._processes) != self.n:
             raise ValueError("need one process per curve")
 
     @classmethod
-    def from_processes(cls, processes, unstable_floor: float = 1e-3, tail_tol: float = 1e-10):
+    def from_processes(cls, processes, unstable_floor: float = 1e-3):
         processes = list(processes)
         stable = stable_mask([p.A for p in processes])
         floors = np.where(stable, 0.0, float(unstable_floor))
         model = cls.__new__(cls)
-        model._init(_build_table(processes, floors, tail_tol, stable), processes, tail_tol)
+        model._init(_build_table(processes, floors, stable), processes)
         return model
 
     @property
@@ -765,9 +755,7 @@ class CurveCostModel(CostModel):
             grow = [(i, r) for i, r in zip(indices, rates) if 0 < r < self._table.curves[i].domain_floor]
             if not grow:
                 return
-            rebuilt = build_cost_curves(
-                [self._processes[i] for i, _ in grow], [0.5 * r for _, r in grow], self._tail_tol
-            )
+            rebuilt = build_cost_curves([self._processes[i] for i, _ in grow], [0.5 * r for _, r in grow])
             curves = list(self._table.curves)
             for (i, _), curve in zip(grow, rebuilt):
                 curves[i] = curve

@@ -236,16 +236,11 @@ def reference_filter_cov(p, tol: float = 1e-12, max_iters: int = 10**6) -> np.nd
     raise NumericalError("filter covariance iteration did not converge")
 
 
-def reference_no_comm_limit(p, tol: float = 1e-12, max_iters: int = 10**6) -> float:
-    """Scalar prediction-only iteration from zero; trace of its fixed point."""
-    X = np.zeros((p.dim, p.dim))
-    for _ in range(max_iters):
-        X_new = p.A @ X @ p.A.T + p.Q
-        X_new = 0.5 * (X_new + X_new.T)
-        if np.linalg.norm(X_new - X) <= tol:
-            return float(np.trace(X_new))
-        X = X_new
-    raise NumericalError("prediction covariance iteration did not converge")
+def reference_no_comm_limit(p) -> float:
+    """Trace of the solution of ``P = A P A' + Q``, one 2-d Kronecker system per process."""
+    d = p.dim
+    P = np.linalg.solve(np.eye(d * d) - np.kron(p.A, p.A), p.Q.reshape(d * d))
+    return float(np.trace(P.reshape(d, d)))
 
 
 def reference_cost_curve(p, domain_floor: float, tail_tol: float = 1e-10) -> CostCurve:
@@ -420,23 +415,23 @@ def reference_build_processes(entries) -> list:
 
     The first entry that fails ends the loop; the rank tests
     (:func:`reference_rank_failure`) then run over the entries before it,
-    so a rank failure before it is named instead. A matrix key that is
-    missing or not a nested list fails inside the per-entry ``ValueError``
-    handler, which prefixes the index a second time.
+    so a rank failure before it is named instead. Each message names the
+    index once.
     """
     processes, error = [], None
     for idx, entry in enumerate(entries):
         try:
             if not isinstance(entry, dict):
                 raise ConfigError(f"processes[{idx}] must be an object")
+            matrices = dict(
+                A=_reference_matrix(entry, "A", idx),
+                Q=_reference_matrix(entry, "Q", idx),
+                C=_reference_matrix(entry, "C", idx, optional=True),
+                R_meas=_reference_matrix(entry, "R", idx, optional=True),
+                Pi0=_reference_matrix(entry, "Pi0", idx, optional=True),
+            )
             try:
-                processes.append(reference_process(
-                    A=_reference_matrix(entry, "A", idx),
-                    Q=_reference_matrix(entry, "Q", idx),
-                    C=_reference_matrix(entry, "C", idx, optional=True),
-                    R_meas=_reference_matrix(entry, "R", idx, optional=True),
-                    Pi0=_reference_matrix(entry, "Pi0", idx, optional=True),
-                ))
+                processes.append(reference_process(**matrices))
             except ValueError as exc:
                 raise ConfigError(f"processes[{idx}]: {exc}") from exc
         except ConfigError as exc:

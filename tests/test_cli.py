@@ -310,7 +310,7 @@ class TestSolveCommand:
         assert summary["status"] != "converged"
 
     def test_stable_curve_out_of_tail_cut_reach_converges(self, tmp_path):
-        # the first curve's tail cut is out of reach (see test_sensors); it used to build forever
+        # the first curve's tail cut was once out of reach of its iterated limit, and it built forever
         payload = dict(SINGLE_STABLE, total_rate=1.0)
         payload["processes"] = [{"A": [[0.5]], "Q": [[1e-3]]}, {"A": [[1.2]], "Q": [[1.0]]}]
         path = write_config(tmp_path, payload)
@@ -320,6 +320,15 @@ class TestSolveCommand:
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"total_rate": -1.0, "processes": [{"A": [[0.5]], "Q": [[1.0]]}]})
         assert main(["solve", "--config", str(path)]) == EXIT_CONFIG_ERROR
+
+    def test_stable_curve_past_the_step_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        # rho = 0.99 needs ~1150 steps to reach its tail cut; rho = 0.999999 would need ~10^7
+        monkeypatch.setattr(fs.sensors, "_MAX_STEPS", 64)
+        payload = dict(SINGLE_STABLE, processes=[{"A": [[0.99]], "Q": [[1.0]]}])
+        path = write_config(tmp_path, payload)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "s")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "within 64 steps" in err and "too close to 1" in err
 
 
 class TestSimulateCommand:
@@ -510,6 +519,27 @@ class TestValidateCommand:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err == "config error: processes[0]: A must have finite entries (NaN or infinity found)\n"
+
+    @pytest.mark.parametrize("matrix, reason", [
+        ("[[[0.5]]]", "A must be a matrix, got 3 dimensions"),
+        ("[[[0.5, 1]]]", "A must be a matrix, got 3 dimensions"),
+        ("[[{}]]", "A must hold numbers only: "),  # then the TypeError's own text
+    ])
+    def test_matrix_that_is_no_2d_array_of_numbers_exits_2(self, tmp_path, capsys, matrix, reason):
+        path = tmp_path / "bad.json"
+        path.write_text('{"total_rate": 1.0, "processes": [{"A": %s, "Q": [[1.0]]}]}' % matrix)
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: processes[0]: {reason}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry, reason", [
+        ({"Q": [[1.0]]}, "missing required matrix 'A'"),
+        ({"A": [1.0], "Q": [[1.0]]}, "'A' must be a non-empty row-major nested list"),
+    ])
+    def test_missing_or_malformed_matrix_names_the_process_once(self, tmp_path, capsys, entry, reason):
+        path = write_config(tmp_path, {"total_rate": 1.0, "processes": [entry]})
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: processes[0]: {reason}\n"
 
 
 def fixture_with(tmp_path, section, key, value):

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairsched as fs
+from fairsched import sensors
 from fairsched.allocation import CostDomainError
-from fairsched.sensors import _WINDOW, prediction_traces
+from fairsched.sensors import _WINDOW, _no_comm_covs, prediction_traces
 from helpers import (
     reference_cost_curve,
     reference_filter_cov,
+    reference_no_comm_limit,
     reference_prediction_traces,
     reference_rank_failure,
     time_limit,
@@ -131,15 +133,16 @@ class TestCostCurve:
         with pytest.raises(CostDomainError):
             fs.build_cost_curve(p, 0.0)
 
-    def test_tail_cut_out_of_reach_ends_at_the_repeat(self):
-        # the no-communication limit is 3.1e-13 off the recursion's fixed point,
-        # beyond the 1.3e-13 tail cut, and floor 0 sets no cap: the sequence
-        # ends where the covariance repeats
+    def test_small_limit_ends_at_its_tail_cut(self):
+        # an iterated limit stopped 3.1e-13 off the fixed point, beyond the
+        # 1.3e-13 tail cut; the solved limit is exact, so the sequence reaches
+        # the cut before its covariance repeats
         p = fs.ProcessModel(A=[[0.5]], Q=[[1e-3]])
         with time_limit(5, "build_cost_curve"):
             curve = fs.build_cost_curve(p, 0.0)
-        assert abs(curve.traces[-1] - curve.stable_limit) > 1e-10 * curve.stable_limit
-        assert curve.traces[-1] == curve.traces[-2] == curve.traces[-3]
+        assert curve.stable_limit == 1e-3 / 0.75
+        assert abs(curve.traces[-1] - curve.stable_limit) <= 1e-10 * curve.stable_limit
+        assert curve.traces[-2] != curve.traces[-1]
 
     def test_traces_nondecreasing(self, bench_config):
         for p in bench_config.processes:
@@ -216,6 +219,28 @@ class TestNoCommLimit:
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
         with pytest.raises(CostDomainError):
             fs.no_comm_limit(p)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_solved_covariance_satisfies_its_equation(self, dim):
+        # the residual of P = A P A' + Q, which the solve does not look at
+        rng = np.random.default_rng(40 + dim)
+        A = rng.normal(size=(200, dim, dim))
+        A *= (rng.uniform(0.0, 0.9999, 200) / np.abs(np.linalg.eigvals(A)).max(axis=1))[:, None, None]
+        B = rng.normal(size=(200, dim, dim)) * rng.uniform(1e-3, 1e3, (200, 1, 1))
+        Q = B @ B.swapaxes(1, 2)
+        P = _no_comm_covs(A, Q)
+        residual = np.linalg.norm(A @ P @ A.swapaxes(1, 2) + Q - P, axis=(1, 2))
+        assert (residual <= 1e-12 * np.linalg.norm(P, axis=(1, 2))).all()
+        p = fs.ProcessModel(A=A[0], Q=Q[0])
+        assert fs.no_comm_limit(p) == np.trace(P[0]) == reference_no_comm_limit(p)
+
+    def test_stable_sequence_past_the_step_budget_raises(self, monkeypatch):
+        # rho = 0.99 needs ~1150 steps to come within the tail cut; the fast process meets it in time
+        monkeypatch.setattr(sensors, "_MAX_STEPS", 2 * _WINDOW)
+        slow, fast = fs.ProcessModel(A=[[0.99]], Q=[[1.0]]), fs.ProcessModel(A=[[0.5]], Q=[[1.0]])
+        assert fs.build_cost_curve(fast, 0.0).traces.size < 2 * _WINDOW
+        with pytest.raises(fs.NumericalError, match=r"within 64 steps; .* spectral radius 0\.99 is too close to 1"):
+            fs.build_cost_curves([fast, slow], [0.0, 0.0])
 
 
 class TestLipschitzBounds:
