@@ -128,7 +128,7 @@ class FeasibleRegion:
 class CostModel:
     """Vectorised cost evaluator ``values(rates) -> [J_i(rates_i)]``.
 
-    Concrete models must be safe for concurrent read-only evaluation. Costs
+    Models never change, so concurrent reads are safe. Costs
     are expected continuous, strictly decreasing, convex and positive on the
     box of the region they are solved over; those properties are what the
     solver's convergence rests on and they are asserted by the test suite,
@@ -139,6 +139,10 @@ class CostModel:
 
     def values(self, rates: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def with_floor(self, lower: np.ndarray) -> CostModel:
+        """A model of the same costs that evaluates agent ``i`` down to ``lower[i]``; here, this model."""
+        return self
 
     def slope_bounds(self, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """Per-agent (alpha_i, beta_i) slope-magnitude bounds on [lower_i, ub], if known."""
@@ -197,7 +201,8 @@ class SolverTrace:
     """Per-iteration history of a solve.
 
     Row ``k`` holds the state after iteration ``iterations[k]``; row 0 is the
-    initial point (its residual is NaN). ``outer_events`` records lower-bound
+    initial point (its residual is NaN). ``lower`` holds the last pass's lower
+    bounds, unstable floors included. ``outer_events`` records lower-bound
     shrinks as ``(iteration, new_lower_bounds)`` pairs.
     """
 
@@ -207,6 +212,7 @@ class SolverTrace:
     step_sizes: np.ndarray
     residuals: np.ndarray
     status: str
+    lower: np.ndarray
     outer_events: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
     @property
@@ -237,7 +243,7 @@ class _TraceRecorder:
         self.blocks[-1][self.filled] = row
         self.filled += 1
 
-    def build(self, status) -> SolverTrace:
+    def build(self, status, lower) -> SolverTrace:
         table = np.concatenate(self.blocks[:-1] + [self.blocks[-1][:self.filled]])
         n = (table.shape[1] - 3) // 2
         return SolverTrace(
@@ -247,6 +253,7 @@ class _TraceRecorder:
             step_sizes=table[:, 1],
             residuals=table[:, 2],
             status=status,
+            lower=lower,
             outer_events=self.outer_events,
         )
 
@@ -340,10 +347,11 @@ def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig)
     Returns ``(rates, trace)``. Non-convergence within the iteration budget
     is reported through ``trace.status``, never raised.
     """
+    costs = costs.with_floor(region.lower)
     r = project_feasible(np.asarray(r0, dtype=float), region)
     rec = _TraceRecorder(r, costs.values(r), cfg.eps0)
     r, _, _, status = _run_inner(r, cfg.eps0, 0, costs, region, cfg, rec)
-    return r, rec.build(status)
+    return r, rec.build(status, region.lower)
 
 
 def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, unstable_mask):
@@ -355,7 +363,8 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     unstable agent ended up pinned at its floor, every unstable floor is
     shrunk by ``cfg.eta`` and the iteration resumes from the current point;
     the step size keeps diminishing across passes. The loop ends when all
-    unstable rates sit strictly above their floors.
+    unstable rates sit strictly above their floors. Each pass evaluates
+    ``costs.with_floor(floors)``, and ``costs`` is left as it was.
     """
     mask = np.atleast_1d(np.asarray(unstable_mask, dtype=bool))
     if mask.size != region.n:
@@ -365,6 +374,7 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     # eta may be too generous for tight budgets; pre-shrink until feasible
     while mask.any() and lower.sum() >= region.total and lower[mask].max() > 1e-300:
         lower = np.where(mask, np.maximum(lower * cfg.eta, region.lower), lower)
+    costs = costs.with_floor(lower)
     work = FeasibleRegion(region.total, lower, region.upper)
 
     r = initial_allocation(work)
@@ -383,9 +393,10 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
             break
         lower = np.where(mask, np.maximum(lower * cfg.eta, region.lower), lower)
         rec.outer_events.append((t, lower.copy()))
+        costs = costs.with_floor(lower)
         work = FeasibleRegion(region.total, lower, region.upper)
         # shrinking floors only enlarges the region, so r stays feasible
-    return r, rec.build(status)
+    return r, rec.build(status, lower)
 
 
 def recover_weights(rates, costs: CostModel, tol: float = 1e-6) -> np.ndarray:

@@ -71,6 +71,7 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> int:
     try:
         region, costs, mask = _region_and_costs(cfg)
         rates, trace = alloc.solve_maxmin(costs, region, cfg.solver, mask)
+        costs = costs.with_floor(trace.lower)
     except _SETUP_ERRORS as exc:
         print(f"cannot solve this configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -98,11 +99,8 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> int:
     report = alloc.check_equilibrium(
         rates, costs, region, eps_probe=trace.step_sizes[-1], active_tol=active_tol
     )
-    working_lower = trace.outer_events[-1][1] if trace.outer_events else np.where(
-        mask, np.maximum(cfg.solver.eta, region.lower), region.lower
-    )
     try:
-        alphas, betas = costs.slope_bounds(working_lower)
+        alphas, betas = costs.slope_bounds(trace.lower)
         bounds = {"alpha": alphas.tolist(), "beta": betas.tolist()}
     except CostDomainError as exc:
         bounds = {"error": str(exc)}
@@ -162,7 +160,7 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
         return EXIT_CONFIG_ERROR
     try:
         results = simulate_allocation(cfg.processes, rates, horizon, use_seed)
-        analytic = costs.values(rates)
+        analytic = costs.with_floor(np.where(unstable, rates, 0.0)).values(rates)
     except (CostDomainError, NumericalError) as exc:
         print(f"allocation is outside the supported rate domain: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -197,6 +197,7 @@ def solve_distributed(
     if not (alpha > 0 and beta > 0):
         raise ValueError("step sizes must be positive")
 
+    costs = costs.with_floor(region.lower)
     lb, ub = region.lower, region.upper
     W = metropolis_matrix(graph)
 
@@ -267,19 +268,16 @@ def compare_with_centralized(
 ) -> ComparisonReport:
     """Solve the same instance both ways and report the allocation and value gaps.
 
-    Agents flagged unstable get the positive rate floor ``cfg.eta`` in the
-    distributed solve's box (their cost is unbounded at rate zero); the
-    centralized solver manages the same floors through its outer loop.
+    Agents flagged unstable have costs unbounded at rate zero; the centralized
+    solver manages their rate floors through its outer loop, and the
+    distributed box and both evaluations use its final floors (``trace.lower``).
     """
     cfg = solver_cfg or SolverConfig()
     mask = np.zeros(region.n, dtype=bool) if unstable_mask is None else np.asarray(unstable_mask, dtype=bool)
 
     r_c, trace_c = solve_maxmin(costs, region, cfg, mask)
-
-    dist_region = region
-    if mask.any():
-        floored = np.where(mask, np.maximum(cfg.eta, region.lower), region.lower)
-        dist_region = FeasibleRegion(region.total, floored, region.upper)
+    costs = costs.with_floor(trace_c.lower)
+    dist_region = FeasibleRegion(region.total, trace_c.lower, region.upper)
     r_d, dual, trace_d = solve_distributed(costs, dist_region, graph, **distributed_kwargs)
 
     worst_c = float(costs.values(r_c).max())

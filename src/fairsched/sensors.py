@@ -20,11 +20,11 @@ point of ``P = A P A' + Q``, is linear in ``P`` and solved exactly; the
 Riccati steady state and the trace sequence are iterated, each process to
 its own stop rule, so a batched curve equals the one built for that process
 alone. The trace recursion checks its stop rules once per window of steps
-and drops the steps run past a stop. A Riccati row, or a stable trace
-sequence short of its tail cut, that runs 10**6 steps (a spectral radius
-too close to 1) raises :class:`NumericalError`.
-``CurveCostModel`` keeps every curve's affine segments in one flat table and
-evaluates all agents by a gather.
+and drops the steps run past a stop. A Riccati row or a curve's trace
+sequence that runs 10**6 steps raises :class:`NumericalError` (a stable
+spectral radius too close to 1, or an unstable curve's floor too small).
+``CurveCostModel`` keeps every curve's affine segments in one flat table,
+never changed once built, and evaluates all agents by a gather.
 
 Processes are validated in batches too: :func:`first_invalid` (finiteness,
 shapes, definiteness) and :func:`first_rank_failure` (observability,
@@ -35,7 +35,6 @@ the first on itself at construction.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,8 +299,8 @@ def _stack(ps, name: str) -> np.ndarray:
 
 # steps a recursion runs between two checks of its stop rules
 _WINDOW = 32
-# a Riccati row converges once its Frobenius change is within _COV_TOL; it, and a
-# stable trace sequence short of its (relative) tail cut _TAIL_TOL, run at most _MAX_STEPS steps
+# a Riccati row converges once its Frobenius change is within _COV_TOL; it, and a curve's
+# trace sequence (stable ones stop at the relative tail cut _TAIL_TOL), run at most _MAX_STEPS steps
 _COV_TOL, _TAIL_TOL, _MAX_STEPS = 1e-12, 1e-10, 10**6
 
 
@@ -374,7 +373,7 @@ def no_comm_limit(p: ProcessModel) -> float:
     return float(np.trace(_no_comm_covs(p.A[None], p.Q[None])[0]))
 
 
-def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
+def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_steps=None):
     """``Tr(h^t(Pbar))``, ``t = 0, 1, ...``, ``h(X) = A X A' + Q``, from each process's filter steady state.
 
     One batched recursion per shape; each process leaves it at its own stop,
@@ -385,8 +384,7 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
     forever. Returns ``(traces, first, lengths)``: sequence ``i`` has
     ``lengths[i]`` entries from ``traces[first[i]]``, then one slot holding its
     limit (NaN where ``stable`` is not set). Overflow raises :class:`NumericalError`,
-    and so does a process with ``stable`` set that has not stopped within
-    ``_MAX_STEPS`` steps (its spectral radius is too close to 1).
+    and so does a process that has not stopped within ``max_steps`` steps, if given.
 
     The recursion runs ``_WINDOW`` steps at a time and checks the stop rules
     on the whole window: a process stops at the first step of the window
@@ -453,10 +451,10 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
                     Ms = Ms[:, keep]
                     if not rows.size:
                         break
-                if t0 >= _MAX_STEPS and s.any():  # _WINDOW divides _MAX_STEPS
-                    rho = np.abs(np.linalg.eigvals(A[s][0])).max()
-                    raise NumericalError(f"trace sequence did not reach its limit within {_MAX_STEPS} steps; "
-                                         f"the stable process's spectral radius {rho:.9g} is too close to 1")
+                if max_steps is not None and t0 >= max_steps:  # _WINDOW divides _MAX_STEPS
+                    why = (f"the stable process's spectral radius {np.abs(np.linalg.eigvals(A[0])).max():.9g} "
+                           "is too close to 1" if s[0] else f"the rate floor {rates[rows[0]]} is too small")
+                    raise NumericalError(f"trace sequence did not stop within {max_steps} steps; {why}")
                 Ms[:2] = Ms[-2:]
 
     first = np.cumsum(lengths + 1) - (lengths + 1)
@@ -613,7 +611,7 @@ def _build_table(processes, domain_floors, stable=None) -> _CurveTable:
     # last threshold index whose segment the curve must store; none without a floor
     with np.errstate(divide="ignore"):
         caps = np.where(floors > 0, np.floor(_XI_NUMERATOR / floors - 1.0), np.inf)
-    traces, first, lengths = prediction_traces(ps, caps, floors, stable, _TAIL_TOL)
+    traces, first, lengths = prediction_traces(ps, caps, floors, stable, _TAIL_TOL, _MAX_STEPS)
     limits = traces[first + lengths]
     cumsums = np.empty_like(traces)
     cumsums[first + lengths] = np.nan
@@ -639,8 +637,8 @@ def build_cost_curve(p: ProcessModel, domain_floor: float) -> CostCurve:
     For unstable processes ``domain_floor`` must be positive (the curve is
     unbounded at rate zero) and the sequence is computed up to the segment
     containing the floor. For stable processes the sequence is additionally
-    truncated once it is within 1e-10 (relative) of the bounded limit, which
-    must happen within 10**6 steps.
+    truncated once it is within 1e-10 (relative) of the bounded limit. Either
+    stop must come within 10**6 steps.
     """
     return build_cost_curves([p], [domain_floor])[0]
 
@@ -710,35 +708,32 @@ def lipschitz_bounds(curve: CostCurve, lb: float) -> tuple[float, float]:
 class CurveCostModel(CostModel):
     """Cost model backed by per-process cost curves.
 
-    The curves live in one flat table (see ``_CurveTable``). ``values``
-    evaluates every agent from it by one numpy gather, bit-identical to
-    :func:`cost_eval`. When constructed from process models the curves
-    extend themselves on demand: evaluating unstable agents below their
-    current floors rebuilds those curves in one batch with smaller floors
-    (under a lock, so concurrent readers only ever see complete curves).
-    Curves handed in directly are copied into the table, stay fixed, and
-    evaluating below their floor raises.
+    The curves live in one flat table (see ``_CurveTable``), fixed when the
+    model is built: the model never changes, so concurrent readers need no
+    lock. ``values`` evaluates every agent from the table by one numpy
+    gather, bit-identical to :func:`cost_eval`, and raises
+    :class:`CostDomainError` at a rate the table does not cover.
+    :meth:`with_floor` returns a model whose curves reach lower floors,
+    rebuilt from their processes; a model of curves handed in directly has
+    none and returns itself.
     """
 
-    def __init__(self, curves, processes=None):
-        self._init(_CurveTable.pack(list(curves)), processes)
+    def __init__(self, curves):
+        table = _CurveTable.pack(list(curves))
+        self._table, self._processes, self.n = table, None, len(table.curves)
 
-    def _init(self, table: _CurveTable, processes) -> None:
-        self._table = table
-        self._processes = list(processes) if processes is not None else None
-        self._lock = threading.Lock()
-        self.n = len(table.curves)
-        if self._processes is not None and len(self._processes) != self.n:
-            raise ValueError("need one process per curve")
+    @classmethod
+    def _of(cls, table: _CurveTable, processes) -> CurveCostModel:
+        model = cls.__new__(cls)
+        model._table, model._processes, model.n = table, processes, len(table.curves)
+        return model
 
     @classmethod
     def from_processes(cls, processes, unstable_floor: float = 1e-3):
         processes = list(processes)
         stable = stable_mask([p.A for p in processes])
         floors = np.where(stable, 0.0, float(unstable_floor))
-        model = cls.__new__(cls)
-        model._init(_build_table(processes, floors, stable), processes)
-        return model
+        return cls._of(_build_table(processes, floors, stable), processes)
 
     @property
     def stable(self) -> np.ndarray:
@@ -749,24 +744,18 @@ class CurveCostModel(CostModel):
     def curves(self) -> list[CostCurve]:
         return list(self._table.curves)
 
-    def _extend(self, indices, rates) -> None:
-        """Rebuild, in one batch, each listed curve whose floor is above its rate ``r > 0``, down to ``r / 2``."""
-        with self._lock:
-            grow = [(i, r) for i, r in zip(indices, rates) if 0 < r < self._table.curves[i].domain_floor]
-            if not grow:
-                return
-            rebuilt = build_cost_curves([self._processes[i] for i, _ in grow], [0.5 * r for _, r in grow])
-            curves = list(self._table.curves)
-            for (i, _), curve in zip(grow, rebuilt):
-                curves[i] = curve
-            self._table = _CurveTable.pack(curves)
-
-    def _fill(self, misses, rates, out) -> None:
-        """Costs at rates the table does not cover: extend the curves that can be, raise for the rest."""
-        if self._processes is not None:
-            self._extend(misses, [float(rates[i]) for i in misses])
-        for i in misses:
-            out[i] = cost_eval(self._table.curves[i], float(rates[i]))
+    def with_floor(self, lower) -> CurveCostModel:
+        """This model, with each curve whose floor lies above its ``lower > 0`` rebuilt down to it in one batch."""
+        lower = np.asarray(lower, dtype=float).tolist()
+        if len(lower) != self.n:
+            raise ValueError(f"expected {self.n} floors, got {len(lower)}")
+        curves = self.curves
+        grow = [i for i, (curve, lb) in enumerate(zip(curves, lower)) if 0 < lb < curve.domain_floor]
+        if not grow or self._processes is None:
+            return self
+        for i, curve in zip(grow, build_cost_curves([self._processes[i] for i in grow], [lower[i] for i in grow])):
+            curves[i] = curve
+        return self._of(_CurveTable.pack(curves), self._processes)
 
     def values(self, rates) -> np.ndarray:
         r = np.asarray(rates, dtype=float)
@@ -780,12 +769,11 @@ class CurveCostModel(CostModel):
             return table.costs(xi, r)
         out = np.empty(self.n)
         out[ok] = table.costs(xi[ok], r[ok], ok)
-        self._fill(np.flatnonzero(~ok).tolist(), r, out)
+        for i in np.flatnonzero(~ok).tolist():  # cost_eval raises, except at rate -0.0 of a stable curve
+            out[i] = cost_eval(table.curves[i], float(r[i]))
         return out
 
     def slope_bounds(self, lower) -> tuple[np.ndarray, np.ndarray]:
         lower = np.asarray(lower, dtype=float).tolist()
-        if self._processes is not None:
-            self._extend(range(self.n), lower)
         bounds = [lipschitz_bounds(curve, lb) for curve, lb in zip(self._table.curves, lower)]
         return np.array([a for a, _ in bounds]), np.array([b for _, b in bounds])

@@ -87,6 +87,12 @@ def test_solve_maxmin_shrinks_pinned_unstable_floor():
     _, shrunk_lower = trace.outer_events[0]
     np.testing.assert_allclose(shrunk_lower, [0.04, 0.04], atol=1e-12)
     assert r[1] > shrunk_lower[1] + 1e-9
+    np.testing.assert_array_equal(trace.lower, trace.outer_events[-1][1])
+    # the solve worked on its own floored models: the caller's keeps its floors and still raises below them
+    assert [c.domain_floor for c in costs.curves] == [0.2, 0.2]
+    with pytest.raises(fs.CostDomainError, match="below the curve's domain floor 0.2"):
+        costs.values(r)
+    assert costs.with_floor(trace.lower).values(r).tolist() == trace.costs[-1].tolist()
     # rerunning with a tiny floor lands at the same point
     costs2 = fs.CurveCostModel.from_processes([p1, p2], unstable_floor=1e-3)
     cfg2 = fs.SolverConfig(eps0=0.05, eta=1e-3, eps_r=1e-8, max_outer_iters=20)
@@ -132,8 +138,7 @@ def solve_to_level(processes, total, cfg):
     with time_limit(10, f"solve at budget {total}"):
         rates, trace = fs.solve_maxmin(costs, region, cfg, mask)
     assert trace.converged, f"budget {total}: {trace.status}"
-    floor = trace.outer_events[-1][1] if trace.outer_events else np.where(mask, cfg.eta, region.lower)
-    assert np.all(rates[mask] > floor[mask]), f"budget {total}: an unstable rate is pinned at its floor"
+    assert np.all(rates[mask] > trace.lower[mask]), f"budget {total}: an unstable rate is pinned at its floor"
     return rates, costs, level
 
 

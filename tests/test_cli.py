@@ -330,6 +330,41 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "within 64 steps" in err and "too close to 1" in err
 
+    def test_unstable_curve_past_the_step_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        # rho = 1 never overflows; at eta = 0.5 its curve needs 3 steps, at 0.001 it would need 1001
+        monkeypatch.setattr(fs.sensors, "_MAX_STEPS", 64)
+        payload = dict(SINGLE_STABLE, processes=[{"A": [[1.0]], "Q": [[1.0]]}])
+        assert main(["solve", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "s")]) == EXIT_OK
+        payload["solver"] = dict(payload["solver"], eta=1e-3)
+        path = write_config(tmp_path, payload, name="small_floor.json")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "t")]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "within 64 steps; the rate floor 0.001 is too small" in err
+
+    def test_lipschitz_bounds_hold_at_the_allocated_rates(self, tmp_path, bench_config):
+        # eta = 0.5 floors sum past the budget 1.4, so the solve works at floors 0.25, and the
+        # unstable rates land below 0.5: bounds taken on [eta, 1] would miss their segments
+        out = tmp_path / "s"
+        assert main(["solve", "--config", str(eta_half_fixture(tmp_path, 1.4)), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        rates, bounds = summary["allocation"], summary["lipschitz_bounds"]
+        assert min(r for r, unstable in zip(rates, summary["unstable"]) if unstable) < 0.5
+        for p, r, unstable, alpha, beta in zip(bench_config.processes, rates, summary["unstable"],
+                                               bounds["alpha"], bounds["beta"]):
+            curve = fs.build_cost_curve(p, r if unstable else 0.0)
+            # a stable agent at rate 0 sits on its curve's affine tail
+            xi = fs.threshold_from_rate(r).xi if r > 0 else curve.traces.size
+            slope = abs(curve.segment_slope(xi))
+            assert alpha <= slope <= beta
+
+
+def eta_half_fixture(tmp_path, total_rate):
+    """The paper fixture with ``eta = 0.5`` at budget ``total_rate``: the three unstable floors sum to 1.5."""
+    payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+    payload["solver"]["eta"] = 0.5
+    payload["total_rate"] = total_rate
+    return write_config(tmp_path, payload, name=f"eta_half_{total_rate}.json")
+
 
 class TestSimulateCommand:
     def test_tiny_rate_on_a_stable_process_is_fast(self, tmp_path):
@@ -454,6 +489,19 @@ class TestDistributedCommand:
         comparison = json.loads((out / "comparison.json").read_text())
         assert comparison["distributed_status"] == "stalled"
         assert comparison["lambda_spread"] > 1.0
+
+    @pytest.mark.parametrize("total_rate, codes", [(1.4, {EXIT_OK}), (1.0, {EXIT_OK, EXIT_NOT_CONVERGED})])
+    def test_floors_over_budget_use_the_centralized_floors(self, tmp_path, capsys, total_rate, codes):
+        # eta = 0.5 floors sum to 1.5, past the budget: the distributed box takes the centralized
+        # solve's floors, as low as 0.125 at R = 1.0, where alpha = 0.01 may stall
+        out = tmp_path / "d"
+        with time_limit(20, "distributed"):
+            rc = main(["distributed", "--config", str(eta_half_fixture(tmp_path, total_rate)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc in codes and "Traceback" not in err and err.count("\n") <= 1
+        comparison = json.loads((out / "comparison.json").read_text())
+        if rc == EXIT_OK:
+            assert comparison["linf_gap"] <= 1e-2
 
 
 def tiny_eta_fixture(tmp_path):

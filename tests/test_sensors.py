@@ -1,7 +1,5 @@
 import math
 import re
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -242,6 +240,17 @@ class TestNoCommLimit:
         with pytest.raises(fs.NumericalError, match=r"within 64 steps; .* spectral radius 0\.99 is too close to 1"):
             fs.build_cost_curves([fast, slow], [0.0, 0.0])
 
+    def test_unstable_sequence_past_the_step_budget_raises(self, monkeypatch):
+        # rho = 1 never overflows, so only the step budget stops a floor too small for it; at 0.05 it
+        # needs 21 steps, at 0.001 it would need 1001
+        monkeypatch.setattr(sensors, "_MAX_STEPS", 2 * _WINDOW)
+        walk = fs.ProcessModel(A=[[1.0]], Q=[[1.0]])
+        assert fs.build_cost_curve(walk, 0.05).traces.size == 21
+        with pytest.raises(fs.NumericalError, match=r"within 64 steps; the rate floor 0\.001 is too small"):
+            fs.build_cost_curves([walk, walk], [0.05, 1e-3])
+        # the simulator's sequences keep their horizon-sized caps
+        assert prediction_traces([walk], [1000], [1e-3])[2].tolist() == [1002]
+
 
 class TestLipschitzBounds:
     def test_single_slope_curve(self, scalar_unit_process):
@@ -351,12 +360,27 @@ class TestBatchedValidation:
 
 
 class TestCurveCostModel:
-    def test_extends_unstable_curve_on_demand(self):
+    def test_with_floor_extends_unstable_curve(self):
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
         model = fs.CurveCostModel.from_processes([p], unstable_floor=0.5)
-        direct = fs.build_cost_curve(p, 0.05)
-        assert model.values([0.1])[0] == pytest.approx(fs.cost_eval(direct, 0.1), rel=1e-12)
-        assert model.curves[0].domain_floor <= 0.1
+        floored = model.with_floor([0.05])
+        assert floored.values([0.1])[0] == fs.cost_eval(reference_cost_curve(p, 0.05), 0.1)
+        assert floored.curves[0].domain_floor == 0.05
+        # the model asked is left as it was
+        assert model.curves[0].domain_floor == 0.5
+        with pytest.raises(CostDomainError):
+            model.values([0.1])
+
+    def test_with_floor_returns_a_model_that_covers_it(self, bench_instance):
+        cfg, _, costs, mask = bench_instance
+        for lower in (np.where(mask, cfg.solver.eta, 0.0), np.where(mask, 0.5, 0.0), np.zeros(5)):
+            assert costs.with_floor(lower) is costs
+        fixed = fs.CurveCostModel(costs.curves)
+        assert fixed.with_floor(np.where(mask, 1e-4, 0.0)) is fixed  # no processes to rebuild from
+        affine = fs.AffineCostModel([2.0, 1.0], [1.0, 0.5])
+        assert affine.with_floor([0.1, 0.1]) is affine
+        with pytest.raises(ValueError, match="expected 5 floors"):
+            costs.with_floor([0.1])
 
     def test_fixed_curves_raise_below_floor(self):
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
@@ -531,11 +555,11 @@ def probe_rates(curve, rng, count=40):
 
 @pytest.mark.parametrize("n", [5, 43])
 class TestValuesMatchCostEval:
-    def model(self, n, extend=False):
+    def model(self, n):
         processes, floors = mixed_processes()
         processes, floors = (processes * n)[:n], (floors * n)[:n]
         curves = fs.build_cost_curves(processes, floors)
-        return fs.CurveCostModel(curves, processes=processes if extend else None), curves, processes
+        return fs.CurveCostModel(curves), curves, processes
 
     def test_bitwise_at_probe_points(self, n):
         model, curves, _ = self.model(n)
@@ -547,17 +571,23 @@ class TestValuesMatchCostEval:
             expected = [fs.cost_eval(c, r) for c, r in zip(curves, rates)]
             assert model.values(rates).tolist() == expected
 
-    def test_below_floor_extends_bitwise(self, n):
-        model, curves, processes = self.model(n, extend=True)
+    def test_with_floor_below_floor_bitwise(self, n):
+        _, curves, processes = self.model(n)
+        unstable = np.array([c.stable_limit is None for c in curves])
+        assert unstable.any()
+        floors = np.where(unstable, [c.domain_floor for c in curves], 0.0)
+        model = fs.CurveCostModel.from_processes(processes, unstable_floor=1.0).with_floor(floors)
+        for i in np.flatnonzero(unstable):
+            assert model.curves[i].traces.tobytes() == curves[i].traces.tobytes()
         rates = np.array([1.0 / (k % 7 + 1) for k in range(n)])
-        unstable = [i for i, c in enumerate(curves) if c.stable_limit is None]
-        assert unstable
-        rates[unstable] = [0.5 * curves[i].domain_floor for i in unstable]
-        got = model.values(rates)
+        rates[unstable] = 0.5 * floors[unstable]
+        with pytest.raises(CostDomainError):
+            model.values(rates)
+        extended = model.with_floor(np.where(unstable, rates, 0.0))
+        got = extended.values(rates)
         for i, (p, r) in enumerate(zip(processes, rates)):
-            expected = fs.cost_eval(reference_cost_curve(p, 0.5 * r) if i in unstable else curves[i], r)
-            assert got[i] == expected
-        assert all(model.curves[i].domain_floor == 0.5 * rates[i] for i in unstable)
+            assert got[i] == fs.cost_eval(reference_cost_curve(p, r if unstable[i] else 0.0), r)
+        assert [extended.curves[i].domain_floor for i in np.flatnonzero(unstable)] == rates[unstable].tolist()
 
     def test_out_of_domain_raises(self, n):
         model, curves, _ = self.model(n)
@@ -571,32 +601,3 @@ class TestValuesMatchCostEval:
         rates[unstable] = 0.5 * curves[unstable].domain_floor
         with pytest.raises(CostDomainError):
             model.values(rates)
-
-
-def test_concurrent_extension_keeps_values_exact():
-    # readers racing on-demand rebuilds must only ever see complete curves
-    processes = [fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), fs.ProcessModel(A=[[0.5]], Q=[[1.0]])] * 30
-    model = fs.CurveCostModel.from_processes(processes, unstable_floor=0.5)
-    reference = [reference_cost_curve(p, 0.0 if i % 2 else 0.005) for i, p in enumerate(processes)]
-    schedules = [np.linspace(0.45, 0.01, 12) + 1e-4 * w for w in range(4)]
-    failures = []
-
-    def reader(rates_schedule):
-        for rate in rates_schedule:
-            rates = np.full(len(processes), rate)
-            got = model.values(rates)
-            if got.tolist() != [fs.cost_eval(c, rate) for c in reference]:
-                failures.append(rate)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=reader, args=(s,)) for s in schedules]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert failures == []
