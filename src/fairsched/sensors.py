@@ -302,6 +302,11 @@ _WINDOW = 32
 # a Riccati row converges once its Frobenius change is within _COV_TOL; it, and a curve's
 # trace sequence (stable ones stop at the relative tail cut _TAIL_TOL), run at most _MAX_STEPS steps
 _COV_TOL, _TAIL_TOL, _MAX_STEPS = 1e-12, 1e-10, 10**6
+# A Riccati row also stops when it repeats one of its last _CYCLE iterates bitwise. Each step is a
+# fixed function of the row, so it then cycles for good: a large covariance (Q ~ 1e6) whose last
+# bits keep moving enters a 2- or 4-cycle within a few steps, and a row that meets _COV_TOL meets it
+# no later than it closes a cycle, so its steady state is unchanged.
+_CYCLE = 4
 
 
 def _transposed(A) -> np.ndarray:
@@ -315,19 +320,23 @@ def _filter_covs(group) -> np.ndarray:
     At = _transposed(A)
     X = np.stack([np.zeros(p.A.shape) if p.Pi0 is None else p.Pi0 for p in group])
     out, rows = np.empty_like(X), np.arange(len(X))
-    for _ in range(_MAX_STEPS):
+    recent = np.full((len(X), _CYCLE, *X.shape[1:]), np.nan)  # each row's last _CYCLE iterates, in a ring
+    recent[:, -1] = X
+    for step in range(_MAX_STEPS):
         Xp = A @ X @ At + Q
         G = Xp @ _mT(C)
         M = Xp - G @ np.linalg.solve(C @ Xp @ _mT(C) + R, _mT(G))
         X_new = M + _mT(M)
         X_new *= 0.5
         done = np.sqrt(((X_new - X) ** 2).sum(axis=(1, 2))) <= _COV_TOL
+        done |= (recent == X_new[:, None]).all(axis=(2, 3)).any(axis=1)
+        recent[:, step % _CYCLE] = X_new
         if done.any():
             out[rows[done]] = X_new[done]
             if done.all():
                 return out
             keep = ~done
-            rows, X_new, A, At, Q, C, R = (x[keep] for x in (rows, X_new, A, At, Q, C, R))
+            rows, X_new, recent, A, At, Q, C, R = (x[keep] for x in (rows, X_new, recent, A, At, Q, C, R))
         X = X_new
     raise NumericalError("filter covariance iteration did not converge; the model is ill posed")
 
@@ -542,7 +551,7 @@ class CostCurve:
 class _CurveTable:
     """Many cost curves in two flat arrays; each curve's arrays are views of them.
 
-    Curve ``i`` owns slots ``first[i] .. first[i] + size[i]`` of ``traces``
+    Curve ``i`` owns slots ``first[i] .. first[i] + sizes[i]`` of ``traces``
     and ``cumsums``: its own entries, then one slot holding its stable limit
     in ``traces`` (NaN if unstable). Its segment ``j`` has ``anchor =
     traces[first + j + 1]`` and ``cumsum = cumsums[first + j]``, also for the
@@ -564,7 +573,7 @@ class _CurveTable:
             CostCurve(traces=traces[f:f + n], cumsums=cumsums[f:f + n], stable_limit=limit, domain_floor=floor)
             for f, n, limit, floor in zip(first.tolist(), sizes.tolist(), limits, floors)
         ]
-        self.first = first.astype(float)
+        self.first, self.sizes = first.astype(float), sizes
         self.last = np.where(stable, sizes - 1.0, sizes - 2.0)
         self.xi_max = np.where(stable, np.inf, sizes - 2.0)
         self.lo = np.array(floors, dtype=float) * (1.0 - 1e-9)
@@ -774,6 +783,34 @@ class CurveCostModel(CostModel):
         return out
 
     def slope_bounds(self, lower) -> tuple[np.ndarray, np.ndarray]:
-        lower = np.asarray(lower, dtype=float).tolist()
-        bounds = [lipschitz_bounds(curve, lb) for curve, lb in zip(self._table.curves, lower)]
-        return np.array([a for a, _ in bounds]), np.array([b for _, b in bounds])
+        """:func:`lipschitz_bounds` of every curve at its ``lower``, in one pass over the table.
+
+        The bounds are bitwise those of :func:`lipschitz_bounds`, and the error is the one it
+        raises for the first agent, in index order, that it raises for.
+        """
+        lb = np.asarray(lower, dtype=float)
+        if lb.shape != (self.n,):
+            raise ValueError(f"expected {self.n} lower bounds, got shape {lb.shape}")
+        table = self._table
+        tail = table.sizes - 1  # the affine tail's segment: NaN for an unstable curve
+        with np.errstate(divide="ignore", over="ignore"):
+            xi = np.maximum(np.floor(_XI_NUMERATOR / lb - 1.0), 0.0)
+        last = np.where(lb > 0, np.minimum(xi, tail), tail).astype(np.intp)  # segments 0..last meet [lb, 1]
+        # segment j of curve i sits in slot first[i] + j, with slope cumsums[slot] - (j + 1) traces[slot + 1];
+        # worked in place, as the table holds ~3e5 slots for 1000 sensors
+        mags = np.repeat(-table.first, table.sizes + 1)
+        mags += np.arange(1.0, mags.size + 1.0)
+        slopes = mags[:-1]
+        slopes *= table.traces[1:]
+        np.subtract(table.cumsums[:-1], slopes, out=slopes)
+        np.abs(mags, out=mags)
+        mags[-1] = np.nan  # the last slot holds a limit, no segment; ranges may end there
+        first = table.first.astype(np.intp)
+        ranges = np.column_stack([first, first + last + 1]).ravel()
+        alphas, betas = (f.reduceat(mags, ranges)[::2] for f in (np.minimum, np.maximum))
+        bad = (lb < 0) | (lb > 1) | ((lb > 0) & (lb < table.lo)) | (~table.stable & (last == tail))
+        bad |= alphas <= 1e-14
+        if bad.any():
+            i = int(np.argmax(bad))
+            lipschitz_bounds(table.curves[i], float(lb[i]))  # raises agent i's error
+        return alphas, betas

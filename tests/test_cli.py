@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fairsched as fs
+from fairsched import cli
 from fairsched.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, _region_and_costs, _write_csv, main
 from fairsched.config import ConfigError, load_config
 from helpers import reference_build_processes, reference_csv_bytes, reference_process, time_limit
@@ -240,6 +243,28 @@ class TestUnreadableInputs:
             argv += ["--allocation", str(rates)]
         self.check(capsys, argv, "cannot create output directory")
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command, name, gate", [
+        ("solve", "allocation_trace.csv", math.inf),
+        ("solve", "allocation_trace.csv", 0),  # the child fails, then the parent's own write
+        ("solve", "cost_trace.csv", 0),
+        ("solve", "summary.json", 0),
+        ("simulate", "simulation_report.csv", 0),
+        ("distributed", "dual_trace.csv", 0),
+        ("distributed", "comparison.json", 0),
+    ])
+    def test_output_file_is_a_directory(self, tmp_path, capsys, monkeypatch, command, name, gate):
+        monkeypatch.setattr(cli, "_FORK_MIN_CELLS", gate)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = [command, "--config", str(fs.fixture_path("paper_sec4")), "--out", str(out)]
+        if command == "simulate":
+            rates = tmp_path / "rates.json"
+            rates.write_text(json.dumps({"rates": [0.4] * 5}))
+            argv += ["--allocation", str(rates)]
+        self.check(capsys, argv, f"cannot write {out / name}: Is a directory")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_output_dir_is_a_file(self, tmp_path, capsys):
         blocker = tmp_path / "taken"
@@ -760,3 +785,100 @@ class TestCsvWriter:
         for name, (header, values) in expected.items():
             rows = [[t, *row] for t, row in zip(trace.iterations, values)]
             assert (out / name).read_bytes() == reference_csv_bytes(name[:-4], header, rows), name
+
+    def test_forked_write_matches_reference(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_FORK_MIN_CELLS", 0)
+        forks = count_forks(monkeypatch)
+        labels = np.array([0, 5, 12])
+        path = tmp_path / "t.csv"
+        with cli._csv_written_aside(path, "t", ["iteration", "a", "b", "c", "d"], self.VALUES, labels):
+            pass
+        assert forks == [1]
+        rows = [[t, *row] for t, row in zip(labels, self.VALUES)]
+        assert path.read_bytes() == reference_csv_bytes("t", ["iteration", "a", "b", "c", "d"], rows)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """Patch ``os.fork`` to count its calls in the parent; the returned list holds the count."""
+    calls, fork = [0], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            calls[0] += 1
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def synthetic_fleet(tmp_path, n=240, seed=3):
+    """A seeded config of ``n`` scalar processes, a third of them unstable, sharing ``0.3 n``."""
+    rng = np.random.default_rng(seed)
+    rhos = np.where(np.arange(n) % 3 == 0, rng.uniform(1.02, 1.15, n), rng.uniform(0.2, 0.95, n))
+    processes = [{"A": [[float(a)]], "Q": [[float(q)]]} for a, q in zip(rhos, rng.uniform(0.5, 4.0, n))]
+    payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+    payload.update(total_rate=0.3 * n, processes=processes)
+    payload.pop("distributed")
+    return write_config(tmp_path, payload, name="fleet.json")
+
+
+def solve_outputs(tmp_path, monkeypatch, config, name, gate) -> dict:
+    """Every file ``solve`` writes for ``config`` with the fork gate at ``gate``, by name."""
+    monkeypatch.setattr(cli, "_FORK_MIN_CELLS", gate)
+    out = tmp_path / name
+    assert main(["solve", "--config", str(config), "--out", str(out)]) in (EXIT_OK, EXIT_NOT_CONVERGED)
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+class TestForkedTraceWrite:
+    """``solve`` writes ``allocation_trace.csv`` in a forked child, with the bytes of the serial write."""
+
+    @pytest.mark.parametrize("which", ["fixture", "fleet"])
+    def test_outputs_equal_serial_write(self, tmp_path, monkeypatch, which):
+        config = fs.fixture_path("paper_sec4") if which == "fixture" else synthetic_fleet(tmp_path)
+        forks = count_forks(monkeypatch)
+        serial = solve_outputs(tmp_path, monkeypatch, config, "serial", math.inf)
+        assert forks == [0]
+        forked = solve_outputs(tmp_path, monkeypatch, config, "forked", 0)
+        assert forks == [1]
+        assert sorted(forked) == sorted(serial) and len(serial) == 5
+        for name, data in serial.items():
+            assert forked[name] == data, name
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fixture_writes_serially(self, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch)
+        assert main(["solve", "--config", str(fs.fixture_path("paper_sec4")), "--out", str(tmp_path)]) == EXIT_OK
+        assert forks == [0]
+
+    def test_child_reaped_when_parent_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_FORK_MIN_CELLS", 0)
+
+        def broken(*args):
+            raise RuntimeError("report failed")
+
+        monkeypatch.setattr(cli, "_write_json", broken)
+        with pytest.raises(RuntimeError, match="report failed"):
+            main(["solve", "--config", str(fs.fixture_path("paper_sec4")), "--out", str(tmp_path)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("death", ["exit", "signal"])
+    def test_failed_child_rewritten_by_parent(self, tmp_path, monkeypatch, death):
+        serial = solve_outputs(tmp_path, monkeypatch, fs.fixture_path("paper_sec4"), "serial", math.inf)
+        parent, write = os.getpid(), cli._write_csv
+
+        def failing_in_child(path, *args):
+            if os.getpid() != parent:
+                if death == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise OSError(28, "No space left on device", str(path))
+            write(path, *args)
+
+        monkeypatch.setattr(cli, "_write_csv", failing_in_child)
+        forked = solve_outputs(tmp_path, monkeypatch, fs.fixture_path("paper_sec4"), "forked", 0)
+        assert forked == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -68,6 +68,15 @@ class TestFilterSteadyState:
             assert np.linalg.norm(pbar - pbar.T) <= 1e-12
             assert np.all(np.linalg.eigvalsh(pbar) >= -1e-12)
 
+    @pytest.mark.parametrize("seed, scale", [(0, 1e4), (0, 1e6), (1, 1e6), (2, 1e6), (1, 1e9)])
+    def test_large_covariance_stops_on_a_cycle(self, seed, scale):
+        # the last bits of Pbar keep moving, above the 1e-12 Frobenius change, in a 2- or 4-cycle
+        B = np.random.default_rng(seed).normal(size=(2, 2))
+        p = fs.ProcessModel(A=[[0.9, 0.3], [0.0, 0.7]], Q=scale * (B @ B.T + np.eye(2)))
+        with time_limit(1, "the Riccati iteration"):
+            pbar = fs.steady_state_filter_cov(p)
+        assert np.trace(pbar) == pytest.approx(2.0, rel=1e-3)
+
 
 class TestThresholdPolicy:
     def test_always_transmit(self):
@@ -394,6 +403,56 @@ class TestCurveCostModel:
         alphas, betas = costs.slope_bounds(lower)
         assert alphas.shape == betas.shape == (5,)
         assert np.all(alphas > 0) and np.all(betas >= alphas)
+        with pytest.raises(ValueError, match="expected 5 lower bounds"):
+            costs.slope_bounds(lower[:4])
+
+    def test_slope_bounds_equal_lipschitz_bounds_on_fixture(self, bench_instance):
+        cfg, _, costs, mask = bench_instance
+        for lower in (np.where(mask, cfg.solver.eta, 0.0), np.where(mask, 0.01, 0.3), np.ones(5)):
+            assert assert_slope_bounds_equal_scalar(costs.with_floor(lower), lower) == "equal"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_slope_bounds_equal_lipschitz_bounds_on_random_fleets(self, seed):
+        processes, floors = mixed_processes(seed)
+        costs = fs.CurveCostModel(fs.build_cost_curves(processes, floors))
+        rng = np.random.default_rng(seed)
+        floors = np.array(floors)
+        for lower in (floors, floors + rng.uniform(0, 1, floors.size) * (1 - floors), np.maximum(floors, 0.5)):
+            assert assert_slope_bounds_equal_scalar(costs, lower) == "equal"
+
+    @pytest.mark.parametrize("changes", [
+        {1: 1e-4, 2: 0.0},  # below the floor, then no bound down to 0
+        {0: 0.0, 1: 1e-4},
+        {3: -0.5, 4: 1.5},
+        {4: 1.5},
+    ])
+    def test_slope_bounds_raise_for_first_failing_agent(self, bench_instance, changes):
+        cfg, _, costs, mask = bench_instance
+        assert mask.tolist() == [True, True, True, False, False] and cfg.solver.eta == 1e-3
+        lower = np.where(mask, cfg.solver.eta, 0.0)
+        lower[list(changes)] = list(changes.values())
+        assert assert_slope_bounds_equal_scalar(costs, lower) == "raised"
+
+    def test_slope_bounds_raise_for_flat_curve(self, bench_config):
+        flat = fs.ProcessModel(A=[[0.4]], Q=[[0.0]])
+        costs = fs.CurveCostModel.from_processes([*bench_config.processes, flat, flat])
+        lower = np.where(~costs.stable, bench_config.solver.eta, 0.0)
+        assert assert_slope_bounds_equal_scalar(costs, lower) == "raised"
+
+
+def assert_slope_bounds_equal_scalar(costs, lower) -> str:
+    """``costs.slope_bounds`` returns :func:`lipschitz_bounds` per agent bitwise, or raises its first error."""
+    try:
+        bounds = [fs.lipschitz_bounds(curve, lb) for curve, lb in zip(costs.curves, np.asarray(lower).tolist())]
+    except CostDomainError as exc:
+        with pytest.raises(CostDomainError) as raised:
+            costs.slope_bounds(lower)
+        assert str(raised.value) == str(exc)
+        return "raised"
+    alphas, betas = costs.slope_bounds(lower)
+    assert alphas.tobytes() == np.array([a for a, _ in bounds]).tobytes()
+    assert betas.tobytes() == np.array([b for _, b in bounds]).tobytes()
+    return "equal"
 
 
 def mixed_processes(seed=20261018):
@@ -449,6 +508,7 @@ class TestBatchedBuild:
         assert any(p.Pi0 is not None and p.C.shape[0] < p.dim for p in processes)
 
     def test_filter_covs_equal_scalar_reference(self):
+        # the reference stops only on the Frobenius change, so the cycle stop moves no converging Pbar
         processes, _ = mixed_processes()
         for p, X in zip(processes, fs.steady_state_filter_covs(processes)):
             np.testing.assert_array_equal(X, reference_filter_cov(p))
