@@ -244,7 +244,16 @@ class _TraceRecorder:
         self.filled += 1
 
     def build(self, status, lower) -> SolverTrace:
-        table = np.concatenate(self.blocks[:-1] + [self.blocks[-1][:self.filled]])
+        """The trace of the rows added, built once: each block is released as soon as it is
+        copied, so the blocks and the table are never held whole at the same time."""
+        blocks, self.blocks = self.blocks, []
+        blocks[-1] = blocks[-1][:self.filled]
+        table = np.empty((sum(map(len, blocks)), blocks[0].shape[1]))
+        at = 0
+        for i, block in enumerate(blocks):
+            table[at:at + len(block)] = block
+            at += len(block)
+            blocks[i] = None
         n = (table.shape[1] - 3) // 2
         return SolverTrace(
             iterations=table[:, 0].astype(int),

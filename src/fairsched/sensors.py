@@ -35,6 +35,7 @@ the first on itself at construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -502,8 +503,12 @@ class ThresholdPolicy:
 
 
 def _xi_of(r: float) -> int:
-    """Threshold index of the segment containing rate ``r``; no validation."""
-    return max(0, math.floor(_XI_NUMERATOR / r - 1.0))
+    """Threshold index of the segment containing rate ``r``; no validation.
+
+    A rate whose reciprocal overflows, such as 5e-324, takes the largest finite
+    reciprocal: its index lies past every segment a curve can store.
+    """
+    return max(0, math.floor(min(_XI_NUMERATOR / r, sys.float_info.max) - 1.0))
 
 
 def threshold_from_rate(r: float) -> ThresholdPolicy:
@@ -517,6 +522,8 @@ def threshold_from_rate(r: float) -> ThresholdPolicy:
     r = float(r)
     if not 0.0 < r <= 1.0 + 1e-12:
         raise CostDomainError(f"rate must lie in (0, 1], got {r}")
+    if _XI_NUMERATOR / r == math.inf:
+        raise CostDomainError(f"rate {r} is too small for a threshold policy: its reciprocal overflows")
     r = min(r, 1.0)
     xi = _xi_of(r)
     b = xi + 1.0 + (r - 1.0) / r
@@ -618,7 +625,7 @@ def _build_table(processes, domain_floors, stable=None) -> _CurveTable:
             raise CostDomainError("an unstable process needs a positive rate floor; its cost is unbounded at 0")
 
     # last threshold index whose segment the curve must store; none without a floor
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         caps = np.where(floors > 0, np.floor(_XI_NUMERATOR / floors - 1.0), np.inf)
     traces, first, lengths = prediction_traces(ps, caps, floors, stable, _TAIL_TOL, _MAX_STEPS)
     limits = traces[first + lengths]
@@ -771,7 +778,7 @@ class CurveCostModel(CostModel):
         if r.size != self.n:
             raise ValueError(f"expected {self.n} rates, got {r.size}")
         table = self._table
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             xi = np.floor(_XI_NUMERATOR / np.minimum(r, 1.0) - 1.0)
         ok = (r >= table.lo) & (r <= _RATE_MAX) & (xi >= 0) & (xi <= table.xi_max)
         if ok.all():

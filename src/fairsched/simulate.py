@@ -9,9 +9,12 @@ builder (``sensors.prediction_traces``); what the simulator checks is the
 formula built on it.
 
 The age sequence is a renewal process, so the step loop is executed in
-vectorized form: one uniform draw decides each cycle's length, and the
-draws come in chunks sized to the expected cycle count. The cycles and
-transmissions are those of the scalar loop with the same draws. The error is
+vectorized form: one uniform draw decides each cycle's length. The draws
+come in chunks sized to the expected cycle count of the steps left, but
+never more than ``_MAX_CHUNK``, and each chunk is drawn into the same
+buffer, so memory does not grow with the horizon while time grows linearly
+with it. The cycles and transmissions are those of the scalar loop with the
+same draws, however they are chunked. The error is
 summed from the counts of short and long cycles, each cycle's cost being a
 prefix sum of the trace sequence, so it can differ from the scalar loop's
 running sum in the last bits. A rate so small that the recursion overflows
@@ -74,17 +77,24 @@ def _trace_sums(ps, policies, horizon: int) -> list:
     return [_summed(traces[f:f + n]) for f, n in zip(first.tolist(), lengths.tolist())]
 
 
+# Uniforms drawn at once: 512 KiB of float64 and 64 KiB of flags, which fit in a core's L2 cache
+# (2 MiB on the 2-core Xeon VM measured). A chunk covering a run of 10^8 steps took ~585 MB.
+_MAX_CHUNK = 1 << 16
+
+
 def _chunk_size(steps: int, policy: ThresholdPolicy) -> int:
-    """Uniforms to draw for ``steps`` more steps: the expected cycle count plus 4 sigma plus 16.
+    """Uniforms to draw for ``steps`` more steps: the expected cycle count plus 4 sigma plus 16, capped.
 
     Cycles last ``xi + 1`` steps with probability ``b``, else ``xi + 2``; over
     ``steps`` steps their count has mean ``steps / mu`` and variance
-    ``steps * b (1 - b) / mu^3``, ``mu = xi + 2 - b``. One chunk almost
-    always covers the horizon.
+    ``steps * b (1 - b) / mu^3``, ``mu = xi + 2 - b``. The size is capped
+    at ``_MAX_CHUNK``: one chunk almost always covers a run of fewer cycles,
+    and a longer run takes one capped chunk after another. The size never
+    grows as ``steps`` shrinks.
     """
     mean = policy.xi + 2.0 - policy.b
-    sigma = math.sqrt(steps * policy.b * (1.0 - policy.b) / mean**3)
-    return int(steps / mean + 4.0 * sigma) + 16
+    sigma = math.sqrt(steps * policy.b * (1.0 - policy.b) / mean) / mean  # mean**3 overflows below rate ~1e-103
+    return min(int(steps / mean + 4.0 * sigma) + 16, _MAX_CHUNK)
 
 
 def _run_cycles(total, policy: ThresholdPolicy, horizon: int, rng) -> tuple[float, int]:
@@ -95,16 +105,19 @@ def _run_cycles(total, policy: ThresholdPolicy, horizon: int, rng) -> tuple[floa
     length L contributes ``total(L)``, the sum of the first L traces, and
     exactly one transmission, decided at its last step. Cycle i draws the
     i-th uniform of the stream, in chunks of any size; a cycle cut by the
-    horizon contributes its first entries and no transmission.
+    horizon contributes its first entries and no transmission. Every chunk
+    is drawn into the buffers sized for the first, which no later one outgrows.
     """
     xi, b = policy.xi, policy.b
     short_len, long_len = xi + 1, xi + 2
 
     n_short = n_long = 0
     done = 0
+    draws = np.empty(_chunk_size(horizon, policy))
+    flags = np.empty(draws.size, dtype=bool)
     while done < horizon:
         chunk = _chunk_size(horizon - done, policy)
-        short = rng.random(chunk) < b
+        short = np.less(rng.random(out=draws[:chunk]), b, out=flags[:chunk])
         # Take cycles in runs that surely fit, even if all of them are long;
         # the steps left shrink geometrically, and once fewer than a long
         # cycle remain, only one more short cycle can fit.

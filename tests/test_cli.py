@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import math
 import os
 import re
 import signal
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -882,3 +884,82 @@ class TestForkedTraceWrite:
         assert forked == serial
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def seed7_fleet(tmp_path) -> Path:
+    """The benchmark's seed-7 fleet of 1000 sensors, written by ``perfbench/fleet.py``."""
+    spec = importlib.util.spec_from_file_location("fleet", Path(__file__).parents[1] / "perfbench" / "fleet.py")
+    fleet = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fleet)
+    solver = json.loads(fs.fixture_path("paper_sec4").read_text())["solver"]
+    return fleet.write_fleet(tmp_path / "fleet.json", 1000, 7, solver, 100_000)
+
+
+class TestTraceOutputMemory:
+    """``solve`` writes its trace without table-sized copies, and with the same bytes."""
+
+    def test_rows_converted_one_at_a_time(self, tmp_path):
+        values = np.random.default_rng(11).standard_normal((400, 1000)) * 10.0 ** np.arange(-8, 12, 0.02)
+        labels = np.arange(0, 4000, 10)
+        header = ["iteration"] + [f"r{i + 1}" for i in range(1000)]
+        path = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            _write_csv(path, "t", header, values, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole table as Python floats takes 32 bytes a cell: ~12.8 MB
+        assert peak < values.size * 32 / 20
+        rows = [[t, *row] for t, row in zip(labels, values)]
+        assert path.read_bytes() == reference_csv_bytes("t", header, rows)
+
+    def test_trace_and_error_decay_on_seed7_fleet(self, tmp_path, monkeypatch):
+        built, solved = [], []
+        build, solve = fs.allocation._TraceRecorder.build, fs.allocation.solve_maxmin
+
+        def spied_build(rec, *args):
+            built.append(np.concatenate(rec.blocks[:-1] + [rec.blocks[-1][:rec.filled]]))
+            return build(rec, *args)
+
+        def spied_solve(*args):
+            solved.append(solve(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(fs.allocation._TraceRecorder, "build", spied_build)
+        monkeypatch.setattr(fs.allocation, "solve_maxmin", spied_solve)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(seed7_fleet(tmp_path)), "--out", str(out)]) == EXIT_OK
+        (table,), ((rates, trace),) = built, solved
+        n = rates.size
+        assert table.shape == (trace.iterations.size, 3 + 2 * n)
+        for got, want in ((trace.iterations, table[:, 0].astype(int)), (trace.step_sizes, table[:, 1]),
+                          (trace.residuals, table[:, 2]), (trace.rates, table[:, 3:3 + n]),
+                          (trace.costs, table[:, 3 + n:])):
+            assert got.tobytes() == want.tobytes()
+        errors = np.linalg.norm(trace.rates - rates, axis=1)
+        rows = [[t, e] for t, e in zip(trace.iterations, errors)]
+        assert (out / "error_decay.csv").read_bytes() == reference_csv_bytes("error_decay", ["iteration", "error"], rows)
+
+
+class TestTinyRates:
+    def test_subnormal_rate_exits_2_with_one_line(self, tmp_path, capsys):
+        # process 3 of the fixture is stable; 1 / 5e-324 overflows
+        alloc_path = tmp_path / "rates.json"
+        alloc_path.write_text(json.dumps({"rates": [0.5, 0.5, 0.5, 5e-324, 0.4]}))
+        argv = ["simulate", "--config", str(fs.fixture_path("paper_sec4")), "--allocation", str(alloc_path),
+                "--out", str(tmp_path / "m")]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "5e-324" in err
+
+    def test_rate_far_below_any_floor_simulates(self, tmp_path):
+        # a stable process at rate 1e-150: its cycle outlasts the horizon, and its mean length cubed overflows
+        alloc_path = tmp_path / "rates.json"
+        alloc_path.write_text(json.dumps({"rates": [0.5, 0.5, 0.5, 1e-150, 0.4]}))
+        out = tmp_path / "m"
+        assert main(["simulate", "--config", str(fs.fixture_path("paper_sec4")), "--allocation", str(alloc_path),
+                     "--out", str(out)]) == EXIT_OK
+        row = (out / "simulation_report.csv").read_text().splitlines()[5].split(",")
+        assert row[:3] == ["4.0", "1e-150", "0.0"]

@@ -661,3 +661,43 @@ class TestValuesMatchCostEval:
         rates[unstable] = 0.5 * curves[unstable].domain_floor
         with pytest.raises(CostDomainError):
             model.values(rates)
+
+
+class TestSubnormalRate:
+    """A positive rate whose reciprocal overflows lies past every stored segment."""
+
+    RATE = 5e-324
+    STABLE = fs.ProcessModel(A=[[0.9, 0.2], [0.0, 0.5]], Q=[[1.0, 0.0], [0.0, 2.0]])
+    UNSTABLE = fs.ProcessModel(A=[[1.1]], Q=[[1.0]])
+
+    def test_threshold_from_rate_raises(self):
+        with pytest.raises(CostDomainError, match="overflows"):
+            fs.threshold_from_rate(self.RATE)
+
+    def test_cost_eval_is_the_affine_tail(self):
+        curve = fs.build_cost_curve(self.STABLE, 0.0)
+        got = fs.cost_eval(curve, self.RATE)
+        tail = curve.stable_limit + self.RATE * curve.segment_slope(curve.traces.size)
+        assert got == tail == curve.stable_limit
+        with pytest.raises(CostDomainError):
+            fs.cost_eval(fs.build_cost_curve(self.UNSTABLE, 1e-3), self.RATE)
+
+    def test_lipschitz_bounds_reach_the_affine_tail(self):
+        curve = fs.build_cost_curve(self.STABLE, 0.0)
+        assert fs.lipschitz_bounds(curve, self.RATE) == fs.lipschitz_bounds(curve, 0.0)
+        with pytest.raises(CostDomainError):
+            fs.lipschitz_bounds(fs.build_cost_curve(self.UNSTABLE, 1e-3), self.RATE)
+
+    def test_values_without_a_warning(self):
+        curves = [fs.build_cost_curve(self.STABLE, 0.0), fs.build_cost_curve(self.UNSTABLE, 1e-3)]
+        model = fs.CurveCostModel(curves)
+        got = model.values([self.RATE, 0.5])
+        assert got.tolist() == [fs.cost_eval(curves[0], self.RATE), fs.cost_eval(curves[1], 0.5)]
+        with pytest.raises(CostDomainError):
+            model.values([0.5, self.RATE])
+
+    def test_curve_built_down_to_the_rate(self):
+        curve = fs.build_cost_curve(self.STABLE, self.RATE)
+        reference = fs.build_cost_curve(self.STABLE, 0.0)
+        assert curve.traces.tolist() == reference.traces.tolist()
+        assert curve.stable_limit == reference.stable_limit

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,14 @@ class TestChunkedCyclesMatchReference:
             for horizon in (1, 3 * (xi + 2), 997):
                 self._check(fs.ThresholdPolicy(xi, b), horizon)
 
+    @pytest.mark.parametrize("cap", [1, 7, 64])
+    def test_capped_chunks(self, monkeypatch, cap):
+        # with the cap shrunk, every horizon here spans several capped chunks in one reused buffer
+        monkeypatch.setattr(simulate, "_MAX_CHUNK", cap)
+        for xi, b in ((0, 0.37), (1, 0.0), (5, 1.0), (2, 0.6)):
+            for horizon in (3 * (xi + 2), 997, 20 * cap * (xi + 2) + 1):
+                self._check(fs.ThresholdPolicy(xi, b), horizon)
+
     def test_chunk_used_up_at_the_horizon(self, monkeypatch):
         # a deterministic policy whose chunk holds exactly the cycles that fill the horizon
         monkeypatch.setattr(simulate, "_chunk_size", lambda steps, policy: max(1, steps // (policy.xi + 2)))
@@ -213,3 +223,38 @@ class TestChunkedCyclesMatchReference:
         (total,) = simulate._trace_sums([self.PROCESS], [policy], horizon)
         _, n_tx = simulate._run_cycles(total, policy, horizon, np.random.default_rng(1))
         assert n_tx < simulate._chunk_size(horizon, policy)
+
+
+class SpyGenerator:
+    """A ``Generator`` that records how many uniforms each ``random`` call asks for."""
+
+    def __init__(self, seed):
+        self.rng, self.requests = np.random.default_rng(seed), []
+
+    def random(self, size=None, out=None):
+        self.requests.append(out.size if out is not None else size)
+        return self.rng.random(size, out=out)
+
+
+class TestBoundedMemory:
+    """The Monte Carlo's working memory does not grow with the horizon."""
+
+    def test_no_draw_exceeds_the_cap(self, bench_config):
+        p, policy, horizon = bench_config.processes[1], fs.threshold_from_rate(0.37), 10**6
+        (total,) = simulate._trace_sums([p], [policy], horizon)
+        spy = SpyGenerator(5)
+        got = simulate._run_cycles(total, policy, horizon, spy)
+        assert len(spy.requests) > 1 and max(spy.requests) <= simulate._MAX_CHUNK
+        assert got == simulate._run_cycles(total, policy, horizon, np.random.default_rng(5))
+
+    def test_traced_peak_at_a_long_horizon(self, bench_config):
+        # a chunk covering all ~3.7e6 cycles would trace ~32 MB
+        p, policy = bench_config.processes[1], fs.threshold_from_rate(0.37)
+        tracemalloc.start()
+        try:
+            res = fs.simulate_policy(p, policy, horizon=10**7, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert res.empirical_rate == pytest.approx(0.37, rel=1e-3)
