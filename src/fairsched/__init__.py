@@ -60,7 +60,6 @@ from .sensors import (
     no_comm_limit,
     stable_mask,
     steady_state_filter_cov,
-    steady_state_filter_covs,
     threshold_from_rate,
 )
 from .simulate import SimResult, simulate_allocation, simulate_policy

@@ -35,6 +35,7 @@ the first on itself at construction.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -53,7 +54,6 @@ __all__ = [
     "first_invalid",
     "first_rank_failure",
     "steady_state_filter_cov",
-    "steady_state_filter_covs",
     "no_comm_limit",
     "threshold_from_rate",
     "build_cost_curve",
@@ -352,16 +352,6 @@ def _no_comm_covs(A, Q) -> np.ndarray:
     return np.linalg.solve(K, Q.reshape(k, d * d, 1)).reshape(k, d, d)
 
 
-def steady_state_filter_covs(ps) -> list[np.ndarray]:
-    """:func:`steady_state_filter_cov` of every process, one batched iteration per shape."""
-    ps = list(ps)
-    out = [None] * len(ps)
-    for rows in _groups(ps):
-        for i, X in zip(rows, _filter_covs([ps[i] for i in rows])):
-            out[i] = X
-    return out
-
-
 def steady_state_filter_cov(p: ProcessModel) -> np.ndarray:
     """Steady state of the predict-then-update error covariance recursion.
 
@@ -369,7 +359,7 @@ def steady_state_filter_cov(p: ProcessModel) -> np.ndarray:
     ``X = X- - X- C' (C X- C' + R)^-1 C X-`` from ``Pi0`` (zero by default)
     until the Frobenius change is within 1e-12, for at most 10**6 steps.
     """
-    return steady_state_filter_covs([p])[0]
+    return _filter_covs([p])[0]
 
 
 def no_comm_limit(p: ProcessModel) -> float:
@@ -490,7 +480,7 @@ class ThresholdPolicy:
     b: float
 
     def __post_init__(self):
-        if self.xi < 0:
+        if not isinstance(self.xi, numbers.Integral) or self.xi < 0:  # numpy integers too; 2.0 is no slice index
             raise ValueError("threshold must be a nonnegative integer")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("randomization probability must lie in [0, 1]")
@@ -555,60 +545,8 @@ class CostCurve:
         return float(self.cumsums[-1] - self.traces.size * self.stable_limit)
 
 
-class _CurveTable:
-    """Many cost curves in two flat arrays; each curve's arrays are views of them.
-
-    Curve ``i`` owns slots ``first[i] .. first[i] + sizes[i]`` of ``traces``
-    and ``cumsums``: its own entries, then one slot holding its stable limit
-    in ``traces`` (NaN if unstable). Its segment ``j`` has ``anchor =
-    traces[first + j + 1]`` and ``cumsum = cumsums[first + j]``, also for the
-    affine tail ``j = size - 1`` of a stable curve. ``last`` is the row that
-    rates below the stored range use, ``xi_max`` the largest threshold index
-    the curve covers and ``lo`` its smallest rate.
-    """
-
-    def __init__(self, traces, cumsums, sizes, limits, floors):
-        sizes = np.asarray(sizes, dtype=np.intp)
-        stable = np.array([limit is not None for limit in limits], dtype=bool)
-        first = np.cumsum(sizes + 1) - (sizes + 1)
-        stable.setflags(write=False)
-        self.stable = stable
-        traces.setflags(write=False)  # shared by every curve's views
-        cumsums.setflags(write=False)
-        self.traces, self.cumsums = traces, cumsums
-        self.curves = [
-            CostCurve(traces=traces[f:f + n], cumsums=cumsums[f:f + n], stable_limit=limit, domain_floor=floor)
-            for f, n, limit, floor in zip(first.tolist(), sizes.tolist(), limits, floors)
-        ]
-        self.first, self.sizes = first.astype(float), sizes
-        self.last = np.where(stable, sizes - 1.0, sizes - 2.0)
-        self.xi_max = np.where(stable, np.inf, sizes - 2.0)
-        self.lo = np.array(floors, dtype=float) * (1.0 - 1e-9)
-
-    @classmethod
-    def pack(cls, curves) -> _CurveTable:
-        """A table holding copies of ``curves``."""
-        sizes = [c.traces.size for c in curves]
-        traces = np.full(sum(sizes) + len(sizes), np.nan)
-        cumsums = np.full_like(traces, np.nan)
-        at = 0
-        for c, n in zip(curves, sizes):
-            traces[at:at + n], cumsums[at:at + n] = c.traces, c.cumsums
-            if c.stable_limit is not None:
-                traces[at + n] = c.stable_limit
-            at += n + 1
-        return cls(traces, cumsums, sizes, [c.stable_limit for c in curves], [c.domain_floor for c in curves])
-
-    def costs(self, xi, r, agents=slice(None)) -> np.ndarray:
-        """:func:`cost_eval`'s arithmetic for ``agents`` at rates ``r`` with threshold indices ``xi``."""
-        j = np.minimum(xi, self.last[agents])
-        k = (self.first[agents] + j).astype(np.intp)
-        anchor = self.traces.take(k + 1)
-        return anchor + r * (self.cumsums.take(k) - (j + 1.0) * anchor)
-
-
-def _build_table(processes, domain_floors, stable=None) -> _CurveTable:
-    """Cost curves of all processes in one table, which is that of :func:`prediction_traces`.
+def _build_table(processes, domain_floors, stable=None) -> CurveCostModel:
+    """Cost curves of all processes in one model, whose table is that of :func:`prediction_traces`.
 
     ``stable`` is the processes' :func:`stable_mask`, if the caller has it already.
     """
@@ -634,7 +572,9 @@ def _build_table(processes, domain_floors, stable=None) -> _CurveTable:
     for f, n in zip(first.tolist(), lengths.tolist()):
         np.cumsum(traces[f:f + n], out=cumsums[f:f + n])
     stable_limits = [limit if s else None for limit, s in zip(limits.tolist(), stable.tolist())]
-    return _CurveTable(traces, cumsums, lengths, stable_limits, floors.tolist())
+    model = CurveCostModel.__new__(CurveCostModel)
+    model._hold(traces, cumsums, lengths, stable_limits, floors.tolist(), ps)
+    return model
 
 
 def build_cost_curves(processes, domain_floors) -> list[CostCurve]:
@@ -669,24 +609,9 @@ def cost_eval(curve: CostCurve, r: float) -> float:
 
     with ``S_xi`` the cycle cost of the short cycle. ``r = 1`` gives
     ``Tr(Pbar)``; for stable curves ``r = 0`` gives the never-transmit limit.
+    A one-row call of :meth:`CurveCostModel.values`, which raises its errors.
     """
-    r = float(r)
-    if r == 0.0:
-        if curve.stable_limit is None:
-            raise CostDomainError("rate 0 is outside the domain of an unstable cost curve")
-        return curve.stable_limit
-    if r < 0 or r > 1 + 1e-12:
-        raise CostDomainError(f"rate must lie in [0, 1], got {r}")
-    if r < curve.domain_floor * (1.0 - 1e-9):
-        raise CostDomainError(f"rate {r} lies below the curve's domain floor {curve.domain_floor}")
-
-    xi = _xi_of(min(r, 1.0))
-    if xi + 1 < curve.traces.size:
-        anchor = curve.traces[xi + 1]
-        return float(anchor + r * (curve.cumsums[xi] - (xi + 1) * anchor))
-    if curve.stable_limit is None:
-        raise CostDomainError(f"rate {r} lies below the curve's domain floor {curve.domain_floor}")
-    return float(curve.stable_limit + r * curve.segment_slope(xi))
+    return float(CurveCostModel([curve]).values([r])[0])
 
 
 def lipschitz_bounds(curve: CostCurve, lb: float) -> tuple[float, float]:
@@ -694,71 +619,72 @@ def lipschitz_bounds(curve: CostCurve, lb: float) -> tuple[float, float]:
 
     Slopes are nonpositive and their magnitude grows as the rate shrinks, so
     alpha comes from the segment at rate 1 and beta from the segment holding
-    ``lb`` (or the affine tail of a stable curve when ``lb == 0``).
+    ``lb`` (or the affine tail of a stable curve when ``lb == 0``). A one-row
+    call of :meth:`CurveCostModel.slope_bounds`, which raises its errors.
     """
-    lb = float(lb)
-    if lb < 0 or lb > 1:
-        raise CostDomainError(f"lower bound must lie in [0, 1], got {lb}")
-    if lb == 0 and curve.stable_limit is None:
-        raise CostDomainError("an unstable curve has no slope bound down to rate 0")
-    if lb > 0 and lb < curve.domain_floor * (1.0 - 1e-9):
-        raise CostDomainError(f"lower bound {lb} lies below the curve's domain floor {curve.domain_floor}")
-
-    size = curve.traces.size
-    stored = curve.cumsums[: size - 1] - np.arange(1, size) * curve.traces[1:]
-    if lb > 0:
-        xi_lb = _xi_of(lb)
-        slopes = list(stored[: xi_lb + 1])
-        if xi_lb + 1 >= size:
-            slopes.append(curve.segment_slope(xi_lb))
-    else:
-        slopes = list(stored)
-        slopes.append(curve.segment_slope(size))
-    mags = np.abs(np.array(slopes))
-    alpha, beta = float(mags.min()), float(mags.max())
-    if alpha <= 1e-14:
-        raise CostDomainError("cost curve has a flat segment; strict monotonicity is violated")
-    return alpha, beta
+    alphas, betas = CurveCostModel([curve]).slope_bounds([lb])
+    return float(alphas[0]), float(betas[0])
 
 
 class CurveCostModel(CostModel):
-    """Cost model backed by per-process cost curves.
+    """Cost model backed by per-process cost curves, held in one flat table.
 
-    The curves live in one flat table (see ``_CurveTable``), fixed when the
-    model is built: the model never changes, so concurrent readers need no
-    lock. ``values`` evaluates every agent from the table by one numpy
-    gather, bit-identical to :func:`cost_eval`, and raises
-    :class:`CostDomainError` at a rate the table does not cover.
-    :meth:`with_floor` returns a model whose curves reach lower floors,
-    rebuilt from their processes; a model of curves handed in directly has
-    none and returns itself.
+    Curve ``i`` owns slots ``first[i] .. first[i] + sizes[i]`` of two flat
+    arrays, ``traces`` and ``cumsums``: its own entries, then one slot holding
+    its stable limit in ``traces`` (NaN if unstable); each ``CostCurve`` of
+    :attr:`curves` is a view of them. Its segment ``j`` has ``anchor =
+    traces[first + j + 1]`` and ``cumsum = cumsums[first + j]``, also for the
+    affine tail ``j = size - 1`` of a stable curve. The table is fixed when
+    the model is built: the model never changes, so concurrent readers need
+    no lock. ``values`` and ``slope_bounds`` work on all agents at once and
+    raise :class:`CostDomainError` for the first agent, in index order, that
+    lies outside its curve's domain. ``stable[i]`` says whether curve ``i``
+    is stable, i.e. defined down to rate 0. :meth:`with_floor` returns a
+    model whose curves reach lower floors, rebuilt from their processes; a
+    model of curves handed in directly has none and returns itself.
     """
 
     def __init__(self, curves):
-        table = _CurveTable.pack(list(curves))
-        self._table, self._processes, self.n = table, None, len(table.curves)
+        curves = list(curves)
+        sizes = [c.traces.size for c in curves]
+        traces = np.full(sum(sizes) + len(sizes), np.nan)
+        cumsums = np.full_like(traces, np.nan)
+        at = 0
+        for c, n in zip(curves, sizes):
+            traces[at:at + n], cumsums[at:at + n] = c.traces, c.cumsums
+            if c.stable_limit is not None:
+                traces[at + n] = c.stable_limit
+            at += n + 1
+        self._hold(traces, cumsums, sizes, [c.stable_limit for c in curves], [c.domain_floor for c in curves], None)
 
-    @classmethod
-    def _of(cls, table: _CurveTable, processes) -> CurveCostModel:
-        model = cls.__new__(cls)
-        model._table, model._processes, model.n = table, processes, len(table.curves)
-        return model
+    def _hold(self, traces, cumsums, sizes, limits, floors, processes) -> None:
+        """Take the table: the curves' flat arrays, their sizes, stable limits and floors, and their processes."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        stable = np.array([limit is not None for limit in limits], dtype=bool)
+        first = np.cumsum(sizes + 1) - (sizes + 1)
+        for arr in (stable, traces, cumsums):  # shared by every curve's views
+            arr.setflags(write=False)
+        self.stable, self._traces, self._cumsums, self._processes = stable, traces, cumsums, processes
+        self._curves = [
+            CostCurve(traces=traces[f:f + n], cumsums=cumsums[f:f + n], stable_limit=limit, domain_floor=floor)
+            for f, n, limit, floor in zip(first.tolist(), sizes.tolist(), limits, floors)
+        ]
+        self.n = len(self._curves)
+        self._first, self._sizes = first.astype(float), sizes
+        # the row that rates below the stored range use, the largest threshold index covered, the smallest rate
+        self._last = np.where(stable, sizes - 1.0, sizes - 2.0)
+        self._xi_max = np.where(stable, np.inf, sizes - 2.0)
+        self._lo = np.array(floors, dtype=float) * (1.0 - 1e-9)
 
     @classmethod
     def from_processes(cls, processes, unstable_floor: float = 1e-3):
         processes = list(processes)
         stable = stable_mask([p.A for p in processes])
-        floors = np.where(stable, 0.0, float(unstable_floor))
-        return cls._of(_build_table(processes, floors, stable), processes)
-
-    @property
-    def stable(self) -> np.ndarray:
-        """Per agent: whether its curve is stable, i.e. defined down to rate 0."""
-        return self._table.stable
+        return _build_table(processes, np.where(stable, 0.0, float(unstable_floor)), stable)
 
     @property
     def curves(self) -> list[CostCurve]:
-        return list(self._table.curves)
+        return list(self._curves)
 
     def with_floor(self, lower) -> CurveCostModel:
         """This model, with each curve whose floor lies above its ``lower > 0`` rebuilt down to it in one batch."""
@@ -771,53 +697,84 @@ class CurveCostModel(CostModel):
             return self
         for i, curve in zip(grow, build_cost_curves([self._processes[i] for i in grow], [lower[i] for i in grow])):
             curves[i] = curve
-        return self._of(_CurveTable.pack(curves), self._processes)
+        model = CurveCostModel(curves)
+        model._processes = self._processes
+        return model
 
     def values(self, rates) -> np.ndarray:
+        """``J_i(rates[i])`` of every agent by one gather from the table.
+
+        Raises :class:`CostDomainError` for the first agent, in index order,
+        whose rate is outside [0, 1] (NaN included), is 0 on an unstable curve,
+        or lies below its curve's floor or past its stored range. Rate 0 or
+        -0.0 on a stable curve gives its limit, whatever its floor.
+        """
         r = np.asarray(rates, dtype=float)
         if r.size != self.n:
             raise ValueError(f"expected {self.n} rates, got {r.size}")
-        table = self._table
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             xi = np.floor(_XI_NUMERATOR / np.minimum(r, 1.0) - 1.0)
-        ok = (r >= table.lo) & (r <= _RATE_MAX) & (xi >= 0) & (xi <= table.xi_max)
-        if ok.all():
-            return table.costs(xi, r)
-        out = np.empty(self.n)
-        out[ok] = table.costs(xi[ok], r[ok], ok)
-        for i in np.flatnonzero(~ok).tolist():  # cost_eval raises, except at rate -0.0 of a stable curve
-            out[i] = cost_eval(table.curves[i], float(r[i]))
-        return out
+        ok = (r >= self._lo) & (r <= _RATE_MAX) & (xi >= 0) & (xi <= self._xi_max)
+        if not ok.all():
+            zero = (r == 0) & self.stable
+            bad = ~(ok | zero)
+            if bad.any():
+                i = int(np.argmax(bad))
+                ri = float(r.flat[i])
+                if ri == 0:
+                    raise CostDomainError("rate 0 is outside the domain of an unstable cost curve")
+                if not 0 <= ri <= _RATE_MAX:
+                    raise CostDomainError(f"rate must lie in [0, 1], got {ri}")
+                raise CostDomainError(f"rate {ri} lies below the curve's domain floor {self._curves[i].domain_floor}")
+            # as +0.0 past every stored segment, the rate reads the stable limit
+            r, xi = np.where(zero, 0.0, r), np.where(zero, np.inf, xi)
+        j = np.minimum(xi, self._last)
+        k = (self._first + j).astype(np.intp)
+        anchor = self._traces.take(k + 1)
+        return anchor + r * (self._cumsums.take(k) - (j + 1.0) * anchor)
 
     def slope_bounds(self, lower) -> tuple[np.ndarray, np.ndarray]:
         """:func:`lipschitz_bounds` of every curve at its ``lower``, in one pass over the table.
 
-        The bounds are bitwise those of :func:`lipschitz_bounds`, and the error is the one it
-        raises for the first agent, in index order, that it raises for.
+        Raises :class:`CostDomainError` for the first agent, in index order,
+        whose ``lower`` is outside [0, 1] (NaN included), is 0 on an unstable
+        curve, lies below its curve's floor or past its stored range, or whose
+        segments down to ``lower`` include a flat one.
         """
         lb = np.asarray(lower, dtype=float)
         if lb.shape != (self.n,):
             raise ValueError(f"expected {self.n} lower bounds, got shape {lb.shape}")
-        table = self._table
-        tail = table.sizes - 1  # the affine tail's segment: NaN for an unstable curve
+        tail = self._sizes - 1  # the affine tail's segment: NaN for an unstable curve
         with np.errstate(divide="ignore", over="ignore"):
             xi = np.maximum(np.floor(_XI_NUMERATOR / lb - 1.0), 0.0)
         last = np.where(lb > 0, np.minimum(xi, tail), tail).astype(np.intp)  # segments 0..last meet [lb, 1]
         # segment j of curve i sits in slot first[i] + j, with slope cumsums[slot] - (j + 1) traces[slot + 1];
         # worked in place, as the table holds ~3e5 slots for 1000 sensors
-        mags = np.repeat(-table.first, table.sizes + 1)
+        mags = np.repeat(-self._first, self._sizes + 1)
         mags += np.arange(1.0, mags.size + 1.0)
         slopes = mags[:-1]
-        slopes *= table.traces[1:]
-        np.subtract(table.cumsums[:-1], slopes, out=slopes)
+        slopes *= self._traces[1:]
+        np.subtract(self._cumsums[:-1], slopes, out=slopes)
         np.abs(mags, out=mags)
         mags[-1] = np.nan  # the last slot holds a limit, no segment; ranges may end there
-        first = table.first.astype(np.intp)
+        first = self._first.astype(np.intp)
         ranges = np.column_stack([first, first + last + 1]).ravel()
         alphas, betas = (f.reduceat(mags, ranges)[::2] for f in (np.minimum, np.maximum))
-        bad = (lb < 0) | (lb > 1) | ((lb > 0) & (lb < table.lo)) | (~table.stable & (last == tail))
-        bad |= alphas <= 1e-14
+        outside = ~((lb >= 0) & (lb <= 1))
+        zero = (lb == 0) & ~self.stable
+        below = (lb > 0) & (lb < self._lo)
+        past = ~self.stable & (last == tail)
+        bad = outside | below | past | (alphas <= 1e-14)
         if bad.any():
             i = int(np.argmax(bad))
-            lipschitz_bounds(table.curves[i], float(lb[i]))  # raises agent i's error
+            if outside[i]:
+                raise CostDomainError(f"lower bound must lie in [0, 1], got {float(lb[i])}")
+            if zero[i]:
+                raise CostDomainError("an unstable curve has no slope bound down to rate 0")
+            if below[i]:
+                raise CostDomainError(f"lower bound {float(lb[i])} lies below the curve's domain floor "
+                                      f"{self._curves[i].domain_floor}")
+            if past[i]:
+                raise CostDomainError(f"segment {_xi_of(float(lb[i]))} is below the curve's domain floor")
+            raise CostDomainError("cost curve has a flat segment; strict monotonicity is violated")
         return alphas, betas

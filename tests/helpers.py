@@ -10,8 +10,10 @@ distributed round against a node-by-node neighbour-list round, the chunked
 Monte Carlo against a step-by-step simulation, the batched rank tests
 against one process at a time, the batched config load against the
 per-entry load it replaced, the windowed trace recursion against the
-recursion that checks its stop rules after every step, and the streaming
-CSV writer against the per-cell formatting rule it replaced.
+recursion that checks its stop rules after every step, the streaming
+CSV writer against the per-cell formatting rule it replaced, and the cost
+model's values and slope bounds against one curve's own arrays, read one
+segment at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import math
 import signal
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,6 +276,59 @@ def reference_cost_curve(p, domain_floor: float, tail_tol: float = 1e-10) -> Cos
         traces.append(tr)
     traces = np.array(traces)
     return CostCurve(traces=traces, cumsums=np.cumsum(traces), stable_limit=limit, domain_floor=float(domain_floor))
+
+
+def _reference_xi(r: float) -> int:
+    """Threshold index of the segment holding rate ``r``; a reciprocal that overflows takes the largest float."""
+    return max(0, math.floor(min((1.0 + 1e-12) / r, sys.float_info.max) - 1.0))
+
+
+def reference_cost_eval(curve: CostCurve, r: float) -> float:
+    """One curve's cost at rate ``r`` from its own arrays, or the error ``cost_eval`` raises."""
+    r = float(r)
+    if r == 0.0:
+        if curve.stable_limit is None:
+            raise CostDomainError("rate 0 is outside the domain of an unstable cost curve")
+        return curve.stable_limit
+    if not 0 <= r <= 1 + 1e-12:  # NaN too
+        raise CostDomainError(f"rate must lie in [0, 1], got {r}")
+    if r < curve.domain_floor * (1.0 - 1e-9):
+        raise CostDomainError(f"rate {r} lies below the curve's domain floor {curve.domain_floor}")
+
+    xi = _reference_xi(min(r, 1.0))
+    if xi + 1 < curve.traces.size:
+        anchor = curve.traces[xi + 1]
+        return float(anchor + r * (curve.cumsums[xi] - (xi + 1) * anchor))
+    if curve.stable_limit is None:
+        raise CostDomainError(f"rate {r} lies below the curve's domain floor {curve.domain_floor}")
+    return float(curve.stable_limit + r * curve.segment_slope(xi))
+
+
+def reference_lipschitz_bounds(curve: CostCurve, lb: float) -> tuple[float, float]:
+    """One curve's (alpha, beta) on [lb, 1] from a list of its slopes, or the error ``lipschitz_bounds`` raises."""
+    lb = float(lb)
+    if not 0 <= lb <= 1:  # NaN too
+        raise CostDomainError(f"lower bound must lie in [0, 1], got {lb}")
+    if lb == 0 and curve.stable_limit is None:
+        raise CostDomainError("an unstable curve has no slope bound down to rate 0")
+    if lb > 0 and lb < curve.domain_floor * (1.0 - 1e-9):
+        raise CostDomainError(f"lower bound {lb} lies below the curve's domain floor {curve.domain_floor}")
+
+    size = curve.traces.size
+    stored = curve.cumsums[: size - 1] - np.arange(1, size) * curve.traces[1:]
+    if lb > 0:
+        xi_lb = _reference_xi(lb)
+        slopes = list(stored[: xi_lb + 1])
+        if xi_lb + 1 >= size:
+            slopes.append(curve.segment_slope(xi_lb))
+    else:
+        slopes = list(stored)
+        slopes.append(curve.segment_slope(size))
+    mags = np.abs(np.array(slopes))
+    alpha, beta = float(mags.min()), float(mags.max())
+    if alpha <= 1e-14:
+        raise CostDomainError("cost curve has a flat segment; strict monotonicity is violated")
+    return alpha, beta
 
 
 def reference_solve_distributed(

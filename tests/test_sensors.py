@@ -12,7 +12,9 @@ from fairsched.allocation import CostDomainError
 from fairsched.sensors import _WINDOW, _no_comm_covs, prediction_traces
 from helpers import (
     reference_cost_curve,
+    reference_cost_eval,
     reference_filter_cov,
+    reference_lipschitz_bounds,
     reference_no_comm_limit,
     reference_prediction_traces,
     reference_rank_failure,
@@ -99,6 +101,17 @@ class TestThresholdPolicy:
         for bad in (0.0, -0.1, 1.1):
             with pytest.raises(CostDomainError):
                 fs.threshold_from_rate(bad)
+
+    @pytest.mark.parametrize("xi", [2.5, 2.0, np.float64(3.0), -1, np.int64(-1)])
+    def test_threshold_must_be_a_nonnegative_integer(self, xi):
+        with pytest.raises(ValueError, match="threshold must be a nonnegative integer"):
+            fs.ThresholdPolicy(xi=xi, b=0.5)
+
+    @pytest.mark.parametrize("xi", [2, np.int64(2), np.int32(2)])
+    def test_integer_thresholds_accepted(self, xi, scalar_unit_process):
+        policy = fs.ThresholdPolicy(xi=xi, b=0.5)
+        assert policy.rate == pytest.approx(1.0 / 3.5)
+        assert fs.simulate_policy(scalar_unit_process, policy, 1000).empirical_rate > 0
 
     @settings(max_examples=500, deadline=None)
     @given(r=st.floats(1e-4, 1.0, allow_nan=False))
@@ -212,6 +225,13 @@ class TestCostEval:
         with pytest.raises(CostDomainError):
             fs.cost_eval(curve, 0.0)
 
+    def test_nan_rate_rejected(self, scalar_unit_process):
+        curve = fs.build_cost_curve(scalar_unit_process, 0.0)
+        with pytest.raises(CostDomainError, match=r"^rate must lie in \[0, 1\], got nan$"):
+            fs.cost_eval(curve, math.nan)
+        with pytest.raises(CostDomainError, match=r"^rate must lie in \[0, 1\], got nan$"):
+            fs.CurveCostModel([curve, curve]).values([math.nan, 0.5])
+
 
 class TestNoCommLimit:
     def test_static_process(self):
@@ -288,6 +308,14 @@ class TestLipschitzBounds:
         curve = fs.build_cost_curve(p, 0.5)
         with pytest.raises(CostDomainError):
             fs.lipschitz_bounds(curve, 0.5)
+
+    def test_nan_lower_bound_rejected(self, scalar_unit_process):
+        curve = fs.build_cost_curve(scalar_unit_process, 0.0)
+        with pytest.raises(CostDomainError, match=r"^lower bound must lie in \[0, 1\], got nan$"):
+            fs.lipschitz_bounds(curve, math.nan)
+        costs = fs.CurveCostModel([curve, fs.build_cost_curve(fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), 0.05)])
+        with pytest.raises(CostDomainError, match=r"^lower bound must lie in \[0, 1\], got nan$"):
+            costs.slope_bounds([math.nan, 0.05])
 
 
 class TestProcessModelValidation:
@@ -373,7 +401,7 @@ class TestCurveCostModel:
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
         model = fs.CurveCostModel.from_processes([p], unstable_floor=0.5)
         floored = model.with_floor([0.05])
-        assert floored.values([0.1])[0] == fs.cost_eval(reference_cost_curve(p, 0.05), 0.1)
+        assert floored.values([0.1])[0] == reference_cost_eval(reference_cost_curve(p, 0.05), 0.1)
         assert floored.curves[0].domain_floor == 0.05
         # the model asked is left as it was
         assert model.curves[0].domain_floor == 0.5
@@ -425,6 +453,7 @@ class TestCurveCostModel:
         {0: 0.0, 1: 1e-4},
         {3: -0.5, 4: 1.5},
         {4: 1.5},
+        {2: math.nan, 3: -0.5},
     ])
     def test_slope_bounds_raise_for_first_failing_agent(self, bench_instance, changes):
         cfg, _, costs, mask = bench_instance
@@ -433,6 +462,16 @@ class TestCurveCostModel:
         lower[list(changes)] = list(changes.values())
         assert assert_slope_bounds_equal_scalar(costs, lower) == "raised"
 
+    def test_rate_within_tolerance_of_the_floor_past_the_stored_range_raises(self):
+        # 1/floor lies just below 2, so the curve stores segment 0 only; rate 0.5 is within the
+        # floor's tolerance but needs segment 1
+        p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
+        curve = fs.build_cost_curve(p, 0.5 * (1 + 1e-11))
+        assert curve.traces.size == 2
+        costs = fs.CurveCostModel([curve])
+        assert assert_slope_bounds_equal_scalar(costs, [0.5]) == "raised"
+        assert_same_error(lambda: reference_cost_eval(curve, 0.5), lambda: costs.values([0.5]))
+
     def test_slope_bounds_raise_for_flat_curve(self, bench_config):
         flat = fs.ProcessModel(A=[[0.4]], Q=[[0.0]])
         costs = fs.CurveCostModel.from_processes([*bench_config.processes, flat, flat])
@@ -440,10 +479,18 @@ class TestCurveCostModel:
         assert assert_slope_bounds_equal_scalar(costs, lower) == "raised"
 
 
+def assert_same_error(reference, call) -> None:
+    """``call()`` raises the :class:`CostDomainError` that ``reference()`` raises, message and all."""
+    with pytest.raises(CostDomainError) as expected:
+        reference()
+    with pytest.raises(CostDomainError, match=f"^{re.escape(str(expected.value))}$"):
+        call()
+
+
 def assert_slope_bounds_equal_scalar(costs, lower) -> str:
-    """``costs.slope_bounds`` returns :func:`lipschitz_bounds` per agent bitwise, or raises its first error."""
+    """``costs.slope_bounds`` returns the reference bounds per agent bitwise, or raises its first error."""
     try:
-        bounds = [fs.lipschitz_bounds(curve, lb) for curve, lb in zip(costs.curves, np.asarray(lower).tolist())]
+        bounds = [reference_lipschitz_bounds(curve, lb) for curve, lb in zip(costs.curves, np.asarray(lower).tolist())]
     except CostDomainError as exc:
         with pytest.raises(CostDomainError) as raised:
             costs.slope_bounds(lower)
@@ -510,9 +557,14 @@ class TestBatchedBuild:
     def test_filter_covs_equal_scalar_reference(self):
         # the reference stops only on the Frobenius change, so the cycle stop moves no converging Pbar
         processes, _ = mixed_processes()
-        for p, X in zip(processes, fs.steady_state_filter_covs(processes)):
-            np.testing.assert_array_equal(X, reference_filter_cov(p))
-            np.testing.assert_array_equal(fs.steady_state_filter_cov(p), X)
+        groups = {}
+        for p in processes:
+            groups.setdefault(p.C.shape, []).append(p)
+        assert len(groups) > 1
+        for group in groups.values():  # one batched iteration per shape
+            for p, X in zip(group, sensors._filter_covs(group)):
+                np.testing.assert_array_equal(X, reference_filter_cov(p))
+                np.testing.assert_array_equal(fs.steady_state_filter_cov(p), X)
 
     def test_one_element_calls_match_batch(self):
         processes, floors = mixed_processes()
@@ -602,11 +654,11 @@ class TestWindowedTraces:
 
 
 def probe_rates(curve, rng, count=40):
-    """``count`` shuffled rates holding each of: r = 1, r = 1/k, the floor, 0 and below the stored range (stable)."""
+    """``count`` shuffled rates with r = 1, r = 1/k, the floor and, if stable, 0, -0.0 and one past the stored range."""
     points = [1.0, curve.domain_floor if curve.domain_floor > 0 else 1e-3]
     points += [1.0 / k for k in range(2, min(curve.traces.size + 2, 26))]
     if curve.stable_limit is not None:
-        points += [0.0, 1e-7]
+        points += [0.0, -0.0, 1e-7]
     points = [r for r in points if r >= curve.domain_floor or r == 0.0]
     points += list(rng.uniform(curve.domain_floor, 1.0, 8))
     assert len(points) <= count
@@ -626,9 +678,9 @@ class TestValuesMatchCostEval:
         rng = np.random.default_rng(7)
         probes = np.array([probe_rates(c, rng) for c in curves])
         stable = np.array([c.stable_limit is not None for c in curves])
-        assert (probes[stable] == 0.0).any() and (probes == 1.0).any()
+        assert (probes[stable] == 0.0).any() and np.signbit(probes[stable]).any() and (probes == 1.0).any()
         for rates in probes.T:
-            expected = [fs.cost_eval(c, r) for c, r in zip(curves, rates)]
+            expected = [reference_cost_eval(c, r) for c, r in zip(curves, rates)]
             assert model.values(rates).tolist() == expected
 
     def test_with_floor_below_floor_bitwise(self, n):
@@ -646,7 +698,7 @@ class TestValuesMatchCostEval:
         extended = model.with_floor(np.where(unstable, rates, 0.0))
         got = extended.values(rates)
         for i, (p, r) in enumerate(zip(processes, rates)):
-            assert got[i] == fs.cost_eval(reference_cost_curve(p, r if unstable[i] else 0.0), r)
+            assert got[i] == reference_cost_eval(reference_cost_curve(p, r if unstable[i] else 0.0), r)
         assert [extended.curves[i].domain_floor for i in np.flatnonzero(unstable)] == rates[unstable].tolist()
 
     def test_out_of_domain_raises(self, n):
@@ -661,6 +713,28 @@ class TestValuesMatchCostEval:
         rates[unstable] = 0.5 * curves[unstable].domain_floor
         with pytest.raises(CostDomainError):
             model.values(rates)
+
+
+@pytest.mark.parametrize("kind, low, high", [
+    ("above", 1.5, 2.0),
+    ("negative", -0.25, -0.5),
+    ("nan", math.nan, math.nan),
+    ("zero on an unstable curve", 0.0, -0.0),
+    ("below the floor", 0.5, 0.25),  # fractions of the agent's floor
+])
+def test_values_raise_for_the_first_agent_out_of_its_domain(kind, low, high):
+    processes, floors = mixed_processes()
+    curves = fs.build_cost_curves(processes, floors)
+    stable = [c.stable_limit is not None for c in curves]
+    ahead = stable.index(True)  # a stable curve with a positive floor, read at -0.0: its limit, no error
+    a = stable.index(False, ahead)
+    b = len(stable) - 1 - stable[::-1].index(False)
+    assert floors[ahead] > 0 and a < b
+    rates = np.full(len(curves), 0.5)
+    rates[ahead] = -0.0
+    for i, bad in ((a, low), (b, high)):
+        rates[i] = bad * floors[i] if kind == "below the floor" else bad
+    assert_same_error(lambda: reference_cost_eval(curves[a], rates[a]), lambda: fs.CurveCostModel(curves).values(rates))
 
 
 class TestSubnormalRate:
@@ -678,21 +752,23 @@ class TestSubnormalRate:
         curve = fs.build_cost_curve(self.STABLE, 0.0)
         got = fs.cost_eval(curve, self.RATE)
         tail = curve.stable_limit + self.RATE * curve.segment_slope(curve.traces.size)
-        assert got == tail == curve.stable_limit
-        with pytest.raises(CostDomainError):
-            fs.cost_eval(fs.build_cost_curve(self.UNSTABLE, 1e-3), self.RATE)
+        assert got == reference_cost_eval(curve, self.RATE) == tail == curve.stable_limit
+        unstable = fs.build_cost_curve(self.UNSTABLE, 1e-3)
+        assert_same_error(lambda: reference_cost_eval(unstable, self.RATE), lambda: fs.cost_eval(unstable, self.RATE))
 
     def test_lipschitz_bounds_reach_the_affine_tail(self):
         curve = fs.build_cost_curve(self.STABLE, 0.0)
-        assert fs.lipschitz_bounds(curve, self.RATE) == fs.lipschitz_bounds(curve, 0.0)
-        with pytest.raises(CostDomainError):
-            fs.lipschitz_bounds(fs.build_cost_curve(self.UNSTABLE, 1e-3), self.RATE)
+        got = fs.lipschitz_bounds(curve, self.RATE)
+        assert got == reference_lipschitz_bounds(curve, self.RATE) == fs.lipschitz_bounds(curve, 0.0)
+        unstable = fs.build_cost_curve(self.UNSTABLE, 1e-3)
+        assert_same_error(lambda: reference_lipschitz_bounds(unstable, self.RATE),
+                          lambda: fs.lipschitz_bounds(unstable, self.RATE))
 
     def test_values_without_a_warning(self):
         curves = [fs.build_cost_curve(self.STABLE, 0.0), fs.build_cost_curve(self.UNSTABLE, 1e-3)]
         model = fs.CurveCostModel(curves)
         got = model.values([self.RATE, 0.5])
-        assert got.tolist() == [fs.cost_eval(curves[0], self.RATE), fs.cost_eval(curves[1], 0.5)]
+        assert got.tolist() == [reference_cost_eval(curves[0], self.RATE), reference_cost_eval(curves[1], 0.5)]
         with pytest.raises(CostDomainError):
             model.values([0.5, self.RATE])
 
