@@ -138,6 +138,7 @@ class CostModel:
     n: int
 
     def values(self, rates: np.ndarray) -> np.ndarray:
+        """The cost of every agent at its rate; rates of any shape but ``(n,)`` raise ``ValueError``."""
         raise NotImplementedError
 
     def with_floor(self, lower: np.ndarray) -> CostModel:
@@ -163,6 +164,8 @@ class AffineCostModel(CostModel):
 
     def values(self, rates: np.ndarray) -> np.ndarray:
         rates = np.asarray(rates, dtype=float)
+        if rates.shape != (self.n,):
+            raise ValueError(f"expected {self.n} rates, got shape {rates.shape}")
         return self.intercepts - self.slopes * rates
 
     def slope_bounds(self, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,6 +180,11 @@ class SolverConfig:
     eta              shrink factor in (0,1); also the initial lower bound
                      installed for agents flagged unstable
     eps_r            inner-loop stopping tolerance on ||r(t) - r(t-1)||
+    max_inner_iters  iterations one inner solve may take before it stops
+                     with status ``max-inner-iterations``
+    max_outer_iters  passes of ``solve_maxmin``'s outer loop, one inner
+                     solve each, before it stops with status
+                     ``max-outer-iterations``
     """
 
     eps0: float = 0.1
@@ -236,11 +244,15 @@ class _TraceRecorder:
         self.add(0, rates, costs, eps, math.nan)  # row 0: the initial point
 
     def add(self, t, rates, costs, eps, residual):
-        row = np.concatenate(((t, eps, residual), rates, costs))
+        n = rates.size
         if not self.blocks or self.filled == len(self.blocks[-1]):
-            self.blocks.append(np.empty((max(1, 8192 // row.size), row.size)))
+            width = 3 + 2 * n
+            self.blocks.append(np.empty((max(1, 8192 // width), width)))
             self.filled = 0
-        self.blocks[-1][self.filled] = row
+        row = self.blocks[-1][self.filled]
+        row[0], row[1], row[2] = t, eps, residual
+        row[3:3 + n] = rates
+        row[3 + n:] = costs
         self.filled += 1
 
     def build(self, status, lower) -> SolverTrace:
@@ -287,27 +299,30 @@ def project_feasible(x, region: FeasibleRegion) -> np.ndarray:
         raise ValueError("cannot project a non-finite point")
 
     lb, ub, total = region.lower, region.upper, region.total
-    clamped = np.clip(x, lb, ub)
+    clamped = x.clip(lb, ub)
     if clamped.sum() <= total:
         return clamped
 
     # invariant S(kinks[lo]) > total >= S(kinks[hi]): S(min kink) = sum(ub), S(max kink) = sum(lb)
-    kinks = np.sort(np.concatenate([x - ub, x - lb]))
+    to_upper, to_lower = x - ub, x - lb
+    kinks = np.concatenate((to_upper, to_lower))
+    kinks.sort()
     lo, hi = 0, kinks.size - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if np.clip(x - kinks[mid], lb, ub).sum() > total:
+        if (x - kinks[mid]).clip(lb, ub).sum() > total:
             lo = mid
         else:
             hi = mid
-    at_lower = x - lb <= kinks[lo]
-    at_upper = x - ub >= kinks[hi]
+    at_lower = to_lower <= kinks[lo]
+    at_upper = to_upper >= kinks[hi]
     free = ~(at_lower | at_upper)
-    if not free.any():  # rounding merged the kinks around the root
-        return np.clip(x - kinks[hi], lb, ub)
+    n_free = np.count_nonzero(free)
+    if not n_free:  # rounding merged the kinks around the root
+        return (x - kinks[hi]).clip(lb, ub)
     fixed_sum = lb[at_lower].sum() + ub[at_upper].sum()
-    lam = (x[free].sum() + fixed_sum - total) / free.sum()
-    return np.clip(x - lam, lb, ub)
+    lam = (x[free].sum() + fixed_sum - total) / n_free
+    return (x - lam).clip(lb, ub)
 
 
 def step_map(r, eps: float, costs: CostModel, region: FeasibleRegion) -> np.ndarray:
@@ -338,7 +353,8 @@ def _run_inner(r, eps, t, costs, region, cfg, rec):
         if step.max() > width:
             step = eps * np.log1p(values)
         r_next = project_feasible(r + step, region)
-        residual = float(np.linalg.norm(r_next - r))
+        d = r_next - r
+        residual = math.sqrt(d.dot(d))  # np.linalg.norm's own formula, without its wrapper
         values = costs.values(r_next)
         t += 1
         rec.add(t, r_next, values, eps, residual)

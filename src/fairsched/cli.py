@@ -20,7 +20,7 @@ import numpy as np
 from . import allocation as alloc
 from . import distributed as dist
 from .config import ConfigError, RunConfig, load_config
-from .sensors import CostDomainError, CurveCostModel, NumericalError
+from .sensors import CostDomainError, CurveCostModel, NumericalError, build_cost_curves, stable_mask
 from .simulate import simulate_allocation
 
 EXIT_OK = 0
@@ -211,18 +211,14 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
 
     horizon = cfg.simulation.horizon
     use_seed = cfg.simulation.seed if seed is None else seed
-    try:
-        _, costs, unstable = _region_and_costs(cfg)
-    except _SETUP_ERRORS as exc:
-        print(f"cannot set up this configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    refused = np.flatnonzero(unstable & (rates == 0))
+    refused = np.flatnonzero(~stable_mask([p.A for p in cfg.processes]) & (rates == 0))
     if refused.size:
         print(f"refusing to simulate: process {refused[0]} is unstable and was allocated rate 0", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
         results = simulate_allocation(cfg.processes, rates, horizon, use_seed)
-        analytic = costs.with_floor(np.where(unstable, rates, 0.0)).values(rates)
+        # each curve only down to its own rate, the one point it is read at; solver.eta plays no part
+        analytic = CurveCostModel(build_cost_curves(cfg.processes, np.minimum(rates, 1.0))).values(rates)
     except (CostDomainError, NumericalError) as exc:
         print(f"allocation is outside the supported rate domain: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

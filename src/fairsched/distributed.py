@@ -20,6 +20,7 @@ common multiplier: the centralized max-min fair allocation.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -215,19 +216,22 @@ def solve_distributed(
     used = 0
     best, best_round = np.inf, 0
     for k in range(max_iters):
-        r_new = np.clip(r + alpha * (costs.values(r) - lam), lb, ub)
+        r_new = (r + alpha * (costs.values(r) - lam)).clip(lb, ub)
         dr = r_new - r
         y = W @ y + dr  # g(r') - g(r) = r' - r
         lam_new = np.maximum(W @ lam + beta * y, 0.0)
 
-        residual = float(np.linalg.norm(dr) + np.linalg.norm(lam_new - lam))
+        # the norms are np.linalg.norm's own formula, sqrt(x . x), without its wrapper
+        dlam = lam_new - lam
+        residual = math.sqrt(dr.dot(dr)) + math.sqrt(dlam.dot(dlam))
         r, lam = r_new, lam_new
         residuals[k] = residual
-        spreads[k] = lam.max() - lam.min()
-        mins[k] = lam.min()
+        lam_min = lam.min()
+        spreads[k] = lam.max() - lam_min
+        mins[k] = lam_min
         used = k + 1
         # NaN and inf fail the comparison too
-        if not np.linalg.norm(lam) < 1e6:
+        if not math.sqrt(lam.dot(lam)) < 1e6:
             raise NumericalError("distributed iteration diverged (multiplier norm exceeded 1e6)")
         if residual <= eps_r:
             status = CONVERGED

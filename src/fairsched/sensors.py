@@ -707,11 +707,12 @@ class CurveCostModel(CostModel):
         Raises :class:`CostDomainError` for the first agent, in index order,
         whose rate is outside [0, 1] (NaN included), is 0 on an unstable curve,
         or lies below its curve's floor or past its stored range. Rate 0 or
-        -0.0 on a stable curve gives its limit, whatever its floor.
+        -0.0 on a stable curve gives its limit, whatever its floor. Rates of
+        any shape but ``(n,)`` raise ``ValueError``.
         """
         r = np.asarray(rates, dtype=float)
-        if r.size != self.n:
-            raise ValueError(f"expected {self.n} rates, got {r.size}")
+        if r.shape != (self.n,):
+            raise ValueError(f"expected {self.n} rates, got shape {r.shape}")
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             xi = np.floor(_XI_NUMERATOR / np.minimum(r, 1.0) - 1.0)
         ok = (r >= self._lo) & (r <= _RATE_MAX) & (xi >= 0) & (xi <= self._xi_max)
@@ -720,7 +721,7 @@ class CurveCostModel(CostModel):
             bad = ~(ok | zero)
             if bad.any():
                 i = int(np.argmax(bad))
-                ri = float(r.flat[i])
+                ri = float(r[i])
                 if ri == 0:
                     raise CostDomainError("rate 0 is outside the domain of an unstable cost curve")
                 if not 0 <= ri <= _RATE_MAX:

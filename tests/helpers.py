@@ -1,8 +1,9 @@
 """Shared test utilities: brute-force oracles, fit helpers and a wall-clock bound.
 
 The oracles here are deliberately independent of the library's own numerics:
-projections are checked against dense grid search and against the
-real-valued bisection they replaced, solver optimality against grid
+projections are checked against dense grid search, against the
+real-valued bisection they replaced and against a frozen copy of the
+sorted-kink bisection whose array work was later trimmed, solver optimality against grid
 enumeration of the max-min objective and, for cost curves of any number of
 agents, against the water-filling level, the batched cost-curve build against
 a scalar one-process-at-a-time recursion, the vectorised
@@ -96,6 +97,41 @@ def reference_project(x, region: FeasibleRegion, tol: float = 1e-12) -> np.ndarr
             break
         lam = lam_exact
     return np.clip(x - lam, region.lower, region.upper)
+
+
+def reference_kink_project(x, region: FeasibleRegion, branches: list) -> np.ndarray:
+    """``project_feasible`` as it stood before its array work was trimmed: bisection over the
+    sorted kinks, then the exact multiplier on the free coordinates.
+
+    Kept frozen so that the library's projection can be compared with it bit
+    for bit. The name of the return taken is appended to ``branches``:
+    ``"clamp"`` (the box clamp meets the budget), ``"merged"`` (rounding
+    merged the kinks around the root) or ``"solved"``.
+    """
+    x = np.asarray(x, dtype=float)
+    lb, ub, total = region.lower, region.upper, region.total
+    clamped = np.clip(x, lb, ub)
+    if clamped.sum() <= total:
+        branches.append("clamp")
+        return clamped
+    kinks = np.sort(np.concatenate([x - ub, x - lb]))
+    lo, hi = 0, kinks.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.clip(x - kinks[mid], lb, ub).sum() > total:
+            lo = mid
+        else:
+            hi = mid
+    at_lower = x - lb <= kinks[lo]
+    at_upper = x - ub >= kinks[hi]
+    free = ~(at_lower | at_upper)
+    if not free.any():
+        branches.append("merged")
+        return np.clip(x - kinks[hi], lb, ub)
+    branches.append("solved")
+    fixed_sum = lb[at_lower].sum() + ub[at_upper].sum()
+    lam = (x[free].sum() + fixed_sum - total) / free.sum()
+    return np.clip(x - lam, lb, ub)
 
 
 def grid_maxmin_value(costs, region: FeasibleRegion, resolution: float = 1e-3) -> float:

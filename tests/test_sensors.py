@@ -737,6 +737,35 @@ def test_values_raise_for_the_first_agent_out_of_its_domain(kind, low, high):
     assert_same_error(lambda: reference_cost_eval(curves[a], rates[a]), lambda: fs.CurveCostModel(curves).values(rates))
 
 
+def test_curves_built_down_to_their_rates_read_as_the_floored_model():
+    """Each curve built only down to its own rate (what ``simulate`` reads) gives, bit for bit, what
+    the eta-floored model gives once extended down to the unstable rates (what the solvers read)."""
+    processes, _ = mixed_processes()
+    floored = fs.CurveCostModel.from_processes(processes, unstable_floor=0.05)
+    unstable = ~floored.stable
+    rng = np.random.default_rng(16)
+    positive = [1.0, 1.0 + 5e-13, 0.5, 1.0 / 3.0, 0.05, 0.01, 0.004]
+    for _ in range(20):
+        rates = rng.choice(positive, unstable.size)
+        rates = np.where(unstable, rates, rng.choice(positive + [0.0, -0.0, 1e-7, 1e-150], unstable.size))
+        rates = np.where(rng.random(rates.size) < 0.3, rng.uniform(0.004, 1.0, rates.size), rates)
+        expected = floored.with_floor(np.where(unstable, rates, 0.0)).values(rates)
+        got = fs.CurveCostModel(fs.build_cost_curves(processes, np.minimum(rates, 1.0))).values(rates)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    fs.AffineCostModel([3.0, 2.0, 1.5], [1.0, 0.5, 0.25]),
+    fs.CurveCostModel(fs.build_cost_curves([fs.ProcessModel(A=[[a]], Q=[[1.0]]) for a in (0.5, 1.2, 0.9)],
+                                           [0.0, 0.05, 0.0])),
+], ids=["affine", "curve"])
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3), (), (2,), (4,)], ids=["column", "row", "scalar", "short", "long"])
+def test_values_require_one_rate_per_agent(model, shape):
+    with pytest.raises(ValueError, match=re.escape(f"expected 3 rates, got shape {shape}")):
+        model.values(np.full(shape, 0.5))
+    assert model.values(np.full(3, 0.5)).shape == (3,)
+
+
 class TestSubnormalRate:
     """A positive rate whose reciprocal overflows lies past every stored segment."""
 
