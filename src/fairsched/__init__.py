@@ -17,7 +17,6 @@ The package splits into:
 from .allocation import (
     CONVERGED,
     MAX_INNER_ITERS,
-    MAX_OUTER_ITERS,
     AffineCostModel,
     CostDomainError,
     CostModel,

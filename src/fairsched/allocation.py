@@ -26,10 +26,10 @@ slack. That depends only on how ``g`` orders the costs and on its sign,
 both of which ``log1p`` keeps for positive costs. ``log`` would not: costs
 below 1 would turn negative and make agents give up a slack budget.
 
-``solve_maxmin`` wraps the iteration in an outer loop that manages lower
-bounds for agents whose cost blows up as the rate approaches zero: such
-agents start with a small positive floor which is shrunk geometrically
-whenever the inner solve leaves them pinned at it.
+``solve_maxmin`` runs the iteration once, over rate floors from a bound on
+the game value: no agent holds less at the fair point than the rate at which
+its cost reaches the largest cost of a feasible point, and agents whose cost
+blows up as the rate approaches zero need such a floor.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import numpy as np
 __all__ = [
     "CONVERGED",
     "MAX_INNER_ITERS",
-    "MAX_OUTER_ITERS",
     "InfeasibleRegionError",
     "CostDomainError",
     "FeasibleRegion",
@@ -62,7 +61,6 @@ __all__ = [
 
 CONVERGED = "converged"
 MAX_INNER_ITERS = "max-inner-iterations"
-MAX_OUTER_ITERS = "max-outer-iterations"
 
 
 class InfeasibleRegionError(ValueError):
@@ -149,6 +147,10 @@ class CostModel:
         """Per-agent (alpha_i, beta_i) slope-magnitude bounds on [lower_i, ub], if known."""
         return None
 
+    def floors_at(self, level: float) -> np.ndarray:
+        """Per agent, the rate at which its cost equals ``level``; here zeros, no bound."""
+        return np.zeros(self.n)
+
 
 class AffineCostModel(CostModel):
     """Costs ``J_i(r) = intercept_i - slope_i * r`` with ``slope_i > 0``."""
@@ -174,24 +176,21 @@ class AffineCostModel(CostModel):
 
 @dataclass
 class SolverConfig:
-    """Knobs of the double-loop solver.
+    """Knobs of the solver.
 
     eps0             initial step size of the diminishing schedule
-    eta              shrink factor in (0,1); also the initial lower bound
-                     installed for agents flagged unstable
-    eps_r            inner-loop stopping tolerance on ||r(t) - r(t-1)||
-    max_inner_iters  iterations one inner solve may take before it stops
-                     with status ``max-inner-iterations``
-    max_outer_iters  passes of ``solve_maxmin``'s outer loop, one inner
-                     solve each, before it stops with status
-                     ``max-outer-iterations``
+    eta              in (0,1): the rate floor of agents flagged unstable at
+                     the start point, shrunk by the factor ``eta`` until the
+                     floors fit the budget
+    eps_r            stopping tolerance on ||r(t) - r(t-1)||
+    max_inner_iters  iterations a solve may take before it stops with
+                     status ``max-inner-iterations``
     """
 
     eps0: float = 0.1
     eta: float = 0.5
     eps_r: float = 1e-6
     max_inner_iters: int = 100_000
-    max_outer_iters: int = 50
 
     def __post_init__(self):
         if self.eps0 <= 0:
@@ -200,8 +199,8 @@ class SolverConfig:
             raise ValueError("eta must lie strictly inside (0, 1)")
         if self.eps_r <= 0:
             raise ValueError("eps_r must be positive")
-        if self.max_inner_iters < 1 or self.max_outer_iters < 1:
-            raise ValueError("iteration budgets must be at least 1")
+        if self.max_inner_iters < 1:
+            raise ValueError("the iteration budget must be at least 1")
 
 
 @dataclass
@@ -209,9 +208,8 @@ class SolverTrace:
     """Per-iteration history of a solve.
 
     Row ``k`` holds the state after iteration ``iterations[k]``; row 0 is the
-    initial point (its residual is NaN). ``lower`` holds the last pass's lower
-    bounds, unstable floors included. ``outer_events`` records lower-bound
-    shrinks as ``(iteration, new_lower_bounds)`` pairs.
+    initial point (its residual is NaN). ``lower`` holds the lower bounds the
+    solve ran on, rate floors included.
     """
 
     iterations: np.ndarray
@@ -221,6 +219,7 @@ class SolverTrace:
     residuals: np.ndarray
     status: str
     lower: np.ndarray
+    # always empty: floor shrinks are gone, but perfbench/tracing.py still counts these
     outer_events: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
     @property
@@ -240,7 +239,7 @@ class _TraceRecorder:
     a solve can record ~10^5 rows, and one array object per row would cost several times as much."""
 
     def __init__(self, rates, costs, eps):
-        self.blocks, self.filled, self.outer_events = [], 0, []
+        self.blocks, self.filled = [], 0
         self.add(0, rates, costs, eps, math.nan)  # row 0: the initial point
 
     def add(self, t, rates, costs, eps, residual):
@@ -275,7 +274,6 @@ class _TraceRecorder:
             residuals=table[:, 2],
             status=status,
             lower=lower,
-            outer_events=self.outer_events,
         )
 
 
@@ -339,16 +337,22 @@ def initial_allocation(region: FeasibleRegion) -> np.ndarray:
     return np.minimum(region.lower + slack, region.upper)
 
 
-def _run_inner(r, eps, t, costs, region, cfg, rec):
-    """Iterate until the residual drops below eps_r; returns (r, eps, t, status).
+def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig):
+    """Run the projected iteration from ``r0`` with a fixed region.
 
-    A raw step wider than the box is replaced by the step on ``log1p(J)``,
-    which has the same fixed points (see the module docstring).
+    Iterates until the residual drops below ``eps_r``. A raw step wider than
+    the box is replaced by the step on ``log1p(J)``, which has the same fixed
+    points (see the module docstring). Returns ``(rates, trace)``.
+    Non-convergence within the iteration budget is reported through
+    ``trace.status``, never raised.
     """
+    costs = costs.with_floor(region.lower)
+    r = project_feasible(np.asarray(r0, dtype=float), region)
     width = float((region.upper - region.lower).max())
     values = costs.values(r)
-    status = MAX_INNER_ITERS
-    for _ in range(cfg.max_inner_iters):
+    eps = cfg.eps0
+    rec = _TraceRecorder(r, values, eps)
+    for t in range(1, cfg.max_inner_iters + 1):
         step = eps * values
         if step.max() > width:
             step = eps * np.log1p(values)
@@ -356,40 +360,25 @@ def _run_inner(r, eps, t, costs, region, cfg, rec):
         d = r_next - r
         residual = math.sqrt(d.dot(d))  # np.linalg.norm's own formula, without its wrapper
         values = costs.values(r_next)
-        t += 1
         rec.add(t, r_next, values, eps, residual)
         eps = 1.0 / (1.0 / eps + 1.0)
         r = r_next
         if residual <= cfg.eps_r:
-            status = CONVERGED
-            break
-    return r, eps, t, status
-
-
-def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig):
-    """Run the projected iteration from ``r0`` with a fixed region.
-
-    Returns ``(rates, trace)``. Non-convergence within the iteration budget
-    is reported through ``trace.status``, never raised.
-    """
-    costs = costs.with_floor(region.lower)
-    r = project_feasible(np.asarray(r0, dtype=float), region)
-    rec = _TraceRecorder(r, costs.values(r), cfg.eps0)
-    r, _, _, status = _run_inner(r, cfg.eps0, 0, costs, region, cfg, rec)
-    return r, rec.build(status, region.lower)
+            return r, rec.build(CONVERGED, region.lower)
+    return r, rec.build(MAX_INNER_ITERS, region.lower)
 
 
 def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, unstable_mask):
-    """Double-loop solve with lower-bound management for unstable agents.
+    """One :func:`solve_inner` pass over rate floors that cannot cut off the max-min fair point.
 
-    Agents flagged in ``unstable_mask`` have costs that diverge as their rate
-    approaches zero, so they start from the floor ``cfg.eta`` (stable agents
-    keep the region's own lower bound). After each inner solve, if any
-    unstable agent ended up pinned at its floor, every unstable floor is
-    shrunk by ``cfg.eta`` and the iteration resumes from the current point;
-    the step size keeps diminishing across passes. The loop ends when all
-    unstable rates sit strictly above their floors. Each pass evaluates
-    ``costs.with_floor(floors)``, and ``costs`` is left as it was.
+    The start point ``r0`` is :func:`initial_allocation` over start floors: ``cfg.eta`` for the
+    agents flagged in ``unstable_mask`` (their costs diverge at rate zero), shrunk by the factor
+    ``cfg.eta`` until they fit the budget. Its largest cost ``U`` bounds the game value and every
+    cost decreases, so an agent whose cost at ``r0`` is below ``U`` holds at least
+    ``costs.floors_at(U)`` at the fair point, and that is its floor (water-filling; Bertsekas &
+    Gallager, *Data Networks* §6.5). An agent at ``U`` keeps its start floor: its bound would be
+    ``r0_i`` itself, and were every agent tied such floors would fill the budget. ``costs`` is
+    left as it was.
     """
     mask = np.atleast_1d(np.asarray(unstable_mask, dtype=bool))
     if mask.size != region.n:
@@ -400,28 +389,12 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     while mask.any() and lower.sum() >= region.total and lower[mask].max() > 1e-300:
         lower = np.where(mask, np.maximum(lower * cfg.eta, region.lower), lower)
     costs = costs.with_floor(lower)
-    work = FeasibleRegion(region.total, lower, region.upper)
-
-    r = initial_allocation(work)
-    rec = _TraceRecorder(r, costs.values(r), cfg.eps0)
-
-    eps, t = cfg.eps0, 0
-    status = MAX_OUTER_ITERS
-    for _ in range(cfg.max_outer_iters):
-        r, eps, t, inner_status = _run_inner(r, eps, t, costs, region=work, cfg=cfg, rec=rec)
-        if inner_status != CONVERGED:
-            status = inner_status
-            break
-        pinned = mask & (r == work.lower)
-        if not pinned.any():
-            status = CONVERGED
-            break
-        lower = np.where(mask, np.maximum(lower * cfg.eta, region.lower), lower)
-        rec.outer_events.append((t, lower.copy()))
-        costs = costs.with_floor(lower)
-        work = FeasibleRegion(region.total, lower, region.upper)
-        # shrinking floors only enlarges the region, so r stays feasible
-    return r, rec.build(status, lower)
+    r0 = initial_allocation(FeasibleRegion(region.total, lower, region.upper))
+    values = costs.values(r0)
+    level = values.max()
+    floors = np.maximum(region.lower, np.minimum(costs.floors_at(level), r0))
+    lower = np.where(values < level, floors, lower)
+    return solve_inner(r0, costs, FeasibleRegion(region.total, lower, region.upper), cfg)
 
 
 def recover_weights(rates, costs: CostModel, tol: float = 1e-6) -> np.ndarray:

@@ -147,7 +147,6 @@ def _write_solve_report(out_dir: Path, rates, trace, costs, region, mask) -> Non
         {
             "status": trace.status,
             "iterations": int(trace.iterations[-1]),
-            "outer_shrinks": len(trace.outer_events),
             "allocation": rates.tolist(),
             "costs": costs.values(rates).tolist(),
             "game_value": report.game_value,

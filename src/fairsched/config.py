@@ -10,7 +10,7 @@ A run config is a single JSON object:
         ...
       ],
       "solver": {"eps0": 0.1, "eta": 0.5, "eps_r": 1e-6,
-                 "max_inner_iters": 100000, "max_outer_iters": 50},  # optional, defaults shown
+                 "max_inner_iters": 100000},                 # optional, defaults shown
       "simulation": {"horizon": 1000000, "seed": 0},         # optional
       "distributed": {"graph": [[1,4],[0,2],[1,3],[2,4],[3,0]],
                       "alpha": 0.01, "beta": 1.0,
@@ -18,19 +18,19 @@ A run config is a single JSON object:
       "output_dir": "out"                                    # optional
     }
 
-All matrices are 2-d row-major nested lists of numbers. ``C`` and ``R`` default to identity.
-``distributed.graph`` is an adjacency list (neighbors per node);
-``distributed.alpha`` and ``distributed.beta`` are the constant primal and
-dual steps of the distributed solver. A legacy ``distributed.dual_mode`` key
-is accepted only as ``"mixing"``, the one coupling of the distributed solver,
-and ignored, as is a legacy ``solver.projection_tol`` key. The ``step_a`` and
-``step_c`` keys of the removed diminishing schedule are rejected with an error
-naming ``alpha`` and ``beta``. Every process is fully validated at load time
-(finite entries, shapes, definiteness, observability and controllability),
-with errors naming the first offending process. The entries are converted one
-by one; the checks then run once over all of them on stacked arrays, one
-stack per shape (``sensors.first_invalid``, then ``sensors.first_rank_failure``),
-and name the process and the failure that checking each entry in turn would.
+All matrices are 2-d row-major nested lists of numbers. ``C`` and ``R`` default to
+identity. ``distributed.graph`` is an adjacency list (neighbors per node);
+``distributed.alpha`` and ``distributed.beta`` are the constant primal and dual
+steps of the distributed solver. A legacy ``distributed.dual_mode`` key is accepted
+only as ``"mixing"``, the one coupling of the distributed solver, and ignored, as
+are the legacy ``solver.projection_tol`` and ``solver.max_outer_iters`` keys. The
+``step_a`` and ``step_c`` keys of the removed diminishing schedule are rejected with
+an error naming ``alpha`` and ``beta``. Every process is fully validated at load
+time (finite entries, shapes, definiteness, observability and controllability), with
+errors naming the first offending process. The entries are converted one by one; the
+checks then run once over all of them on stacked arrays, one stack per shape
+(``sensors.first_invalid``, then ``sensors.first_rank_failure``), and name the
+process and the failure that checking each entry in turn would.
 """
 
 from __future__ import annotations
@@ -175,11 +175,12 @@ def load_config(path) -> RunConfig:
 
     try:
         solver_fields = dict(raw.get("solver", {}))
-        solver_fields.pop("projection_tol", None)  # legacy key, see the module docstring
+        for legacy in ("projection_tol", "max_outer_iters"):  # see the module docstring
+            solver_fields.pop(legacy, None)
         solver = SolverConfig(**solver_fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver section: {exc}") from exc
-    _check_fields("solver", solver, positive=("eps0", "eps_r"), counts=("max_inner_iters", "max_outer_iters"))
+    _check_fields("solver", solver, positive=("eps0", "eps_r"), counts=("max_inner_iters",))
 
     try:
         simulation = SimulationSettings(**raw.get("simulation", {}))

@@ -273,8 +273,8 @@ def compare_with_centralized(
     """Solve the same instance both ways and report the allocation and value gaps.
 
     Agents flagged unstable have costs unbounded at rate zero; the centralized
-    solver manages their rate floors through its outer loop, and the
-    distributed box and both evaluations use its final floors (``trace.lower``).
+    solver sets every agent's rate floor from its value bound, and the
+    distributed box and both evaluations use those floors (``trace.lower``).
     """
     cfg = solver_cfg or SolverConfig()
     mask = np.zeros(region.n, dtype=bool) if unstable_mask is None else np.asarray(unstable_mask, dtype=bool)

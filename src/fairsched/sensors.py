@@ -373,18 +373,18 @@ def no_comm_limit(p: ProcessModel) -> float:
     return float(np.trace(_no_comm_covs(p.A[None], p.Q[None])[0]))
 
 
-def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_steps=None):
+def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_steps=None, levels=None):
     """``Tr(h^t(Pbar))``, ``t = 0, 1, ...``, ``h(X) = A X A' + Q``, from each process's filter steady state.
 
-    One batched recursion per shape; each process leaves it at its own stop,
-    so its sequence is the one it would get alone: after step ``caps[i] + 1``;
-    from step 1 on, where ``stable`` is set, within ``tail_tol`` (relative) of
-    its no-communication limit; or at a covariance equal, bit for bit, to the
-    one two steps back, after which the sequence repeats its last two entries
-    forever. Returns ``(traces, first, lengths)``: sequence ``i`` has
-    ``lengths[i]`` entries from ``traces[first[i]]``, then one slot holding its
-    limit (NaN where ``stable`` is not set). Overflow raises :class:`NumericalError`,
-    and so does a process that has not stopped within ``max_steps`` steps, if given.
+    One batched recursion per shape; each process leaves it at its own stop, so its sequence is
+    the one it would get alone: after step ``caps[i] + 1``; from step 1 on, where ``stable`` is
+    set, within ``tail_tol`` (relative) of its no-communication limit; where ``levels`` is given
+    and ``stable`` is not, at the first step ``k`` with ``cumsum(traces)[k] / (k + 1) >= levels[i]``;
+    or at a covariance equal, bit for bit, to the one two steps back, after which the sequence
+    repeats its last two entries forever. Returns ``(traces, first, lengths)``: sequence ``i`` has
+    ``lengths[i]`` entries from ``traces[first[i]]``, then one slot holding its limit (NaN where
+    ``stable`` is not set). Overflow raises :class:`NumericalError`, and so does a process that
+    has not stopped within ``max_steps`` steps, if given.
 
     The recursion runs ``_WINDOW`` steps at a time and checks the stop rules
     on the whole window: a process stops at the first step of the window
@@ -394,6 +394,7 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_s
     ps = list(ps)
     caps, rates = np.asarray(caps, dtype=float), np.asarray(rates, dtype=float)
     stable = np.zeros(len(ps), dtype=bool) if stable is None else np.asarray(stable, dtype=bool)
+    levels = np.full(len(ps), np.inf) if levels is None else np.where(stable, np.inf, levels)
     limits = np.full(len(ps), np.nan)
     lengths = np.empty(len(ps), dtype=np.intp)
     # blocks ``(t0, rows, traces)``: the traces of steps t0, t0 + 1, ... (one
@@ -405,7 +406,8 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_s
         members = [ps[i] for i in group]
         A, Q, s = _stack(members, "A"), _stack(members, "Q"), stable[group]
         limits[group[s]] = np.trace(_no_comm_covs(A[s], Q[s]), axis1=1, axis2=2)
-        rows, At, cap, limit = group, _transposed(A), caps[group], limits[group]
+        rows, At, cap, limit, level = group, _transposed(A), caps[group], limits[group], levels[group]
+        run = np.zeros(len(group))  # each row's sum of the traces before the window
         cut = tail_tol * np.maximum(limit, 1e-300)
         tails = bool(s.any())  # whether any row has a tail rule to check
         # Ms[2 + j] holds the covariances of step t0 + j; Ms[0] and Ms[1] the two before it
@@ -423,6 +425,10 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_s
                 stop = t > cap
                 if tails:
                     stop |= (t >= 1) & (np.abs(tr - limit) <= cut)
+                if np.isfinite(level).any():  # summed onto the run in order, as np.cumsum sums a sequence
+                    sums = np.cumsum(np.vstack((run, tr)), axis=0)[1:]
+                    stop |= sums / (t + 1.0) >= level
+                    run = sums[-1]
                 # traces first, so that only candidate steps compare whole matrices
                 w, r = np.nonzero((tr == trs[:-2]) & (t >= 2))
                 if w.size:
@@ -436,8 +442,9 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_s
                     raised = bad.any(axis=0) & (at <= ends)  # overflowed by its stop
                     if raised.any():
                         k = np.flatnonzero(raised & (at == at[raised].min()))[0]
-                        raise NumericalError(f"trace sequence overflowed at step {t0 + at[k]}; "
-                                             f"the rate {rates[rows[k]]} is too small")
+                        why = (f"its mean has not reached the level {level[k]}" if level[k] < np.inf
+                               else f"the rate {rates[rows[k]]} is too small")
+                        raise NumericalError(f"trace sequence overflowed at step {t0 + at[k]}; {why}")
                 steps.append(tr)
                 done = ends < _WINDOW
                 lengths[rows[done]] = t0 + ends[done] + 1
@@ -447,13 +454,15 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_s
                     steps, block_t0 = [], t0
                 if done.any():
                     keep = ~done
-                    rows, A, At, Q, s, cap, limit, cut = (x[keep] for x in (rows, A, At, Q, s, cap, limit, cut))
+                    rows, A, At, Q, s, cap, limit, cut, level, run = (
+                        x[keep] for x in (rows, A, At, Q, s, cap, limit, cut, level, run))
                     Ms = Ms[:, keep]
                     if not rows.size:
                         break
                 if max_steps is not None and t0 >= max_steps:  # _WINDOW divides _MAX_STEPS
                     why = (f"the stable process's spectral radius {np.abs(np.linalg.eigvals(A[0])).max():.9g} "
-                           "is too close to 1" if s[0] else f"the rate floor {rates[rows[0]]} is too small")
+                           "is too close to 1" if s[0] else f"its mean has not reached the level {level[0]}"
+                           if level[0] < np.inf else f"the rate floor {rates[rows[0]]} is too small")
                     raise NumericalError(f"trace sequence did not stop within {max_steps} steps; {why}")
                 Ms[:2] = Ms[-2:]
 
@@ -545,10 +554,11 @@ class CostCurve:
         return float(self.cumsums[-1] - self.traces.size * self.stable_limit)
 
 
-def _build_table(processes, domain_floors, stable=None) -> CurveCostModel:
+def _build_table(processes, domain_floors, stable=None, level=None) -> CurveCostModel:
     """Cost curves of all processes in one model, whose table is that of :func:`prediction_traces`.
 
-    ``stable`` is the processes' :func:`stable_mask`, if the caller has it already.
+    ``stable`` is the processes' :func:`stable_mask`, if the caller has it already. Given a
+    ``level``, an unstable curve may have floor 0: it stops at its first knot that costs ``level``.
     """
     ps = list(processes)
     floors = np.asarray(domain_floors, dtype=float)
@@ -559,13 +569,14 @@ def _build_table(processes, domain_floors, stable=None) -> CurveCostModel:
     for floor, is_stable in zip(floors.tolist(), stable.tolist()):
         if not 0 <= floor <= 1:
             raise CostDomainError(f"domain floor must lie in [0, 1], got {floor}")
-        if not is_stable and floor == 0:
+        if not is_stable and floor == 0 and level is None:
             raise CostDomainError("an unstable process needs a positive rate floor; its cost is unbounded at 0")
 
     # last threshold index whose segment the curve must store; none without a floor
     with np.errstate(divide="ignore", over="ignore"):
         caps = np.where(floors > 0, np.floor(_XI_NUMERATOR / floors - 1.0), np.inf)
-    traces, first, lengths = prediction_traces(ps, caps, floors, stable, _TAIL_TOL, _MAX_STEPS)
+    levels = None if level is None else np.full(len(ps), level)
+    traces, first, lengths = prediction_traces(ps, caps, floors, stable, _TAIL_TOL, _MAX_STEPS, levels)
     limits = traces[first + lengths]
     cumsums = np.empty_like(traces)
     cumsums[first + lengths] = np.nan
@@ -636,9 +647,9 @@ class CurveCostModel(CostModel):
     traces[first + j + 1]`` and ``cumsum = cumsums[first + j]``, also for the
     affine tail ``j = size - 1`` of a stable curve. The table is fixed when
     the model is built: the model never changes, so concurrent readers need
-    no lock. ``values`` and ``slope_bounds`` work on all agents at once and
-    raise :class:`CostDomainError` for the first agent, in index order, that
-    lies outside its curve's domain. ``stable[i]`` says whether curve ``i``
+    no lock. ``values``, ``slope_bounds`` and ``floors_at`` work on all agents
+    at once; the first two raise :class:`CostDomainError` for the first
+    agent, in index order, that lies outside its curve's domain. ``stable[i]`` says whether curve ``i``
     is stable, i.e. defined down to rate 0. :meth:`with_floor` returns a
     model whose curves reach lower floors, rebuilt from their processes; a
     model of curves handed in directly has none and returns itself.
@@ -700,6 +711,30 @@ class CurveCostModel(CostModel):
         model = CurveCostModel(curves)
         model._processes = self._processes
         return model
+
+    def floors_at(self, level) -> np.ndarray:
+        """The rate at which each agent's cost equals ``level``, solved on the segment holding it: 1 at or
+        below the cost at rate 1, 0 at or past a stable limit. An unstable curve whose stored knots
+        ``(1/(k+1), cumsums[k]/(k+1))`` all cost less is built, by :func:`prediction_traces`, to its first
+        knot that does not; one that overflows first raises :class:`NumericalError`."""
+        level = float(level)
+        knots = np.arange(1.0, self._traces.size + 1.0) - np.repeat(self._first, self._sizes + 1)  # k + 1
+        knots = np.divide(self._cumsums, knots, out=knots)  # the knots' costs, and NaN in each limit slot
+        j = np.add.reduceat(knots < level, self._first.astype(np.intp), dtype=np.intp) - 1.0  # -1: above rate 1
+        slot = (self._first + np.maximum(j, 0.0)).astype(np.intp)
+        anchor = self._traces.take(slot + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = (level - anchor) / (self._cumsums.take(slot) - (j + 1.0) * anchor)
+        rates = np.where(j < 0, 1.0, np.maximum(rates, 0.0))
+        short = np.flatnonzero(~self.stable & (j == self._sizes - 1))
+        if short.size and self._processes is None:
+            raise CostDomainError(f"cost level {level} lies past the stored range of curve {short[0]}")
+        if short.size:
+            deeper = _build_table([self._processes[i] for i in short.tolist()], np.zeros(short.size),
+                                  np.zeros(short.size, dtype=bool), level)
+            deeper._processes = None  # its curves reach the level, or repeat short of it for good
+            rates[short] = deeper.floors_at(level)
+        return rates
 
     def values(self, rates) -> np.ndarray:
         """``J_i(rates[i])`` of every agent by one gather from the table.

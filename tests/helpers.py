@@ -5,7 +5,8 @@ projections are checked against dense grid search, against the
 real-valued bisection they replaced and against a frozen copy of the
 sorted-kink bisection whose array work was later trimmed, solver optimality against grid
 enumeration of the max-min objective and, for cost curves of any number of
-agents, against the water-filling level, the batched cost-curve build against
+agents, against the water-filling level, the cost model's inverse against
+each curve's knots, the batched cost-curve build against
 a scalar one-process-at-a-time recursion, the vectorised
 distributed round against a node-by-node neighbour-list round, the chunked
 Monte Carlo against a step-by-step simulation, the batched rank tests
@@ -190,6 +191,11 @@ def _inverse_rate(knots, level: float) -> float:
         assert rates[-1] == 0.0, f"level {level} lies beyond the curve's domain floor"
         return 0.0
     return float(rates[k - 1] + (level - costs[k - 1]) * (rates[k] - rates[k - 1]) / (costs[k] - costs[k - 1]))
+
+
+def reference_floors_at(curves, level: float) -> np.ndarray:
+    """The rate at which each curve costs ``level``, read off its knots and clipped to [0, 1]."""
+    return np.array([min(max(_inverse_rate(_curve_knots(curve), level), 0.0), 1.0) for curve in curves])
 
 
 def solve_level(costs, region: FeasibleRegion) -> float:

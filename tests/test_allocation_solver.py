@@ -69,25 +69,40 @@ def test_solve_maxmin_all_stable_runs_single_pass(example1):
     costs, region = example1
     r, trace = fs.solve_maxmin(costs, region, fs.SolverConfig(), [False, False, False])
     assert trace.converged
-    assert trace.outer_events == []
+    # an affine model bounds no rate from its costs, so the floors are the region's own
+    np.testing.assert_array_equal(trace.lower, region.lower)
     assert r[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_solve_maxmin_shrinks_pinned_unstable_floor():
-    # agent 2 wants ~0.06 at the fair point but starts floored at eta=0.2,
-    # so the first pass pins it and the floor must shrink
+def assert_floor_rule(costs, region, trace, start_lower):
+    """Each agent whose cost at the start point is below the largest, ``U``, is floored at the rate
+    where its cost is ``U`` (or at the region's bound, where its cost stays below ``U``); the
+    others keep their start floors. Returns the mask of the agents floored at cost ``U``."""
+    start = trace.costs[0]
+    level = start.max()
+    below = start < level
+    np.testing.assert_array_equal(trace.lower[~below], start_lower[~below])
+    at_level = below & (trace.lower > region.lower)
+    floored = costs.with_floor(trace.lower).values(trace.lower)
+    np.testing.assert_allclose(floored[at_level], level, rtol=1e-12)
+    assert (floored[below & ~at_level] <= level).all()
+    assert (trace.lower <= trace.rates[-1]).all()
+    return at_level
+
+
+def test_solve_maxmin_floors_unstable_agents_at_the_value_bound():
+    # agent 2 wants ~0.06 at the fair point but starts floored at eta=0.2; its cost at the start
+    # point is below agent 1's, so it is floored where its cost reaches agent 1's, below 0.2
     p1 = fs.ProcessModel(A=[[1.4]], Q=[[1.0]])
     p2 = fs.ProcessModel(A=[[1.05]], Q=[[0.1]])
     costs = fs.CurveCostModel.from_processes([p1, p2], unstable_floor=0.2)
     region = fs.FeasibleRegion(0.5, np.zeros(2), np.ones(2))
-    cfg = fs.SolverConfig(eps0=0.05, eta=0.2, eps_r=1e-8, max_outer_iters=20)
+    cfg = fs.SolverConfig(eps0=0.05, eta=0.2, eps_r=1e-8)
     r, trace = fs.solve_maxmin(costs, region, cfg, [True, True])
     assert trace.converged
-    assert len(trace.outer_events) >= 1
-    _, shrunk_lower = trace.outer_events[0]
-    np.testing.assert_allclose(shrunk_lower, [0.04, 0.04], atol=1e-12)
-    assert r[1] > shrunk_lower[1] + 1e-9
-    np.testing.assert_array_equal(trace.lower, trace.outer_events[-1][1])
+    assert assert_floor_rule(costs, region, trace, np.array([0.2, 0.2])).tolist() == [False, True]
+    assert trace.lower[1] < 0.2
+    assert r[1] > trace.lower[1] + 1e-9
     # the solve worked on its own floored models: the caller's keeps its floors and still raises below them
     assert [c.domain_floor for c in costs.curves] == [0.2, 0.2]
     with pytest.raises(fs.CostDomainError, match="below the curve's domain floor 0.2"):
@@ -95,7 +110,7 @@ def test_solve_maxmin_shrinks_pinned_unstable_floor():
     assert costs.with_floor(trace.lower).values(r).tolist() == trace.costs[-1].tolist()
     # rerunning with a tiny floor lands at the same point
     costs2 = fs.CurveCostModel.from_processes([p1, p2], unstable_floor=1e-3)
-    cfg2 = fs.SolverConfig(eps0=0.05, eta=1e-3, eps_r=1e-8, max_outer_iters=20)
+    cfg2 = fs.SolverConfig(eps0=0.05, eta=1e-3, eps_r=1e-8)
     r2, trace2 = fs.solve_maxmin(costs2, region, cfg2, [True, True])
     assert trace2.converged
     np.testing.assert_allclose(r, r2, atol=1e-4)
@@ -119,13 +134,14 @@ def test_solve_maxmin_infeasible_eta_is_preshrunk():
     np.testing.assert_allclose(r, [1 / 3, 1 / 3, 1 / 3], atol=1e-6)
 
 
-def test_five_process_instance_needs_single_outer_pass(bench_instance):
-    # the shipped floors (0.001) are low enough that no unstable rate ends
-    # pinned, so the outer loop finishes on its first pass
+def test_five_process_instance_floors_hold_the_value_bound(bench_instance):
+    # the three unstable agents cost less than the stable agent 4 at the start point, so they are
+    # floored where their costs reach its cost; agent 5's stays below it down to rate 0
     cfg, region, costs, mask = bench_instance
     rates, trace = fs.solve_maxmin(costs, region, cfg.solver, mask)
     assert trace.converged
-    assert trace.outer_events == []
+    start_lower = np.where(mask, cfg.solver.eta, 0.0)
+    assert assert_floor_rule(costs, region, trace, start_lower).tolist() == [True, True, True, False, False]
 
 
 def solve_to_level(processes, total, cfg):
@@ -158,10 +174,71 @@ def test_random_scalar_fleet_reaches_the_water_filling_level(seed):
     rng = np.random.default_rng(seed)
     processes = [fs.ProcessModel(A=[[rng.uniform(0.2, 1.15) * rng.choice([-1, 1])]], Q=[[rng.uniform(0.5, 4.0)]])
                  for _ in range(40)]
-    cfg = fs.SolverConfig(eps0=0.05, eta=1e-3, max_inner_iters=200_000, max_outer_iters=25)
+    cfg = fs.SolverConfig(eps0=0.05, eta=1e-3, max_inner_iters=200_000)
     for total in (0.8, 4.0, 12.0, 24.0):
         rates, costs, level = solve_to_level(processes, total, cfg)
         assert costs.values(rates).max() == pytest.approx(level, rel=1e-2)
+
+
+def test_fixture_converges_at_every_budget_of_the_sweep(bench_instance):
+    # 0.02 to 4.86 in steps of 0.04; under eta-guessed floors 0.22, 0.26 and 0.30 ran to the iteration cap
+    cfg, _, costs, mask = bench_instance
+    for k in range(122):
+        total = round(0.02 + 0.04 * k, 2)
+        region = fs.FeasibleRegion(total, np.zeros(5), np.ones(5))
+        with time_limit(2, f"solve at budget {total}"):
+            rates, trace = fs.solve_maxmin(costs, region, cfg.solver, mask)
+        assert trace.converged, f"budget {total}: {trace.status}"
+        floored = costs.with_floor(trace.lower)
+        assert floored.values(rates).max() == pytest.approx(solve_level(floored, region), rel=1e-2), total
+
+
+def test_fair_rate_below_eta_converges():
+    # the fair rate of the slowly unstable process, 7.19e-4, lies below eta; eta-guessed floors,
+    # shrunk by eta once pinned, ran its curve to an overflow at step 177,766
+    ps = [fs.ProcessModel(A=[[1.002]], Q=[[1e-3]]), fs.ProcessModel(A=[[0.99]], Q=[[10.0]])]
+    costs = fs.CurveCostModel.from_processes(ps, unstable_floor=1e-3)
+    region = fs.FeasibleRegion(0.3, np.zeros(2), np.ones(2))
+    cfg = fs.SolverConfig(eta=1e-3)
+    with time_limit(5, "solve of the two-process instance"):
+        rates, trace = fs.solve_maxmin(costs, region, cfg, [True, False])
+    assert trace.converged
+    assert rates[0] == pytest.approx(7.19e-4, rel=1e-3)
+    assert rates.sum() == pytest.approx(0.3)
+    assert assert_floor_rule(costs, region, trace, np.array([1e-3, 0.0])).tolist() == [True, False]
+    floored = costs.with_floor(trace.lower)
+    assert floored.values(rates).max() == pytest.approx(solve_level(floored, region), rel=1e-2)
+
+
+@pytest.mark.parametrize("unstable", [False, True])
+def test_identical_processes_at_a_binding_budget_split_equally(unstable):
+    # every agent ties at the start point, so every agent keeps its start floor
+    p = fs.ProcessModel(A=[[1.2 if unstable else 0.8]], Q=[[1.0]])
+    costs = fs.CurveCostModel.from_processes([p] * 4, unstable_floor=0.05)
+    region = fs.FeasibleRegion(0.6, np.zeros(4), np.ones(4))
+    rates, trace = fs.solve_maxmin(costs, region, fs.SolverConfig(eta=0.05), [unstable] * 4)
+    assert trace.converged
+    np.testing.assert_array_equal(rates, np.full(4, rates[0]))
+    assert rates[0] == pytest.approx(0.15)
+    np.testing.assert_array_equal(trace.lower, np.full(4, 0.05 if unstable else 0.0))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_floor_rule_on_a_seeded_fleet(seed):
+    rng = np.random.default_rng(seed)
+    processes = [fs.ProcessModel(A=[[rng.uniform(0.2, 1.15) * rng.choice([-1, 1])]], Q=[[rng.uniform(0.5, 4.0)]])
+                 for _ in range(40)]
+    mask = ~fs.stable_mask([p.A for p in processes])
+    assert 5 <= mask.sum() <= 35
+    cfg = fs.SolverConfig(eps0=0.05, eta=1e-3, max_inner_iters=200_000)
+    costs = fs.CurveCostModel.from_processes(processes, unstable_floor=cfg.eta)
+    floored_at_level = 0
+    for total in (0.8, 4.0, 12.0, 24.0):
+        region = fs.FeasibleRegion(total, np.zeros(40), np.ones(40))
+        rates, trace = fs.solve_maxmin(costs, region, cfg, mask)
+        assert trace.converged
+        floored_at_level += assert_floor_rule(costs, region, trace, np.where(mask, cfg.eta, 0.0)).sum()
+    assert floored_at_level >= 40
 
 
 def test_guarded_step_keeps_slack_budget_fixed_points():

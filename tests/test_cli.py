@@ -311,7 +311,7 @@ class TestSolveCommand:
             assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_OK
         assert capsys.readouterr().out.startswith("status: converged")
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"] == "converged" and summary["outer_shrinks"] == 0
+        assert summary["status"] == "converged"
 
     def test_outputs_byte_identical_across_reruns(self, tmp_path):
         path = write_config(tmp_path, SINGLE_STABLE)
@@ -704,7 +704,6 @@ class TestSectionsValidatedAtLoad:
         ("eps0", math.inf),
         ("eps_r", math.nan),
         ("max_inner_iters", 2.5),
-        ("max_outer_iters", True),
         pytest.param("eps0", 10**400, id="eps0-huge-int"),
     ])
     def test_solver_field(self, tmp_path, capsys, key, value):
@@ -741,6 +740,17 @@ class TestSectionsValidatedAtLoad:
             assert (tmp_path / "shipped" / name).read_bytes() == (tmp_path / "legacy" / name).read_bytes(), name
         with pytest.raises(TypeError):
             fs.SolverConfig(projection_tol=1e-9)
+
+    def test_legacy_max_outer_iters_key_is_ignored(self, tmp_path, bench_config):
+        # the eta-shrink outer loop it bounded is gone; any value, even one once rejected, is dropped
+        assert "max_outer_iters" not in json.loads(fs.fixture_path("paper_sec4").read_text())["solver"]
+        for value in (25, True):
+            legacy = fixture_with(tmp_path, "solver", "max_outer_iters", value)
+            assert load_config(legacy).solver == bench_config.solver
+        assert main(["solve", "--config", str(legacy), "--out", str(tmp_path / "legacy")]) == EXIT_OK
+        assert "outer_shrinks" not in json.loads((tmp_path / "legacy" / "summary.json").read_text())
+        with pytest.raises(TypeError):
+            fs.SolverConfig(max_outer_iters=25)
 
 
 class TestArgumentRanges:

@@ -14,6 +14,7 @@ from helpers import (
     reference_cost_curve,
     reference_cost_eval,
     reference_filter_cov,
+    reference_floors_at,
     reference_lipschitz_bounds,
     reference_no_comm_limit,
     reference_prediction_traces,
@@ -419,6 +420,42 @@ class TestCurveCostModel:
         with pytest.raises(ValueError, match="expected 5 floors"):
             costs.with_floor([0.1])
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_floors_at_inverts_every_curve_through_its_kinks(self, seed):
+        processes, _ = mixed_processes(seed)
+        costs = fs.CurveCostModel.from_processes(processes, unstable_floor=0.004)
+        curves = costs.curves
+        knot_costs = np.concatenate([c.cumsums / np.arange(1.0, c.cumsums.size + 1.0) for c in curves])
+        limits = [c.stable_limit for c in curves if c.stable_limit is not None]
+        top = min(c.cumsums[-1] / c.cumsums.size for c, s in zip(curves, costs.stable) if not s)
+        rng = np.random.default_rng(seed)
+        levels = [*rng.choice(knot_costs[knot_costs <= top], 20), *rng.uniform(knot_costs.min(), top, 20),
+                  *[limit for limit in limits if limit <= top], knot_costs.min() / 2]
+        for level in levels:
+            floors = costs.floors_at(level)
+            np.testing.assert_allclose(floors, reference_floors_at(curves, level), rtol=1e-12)
+            inside = (floors > 0) & (floors < 1)
+            got = costs.with_floor(floors).values(floors)
+            np.testing.assert_allclose(got[inside], level, rtol=1e-12)
+
+    def test_floors_at_builds_short_curves_to_the_level(self):
+        ps = [fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), fs.ProcessModel(A=[[0.9]], Q=[[1.0]])]
+        costs = fs.CurveCostModel.from_processes(ps, unstable_floor=0.5)
+        deep = fs.CurveCostModel.from_processes(ps, unstable_floor=1e-3)
+        assert costs.curves[0].traces.size == 3
+        for k in (40, 41.5):
+            level = float(np.interp(k, np.arange(deep.curves[0].cumsums.size), deep.curves[0].cumsums)) / (k + 1)
+            # the rebuilt row is a prefix of the deeper one, so the floors are bitwise those of the deeper model
+            assert costs.floors_at(level).tobytes() == deep.floors_at(level).tobytes()
+            np.testing.assert_allclose(costs.floors_at(level), reference_floors_at(deep.curves, level), rtol=1e-12)
+        assert costs.curves[0].domain_floor == 0.5  # the model asked is left as it was
+        with pytest.raises(CostDomainError, match="past the stored range of curve 0"):
+            fs.CurveCostModel(costs.curves).floors_at(level)
+        blowup = fs.CurveCostModel.from_processes([fs.ProcessModel(A=[[1e5]], Q=[[1.0]])], unstable_floor=0.5)
+        with pytest.raises(fs.NumericalError, match="overflowed at step 31; its mean has not reached the level"):
+            blowup.floors_at(1e300)
+        assert fs.AffineCostModel([2.0, 1.0], [1.0, 0.5]).floors_at(1.5).tolist() == [0.0, 0.0]
+
     def test_fixed_curves_raise_below_floor(self):
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
         model = fs.CurveCostModel([fs.build_cost_curve(p, 0.5)])
@@ -640,6 +677,40 @@ class TestWindowedTraces:
         # of two sequences that overflow, the first to do so is named, then the first in the batch
         self.check([fs.ProcessModel(A=[[5.5e4]], Q=[[1.0]]), blowup], [200, 200], [0.2, 0.1])
         self.check([blowup, blowup], [200, 200], [0.2, 0.1])
+
+    def test_level_stop_ends_at_the_first_knot_reaching_the_level(self, bench_config):
+        # each row is a prefix of its deeper build and ends at the first knot k whose mean
+        # (traces[0] + ... + traces[k]) / (k + 1) reaches its level: levels on knots and just past them,
+        # at step 0 and around window edges, for three shapes and rho = 1
+        unstable = [fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), bench_config.processes[0], bench_config.processes[1],
+                    fs.ProcessModel(A=[[1.0]], Q=[[1.0]]), fs.ProcessModel(A=[[1.002]], Q=[[1e-3]])]
+        deep = reference_prediction_traces(unstable, [4 * _WINDOW] * len(unstable), [0.5] * len(unstable))
+        batch, levels, expected = [], [], []
+        for i, p in enumerate(unstable):
+            row = deep[0][deep[1][i]:deep[1][i] + deep[2][i]]
+            means = np.cumsum(row) / np.arange(1.0, row.size + 1.0)
+            for k in (0, 1, _WINDOW - 1, _WINDOW, 2 * _WINDOW + 3):
+                for level in (means[k], np.nextafter(means[k], math.inf)):
+                    batch.append(p)
+                    levels.append(level)
+                    expected.append(row[:int(np.argmax(means >= level)) + 1])
+        stable = fs.ProcessModel(A=[[0.9]], Q=[[1.0]])  # keeps its tail cut: a level stops unstable rows only
+        n = len(batch)
+        traces, first, lengths = prediction_traces([*batch, stable], [math.inf] * (n + 1), [0.0] * (n + 1),
+                                                   [False] * n + [True], 1e-10, None, levels + [0.0])
+        for i, want in enumerate(expected):
+            assert traces[first[i]:first[i] + lengths[i]].tobytes() == want.tobytes(), i
+        assert [len(want) for want in expected[:4]] == [1, 2, 2, 3]  # on the knot, then one past it
+        assert lengths[n] == prediction_traces([stable], [math.inf], [0.0], [True], 1e-10)[2][0] > 2
+
+    def test_level_stop_after_an_overflow_raises(self):
+        blowup = fs.ProcessModel(A=[[1e5]], Q=[[1.0]])  # its trace overflows at step _WINDOW - 1
+        with pytest.raises(fs.NumericalError, match=f"overflowed at step {_WINDOW - 1}; its mean has not reached "
+                                                    "the level 1e[+]300"):
+            prediction_traces([blowup], [math.inf], [0.0], levels=[1e300])
+        row = reference_prediction_traces([blowup], [_WINDOW - 4], [0.5])[0][:-1]
+        means = np.cumsum(row) / np.arange(1.0, row.size + 1.0)
+        assert prediction_traces([blowup], [math.inf], [0.0], levels=[1e200])[2].tolist() == [np.argmax(means >= 1e200) + 1]
 
     def test_runs_past_a_block(self):
         ps = [fs.ProcessModel(A=[[1.0005]], Q=[[1.0]]), fs.ProcessModel(A=[[1.0002, 0.1], [0.0, 0.5]], Q=np.eye(2))]
