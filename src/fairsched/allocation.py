@@ -18,7 +18,10 @@ without prior knowledge of the cost slopes.
 On an iteration where the raw step ``eps * J`` would move some coordinate
 farther than the box is wide (costs near an unstable agent's floor reach
 1e157), the solver steps on ``eps * log1p(J)`` instead; such a step is at
-most ~710 eps, and every other iteration keeps the raw step.
+most ~710 eps, and other iterations keep the raw step until the guard has
+followed one ``_GUARD_RETURNS`` times. Then it stays on: a raw step at costs
+near 1/eps lies outside the contraction range, and such steps and the guard
+would otherwise take turns however small eps gets.
 The fixed points do not change: ``P(r + s * g(J)) = r`` holds iff ``g(J)``
 equals one multiplier ``lam`` on the free agents, is no smaller at upper
 bounds and no larger at lower bounds, with ``lam = 0`` where the budget is
@@ -148,7 +151,8 @@ class CostModel:
         return None
 
     def floors_at(self, level: float) -> np.ndarray:
-        """Per agent, the rate at which its cost equals ``level``; here zeros, no bound."""
+        """Per agent, the rate at which its cost equals ``level``; here zeros, no bound, so that
+        :func:`solve_maxmin` keeps such an agent at its start floor even if its fair rate is lower."""
         return np.zeros(self.n)
 
 
@@ -337,14 +341,16 @@ def initial_allocation(region: FeasibleRegion) -> np.ndarray:
     return np.minimum(region.lower + slack, region.upper)
 
 
+_GUARD_RETURNS = 20  # guarded steps that may follow a raw one before every step is guarded
+
+
 def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig):
     """Run the projected iteration from ``r0`` with a fixed region.
 
-    Iterates until the residual drops below ``eps_r``. A raw step wider than
-    the box is replaced by the step on ``log1p(J)``, which has the same fixed
-    points (see the module docstring). Returns ``(rates, trace)``.
-    Non-convergence within the iteration budget is reported through
-    ``trace.status``, never raised.
+    Iterates until the residual drops below ``eps_r``, guarding steps as the
+    module docstring describes. Returns ``(rates, trace)``. Non-convergence
+    within the iteration budget is reported through ``trace.status``, never
+    raised.
     """
     costs = costs.with_floor(region.lower)
     r = project_feasible(np.asarray(r0, dtype=float), region)
@@ -352,10 +358,14 @@ def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig)
     values = costs.values(r)
     eps = cfg.eps0
     rec = _TraceRecorder(r, values, eps)
+    raw, returns = False, 0  # whether the last step was raw; guarded steps that followed a raw one
     for t in range(1, cfg.max_inner_iters + 1):
         step = eps * values
-        if step.max() > width:
+        guarded = returns >= _GUARD_RETURNS or step.max() > width
+        if guarded:
             step = eps * np.log1p(values)
+            returns += raw
+        raw = not guarded
         r_next = project_feasible(r + step, region)
         d = r_next - r
         residual = math.sqrt(d.dot(d))  # np.linalg.norm's own formula, without its wrapper
@@ -377,8 +387,8 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     cost decreases, so an agent whose cost at ``r0`` is below ``U`` holds at least
     ``costs.floors_at(U)`` at the fair point, and that is its floor (water-filling; Bertsekas &
     Gallager, *Data Networks* §6.5). An agent at ``U`` keeps its start floor: its bound would be
-    ``r0_i`` itself, and were every agent tied such floors would fill the budget. ``costs`` is
-    left as it was.
+    ``r0_i`` itself, and were every agent tied such floors would fill the budget. So does an agent
+    whose bound is 0, which a model that knows no bound gives. ``costs`` is left as it was.
     """
     mask = np.atleast_1d(np.asarray(unstable_mask, dtype=bool))
     if mask.size != region.n:
@@ -392,8 +402,8 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     r0 = initial_allocation(FeasibleRegion(region.total, lower, region.upper))
     values = costs.values(r0)
     level = values.max()
-    floors = np.maximum(region.lower, np.minimum(costs.floors_at(level), r0))
-    lower = np.where(values < level, floors, lower)
+    bound = costs.floors_at(level)
+    lower = np.where((values < level) & (bound > 0), np.maximum(region.lower, np.minimum(bound, r0)), lower)
     return solve_inner(r0, costs, FeasibleRegion(region.total, lower, region.upper), cfg)
 
 

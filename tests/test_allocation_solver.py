@@ -168,9 +168,10 @@ def test_budget_sweep_reaches_the_water_filling_level(bench_config, budget, expe
         assert level == pytest.approx(expected_level, rel=1e-3)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 6, 9])
 def test_random_scalar_fleet_reaches_the_water_filling_level(seed):
-    # 40 agents, about a third unstable: beyond the grid oracle's reach
+    # 40 agents, about a third unstable: beyond the grid oracle's reach. At budget 0.8, seeds 6 and 9
+    # ran to the iteration cap while raw and guarded steps took turns without end
     rng = np.random.default_rng(seed)
     processes = [fs.ProcessModel(A=[[rng.uniform(0.2, 1.15) * rng.choice([-1, 1])]], Q=[[rng.uniform(0.5, 4.0)]])
                  for _ in range(40)]
@@ -239,6 +240,53 @@ def test_floor_rule_on_a_seeded_fleet(seed):
         assert trace.converged
         floored_at_level += assert_floor_rule(costs, region, trace, np.where(mask, cfg.eta, 0.0)).sum()
     assert floored_at_level >= 40
+
+
+def test_guard_stays_on_after_it_has_followed_raw_steps_often_enough():
+    # seed 6 at budget 0.8: raw steps at costs near 1/eps and guarded ones keep taking turns, so
+    # the guard stays on from its _GUARD_RETURNS-th return, also where a raw step would fit the box
+    rng = np.random.default_rng(6)
+    processes = [fs.ProcessModel(A=[[rng.uniform(0.2, 1.15) * rng.choice([-1, 1])]], Q=[[rng.uniform(0.5, 4.0)]])
+                 for _ in range(40)]
+    mask = ~fs.stable_mask([p.A for p in processes])
+    cfg = fs.SolverConfig(eps0=0.05, eta=1e-3, max_inner_iters=5_000)
+    costs = fs.CurveCostModel.from_processes(processes, unstable_floor=cfg.eta)
+    region = fs.FeasibleRegion(0.8, np.zeros(40), np.ones(40))
+    rates, trace = fs.solve_maxmin(costs, region, cfg, mask)
+    assert trace.converged
+    solved = fs.FeasibleRegion(region.total, trace.lower, region.upper)
+    wide = trace.step_sizes[1:] * trace.costs[:-1].max(axis=1) > (solved.upper - solved.lower).max()
+    returns = np.cumsum(wide[1:] & ~wide[:-1])  # after step t + 2
+    latched = np.flatnonzero(returns == fs.allocation._GUARD_RETURNS)[0] + 2  # that return's iteration
+    assert (~wide[latched:]).sum() >= 10  # later iterations whose raw step fits the box
+    for t in range(latched, len(trace) - 1):  # iteration t + 1, from row t
+        step = trace.step_sizes[t + 1] * np.log1p(trace.costs[t])
+        np.testing.assert_array_equal(trace.rates[t + 1], fs.project_feasible(trace.rates[t] + step, solved))
+
+
+class _ReciprocalCosts(fs.CostModel):
+    """``J_i(r) = c_i / r``, unbounded at rate 0; its ``floors_at`` is the base class's, no bound."""
+
+    def __init__(self, c):
+        self.c = np.asarray(c, dtype=float)
+        self.n = self.c.size
+
+    def values(self, rates):
+        rates = np.asarray(rates, dtype=float)
+        if (rates <= 0).any():
+            raise fs.CostDomainError("rate 0 is outside the domain")
+        return self.c / rates
+
+
+def test_agent_without_a_value_bound_keeps_its_start_floor():
+    # agent 0 costs less than agent 1 at the start point, but the model gives it no bound; at
+    # floor 0 the first step would take it to rate 0, where its cost is unbounded
+    costs = _ReciprocalCosts([1.0, 9.0])
+    region = fs.FeasibleRegion(1.0, np.zeros(2), np.ones(2))
+    rates, trace = fs.solve_maxmin(costs, region, fs.SolverConfig(eta=0.05), [True, True])
+    assert trace.converged
+    assert trace.lower.tolist() == [0.05, 0.05]
+    np.testing.assert_allclose(rates, [0.1, 0.9], atol=1e-6)
 
 
 def test_guarded_step_keeps_slack_budget_fixed_points():
