@@ -38,6 +38,7 @@ from .distributed import (
     CommGraph,
     ComparisonReport,
     DualState,
+    DivergenceError,
     GraphError,
     compare_with_centralized,
     metropolis_matrix,

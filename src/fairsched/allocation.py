@@ -151,9 +151,19 @@ class CostModel:
         return None
 
     def floors_at(self, level: float) -> np.ndarray:
-        """Per agent, the rate at which its cost equals ``level``; here zeros, no bound, so that
-        :func:`solve_maxmin` keeps such an agent at its start floor even if its fair rate is lower."""
-        return np.zeros(self.n)
+        """Per agent, a rate at or below the one at which its cost equals ``level``: here the lower
+        end of a bracket around that rate, narrowed by bisecting [0, 1] on :meth:`values` for all
+        agents at once (``values`` is never asked at rate 0). The cost there is at least ``level``.
+        The result is 0, no bound, where the cost stays below ``level`` down to a rate of 2**-64."""
+        lo, hi = np.zeros(self.n), np.ones(self.n)
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            above = self.values(mid) >= level
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        return lo
+
+
+_BISECTIONS = 64  # halvings of [0, 1] in CostModel.floors_at; its brackets end 2**-64 wide
 
 
 class AffineCostModel(CostModel):
@@ -176,6 +186,10 @@ class AffineCostModel(CostModel):
 
     def slope_bounds(self, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.slopes.copy(), self.slopes.copy()
+
+    def floors_at(self, level: float) -> np.ndarray:
+        """Zeros, no bound: an affine cost is finite at rate 0, so its agents need no rate floor."""
+        return np.zeros(self.n)
 
 
 @dataclass
@@ -213,7 +227,9 @@ class SolverTrace:
 
     Row ``k`` holds the state after iteration ``iterations[k]``; row 0 is the
     initial point (its residual is NaN). ``lower`` holds the lower bounds the
-    solve ran on, rate floors included.
+    solve ran on, rate floors included. ``model`` is the cost model the solve
+    evaluated, which covers ``lower``: costs at the solve's rates, and slope
+    bounds down to ``lower``, are read from it without extending a model again.
     """
 
     iterations: np.ndarray
@@ -223,6 +239,7 @@ class SolverTrace:
     residuals: np.ndarray
     status: str
     lower: np.ndarray
+    model: CostModel
     # always empty: floor shrinks are gone, but perfbench/tracing.py still counts these
     outer_events: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
@@ -258,7 +275,7 @@ class _TraceRecorder:
         row[3 + n:] = costs
         self.filled += 1
 
-    def build(self, status, lower) -> SolverTrace:
+    def build(self, status, lower, model) -> SolverTrace:
         """The trace of the rows added, built once: each block is released as soon as it is
         copied, so the blocks and the table are never held whole at the same time."""
         blocks, self.blocks = self.blocks, []
@@ -278,6 +295,7 @@ class _TraceRecorder:
             residuals=table[:, 2],
             status=status,
             lower=lower,
+            model=model,
         )
 
 
@@ -348,7 +366,8 @@ def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig)
     """Run the projected iteration from ``r0`` with a fixed region.
 
     Iterates until the residual drops below ``eps_r``, guarding steps as the
-    module docstring describes. Returns ``(rates, trace)``. Non-convergence
+    module docstring describes, on ``costs.with_floor(region.lower)``, which
+    ``trace.model`` holds. Returns ``(rates, trace)``. Non-convergence
     within the iteration budget is reported through ``trace.status``, never
     raised.
     """
@@ -374,8 +393,8 @@ def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig)
         eps = 1.0 / (1.0 / eps + 1.0)
         r = r_next
         if residual <= cfg.eps_r:
-            return r, rec.build(CONVERGED, region.lower)
-    return r, rec.build(MAX_INNER_ITERS, region.lower)
+            return r, rec.build(CONVERGED, region.lower, costs)
+    return r, rec.build(MAX_INNER_ITERS, region.lower, costs)
 
 
 def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, unstable_mask):
@@ -388,7 +407,11 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     ``costs.floors_at(U)`` at the fair point, and that is its floor (water-filling; Bertsekas &
     Gallager, *Data Networks* §6.5). An agent at ``U`` keeps its start floor: its bound would be
     ``r0_i`` itself, and were every agent tied such floors would fill the budget. So does an agent
-    whose bound is 0, which a model that knows no bound gives. ``costs`` is left as it was.
+    whose bound is 0, which a model gives where it knows no bound.
+
+    ``costs`` is extended only as deep as the solve reads it: down to ``r0`` before ``J(r0)`` is
+    read, then by :func:`solve_inner` down to the final floors. ``costs`` itself is left as it
+    was; ``trace.model`` is the extended model.
     """
     mask = np.atleast_1d(np.asarray(unstable_mask, dtype=bool))
     if mask.size != region.n:
@@ -398,8 +421,8 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     # eta may be too generous for tight budgets; pre-shrink until feasible
     while mask.any() and lower.sum() >= region.total and lower[mask].max() > 1e-300:
         lower = np.where(mask, np.maximum(lower * cfg.eta, region.lower), lower)
-    costs = costs.with_floor(lower)
     r0 = initial_allocation(FeasibleRegion(region.total, lower, region.upper))
+    costs = costs.with_floor(r0)
     values = costs.values(r0)
     level = values.max()
     bound = costs.floors_at(level)

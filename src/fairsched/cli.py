@@ -90,9 +90,14 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _region_and_costs(cfg: RunConfig):
+    """The budget region, the processes' cost model and their instability mask.
+
+    Unstable curves are built down to rate 1 only: the solve extends each one as far as it reads
+    it, which is often far above ``solver.eta``, and a deeper curve starts with the shallower one.
+    """
     n = len(cfg.processes)
     region = alloc.FeasibleRegion(cfg.total_rate, np.zeros(n), np.ones(n))
-    costs = CurveCostModel.from_processes(cfg.processes, unstable_floor=cfg.solver.eta)
+    costs = CurveCostModel.from_processes(cfg.processes, unstable_floor=1.0)
     return region, costs, ~costs.stable
 
 
@@ -115,9 +120,9 @@ def _cannot_write(exc: OSError, out_dir: Path) -> int:
     return EXIT_CONFIG_ERROR
 
 
-def _write_solve_report(out_dir: Path, rates, trace, costs, region, mask) -> None:
+def _write_solve_report(out_dir: Path, rates, trace, region, mask) -> None:
     """Every output of ``solve`` except ``allocation_trace.csv``."""
-    n = region.n
+    n, costs = region.n, trace.model
     _write_csv(
         out_dir / "cost_trace.csv",
         "cost_trace",
@@ -170,7 +175,6 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> int:
     try:
         region, costs, mask = _region_and_costs(cfg)
         rates, trace = alloc.solve_maxmin(costs, region, cfg.solver, mask)
-        costs = costs.with_floor(trace.lower)
     except _SETUP_ERRORS as exc:
         print(f"cannot solve this configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -184,7 +188,7 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> int:
             trace.rates,
             trace.iterations,
         ):
-            _write_solve_report(out_dir, rates, trace, costs, region, mask)
+            _write_solve_report(out_dir, rates, trace, region, mask)
     except OSError as exc:
         return _cannot_write(exc, out_dir)
     print(f"status: {trace.status}; allocation written to {out_dir}")
@@ -280,9 +284,12 @@ def run_distributed(cfg: RunConfig, out_dir: Path) -> int:
     except dist.GraphError as exc:
         print(f"graph error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except NumericalError as exc:
+    except dist.DivergenceError as exc:
         print(f"distributed solve failed: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    except _SETUP_ERRORS as exc:  # the centralized solve extends the curves, which may overflow
+        print(f"cannot set up this configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     dual, trace = report.dual_state, report.distributed_trace
     stride = max(1, len(trace) // 2000)

@@ -40,6 +40,7 @@ from .sensors import NumericalError
 
 __all__ = [
     "GraphError",
+    "DivergenceError",
     "CommGraph",
     "DualState",
     "DistributedTrace",
@@ -55,6 +56,10 @@ _STALL_ROUNDS = 10_000  # rounds the best residual may go without a 1 % drop
 
 class GraphError(ValueError):
     """The communication graph cannot support consensus."""
+
+
+class DivergenceError(NumericalError):
+    """The distributed iteration diverged: its multiplier norm passed 1e6."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +237,7 @@ def solve_distributed(
         used = k + 1
         # NaN and inf fail the comparison too
         if not math.sqrt(lam.dot(lam)) < 1e6:
-            raise NumericalError("distributed iteration diverged (multiplier norm exceeded 1e6)")
+            raise DivergenceError("distributed iteration diverged (multiplier norm exceeded 1e6)")
         if residual <= eps_r:
             status = CONVERGED
             break
@@ -273,14 +278,15 @@ def compare_with_centralized(
     """Solve the same instance both ways and report the allocation and value gaps.
 
     Agents flagged unstable have costs unbounded at rate zero; the centralized
-    solver sets every agent's rate floor from its value bound, and the
-    distributed box and both evaluations use those floors (``trace.lower``).
+    solver sets every agent's rate floor from its value bound, the distributed
+    box uses those floors (``trace.lower``), and both solves evaluate the
+    centralized solve's model (``trace.model``), which covers them.
     """
     cfg = solver_cfg or SolverConfig()
     mask = np.zeros(region.n, dtype=bool) if unstable_mask is None else np.asarray(unstable_mask, dtype=bool)
 
     r_c, trace_c = solve_maxmin(costs, region, cfg, mask)
-    costs = costs.with_floor(trace_c.lower)
+    costs = trace_c.model
     dist_region = FeasibleRegion(region.total, trace_c.lower, region.upper)
     r_d, dual, trace_d = solve_distributed(costs, dist_region, graph, **distributed_kwargs)
 

@@ -342,6 +342,17 @@ def _filter_covs(group) -> np.ndarray:
     raise NumericalError("filter covariance iteration did not converge; the model is ill posed")
 
 
+def _steady_states(ps) -> list[np.ndarray]:
+    """:func:`_filter_covs` of every process, one batch per shape, as read-only arrays in input order."""
+    states = [None] * len(ps)
+    for group in _groups(ps):
+        covs = _filter_covs([ps[i] for i in group])
+        covs.setflags(write=False)
+        for i, X in zip(group.tolist(), covs):
+            states[i] = X
+    return states
+
+
 def _no_comm_covs(A, Q) -> np.ndarray:
     """``P = A P A' + Q`` for stacked stable ``A``, solved exactly: ``(I - A kron A) vec(P) = vec(Q)``.
 
@@ -373,8 +384,10 @@ def no_comm_limit(p: ProcessModel) -> float:
     return float(np.trace(_no_comm_covs(p.A[None], p.Q[None])[0]))
 
 
-def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_steps=None, levels=None):
-    """``Tr(h^t(Pbar))``, ``t = 0, 1, ...``, ``h(X) = A X A' + Q``, from each process's filter steady state.
+def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_steps=None, levels=None,
+                      starts=None):
+    """``Tr(h^t(Pbar))``, ``t = 0, 1, ...``, ``h(X) = A X A' + Q``, from each process's filter steady state
+    ``Pbar``: ``starts[i]``, or computed here if ``starts`` is not given.
 
     One batched recursion per shape; each process leaves it at its own stop, so its sequence is
     the one it would get alone: after step ``caps[i] + 1``; from step 1 on, where ``stable`` is
@@ -392,6 +405,7 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_s
     stops, and raises, exactly where checking after each step would.
     """
     ps = list(ps)
+    starts = _steady_states(ps) if starts is None else starts
     caps, rates = np.asarray(caps, dtype=float), np.asarray(rates, dtype=float)
     stable = np.zeros(len(ps), dtype=bool) if stable is None else np.asarray(stable, dtype=bool)
     levels = np.full(len(ps), np.inf) if levels is None else np.where(stable, np.inf, levels)
@@ -412,7 +426,7 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_s
         tails = bool(s.any())  # whether any row has a tail rule to check
         # Ms[2 + j] holds the covariances of step t0 + j; Ms[0] and Ms[1] the two before it
         Ms = np.zeros((_WINDOW + 2,) + A.shape)
-        Ms[2] = _filter_covs(members)
+        Ms[2] = [starts[i] for i in group]
         steps, t0, block_t0 = [], 0, 0
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             while True:
@@ -554,10 +568,11 @@ class CostCurve:
         return float(self.cumsums[-1] - self.traces.size * self.stable_limit)
 
 
-def _build_table(processes, domain_floors, stable=None, level=None) -> CurveCostModel:
+def _build_table(processes, domain_floors, stable=None, level=None, starts=None) -> CurveCostModel:
     """Cost curves of all processes in one model, whose table is that of :func:`prediction_traces`.
 
-    ``stable`` is the processes' :func:`stable_mask`, if the caller has it already. Given a
+    ``stable`` is the processes' :func:`stable_mask` and ``starts`` their filter steady states, if
+    the caller has them already; the model keeps the steady states to build its rows again. Given a
     ``level``, an unstable curve may have floor 0: it stops at its first knot that costs ``level``.
     """
     ps = list(processes)
@@ -576,7 +591,8 @@ def _build_table(processes, domain_floors, stable=None, level=None) -> CurveCost
     with np.errstate(divide="ignore", over="ignore"):
         caps = np.where(floors > 0, np.floor(_XI_NUMERATOR / floors - 1.0), np.inf)
     levels = None if level is None else np.full(len(ps), level)
-    traces, first, lengths = prediction_traces(ps, caps, floors, stable, _TAIL_TOL, _MAX_STEPS, levels)
+    starts = _steady_states(ps) if starts is None else starts
+    traces, first, lengths = prediction_traces(ps, caps, floors, stable, _TAIL_TOL, _MAX_STEPS, levels, starts)
     limits = traces[first + lengths]
     cumsums = np.empty_like(traces)
     cumsums[first + lengths] = np.nan
@@ -584,7 +600,7 @@ def _build_table(processes, domain_floors, stable=None, level=None) -> CurveCost
         np.cumsum(traces[f:f + n], out=cumsums[f:f + n])
     stable_limits = [limit if s else None for limit, s in zip(limits.tolist(), stable.tolist())]
     model = CurveCostModel.__new__(CurveCostModel)
-    model._hold(traces, cumsums, lengths, stable_limits, floors.tolist(), ps)
+    model._hold(traces, cumsums, lengths, stable_limits, floors.tolist(), ps, starts)
     return model
 
 
@@ -650,9 +666,14 @@ class CurveCostModel(CostModel):
     no lock. ``values``, ``slope_bounds`` and ``floors_at`` work on all agents
     at once; the first two raise :class:`CostDomainError` for the first
     agent, in index order, that lies outside its curve's domain. ``stable[i]`` says whether curve ``i``
-    is stable, i.e. defined down to rate 0. :meth:`with_floor` returns a
-    model whose curves reach lower floors, rebuilt from their processes; a
-    model of curves handed in directly has none and returns itself.
+    is stable, i.e. defined down to rate 0. A model built from processes
+    keeps each one's filter steady state ``Pbar``, where its trace sequence
+    starts: :meth:`with_floor` returns a model whose curves reach lower
+    floors, and :meth:`floors_at` builds short curves further, both by running
+    those sequences again from ``Pbar``, without a second Riccati iteration.
+    A deeper curve's table starts with the shallower one's, bit for bit. A
+    model of curves handed in directly has no processes, and its
+    ``with_floor`` returns itself.
     """
 
     def __init__(self, curves):
@@ -666,16 +687,19 @@ class CurveCostModel(CostModel):
             if c.stable_limit is not None:
                 traces[at + n] = c.stable_limit
             at += n + 1
-        self._hold(traces, cumsums, sizes, [c.stable_limit for c in curves], [c.domain_floor for c in curves], None)
+        self._hold(traces, cumsums, sizes, [c.stable_limit for c in curves], [c.domain_floor for c in curves],
+                   None, None)
 
-    def _hold(self, traces, cumsums, sizes, limits, floors, processes) -> None:
-        """Take the table: the curves' flat arrays, their sizes, stable limits and floors, and their processes."""
+    def _hold(self, traces, cumsums, sizes, limits, floors, processes, starts) -> None:
+        """Take the table: the curves' flat arrays, their sizes, stable limits and floors, and their
+        processes and filter steady states."""
         sizes = np.asarray(sizes, dtype=np.intp)
         stable = np.array([limit is not None for limit in limits], dtype=bool)
         first = np.cumsum(sizes + 1) - (sizes + 1)
         for arr in (stable, traces, cumsums):  # shared by every curve's views
             arr.setflags(write=False)
-        self.stable, self._traces, self._cumsums, self._processes = stable, traces, cumsums, processes
+        self.stable, self._traces, self._cumsums = stable, traces, cumsums
+        self._processes, self._starts = processes, starts
         self._curves = [
             CostCurve(traces=traces[f:f + n], cumsums=cumsums[f:f + n], stable_limit=limit, domain_floor=floor)
             for f, n, limit, floor in zip(first.tolist(), sizes.tolist(), limits, floors)
@@ -706,10 +730,12 @@ class CurveCostModel(CostModel):
         grow = [i for i, (curve, lb) in enumerate(zip(curves, lower)) if 0 < lb < curve.domain_floor]
         if not grow or self._processes is None:
             return self
-        for i, curve in zip(grow, build_cost_curves([self._processes[i] for i in grow], [lower[i] for i in grow])):
+        deeper = _build_table([self._processes[i] for i in grow], [lower[i] for i in grow], self.stable[grow],
+                              starts=[self._starts[i] for i in grow])
+        for i, curve in zip(grow, deeper.curves):
             curves[i] = curve
         model = CurveCostModel(curves)
-        model._processes = self._processes
+        model._processes, model._starts = self._processes, self._starts
         return model
 
     def floors_at(self, level) -> np.ndarray:
@@ -730,8 +756,9 @@ class CurveCostModel(CostModel):
         if short.size and self._processes is None:
             raise CostDomainError(f"cost level {level} lies past the stored range of curve {short[0]}")
         if short.size:
-            deeper = _build_table([self._processes[i] for i in short.tolist()], np.zeros(short.size),
-                                  np.zeros(short.size, dtype=bool), level)
+            short = short.tolist()
+            deeper = _build_table([self._processes[i] for i in short], np.zeros(len(short)),
+                                  np.zeros(len(short), dtype=bool), level, [self._starts[i] for i in short])
             deeper._processes = None  # its curves reach the level, or repeat short of it for good
             rates[short] = deeper.floors_at(level)
         return rates

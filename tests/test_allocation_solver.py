@@ -265,7 +265,7 @@ def test_guard_stays_on_after_it_has_followed_raw_steps_often_enough():
 
 
 class _ReciprocalCosts(fs.CostModel):
-    """``J_i(r) = c_i / r``, unbounded at rate 0; its ``floors_at`` is the base class's, no bound."""
+    """``J_i(r) = c_i / r``, unbounded at rate 0; its ``floors_at`` is the base class's bisection."""
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
@@ -278,15 +278,83 @@ class _ReciprocalCosts(fs.CostModel):
         return self.c / rates
 
 
+class _UnboundedReciprocalCosts(_ReciprocalCosts):
+    """:class:`_ReciprocalCosts` whose ``floors_at`` knows no bound: zeros."""
+
+    def floors_at(self, level):
+        return np.zeros(self.n)
+
+
 def test_agent_without_a_value_bound_keeps_its_start_floor():
     # agent 0 costs less than agent 1 at the start point, but the model gives it no bound; at
     # floor 0 the first step would take it to rate 0, where its cost is unbounded
-    costs = _ReciprocalCosts([1.0, 9.0])
+    costs = _UnboundedReciprocalCosts([1.0, 9.0])
     region = fs.FeasibleRegion(1.0, np.zeros(2), np.ones(2))
     rates, trace = fs.solve_maxmin(costs, region, fs.SolverConfig(eta=0.05), [True, True])
     assert trace.converged
     assert trace.lower.tolist() == [0.05, 0.05]
     np.testing.assert_allclose(rates, [0.1, 0.9], atol=1e-6)
+
+
+def test_base_floors_at_bisects_values_to_the_lower_end_of_its_bracket():
+    costs = _ReciprocalCosts([1.0, 100.0, 1000.0])
+    floors = costs.floors_at(200.0)
+    roots = np.array([1 / 200, 1 / 2, 1.0])  # agent 2 costs 1000 > 200 at rate 1
+    assert (floors <= roots).all() and (costs.values(floors) >= 200.0).all()
+    np.testing.assert_allclose(floors, roots, rtol=1e-15)
+    # a cost that stays below the level down to rate 0 gives no bound
+    assert _ReciprocalCosts([1e-30]).floors_at(1.0).tolist() == [0.0]
+
+
+def test_fair_rate_below_the_start_floor_of_a_model_with_the_base_floors_at():
+    # agent 0's fair rate 1/101 lies below its start floor eta = 0.1; the bisected bound floors it at
+    # the rate where its cost reaches agent 1's at the start point, 1/200, so the solve finds it
+    costs = _ReciprocalCosts([1.0, 100.0])
+    region = fs.FeasibleRegion(1.0, np.zeros(2), np.ones(2))
+    rates, trace = fs.solve_maxmin(costs, region, fs.SolverConfig(eta=0.1), [True, True])
+    assert trace.converged
+    assert trace.lower[0] <= 1 / 200 and trace.lower[1] == 0.1
+    np.testing.assert_allclose(rates, [1 / 101, 100 / 101], rtol=1e-4)
+
+
+def assert_same_solve(shallow, deep, region, cfg, mask):
+    """``solve_maxmin`` on both models: the same rates and trace, bit for bit, and a model that covers the floors."""
+    rates, trace = fs.solve_maxmin(shallow, region, cfg, mask)
+    deep_rates, deep_trace = fs.solve_maxmin(deep, region, cfg, mask)
+    assert rates.tobytes() == deep_rates.tobytes()
+    assert trace.status == deep_trace.status
+    for name in ("iterations", "rates", "costs", "step_sizes", "residuals", "lower"):
+        assert getattr(trace, name).tobytes() == getattr(deep_trace, name).tobytes(), name
+    assert trace.model.values(rates).tobytes() == trace.costs[-1].tobytes()
+    got, want = trace.model.slope_bounds(trace.lower), deep_trace.model.slope_bounds(trace.lower)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    return trace
+
+
+@pytest.mark.parametrize("budget", [0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+def test_shallow_model_solves_as_the_eta_deep_one_on_the_fixture(bench_instance, budget):
+    cfg, _, deep, mask = bench_instance
+    shallow = fs.CurveCostModel.from_processes(cfg.processes, unstable_floor=1.0)
+    region = fs.FeasibleRegion(budget, np.zeros(5), np.ones(5))
+    trace = assert_same_solve(shallow, deep, region, cfg.solver, mask)
+    assert [c.domain_floor for c in shallow.curves] == np.where(mask, 1.0, 0.0).tolist()  # left as it was
+    assert [c.domain_floor for c in trace.model.curves] == [min(lb, 1.0) if m else 0.0
+                                                            for lb, m in zip(trace.lower.tolist(), mask)]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_shallow_model_solves_as_the_eta_deep_one_on_seeded_fleets(seed):
+    rng = np.random.default_rng(seed)
+    processes = [fs.ProcessModel(A=[[rng.uniform(0.2, 1.15) * rng.choice([-1, 1])]], Q=[[rng.uniform(0.5, 4.0)]])
+                 for _ in range(40)]
+    processes += [fs.ProcessModel(A=[[rng.uniform(0.5, 1.1), 1.0], [0.0, rng.uniform(0.2, 0.9)]],
+                                  Q=np.diag(rng.uniform(0.5, 4.0, 2))) for _ in range(10)]
+    mask = ~fs.stable_mask([p.A for p in processes])
+    cfg = fs.SolverConfig(eps0=0.05, eta=1e-3, max_inner_iters=200_000)
+    deep = fs.CurveCostModel.from_processes(processes, unstable_floor=cfg.eta)
+    shallow = fs.CurveCostModel.from_processes(processes, unstable_floor=1.0)
+    for total in (0.8, 4.0, 12.0, 24.0):
+        assert_same_solve(shallow, deep, fs.FeasibleRegion(total, np.zeros(50), np.ones(50)), cfg, mask)
 
 
 def test_guarded_step_keeps_slack_budget_fixed_points():

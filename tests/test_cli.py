@@ -368,6 +368,43 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "within 64 steps; the rate floor 0.001 is too small" in err
 
+    def test_curves_are_built_only_as_deep_as_the_solve_reads_them(self, tmp_path, monkeypatch):
+        # the fixture at budget 2: every unstable row stops within its final floor's segment, which
+        # holds a row of threshold index xi + 2 entries deep, and each process's Riccati runs once
+        loaded, solved, built, riccati = [], [], [], []
+        load, solve = cli.load_config, fs.allocation.solve_maxmin
+        prediction_traces, filter_covs = fs.sensors.prediction_traces, fs.sensors._filter_covs
+
+        def spy_load(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        def spy_solve(*args):
+            solved.append(solve(*args))
+            return solved[-1]
+
+        def spy_traces(ps, *args):
+            out = prediction_traces(ps, *args)
+            built.extend(zip(ps, out[2].tolist()))
+            return out
+
+        def spy_filter_covs(group):
+            riccati.extend(group)
+            return filter_covs(group)
+
+        monkeypatch.setattr(cli, "load_config", spy_load)
+        monkeypatch.setattr(fs.allocation, "solve_maxmin", spy_solve)
+        monkeypatch.setattr(fs.sensors, "prediction_traces", spy_traces)
+        monkeypatch.setattr(fs.sensors, "_filter_covs", spy_filter_covs)
+        assert main(["solve", "--config", str(fs.fixture_path("paper_sec4")), "--out", str(tmp_path / "s")]) == EXIT_OK
+        (cfg,), ((_, trace),) = loaded, solved
+        assert sorted(map(id, riccati)) == sorted(map(id, cfg.processes))
+        unstable = ~fs.stable_mask([p.A for p in cfg.processes])
+        deepest = {i: fs.threshold_from_rate(lb).xi + 2 for i, lb in enumerate(trace.lower.tolist()) if unstable[i]}
+        rows = [(next(i for i, q in enumerate(cfg.processes) if q is p), length) for p, length in built]
+        assert all(length <= deepest[i] for i, length in rows if unstable[i])
+        assert max(length for i, length in rows if unstable[i]) <= 7  # no unstable row read past segment 5
+
     def test_lipschitz_bounds_hold_at_the_allocated_rates(self, tmp_path, bench_config):
         # eta = 0.5 floors sum past the budget 1.4, so the solve works at floors 0.25, and the
         # unstable rates land below 0.5: bounds taken on [eta, 1] would miss their segments
@@ -505,6 +542,14 @@ class TestDistributedCommand:
         path = write_config(tmp_path, payload)
         assert main(["distributed", "--config", str(path), "--out", str(tmp_path / "dg")]) == EXIT_CONFIG_ERROR
 
+    def test_diverging_iterate_exits_3_with_one_line(self, tmp_path, capsys):
+        # beta 1e7 drives the multiplier norm past 1e6 within a few rounds; only a curve overflow
+        # in the centralized solve, also a NumericalError, is a configuration error
+        config = fixture_with(tmp_path, "distributed", "beta", 1e7)
+        assert main(["distributed", "--config", str(config), "--out", str(tmp_path / "dv")]) == EXIT_NOT_CONVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("distributed solve failed: distributed iteration diverged") and err.count("\n") == 1
+
     def test_cycling_iterate_stops_as_stalled(self, tmp_path):
         # alpha 0.1 on the fixture: the iterate cycles with the residual stuck
         # at 8.18, so the run ends long before its 600,000 rounds
@@ -531,17 +576,22 @@ class TestDistributedCommand:
             assert comparison["linf_gap"] <= 1e-2
 
 
-def tiny_eta_fixture(tmp_path):
-    """The paper fixture with ``eta = 1e-9``: the rho = 1.2 curve overflows while it is built."""
+def tiny_eta_fixture(tmp_path, total_rate=None):
+    """The paper fixture with ``eta = 1e-9``, at budget ``total_rate`` if given: a rho = 1.2 curve
+    built down to ``eta`` overflows."""
     payload = json.loads(fs.fixture_path("paper_sec4").read_text())
     payload["solver"]["eta"] = 1e-9
-    return write_config(tmp_path, payload, name="tiny_eta.json")
+    if total_rate is not None:
+        payload["total_rate"] = total_rate
+    return write_config(tmp_path, payload, name=f"tiny_eta_{total_rate}.json")
 
 
 class TestCurveOverflowExitsCleanly:
     """A curve that overflows while it is built ends a command with exit 2 and one line on stderr.
 
-    ``solve`` and ``distributed`` build every unstable curve down to ``solver.eta``;
+    ``solve`` and ``distributed`` build each curve only as deep as the solve reads it. At
+    budget 0.2 the start point's costliest agent is the rho = 1.2 process, which keeps its
+    start floor ``solver.eta``, so its curve is read, and built, down to ``eta``.
     ``simulate`` builds each curve only down to the allocated rate, so only a
     rate that small can overflow it.
     """
@@ -553,7 +603,7 @@ class TestCurveOverflowExitsCleanly:
         assert "overflowed" in err
 
     def test_solve(self, tmp_path, capsys):
-        self.check(capsys, ["solve", "--config", str(tiny_eta_fixture(tmp_path)), "--out", str(tmp_path / "s")])
+        self.check(capsys, ["solve", "--config", str(tiny_eta_fixture(tmp_path, 0.2)), "--out", str(tmp_path / "s")])
 
     def test_simulate(self, tmp_path, capsys):
         # simulate does not read solver.eta: the report is the shipped fixture's, byte for byte
@@ -567,7 +617,18 @@ class TestCurveOverflowExitsCleanly:
         assert (tmp_path / "tiny" / report).read_bytes() == (tmp_path / "shipped" / report).read_bytes()
 
     def test_distributed(self, tmp_path, capsys):
-        self.check(capsys, ["distributed", "--config", str(tiny_eta_fixture(tmp_path)), "--out", str(tmp_path / "d")])
+        self.check(capsys, ["distributed", "--config", str(tiny_eta_fixture(tmp_path, 0.2)),
+                            "--out", str(tmp_path / "d")])
+
+    @pytest.mark.parametrize("command", ["solve", "distributed"])
+    def test_curve_the_solve_does_not_read_is_not_built(self, tmp_path, capsys, command):
+        # at budget 2 every unstable agent gets a value-bound floor far above eta, and no curve is
+        # built down to eta; the overflow that eta would cause never happens
+        out = tmp_path / command
+        assert main([command, "--config", str(tiny_eta_fixture(tmp_path, 2.0)), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        summary = "summary.json" if command == "solve" else "comparison.json"
+        assert "converged" in (out / summary).read_text()
 
     def check_simulate_tiny_rate(self, tmp_path, capsys, config):
         # rate 1e-9 on the rho = 1.2 process: a 10^9-step cycle, which must
