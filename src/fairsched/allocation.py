@@ -38,6 +38,7 @@ blows up as the rate approaches zero need such a floor.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,14 +226,14 @@ class SolverConfig:
 class SolverTrace:
     """Per-iteration history of a solve.
 
-    Row ``k`` holds the state after iteration ``iterations[k]``; row 0 is the
-    initial point (its residual is NaN). ``lower`` holds the lower bounds the
-    solve ran on, rate floors included. ``model`` is the cost model the solve
-    evaluated, which covers ``lower``: costs at the solve's rates, and slope
-    bounds down to ``lower``, are read from it without extending a model again.
+    Row ``k`` holds the state after iteration ``k``; row 0 is the initial point
+    (its residual is NaN). The arrays are views of one table grown a row per
+    iteration run. ``lower`` holds the lower bounds the solve ran on, rate floors
+    included. ``model`` is the cost model the solve evaluated, which covers
+    ``lower``: costs at the solve's rates, and slope bounds down to ``lower``,
+    are read from it without extending a model again.
     """
 
-    iterations: np.ndarray
     rates: np.ndarray
     costs: np.ndarray
     step_sizes: np.ndarray
@@ -244,6 +245,11 @@ class SolverTrace:
     outer_events: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
     @property
+    def iterations(self) -> np.ndarray:
+        """The iteration of each row: row ``k`` is iteration ``k``."""
+        return np.arange(len(self))
+
+    @property
     def converged(self) -> bool:
         return self.status == CONVERGED
 
@@ -252,51 +258,7 @@ class SolverTrace:
         return float(self.residuals[-1])
 
     def __len__(self) -> int:
-        return len(self.iterations)
-
-
-class _TraceRecorder:
-    """Rows ``(iteration, step size, residual, rates, costs)`` in 64 KiB blocks, 8 bytes a value:
-    a solve can record ~10^5 rows, and one array object per row would cost several times as much."""
-
-    def __init__(self, rates, costs, eps):
-        self.blocks, self.filled = [], 0
-        self.add(0, rates, costs, eps, math.nan)  # row 0: the initial point
-
-    def add(self, t, rates, costs, eps, residual):
-        n = rates.size
-        if not self.blocks or self.filled == len(self.blocks[-1]):
-            width = 3 + 2 * n
-            self.blocks.append(np.empty((max(1, 8192 // width), width)))
-            self.filled = 0
-        row = self.blocks[-1][self.filled]
-        row[0], row[1], row[2] = t, eps, residual
-        row[3:3 + n] = rates
-        row[3 + n:] = costs
-        self.filled += 1
-
-    def build(self, status, lower, model) -> SolverTrace:
-        """The trace of the rows added, built once: each block is released as soon as it is
-        copied, so the blocks and the table are never held whole at the same time."""
-        blocks, self.blocks = self.blocks, []
-        blocks[-1] = blocks[-1][:self.filled]
-        table = np.empty((sum(map(len, blocks)), blocks[0].shape[1]))
-        at = 0
-        for i, block in enumerate(blocks):
-            table[at:at + len(block)] = block
-            at += len(block)
-            blocks[i] = None
-        n = (table.shape[1] - 3) // 2
-        return SolverTrace(
-            iterations=table[:, 0].astype(int),
-            rates=table[:, 3:3 + n],
-            costs=table[:, 3 + n:],
-            step_sizes=table[:, 1],
-            residuals=table[:, 2],
-            status=status,
-            lower=lower,
-            model=model,
-        )
+        return len(self.residuals)
 
 
 def project_feasible(x, region: FeasibleRegion) -> np.ndarray:
@@ -369,16 +331,25 @@ def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig)
     module docstring describes, on ``costs.with_floor(region.lower)``, which
     ``trace.model`` holds. Returns ``(rates, trace)``. Non-convergence
     within the iteration budget is reported through ``trace.status``, never
-    raised.
+    raised. ``cfg.max_inner_iters`` only caps the loop: the trace's memory
+    follows the iterations run.
     """
     costs = costs.with_floor(region.lower)
     r = project_feasible(np.asarray(r0, dtype=float), region)
     width = float((region.upper - region.lower).max())
+    rows = array("d")  # one row an iteration: step size, residual, rates, costs
+
+    def record(eps, residual, rates, values):
+        rows.extend((eps, residual))
+        rows.frombytes(rates.tobytes())
+        rows.frombytes(np.asarray(values, dtype=float).tobytes())  # 8 bytes a cost, whatever values returns
+
     values = costs.values(r)
     eps = cfg.eps0
-    rec = _TraceRecorder(r, values, eps)
+    record(eps, math.nan, r, values)  # row 0: the initial point
+    status = MAX_INNER_ITERS
     raw, returns = False, 0  # whether the last step was raw; guarded steps that followed a raw one
-    for t in range(1, cfg.max_inner_iters + 1):
+    for _ in range(cfg.max_inner_iters):
         step = eps * values
         guarded = returns >= _GUARD_RETURNS or step.max() > width
         if guarded:
@@ -389,12 +360,17 @@ def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig)
         d = r_next - r
         residual = math.sqrt(d.dot(d))  # np.linalg.norm's own formula, without its wrapper
         values = costs.values(r_next)
-        rec.add(t, r_next, values, eps, residual)
+        record(eps, residual, r_next, values)
         eps = 1.0 / (1.0 / eps + 1.0)
         r = r_next
         if residual <= cfg.eps_r:
-            return r, rec.build(CONVERGED, region.lower, costs)
-    return r, rec.build(MAX_INNER_ITERS, region.lower, costs)
+            status = CONVERGED
+            break
+    table = np.frombuffer(rows).reshape(-1, 2 + 2 * r.size)
+    rates, values = np.hsplit(table[:, 2:], 2)
+    trace = SolverTrace(rates=rates, costs=values, step_sizes=table[:, 0], residuals=table[:, 1],
+                        status=status, lower=region.lower, model=costs)
+    return r, trace
 
 
 def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, unstable_mask):
@@ -477,7 +453,8 @@ def check_equilibrium(
     values = costs.values(rates)
     vmax = float(values.max())
     scale = max(abs(vmax), 1.0)
-    active = np.flatnonzero(values >= vmax - active_tol * scale)
+    top = values >= vmax - active_tol * scale  # recover_weights' set, from the costs already read
+    active = np.flatnonzero(top)
 
     residual = float(np.linalg.norm(step_map(rates, eps_probe, costs, region) - rates))
 
@@ -497,7 +474,7 @@ def check_equilibrium(
     return EquilibriumReport(
         game_value=vmax,
         active_set=tuple(int(i) for i in active),
-        recovered_weights=recover_weights(rates, costs, active_tol),
+        recovered_weights=top / top.sum(),
         fixed_point_residual=residual,
         active_set_lemma_ok=lemma_ok,
         equal_costs_ok=equal_ok,

@@ -21,6 +21,7 @@ common multiplier: the centralized max-min fair allocation.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -155,6 +156,8 @@ class DualState:
 
 @dataclass
 class DistributedTrace:
+    """Per-round history of a distributed solve: entry ``k`` of each array is round ``k``."""
+
     residuals: np.ndarray
     lambda_spreads: np.ndarray
     lambda_mins: np.ndarray
@@ -196,7 +199,8 @@ def solve_distributed(
     primal iterate projected onto the full region, so it is always feasible;
     the raw iterate is available through the dual state.
 
-    Returns ``(rates, DualState, DistributedTrace)``.
+    Returns ``(rates, DualState, DistributedTrace)``. The trace is one table
+    grown a row per round run: ``max_iters`` only caps the loop.
     """
     if graph.n != region.n:
         raise GraphError(f"graph has {graph.n} nodes but the region has {region.n} agents")
@@ -214,11 +218,8 @@ def solve_distributed(
     lam = np.maximum(lam, 0.0)
     y = r - region.total / region.n
 
-    residuals = np.empty(max_iters)
-    spreads = np.empty(max_iters)
-    mins = np.empty(max_iters)
+    rows = array("d")  # one row a round: residual, multiplier spread, smallest multiplier
     status = MAX_INNER_ITERS
-    used = 0
     best, best_round = np.inf, 0
     for k in range(max_iters):
         r_new = (r + alpha * (costs.values(r) - lam)).clip(lb, ub)
@@ -230,11 +231,8 @@ def solve_distributed(
         dlam = lam_new - lam
         residual = math.sqrt(dr.dot(dr)) + math.sqrt(dlam.dot(dlam))
         r, lam = r_new, lam_new
-        residuals[k] = residual
         lam_min = lam.min()
-        spreads[k] = lam.max() - lam_min
-        mins[k] = lam_min
-        used = k + 1
+        rows.extend((residual, lam.max() - lam_min, lam_min))
         # NaN and inf fail the comparison too
         if not math.sqrt(lam.dot(lam)) < 1e6:
             raise DivergenceError("distributed iteration diverged (multiplier norm exceeded 1e6)")
@@ -248,9 +246,7 @@ def solve_distributed(
             break
 
     rates = project_feasible(r, region)
-    trace = DistributedTrace(
-        residuals=residuals[:used], lambda_spreads=spreads[:used], lambda_mins=mins[:used], status=status
-    )
+    trace = DistributedTrace(*np.frombuffer(rows).reshape(-1, 3).T, status=status)  # views of the table's columns
     return rates, DualState(lambdas=lam, rates=r), trace
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -391,6 +393,21 @@ def test_recover_weights(example1):
     np.testing.assert_allclose(fs.recover_weights([0.4, 0.4], same), [0.5, 0.5])
 
 
+def test_check_equilibrium_weights_are_recover_weights(example1, bench_instance):
+    cfg, region, costs, mask = bench_instance
+    rates, trace = fs.solve_maxmin(costs, region, cfg.solver, mask)
+    tied = fs.AffineCostModel([3.0, 3.0, 1.0], [1.0, 1.0, 1.0])
+    cases = [
+        (rates, trace.model, region, 1e-6),
+        (rates, trace.model, region, 1e-3),
+        (np.array([1.0, 0.25, 0.25]), *example1, 1e-6),
+        (np.zeros(3), tied, example1[1], 1e-6),
+    ]
+    for point, model, box, tol in cases:
+        report = fs.check_equilibrium(point, model, box, active_tol=tol)
+        assert report.recovered_weights.tobytes() == fs.recover_weights(point, model, tol).tobytes()
+
+
 def test_check_equilibrium_symmetric_instance():
     costs = fs.AffineCostModel([2.0, 2.0], [1.0, 1.0])
     region = fs.FeasibleRegion(1.0, np.zeros(2), np.ones(2))
@@ -521,6 +538,42 @@ def test_trace_shape_and_cost_records(example1):
     for eps in trace.step_sizes[1:]:
         assert eps == pytest.approx(expect)
         expect = 1.0 / (1.0 / expect + 1.0)
+
+
+def test_trace_memory_follows_the_iterations_run():
+    # one table of 8-byte values, grown a row per iteration: no blocks copied into it at the end
+    rng = np.random.default_rng(3)
+    n = 1000
+    costs = fs.AffineCostModel(rng.uniform(2.0, 4.0, n), rng.uniform(0.5, 2.0, n))
+    region = fs.FeasibleRegion(n / 4, np.zeros(n), np.ones(n))
+    cfg = fs.SolverConfig(eps_r=1e-300, max_inner_iters=300)
+    tracemalloc.start()
+    try:
+        _, trace = fs.solve_inner(fs.initial_allocation(region), costs, region, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_bytes = len(trace) * (2 + 2 * n) * 8
+    assert len(trace) == 301
+    assert peak < 1.3 * table_bytes
+
+
+class _Float32Costs(fs.AffineCostModel):
+    """Affine costs returned as float32."""
+
+    def values(self, rates):
+        return super().values(rates).astype(np.float32)
+
+
+def test_float32_costs_are_recorded_as_float64(example1):
+    costs = _Float32Costs([4.0, 1.5, 1.5], [1.0, 1.0, 1.0])
+    region = example1[1]
+    r, trace = fs.solve_inner(fs.initial_allocation(region), costs, region, fs.SolverConfig())
+    assert trace.converged
+    assert trace.costs.dtype == np.float64 and trace.costs.shape == (len(trace), region.n)
+    for k in range(len(trace)):
+        assert trace.costs[k].tobytes() == costs.values(trace.rates[k]).astype(float).tobytes(), k
+    np.testing.assert_allclose(r, [1.0, 0.25, 0.25], atol=1e-4)
 
 
 def test_solver_config_validation():

@@ -996,31 +996,35 @@ class TestTraceOutputMemory:
         assert path.read_bytes() == reference_csv_bytes("t", header, rows)
 
     def test_trace_and_error_decay_on_seed7_fleet(self, tmp_path, monkeypatch):
-        built, solved = [], []
-        build, solve = fs.allocation._TraceRecorder.build, fs.allocation.solve_maxmin
-
-        def spied_build(rec, *args):
-            built.append(np.concatenate(rec.blocks[:-1] + [rec.blocks[-1][:rec.filled]]))
-            return build(rec, *args)
+        solved, solve = [], fs.allocation.solve_maxmin
 
         def spied_solve(*args):
             solved.append(solve(*args))
             return solved[-1]
 
-        monkeypatch.setattr(fs.allocation._TraceRecorder, "build", spied_build)
         monkeypatch.setattr(fs.allocation, "solve_maxmin", spied_solve)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(seed7_fleet(tmp_path)), "--out", str(out)]) == EXIT_OK
-        (table,), ((rates, trace),) = built, solved
-        n = rates.size
-        assert table.shape == (trace.iterations.size, 3 + 2 * n)
-        for got, want in ((trace.iterations, table[:, 0].astype(int)), (trace.step_sizes, table[:, 1]),
-                          (trace.residuals, table[:, 2]), (trace.rates, table[:, 3:3 + n]),
-                          (trace.costs, table[:, 3 + n:])):
-            assert got.tobytes() == want.tobytes()
+        ((rates, trace),) = solved
+        assert trace.iterations.tolist() == list(range(len(trace)))
+        assert trace.rates.shape == trace.costs.shape == (len(trace), rates.size)
+        for k in range(len(trace)):
+            assert trace.costs[k].tobytes() == trace.model.values(trace.rates[k]).tobytes(), k
         errors = np.linalg.norm(trace.rates - rates, axis=1)
         rows = [[t, e] for t, e in zip(trace.iterations, errors)]
         assert (out / "error_decay.csv").read_bytes() == reference_csv_bytes("error_decay", ["iteration", "error"], rows)
+
+
+def test_distributed_with_a_huge_round_cap_matches_the_default_run(tmp_path, capsys):
+    # the cap only bounds the loop: nothing is allocated for rounds that are never run
+    fixture = str(fs.fixture_path("paper_sec4"))
+    assert main(["distributed", "--config", fixture, "--out", str(tmp_path / "default")]) == EXIT_OK
+    capsys.readouterr()
+    argv = ["distributed", "--config", fixture, "--max-iters", "10000000000", "--out", str(tmp_path / "capped")]
+    assert main(argv) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    for name in ("comparison.json", "dual_trace.csv"):
+        assert (tmp_path / "capped" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
 
 
 class TestTinyRates:

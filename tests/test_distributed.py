@@ -89,6 +89,18 @@ class TestSolveDistributed:
         assert region.contains(rates, tol=1e-9)
         assert rates.sum() <= region.total + 1e-6
 
+    def test_round_cap_allocates_nothing(self):
+        # the trace grows a row per round run: a cap of 10^12 rounds asks for no memory up front
+        costs = fs.AffineCostModel([2.0, 3.0, 2.5, 2.0], [1.0, 2.0, 1.5, 1.0])
+        region = fs.FeasibleRegion(1.5, np.zeros(4), np.ones(4))
+        capped = fs.solve_distributed(costs, region, fs.CommGraph.ring(4), max_iters=10**12, eps_r=1e-8)
+        default = fs.solve_distributed(costs, region, fs.CommGraph.ring(4), eps_r=1e-8)
+        assert capped[2].converged and 0 < len(capped[2]) < 200_000
+        assert capped[0].tobytes() == default[0].tobytes()
+        assert capped[1].lambdas.tobytes() == default[1].lambdas.tobytes()
+        for name in ("residuals", "lambda_spreads", "lambda_mins"):
+            assert getattr(capped[2], name).tobytes() == getattr(default[2], name).tobytes(), name
+
     def test_divergence_detector(self, example1):
         costs, region = example1
         with pytest.raises(fs.NumericalError):
