@@ -1,17 +1,20 @@
 """Command line interface: solve, simulate, distributed, validate-config.
 
 All emitted CSV files start with a versioned schema comment line and are
-byte-identical across reruns of the same config. Exit codes: 0 success,
-2 configuration error or an output that cannot be written, 3 solver did not
-converge (traces still emitted).
+byte-identical across reruns of the same config. ``solve`` writes at most
+50,000 float cells into each of ``allocation_trace.csv`` and
+``cost_trace.csv``: a longer history keeps evenly spaced rows, always the
+first and the last, labelled with their true iterations, while
+``error_decay.csv`` keeps every row and ``SolverTrace`` every value.
+``dual_trace.csv`` keeps at most 2000 rounds, the last among them. Exit
+codes: 0 success, 2 configuration error or an output that cannot be written,
+3 solver did not converge (traces still emitted).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -20,7 +23,7 @@ import numpy as np
 from . import allocation as alloc
 from . import distributed as dist
 from .config import ConfigError, RunConfig, load_config
-from .sensors import CostDomainError, CurveCostModel, NumericalError, build_cost_curves, stable_mask
+from .sensors import CostDomainError, CurveCostModel, NumericalError, stable_mask
 from .simulate import simulate_allocation
 
 EXIT_OK = 0
@@ -45,44 +48,19 @@ def _write_csv(path: Path, schema: str, header: list[str], values, labels=None) 
             f.write(head + ",".join(map(fmt, row.tolist())) + "\n")
 
 
-# A table written by a forked child spares the parent ~1 us a cell of formatting (1000-cell rows,
-# 2-core x86 box, Python 3.11) and costs it the fork, copy-on-write faults and the reaping: ~2 ms
-# for a child of the ~50 MB fleet process that exits at once. Written by a child and awaited at
-# once, a 5,000-cell table took 7.5 ms against 4.3 ms serially, and the two broke even near 10^5
-# cells; below this size the overhead, and the core the child takes, cost more than it spares.
-_FORK_MIN_CELLS = 50_000
+# ``solve`` writes at most this many float cells per trace table. Formatting one costs ~1 us (2-core
+# x86 box, Python 3.11), which made the trace tables most of a 1000-sensor fleet's ``solve``; the
+# full history stays in ``SolverTrace``.
+_TRACE_CELLS = 50_000
 
 
-@contextlib.contextmanager
-def _csv_written_aside(path: Path, schema: str, header: list[str], values, labels=None):
-    """:func:`_write_csv` of this table, by a forked child while the ``with`` body runs if it is large.
-
-    The fork is safe because the child does nothing but format floats and write its own file, then
-    leaves by ``os._exit``: it runs no ``atexit`` handler, flushes no buffer inherited from the
-    parent, and calls neither BLAS nor any lock the parent's threads may hold. (On CPython >= 3.12,
-    forking while BLAS threads are alive emits a ``DeprecationWarning`` all the same.) The parent
-    reaps the child in every case, also when the body raises. If the child exits non-zero or dies
-    by a signal, the parent writes the file itself and raises whatever a serial write raises. Small
-    tables, and platforms without ``os.fork``, are written serially before the body.
-    """
-    if not hasattr(os, "fork") or np.size(values) < _FORK_MIN_CELLS:
-        _write_csv(path, schema, header, values, labels)
-        yield
-        return
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            _write_csv(path, schema, header, values, labels)
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        yield
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        _write_csv(path, schema, header, values, labels)
+def _kept_rows(rows: int, max_rows: int) -> np.ndarray:
+    """Indices of at most ``max_rows`` (>= 2) of ``rows`` rows: all of them if they fit, else every
+    ``ceil((rows - 1) / (max_rows - 1))``-th row from the first, and always the last."""
+    if rows <= max_rows:
+        return np.arange(rows)
+    kept = np.arange(0, rows, -(-(rows - 1) // (max_rows - 1)))
+    return kept if kept[-1] == rows - 1 else np.append(kept, rows - 1)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -121,15 +99,13 @@ def _cannot_write(exc: OSError, out_dir: Path) -> int:
 
 
 def _write_solve_report(out_dir: Path, rates, trace, region, mask) -> None:
-    """Every output of ``solve`` except ``allocation_trace.csv``."""
+    """Every output of ``solve``. The two trace tables keep at most ``_TRACE_CELLS`` cells each, in
+    whole rows labelled with their iterations; ``error_decay.csv`` keeps every row."""
     n, costs = region.n, trace.model
-    _write_csv(
-        out_dir / "cost_trace.csv",
-        "cost_trace",
-        ["iteration"] + [f"J{i + 1}" for i in range(n)],
-        trace.costs,
-        trace.iterations,
-    )
+    kept = _kept_rows(len(trace), max(2, _TRACE_CELLS // n))
+    for name, table, column in (("allocation_trace", trace.rates, "r"), ("cost_trace", trace.costs, "J")):
+        header = ["iteration"] + [f"{column}{i + 1}" for i in range(n)]
+        _write_csv(out_dir / f"{name}.csv", name, header, table[kept], trace.iterations[kept])
     # np.linalg.norm(trace.rates - rates, axis=1), bit for bit, with one temporary instead of three
     errors = trace.rates - rates
     errors *= errors
@@ -179,16 +155,8 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> int:
         print(f"cannot solve this configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    n = region.n
     try:
-        with _csv_written_aside(
-            out_dir / "allocation_trace.csv",
-            "allocation_trace",
-            ["iteration"] + [f"r{i + 1}" for i in range(n)],
-            trace.rates,
-            trace.iterations,
-        ):
-            _write_solve_report(out_dir, rates, trace, region, mask)
+        _write_solve_report(out_dir, rates, trace, region, mask)
     except OSError as exc:
         return _cannot_write(exc, out_dir)
     print(f"status: {trace.status}; allocation written to {out_dir}")
@@ -221,7 +189,7 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
     try:
         results = simulate_allocation(cfg.processes, rates, horizon, use_seed)
         # each curve only down to its own rate, the one point it is read at; solver.eta plays no part
-        analytic = CurveCostModel(build_cost_curves(cfg.processes, np.minimum(rates, 1.0))).values(rates)
+        analytic = CurveCostModel.from_floors(cfg.processes, np.minimum(rates, 1.0)).values(rates)
     except (CostDomainError, NumericalError) as exc:
         print(f"allocation is outside the supported rate domain: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -292,8 +260,7 @@ def run_distributed(cfg: RunConfig, out_dir: Path) -> int:
         return EXIT_CONFIG_ERROR
 
     dual, trace = report.dual_state, report.distributed_trace
-    stride = max(1, len(trace) // 2000)
-    kept = np.arange(0, len(trace), stride)
+    kept = _kept_rows(len(trace), 2000)
     try:
         _write_csv(
             out_dir / "dual_trace.csv",

@@ -717,6 +717,12 @@ class CurveCostModel(CostModel):
         stable = stable_mask([p.A for p in processes])
         return _build_table(processes, np.where(stable, 0.0, float(unstable_floor)), stable)
 
+    @classmethod
+    def from_floors(cls, processes, domain_floors) -> CurveCostModel:
+        """Each process's curve down to its own floor in [0, 1], in one table: :func:`build_cost_curves`
+        without the split into curves."""
+        return _build_table(processes, domain_floors)
+
     @property
     def curves(self) -> list[CostCurve]:
         return list(self._curves)

@@ -1,9 +1,7 @@
 import importlib.util
 import json
 import math
-import os
 import re
-import signal
 import tracemalloc
 from pathlib import Path
 
@@ -246,17 +244,15 @@ class TestUnreadableInputs:
         self.check(capsys, argv, "cannot create output directory")
         assert blocker.read_text() == ""
 
-    @pytest.mark.parametrize("command, name, gate", [
-        ("solve", "allocation_trace.csv", math.inf),
-        ("solve", "allocation_trace.csv", 0),  # the child fails, then the parent's own write
-        ("solve", "cost_trace.csv", 0),
-        ("solve", "summary.json", 0),
-        ("simulate", "simulation_report.csv", 0),
-        ("distributed", "dual_trace.csv", 0),
-        ("distributed", "comparison.json", 0),
+    @pytest.mark.parametrize("command, name", [
+        ("solve", "allocation_trace.csv"),
+        ("solve", "cost_trace.csv"),
+        ("solve", "summary.json"),
+        ("simulate", "simulation_report.csv"),
+        ("distributed", "dual_trace.csv"),
+        ("distributed", "comparison.json"),
     ])
-    def test_output_file_is_a_directory(self, tmp_path, capsys, monkeypatch, command, name, gate):
-        monkeypatch.setattr(cli, "_FORK_MIN_CELLS", gate)
+    def test_output_file_is_a_directory(self, tmp_path, capsys, command, name):
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         argv = [command, "--config", str(fs.fixture_path("paper_sec4")), "--out", str(out)]
@@ -265,8 +261,6 @@ class TestUnreadableInputs:
             rates.write_text(json.dumps({"rates": [0.4] * 5}))
             argv += ["--allocation", str(rates)]
         self.check(capsys, argv, f"cannot write {out / name}: Is a directory")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_output_dir_is_a_file(self, tmp_path, capsys):
         blocker = tmp_path / "taken"
@@ -869,31 +863,6 @@ class TestCsvWriter:
             rows = [[t, *row] for t, row in zip(trace.iterations, values)]
             assert (out / name).read_bytes() == reference_csv_bytes(name[:-4], header, rows), name
 
-    def test_forked_write_matches_reference(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_FORK_MIN_CELLS", 0)
-        forks = count_forks(monkeypatch)
-        labels = np.array([0, 5, 12])
-        path = tmp_path / "t.csv"
-        with cli._csv_written_aside(path, "t", ["iteration", "a", "b", "c", "d"], self.VALUES, labels):
-            pass
-        assert forks == [1]
-        rows = [[t, *row] for t, row in zip(labels, self.VALUES)]
-        assert path.read_bytes() == reference_csv_bytes("t", ["iteration", "a", "b", "c", "d"], rows)
-
-
-def count_forks(monkeypatch) -> list[int]:
-    """Patch ``os.fork`` to count its calls in the parent; the returned list holds the count."""
-    calls, fork = [0], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            calls[0] += 1
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
 
 def synthetic_fleet(tmp_path, n=240, seed=3):
     """A seeded config of ``n`` scalar processes, a third of them unstable, sharing ``0.3 n``."""
@@ -904,67 +873,6 @@ def synthetic_fleet(tmp_path, n=240, seed=3):
     payload.update(total_rate=0.3 * n, processes=processes)
     payload.pop("distributed")
     return write_config(tmp_path, payload, name="fleet.json")
-
-
-def solve_outputs(tmp_path, monkeypatch, config, name, gate) -> dict:
-    """Every file ``solve`` writes for ``config`` with the fork gate at ``gate``, by name."""
-    monkeypatch.setattr(cli, "_FORK_MIN_CELLS", gate)
-    out = tmp_path / name
-    assert main(["solve", "--config", str(config), "--out", str(out)]) in (EXIT_OK, EXIT_NOT_CONVERGED)
-    return {p.name: p.read_bytes() for p in out.iterdir()}
-
-
-class TestForkedTraceWrite:
-    """``solve`` writes ``allocation_trace.csv`` in a forked child, with the bytes of the serial write."""
-
-    @pytest.mark.parametrize("which", ["fixture", "fleet"])
-    def test_outputs_equal_serial_write(self, tmp_path, monkeypatch, which):
-        config = fs.fixture_path("paper_sec4") if which == "fixture" else synthetic_fleet(tmp_path)
-        forks = count_forks(monkeypatch)
-        serial = solve_outputs(tmp_path, monkeypatch, config, "serial", math.inf)
-        assert forks == [0]
-        forked = solve_outputs(tmp_path, monkeypatch, config, "forked", 0)
-        assert forks == [1]
-        assert sorted(forked) == sorted(serial) and len(serial) == 5
-        for name, data in serial.items():
-            assert forked[name] == data, name
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_fixture_writes_serially(self, tmp_path, monkeypatch):
-        forks = count_forks(monkeypatch)
-        assert main(["solve", "--config", str(fs.fixture_path("paper_sec4")), "--out", str(tmp_path)]) == EXIT_OK
-        assert forks == [0]
-
-    def test_child_reaped_when_parent_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_FORK_MIN_CELLS", 0)
-
-        def broken(*args):
-            raise RuntimeError("report failed")
-
-        monkeypatch.setattr(cli, "_write_json", broken)
-        with pytest.raises(RuntimeError, match="report failed"):
-            main(["solve", "--config", str(fs.fixture_path("paper_sec4")), "--out", str(tmp_path)])
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("death", ["exit", "signal"])
-    def test_failed_child_rewritten_by_parent(self, tmp_path, monkeypatch, death):
-        serial = solve_outputs(tmp_path, monkeypatch, fs.fixture_path("paper_sec4"), "serial", math.inf)
-        parent, write = os.getpid(), cli._write_csv
-
-        def failing_in_child(path, *args):
-            if os.getpid() != parent:
-                if death == "signal":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise OSError(28, "No space left on device", str(path))
-            write(path, *args)
-
-        monkeypatch.setattr(cli, "_write_csv", failing_in_child)
-        forked = solve_outputs(tmp_path, monkeypatch, fs.fixture_path("paper_sec4"), "forked", 0)
-        assert forked == serial
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 def seed7_fleet(tmp_path) -> Path:
@@ -1013,6 +921,116 @@ class TestTraceOutputMemory:
         errors = np.linalg.norm(trace.rates - rates, axis=1)
         rows = [[t, e] for t, e in zip(trace.iterations, errors)]
         assert (out / "error_decay.csv").read_bytes() == reference_csv_bytes("error_decay", ["iteration", "error"], rows)
+
+
+def trace_rows(rows: int, n: int) -> np.ndarray:
+    """The rows ``solve`` writes of an ``n``-column trace table of ``rows`` rows."""
+    return cli._kept_rows(rows, max(2, cli._TRACE_CELLS // n))
+
+
+def csv_lines_by_label(path: Path) -> dict[str, bytes]:
+    """Each data line of a CSV by the text of its first cell."""
+    return {line.split(b",", 1)[0].decode(): line for line in path.read_bytes().splitlines()[2:]}
+
+
+class TestTraceThinning:
+    """``solve``'s two trace tables keep at most ``_TRACE_CELLS`` cells each, in whole labelled rows."""
+
+    @pytest.mark.parametrize("rows, n", [(50, 1000), (10_000, 5), (50_000, 1), (25_000, 2)])
+    def test_tables_of_the_cell_cap_are_whole(self, rows, n):
+        assert rows * n == cli._TRACE_CELLS == 50_000
+        assert trace_rows(rows, n).tolist() == list(range(rows))
+
+    @pytest.mark.parametrize("rows, n", [(50_001, 1), (16_667, 3), (7_143, 7), (51, 1000)])
+    def test_tables_past_the_cell_cap_are_thinned(self, rows, n):
+        kept = trace_rows(rows, n)
+        assert rows * n > cli._TRACE_CELLS
+        assert kept.size * n <= cli._TRACE_CELLS and kept[0] == 0 and kept[-1] == rows - 1
+
+    def test_kept_rows_bounds(self):
+        for max_rows in (2, 3, 4, 7, 50, 2000):
+            for rows in [*range(1, 200), 303, 304, 1999, 2000, 2001, 10_012, 123_457]:
+                kept = cli._kept_rows(rows, max_rows)
+                assert kept[0] == 0 and kept[-1] == rows - 1, (rows, max_rows)
+                assert np.all(np.diff(kept) > 0), (rows, max_rows)
+                assert kept.size <= max_rows, (rows, max_rows)
+                stride = -(-(rows - 1) // (max_rows - 1)) if rows > max_rows else 1
+                assert kept[:-1].tolist() == list(range(0, rows - 1, stride)), (rows, max_rows)
+        assert cli._kept_rows(1000, 2).tolist() == [0, 999]
+        assert cli._kept_rows(1, 2).tolist() == [0]
+
+    def test_seed7_fleet_traces_keep_labelled_reference_lines(self, tmp_path, monkeypatch):
+        solved, solve = [], fs.allocation.solve_maxmin
+
+        def spied_solve(*args):
+            solved.append(solve(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(fs.allocation, "solve_maxmin", spied_solve)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(seed7_fleet(tmp_path)), "--out", str(out)]) == EXIT_OK
+        ((rates, trace),) = solved
+        n, iterations = rates.size, json.loads((out / "summary.json").read_text())["iterations"]
+        for name, values, column in (("allocation_trace", trace.rates, "r"), ("cost_trace", trace.costs, "J")):
+            header = ["iteration"] + [f"{column}{i + 1}" for i in range(n)]
+            lines = (out / f"{name}.csv").read_bytes().splitlines()
+            assert lines[:2] == reference_csv_bytes(name, header, []).splitlines()
+            labels = [int(line.split(b",", 1)[0]) for line in lines[2:]]
+            assert labels[0] == 0 and labels[-1] == iterations == len(trace) - 1
+            assert len(labels) * n <= cli._TRACE_CELLS < len(trace) * n
+            for k, line in zip(labels, lines[2:]):
+                reference = reference_csv_bytes(name, header, [[trace.iterations[k], *values[k]]])
+                assert line == reference.splitlines()[2], (name, k)
+        errors = np.linalg.norm(trace.rates - rates, axis=1)
+        rows = [[t, e] for t, e in zip(trace.iterations, errors)]
+        assert (out / "error_decay.csv").read_bytes() == reference_csv_bytes("error_decay", ["iteration", "error"], rows)
+
+    @pytest.mark.parametrize("slack", [0, 1])
+    def test_cell_cap_applies_to_the_solve_tables(self, tmp_path, monkeypatch, slack):
+        fixture = str(fs.fixture_path("paper_sec4"))
+        assert main(["solve", "--config", fixture, "--out", str(tmp_path / "whole")]) == EXIT_OK
+        rows = len((tmp_path / "whole" / "error_decay.csv").read_bytes().splitlines()) - 2
+        monkeypatch.setattr(cli, "_TRACE_CELLS", 5 * rows - slack)
+        assert main(["solve", "--config", fixture, "--out", str(tmp_path / "capped")]) == EXIT_OK
+        for name in ("allocation_trace.csv", "cost_trace.csv"):
+            whole, capped = csv_lines_by_label(tmp_path / "whole" / name), csv_lines_by_label(tmp_path / "capped" / name)
+            expected = range(rows) if slack == 0 else [*range(0, rows - 1, 2), rows - 1]  # stride 2 past the cap
+            assert list(capped) == [str(k) for k in expected], name
+            assert all(whole[label] == line for label, line in capped.items()), name
+        for name in ("error_decay.csv", "summary.json", "allocation.json"):
+            assert (tmp_path / "capped" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+    def test_synthetic_fleet_outputs_repeat(self, tmp_path):
+        config = synthetic_fleet(tmp_path)
+        runs = []
+        for name in ("first", "again"):
+            assert main(["solve", "--config", str(config), "--out", str(tmp_path / name)]) == EXIT_OK
+            runs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert sorted(runs[0]) == sorted(runs[1]) and len(runs[0]) == 5
+        for name, data in runs[0].items():
+            assert runs[1][name] == data, name
+
+
+def test_stalled_distributed_run_ends_its_dual_trace_with_the_last_round(tmp_path, monkeypatch):
+    # at budget 0.5 the fixture's distributed run stalls after some 10^4 rounds
+    reports, compare = [], fs.distributed.compare_with_centralized
+
+    def spied_compare(*args, **kwargs):
+        reports.append(compare(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(fs.distributed, "compare_with_centralized", spied_compare)
+    payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+    config = write_config(tmp_path, dict(payload, total_rate=0.5))
+    assert main(["distributed", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_NOT_CONVERGED
+    (report,) = reports
+    trace = report.distributed_trace
+    assert report.distributed_status == "stalled" and len(trace) > 2000
+    data = (tmp_path / "out" / "dual_trace.csv").read_bytes()
+    labels = [int(float(line.split(b",", 1)[0])) for line in data.splitlines()[2:]]
+    assert len(labels) <= 2000 and labels[0] == 0 and labels[-1] == len(trace) - 1
+    rows = [[float(k), trace.residuals[k], trace.lambda_spreads[k]] for k in labels]
+    assert data == reference_csv_bytes("dual_trace", ["iteration", "residual", "lambda_spread"], rows)
 
 
 def test_distributed_with_a_huge_round_cap_matches_the_default_run(tmp_path, capsys):

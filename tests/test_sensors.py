@@ -825,6 +825,20 @@ def test_curves_built_down_to_their_rates_read_as_the_floored_model():
         assert got.tobytes() == expected.tobytes()
 
 
+def test_model_from_floors_reads_as_its_curves_packed_again():
+    """The table ``from_floors`` builds (what ``simulate`` reads) gives, bit for bit, the values of the
+    model packed again from :func:`build_cost_curves` at the same floors."""
+    processes, _ = mixed_processes()
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        floors = rng.choice([1.0, 0.5, 1.0 / 3.0, 0.05, 0.01, 0.004], len(processes))
+        rates = np.where(rng.random(floors.size) < 0.5, floors, rng.uniform(floors, 1.0))
+        model = fs.CurveCostModel.from_floors(processes, floors)
+        packed = fs.CurveCostModel(fs.build_cost_curves(processes, floors))
+        assert model.values(rates).tobytes() == packed.values(rates).tobytes()
+        assert model.stable.tolist() == packed.stable.tolist()
+
+
 @pytest.mark.parametrize("model", [
     fs.AffineCostModel([3.0, 2.0, 1.5], [1.0, 0.5, 0.25]),
     fs.CurveCostModel(fs.build_cost_curves([fs.ProcessModel(A=[[a]], Q=[[1.0]]) for a in (0.5, 1.2, 0.9)],
