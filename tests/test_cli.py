@@ -244,15 +244,17 @@ class TestUnreadableInputs:
         self.check(capsys, argv, "cannot create output directory")
         assert blocker.read_text() == ""
 
-    @pytest.mark.parametrize("command, name", [
-        ("solve", "allocation_trace.csv"),
-        ("solve", "cost_trace.csv"),
-        ("solve", "summary.json"),
-        ("simulate", "simulation_report.csv"),
-        ("distributed", "dual_trace.csv"),
-        ("distributed", "comparison.json"),
+    @pytest.mark.parametrize("command, name, cells", [
+        ("solve", "allocation_trace.csv", math.inf),  # the trace written whole
+        ("solve", "allocation_trace.csv", 0),  # the trace thinned to its first and last rows
+        ("solve", "cost_trace.csv", 0),
+        ("solve", "summary.json", 0),
+        ("simulate", "simulation_report.csv", 0),
+        ("distributed", "dual_trace.csv", 0),
+        ("distributed", "comparison.json", 0),
     ])
-    def test_output_file_is_a_directory(self, tmp_path, capsys, command, name):
+    def test_output_file_is_a_directory(self, tmp_path, capsys, monkeypatch, command, name, cells):
+        monkeypatch.setattr(cli, "_TRACE_CELLS", cells)
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         argv = [command, "--config", str(fs.fixture_path("paper_sec4")), "--out", str(out)]
