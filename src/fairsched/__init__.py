@@ -51,12 +51,10 @@ from .sensors import (
     ProcessModel,
     ThresholdPolicy,
     build_cost_curve,
-    build_cost_curves,
     classify_stability,
     cost_eval,
     first_invalid,
     first_rank_failure,
-    lipschitz_bounds,
     no_comm_limit,
     stable_mask,
     steady_state_filter_cov,

@@ -386,8 +386,9 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     whose bound is 0, which a model gives where it knows no bound.
 
     ``costs`` is extended only as deep as the solve reads it: down to ``r0`` before ``J(r0)`` is
-    read, then by :func:`solve_inner` down to the final floors. ``costs`` itself is left as it
-    was; ``trace.model`` is the extended model.
+    read, then by :func:`solve_inner` down to the final floors. A curve model continues each row
+    where the last extension stopped it (``floors_at`` too, in a model it then drops). ``costs``
+    itself is left as it was; ``trace.model`` is the extended model.
     """
     mask = np.atleast_1d(np.asarray(unstable_mask, dtype=bool))
     if mask.size != region.n:

@@ -71,7 +71,7 @@ def _region_and_costs(cfg: RunConfig):
     """The budget region, the processes' cost model and their instability mask.
 
     Unstable curves are built down to rate 1 only: the solve extends each one as far as it reads
-    it, which is often far above ``solver.eta``, and a deeper curve starts with the shallower one.
+    it, which is often far above ``solver.eta``, continuing the row where it stopped.
     """
     n = len(cfg.processes)
     region = alloc.FeasibleRegion(cfg.total_rate, np.zeros(n), np.ones(n))

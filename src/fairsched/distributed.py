@@ -197,7 +197,9 @@ def solve_distributed(
     residual has not dropped by 1 % in 10,000 rounds (a step too large for
     the slopes makes the iterate cycle). The returned allocation is the final
     primal iterate projected onto the full region, so it is always feasible;
-    the raw iterate is available through the dual state.
+    the raw iterate is available through the dual state. Costs are read on
+    ``costs.with_floor(region.lower)``, which continues a curve model's rows
+    down to the box: no step at all on a centralized solve's ``trace.model``.
 
     Returns ``(rates, DualState, DistributedTrace)``. The trace is one table
     grown a row per round run: ``max_iters`` only caps the loop.

@@ -24,7 +24,8 @@ and drops the steps run past a stop. A Riccati row or a curve's trace
 sequence that runs 10**6 steps raises :class:`NumericalError` (a stable
 spectral radius too close to 1, or an unstable curve's floor too small).
 ``CurveCostModel`` keeps every curve's affine segments in one flat table,
-never changed once built, and evaluates all agents by a gather.
+never changed once built, and evaluates all agents by a gather; a deeper model
+continues each row from its kept end state and splices the new steps in.
 
 Processes are validated in batches too: :func:`first_invalid` (finiteness,
 shapes, definiteness) and :func:`first_rank_failure` (observability,
@@ -57,9 +58,7 @@ __all__ = [
     "no_comm_limit",
     "threshold_from_rate",
     "build_cost_curve",
-    "build_cost_curves",
     "cost_eval",
-    "lipschitz_bounds",
 ]
 
 # the rate is nudged down by this relative amount before taking floor(1/r - 1),
@@ -342,17 +341,6 @@ def _filter_covs(group) -> np.ndarray:
     raise NumericalError("filter covariance iteration did not converge; the model is ill posed")
 
 
-def _steady_states(ps) -> list[np.ndarray]:
-    """:func:`_filter_covs` of every process, one batch per shape, as read-only arrays in input order."""
-    states = [None] * len(ps)
-    for group in _groups(ps):
-        covs = _filter_covs([ps[i] for i in group])
-        covs.setflags(write=False)
-        for i, X in zip(group.tolist(), covs):
-            states[i] = X
-    return states
-
-
 def _no_comm_covs(A, Q) -> np.ndarray:
     """``P = A P A' + Q`` for stacked stable ``A``, solved exactly: ``(I - A kron A) vec(P) = vec(Q)``.
 
@@ -387,107 +375,136 @@ def no_comm_limit(p: ProcessModel) -> float:
 def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_steps=None, levels=None,
                       starts=None):
     """``Tr(h^t(Pbar))``, ``t = 0, 1, ...``, ``h(X) = A X A' + Q``, from each process's filter steady state
-    ``Pbar``: ``starts[i]``, or computed here if ``starts`` is not given.
+    ``Pbar``; given ``starts = (depths, covs, sums)``, sequence ``i`` goes on after its ``depths[i]`` steps
+    from ``covs[i]``, the covariances of its last two, and ``sums[i]``, the sum of its traces.
 
-    One batched recursion per shape; each process leaves it at its own stop, so its sequence is
-    the one it would get alone: after step ``caps[i] + 1``; from step 1 on, where ``stable`` is
-    set, within ``tail_tol`` (relative) of its no-communication limit; where ``levels`` is given
-    and ``stable`` is not, at the first step ``k`` with ``cumsum(traces)[k] / (k + 1) >= levels[i]``;
-    or at a covariance equal, bit for bit, to the one two steps back, after which the sequence
-    repeats its last two entries forever. Returns ``(traces, first, lengths)``: sequence ``i`` has
-    ``lengths[i]`` entries from ``traces[first[i]]``, then one slot holding its limit (NaN where
-    ``stable`` is not set). Overflow raises :class:`NumericalError`, and so does a process that
-    has not stopped within ``max_steps`` steps, if given.
+    One batched recursion per shape, whatever the depths; each process leaves it at its own stop, so its
+    sequence is the one it would get alone: after step ``caps[i] + 1``; from step 1 on, where ``stable``
+    is set, within ``tail_tol`` (relative) of its no-communication limit; where ``levels`` is given and
+    ``stable`` is not, at the first step ``k`` with ``cumsum(traces)[k] / (k + 1) >= levels[i]``; or at a
+    covariance equal, bit for bit, to the one two steps back, after which the sequence repeats its last
+    two entries forever. Returns ``(traces, first, lengths, cumsums, ends)``: sequence ``i`` is
+    ``lengths[i]`` steps long; its steps from its depth on, then a slot holding its limit (NaN where
+    ``stable`` is not set), lie from ``traces[first[i]]``, their running sums (and NaN) from
+    ``cumsums[first[i]]``; ``ends[i]`` stacks its last two covariances, or is None where it stopped for
+    good, at its tail or a repeat.
+    Overflow raises :class:`NumericalError`, and so does a process not stopped within ``max_steps`` steps,
+    if given: of several, the one at the earliest step, then the first in the batch.
 
-    The recursion runs ``_WINDOW`` steps at a time and checks the stop rules
-    on the whole window: a process stops at the first step of the window
-    that meets one, and the steps run past it are dropped, so every process
-    stops, and raises, exactly where checking after each step would.
+    The recursion runs ``_WINDOW`` steps at a time and checks the stop rules on the whole window: a
+    process stops at the first step of the window that meets one, and the steps run past it are
+    dropped, so every process stops, and raises, exactly where checking after each step would.
     """
     ps = list(ps)
-    starts = _steady_states(ps) if starts is None else starts
     caps, rates = np.asarray(caps, dtype=float), np.asarray(rates, dtype=float)
     stable = np.zeros(len(ps), dtype=bool) if stable is None else np.asarray(stable, dtype=bool)
     levels = np.full(len(ps), np.inf) if levels is None else np.where(stable, np.inf, levels)
-    limits = np.full(len(ps), np.nan)
-    lengths = np.empty(len(ps), dtype=np.intp)
-    # blocks ``(t0, rows, traces)``: the traces of steps t0, t0 + 1, ... (one
-    # row each) of the processes ``rows`` (one column each); a process's
-    # entries past its length were run past its stop and are not kept
+    # from step 0, each sum starts at -0.0, which leaves a first trace as it is, bit for bit
+    depths, covs, sums = ((np.zeros(len(ps), dtype=np.intp), None, np.full(len(ps), -0.0)) if starts is None
+                          else (np.asarray(starts[0], dtype=np.intp), starts[1], np.array(starts[2], dtype=float)))
+    budget = math.inf if max_steps is None else max_steps
+    limits, lengths, ends = np.full(len(ps), np.nan), np.empty(len(ps), dtype=np.intp), [None] * len(ps)
+    # blocks ``(t0, rows, traces)``: the traces of steps t0, t0 + 1, ... past each row's depth (one row each)
+    # of the processes ``rows`` (one column each); entries past a process's length ran past its stop
     blocks = []
     offsets = np.arange(_WINDOW, dtype=float)[:, None]
     for group in _groups(ps):
         members = [ps[i] for i in group]
         A, Q, s = _stack(members, "A"), _stack(members, "Q"), stable[group]
         limits[group[s]] = np.trace(_no_comm_covs(A[s], Q[s]), axis1=1, axis2=2)
-        rows, At, cap, limit, level = group, _transposed(A), caps[group], limits[group], levels[group]
-        run = np.zeros(len(group))  # each row's sum of the traces before the window
+        rows, At, limit, level = group, _transposed(A), limits[group], levels[group]
+        cap = np.minimum(caps[group], budget - 1.0)  # a stop at the step budget is a failure
+        run, depth = sums[group], depths[group]  # each row's sum of the traces before the window, its depth
         cut = tail_tol * np.maximum(limit, 1e-300)
         tails = bool(s.any())  # whether any row has a tail rule to check
-        # Ms[2 + j] holds the covariances of step t0 + j; Ms[0] and Ms[1] the two before it
+        # Ms[2 + j] holds the covariances of step depth + t0 + j; Ms[0] and Ms[1] the two before it
         Ms = np.zeros((_WINDOW + 2,) + A.shape)
-        Ms[2] = [starts[i] for i in group]
-        steps, t0, block_t0 = [], 0, 0
+        if starts is None:
+            Ms[2], j0 = _filter_covs(members), 3
+        else:
+            Ms[:2], j0 = np.array([covs[i] for i in group]).swapaxes(0, 1), 2
+        steps, t0, block_t0, failures = [], 0, 0, []
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             while True:
-                for j in range(3 if t0 == 0 else 2, _WINDOW + 2):  # Ms[j] = sym(h(Ms[j - 1]))
+                for j in range(j0, _WINDOW + 2):  # Ms[j] = sym(h(Ms[j - 1]))
                     M = A @ Ms[j - 1] @ At + Q
                     np.add(M, _mT(M), out=Ms[j])
                     Ms[j] *= 0.5
+                j0 = 2
                 trs = np.trace(Ms, axis1=2, axis2=3)
-                tr, t = trs[2:], t0 + offsets
+                tr, t = trs[2:], (depth + t0) + offsets
                 stop = t > cap
-                if tails:
-                    stop |= (t >= 1) & (np.abs(tr - limit) <= cut)
+                # stops for good: at the stable tail, or at a covariance repeated bit for bit
+                final = (t >= 1) & (np.abs(tr - limit) <= cut) if tails else np.zeros_like(stop)
                 if np.isfinite(level).any():  # summed onto the run in order, as np.cumsum sums a sequence
-                    sums = np.cumsum(np.vstack((run, tr)), axis=0)[1:]
-                    stop |= sums / (t + 1.0) >= level
-                    run = sums[-1]
+                    window = np.cumsum(np.vstack((run, tr)), axis=0)[1:]
+                    stop |= window / (t + 1.0) >= level
+                    run = window[-1]
                 # traces first, so that only candidate steps compare whole matrices
                 w, r = np.nonzero((tr == trs[:-2]) & (t >= 2))
                 if w.size:
                     same = (Ms[w + 2, r] == Ms[w, r]).all(axis=(1, 2))
-                    stop[w[same], r[same]] = True
+                    final[w[same], r[same]] = True
+                stop |= final
                 # per row, the offset of its stop in the window, or _WINDOW
-                ends = np.where(stop.any(axis=0), stop.argmax(axis=0), _WINDOW)
+                at_stop = np.where(stop.any(axis=0), stop.argmax(axis=0), _WINDOW)
+                gone = at_stop < _WINDOW
                 if not np.isfinite(tr).all():
-                    bad = ~np.isfinite(tr) & (t >= 1)
+                    bad = ~np.isfinite(tr) & (t >= 1) & (t < budget)
                     at = bad.argmax(axis=0)
-                    raised = bad.any(axis=0) & (at <= ends)  # overflowed by its stop
+                    raised = bad.any(axis=0) & (at <= at_stop)  # overflowed by its stop
                     if raised.any():
-                        k = np.flatnonzero(raised & (at == at[raised].min()))[0]
+                        step = depth + t0 + at
+                        k = np.flatnonzero(raised & (step == step[raised].min()))[0]
                         why = (f"its mean has not reached the level {level[k]}" if level[k] < np.inf
                                else f"the rate {rates[rows[k]]} is too small")
-                        raise NumericalError(f"trace sequence overflowed at step {t0 + at[k]}; {why}")
+                        failures.append((step[k], rows[k], f"trace sequence overflowed at step {step[k]}; {why}"))
+                        gone |= raised
                 steps.append(tr)
-                done = ends < _WINDOW
-                lengths[rows[done]] = t0 + ends[done] + 1
+                if gone.any():  # rows that fail are recorded too, but never returned: the call raises
+                    last = depth + t0 + at_stop
+                    failed = np.flatnonzero((at_stop < _WINDOW) & (last >= budget))
+                    if failed.size:
+                        k = failed[0]
+                        why = (f"the stable process's spectral radius {np.abs(np.linalg.eigvals(A[k])).max():.9g} "
+                               "is too close to 1" if s[k] else f"its mean has not reached the level {level[k]}"
+                               if level[k] < np.inf else f"the rate floor {rates[rows[k]]} is too small")
+                        failures.append((budget, rows[k],
+                                         f"trace sequence did not stop within {max_steps} steps; {why}"))
+                    lengths[rows[gone]] = last[gone] + 1
+                    cols = np.flatnonzero(at_stop < _WINDOW)
+                    for c in cols[~final[at_stop[cols], cols]].tolist():  # stopped, but not for good
+                        ends[rows[c]] = Ms[at_stop[c] + 1:at_stop[c] + 3, c].copy()
                 t0 += _WINDOW
-                if done.any() or t0 - block_t0 >= 1024:  # 1024: a lone long run keeps few arrays
+                if gone.any() or t0 - block_t0 >= 1024:  # 1024: a lone long run keeps few arrays
                     blocks.append((block_t0, rows, np.concatenate(steps)))
                     steps, block_t0 = [], t0
-                if done.any():
-                    keep = ~done
-                    rows, A, At, Q, s, cap, limit, cut, level, run = (
-                        x[keep] for x in (rows, A, At, Q, s, cap, limit, cut, level, run))
+                if gone.any():
+                    keep = ~gone
+                    rows, A, At, Q, s, cap, limit, cut, level, run, depth = (
+                        x[keep] for x in (rows, A, At, Q, s, cap, limit, cut, level, run, depth))
                     Ms = Ms[:, keep]
-                    if not rows.size:
-                        break
-                if max_steps is not None and t0 >= max_steps:  # _WINDOW divides _MAX_STEPS
-                    why = (f"the stable process's spectral radius {np.abs(np.linalg.eigvals(A[0])).max():.9g} "
-                           "is too close to 1" if s[0] else f"its mean has not reached the level {level[0]}"
-                           if level[0] < np.inf else f"the rate floor {rates[rows[0]]} is too small")
-                    raise NumericalError(f"trace sequence did not stop within {max_steps} steps; {why}")
+                # a failure is raised once every row left has run past its step
+                if failures and (not rows.size or (depth + t0).min() > min(failures)[0]):
+                    raise NumericalError(min(failures)[2])
+                if not rows.size:
+                    break
                 Ms[:2] = Ms[-2:]
 
-    first = np.cumsum(lengths + 1) - (lengths + 1)
-    traces = np.empty(int((lengths + 1).sum()))
-    for t0, rows, block in blocks:
+    added = lengths - depths
+    first = np.cumsum(added + 1) - (added + 1)
+    traces, cumsums = np.empty(int((added + 1).sum())), np.empty(int((added + 1).sum()))
+    while blocks:  # in order, so each row's sums go on from its last block's; each block freed once read
+        t0, rows, block = blocks.pop(0)
         t = np.arange(t0, t0 + len(block))[:, None]
-        kept = t < lengths[rows]
-        traces[(first[rows] + t)[kept]] = block[kept]
-    traces[first + lengths] = limits
-    return traces, first, lengths
+        kept = t < added[rows]
+        at = (first[rows] + t)[kept]
+        traces[at] = block[kept]
+        block[0] += sums[rows]
+        sums[rows] = np.cumsum(block, axis=0, out=block)[-1]  # summed in order, as np.cumsum sums a row
+        cumsums[at] = block[kept]
+    traces[first + added], cumsums[first + added] = limits, np.nan
+    return traces, first, lengths, cumsums, ends
 
 
 @dataclass(frozen=True)
@@ -568,50 +585,10 @@ class CostCurve:
         return float(self.cumsums[-1] - self.traces.size * self.stable_limit)
 
 
-def _build_table(processes, domain_floors, stable=None, level=None, starts=None) -> CurveCostModel:
-    """Cost curves of all processes in one model, whose table is that of :func:`prediction_traces`.
-
-    ``stable`` is the processes' :func:`stable_mask` and ``starts`` their filter steady states, if
-    the caller has them already; the model keeps the steady states to build its rows again. Given a
-    ``level``, an unstable curve may have floor 0: it stops at its first knot that costs ``level``.
-    """
-    ps = list(processes)
-    floors = np.asarray(domain_floors, dtype=float)
-    if floors.shape != (len(ps),):
-        raise ValueError(f"need one domain floor per process, got shape {floors.shape}")
-    if stable is None:
-        stable = stable_mask([p.A for p in ps])
-    for floor, is_stable in zip(floors.tolist(), stable.tolist()):
-        if not 0 <= floor <= 1:
-            raise CostDomainError(f"domain floor must lie in [0, 1], got {floor}")
-        if not is_stable and floor == 0 and level is None:
-            raise CostDomainError("an unstable process needs a positive rate floor; its cost is unbounded at 0")
-
-    # last threshold index whose segment the curve must store; none without a floor
+def _caps(floors) -> np.ndarray:
+    """The last threshold index whose segment a curve down to each floor stores; inf at floor 0."""
     with np.errstate(divide="ignore", over="ignore"):
-        caps = np.where(floors > 0, np.floor(_XI_NUMERATOR / floors - 1.0), np.inf)
-    levels = None if level is None else np.full(len(ps), level)
-    starts = _steady_states(ps) if starts is None else starts
-    traces, first, lengths = prediction_traces(ps, caps, floors, stable, _TAIL_TOL, _MAX_STEPS, levels, starts)
-    limits = traces[first + lengths]
-    cumsums = np.empty_like(traces)
-    cumsums[first + lengths] = np.nan
-    for f, n in zip(first.tolist(), lengths.tolist()):
-        np.cumsum(traces[f:f + n], out=cumsums[f:f + n])
-    stable_limits = [limit if s else None for limit, s in zip(limits.tolist(), stable.tolist())]
-    model = CurveCostModel.__new__(CurveCostModel)
-    model._hold(traces, cumsums, lengths, stable_limits, floors.tolist(), ps, starts)
-    return model
-
-
-def build_cost_curves(processes, domain_floors) -> list[CostCurve]:
-    """:func:`build_cost_curve` for every process at its own floor, batched by shape.
-
-    Every process keeps its own stop rule and leaves its batch once it is
-    met, so each curve equals the one built for that process alone. The
-    curves' arrays are views of one shared flat table.
-    """
-    return _build_table(processes, domain_floors).curves
+        return np.where(floors > 0, np.floor(_XI_NUMERATOR / floors - 1.0), np.inf)
 
 
 def build_cost_curve(p: ProcessModel, domain_floor: float) -> CostCurve:
@@ -621,9 +598,9 @@ def build_cost_curve(p: ProcessModel, domain_floor: float) -> CostCurve:
     unbounded at rate zero) and the sequence is computed up to the segment
     containing the floor. For stable processes the sequence is additionally
     truncated once it is within 1e-10 (relative) of the bounded limit. Either
-    stop must come within 10**6 steps.
+    stop must come within 10**6 steps. A one-row :meth:`CurveCostModel.from_floors`.
     """
-    return build_cost_curves([p], [domain_floor])[0]
+    return CurveCostModel.from_floors([p], [domain_floor]).curves[0]
 
 
 def cost_eval(curve: CostCurve, r: float) -> float:
@@ -641,39 +618,27 @@ def cost_eval(curve: CostCurve, r: float) -> float:
     return float(CurveCostModel([curve]).values([r])[0])
 
 
-def lipschitz_bounds(curve: CostCurve, lb: float) -> tuple[float, float]:
-    """(alpha, beta): smallest and largest slope magnitude over segments meeting [lb, 1].
-
-    Slopes are nonpositive and their magnitude grows as the rate shrinks, so
-    alpha comes from the segment at rate 1 and beta from the segment holding
-    ``lb`` (or the affine tail of a stable curve when ``lb == 0``). A one-row
-    call of :meth:`CurveCostModel.slope_bounds`, which raises its errors.
-    """
-    alphas, betas = CurveCostModel([curve]).slope_bounds([lb])
-    return float(alphas[0]), float(betas[0])
-
-
 class CurveCostModel(CostModel):
     """Cost model backed by per-process cost curves, held in one flat table.
 
-    Curve ``i`` owns slots ``first[i] .. first[i] + sizes[i]`` of two flat
+    Row ``i`` owns slots ``first[i] .. first[i] + sizes[i]`` of two flat
     arrays, ``traces`` and ``cumsums``: its own entries, then one slot holding
-    its stable limit in ``traces`` (NaN if unstable); each ``CostCurve`` of
-    :attr:`curves` is a view of them. Its segment ``j`` has ``anchor =
-    traces[first + j + 1]`` and ``cumsum = cumsums[first + j]``, also for the
-    affine tail ``j = size - 1`` of a stable curve. The table is fixed when
-    the model is built: the model never changes, so concurrent readers need
-    no lock. ``values``, ``slope_bounds`` and ``floors_at`` work on all agents
-    at once; the first two raise :class:`CostDomainError` for the first
-    agent, in index order, that lies outside its curve's domain. ``stable[i]`` says whether curve ``i``
-    is stable, i.e. defined down to rate 0. A model built from processes
-    keeps each one's filter steady state ``Pbar``, where its trace sequence
-    starts: :meth:`with_floor` returns a model whose curves reach lower
-    floors, and :meth:`floors_at` builds short curves further, both by running
-    those sequences again from ``Pbar``, without a second Riccati iteration.
-    A deeper curve's table starts with the shallower one's, bit for bit. A
-    model of curves handed in directly has no processes, and its
-    ``with_floor`` returns itself.
+    its stable limit in ``traces`` (NaN if unstable). Its segment ``j`` has
+    ``anchor = traces[first + j + 1]`` and ``cumsum = cumsums[first + j]``,
+    also for the affine tail ``j = size - 1`` of a stable curve. ``values``,
+    ``slope_bounds`` and ``floors_at`` work on all agents at once; the first
+    two raise :class:`CostDomainError` for the first agent, in index order,
+    that lies outside its curve's domain. ``stable[i]`` says whether curve
+    ``i`` is stable, i.e. defined down to rate 0. :attr:`curves` builds a
+    :class:`CostCurve` view of each row when read.
+
+    The model never changes, so concurrent readers need no lock. Built from
+    processes, it keeps each row's end state: the covariances of its last two
+    steps (none once it has stopped for good); its running sum is its last
+    ``cumsums`` slot. :meth:`with_floor` and :meth:`floors_at` continue rows
+    from there, and splice the new steps into a new table that equals, bit
+    for bit, the table built at once. A model of curves handed in directly
+    has no processes, and its ``with_floor`` returns itself.
     """
 
     def __init__(self, curves):
@@ -687,69 +652,111 @@ class CurveCostModel(CostModel):
             if c.stable_limit is not None:
                 traces[at + n] = c.stable_limit
             at += n + 1
-        self._hold(traces, cumsums, sizes, [c.stable_limit for c in curves], [c.domain_floor for c in curves],
-                   None, None)
+        stable = np.array([c.stable_limit is not None for c in curves], dtype=bool)
+        self._hold(traces, cumsums, sizes, stable, [c.domain_floor for c in curves], None, None)
 
-    def _hold(self, traces, cumsums, sizes, limits, floors, processes, starts) -> None:
-        """Take the table: the curves' flat arrays, their sizes, stable limits and floors, and their
-        processes and filter steady states."""
-        sizes = np.asarray(sizes, dtype=np.intp)
-        stable = np.array([limit is not None for limit in limits], dtype=bool)
-        first = np.cumsum(sizes + 1) - (sizes + 1)
-        for arr in (stable, traces, cumsums):  # shared by every curve's views
+    def _hold(self, traces, cumsums, sizes, stable, floors, processes, ends) -> CurveCostModel:
+        """Take the table, the rows' sizes, stability and floors, and, to continue the rows from, their
+        processes and end states; return this model."""
+        sizes, floors = np.asarray(sizes, dtype=np.intp), np.array(floors, dtype=float)
+        for arr in (stable, traces, cumsums, floors):  # shared by every curve's views and deeper models
             arr.setflags(write=False)
-        self.stable, self._traces, self._cumsums = stable, traces, cumsums
-        self._processes, self._starts = processes, starts
-        self._curves = [
-            CostCurve(traces=traces[f:f + n], cumsums=cumsums[f:f + n], stable_limit=limit, domain_floor=floor)
-            for f, n, limit, floor in zip(first.tolist(), sizes.tolist(), limits, floors)
-        ]
-        self.n = len(self._curves)
-        self._first, self._sizes = first.astype(float), sizes
+        self.stable, self._traces, self._cumsums, self._sizes, self._floors = stable, traces, cumsums, sizes, floors
+        self.n, self._processes, self._ends = sizes.size, processes, ends
+        self._first = (np.cumsum(sizes + 1) - (sizes + 1)).astype(float)
         # the row that rates below the stored range use, the largest threshold index covered, the smallest rate
         self._last = np.where(stable, sizes - 1.0, sizes - 2.0)
         self._xi_max = np.where(stable, np.inf, sizes - 2.0)
-        self._lo = np.array(floors, dtype=float) * (1.0 - 1e-9)
+        self._lo = floors * (1.0 - 1e-9)
+        return self
 
     @classmethod
     def from_processes(cls, processes, unstable_floor: float = 1e-3):
         processes = list(processes)
         stable = stable_mask([p.A for p in processes])
-        return _build_table(processes, np.where(stable, 0.0, float(unstable_floor)), stable)
+        return cls._built(processes, np.where(stable, 0.0, float(unstable_floor)), stable)
 
     @classmethod
     def from_floors(cls, processes, domain_floors) -> CurveCostModel:
-        """Each process's curve down to its own floor in [0, 1], in one table: :func:`build_cost_curves`
-        without the split into curves."""
-        return _build_table(processes, domain_floors)
+        """Each process's curve down to its own floor in [0, 1], in one table."""
+        processes = list(processes)
+        return cls._built(processes, domain_floors, stable_mask([p.A for p in processes]))
+
+    @classmethod
+    def _built(cls, processes, domain_floors, stable) -> CurveCostModel:
+        """Every row built from its process's ``Pbar`` down to its floor, in one batch per shape."""
+        floors = np.asarray(domain_floors, dtype=float)
+        if floors.shape != (len(processes),):
+            raise ValueError(f"need one domain floor per process, got shape {floors.shape}")
+        for floor, is_stable in zip(floors.tolist(), stable.tolist()):
+            if not 0 <= floor <= 1:
+                raise CostDomainError(f"domain floor must lie in [0, 1], got {floor}")
+            if not is_stable and floor == 0:
+                raise CostDomainError("an unstable process needs a positive rate floor; its cost is unbounded at 0")
+        traces, _, lengths, cumsums, ends = prediction_traces(processes, _caps(floors), floors, stable, _TAIL_TOL,
+                                                              _MAX_STEPS)
+        return cls.__new__(cls)._hold(traces, cumsums, lengths, stable, floors, processes, ends)
 
     @property
     def curves(self) -> list[CostCurve]:
-        return list(self._curves)
+        first, sizes = self._first.astype(np.intp).tolist(), self._sizes.tolist()
+        return [CostCurve(traces=self._traces[f:f + n], cumsums=self._cumsums[f:f + n],
+                          stable_limit=float(self._traces[f + n]) if s else None, domain_floor=floor)
+                for f, n, s, floor in zip(first, sizes, self.stable.tolist(), self._floors.tolist())]
+
+    def _continued(self, rows, floors, level=None) -> CurveCostModel:
+        """This model with row ``rows[j]`` at floor ``floors[j]`` (and a ``level``, if given), each row
+        continued to where a build from ``Pbar`` would stop. A row that stopped for good or holds its floor's
+        segment already takes no step; the others' new steps go in before their limit slots."""
+        caps, depth = _caps(floors), self._sizes[rows]
+        # a row steps on unless it stopped for good or its last step, depth - 1, lies past its cap already
+        go = (depth <= caps + 1) & np.array([self._ends[i] is not None for i in rows.tolist()], dtype=bool)
+        grow, depth = rows[go], depth[go]
+        traces, cumsums, sizes, ends = self._traces, self._cumsums, self._sizes, self._ends
+        if grow.size:
+            end = self._first.astype(np.intp)[grow] + depth  # each row's limit slot
+            new, first, lengths, sums, new_ends = prediction_traces(
+                [self._processes[i] for i in grow.tolist()], caps[go], floors[go], self.stable[grow], _TAIL_TOL,
+                _MAX_STEPS, None if level is None else np.full(grow.size, level),
+                (depth, [ends[i] for i in grow.tolist()], cumsums[end - 1]))
+            slots = np.ones(new.size, dtype=bool)
+            slots[first + lengths - depth] = False  # the limit slots, which the table has already
+            at = np.repeat(end, lengths - depth)
+            traces, cumsums = np.insert(traces, at, new[slots]), np.insert(cumsums, at, sums[slots])
+            sizes, ends = sizes.copy(), list(ends)
+            sizes[grow] = lengths
+            for i, pair in zip(grow.tolist(), new_ends):
+                ends[i] = pair
+        moved = self._floors.copy()
+        moved[rows] = floors
+        return CurveCostModel.__new__(CurveCostModel)._hold(traces, cumsums, sizes, self.stable, moved,
+                                                            self._processes, ends)
 
     def with_floor(self, lower) -> CurveCostModel:
-        """This model, with each curve whose floor lies above its ``lower > 0`` rebuilt down to it in one batch."""
-        lower = np.asarray(lower, dtype=float).tolist()
+        """A new model with each curve whose floor lies above its ``lower > 0`` continued down to it; this
+        model itself if no floor moves or it has no processes."""
+        lower = np.asarray(lower, dtype=float)
         if len(lower) != self.n:
             raise ValueError(f"expected {self.n} floors, got {len(lower)}")
-        curves = self.curves
-        grow = [i for i, (curve, lb) in enumerate(zip(curves, lower)) if 0 < lb < curve.domain_floor]
-        if not grow or self._processes is None:
-            return self
-        deeper = _build_table([self._processes[i] for i in grow], [lower[i] for i in grow], self.stable[grow],
-                              starts=[self._starts[i] for i in grow])
-        for i, curve in zip(grow, deeper.curves):
-            curves[i] = curve
-        model = CurveCostModel(curves)
-        model._processes, model._starts = self._processes, self._starts
-        return model
+        rows = np.flatnonzero((0 < lower) & (lower < self._floors))
+        return self if not rows.size or self._processes is None else self._continued(rows, lower[rows])
 
     def floors_at(self, level) -> np.ndarray:
         """The rate at which each agent's cost equals ``level``, solved on the segment holding it: 1 at or
         below the cost at rate 1, 0 at or past a stable limit. An unstable curve whose stored knots
-        ``(1/(k+1), cumsums[k]/(k+1))`` all cost less is built, by :func:`prediction_traces`, to its first
-        knot that does not; one that overflows first raises :class:`NumericalError`."""
+        ``(1/(k+1), cumsums[k]/(k+1))`` all cost less is continued to its first knot that does not, in a
+        model then dropped: overflow first raises :class:`NumericalError`, a stop for good short of the
+        level :class:`CostDomainError`."""
         level = float(level)
+        rates, short = self._level_rates(level)
+        if short.size and self._processes is not None:
+            rates, short = self._continued(short, np.zeros(short.size), level)._level_rates(level)
+        if short.size:
+            raise CostDomainError(f"cost level {level} lies past the stored range of curve {short[0]}")
+        return rates
+
+    def _level_rates(self, level: float):
+        """:meth:`floors_at` on the stored knots, and the unstable rows whose knots all cost less."""
         knots = np.arange(1.0, self._traces.size + 1.0) - np.repeat(self._first, self._sizes + 1)  # k + 1
         knots = np.divide(self._cumsums, knots, out=knots)  # the knots' costs, and NaN in each limit slot
         j = np.add.reduceat(knots < level, self._first.astype(np.intp), dtype=np.intp) - 1.0  # -1: above rate 1
@@ -758,16 +765,7 @@ class CurveCostModel(CostModel):
         with np.errstate(divide="ignore", invalid="ignore"):
             rates = (level - anchor) / (self._cumsums.take(slot) - (j + 1.0) * anchor)
         rates = np.where(j < 0, 1.0, np.maximum(rates, 0.0))
-        short = np.flatnonzero(~self.stable & (j == self._sizes - 1))
-        if short.size and self._processes is None:
-            raise CostDomainError(f"cost level {level} lies past the stored range of curve {short[0]}")
-        if short.size:
-            short = short.tolist()
-            deeper = _build_table([self._processes[i] for i in short], np.zeros(len(short)),
-                                  np.zeros(len(short), dtype=bool), level, [self._starts[i] for i in short])
-            deeper._processes = None  # its curves reach the level, or repeat short of it for good
-            rates[short] = deeper.floors_at(level)
-        return rates
+        return rates, np.flatnonzero(~self.stable & (j == self._sizes - 1))
 
     def values(self, rates) -> np.ndarray:
         """``J_i(rates[i])`` of every agent by one gather from the table.
@@ -794,7 +792,7 @@ class CurveCostModel(CostModel):
                     raise CostDomainError("rate 0 is outside the domain of an unstable cost curve")
                 if not 0 <= ri <= _RATE_MAX:
                     raise CostDomainError(f"rate must lie in [0, 1], got {ri}")
-                raise CostDomainError(f"rate {ri} lies below the curve's domain floor {self._curves[i].domain_floor}")
+                raise CostDomainError(f"rate {ri} lies below the curve's domain floor {float(self._floors[i])}")
             # as +0.0 past every stored segment, the rate reads the stable limit
             r, xi = np.where(zero, 0.0, r), np.where(zero, np.inf, xi)
         j = np.minimum(xi, self._last)
@@ -803,7 +801,9 @@ class CurveCostModel(CostModel):
         return anchor + r * (self._cumsums.take(k) - (j + 1.0) * anchor)
 
     def slope_bounds(self, lower) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`lipschitz_bounds` of every curve at its ``lower``, in one pass over the table.
+        """Per curve, ``(alpha, beta)``: the smallest and largest slope magnitude over the segments meeting
+        [lower, 1], in one pass over the table: the segment at rate 1 and the one holding ``lower`` (the
+        affine tail of a stable curve at 0), as the magnitude grows while the rate shrinks.
 
         Raises :class:`CostDomainError` for the first agent, in index order,
         whose ``lower`` is outside [0, 1] (NaN included), is 0 on an unstable
@@ -814,9 +814,7 @@ class CurveCostModel(CostModel):
         if lb.shape != (self.n,):
             raise ValueError(f"expected {self.n} lower bounds, got shape {lb.shape}")
         tail = self._sizes - 1  # the affine tail's segment: NaN for an unstable curve
-        with np.errstate(divide="ignore", over="ignore"):
-            xi = np.maximum(np.floor(_XI_NUMERATOR / lb - 1.0), 0.0)
-        last = np.where(lb > 0, np.minimum(xi, tail), tail).astype(np.intp)  # segments 0..last meet [lb, 1]
+        last = np.clip(_caps(lb), 0, tail).astype(np.intp)  # segments 0..last meet [lb, 1]
         # segment j of curve i sits in slot first[i] + j, with slope cumsums[slot] - (j + 1) traces[slot + 1];
         # worked in place, as the table holds ~3e5 slots for 1000 sensors
         mags = np.repeat(-self._first, self._sizes + 1)
@@ -842,7 +840,7 @@ class CurveCostModel(CostModel):
                 raise CostDomainError("an unstable curve has no slope bound down to rate 0")
             if below[i]:
                 raise CostDomainError(f"lower bound {float(lb[i])} lies below the curve's domain floor "
-                                      f"{self._curves[i].domain_floor}")
+                                      f"{float(self._floors[i])}")
             if past[i]:
                 raise CostDomainError(f"segment {_xi_of(float(lb[i]))} is below the curve's domain floor")
             raise CostDomainError("cost curve has a flat segment; strict monotonicity is violated")

@@ -73,7 +73,7 @@ def _trace_sums(ps, policies, horizon: int) -> list:
     """
     caps = [horizon - 2 if pol is None else min(pol.xi, horizon - 2) for pol in policies]
     rates = [0.0 if pol is None else pol.rate for pol in policies]
-    traces, first, lengths = prediction_traces(ps, caps, rates)
+    traces, first, lengths, _, _ = prediction_traces(ps, caps, rates)
     return [_summed(traces[f:f + n]) for f, n in zip(first.tolist(), lengths.tolist())]
 
 

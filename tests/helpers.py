@@ -347,7 +347,7 @@ def reference_cost_eval(curve: CostCurve, r: float) -> float:
 
 
 def reference_lipschitz_bounds(curve: CostCurve, lb: float) -> tuple[float, float]:
-    """One curve's (alpha, beta) on [lb, 1] from a list of its slopes, or the error ``lipschitz_bounds`` raises."""
+    """One curve's (alpha, beta) on [lb, 1] from a list of its slopes, or the error ``slope_bounds`` raises."""
     lb = float(lb)
     if not 0 <= lb <= 1:  # NaN too
         raise CostDomainError(f"lower bound must lie in [0, 1], got {lb}")

@@ -401,6 +401,47 @@ class TestSolveCommand:
         assert all(length <= deepest[i] for i, length in rows if unstable[i])
         assert max(length for i, length in rows if unstable[i]) <= 7  # no unstable row read past segment 5
 
+    @pytest.mark.parametrize("which", ["fixture", "seed-7 fleet"])
+    def test_solve_continues_rows_and_runs_no_held_step_again(self, tmp_path, monkeypatch, which):
+        # from_processes builds every row from Pbar; each later call continues rows from the depth the
+        # asking model holds, and outside floors_at's level extension (a model it drops) each row runs
+        # exactly the steps between its depth in the input model and its depth in the solve's model
+        config = fs.fixture_path("paper_sec4") if which == "fixture" else seed7_fleet(tmp_path)
+        solved, calls, curves = [], [], []
+        solve, prediction_traces, cost_curve = fs.allocation.solve_maxmin, fs.sensors.prediction_traces, fs.CostCurve
+
+        def spy_solve(costs, *args):
+            solved.append((costs, solve(costs, *args)))
+            return solved[-1][1]
+
+        def spy_traces(ps, *args):
+            out = prediction_traces(ps, *args)
+            depths = np.zeros(len(ps), dtype=int) if len(args) < 7 else np.asarray(args[6][0])
+            calls.append((ps, depths, out[2], len(args) > 5 and args[5] is not None))
+            return out
+
+        def spy_curve(**fields):
+            curves.append(fields)
+            return cost_curve(**fields)
+
+        monkeypatch.setattr(fs.allocation, "solve_maxmin", spy_solve)
+        monkeypatch.setattr(fs.sensors, "prediction_traces", spy_traces)
+        monkeypatch.setattr(fs.sensors, "CostCurve", spy_curve)
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert not curves  # no CostCurve view is built on the way
+        ((costs, (_, trace)),) = solved
+        index = {id(p): i for i, p in enumerate(costs._processes)}
+        (ps, depths, lengths, _), *extensions = calls
+        assert [index[id(p)] for p in ps] == list(range(costs.n)) and not depths.any()
+        assert lengths.tolist() == costs._sizes.tolist()
+        steps, extended = np.zeros(costs.n, dtype=int), np.zeros(costs.n, dtype=int)
+        for ps, depths, lengths, levelled in extensions:
+            rows = [index[id(p)] for p in ps]
+            assert (depths >= 2).all() and len(set(rows)) == len(rows)
+            np.add.at(extended if levelled else steps, rows, lengths - depths)
+        assert steps.tolist() == (trace.model._sizes - costs._sizes).tolist()
+        assert len(extensions) == 3 and sum(levelled for *_, levelled in extensions) == 1
+
     def test_lipschitz_bounds_hold_at_the_allocated_rates(self, tmp_path, bench_config):
         # eta = 0.5 floors sum past the budget 1.4, so the solve works at floors 0.25, and the
         # unstable rates land below 0.5: bounds taken on [eta, 1] would miss their segments

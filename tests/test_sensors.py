@@ -268,7 +268,7 @@ class TestNoCommLimit:
         slow, fast = fs.ProcessModel(A=[[0.99]], Q=[[1.0]]), fs.ProcessModel(A=[[0.5]], Q=[[1.0]])
         assert fs.build_cost_curve(fast, 0.0).traces.size < 2 * _WINDOW
         with pytest.raises(fs.NumericalError, match=r"within 64 steps; .* spectral radius 0\.99 is too close to 1"):
-            fs.build_cost_curves([fast, slow], [0.0, 0.0])
+            fs.CurveCostModel.from_floors([fast, slow], [0.0, 0.0])
 
     def test_unstable_sequence_past_the_step_budget_raises(self, monkeypatch):
         # rho = 1 never overflows, so only the step budget stops a floor too small for it; at 0.05 it
@@ -277,7 +277,7 @@ class TestNoCommLimit:
         walk = fs.ProcessModel(A=[[1.0]], Q=[[1.0]])
         assert fs.build_cost_curve(walk, 0.05).traces.size == 21
         with pytest.raises(fs.NumericalError, match=r"within 64 steps; the rate floor 0\.001 is too small"):
-            fs.build_cost_curves([walk, walk], [0.05, 1e-3])
+            fs.CurveCostModel.from_floors([walk, walk], [0.05, 1e-3])
         # the simulator's sequences keep their horizon-sized caps
         assert prediction_traces([walk], [1000], [1e-3])[2].tolist() == [1002]
 
@@ -285,14 +285,14 @@ class TestNoCommLimit:
 class TestLipschitzBounds:
     def test_single_slope_curve(self, scalar_unit_process):
         curve = fs.build_cost_curve(scalar_unit_process, 0.0)
-        alpha, beta = fs.lipschitz_bounds(curve, 0.0)
+        alpha, beta = slope_bounds_of(curve, 0.0)
         assert alpha == pytest.approx(0.5, rel=1e-12)
         assert beta == pytest.approx(0.5, rel=1e-12)
 
     def test_beta_on_segment_holding_lb(self):
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
         curve = fs.build_cost_curve(p, 0.05)
-        alpha, beta = fs.lipschitz_bounds(curve, 0.05)
+        alpha, beta = slope_bounds_of(curve, 0.05)
         xi_lb = fs.threshold_from_rate(0.05).xi
         assert beta == pytest.approx(abs(curve.segment_slope(xi_lb)), rel=1e-12)
         assert alpha == pytest.approx(abs(curve.segment_slope(0)), rel=1e-12)
@@ -301,19 +301,19 @@ class TestLipschitzBounds:
     def test_lb_one_uses_last_segment(self):
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
         curve = fs.build_cost_curve(p, 0.05)
-        alpha, beta = fs.lipschitz_bounds(curve, 1.0)
+        alpha, beta = slope_bounds_of(curve, 1.0)
         assert alpha == beta == pytest.approx(abs(curve.segment_slope(0)), rel=1e-12)
 
     def test_flat_curve_flagged(self):
         p = fs.ProcessModel(A=[[0.4, 0.1], [0.0, 0.2]], Q=np.zeros((2, 2)))
         curve = fs.build_cost_curve(p, 0.5)
         with pytest.raises(CostDomainError):
-            fs.lipschitz_bounds(curve, 0.5)
+            slope_bounds_of(curve, 0.5)
 
     def test_nan_lower_bound_rejected(self, scalar_unit_process):
         curve = fs.build_cost_curve(scalar_unit_process, 0.0)
         with pytest.raises(CostDomainError, match=r"^lower bound must lie in \[0, 1\], got nan$"):
-            fs.lipschitz_bounds(curve, math.nan)
+            slope_bounds_of(curve, math.nan)
         costs = fs.CurveCostModel([curve, fs.build_cost_curve(fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), 0.05)])
         with pytest.raises(CostDomainError, match=r"^lower bound must lie in \[0, 1\], got nan$"):
             costs.slope_bounds([math.nan, 0.05])
@@ -479,7 +479,7 @@ class TestCurveCostModel:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_slope_bounds_equal_lipschitz_bounds_on_random_fleets(self, seed):
         processes, floors = mixed_processes(seed)
-        costs = fs.CurveCostModel(fs.build_cost_curves(processes, floors))
+        costs = fs.CurveCostModel(fs.CurveCostModel.from_floors(processes, floors).curves)
         rng = np.random.default_rng(seed)
         floors = np.array(floors)
         for lower in (floors, floors + rng.uniform(0, 1, floors.size) * (1 - floors), np.maximum(floors, 0.5)):
@@ -514,6 +514,12 @@ class TestCurveCostModel:
         costs = fs.CurveCostModel.from_processes([*bench_config.processes, flat, flat])
         lower = np.where(~costs.stable, bench_config.solver.eta, 0.0)
         assert assert_slope_bounds_equal_scalar(costs, lower) == "raised"
+
+
+def slope_bounds_of(curve, lb) -> tuple[float, float]:
+    """``(alpha, beta)`` of one curve on [lb, 1]: ``slope_bounds`` of the model that holds it alone."""
+    alphas, betas = fs.CurveCostModel([curve]).slope_bounds([lb])
+    return float(alphas[0]), float(betas[0])
 
 
 def assert_same_error(reference, call) -> None:
@@ -575,7 +581,7 @@ def mixed_processes(seed=20261018):
 class TestBatchedBuild:
     def test_curves_equal_scalar_reference(self):
         processes, floors = mixed_processes()
-        curves = fs.build_cost_curves(processes, floors)
+        curves = fs.CurveCostModel.from_floors(processes, floors).curves
         for p, floor, curve in zip(processes, floors, curves):
             ref = reference_cost_curve(p, floor)
             np.testing.assert_array_equal(curve.traces, ref.traces)
@@ -605,7 +611,7 @@ class TestBatchedBuild:
 
     def test_one_element_calls_match_batch(self):
         processes, floors = mixed_processes()
-        for p, floor, curve in zip(processes, floors, fs.build_cost_curves(processes, floors)):
+        for p, floor, curve in zip(processes, floors, fs.CurveCostModel.from_floors(processes, floors).curves):
             single = fs.build_cost_curve(p, floor)
             np.testing.assert_array_equal(single.traces, curve.traces)
             if curve.stable_limit is not None:
@@ -615,12 +621,12 @@ class TestBatchedBuild:
         processes, floors = mixed_processes()
         blowup = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
         with pytest.raises(fs.NumericalError, match="overflowed.*1e-09"):
-            fs.build_cost_curves([*processes, blowup], [*floors, 1e-9])
+            fs.CurveCostModel.from_floors([*processes, blowup], [*floors, 1e-9])
 
     def test_one_floor_per_process(self):
         processes, floors = mixed_processes()
         with pytest.raises(ValueError):
-            fs.build_cost_curves(processes, floors[:-1])
+            fs.CurveCostModel.from_floors(processes, floors[:-1])
 
 
 class TestWindowedTraces:
@@ -636,7 +642,7 @@ class TestWindowedTraces:
                 prediction_traces(ps, caps, rates, stable, tail_tol)
             assert str(raised.value) == str(exc)
             return None
-        got = prediction_traces(ps, caps, rates, stable, tail_tol)
+        got = prediction_traces(ps, caps, rates, stable, tail_tol)[:3]  # the reference has no sums or end states
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         return got
@@ -696,8 +702,8 @@ class TestWindowedTraces:
                     expected.append(row[:int(np.argmax(means >= level)) + 1])
         stable = fs.ProcessModel(A=[[0.9]], Q=[[1.0]])  # keeps its tail cut: a level stops unstable rows only
         n = len(batch)
-        traces, first, lengths = prediction_traces([*batch, stable], [math.inf] * (n + 1), [0.0] * (n + 1),
-                                                   [False] * n + [True], 1e-10, None, levels + [0.0])
+        traces, first, lengths, *_ = prediction_traces([*batch, stable], [math.inf] * (n + 1), [0.0] * (n + 1),
+                                                       [False] * n + [True], 1e-10, None, levels + [0.0])
         for i, want in enumerate(expected):
             assert traces[first[i]:first[i] + lengths[i]].tobytes() == want.tobytes(), i
         assert [len(want) for want in expected[:4]] == [1, 2, 2, 3]  # on the knot, then one past it
@@ -741,7 +747,7 @@ class TestValuesMatchCostEval:
     def model(self, n):
         processes, floors = mixed_processes()
         processes, floors = (processes * n)[:n], (floors * n)[:n]
-        curves = fs.build_cost_curves(processes, floors)
+        curves = fs.CurveCostModel.from_floors(processes, floors).curves
         return fs.CurveCostModel(curves), curves, processes
 
     def test_bitwise_at_probe_points(self, n):
@@ -795,7 +801,7 @@ class TestValuesMatchCostEval:
 ])
 def test_values_raise_for_the_first_agent_out_of_its_domain(kind, low, high):
     processes, floors = mixed_processes()
-    curves = fs.build_cost_curves(processes, floors)
+    curves = fs.CurveCostModel.from_floors(processes, floors).curves
     stable = [c.stable_limit is not None for c in curves]
     ahead = stable.index(True)  # a stable curve with a positive floor, read at -0.0: its limit, no error
     a = stable.index(False, ahead)
@@ -821,28 +827,28 @@ def test_curves_built_down_to_their_rates_read_as_the_floored_model():
         rates = np.where(unstable, rates, rng.choice(positive + [0.0, -0.0, 1e-7, 1e-150], unstable.size))
         rates = np.where(rng.random(rates.size) < 0.3, rng.uniform(0.004, 1.0, rates.size), rates)
         expected = floored.with_floor(np.where(unstable, rates, 0.0)).values(rates)
-        got = fs.CurveCostModel(fs.build_cost_curves(processes, np.minimum(rates, 1.0))).values(rates)
+        got = fs.CurveCostModel(fs.CurveCostModel.from_floors(processes, np.minimum(rates, 1.0)).curves).values(rates)
         assert got.tobytes() == expected.tobytes()
 
 
 def test_model_from_floors_reads_as_its_curves_packed_again():
     """The table ``from_floors`` builds (what ``simulate`` reads) gives, bit for bit, the values of the
-    model packed again from :func:`build_cost_curves` at the same floors."""
+    model packed again from its curves."""
     processes, _ = mixed_processes()
     rng = np.random.default_rng(17)
     for _ in range(20):
         floors = rng.choice([1.0, 0.5, 1.0 / 3.0, 0.05, 0.01, 0.004], len(processes))
         rates = np.where(rng.random(floors.size) < 0.5, floors, rng.uniform(floors, 1.0))
         model = fs.CurveCostModel.from_floors(processes, floors)
-        packed = fs.CurveCostModel(fs.build_cost_curves(processes, floors))
+        packed = fs.CurveCostModel(fs.CurveCostModel.from_floors(processes, floors).curves)
         assert model.values(rates).tobytes() == packed.values(rates).tobytes()
         assert model.stable.tolist() == packed.stable.tolist()
 
 
 @pytest.mark.parametrize("model", [
     fs.AffineCostModel([3.0, 2.0, 1.5], [1.0, 0.5, 0.25]),
-    fs.CurveCostModel(fs.build_cost_curves([fs.ProcessModel(A=[[a]], Q=[[1.0]]) for a in (0.5, 1.2, 0.9)],
-                                           [0.0, 0.05, 0.0])),
+    fs.CurveCostModel(fs.CurveCostModel.from_floors([fs.ProcessModel(A=[[a]], Q=[[1.0]]) for a in (0.5, 1.2, 0.9)],
+                                                    [0.0, 0.05, 0.0]).curves),
 ], ids=["affine", "curve"])
 @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (), (2,), (4,)], ids=["column", "row", "scalar", "short", "long"])
 def test_values_require_one_rate_per_agent(model, shape):
@@ -872,11 +878,11 @@ class TestSubnormalRate:
 
     def test_lipschitz_bounds_reach_the_affine_tail(self):
         curve = fs.build_cost_curve(self.STABLE, 0.0)
-        got = fs.lipschitz_bounds(curve, self.RATE)
-        assert got == reference_lipschitz_bounds(curve, self.RATE) == fs.lipschitz_bounds(curve, 0.0)
+        got = slope_bounds_of(curve, self.RATE)
+        assert got == reference_lipschitz_bounds(curve, self.RATE) == slope_bounds_of(curve, 0.0)
         unstable = fs.build_cost_curve(self.UNSTABLE, 1e-3)
         assert_same_error(lambda: reference_lipschitz_bounds(unstable, self.RATE),
-                          lambda: fs.lipschitz_bounds(unstable, self.RATE))
+                          lambda: slope_bounds_of(unstable, self.RATE))
 
     def test_values_without_a_warning(self):
         curves = [fs.build_cost_curve(self.STABLE, 0.0), fs.build_cost_curve(self.UNSTABLE, 1e-3)]
@@ -891,3 +897,130 @@ class TestSubnormalRate:
         reference = fs.build_cost_curve(self.STABLE, 0.0)
         assert curve.traces.tolist() == reference.traces.tolist()
         assert curve.stable_limit == reference.stable_limit
+
+
+# an unstable row whose covariance grows by 1 a step until it reaches 2**53, where adding 1 leaves it as
+# it is: it repeats from step 41 on, and the repeat rule stops it at step 42, two steps back
+SATURATING = fs.ProcessModel(A=[[1.0]], Q=[[1.0]], R_meas=[[2.0**106]], Pi0=[[2.0**53 - 40]])
+
+
+def assert_same_table(got, want) -> None:
+    """Two curve models hold the same table, limit slots included, floors and end states, bit for bit."""
+    assert got._sizes.tolist() == want._sizes.tolist()
+    for name in ("_traces", "_cumsums", "_floors", "stable"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for a, b in zip(got._ends, want._ends, strict=True):
+        assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
+
+
+def assert_same_answer(got, want) -> None:
+    """``got()`` returns ``want()``'s arrays bit for bit, or raises its error."""
+    try:
+        expected = want()
+    except (CostDomainError, fs.NumericalError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            got()
+        return
+    assert np.asarray(got()).tobytes() == np.asarray(expected).tobytes()
+
+
+def stop_kinds(model) -> list[str]:
+    """Why each row stopped: at its "cap", at its stable "tail", or at a "repeat"ed covariance."""
+    kinds = []
+    for curve, end in zip(model.curves, model._ends):
+        limit = curve.stable_limit
+        tail = limit is not None and abs(curve.traces[-1] - limit) <= sensors._TAIL_TOL * limit
+        kinds.append("cap" if end is not None else "tail" if tail else "repeat")
+    return kinds
+
+
+class TestContinuedRows:
+    """A row continued from its end state equals, bit for bit, the row built at once from ``Pbar``."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_model_extended_in_stages_equals_a_fresh_build(self, seed):
+        processes, floors = mixed_processes(seed)
+        final = np.array(floors)
+        unstable = ~fs.stable_mask([p.A for p in processes])
+        # rate 1 (the stable rows at a positive floor stop at their cap), then a start point, then the
+        # floors of a cost level, then the final floors; every stage equals the model built at once
+        stages = [np.where(final > 0, 1.0, 0.0), np.where(final > 0, np.maximum(final, 0.3), 0.0)]
+        model = fs.CurveCostModel.from_floors(processes, stages[0])
+        model = model.with_floor(stages[1])
+        assert_same_table(model, fs.CurveCostModel.from_floors(processes, stages[1]))
+        fresh = fs.CurveCostModel.from_floors(processes, final)
+        assert {"cap", "tail"} <= set(stop_kinds(fresh))
+        level = float(fresh.values(final)[unstable].min())  # each unstable row reaches it by its final floor
+        short = model._level_rates(level)[1]
+        assert short.size  # rows that floors_at continues until they stop at the level
+        deeper = model._continued(short, np.zeros(short.size), level)
+        k = short.size
+        traces, first, lengths, cumsums, _ = prediction_traces(
+            [processes[i] for i in short], np.full(k, np.inf), np.zeros(k), np.zeros(k, dtype=bool), 0.0,
+            sensors._MAX_STEPS, np.full(k, level))
+        for j, curve in enumerate(deeper.curves[i] for i in short):
+            span = slice(first[j], first[j] + lengths[j])
+            assert curve.traces.tobytes() == traces[span].tobytes()
+            assert curve.cumsums.tobytes() == cumsums[span].tobytes()
+        at_once = fs.CurveCostModel.from_floors(processes, stages[1])
+        assert_same_answer(lambda: model.floors_at(level), lambda: at_once.floors_at(level))
+        stages.append(np.where(final > 0, np.clip(model.floors_at(level), final, stages[1]), 0.0))
+        model = model.with_floor(stages[2])
+        assert_same_table(model, fs.CurveCostModel.from_floors(processes, stages[2]))
+        model = model.with_floor(final)
+        assert_same_table(model, fresh)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            rates = np.where(rng.random(final.size) < 0.3, final, rng.uniform(final, 1.0))
+            assert_same_answer(lambda: model.values(rates), lambda: fresh.values(rates))
+        assert_same_answer(lambda: model.slope_bounds(final), lambda: fresh.slope_bounds(final))
+        for level in (level, level / 3, np.median(fresh.values(final)), fresh.values(final).min()):
+            assert_same_answer(lambda: model.floors_at(level), lambda: fresh.floors_at(level))
+
+    def test_a_repeat_at_the_first_continued_step(self):
+        # built to its cap at step 40, the row repeats from step 41 on: the repeat rule compares step 42
+        # with step 40, which only the end state holds
+        shallow = fs.CurveCostModel.from_floors([SATURATING], [1 / 40])
+        assert shallow._sizes.tolist() == [41] and stop_kinds(shallow) == ["cap"]
+        deep = shallow.with_floor([1 / 250])
+        assert deep._sizes.tolist() == [43] and stop_kinds(deep) == ["repeat"]
+        assert_same_table(deep, fs.CurveCostModel.from_floors([SATURATING], [1 / 250]))
+
+    def test_rows_that_need_no_step_take_none(self, monkeypatch):
+        walk, stable = fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), fs.ProcessModel(A=[[0.5]], Q=[[1.0]])
+        ps = [walk, stable, SATURATING]
+        model = fs.CurveCostModel.from_floors(ps, [0.1, 0.02, 1 / 250])
+        assert stop_kinds(model) == ["cap", "tail", "repeat"]
+        lower = [0.0999, 1e-3, 1e-3]  # 0.0999 lies in 0.1's segment: the row holds it already
+        calls = []
+        monkeypatch.setattr(sensors, "prediction_traces", lambda *args: calls.append(args))
+        moved = model.with_floor(lower)
+        assert not calls and moved._traces is model._traces and moved._cumsums is model._cumsums
+        assert moved._floors.tolist() == lower and model._floors.tolist() == [0.1, 0.02, 1 / 250]
+        monkeypatch.undo()
+        assert_same_table(moved, fs.CurveCostModel.from_floors(ps, lower))
+
+    def test_an_overflow_raises_as_in_a_fresh_build(self):
+        healthy, blowup = fs.ProcessModel(A=[[1.1]], Q=[[1.0]]), fs.ProcessModel(A=[[1e5]], Q=[[1.0]])
+        staged = fs.CurveCostModel.from_floors([healthy, blowup], [0.5, 0.5])
+        assert_same_answer(lambda: staged.with_floor([0.01, 0.01]),
+                           lambda: fs.CurveCostModel.from_floors([healthy, blowup], [0.01, 0.01]))
+        # the second row overflows at step 40, the first at step 45; the first starts 28 steps deeper, so
+        # its overflow comes a window earlier, and the second row runs on until it has passed step 45
+        late, early = fs.ProcessModel(A=[[2645.0]], Q=[[1.0]]), fs.ProcessModel(A=[[7080.0]], Q=[[1.0]])
+        staged = fs.CurveCostModel.from_floors([late, early], [1 / 30, 0.5])
+        with pytest.raises(fs.NumericalError, match=r"^trace sequence overflowed at step 40; the rate 0\.002 "):
+            staged.with_floor([0.01, 0.002])
+        assert_same_answer(lambda: staged.with_floor([0.01, 0.002]),
+                           lambda: fs.CurveCostModel.from_floors([late, early], [0.01, 0.002]))
+
+    def test_the_step_budget_holds_as_in_a_fresh_build(self, monkeypatch):
+        # rho = 1 never overflows: only the budget of 64 steps stops it; the second row, 38 steps deeper,
+        # runs out of it a window earlier than the first, which a fresh build names
+        monkeypatch.setattr(sensors, "_MAX_STEPS", 2 * _WINDOW)
+        walk = fs.ProcessModel(A=[[1.0]], Q=[[1.0]])
+        staged = fs.CurveCostModel.from_floors([walk, walk], [0.5, 1 / 40])
+        with pytest.raises(fs.NumericalError, match=r"within 64 steps; the rate floor 0\.001 is too small$"):
+            staged.with_floor([1e-3, 2e-3])
+        assert_same_answer(lambda: staged.with_floor([1e-3, 2e-3]),
+                           lambda: fs.CurveCostModel.from_floors([walk, walk], [1e-3, 2e-3]))

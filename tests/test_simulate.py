@@ -115,7 +115,7 @@ def check_continued_traces(p, lag, repeat):
     assert first == repeat
     stop = repeat + 2 - lag  # the first step whose covariance equals the one two steps back
     sizes = (repeat - 1, repeat, repeat + 1, 1000)
-    traces, starts, lengths = prediction_traces([p] * 4, [upto - 1 for upto in sizes], [0.5] * 4)
+    traces, starts, lengths, *_ = prediction_traces([p] * 4, [upto - 1 for upto in sizes], [0.5] * 4)
     for upto, start, length in zip(sizes, starts, lengths):
         assert length == min(upto + 1, stop + 1)
         seq = traces[start:start + length]
