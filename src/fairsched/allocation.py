@@ -151,17 +151,18 @@ class CostModel:
         """Per-agent (alpha_i, beta_i) slope-magnitude bounds on [lower_i, ub], if known."""
         return None
 
-    def floors_at(self, level: float) -> np.ndarray:
-        """Per agent, a rate at or below the one at which its cost equals ``level``: here the lower
-        end of a bracket around that rate, narrowed by bisecting [0, 1] on :meth:`values` for all
-        agents at once (``values`` is never asked at rate 0). The cost there is at least ``level``.
-        The result is 0, no bound, where the cost stays below ``level`` down to a rate of 2**-64."""
+    def floors_at(self, level: float) -> tuple[np.ndarray, CostModel]:
+        """``(floors, model)``: per agent, a rate at or below the one at which its cost equals ``level``,
+        and a model that covers it (one a model extended to find it hands back). Here the lower end of a
+        bracket around that rate, narrowed by bisecting [0, 1] on :meth:`values` for all agents at once
+        (``values`` is never asked at rate 0), and this model. The cost there is at least ``level``.
+        The floor is 0, no bound, where the cost stays below ``level`` down to a rate of 2**-64."""
         lo, hi = np.zeros(self.n), np.ones(self.n)
         for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
             above = self.values(mid) >= level
             lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-        return lo
+        return lo, self
 
 
 _BISECTIONS = 64  # halvings of [0, 1] in CostModel.floors_at; its brackets end 2**-64 wide
@@ -188,9 +189,9 @@ class AffineCostModel(CostModel):
     def slope_bounds(self, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.slopes.copy(), self.slopes.copy()
 
-    def floors_at(self, level: float) -> np.ndarray:
-        """Zeros, no bound: an affine cost is finite at rate 0, so its agents need no rate floor."""
-        return np.zeros(self.n)
+    def floors_at(self, level: float) -> tuple[np.ndarray, AffineCostModel]:
+        """Zeros, no bound, and this model: an affine cost is finite at rate 0; its agents need no rate floor."""
+        return np.zeros(self.n), self
 
 
 @dataclass
@@ -379,16 +380,16 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     The start point ``r0`` is :func:`initial_allocation` over start floors: ``cfg.eta`` for the
     agents flagged in ``unstable_mask`` (their costs diverge at rate zero), shrunk by the factor
     ``cfg.eta`` until they fit the budget. Its largest cost ``U`` bounds the game value and every
-    cost decreases, so an agent whose cost at ``r0`` is below ``U`` holds at least
+    cost decreases, so an agent whose cost at ``r0`` is below ``U`` holds at least its floor from
     ``costs.floors_at(U)`` at the fair point, and that is its floor (water-filling; Bertsekas &
     Gallager, *Data Networks* §6.5). An agent at ``U`` keeps its start floor: its bound would be
     ``r0_i`` itself, and were every agent tied such floors would fill the budget. So does an agent
     whose bound is 0, which a model gives where it knows no bound.
 
-    ``costs`` is extended only as deep as the solve reads it: down to ``r0`` before ``J(r0)`` is
-    read, then by :func:`solve_inner` down to the final floors. A curve model continues each row
-    where the last extension stopped it (``floors_at`` too, in a model it then drops). ``costs``
-    itself is left as it was; ``trace.model`` is the extended model.
+    ``costs`` is extended along one chain, only as deep as the solve reads it: down to ``r0`` before
+    ``J(r0)`` is read, by ``floors_at`` to ``U``, then by :func:`solve_inner` down to the final floors;
+    a curve model continues each row where the last extension stopped it. ``costs`` itself is left
+    as it was; ``trace.model`` is the extended model.
     """
     mask = np.atleast_1d(np.asarray(unstable_mask, dtype=bool))
     if mask.size != region.n:
@@ -402,7 +403,7 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     costs = costs.with_floor(r0)
     values = costs.values(r0)
     level = values.max()
-    bound = costs.floors_at(level)
+    bound, costs = costs.floors_at(level)
     lower = np.where((values < level) & (bound > 0), np.maximum(region.lower, np.minimum(bound, r0)), lower)
     return solve_inner(r0, costs, FeasibleRegion(region.total, lower, region.upper), cfg)
 

@@ -25,7 +25,8 @@ sequence that runs 10**6 steps raises :class:`NumericalError` (a stable
 spectral radius too close to 1, or an unstable curve's floor too small).
 ``CurveCostModel`` keeps every curve's affine segments in one flat table,
 never changed once built, and evaluates all agents by a gather; a deeper model
-continues each row from its kept end state and splices the new steps in.
+(``with_floor``'s, or the one ``floors_at`` returns) continues each row from
+its kept end state and splices the new steps in.
 
 Processes are validated in batches too: :func:`first_invalid` (finiteness,
 shapes, definiteness) and :func:`first_rank_failure` (observability,
@@ -625,7 +626,8 @@ class CurveCostModel(CostModel):
     arrays, ``traces`` and ``cumsums``: its own entries, then one slot holding
     its stable limit in ``traces`` (NaN if unstable). Its segment ``j`` has
     ``anchor = traces[first + j + 1]`` and ``cumsum = cumsums[first + j]``,
-    also for the affine tail ``j = size - 1`` of a stable curve. ``values``,
+    also for the affine tail ``j = size - 1`` of a stable curve that reached
+    it. ``values``,
     ``slope_bounds`` and ``floors_at`` work on all agents at once; the first
     two raise :class:`CostDomainError` for the first agent, in index order,
     that lies outside its curve's domain. ``stable[i]`` says whether curve
@@ -636,9 +638,11 @@ class CurveCostModel(CostModel):
     processes, it keeps each row's end state: the covariances of its last two
     steps (none once it has stopped for good); its running sum is its last
     ``cumsums`` slot. :meth:`with_floor` and :meth:`floors_at` continue rows
-    from there, and splice the new steps into a new table that equals, bit
-    for bit, the table built at once. A model of curves handed in directly
-    has no processes, and its ``with_floor`` returns itself.
+    from there and splice the new steps into a new model (``floors_at``
+    returns it); a row continued to a floor or a level equals, bit for bit,
+    the row built at once to it, and may run deeper than its floor, never
+    shallower. A model of curves handed in directly has no processes, and its
+    ``with_floor`` returns itself.
     """
 
     def __init__(self, curves):
@@ -705,10 +709,11 @@ class CurveCostModel(CostModel):
                 for f, n, s, floor in zip(first, sizes, self.stable.tolist(), self._floors.tolist())]
 
     def _continued(self, rows, floors, level=None) -> CurveCostModel:
-        """This model with row ``rows[j]`` at floor ``floors[j]`` (and a ``level``, if given), each row
-        continued to where a build from ``Pbar`` would stop. A row that stopped for good or holds its floor's
-        segment already takes no step; the others' new steps go in before their limit slots."""
-        caps, depth = _caps(floors), self._sizes[rows]
+        """This model with row ``rows[j]`` at floor ``floors[j]``, each row continued to where a build from
+        ``Pbar`` down to that floor would stop or, given a ``level``, to its first step whose mean reaches
+        ``level`` (a stable row: to its tail). A row that stopped for good or holds its floor's segment
+        already takes no step; the others' new steps go in before their limit slots."""
+        caps, depth = _caps(floors) if level is None else np.full(rows.size, np.inf), self._sizes[rows]
         # a row steps on unless it stopped for good or its last step, depth - 1, lies past its cap already
         go = (depth <= caps + 1) & np.array([self._ends[i] is not None for i in rows.tolist()], dtype=bool)
         grow, depth = rows[go], depth[go]
@@ -741,22 +746,26 @@ class CurveCostModel(CostModel):
         rows = np.flatnonzero((0 < lower) & (lower < self._floors))
         return self if not rows.size or self._processes is None else self._continued(rows, lower[rows])
 
-    def floors_at(self, level) -> np.ndarray:
-        """The rate at which each agent's cost equals ``level``, solved on the segment holding it: 1 at or
-        below the cost at rate 1, 0 at or past a stable limit. An unstable curve whose stored knots
-        ``(1/(k+1), cumsums[k]/(k+1))`` all cost less is continued to its first knot that does not, in a
-        model then dropped: overflow first raises :class:`NumericalError`, a stop for good short of the
-        level :class:`CostDomainError`."""
+    def floors_at(self, level) -> tuple[np.ndarray, CurveCostModel]:
+        """``(rates, model)``: the rate at which each agent's cost equals ``level``, solved on the segment holding
+        it (1 at or below the cost at rate 1, 0 at or past a stable limit), and a model holding those segments:
+        this one, or one in which each short row, unstable or short of its stable tail with all its knots
+        ``(1/(k+1), cumsums[k]/(k+1))`` below ``level``, is continued at its floor to its first knot that is not
+        (an unstable row) or to its tail (a stable one).
+        Overflow first raises :class:`NumericalError`; a stop for good short of the level, or a short row in a
+        model without processes (a stable curve at a positive floor counts as short), :class:`CostDomainError`."""
         level = float(level)
         rates, short = self._level_rates(level)
+        model = self
         if short.size and self._processes is not None:
-            rates, short = self._continued(short, np.zeros(short.size), level)._level_rates(level)
+            model = self._continued(short, self._floors[short], level)
+            rates, short = model._level_rates(level)
         if short.size:
             raise CostDomainError(f"cost level {level} lies past the stored range of curve {short[0]}")
-        return rates
+        return rates, model
 
     def _level_rates(self, level: float):
-        """:meth:`floors_at` on the stored knots, and the unstable rows whose knots all cost less."""
+        """:meth:`floors_at`'s rates on the stored knots, and its short rows."""
         knots = np.arange(1.0, self._traces.size + 1.0) - np.repeat(self._first, self._sizes + 1)  # k + 1
         knots = np.divide(self._cumsums, knots, out=knots)  # the knots' costs, and NaN in each limit slot
         j = np.add.reduceat(knots < level, self._first.astype(np.intp), dtype=np.intp) - 1.0  # -1: above rate 1
@@ -765,7 +774,9 @@ class CurveCostModel(CostModel):
         with np.errstate(divide="ignore", invalid="ignore"):
             rates = (level - anchor) / (self._cumsums.take(slot) - (j + 1.0) * anchor)
         rates = np.where(j < 0, 1.0, np.maximum(rates, 0.0))
-        return rates, np.flatnonzero(~self.stable & (j == self._sizes - 1))
+        # a row short of its tail: a model of processes keeps its end state, one of curves only its floor
+        held = self._floors > 0 if self._ends is None else np.array([e is not None for e in self._ends], dtype=bool)
+        return rates, np.flatnonzero((~self.stable | held) & (j == self._sizes - 1))
 
     def values(self, rates) -> np.ndarray:
         """``J_i(rates[i])`` of every agent by one gather from the table.

@@ -284,7 +284,7 @@ class _UnboundedReciprocalCosts(_ReciprocalCosts):
     """:class:`_ReciprocalCosts` whose ``floors_at`` knows no bound: zeros."""
 
     def floors_at(self, level):
-        return np.zeros(self.n)
+        return np.zeros(self.n), self
 
 
 def test_agent_without_a_value_bound_keeps_its_start_floor():
@@ -300,12 +300,13 @@ def test_agent_without_a_value_bound_keeps_its_start_floor():
 
 def test_base_floors_at_bisects_values_to_the_lower_end_of_its_bracket():
     costs = _ReciprocalCosts([1.0, 100.0, 1000.0])
-    floors = costs.floors_at(200.0)
+    floors, model = costs.floors_at(200.0)
+    assert model is costs  # the base class extends no model
     roots = np.array([1 / 200, 1 / 2, 1.0])  # agent 2 costs 1000 > 200 at rate 1
     assert (floors <= roots).all() and (costs.values(floors) >= 200.0).all()
     np.testing.assert_allclose(floors, roots, rtol=1e-15)
     # a cost that stays below the level down to rate 0 gives no bound
-    assert _ReciprocalCosts([1e-30]).floors_at(1.0).tolist() == [0.0]
+    assert _ReciprocalCosts([1e-30]).floors_at(1.0)[0].tolist() == [0.0]
 
 
 def test_fair_rate_below_the_start_floor_of_a_model_with_the_base_floors_at():

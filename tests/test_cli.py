@@ -401,12 +401,13 @@ class TestSolveCommand:
         assert all(length <= deepest[i] for i, length in rows if unstable[i])
         assert max(length for i, length in rows if unstable[i]) <= 7  # no unstable row read past segment 5
 
-    @pytest.mark.parametrize("which", ["fixture", "seed-7 fleet"])
+    @pytest.mark.parametrize("which", ["fixture", "two-process", "seed-7 fleet"])
     def test_solve_continues_rows_and_runs_no_held_step_again(self, tmp_path, monkeypatch, which):
-        # from_processes builds every row from Pbar; each later call continues rows from the depth the
-        # asking model holds, and outside floors_at's level extension (a model it drops) each row runs
-        # exactly the steps between its depth in the input model and its depth in the solve's model
-        config = fs.fixture_path("paper_sec4") if which == "fixture" else seed7_fleet(tmp_path)
+        # from_processes builds every row from Pbar; each later call, floors_at's level extension too,
+        # continues rows from the depth the model it extends holds, so each row runs exactly the steps
+        # between its depth in the input model and its depth in the solve's model
+        config = {"fixture": lambda: fs.fixture_path("paper_sec4"), "seed-7 fleet": lambda: seed7_fleet(tmp_path),
+                  "two-process": lambda: write_config(tmp_path, TWO_PROCESS)}[which]()
         solved, calls, curves = [], [], []
         solve, prediction_traces, cost_curve = fs.allocation.solve_maxmin, fs.sensors.prediction_traces, fs.CostCurve
 
@@ -434,13 +435,15 @@ class TestSolveCommand:
         (ps, depths, lengths, _), *extensions = calls
         assert [index[id(p)] for p in ps] == list(range(costs.n)) and not depths.any()
         assert lengths.tolist() == costs._sizes.tolist()
-        steps, extended = np.zeros(costs.n, dtype=int), np.zeros(costs.n, dtype=int)
-        for ps, depths, lengths, levelled in extensions:
+        steps, held = np.zeros(costs.n, dtype=int), costs._sizes.copy()  # held: each row's depth so far
+        for ps, depths, lengths, _ in extensions:
             rows = [index[id(p)] for p in ps]
-            assert (depths >= 2).all() and len(set(rows)) == len(rows)
-            np.add.at(extended if levelled else steps, rows, lengths - depths)
+            assert len(set(rows)) == len(rows)
+            assert depths.tolist() == held[rows].tolist()  # each call starts where the last one stopped
+            held[rows] = lengths
+            np.add.at(steps, rows, lengths - depths)
         assert steps.tolist() == (trace.model._sizes - costs._sizes).tolist()
-        assert len(extensions) == 3 and sum(levelled for *_, levelled in extensions) == 1
+        assert 2 <= len(extensions) <= 3 and sum(levelled for *_, levelled in extensions) == 1
 
     def test_lipschitz_bounds_hold_at_the_allocated_rates(self, tmp_path, bench_config):
         # eta = 0.5 floors sum past the budget 1.4, so the solve works at floors 0.25, and the
@@ -916,6 +919,14 @@ def synthetic_fleet(tmp_path, n=240, seed=3):
     payload.update(total_rate=0.3 * n, processes=processes)
     payload.pop("distributed")
     return write_config(tmp_path, payload, name="fleet.json")
+
+
+TWO_PROCESS = {
+    "total_rate": 0.3,
+    "processes": [{"A": [[1.002]], "Q": [[0.001]]}, {"A": [[0.99]], "Q": [[10.0]]}],
+    "solver": {"eta": 0.001},
+    "distributed": {"graph": [[1], [0]]},
+}  # the fair rate of the slowly unstable process, 7.19e-4, lies below eta
 
 
 def seed7_fleet(tmp_path) -> Path:

@@ -432,7 +432,8 @@ class TestCurveCostModel:
         levels = [*rng.choice(knot_costs[knot_costs <= top], 20), *rng.uniform(knot_costs.min(), top, 20),
                   *[limit for limit in limits if limit <= top], knot_costs.min() / 2]
         for level in levels:
-            floors = costs.floors_at(level)
+            floors, model = costs.floors_at(level)
+            assert model is costs  # no row is short of the level
             np.testing.assert_allclose(floors, reference_floors_at(curves, level), rtol=1e-12)
             inside = (floors > 0) & (floors < 1)
             got = costs.with_floor(floors).values(floors)
@@ -445,16 +446,47 @@ class TestCurveCostModel:
         assert costs.curves[0].traces.size == 3
         for k in (40, 41.5):
             level = float(np.interp(k, np.arange(deep.curves[0].cumsums.size), deep.curves[0].cumsums)) / (k + 1)
-            # the rebuilt row is a prefix of the deeper one, so the floors are bitwise those of the deeper model
-            assert costs.floors_at(level).tobytes() == deep.floors_at(level).tobytes()
-            np.testing.assert_allclose(costs.floors_at(level), reference_floors_at(deep.curves, level), rtol=1e-12)
-        assert costs.curves[0].domain_floor == 0.5  # the model asked is left as it was
+            # the continued row is a prefix of the deeper one, so the floors are bitwise those of the deeper model
+            floors, model = costs.floors_at(level)
+            assert floors.tobytes() == deep.floors_at(level)[0].tobytes()
+            np.testing.assert_allclose(floors, reference_floors_at(deep.curves, level), rtol=1e-12)
+            # the returned model holds the row up to its first knot that reaches the level, at the floor
+            # it had; down to the floors, it takes no step inside that knot's segment, and at the knot
+            # itself the one step to the next
+            assert model._sizes.tolist() == [math.ceil(k) + 1, costs._sizes[1]] and model._floors.tolist() == [0.5, 0]
+            floored = model.with_floor(floors)
+            assert floored._sizes[0] - model._sizes[0] == (k == 40)
+            assert (floored._traces is model._traces) == (k != 40)
+            assert_same_table(floored, fs.CurveCostModel.from_floors(ps, floors))
+            np.testing.assert_allclose(floored.values(floors)[0], level, rtol=1e-12)
+        assert costs.curves[0].domain_floor == 0.5 and costs._sizes[0] == 3  # the model asked is left as it was
         with pytest.raises(CostDomainError, match="past the stored range of curve 0"):
             fs.CurveCostModel(costs.curves).floors_at(level)
         blowup = fs.CurveCostModel.from_processes([fs.ProcessModel(A=[[1e5]], Q=[[1.0]])], unstable_floor=0.5)
         with pytest.raises(fs.NumericalError, match="overflowed at step 31; its mean has not reached the level"):
             blowup.floors_at(1e300)
-        assert fs.AffineCostModel([2.0, 1.0], [1.0, 0.5]).floors_at(1.5).tolist() == [0.0, 0.0]
+        affine = fs.AffineCostModel([2.0, 1.0], [1.0, 0.5])
+        floors, model = affine.floors_at(1.5)
+        assert floors.tolist() == [0.0, 0.0] and model is affine
+
+    def test_floors_at_continues_a_stable_row_short_of_its_tail(self):
+        # built to floor 0.3, the row stops at its cap; the cost at rate 0.05 lies past its stored knots,
+        # and the straight segment from its last knot to the stable limit would give 0.0865
+        p = fs.ProcessModel(A=[[0.9]], Q=[[1.0]])
+        deep = fs.CurveCostModel.from_floors([p], [0.0])
+        level = float(deep.values([0.05])[0])
+        shallow = fs.CurveCostModel.from_floors([p], [0.3])
+        assert stop_kinds(shallow) == ["cap"] and stop_kinds(deep) == ["tail"]
+        floors, model = shallow.floors_at(level)
+        assert floors.tobytes() == deep.floors_at(level)[0].tobytes()
+        assert floors[0] == pytest.approx(0.05, rel=1e-12)
+        # the row runs on to its tail, as built at floor 0; its floor stays where it was
+        assert model._sizes.tolist() == deep._sizes.tolist() and stop_kinds(model) == ["tail"]
+        assert model._traces.tobytes() == deep._traces.tobytes() and model._floors.tolist() == [0.3]
+        assert shallow._sizes.tolist() == [4] and stop_kinds(shallow) == ["cap"]  # the model asked is left as it was
+        with pytest.raises(CostDomainError, match="past the stored range of curve 0"):
+            fs.CurveCostModel(shallow.curves).floors_at(level)  # no process to continue the row from
+        assert fs.CurveCostModel(deep.curves).floors_at(level)[0].tobytes() == floors.tobytes()
 
     def test_fixed_curves_raise_below_floor(self):
         p = fs.ProcessModel(A=[[1.2]], Q=[[1.0]])
@@ -952,19 +984,30 @@ class TestContinuedRows:
         assert {"cap", "tail"} <= set(stop_kinds(fresh))
         level = float(fresh.values(final)[unstable].min())  # each unstable row reaches it by its final floor
         short = model._level_rates(level)[1]
-        assert short.size  # rows that floors_at continues until they stop at the level
-        deeper = model._continued(short, np.zeros(short.size), level)
+        # rows that floors_at continues: unstable ones until they stop at the level, and stable ones
+        # that stopped at their cap short of their tail, to it
+        assert (~model.stable[short]).any() and model.stable[short].any()
+        at_once = fs.CurveCostModel.from_floors(processes, stages[1])
+        floors, deeper = model.floors_at(level)
+        assert_same_table(model, at_once)  # the model asked is left as it was
         k = short.size
         traces, first, lengths, cumsums, _ = prediction_traces(
-            [processes[i] for i in short], np.full(k, np.inf), np.zeros(k), np.zeros(k, dtype=bool), 0.0,
+            [processes[i] for i in short], np.full(k, np.inf), np.zeros(k), model.stable[short], sensors._TAIL_TOL,
             sensors._MAX_STEPS, np.full(k, level))
         for j, curve in enumerate(deeper.curves[i] for i in short):
             span = slice(first[j], first[j] + lengths[j])
             assert curve.traces.tobytes() == traces[span].tobytes()
             assert curve.cumsums.tobytes() == cumsums[span].tobytes()
-        at_once = fs.CurveCostModel.from_floors(processes, stages[1])
-        assert_same_answer(lambda: model.floors_at(level), lambda: at_once.floors_at(level))
-        stages.append(np.where(final > 0, np.clip(model.floors_at(level), final, stages[1]), 0.0))
+        assert deeper._floors.tobytes() == model._floors.tobytes()  # a level extension moves no floor
+        assert_same_answer(lambda: model.floors_at(level)[0], lambda: at_once.floors_at(level)[0])
+        stages.append(np.where(final > 0, np.clip(floors, final, stages[1]), 0.0))
+        # down to the level's floors the returned model takes at most the one step from a knot to its
+        # segment, and its unstable rows are the ones built at once
+        chained, built = deeper.with_floor(stages[2]), fs.CurveCostModel.from_floors(processes, stages[2])
+        assert ((chained._sizes - deeper._sizes)[short] <= 1).all()
+        for i in np.flatnonzero(unstable):
+            assert chained.curves[i].traces.tobytes() == built.curves[i].traces.tobytes()
+            assert chained.curves[i].cumsums.tobytes() == built.curves[i].cumsums.tobytes()
         model = model.with_floor(stages[2])
         assert_same_table(model, fs.CurveCostModel.from_floors(processes, stages[2]))
         model = model.with_floor(final)
@@ -975,7 +1018,7 @@ class TestContinuedRows:
             assert_same_answer(lambda: model.values(rates), lambda: fresh.values(rates))
         assert_same_answer(lambda: model.slope_bounds(final), lambda: fresh.slope_bounds(final))
         for level in (level, level / 3, np.median(fresh.values(final)), fresh.values(final).min()):
-            assert_same_answer(lambda: model.floors_at(level), lambda: fresh.floors_at(level))
+            assert_same_answer(lambda: model.floors_at(level)[0], lambda: fresh.floors_at(level)[0])
 
     def test_a_repeat_at_the_first_continued_step(self):
         # built to its cap at step 40, the row repeats from step 41 on: the repeat rule compares step 42
