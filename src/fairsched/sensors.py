@@ -259,6 +259,21 @@ def _mT(X):
     return X.swapaxes(-1, -2)
 
 
+def _traces(M) -> np.ndarray:
+    """``np.trace`` over the last two axes of a stack, bit for bit, by adding the diagonal in order.
+
+    Up to 7 entries ``np.trace`` sums them one after another, as here, but an order of magnitude
+    slower on small matrices; from 8 on it sums in another order, so it is called there.
+    """
+    d = M.shape[-1]
+    if d >= 8:
+        return np.trace(M, axis1=-2, axis2=-1)
+    out = M[..., 0, 0].copy()
+    for i in range(1, d):
+        out += M[..., i, i]
+    return out
+
+
 def _stable(A) -> np.ndarray:
     """Spectral radius below 1, per matrix of a stack; the boundary counts as unstable."""
     return np.abs(np.linalg.eigvals(A)).max(axis=-1) < 1.0 - _STABILITY_TOL
@@ -412,7 +427,7 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_s
     for group in _groups(ps):
         members = [ps[i] for i in group]
         A, Q, s = _stack(members, "A"), _stack(members, "Q"), stable[group]
-        limits[group[s]] = np.trace(_no_comm_covs(A[s], Q[s]), axis1=1, axis2=2)
+        limits[group[s]] = _traces(_no_comm_covs(A[s], Q[s]))
         rows, At, limit, level = group, _transposed(A), limits[group], levels[group]
         cap = np.minimum(caps[group], budget - 1.0)  # a stop at the step budget is a failure
         run, depth = sums[group], depths[group]  # each row's sum of the traces before the window, its depth
@@ -432,7 +447,7 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_s
                     np.add(M, _mT(M), out=Ms[j])
                     Ms[j] *= 0.5
                 j0 = 2
-                trs = np.trace(Ms, axis1=2, axis2=3)
+                trs = _traces(Ms)
                 tr, t = trs[2:], (depth + t0) + offsets
                 stop = t > cap
                 # stops for good: at the stable tail, or at a covariance repeated bit for bit

@@ -8,25 +8,22 @@ itself, the trace sequence ``Tr(h^t(Pbar))``, is shared with the curve
 builder (``sensors.prediction_traces``); what the simulator checks is the
 formula built on it.
 
-The age sequence is a renewal process, so the step loop is executed in
-vectorized form: one uniform draw decides each cycle's length. The draws
-come in chunks sized to the expected cycle count of the steps left, but
-never more than ``_MAX_CHUNK``, and each chunk is drawn into the same
-buffer, so memory does not grow with the horizon while time grows linearly
-with it. The cycles and transmissions are those of the scalar loop with the
-same draws, however they are chunked. The error is
-summed from the counts of short and long cycles, each cycle's cost being a
-prefix sum of the trace sequence, so it can differ from the scalar loop's
-running sum in the last bits. A rate so small that the recursion overflows
-within the horizon raises ``NumericalError``. Results are deterministic given
-(inputs, horizon, seed); per-process streams in ``simulate_allocation`` are
-split off a single ``SeedSequence`` (PCG64), so they are independent and
-order-insensitive.
+The age sequence is a renewal process, so the step loop is not executed:
+each cycle is short (``xi + 1`` steps) with probability ``b``, else long,
+and the error is summed from the counts of short and long cycles, each
+cycle's cost being a prefix sum of the trace sequence, so it can differ from
+the scalar loop's running sum in the last bits. The cycles are taken in runs
+of as many as surely fit; the short ones among a run's ``m`` are one draw
+from their Binomial(m, b) law. A process thus takes about log(horizon)
+draws, and the cycles' time and memory do not grow with the horizon. A
+rate so small that the recursion overflows within the horizon raises
+``NumericalError``. Results are deterministic given (inputs, horizon, seed);
+per-process streams in ``simulate_allocation`` are split off a single
+``SeedSequence`` (PCG64), so they are independent and order-insensitive.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,66 +74,32 @@ def _trace_sums(ps, policies, horizon: int) -> list:
     return [_summed(traces[f:f + n]) for f, n in zip(first.tolist(), lengths.tolist())]
 
 
-# Uniforms drawn at once: 512 KiB of float64 and 64 KiB of flags, which fit in a core's L2 cache
-# (2 MiB on the 2-core Xeon VM measured). A chunk covering a run of 10^8 steps took ~585 MB.
-_MAX_CHUNK = 1 << 16
-
-
-def _chunk_size(steps: int, policy: ThresholdPolicy) -> int:
-    """Uniforms to draw for ``steps`` more steps: the expected cycle count plus 4 sigma plus 16, capped.
-
-    Cycles last ``xi + 1`` steps with probability ``b``, else ``xi + 2``; over
-    ``steps`` steps their count has mean ``steps / mu`` and variance
-    ``steps * b (1 - b) / mu^3``, ``mu = xi + 2 - b``. The size is capped
-    at ``_MAX_CHUNK``: one chunk almost always covers a run of fewer cycles,
-    and a longer run takes one capped chunk after another. The size never
-    grows as ``steps`` shrinks.
-    """
-    mean = policy.xi + 2.0 - policy.b
-    sigma = math.sqrt(steps * policy.b * (1.0 - policy.b) / mean) / mean  # mean**3 overflows below rate ~1e-103
-    return min(int(steps / mean + 4.0 * sigma) + 16, _MAX_CHUNK)
-
-
 def _run_cycles(total, policy: ThresholdPolicy, horizon: int, rng) -> tuple[float, int]:
     """(total error, transmissions) over `horizon` steps of the recursion.
 
     Starting right after a transmission the age visits 0..xi and the cycle
     closes there with probability b, else it runs one step longer. A cycle of
     length L contributes ``total(L)``, the sum of the first L traces, and
-    exactly one transmission, decided at its last step. Cycle i draws the
-    i-th uniform of the stream, in chunks of any size; a cycle cut by the
-    horizon contributes its first entries and no transmission. Every chunk
-    is drawn into the buffers sized for the first, which no later one outgrows.
+    exactly one transmission, decided at its last step. The cycles are taken
+    in runs of as many as surely fit, even if all of them are long; the short
+    ones among a run's m are Binomial(m, b), one draw. The steps left shrink
+    geometrically, and once fewer than a long cycle remain, one uniform decides
+    whether a last short cycle fits. A cycle cut by the horizon contributes its
+    first entries and no transmission.
     """
     xi, b = policy.xi, policy.b
     short_len, long_len = xi + 1, xi + 2
 
     n_short = n_long = 0
     done = 0
-    draws = np.empty(_chunk_size(horizon, policy))
-    flags = np.empty(draws.size, dtype=bool)
-    while done < horizon:
-        chunk = _chunk_size(horizon - done, policy)
-        short = np.less(rng.random(out=draws[:chunk]), b, out=flags[:chunk])
-        # Take cycles in runs that surely fit, even if all of them are long;
-        # the steps left shrink geometrically, and once fewer than a long
-        # cycle remain, only one more short cycle can fit.
-        k = 0
-        while True:
-            m = min((horizon - done) // long_len, chunk - k)
-            if not m:
-                break
-            k_short = int(np.count_nonzero(short[k:k + m]))
-            n_short += k_short
-            n_long += m - k_short
-            done += m * long_len - k_short
-            k += m
-        if k == chunk:
-            continue
-        if short[k] and done + short_len <= horizon:
-            n_short += 1
-            done += short_len
-        break
+    while m := (horizon - done) // long_len:
+        k_short = int(rng.binomial(m, b))
+        n_short += k_short
+        n_long += m - k_short
+        done += m * long_len - k_short
+    if done + short_len <= horizon and rng.random() < b:
+        n_short += 1
+        done += short_len
     # a cycle longer than the horizon never completes; its count is 0 and its
     # clamped sum adds exactly 0.0
     err_sum = n_short * total(min(short_len, horizon)) + n_long * total(min(long_len, horizon)) + total(horizon - done)

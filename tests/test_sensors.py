@@ -679,6 +679,14 @@ class TestWindowedTraces:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         return got
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_diagonal_sums_are_np_trace_bit_for_bit(self, d):
+        # summed in order up to d = 7, where np.trace sums in order too, and by np.trace from d = 8 on
+        rng = np.random.default_rng(d)
+        Ms = rng.standard_normal((_WINDOW + 2, 9, d, d)) * 10.0 ** rng.integers(-12, 12, (_WINDOW + 2, 9, d, d))
+        got, expected = sensors._traces(Ms), np.trace(Ms, axis1=2, axis2=3)
+        assert got.dtype == expected.dtype and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
     def test_caps_at_step_zero_and_around_window_edges(self, bench_config):
         ps = [fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), bench_config.processes[0]]
         caps = [-1, _WINDOW - 2, _WINDOW - 1, 2 * _WINDOW - 2, 2 * _WINDOW - 1, 5]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -162,16 +163,58 @@ def test_invalid_horizon():
         fs.simulate_policy(p, fs.ThresholdPolicy(0, 1.0), horizon=0, seed=0)
 
 
+class SpyGenerator:
+    """A ``Generator`` that records its draws: each ``binomial`` as (trials, successes), each ``random`` as its uniform."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def binomial(self, n, p):
+        k = self.rng.binomial(n, p)
+        self.draws.append((n, k))
+        return k
+
+    def random(self):
+        u = self.rng.random()
+        self.draws.append(u)
+        return u
+
+    def replay(self):
+        """A stream that takes a step-by-step run through the cycles drawn here: each run's short cycles, then
+        its long ones, then the uniform that decided the last cycle; a cycle after that is cut by the horizon."""
+        uniforms = []
+        for d in self.draws:
+            uniforms += [0.0] * int(d[1]) + [1.0] * int(d[0] - d[1]) if isinstance(d, tuple) else [d]
+        return Replayed(uniforms)
+
+
+class Replayed:
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms, 1.0)
+
+
 class TestChunkedCyclesMatchReference:
-    """The chunked, counted Monte Carlo against a step-by-step run on the same stream."""
+    """The counted Monte Carlo against a step-by-step run through the same cycles."""
 
     PROCESS = fs.ProcessModel(A=[[1.05, 0.3], [0.0, 0.6]], Q=[[1.0, 0.2], [0.2, 0.5]])
 
     def _check(self, policy, horizon, seed=4):
+        # at b in {0, 1} every stream gives the same cycles, so the step-by-step run takes the seeded one;
+        # otherwise it replays the cycles counted, which checks the error and the last cycle, not the law
         pbar = fs.steady_state_filter_cov(self.PROCESS)
         (total,) = simulate._trace_sums([self.PROCESS], [policy], horizon)
-        err, n_tx = simulate._run_cycles(total, policy, horizon, np.random.default_rng(seed))
-        ref_err, ref_tx = reference_run_cycles(self.PROCESS, pbar, policy, horizon, np.random.default_rng(seed))
+        spy = SpyGenerator(seed)
+        err, n_tx = simulate._run_cycles(total, policy, horizon, spy)
+        if policy.b in (0.0, 1.0):
+            # numpy's binomial is exact there, so the counts, and the error's bits, are those of a uniform per cycle
+            assert all(d[1] == d[0] * policy.b for d in spy.draws if isinstance(d, tuple))
+            rng = np.random.default_rng(seed)
+        else:
+            rng = spy.replay()
+        ref_err, ref_tx = reference_run_cycles(self.PROCESS, pbar, policy, horizon, rng)
         assert n_tx == ref_tx
         assert err == pytest.approx(ref_err, rel=1e-12)
 
@@ -186,29 +229,6 @@ class TestChunkedCyclesMatchReference:
         ):
             self._check(policy, horizon)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7])
-    def test_small_chunks(self, monkeypatch, chunk):
-        # chunks far below the cycle count are used up again and again, some
-        # ending exactly at the horizon; the draws and results stay the same
-        monkeypatch.setattr(simulate, "_chunk_size", lambda steps, policy: chunk)
-        for xi, b in ((0, 0.37), (1, 0.0), (5, 1.0), (2, 0.6)):
-            for horizon in (1, 3 * (xi + 2), 997):
-                self._check(fs.ThresholdPolicy(xi, b), horizon)
-
-    @pytest.mark.parametrize("cap", [1, 7, 64])
-    def test_capped_chunks(self, monkeypatch, cap):
-        # with the cap shrunk, every horizon here spans several capped chunks in one reused buffer
-        monkeypatch.setattr(simulate, "_MAX_CHUNK", cap)
-        for xi, b in ((0, 0.37), (1, 0.0), (5, 1.0), (2, 0.6)):
-            for horizon in (3 * (xi + 2), 997, 20 * cap * (xi + 2) + 1):
-                self._check(fs.ThresholdPolicy(xi, b), horizon)
-
-    def test_chunk_used_up_at_the_horizon(self, monkeypatch):
-        # a deterministic policy whose chunk holds exactly the cycles that fill the horizon
-        monkeypatch.setattr(simulate, "_chunk_size", lambda steps, policy: max(1, steps // (policy.xi + 2)))
-        self._check(fs.ThresholdPolicy(3, 0.0), 5 * 1000)
-        self._check(fs.ThresholdPolicy(3, 0.0), 5 * 1000 + 4)
-
     @pytest.mark.parametrize("b", [0.0, 0.37, 1.0])
     def test_cycles_longer_than_the_horizon(self, b):
         # xi + 1 >= horizon: the trace table stops at the horizon, not at xi + 1
@@ -216,36 +236,74 @@ class TestChunkedCyclesMatchReference:
             for horizon in horizons:
                 self._check(fs.ThresholdPolicy(xi, b), horizon)
 
-    def test_default_chunk_covers_the_horizon(self):
-        # the expected cycle count plus 4 sigma plus 16 exceeds the cycles of a typical run
-        policy = fs.threshold_from_rate(0.37)
-        horizon = 100_000
-        (total,) = simulate._trace_sums([self.PROCESS], [policy], horizon)
-        _, n_tx = simulate._run_cycles(total, policy, horizon, np.random.default_rng(1))
-        assert n_tx < simulate._chunk_size(horizon, policy)
+
+def exact_cycle_law(xi, b, horizon) -> dict:
+    """{(short, long): probability} of the cycles completed within ``horizon`` steps.
+
+    k cycles with j long have probability C(k, j) (1 - b)^j b^(k - j); the next one does not fit with
+    probability 1 if fewer than xi + 1 steps remain, 1 - b if exactly xi + 1 remain, else 0.
+    """
+    law = {}
+    for k in range(horizon // (xi + 1) + 1):
+        for j in range(min(k, horizon - k * (xi + 1)) + 1):
+            rest = horizon - k * (xi + 1) - j
+            stop = 1.0 if rest < xi + 1 else 1.0 - b if rest == xi + 1 else 0.0
+            if stop:
+                law[k - j, j] = math.comb(k, j) * (1.0 - b) ** j * b ** (k - j) * stop
+    return law
 
 
-class SpyGenerator:
-    """A ``Generator`` that records how many uniforms each ``random`` call asks for."""
+# with no filter step the traces are the ages 0, 1, 2, ..., and a run's (error, transmissions) tells its
+# short and long cycle counts apart: one more short cycle in place of a long one lowers the error
+AGES, AGES_PBAR = fs.ProcessModel(A=[[1.0]], Q=[[1.0]]), np.zeros((1, 1))
 
-    def __init__(self, seed):
-        self.rng, self.requests = np.random.default_rng(seed), []
 
-    def random(self, size=None, out=None):
-        self.requests.append(out.size if out is not None else size)
-        return self.rng.random(size, out=out)
+@pytest.mark.parametrize("run", ["step-by-step", "counted"])
+@pytest.mark.parametrize("xi, b, horizon", [(0, 0.37, 9), (1, 0.6, 11), (3, 0.25, 14), (2, 0.8, 40)])
+def test_cycle_counts_follow_their_exact_law(run, xi, b, horizon):
+    # in every case the counted run at binomial(m, 0.98 b) misses a cell by over 4 sigma, and with no last
+    # short cycle by over 40
+    law = exact_cycle_law(xi, b, horizon)
+    assert sum(law.values()) == pytest.approx(1.0, rel=1e-12)
+
+    def summed(k):
+        return k * (k - 1) / 2
+
+    outcome = {(n_short * summed(xi + 1) + n_long * summed(xi + 2) + summed(horizon - n_short * (xi + 1) - n_long * (xi + 2)),
+                n_short + n_long): (n_short, n_long) for n_short, n_long in law}
+    assert len(outcome) == len(law)
+    seeds = 20_000 if run == "counted" else 2_000
+    policy, total = fs.ThresholdPolicy(xi, b), simulate._summed(np.arange(xi + 2.0))
+    counts = dict.fromkeys(law, 0)
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        if run == "counted":
+            got = simulate._run_cycles(total, policy, horizon, rng)
+        else:
+            got = reference_run_cycles(AGES, AGES_PBAR, policy, horizon, rng)
+        counts[outcome[got]] += 1  # a KeyError is an outcome the law rules out
+    for cell, p in law.items():
+        assert abs(counts[cell] - seeds * p) <= 4.0 * math.sqrt(seeds * p * (1.0 - p)), (cell, counts[cell], seeds * p)
 
 
 class TestBoundedMemory:
-    """The Monte Carlo's working memory does not grow with the horizon."""
+    """The Monte Carlo's draws, time and working memory do not grow with the horizon."""
 
-    def test_no_draw_exceeds_the_cap(self, bench_config):
-        p, policy, horizon = bench_config.processes[1], fs.threshold_from_rate(0.37), 10**6
+    @pytest.mark.parametrize("xi, b", [(0, 1.0), (0, 0.5), (1, 0.37), (5, 0.9)])
+    def test_draws_at_a_long_horizon(self, xi, b):
+        # each run of cycles leaves a share of the steps it started from; at (0, 1) a half, ~27 runs at 10^8
+        p, policy, horizon = TestChunkedCyclesMatchReference.PROCESS, fs.ThresholdPolicy(xi, b), 10**8
         (total,) = simulate._trace_sums([p], [policy], horizon)
         spy = SpyGenerator(5)
         got = simulate._run_cycles(total, policy, horizon, spy)
-        assert len(spy.requests) > 1 and max(spy.requests) <= simulate._MAX_CHUNK
+        assert len(spy.draws) <= 64
         assert got == simulate._run_cycles(total, policy, horizon, np.random.default_rng(5))
+
+    def test_horizon_of_a_trillion_steps(self, bench_config):
+        p, policy = bench_config.processes[1], fs.threshold_from_rate(0.37)
+        with time_limit(5, "simulate_policy"):
+            res = fs.simulate_policy(p, policy, horizon=10**12, seed=3)
+        assert res.empirical_rate == pytest.approx(policy.rate, abs=1e-4)
 
     def test_traced_peak_at_a_long_horizon(self, bench_config):
         # a chunk covering all ~3.7e6 cycles would trace ~32 MB
