@@ -28,7 +28,6 @@ from .allocation import (
     check_equilibrium,
     initial_allocation,
     project_feasible,
-    recover_weights,
     solve_inner,
     solve_maxmin,
     step_map,

@@ -59,7 +59,6 @@ __all__ = [
     "solve_inner",
     "solve_maxmin",
     "initial_allocation",
-    "recover_weights",
     "check_equilibrium",
 ]
 
@@ -408,28 +407,18 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     return solve_inner(r0, costs, FeasibleRegion(region.total, lower, region.upper), cfg)
 
 
-def recover_weights(rates, costs: CostModel, tol: float = 1e-6) -> np.ndarray:
-    """Uniform weights over the set of agents within ``tol`` of the maximum cost.
-
-    This is one best response of the weighting player and is reported for
-    diagnostics only; the exact equilibrium weights may differ inside the
-    argmax face. ``tol`` is relative to the maximum cost (floored at 1).
-    """
-    values = costs.values(np.asarray(rates, dtype=float))
-    vmax = values.max()
-    active = values >= vmax - tol * max(abs(vmax), 1.0)
-    return active / active.sum()
-
-
 @dataclass
 class EquilibriumReport:
     """Diagnostics of a candidate solution.
 
-    ``active_set_lemma_ok``: whenever some agent sits strictly below the
-    maximum cost while holding rate strictly above its lower bound (so it
-    could donate resource), every maximum-cost agent must hold its maximum
-    allowable resource ``min(total, upper_i)``. A below-max agent already at
-    its lower bound has nothing to give and does not trigger the check.
+    ``recovered_weights``: uniform over ``active_set``, one best response of
+    the weighting player, for diagnostics only; the exact equilibrium weights
+    may differ inside the argmax face. ``active_set_lemma_ok``: whenever some
+    agent sits strictly below the maximum cost while holding rate strictly
+    above its lower bound (so it could donate resource), every maximum-cost
+    agent must hold its maximum allowable resource ``min(total, upper_i)``.
+    A below-max agent already at its lower bound has nothing to give and does
+    not trigger the check.
     ``equal_costs_ok``: with every agent active, all costs must agree.
     Both checks are vacuously true when their premise does not hold.
     """
@@ -442,30 +431,33 @@ class EquilibriumReport:
     equal_costs_ok: bool
 
 
+# a rate within this of a bound counts as at it; the default solve resolves rates to eps_r = 1e-6
+_RATE_TOL = 1e-6
+
+
 def check_equilibrium(
     rates,
     costs: CostModel,
     region: FeasibleRegion,
     eps_probe: float = 1e-3,
     active_tol: float = 1e-6,
-    rate_tol: float = 1e-6,
 ) -> EquilibriumReport:
     """Probe whether ``rates`` is a fixed point and report equilibrium structure."""
     rates = np.asarray(rates, dtype=float)
     values = costs.values(rates)
     vmax = float(values.max())
     scale = max(abs(vmax), 1.0)
-    top = values >= vmax - active_tol * scale  # recover_weights' set, from the costs already read
+    top = values >= vmax - active_tol * scale
     active = np.flatnonzero(top)
 
     residual = float(np.linalg.norm(step_map(rates, eps_probe, costs, region) - rates))
 
     if active.size < region.n:
         below = np.setdiff1d(np.arange(region.n), active)
-        donor_exists = bool(np.any(rates[below] > region.lower[below] + rate_tol))
+        donor_exists = bool(np.any(rates[below] > region.lower[below] + _RATE_TOL))
         if donor_exists:
             caps = np.minimum(region.total, region.upper[active])
-            lemma_ok = bool(np.all(rates[active] >= caps - rate_tol))
+            lemma_ok = bool(np.all(rates[active] >= caps - _RATE_TOL))
         else:
             lemma_ok = True
         equal_ok = True

@@ -23,7 +23,7 @@ import numpy as np
 from . import allocation as alloc
 from . import distributed as dist
 from .config import ConfigError, RunConfig, load_config
-from .sensors import CostDomainError, CurveCostModel, NumericalError, stable_mask
+from .sensors import CostDomainError, CurveCostModel, NumericalError
 from .simulate import simulate_allocation
 
 EXIT_OK = 0
@@ -173,7 +173,7 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
         rates = np.asarray(payload["rates"], dtype=float)
         if rates.ndim != 1:
             raise ValueError("'rates' must be a flat list of numbers")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"cannot read allocation file {allocation_file}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if rates.size != len(cfg.processes):
@@ -182,10 +182,6 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
 
     horizon = cfg.simulation.horizon
     use_seed = cfg.simulation.seed if seed is None else seed
-    refused = np.flatnonzero(~stable_mask([p.A for p in cfg.processes]) & (rates == 0))
-    if refused.size:
-        print(f"refusing to simulate: process {refused[0]} is unstable and was allocated rate 0", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     try:
         results = simulate_allocation(cfg.processes, rates, horizon, use_seed)
         # each curve only down to its own rate, the one point it is read at; solver.eta plays no part
@@ -291,12 +287,7 @@ def run_distributed(cfg: RunConfig, out_dir: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fairsched", description="Max-min fair sensor rate allocation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", required=True, help="path to a JSON run configuration")
-        p.add_argument("--out", default=None, help="output directory (default: config output_dir or 'out')")
-        p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-        p.add_argument("--max-iters", type=int, default=None, help="override iteration budgets")
+    parser.set_defaults(seed=None, max_iters=None)  # for the commands that do not take these flags
 
     for name, help_text in (
         ("solve", "compute the max-min fair allocation and emit traces"),
@@ -305,9 +296,13 @@ def main(argv=None) -> int:
         ("validate-config", "parse and validate a config, then exit"),
     ):
         p = sub.add_parser(name, help=help_text)
-        add_common(p)
+        p.add_argument("--config", required=True, help="path to a JSON run configuration")
+        p.add_argument("--out", default=None, help="output directory (default: config output_dir or 'out')")
         if name == "simulate":
             p.add_argument("--allocation", required=True, help="allocation JSON produced by 'solve'")
+            p.add_argument("--seed", type=int, help="override the simulation seed")
+        if name in ("solve", "distributed"):
+            p.add_argument("--max-iters", type=int, help="override iteration budgets")
 
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:

@@ -19,7 +19,9 @@ A run config is a single JSON object:
     }
 
 All matrices are 2-d row-major nested lists of numbers. ``C`` and ``R`` default to
-identity. ``distributed.graph`` is an adjacency list (neighbors per node);
+identity. ``simulation.horizon`` is an integer from 1 to 2**64 - 1, the longest
+horizon whose cycle counts the simulator's binomial draws can hold.
+``distributed.graph`` is an adjacency list (neighbors per node);
 ``distributed.alpha`` and ``distributed.beta`` are the constant primal and dual
 steps of the distributed solver. A legacy ``distributed.dual_mode`` key is accepted
 only as ``"mixing"``, the one coupling of the distributed solver, and ignored, as
@@ -43,6 +45,7 @@ from pathlib import Path
 
 from .allocation import SolverConfig
 from .sensors import ProcessModel, first_invalid, first_rank_failure
+from .simulate import _MAX_HORIZON
 
 __all__ = ["ConfigError", "SimulationSettings", "DistributedSettings", "RunConfig", "load_config", "fixture_path"]
 
@@ -187,6 +190,8 @@ def load_config(path) -> RunConfig:
     except TypeError as exc:
         raise ConfigError(f"simulation section: {exc}") from exc
     _check_fields("simulation", simulation, positive=(), counts=("horizon",))
+    _require(simulation.horizon <= _MAX_HORIZON,
+             f"simulation.horizon must be at most 2**64 - 1, got {simulation.horizon!r}")
     _require(_is_int(simulation.seed) and simulation.seed >= 0,
              f"simulation.seed must be a non-negative integer, got {simulation.seed!r}")
 

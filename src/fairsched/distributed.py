@@ -179,7 +179,6 @@ def solve_distributed(
     beta: float = 1.0,
     max_iters: int = 200_000,
     eps_r: float = 1e-6,
-    init_rates=None,
     init_lambdas=None,
 ):
     """Constant-step gradient tracking over the communication graph.
@@ -213,7 +212,7 @@ def solve_distributed(
     lb, ub = region.lower, region.upper
     W = metropolis_matrix(graph)
 
-    r = initial_allocation(region) if init_rates is None else np.array(init_rates, dtype=float)
+    r = initial_allocation(region)
     # warm-start the multiplier copies at the local costs: each node can
     # evaluate its own cost, and the dual settles near the common cost level
     lam = costs.values(r).copy() if init_lambdas is None else np.array(init_lambdas, dtype=float)

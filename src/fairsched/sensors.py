@@ -140,7 +140,7 @@ class ProcessModel:
 def _as_matrix(name: str, value) -> np.ndarray:
     try:
         M = np.array(value, dtype=float, ndmin=2)
-    except TypeError as exc:  # an entry such as {} that is no number
+    except (TypeError, OverflowError) as exc:  # an entry such as {} that is no number, or an int too large
         raise ValueError(f"{name} must hold numbers only: {exc}") from exc
     if M.ndim != 2:
         raise ValueError(f"{name} must be a matrix, got {M.ndim} dimensions")
@@ -388,15 +388,14 @@ def no_comm_limit(p: ProcessModel) -> float:
     return float(np.trace(_no_comm_covs(p.A[None], p.Q[None])[0]))
 
 
-def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_steps=None, levels=None,
-                      starts=None):
+def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None, starts=None):
     """``Tr(h^t(Pbar))``, ``t = 0, 1, ...``, ``h(X) = A X A' + Q``, from each process's filter steady state
     ``Pbar``; given ``starts = (depths, covs, sums)``, sequence ``i`` goes on after its ``depths[i]`` steps
     from ``covs[i]``, the covariances of its last two, and ``sums[i]``, the sum of its traces.
 
     One batched recursion per shape, whatever the depths; each process leaves it at its own stop, so its
     sequence is the one it would get alone: after step ``caps[i] + 1``; from step 1 on, where ``stable``
-    is set, within ``tail_tol`` (relative) of its no-communication limit; where ``levels`` is given and
+    is set, within ``_TAIL_TOL`` (relative) of its no-communication limit; where ``levels`` is given and
     ``stable`` is not, at the first step ``k`` with ``cumsum(traces)[k] / (k + 1) >= levels[i]``; or at a
     covariance equal, bit for bit, to the one two steps back, after which the sequence repeats its last
     two entries forever. Returns ``(traces, first, lengths, cumsums, ends)``: sequence ``i`` is
@@ -431,7 +430,7 @@ def prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0, max_s
         rows, At, limit, level = group, _transposed(A), limits[group], levels[group]
         cap = np.minimum(caps[group], budget - 1.0)  # a stop at the step budget is a failure
         run, depth = sums[group], depths[group]  # each row's sum of the traces before the window, its depth
-        cut = tail_tol * np.maximum(limit, 1e-300)
+        cut = _TAIL_TOL * np.maximum(limit, 1e-300)
         tails = bool(s.any())  # whether any row has a tail rule to check
         # Ms[2 + j] holds the covariances of step depth + t0 + j; Ms[0] and Ms[1] the two before it
         Ms = np.zeros((_WINDOW + 2,) + A.shape)
@@ -712,8 +711,7 @@ class CurveCostModel(CostModel):
                 raise CostDomainError(f"domain floor must lie in [0, 1], got {floor}")
             if not is_stable and floor == 0:
                 raise CostDomainError("an unstable process needs a positive rate floor; its cost is unbounded at 0")
-        traces, _, lengths, cumsums, ends = prediction_traces(processes, _caps(floors), floors, stable, _TAIL_TOL,
-                                                              _MAX_STEPS)
+        traces, _, lengths, cumsums, ends = prediction_traces(processes, _caps(floors), floors, stable, _MAX_STEPS)
         return cls.__new__(cls)._hold(traces, cumsums, lengths, stable, floors, processes, ends)
 
     @property
@@ -736,8 +734,8 @@ class CurveCostModel(CostModel):
         if grow.size:
             end = self._first.astype(np.intp)[grow] + depth  # each row's limit slot
             new, first, lengths, sums, new_ends = prediction_traces(
-                [self._processes[i] for i in grow.tolist()], caps[go], floors[go], self.stable[grow], _TAIL_TOL,
-                _MAX_STEPS, None if level is None else np.full(grow.size, level),
+                [self._processes[i] for i in grow.tolist()], caps[go], floors[go], self.stable[grow], _MAX_STEPS,
+                None if level is None else np.full(grow.size, level),
                 (depth, [ends[i] for i in grow.tolist()], cumsums[end - 1]))
             slots = np.ones(new.size, dtype=bool)
             slots[first + lengths - depth] = False  # the limit slots, which the table has already

@@ -39,6 +39,9 @@ from .sensors import (
 
 __all__ = ["SimResult", "simulate_policy", "simulate_allocation"]
 
+# the longest horizon: a run's cycle count, at most horizon // 2, must fit the int64 of rng.binomial
+_MAX_HORIZON = 2**64 - 1
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -108,8 +111,8 @@ def _run_cycles(total, policy: ThresholdPolicy, horizon: int, rng) -> tuple[floa
 
 def simulate_policy(p: ProcessModel, policy: ThresholdPolicy, horizon: int, seed: int = 0) -> SimResult:
     """Simulate one sensor under a randomized threshold policy."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    if not 1 <= horizon <= _MAX_HORIZON:
+        raise ValueError(f"horizon must lie in [1, 2**64 - 1], got {horizon}")
     (total,) = _trace_sums([p], [policy], horizon)
     err_sum, n_tx = _run_cycles(total, policy, horizon, np.random.default_rng(seed))
     return SimResult(
@@ -125,19 +128,22 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
 
     A rate of exactly 0 means the sensor never transmits, which is only
     meaningful for stable processes; its error is the trace sum over the
-    whole horizon. The trace sequences of all processes come from the curve
-    builder's batched recursion (``prediction_traces``); its piecewise-linear
-    formula is never evaluated. A rate so small that the recursion overflows
+    whole horizon. An unstable process at rate 0 raises
+    :class:`CostDomainError` naming it. The trace sequences of all processes
+    come from the curve builder's batched recursion (``prediction_traces``);
+    its piecewise-linear formula is never evaluated. A rate so small that the recursion overflows
     within the horizon raises :class:`NumericalError`.
     """
     rates = np.asarray(rates, dtype=float)
     if len(ps) != rates.size:
         raise ValueError(f"{len(ps)} processes but {rates.size} rates")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    if not 1 <= horizon <= _MAX_HORIZON:
+        raise ValueError(f"horizon must lie in [1, 2**64 - 1], got {horizon}")
 
-    if not stable_mask([p.A for p, r in zip(ps, rates) if r == 0.0]).all():
-        raise CostDomainError("an unstable process cannot run at rate 0: its error is unbounded")
+    idle = np.flatnonzero(rates == 0.0)
+    refused = idle[~stable_mask([ps[i].A for i in idle.tolist()])]
+    if refused.size:
+        raise CostDomainError(f"process {refused[0]} is unstable and cannot run at rate 0: its error is unbounded")
 
     children = np.random.SeedSequence(seed).spawn(len(ps))
     policies = [None if r == 0.0 else threshold_from_rate(r) for r in rates.tolist()]

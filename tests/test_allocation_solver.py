@@ -380,33 +380,29 @@ def test_fixture_takes_only_raw_steps(bench_instance):
     assert (trace.step_sizes[:-1] * trace.costs[:-1].max(axis=1)).max() <= 1.0
 
 
-def test_recover_weights(example1):
-    costs, region = example1
-    w = fs.recover_weights(np.array([1.0, 0.25, 0.25]), costs)
-    np.testing.assert_allclose(w, [1.0, 0.0, 0.0])
-    assert abs(w.sum() - 1.0) <= 1e-12
-
-    flat = fs.AffineCostModel([3.0, 3.0, 1.0], [1.0, 1.0, 1.0])
-    w = fs.recover_weights(np.zeros(3), flat, tol=1e-6)
-    np.testing.assert_allclose(w, [0.5, 0.5, 0.0])
-
-    same = fs.AffineCostModel([2.0, 2.0], [1.0, 1.0])
-    np.testing.assert_allclose(fs.recover_weights([0.4, 0.4], same), [0.5, 0.5])
-
-
-def test_check_equilibrium_weights_are_recover_weights(example1, bench_instance):
+def test_check_equilibrium_weights_are_uniform_over_the_active_set(example1, bench_instance):
+    # the active set is every agent within active_tol (relative, floored at 1) of the largest cost
     cfg, region, costs, mask = bench_instance
     rates, trace = fs.solve_maxmin(costs, region, cfg.solver, mask)
     tied = fs.AffineCostModel([3.0, 3.0, 1.0], [1.0, 1.0, 1.0])
+    same = fs.AffineCostModel([2.0, 2.0], [1.0, 1.0])
     cases = [
-        (rates, trace.model, region, 1e-6),
-        (rates, trace.model, region, 1e-3),
-        (np.array([1.0, 0.25, 0.25]), *example1, 1e-6),
-        (np.zeros(3), tied, example1[1], 1e-6),
+        (rates, trace.model, region, 1e-6, None),
+        (rates, trace.model, region, 1e-3, None),
+        (np.array([1.0, 0.25, 0.25]), *example1, 1e-6, [1.0, 0.0, 0.0]),
+        (np.zeros(3), tied, example1[1], 1e-6, [0.5, 0.5, 0.0]),
+        (np.array([0.4, 0.4]), same, fs.FeasibleRegion(1.0, np.zeros(2), np.ones(2)), 1e-6, [0.5, 0.5]),
     ]
-    for point, model, box, tol in cases:
+    for point, model, box, tol, expected in cases:
         report = fs.check_equilibrium(point, model, box, active_tol=tol)
-        assert report.recovered_weights.tobytes() == fs.recover_weights(point, model, tol).tobytes()
+        values = model.values(point)
+        top = values >= values.max() - tol * max(abs(values.max()), 1.0)
+        assert report.active_set == tuple(np.flatnonzero(top).tolist())
+        uniform = np.zeros(box.n)
+        uniform[list(report.active_set)] = 1.0 / len(report.active_set)
+        assert report.recovered_weights.tobytes() == uniform.tobytes()
+        if expected is not None:
+            assert report.recovered_weights.tolist() == expected
 
 
 def test_check_equilibrium_symmetric_instance():

@@ -417,8 +417,8 @@ class TestSolveCommand:
 
         def spy_traces(ps, *args):
             out = prediction_traces(ps, *args)
-            depths = np.zeros(len(ps), dtype=int) if len(args) < 7 else np.asarray(args[6][0])
-            calls.append((ps, depths, out[2], len(args) > 5 and args[5] is not None))
+            depths = np.zeros(len(ps), dtype=int) if len(args) < 6 else np.asarray(args[5][0])
+            calls.append((ps, depths, out[2], len(args) > 4 and args[4] is not None))
             return out
 
         def spy_curve(**fields):
@@ -507,17 +507,30 @@ class TestSimulateCommand:
         summary = json.loads((out / "simulation_summary.json").read_text())
         assert summary["budget_exceeded"] is True
 
-    def test_zero_rate_for_unstable_refused(self, tmp_path):
+    def test_zero_rate_for_unstable_refused(self, tmp_path, capsys):
         payload = {
             "total_rate": 1.0,
             "processes": [{"A": [[1.2]], "Q": [[1.0]]}],
             "simulation": {"horizon": 1000, "seed": 1},
         }
-        cfg_path = write_config(tmp_path, payload)
-        alloc_path = tmp_path / "zero.json"
-        alloc_path.write_text(json.dumps({"rates": [0.0]}))
-        rc = main(["simulate", "--config", str(cfg_path), "--allocation", str(alloc_path), "--out", str(tmp_path / "x")])
+        cases = [(write_config(tmp_path, payload), [0.0], 0),
+                 (fs.fixture_path("paper_sec4"), [0.5, 0.0, 0.5, 0.0, 0.5], 1)]  # process 3 is stable
+        for cfg_path, rates, refused in cases:
+            alloc_path = tmp_path / "zero.json"
+            alloc_path.write_text(json.dumps({"rates": rates}))
+            argv = ["simulate", "--config", str(cfg_path), "--allocation", str(alloc_path), "--out", str(tmp_path / "x")]
+            assert main(argv) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == (f"allocation is outside the supported rate domain: process {refused} "
+                                               "is unstable and cannot run at rate 0: its error is unbounded\n")
+
+    def test_rate_too_large_for_a_float_refused(self, tmp_path, capsys):
+        alloc_path = tmp_path / "huge.json"
+        alloc_path.write_text('{"rates": [0.4, 0.4, 0.4, 0.4, 1%s]}' % ("0" * 399))
+        rc = main(["simulate", "--config", str(fs.fixture_path("paper_sec4")), "--allocation", str(alloc_path),
+                   "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read allocation file {alloc_path}: ") and err.count("\n") == 1
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg_path = write_config(tmp_path, SINGLE_STABLE)
@@ -710,6 +723,7 @@ class TestValidateCommand:
         ("[[[0.5]]]", "A must be a matrix, got 3 dimensions"),
         ("[[[0.5, 1]]]", "A must be a matrix, got 3 dimensions"),
         ("[[{}]]", "A must hold numbers only: "),  # then the TypeError's own text
+        pytest.param("[[1%s]]" % ("0" * 399), "A must hold numbers only: ", id="int-too-large-for-a-float"),
     ])
     def test_matrix_that_is_no_2d_array_of_numbers_exits_2(self, tmp_path, capsys, matrix, reason):
         path = tmp_path / "bad.json"
@@ -789,7 +803,8 @@ class TestSectionsValidatedAtLoad:
         assert load_config(write_config(tmp_path, payload)).distributed == bench_config.distributed
         assert not hasattr(bench_config.distributed, "dual_mode")
 
-    @pytest.mark.parametrize("key, value", [("seed", -1), ("seed", True), ("horizon", 1000.5), ("horizon", 0)])
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("seed", True), ("horizon", 1000.5), ("horizon", 0),
+                                            ("horizon", 2**64)])
     def test_simulation_field(self, tmp_path, capsys, key, value):
         path = fixture_with(tmp_path, "simulation", key, value)
         with pytest.raises(ConfigError, match=f"simulation.{key}"):
@@ -866,6 +881,21 @@ class TestArgumentRanges:
             main([*argv, "--config", str(fs.fixture_path("paper_sec4"))])
         assert exc.value.code == EXIT_CONFIG_ERROR
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate-config", "--seed", "1"],
+        ["validate-config", "--max-iters", "5"],
+        ["solve", "--seed", "1"],
+        ["distributed", "--seed", "1"],
+        ["simulate", "--allocation", "rates.json", "--max-iters", "5"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        # only simulate reads --seed, only solve and distributed read --max-iters
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(fs.fixture_path("paper_sec4"))])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err and "Traceback" not in err
 
 
 class TestCsvWriter:

@@ -342,6 +342,13 @@ class TestProcessModelValidation:
         for p in bench_config.processes:
             p.validate()
 
+    @pytest.mark.parametrize("name", ["A", "Q"])
+    def test_integer_too_large_for_a_float_rejected(self, name):
+        kwargs = {"A": [[0.5]], "Q": [[1.0]]}
+        kwargs[name] = [[10**400]]
+        with pytest.raises(ValueError, match=rf"^{name} must hold numbers only: "):
+            fs.ProcessModel(**kwargs)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", ["A", "Q", "C", "R_meas", "Pi0"])
     def test_non_finite_entry_rejected(self, name, bad):
@@ -665,16 +672,16 @@ class TestWindowedTraces:
     """``prediction_traces`` checks its stop rules once per window of ``_WINDOW`` steps; each sequence
     still stops, and raises, at the step where the recursion that checks after every step did."""
 
-    def check(self, ps, caps, rates, stable=None, tail_tol=0.0):
+    def check(self, ps, caps, rates, stable=None):
         """The traces, starts and lengths, bitwise those of the per-step recursion, or its error."""
-        try:
-            expected = reference_prediction_traces(ps, caps, rates, stable, tail_tol)
+        try:  # 1e-10: the relative tail cut of stable rows in prediction_traces
+            expected = reference_prediction_traces(ps, caps, rates, stable, 1e-10)
         except fs.NumericalError as exc:
             with pytest.raises(fs.NumericalError) as raised:
-                prediction_traces(ps, caps, rates, stable, tail_tol)
+                prediction_traces(ps, caps, rates, stable)
             assert str(raised.value) == str(exc)
             return None
-        got = prediction_traces(ps, caps, rates, stable, tail_tol)[:3]  # the reference has no sums or end states
+        got = prediction_traces(ps, caps, rates, stable)[:3]  # the reference has no sums or end states
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         return got
@@ -707,7 +714,7 @@ class TestWindowedTraces:
         processes, floors = mixed_processes()
         stable = fs.stable_mask([p.A for p in processes])
         caps = [np.inf if f == 0 else math.floor(1.0 / f) - 1 for f in floors]
-        _, _, lengths = self.check(processes, caps, [0.5] * len(processes), stable, 1e-10)
+        _, _, lengths = self.check(processes, caps, [0.5] * len(processes), stable)
         assert (lengths[np.isinf(caps)] > 1).all()
 
     @pytest.mark.parametrize("a, step", [(1e5, _WINDOW - 1), (8e4, _WINDOW), (5.5e4, _WINDOW + 1)])
@@ -743,11 +750,11 @@ class TestWindowedTraces:
         stable = fs.ProcessModel(A=[[0.9]], Q=[[1.0]])  # keeps its tail cut: a level stops unstable rows only
         n = len(batch)
         traces, first, lengths, *_ = prediction_traces([*batch, stable], [math.inf] * (n + 1), [0.0] * (n + 1),
-                                                       [False] * n + [True], 1e-10, None, levels + [0.0])
+                                                       [False] * n + [True], None, levels + [0.0])
         for i, want in enumerate(expected):
             assert traces[first[i]:first[i] + lengths[i]].tobytes() == want.tobytes(), i
         assert [len(want) for want in expected[:4]] == [1, 2, 2, 3]  # on the knot, then one past it
-        assert lengths[n] == prediction_traces([stable], [math.inf], [0.0], [True], 1e-10)[2][0] > 2
+        assert lengths[n] == prediction_traces([stable], [math.inf], [0.0], [True])[2][0] > 2
 
     def test_level_stop_after_an_overflow_raises(self):
         blowup = fs.ProcessModel(A=[[1e5]], Q=[[1.0]])  # its trace overflows at step _WINDOW - 1
@@ -1000,8 +1007,8 @@ class TestContinuedRows:
         assert_same_table(model, at_once)  # the model asked is left as it was
         k = short.size
         traces, first, lengths, cumsums, _ = prediction_traces(
-            [processes[i] for i in short], np.full(k, np.inf), np.zeros(k), model.stable[short], sensors._TAIL_TOL,
-            sensors._MAX_STEPS, np.full(k, level))
+            [processes[i] for i in short], np.full(k, np.inf), np.zeros(k), model.stable[short], sensors._MAX_STEPS,
+            np.full(k, level))
         for j, curve in enumerate(deeper.curves[i] for i in short):
             span = slice(first[j], first[j] + lengths[j])
             assert curve.traces.tobytes() == traces[span].tobytes()

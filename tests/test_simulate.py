@@ -85,6 +85,9 @@ def test_allocation_zero_rate_unstable_rejected(bench_config):
     p1 = bench_config.processes[0]
     with pytest.raises(CostDomainError):
         fs.simulate_allocation([p1], [0.0], horizon=1000, seed=0)
+    # processes 1 (unstable) and 3 (stable) at rate 0: the error names the first unstable one
+    with pytest.raises(CostDomainError, match="^process 1 is unstable and cannot run at rate 0: its error is unbounded$"):
+        fs.simulate_allocation(bench_config.processes, [0.5, 0.0, 0.5, 0.0, 0.5], horizon=1000, seed=0)
 
 
 def test_allocation_substreams_are_stable_under_order(bench_config):
@@ -159,8 +162,11 @@ def test_zero_rate_error_is_the_exact_trace_sum(bench_config, which):
 
 def test_invalid_horizon():
     p = fs.ProcessModel(A=[[0.0]], Q=[[1.0]])
-    with pytest.raises(ValueError):
-        fs.simulate_policy(p, fs.ThresholdPolicy(0, 1.0), horizon=0, seed=0)
+    for horizon in (0, 2**64):
+        with pytest.raises(ValueError, match=r"^horizon must lie in \[1, 2\*\*64 - 1\]"):
+            fs.simulate_policy(p, fs.ThresholdPolicy(0, 1.0), horizon=horizon, seed=0)
+        with pytest.raises(ValueError, match=r"^horizon must lie in \[1, 2\*\*64 - 1\]"):
+            fs.simulate_allocation([p], [1.0], horizon=horizon, seed=0)
 
 
 class SpyGenerator:
@@ -304,6 +310,13 @@ class TestBoundedMemory:
         with time_limit(5, "simulate_policy"):
             res = fs.simulate_policy(p, policy, horizon=10**12, seed=3)
         assert res.empirical_rate == pytest.approx(policy.rate, abs=1e-4)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.6, 0.37])
+    def test_longest_horizon(self, bench_config, rate):
+        # a run of at most horizon // 2 cycles: 2**63 - 1, the largest count rng.binomial takes
+        with time_limit(5, "simulate_allocation"):
+            (res,) = fs.simulate_allocation(bench_config.processes[1:2], [rate], horizon=2**64 - 1, seed=3)
+        assert res.empirical_rate == pytest.approx(rate, abs=1e-9)
 
     def test_traced_peak_at_a_long_horizon(self, bench_config):
         # a chunk covering all ~3.7e6 cycles would trace ~32 MB
