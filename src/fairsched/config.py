@@ -18,9 +18,10 @@ A run config is a single JSON object:
       "output_dir": "out"                                    # optional
     }
 
-All matrices are 2-d row-major nested lists of numbers. ``C`` and ``R`` default to
-identity. ``simulation.horizon`` is an integer from 1 to 2**64 - 1, the longest
-horizon whose cycle counts the simulator's binomial draws can hold.
+All matrices are 2-d row-major nested lists of numbers; a string or a boolean is
+no number. ``C`` and ``R`` default to identity. ``simulation.horizon`` is an
+integer from 1 to 2**64 - 1, the longest horizon whose cycle counts the
+simulator's binomial draws can hold.
 ``distributed.graph`` is an adjacency list (neighbors per node);
 ``distributed.alpha`` and ``distributed.beta`` are the constant primal and dual
 steps of the distributed solver. A legacy ``distributed.dual_mode`` key is accepted
@@ -29,9 +30,10 @@ are the legacy ``solver.projection_tol`` and ``solver.max_outer_iters`` keys. Th
 ``step_a`` and ``step_c`` keys of the removed diminishing schedule are rejected with
 an error naming ``alpha`` and ``beta``. Every process is fully validated at load
 time (finite entries, shapes, definiteness, observability and controllability), with
-errors naming the first offending process. The entries are converted one by one; the
-checks then run once over all of them on stacked arrays, one stack per shape
-(``sensors.first_invalid``, then ``sensors.first_rank_failure``), and name the
+errors naming the first offending process. The entries are converted and checked one
+shape group at a time, one ``np.array`` per matrix of a group and the checks of
+``sensors.first_invalid`` and ``sensors.first_rank_failure`` on those stacks. Only if
+any of that fails are the entries converted one by one, and that path names the
 process and the failure that checking each entry in turn would.
 """
 
@@ -41,7 +43,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .allocation import SolverConfig
 from .sensors import ProcessModel, first_invalid, first_rank_failure
@@ -103,6 +108,10 @@ def _check_fields(section, settings, positive, counts):
         _require(_is_int(value) and value >= 1, f"{section}.{key} must be an integer of at least 1, got {value!r}")
 
 
+# config key and ProcessModel field of each matrix
+_MATRICES = (("A", "A"), ("Q", "Q"), ("C", "C"), ("R", "R_meas"), ("Pi0", "Pi0"))
+
+
 def _matrix(entry, key, idx, optional=False):
     if key not in entry:
         if optional:
@@ -111,29 +120,71 @@ def _matrix(entry, key, idx, optional=False):
     value = entry[key]
     _require(isinstance(value, list) and value and all(isinstance(row, list) for row in value),
              f"processes[{idx}]: '{key}' must be a non-empty row-major nested list")
+    # numpy would read a string such as "0.5" as its number, and a boolean as 0 or 1
+    cell = next((cell for row in value for cell in row if isinstance(cell, (str, bool))), None)
+    _require(cell is None, f"processes[{idx}]: '{key}' must hold numbers only, got {json.dumps(cell)}")
     return value
 
 
 def _convert_process(entry, idx) -> ProcessModel:
     _require(isinstance(entry, dict), f"processes[{idx}] must be an object")
-    matrices = dict(A=_matrix(entry, "A", idx), Q=_matrix(entry, "Q", idx),
-                    C=_matrix(entry, "C", idx, optional=True), R_meas=_matrix(entry, "R", idx, optional=True),
-                    Pi0=_matrix(entry, "Pi0", idx, optional=True))
+    matrices = {field: _matrix(entry, key, idx, optional=key not in ("A", "Q")) for key, field in _MATRICES}
     try:
         return ProcessModel._unchecked(**matrices)
     except ValueError as exc:
         raise ConfigError(f"processes[{idx}]: {exc}") from exc
 
 
+def _stacked_processes(entries) -> list[ProcessModel] | None:
+    """Every process, built one shape group at a time, or None if any entry, group or check fails.
+
+    A group is the entries whose matrices have equal row counts and first-row lengths, the optional
+    ones present in each or in none. Each of its matrices is converted with one ``np.array`` and
+    checked as one stack (``ProcessModel._of_stacks``).
+    """
+    try:
+        shapes = [tuple([(len(entry[key]), len(entry[key][0])) if key in entry else None for key, _ in _MATRICES])
+                  for entry in entries]
+    except (TypeError, KeyError, IndexError):  # an entry or a matrix that is no object or list
+        return None
+    groups = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    processes = [None] * len(entries)
+    for shape, rows in groups.items():
+        if None in shape[:2]:  # A or Q missing
+            return None
+        given = [(field, [entries[i][key] for i in rows]) for (key, field), at in zip(_MATRICES, shape) if at]
+        try:
+            stacks = {field: np.array(matrices, dtype=float) for field, matrices in given}
+        except (TypeError, ValueError, OverflowError):
+            return None
+        # numpy would read a string such as "0.5" as its number, a boolean as 0 or 1 and null as NaN
+        cells = chain.from_iterable(chain.from_iterable(chain.from_iterable(matrices for _, matrices in given)))
+        A = stacks["A"]
+        if (any(S.ndim != 3 for S in stacks.values()) or A.shape[1] != A.shape[2]
+                or not set(map(type, cells)) <= {int, float}):
+            return None
+        group = ProcessModel._of_stacks(**stacks)
+        if group is None:
+            return None
+        for i, p in zip(rows, group):
+            processes[i] = p
+    return processes
+
+
 def _build_processes(entries) -> list[ProcessModel]:
     """Every process, converted, checked and rank tested; errors name the first bad one.
 
-    Entries are converted one at a time, up to the first that cannot be.
-    The checks of ``ProcessModel`` then run once over all converted
-    processes (:func:`~fairsched.sensors.first_invalid`), and the rank tests
-    once over those before the first failure, so a rank failure before a
-    construction error outranks it and one after it does not.
+    Entries are built one shape group at a time (:func:`_stacked_processes`). If anything fails
+    there, they are built again one at a time, up to the first that cannot be converted, and that
+    path names the failure: the checks of ``ProcessModel`` run once over all converted processes
+    (:func:`~fairsched.sensors.first_invalid`), and the rank tests once over those before the first
+    failure, so a rank failure before a construction error outranks it and one after it does not.
     """
+    processes = _stacked_processes(entries)
+    if processes is not None:
+        return processes
     processes, error = [], None
     for i, entry in enumerate(entries):
         try:

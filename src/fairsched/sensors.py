@@ -28,10 +28,15 @@ never changed once built, and evaluates all agents by a gather; a deeper model
 (``with_floor``'s, or the one ``floors_at`` returns) continues each row from
 its kept end state and splices the new steps in.
 
-Processes are validated in batches too: :func:`first_invalid` (finiteness,
-shapes, definiteness) and :func:`first_rank_failure` (observability,
-controllability) stack equally shaped matrices, and ``ProcessModel`` runs
-the first on itself at construction.
+Processes are validated in batches too: the construction checks (finiteness,
+shapes, definiteness) and the rank tests (observability, controllability)
+run on stacks of equally shaped processes. ``config.load_config`` converts a
+config one shape group at a time, one stack per matrix, and checks the stacks;
+:func:`first_invalid` and :func:`first_rank_failure` group and stack the
+processes they are given, and ``ProcessModel`` runs the first on itself at
+construction.
+Each process keeps its filter steady state ``Pbar`` from the first batched
+Riccati iteration that runs it, so a command runs it once per process.
 """
 
 from __future__ import annotations
@@ -85,8 +90,8 @@ class ProcessModel:
     (measurement noise covariance) symmetric PD. ``C`` and ``R_meas`` default
     to identities of the state dimension. Construction converts the entries
     and runs :func:`first_invalid` on the one process: finiteness, shapes and
-    definiteness. ``config.load_config`` converts many processes first and
-    runs the same checks once over all of them. The observability /
+    definiteness. ``config.load_config`` converts many processes as stacks and
+    runs the same checks once per stack. The observability /
     controllability rank tests live in :meth:`validate` (batched over many
     processes by :func:`first_rank_failure`) so degenerate fixtures (for
     instance ``Q = 0``) can still be built for targeted tests.
@@ -99,32 +104,43 @@ class ProcessModel:
     Pi0: np.ndarray = None
 
     def __post_init__(self):
-        self._convert(self.A, self.Q, self.C, self.R_meas, self.Pi0)
+        self._hold(*_converted(self.A, self.Q, self.C, self.R_meas, self.Pi0))
         failure = first_invalid([self])
         if failure is not None:
             raise ValueError(failure[1])
 
-    def _convert(self, A, Q, C, R_meas, Pi0) -> None:
-        """Set the fields to read-only 2-d float arrays, ``C`` and ``R_meas`` filled in."""
-        # copies: fields are frozen read-only and must not alias caller data
-        A = _as_matrix("A", A)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
-        Q = _as_matrix("Q", Q)
-        C = np.eye(A.shape[0]) if C is None else _as_matrix("C", C)
-        R = np.eye(C.shape[0]) if R_meas is None else _as_matrix("R_meas", R_meas)
-        Pi0 = None if Pi0 is None else _as_matrix("Pi0", Pi0)
-        for name, arr in (("A", A), ("Q", Q), ("C", C), ("R_meas", R), ("Pi0", Pi0)):
-            if arr is not None:
-                arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def _hold(self, A, Q, C, R_meas, Pi0) -> ProcessModel:
+        """Set the fields to these read-only arrays as they are; return this process."""
+        vars(self).update(A=A, Q=Q, C=C, R_meas=R_meas, Pi0=Pi0)
+        return self
 
     @classmethod
     def _unchecked(cls, A, Q, C=None, R_meas=None, Pi0=None) -> ProcessModel:
         """A process converted as at construction but not checked; :func:`first_invalid` checks many at once."""
-        p = object.__new__(cls)
-        p._convert(A, Q, C, R_meas, Pi0)
-        return p
+        return object.__new__(cls)._hold(*_converted(A, Q, C, R_meas, Pi0))
+
+    @classmethod
+    def _of_stacks(cls, A, Q, C=None, R_meas=None, Pi0=None) -> list[ProcessModel] | None:
+        """The processes of equally shaped ``(k, ., .)`` float stacks, square ``A``, if every row passes the
+        checks of :func:`first_invalid` and :func:`first_rank_failure`, else None.
+
+        The stacks are made read-only and each process holds row views of them; a missing ``C`` or
+        ``R_meas`` is one identity that every process of the stacks shares.
+        """
+        if _stack_invalid(A, Q, C, R_meas, Pi0) is not None:
+            return None
+        k, n = A.shape[:2]
+        if C is None:
+            C = np.broadcast_to(np.eye(n), (k, n, n))  # read-only, and no copy per row
+        if R_meas is None:
+            R_meas = np.broadcast_to(np.eye(C.shape[1]), (k, C.shape[1], C.shape[1]))
+        if _stack_rank_failure(A, Q, C) is not None:
+            return None
+        for M in (A, Q, C, R_meas, Pi0):
+            if M is not None:
+                M.setflags(write=False)
+        Pi0 = [None] * k if Pi0 is None else Pi0
+        return [object.__new__(cls)._hold(*fields) for fields in zip(A, Q, C, R_meas, Pi0)]
 
     @property
     def dim(self) -> int:
@@ -135,6 +151,22 @@ class ProcessModel:
         failure = first_rank_failure([self])
         if failure is not None:
             raise ValueError(failure[1])
+
+
+def _converted(A, Q, C, R_meas, Pi0) -> tuple:
+    """The fields as read-only 2-d float arrays, ``C`` and ``R_meas`` filled in."""
+    # copies: fields are frozen read-only and must not alias caller data
+    A = _as_matrix("A", A)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be square, got shape {A.shape}")
+    Q = _as_matrix("Q", Q)
+    C = np.eye(A.shape[0]) if C is None else _as_matrix("C", C)
+    R = np.eye(C.shape[0]) if R_meas is None else _as_matrix("R_meas", R_meas)
+    Pi0 = None if Pi0 is None else _as_matrix("Pi0", Pi0)
+    for arr in (A, Q, C, R, Pi0):
+        if arr is not None:
+            arr.setflags(write=False)
+    return A, Q, C, R, Pi0
 
 
 def _as_matrix(name: str, value) -> np.ndarray:
@@ -150,109 +182,101 @@ def _as_matrix(name: str, value) -> np.ndarray:
 def first_rank_failure(ps) -> tuple[int, str] | None:
     """``(index, reason)`` of the first process failing :meth:`ProcessModel.validate`, or None.
 
-    The observability and controllability matrices of equally shaped
-    processes are stacked, so each shape costs one rank computation per test.
+    Equally shaped processes are stacked and tested at once (:func:`_stack_rank_failure`).
     """
-    ps = list(ps)
-    failures = []
-    for rows in _groups(ps):
-        group = [ps[i] for i in rows]
-        A, Q, C = (_stack(group, name) for name in ("A", "Q", "C"))
-        n = A.shape[-1]
-        powers = [np.linalg.matrix_power(A, k) for k in range(n)]
-        obs = np.concatenate([C @ P for P in powers], axis=1)
-        vals, vecs = np.linalg.eigh(0.5 * (Q + _mT(Q)))
-        sqrt_q = (vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]) @ _mT(vecs)
-        ctr = np.concatenate([P @ sqrt_q for P in powers], axis=2)
-        unobservable = np.linalg.matrix_rank(obs) < n
-        uncontrollable = np.linalg.matrix_rank(ctr) < n
-        bad = np.flatnonzero(unobservable | uncontrollable)
-        if bad.size:
-            j = bad[0]
-            reason = "(A, C) is not observable" if unobservable[j] else "(A, sqrt(Q)) is not controllable"
-            failures.append((int(rows[j]), reason))
-    return min(failures, default=None)
+    return _first_in_stacks(ps, _stack_rank_failure, ("A", "Q", "C"))
 
 
 def first_invalid(ps) -> tuple[int, str] | None:
     """``(index, reason)`` of the first process failing a construction check, or None.
 
-    The checks, in the order each process runs them: finite entries of
-    ``A``, ``Q``, ``C``, ``R_meas`` and ``Pi0``; the shapes of ``Q``, ``C``
-    and ``R_meas``; ``Q`` symmetric PSD; ``R_meas`` symmetric PD; the shape
-    of ``Pi0``, then ``Pi0`` symmetric PSD. Each check runs once, over the
-    processes before the first failure found so far, all of which passed the
-    checks before it. The matrix tests run once per shape on stacked
-    matrices, as :func:`first_rank_failure` runs the rank tests.
+    Equally shaped processes are stacked and checked at once (:func:`_stack_invalid`).
     """
-    ps, failure = list(ps), None
-    for check in (_first_non_finite, _first_misshapen, _first_bad_covariance):
-        bad = check(ps)
+    return _first_in_stacks(ps, _stack_invalid, ("A", "Q", "C", "R_meas", "Pi0"))
+
+
+def _first_in_stacks(ps, check, names) -> tuple[int, str] | None:
+    """The least ``(index, reason)`` that ``check`` finds over stacks of equally shaped processes."""
+    ps, failures = list(ps), []
+    shapes = [tuple(None if M is None else M.shape for M in (p.A, p.Q, p.C, p.R_meas, p.Pi0)) for p in ps]
+    for rows in _group_by(shapes):
+        group = [ps[i] for i in rows]
+        bad = check(*(None if getattr(group[0], name) is None else _stack(group, name) for name in names))
         if bad is not None:
-            failure, ps = bad, ps[:bad[0]]
-    return failure
+            failures.append((int(rows[bad[0]]), bad[1]))
+    return min(failures, default=None)
 
 
-def _first_non_finite(ps):
-    mats = [(i, name, M) for i, p in enumerate(ps) for name, M in
-            (("A", p.A), ("Q", p.Q), ("C", p.C), ("R_meas", p.R_meas), ("Pi0", p.Pi0)) if M is not None]
-    if not mats:
-        return None
-    finite = np.isfinite(np.concatenate([M.ravel() for _, _, M in mats]))
-    if finite.all():
-        return None
-    # the first non-finite entry lies in the first failing matrix of the first failing process
-    ends = np.cumsum([M.size for _, _, M in mats])
-    i, name, _ = mats[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
-    return i, f"{name} must have finite entries (NaN or infinity found)"
+def _stack_rank_failure(A, Q, C) -> tuple[int, str] | None:
+    """``(row, reason)`` of the first unobservable ``(A, C)`` or uncontrollable ``(A, sqrt(Q))`` of a stack.
 
-
-def _first_misshapen(ps):
-    for i, p in enumerate(ps):
-        n, m = p.A.shape[0], p.C.shape[0]
-        if p.Q.shape != (n, n):
-            return i, f"Q must be {n}x{n}, got {p.Q.shape}"
-        if p.C.shape[1] != n:
-            return i, f"C must have {n} columns, got {p.C.shape}"
-        if p.R_meas.shape != (m, m):
-            return i, f"R_meas must be {m}x{m}, got {p.R_meas.shape}"
-    return None
-
-
-def _first_bad_covariance(ps):
-    """``Q`` symmetric PSD, ``R_meas`` symmetric PD, ``Pi0`` of ``A``'s shape and symmetric PSD, in that order.
-
-    All three matrices of every process are tested together, one stack per shape.
+    Each test is one rank computation over the whole stack.
     """
-    failures, mats = [], []  # (index, check, ...): the check's place in the order
-    for i, p in enumerate(ps):
-        mats += [(i, 0, "Q", p.Q), (i, 1, "R_meas", p.R_meas)]
-        if p.Pi0 is not None:
-            n = p.A.shape[0]
-            if p.Pi0.shape == (n, n):
-                mats.append((i, 3, "Pi0", p.Pi0))
-            else:
-                failures.append((i, 2, f"Pi0 must be {n}x{n}, got {p.Pi0.shape}"))
-    for rows in _group_by([M.shape for *_, M in mats]):
-        M = np.array([mats[k][3] for k in rows])
-        definite = np.array([mats[k][1] == 1 for k in rows])
-        # np.allclose(M, M.T, atol=1e-9) per matrix, without its per-call overhead
-        symmetric = (np.abs(M - _mT(M)) <= 1e-9 + 1e-5 * np.abs(_mT(M))).all(axis=(1, 2))
-        low = np.linalg.eigvalsh(0.5 * (M + _mT(M))).min(axis=1)
-        bad = np.flatnonzero(~symmetric | np.where(definite, low <= 0, low < -1e-10))
-        if bad.size:  # mats is in order, so the group's first failure is its least
-            j = bad[0]
-            i, check, name, _ = mats[rows[j]]
-            if not symmetric[j]:
-                reason = f"{name} must be symmetric"
-            else:
-                kind = "definite" if definite[j] else "semidefinite"
-                reason = f"{name} must be positive {kind} (min eigenvalue {low[j]:.3g})"
-            failures.append((i, check, reason))
-    if not failures:
+    n = A.shape[-1]
+    powers = [np.linalg.matrix_power(A, k) for k in range(n)]
+    obs = np.concatenate([C @ P for P in powers], axis=1)
+    vals, vecs = np.linalg.eigh(0.5 * (Q + _mT(Q)))
+    sqrt_q = (vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]) @ _mT(vecs)
+    ctr = np.concatenate([P @ sqrt_q for P in powers], axis=2)
+    unobservable = np.linalg.matrix_rank(obs) < n
+    uncontrollable = np.linalg.matrix_rank(ctr) < n
+    bad = np.flatnonzero(unobservable | uncontrollable)
+    if not bad.size:
         return None
-    i, _, reason = min(failures)
-    return i, reason
+    j = int(bad[0])
+    return j, "(A, C) is not observable" if unobservable[j] else "(A, sqrt(Q)) is not controllable"
+
+
+def _stack_invalid(A, Q, C, R_meas, Pi0) -> tuple[int, str] | None:
+    """``(row, reason)`` of the first process of a stack failing a construction check, or None.
+
+    ``A`` stacks square matrices, the others equally shaped ones; ``Pi0`` may be None, and so may ``C``
+    and ``R_meas``, which then stand for the identities that pass their checks. The checks, in
+    the order each process runs them: finite entries of ``A``, ``Q``, ``C``, ``R_meas`` and ``Pi0``;
+    the shapes of ``Q``, ``C`` and ``R_meas``; ``Q`` symmetric PSD; ``R_meas`` symmetric PD; the shape
+    of ``Pi0``, then ``Pi0`` symmetric PSD. The shapes are the stack's, so the first row fails them or
+    none does; the matrix tests run over the rows before the first non-finite one.
+    """
+    mats = [(name, M) for name, M in (("A", A), ("Q", Q), ("C", C), ("R_meas", R_meas), ("Pi0", Pi0))
+            if M is not None]
+    finite = np.isfinite(np.concatenate([M.reshape(len(M), -1) for _, M in mats], axis=1)).all(axis=1)
+    k, failure = len(A), None  # the rows before the first failure, and that failure
+    if not finite.all():
+        k = int(finite.argmin())
+        name = next(name for name, M in mats if not np.isfinite(M[k]).all())
+        failure = k, f"{name} must have finite entries (NaN or infinity found)"
+    if not k:
+        return failure
+    n = A.shape[1]
+    m = n if C is None else C.shape[1]
+    if Q.shape[1:] != (n, n):
+        return 0, f"Q must be {n}x{n}, got {Q.shape[1:]}"
+    if C is not None and C.shape[2] != n:
+        return 0, f"C must have {n} columns, got {C.shape[1:]}"
+    if R_meas is not None and R_meas.shape[1:] != (m, m):
+        return 0, f"R_meas must be {m}x{m}, got {R_meas.shape[1:]}"
+    tests = [_covariance_test("Q", Q[:k], False)]
+    if R_meas is not None:
+        tests.append(_covariance_test("R_meas", R_meas[:k], True))
+    if Pi0 is not None:
+        tests.append((np.ones(k, dtype=bool), lambda j: f"Pi0 must be {n}x{n}, got {Pi0.shape[1:]}")
+                     if Pi0.shape[1:] != (n, n) else _covariance_test("Pi0", Pi0[:k], False))
+    bad = np.any([failed for failed, _ in tests], axis=0)
+    if not bad.any():
+        return failure
+    j = int(bad.argmax())
+    return j, next(reason(j) for failed, reason in tests if failed[j])
+
+
+def _covariance_test(name, M, definite):
+    """``(failed, reason)``: which matrices of a stack are not symmetric positive (semi)definite, and why one is not."""
+    # np.allclose(M, M.T, atol=1e-9) per matrix, without its per-call overhead
+    symmetric = (np.abs(M - _mT(M)) <= 1e-9 + 1e-5 * np.abs(_mT(M))).all(axis=(1, 2))
+    low = np.linalg.eigvalsh(0.5 * (M + _mT(M))).min(axis=1)
+    kind = "definite" if definite else "semidefinite"
+    return (~symmetric | (low <= 0 if definite else low < -1e-10),
+            lambda j: f"{name} must be symmetric" if not symmetric[j]
+            else f"{name} must be positive {kind} (min eigenvalue {low[j]:.3g})")
 
 
 def _mT(X):
@@ -357,6 +381,22 @@ def _filter_covs(group) -> np.ndarray:
     raise NumericalError("filter covariance iteration did not converge; the model is ill posed")
 
 
+def _pbars(group) -> np.ndarray:
+    """The filter steady states of processes sharing one shape, as a new stack.
+
+    A process keeps its own, read-only, from the first batched iteration that runs it, so a command runs
+    each process's Riccati iteration once. Its fields never change, so a concurrent run can only keep
+    the same bits.
+    """
+    todo = [p for p in group if "_pbar" not in vars(p)]
+    if todo:
+        covs = _filter_covs(todo)
+        covs.setflags(write=False)
+        for p, X in zip(todo, covs):
+            vars(p)["_pbar"] = X
+    return np.array([vars(p)["_pbar"] for p in group])
+
+
 def _no_comm_covs(A, Q) -> np.ndarray:
     """``P = A P A' + Q`` for stacked stable ``A``, solved exactly: ``(I - A kron A) vec(P) = vec(Q)``.
 
@@ -372,9 +412,9 @@ def steady_state_filter_cov(p: ProcessModel) -> np.ndarray:
 
     Iterates ``X- = A X A' + Q`` followed by the measurement update
     ``X = X- - X- C' (C X- C' + R)^-1 C X-`` from ``Pi0`` (zero by default)
-    until the Frobenius change is within 1e-12, for at most 10**6 steps.
+    until the Frobenius change is within 1e-12, for at most 10**6 steps. The array is the caller's own.
     """
-    return _filter_covs([p])[0]
+    return _pbars([p])[0]
 
 
 def no_comm_limit(p: ProcessModel) -> float:
@@ -435,7 +475,7 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
         # Ms[2 + j] holds the covariances of step depth + t0 + j; Ms[0] and Ms[1] the two before it
         Ms = np.zeros((_WINDOW + 2,) + A.shape)
         if starts is None:
-            Ms[2], j0 = _filter_covs(members), 3
+            Ms[2], j0 = _pbars(members), 3
         else:
             Ms[:2], j0 = np.array([covs[i] for i in group]).swapaxes(0, 1), 2
         steps, t0, block_t0, failures = [], 0, 0, []

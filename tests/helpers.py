@@ -21,6 +21,7 @@ segment at a time.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import signal
 import sys
@@ -505,6 +506,10 @@ def _reference_matrix(entry, key, idx, optional=False):
     value = entry[key]
     if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)):
         raise ConfigError(f"processes[{idx}]: '{key}' must be a non-empty row-major nested list")
+    for row in value:
+        for cell in row:
+            if isinstance(cell, (str, bool)):
+                raise ConfigError(f"processes[{idx}]: '{key}' must hold numbers only, got {json.dumps(cell)}")
     return value
 
 

@@ -99,25 +99,29 @@ class TestLoadConfig:
             load_config(path)
 
 
+def good_entry(rng, dim):
+    """A seeded config entry for a valid ``dim``-d process; every other one has its own ``C``, ``R`` and ``Pi0``."""
+    A = np.triu(rng.uniform(-1.0, 1.0, (dim, dim)), 1)
+    A[np.diag_indices(dim)] = rng.uniform(0.2, 1.3, dim)
+    B = rng.normal(size=(dim, dim))
+    entry = {"A": A.tolist(), "Q": (B @ B.T + 0.1 * np.eye(dim)).tolist()}
+    if rng.random() < 0.5:
+        m = max(1, dim - 1)
+        S, P = rng.normal(size=(m, m)), rng.normal(size=(dim, dim))
+        entry.update(C=rng.normal(size=(m, dim)).tolist(), R=(S @ S.T + 0.5 * np.eye(m)).tolist(),
+                     Pi0=(P @ P.T).tolist())
+    return entry
+
+
 def load_mix(seed=10):
     """Seeded config entries: good 1-, 2- and 3-d processes and one of each kind of bad entry, shuffled.
 
-    Good tails follow, so late start indices load; every other good process
-    has its own ``C``, ``R`` and ``Pi0``.
+    Good tails follow, so late start indices load.
     """
     rng = np.random.default_rng(seed)
 
     def good(dim):
-        A = np.triu(rng.uniform(-1.0, 1.0, (dim, dim)), 1)
-        A[np.diag_indices(dim)] = rng.uniform(0.2, 1.3, dim)
-        B = rng.normal(size=(dim, dim))
-        entry = {"A": A.tolist(), "Q": (B @ B.T + 0.1 * np.eye(dim)).tolist()}
-        if rng.random() < 0.5:
-            m = max(1, dim - 1)
-            S, P = rng.normal(size=(m, m)), rng.normal(size=(dim, dim))
-            entry.update(C=rng.normal(size=(m, dim)).tolist(), R=(S @ S.T + 0.5 * np.eye(m)).tolist(),
-                         Pi0=(P @ P.T).tolist())
-        return entry
+        return good_entry(rng, dim)
 
     full = {"A": [[0.5]], "Q": [[1.0]], "C": [[1.0]], "R": [[1.0]], "Pi0": [[1.0]]}
     eye2 = [[1.0, 0.0], [0.0, 1.0]]
@@ -133,6 +137,8 @@ def load_mix(seed=10):
         {"A": [[0.5]], "Q": [[-0.1]]},  # Q indefinite
         {"A": [[0.5, 0.0], [0.0, 0.5]], "Q": eye2, "Pi0": [[1.0, 0.0], [0.0, -1.0]]},  # Pi0 indefinite
         {"A": [[0.5]], "Q": [[1.0]], "R": [[0.0]]},  # R only semidefinite
+        {"A": [["0.5"]], "Q": [[1.0]]},  # a string, which numpy would read as its number
+        {"A": [[0.5]], "Q": [[True]]},  # a boolean, which numpy would read as 1
         [[0.5]],  # not an object
         {"Q": [[1.0]]},  # A missing
         TestLoadConfig.UNOBSERVABLE,
@@ -196,6 +202,34 @@ class TestBatchedLoad:
                 assert str(raised.value) == str(exc)
             else:
                 assert_same_processes([fs.ProcessModel(**kwargs)], [expected])
+
+    def test_large_groups_match_per_entry_reference(self, tmp_path):
+        # 600 entries in few shape groups, a hundred or so each, some with their own C, R and Pi0
+        rng = np.random.default_rng(28)
+        entries = [good_entry(rng, dim) for dim in rng.integers(1, 4, 600).tolist()]
+        assert len({(len(e["A"]), "C" in e) for e in entries}) == 6
+        processes = load_config(write_config(tmp_path, {"total_rate": 1.0, "processes": entries})).processes
+        assert_same_processes(processes, reference_build_processes(entries))
+        for p in processes:
+            for name in ("A", "Q", "C", "R_meas", "Pi0"):
+                arr = getattr(p, name)
+                if arr is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0, 0] = 1.0
+
+    def test_bad_entry_inside_a_large_group_named_as_per_entry(self, tmp_path):
+        rng = np.random.default_rng(29)
+        entries = [good_entry(rng, dim) for dim in rng.integers(1, 4, 300).tolist()]
+        _, bad = load_mix()
+        for entry in bad:
+            at = int(rng.integers(1, len(entries)))
+            mixed = entries[:at] + [entry] + entries[at:]
+            with pytest.raises(ConfigError) as expected:
+                reference_build_processes(mixed)
+            with pytest.raises(ConfigError) as raised:
+                load_config(write_config(tmp_path, {"total_rate": 1.0, "processes": mixed}))
+            assert str(raised.value) == str(expected.value)
+            assert str(raised.value).startswith(f"processes[{at}]")
 
 
 class TestUnreadableInputs:
@@ -400,6 +434,22 @@ class TestSolveCommand:
         rows = [(next(i for i, q in enumerate(cfg.processes) if q is p), length) for p, length in built]
         assert all(length <= deepest[i] for i, length in rows if unstable[i])
         assert max(length for i, length in rows if unstable[i]) <= 7  # no unstable row read past segment 5
+
+    def test_simulate_runs_each_riccati_once(self, tmp_path, monkeypatch):
+        # the simulator's traces and the analytic curves start from the same Pbar, kept on each process
+        fixture = str(fs.fixture_path("paper_sec4"))
+        assert main(["solve", "--config", fixture, "--out", str(tmp_path / "s")]) == EXIT_OK
+        calls, filter_covs = [], fs.sensors._filter_covs
+
+        def spy_filter_covs(group):
+            calls.append(len(group))
+            return filter_covs(group)
+
+        monkeypatch.setattr(fs.sensors, "_filter_covs", spy_filter_covs)
+        allocation = str(tmp_path / "s" / "allocation.json")
+        assert main(["simulate", "--config", fixture, "--allocation", allocation, "--out", str(tmp_path / "m")]) == EXIT_OK
+        processes = load_config(fixture).processes
+        assert calls == [len(processes)] and len({p.C.shape for p in processes}) == 1
 
     @pytest.mark.parametrize("which", ["fixture", "two-process", "seed-7 fleet"])
     def test_solve_continues_rows_and_runs_no_held_step_again(self, tmp_path, monkeypatch, which):
@@ -724,6 +774,10 @@ class TestValidateCommand:
         ("[[[0.5, 1]]]", "A must be a matrix, got 3 dimensions"),
         ("[[{}]]", "A must hold numbers only: "),  # then the TypeError's own text
         pytest.param("[[1%s]]" % ("0" * 399), "A must hold numbers only: ", id="int-too-large-for-a-float"),
+        # numpy would read these as 0.5, 1 and 0
+        ('[["0.5"]]', "'A' must hold numbers only, got \"0.5\""),
+        ("[[true]]", "'A' must hold numbers only, got true"),
+        ("[[0.5, 0], [false, 0.5]]", "'A' must hold numbers only, got false"),
     ])
     def test_matrix_that_is_no_2d_array_of_numbers_exits_2(self, tmp_path, capsys, matrix, reason):
         path = tmp_path / "bad.json"

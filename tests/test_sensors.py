@@ -648,6 +648,22 @@ class TestBatchedBuild:
                 np.testing.assert_array_equal(X, reference_filter_cov(p))
                 np.testing.assert_array_equal(fs.steady_state_filter_cov(p), X)
 
+    def test_filter_steady_state_is_kept_read_only_and_reused(self, monkeypatch):
+        processes, floors = mixed_processes()
+        model = fs.CurveCostModel.from_floors(processes, floors)
+        for p in processes:
+            fresh = fs.ProcessModel(A=p.A, Q=p.Q, C=p.C, R_meas=p.R_meas, Pi0=p.Pi0)
+            assert not p._pbar.flags.writeable
+            np.testing.assert_array_equal(p._pbar, reference_filter_cov(p))
+            assert p._pbar.tobytes() == sensors._filter_covs([fresh])[0].tobytes()
+            pbar = fs.steady_state_filter_cov(p)
+            assert pbar.flags.writeable and pbar.tobytes() == p._pbar.tobytes()
+            pbar += 1.0  # the caller's own array
+        calls = []
+        monkeypatch.setattr(sensors, "_filter_covs", calls.append)
+        assert_same_table(fs.CurveCostModel.from_floors(processes, floors), model)
+        assert not calls
+
     def test_one_element_calls_match_batch(self):
         processes, floors = mixed_processes()
         for p, floor, curve in zip(processes, floors, fs.CurveCostModel.from_floors(processes, floors).curves):
