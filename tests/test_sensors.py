@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -663,6 +665,22 @@ class TestBatchedBuild:
         monkeypatch.setattr(sensors, "_filter_covs", calls.append)
         assert_same_table(fs.CurveCostModel.from_floors(processes, floors), model)
         assert not calls
+
+    def test_concurrent_builds_keep_the_same_steady_state(self):
+        # threads that find no kept Pbar each run the iteration, and each keeps the same bits
+        processes, floors = mixed_processes()
+        want = fs.CurveCostModel.from_floors(mixed_processes()[0], floors)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with time_limit(60, "the concurrent builds"), ThreadPoolExecutor(4) as pool:
+                models = list(pool.map(lambda _: fs.CurveCostModel.from_floors(processes, floors), range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        for model in models:
+            assert_same_table(model, want)
+        for p, fresh in zip(processes, mixed_processes()[0]):
+            assert p._pbar.tobytes() == fs.steady_state_filter_cov(fresh).tobytes()
 
     def test_one_element_calls_match_batch(self):
         processes, floors = mixed_processes()
