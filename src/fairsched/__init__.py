@@ -52,8 +52,6 @@ from .sensors import (
     build_cost_curve,
     classify_stability,
     cost_eval,
-    first_invalid,
-    first_rank_failure,
     no_comm_limit,
     stable_mask,
     steady_state_filter_cov,

@@ -18,8 +18,9 @@ without prior knowledge of the cost slopes.
 On an iteration where the raw step ``eps * J`` would move some coordinate
 farther than the box is wide (costs near an unstable agent's floor reach
 1e157), the solver steps on ``eps * log1p(J)`` instead; such a step is at
-most ~710 eps, and other iterations keep the raw step until the guard has
-followed one ``_GUARD_RETURNS`` times. Then it stays on: a raw step at costs
+most ~710 eps, with eps capped at the float maximum / 710 so that it stays
+finite. Other iterations keep the raw step until the guard has followed one
+``_GUARD_RETURNS`` times. Then it stays on: a raw step at costs
 near 1/eps lies outside the contraction range, and such steps and the guard
 would otherwise take turns however small eps gets.
 The fixed points do not change: ``P(r + s * g(J)) = r`` holds iff ``g(J)``
@@ -38,6 +39,7 @@ blows up as the rate approaches zero need such a floor.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 
@@ -322,6 +324,8 @@ def initial_allocation(region: FeasibleRegion) -> np.ndarray:
 
 
 _GUARD_RETURNS = 20  # guarded steps that may follow a raw one before every step is guarded
+# the largest step size a guarded step takes: log1p of a float is below 710, so the step stays finite
+_GUARDED_EPS_MAX = sys.float_info.max / 710
 
 
 def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig):
@@ -350,11 +354,13 @@ def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig)
     status = MAX_INNER_ITERS
     raw, returns = False, 0  # whether the last step was raw; guarded steps that followed a raw one
     for _ in range(cfg.max_inner_iters):
-        step = eps * values
-        guarded = returns >= _GUARD_RETURNS or step.max() > width
+        # a Python float product overflows to inf silently, where eps * values would warn
+        guarded = returns >= _GUARD_RETURNS or eps * float(values.max()) > width
         if guarded:
-            step = eps * np.log1p(values)
+            step = min(eps, _GUARDED_EPS_MAX) * np.log1p(values)
             returns += raw
+        else:
+            step = eps * values
         raw = not guarded
         r_next = project_feasible(r + step, region)
         d = r_next - r

@@ -32,9 +32,9 @@ an error naming ``alpha`` and ``beta``. Every process is fully validated at load
 time (finite entries, shapes, definiteness, observability and controllability), with
 errors naming the first offending process. The entries are converted and checked one
 shape group at a time, one ``np.array`` per matrix of a group and the checks of
-``sensors.first_invalid`` and ``sensors.first_rank_failure`` on those stacks. Only if
-any of that fails are the entries converted one by one, and that path names the
-process and the failure that checking each entry in turn would.
+``ProcessModel`` and its rank tests on those stacks. Only if any of that fails are the
+entries built one by one, each converted, checked and rank tested in full before the
+next, and the first that fails is named with its first failure.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import SolverConfig
-from .sensors import ProcessModel, first_invalid, first_rank_failure
+from .sensors import ProcessModel
 from .simulate import _MAX_HORIZON
 
 __all__ = ["ConfigError", "SimulationSettings", "DistributedSettings", "RunConfig", "load_config", "fixture_path"]
@@ -130,9 +130,11 @@ def _convert_process(entry, idx) -> ProcessModel:
     _require(isinstance(entry, dict), f"processes[{idx}] must be an object")
     matrices = {field: _matrix(entry, key, idx, optional=key not in ("A", "Q")) for key, field in _MATRICES}
     try:
-        return ProcessModel._unchecked(**matrices)
+        process = ProcessModel(**matrices)
+        process.validate()
     except ValueError as exc:
         raise ConfigError(f"processes[{idx}]: {exc}") from exc
+    return process
 
 
 def _stacked_processes(entries) -> list[ProcessModel] | None:
@@ -177,31 +179,13 @@ def _build_processes(entries) -> list[ProcessModel]:
     """Every process, converted, checked and rank tested; errors name the first bad one.
 
     Entries are built one shape group at a time (:func:`_stacked_processes`). If anything fails
-    there, they are built again one at a time, up to the first that cannot be converted, and that
-    path names the failure: the checks of ``ProcessModel`` run once over all converted processes
-    (:func:`~fairsched.sensors.first_invalid`), and the rank tests once over those before the first
-    failure, so a rank failure before a construction error outranks it and one after it does not.
+    there, they are built again one at a time, each in full, and the first that fails is named with
+    its first failure: conversion, then the checks of ``ProcessModel``, then its rank tests.
     """
     processes = _stacked_processes(entries)
     if processes is not None:
         return processes
-    processes, error = [], None
-    for i, entry in enumerate(entries):
-        try:
-            processes.append(_convert_process(entry, i))
-        except ConfigError as exc:
-            error = exc
-            break
-    invalid = first_invalid(processes)
-    if invalid is not None:
-        error = ConfigError(f"processes[{invalid[0]}]: {invalid[1]}")
-        del processes[invalid[0]:]
-    failure = first_rank_failure(processes)
-    if failure is not None:
-        raise ConfigError(f"processes[{failure[0]}]: {failure[1]}")
-    if error is not None:
-        raise error
-    return processes
+    return [_convert_process(entry, i) for i, entry in enumerate(entries)]
 
 
 def load_config(path) -> RunConfig:

@@ -28,13 +28,11 @@ never changed once built, and evaluates all agents by a gather; a deeper model
 (``with_floor``'s, or the one ``floors_at`` returns) continues each row from
 its kept end state and splices the new steps in.
 
-Processes are validated in batches too: the construction checks (finiteness,
+Processes are validated in stacks too: the construction checks (finiteness,
 shapes, definiteness) and the rank tests (observability, controllability)
-run on stacks of equally shaped processes. ``config.load_config`` converts a
-config one shape group at a time, one stack per matrix, and checks the stacks;
-:func:`first_invalid` and :func:`first_rank_failure` group and stack the
-processes they are given, and ``ProcessModel`` runs the first on itself at
-construction.
+each run on a stack of equally shaped processes. ``config.load_config``
+converts a config one shape group at a time, one stack per matrix, and checks
+the stacks; ``ProcessModel`` runs the same checks on a stack of one.
 Each process keeps its filter steady state ``Pbar`` from the first batched
 Riccati iteration that runs it, so a command runs it once per process.
 """
@@ -58,8 +56,6 @@ __all__ = [
     "CurveCostModel",
     "classify_stability",
     "stable_mask",
-    "first_invalid",
-    "first_rank_failure",
     "steady_state_filter_cov",
     "no_comm_limit",
     "threshold_from_rate",
@@ -89,12 +85,11 @@ class ProcessModel:
     ``Q`` (process noise covariance) must be symmetric PSD, ``R_meas``
     (measurement noise covariance) symmetric PD. ``C`` and ``R_meas`` default
     to identities of the state dimension. Construction converts the entries
-    and runs :func:`first_invalid` on the one process: finiteness, shapes and
-    definiteness. ``config.load_config`` converts many processes as stacks and
-    runs the same checks once per stack. The observability /
-    controllability rank tests live in :meth:`validate` (batched over many
-    processes by :func:`first_rank_failure`) so degenerate fixtures (for
-    instance ``Q = 0``) can still be built for targeted tests.
+    and checks them as a stack of one: finiteness, shapes and definiteness.
+    ``config.load_config`` converts many processes as stacks and runs the same
+    checks once per stack. The observability / controllability rank tests
+    live in :meth:`validate` so degenerate fixtures (for instance ``Q = 0``)
+    can still be built for targeted tests.
     """
 
     A: np.ndarray
@@ -104,10 +99,13 @@ class ProcessModel:
     Pi0: np.ndarray = None
 
     def __post_init__(self):
-        self._hold(*_converted(self.A, self.Q, self.C, self.R_meas, self.Pi0))
-        failure = first_invalid([self])
+        given = self.A, self.Q, self.C, self.R_meas, self.Pi0
+        fields = _converted(*given)
+        # a C or R_meas not given is an identity, which passes the checks: None stands for it
+        failure = _stack_invalid(*(None if g is None else M[None] for M, g in zip(fields, given)))
         if failure is not None:
             raise ValueError(failure[1])
+        self._hold(*fields)
 
     def _hold(self, A, Q, C, R_meas, Pi0) -> ProcessModel:
         """Set the fields to these read-only arrays as they are; return this process."""
@@ -115,14 +113,9 @@ class ProcessModel:
         return self
 
     @classmethod
-    def _unchecked(cls, A, Q, C=None, R_meas=None, Pi0=None) -> ProcessModel:
-        """A process converted as at construction but not checked; :func:`first_invalid` checks many at once."""
-        return object.__new__(cls)._hold(*_converted(A, Q, C, R_meas, Pi0))
-
-    @classmethod
     def _of_stacks(cls, A, Q, C=None, R_meas=None, Pi0=None) -> list[ProcessModel] | None:
         """The processes of equally shaped ``(k, ., .)`` float stacks, square ``A``, if every row passes the
-        checks of :func:`first_invalid` and :func:`first_rank_failure`, else None.
+        construction checks and the rank tests of :meth:`validate`, else None.
 
         The stacks are made read-only and each process holds row views of them; a missing ``C`` or
         ``R_meas`` is one identity that every process of the stacks shares.
@@ -148,7 +141,7 @@ class ProcessModel:
 
     def validate(self) -> None:
         """Rank tests: (A, C) observable and (A, sqrt(Q)) controllable."""
-        failure = first_rank_failure([self])
+        failure = _stack_rank_failure(self.A[None], self.Q[None], self.C[None])
         if failure is not None:
             raise ValueError(failure[1])
 
@@ -179,34 +172,6 @@ def _as_matrix(name: str, value) -> np.ndarray:
     return M
 
 
-def first_rank_failure(ps) -> tuple[int, str] | None:
-    """``(index, reason)`` of the first process failing :meth:`ProcessModel.validate`, or None.
-
-    Equally shaped processes are stacked and tested at once (:func:`_stack_rank_failure`).
-    """
-    return _first_in_stacks(ps, _stack_rank_failure, ("A", "Q", "C"))
-
-
-def first_invalid(ps) -> tuple[int, str] | None:
-    """``(index, reason)`` of the first process failing a construction check, or None.
-
-    Equally shaped processes are stacked and checked at once (:func:`_stack_invalid`).
-    """
-    return _first_in_stacks(ps, _stack_invalid, ("A", "Q", "C", "R_meas", "Pi0"))
-
-
-def _first_in_stacks(ps, check, names) -> tuple[int, str] | None:
-    """The least ``(index, reason)`` that ``check`` finds over stacks of equally shaped processes."""
-    ps, failures = list(ps), []
-    shapes = [tuple(None if M is None else M.shape for M in (p.A, p.Q, p.C, p.R_meas, p.Pi0)) for p in ps]
-    for rows in _group_by(shapes):
-        group = [ps[i] for i in rows]
-        bad = check(*(None if getattr(group[0], name) is None else _stack(group, name) for name in names))
-        if bad is not None:
-            failures.append((int(rows[bad[0]]), bad[1]))
-    return min(failures, default=None)
-
-
 def _stack_rank_failure(A, Q, C) -> tuple[int, str] | None:
     """``(row, reason)`` of the first unobservable ``(A, C)`` or uncontrollable ``(A, sqrt(Q))`` of a stack.
 
@@ -215,7 +180,7 @@ def _stack_rank_failure(A, Q, C) -> tuple[int, str] | None:
     n = A.shape[-1]
     powers = [np.linalg.matrix_power(A, k) for k in range(n)]
     obs = np.concatenate([C @ P for P in powers], axis=1)
-    vals, vecs = np.linalg.eigh(0.5 * (Q + _mT(Q)))
+    vals, vecs = np.linalg.eigh(0.5 * Q + 0.5 * _mT(Q))  # halved before the sum, which could overflow
     sqrt_q = (vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]) @ _mT(vecs)
     ctr = np.concatenate([P @ sqrt_q for P in powers], axis=2)
     unobservable = np.linalg.matrix_rank(obs) < n
@@ -270,9 +235,11 @@ def _stack_invalid(A, Q, C, R_meas, Pi0) -> tuple[int, str] | None:
 
 def _covariance_test(name, M, definite):
     """``(failed, reason)``: which matrices of a stack are not symmetric positive (semi)definite, and why one is not."""
-    # np.allclose(M, M.T, atol=1e-9) per matrix, without its per-call overhead
-    symmetric = (np.abs(M - _mT(M)) <= 1e-9 + 1e-5 * np.abs(_mT(M))).all(axis=(1, 2))
-    low = np.linalg.eigvalsh(0.5 * (M + _mT(M))).min(axis=1)
+    # np.allclose(M, M.T, atol=1e-9) per matrix, without its per-call overhead; a difference that
+    # overflows is infinite and fails it
+    with np.errstate(over="ignore"):
+        symmetric = (np.abs(M - _mT(M)) <= 1e-9 + 1e-5 * np.abs(_mT(M))).all(axis=(1, 2))
+    low = np.linalg.eigvalsh(0.5 * M + 0.5 * _mT(M)).min(axis=1)  # halved before the sum, which could overflow
     kind = "definite" if definite else "semidefinite"
     return (~symmetric | (low <= 0 if definite else low < -1e-10),
             lambda j: f"{name} must be symmetric" if not symmetric[j]
@@ -368,7 +335,8 @@ def _filter_covs(group) -> np.ndarray:
         M = Xp - G @ np.linalg.solve(C @ Xp @ _mT(C) + R, _mT(G))
         X_new = M + _mT(M)
         X_new *= 0.5
-        done = np.sqrt(((X_new - X) ** 2).sum(axis=(1, 2))) <= _COV_TOL
+        with np.errstate(over="ignore"):  # a change too large to square is no convergence
+            done = np.sqrt(((X_new - X) ** 2).sum(axis=(1, 2))) <= _COV_TOL
         done |= (recent == X_new[:, None]).all(axis=(2, 3)).any(axis=1)
         recent[:, step % _CYCLE] = X_new
         if done.any():
@@ -555,8 +523,9 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
         kept = t < added[rows]
         at = (first[rows] + t)[kept]
         traces[at] = block[kept]
-        block[0] += sums[rows]
-        sums[rows] = np.cumsum(block, axis=0, out=block)[-1]  # summed in order, as np.cumsum sums a row
+        with np.errstate(over="ignore"):  # a sum past the float maximum reads inf, as the running sums do
+            block[0] += sums[rows]
+            sums[rows] = np.cumsum(block, axis=0, out=block)[-1]  # summed in order, as np.cumsum sums a row
         cumsums[at] = block[kept]
     traces[first + added], cumsums[first + added] = limits, np.nan
     return traces, first, lengths, cumsums, ends
@@ -824,7 +793,7 @@ class CurveCostModel(CostModel):
         j = np.add.reduceat(knots < level, self._first.astype(np.intp), dtype=np.intp) - 1.0  # -1: above rate 1
         slot = (self._first + np.maximum(j, 0.0)).astype(np.intp)
         anchor = self._traces.take(slot + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             rates = (level - anchor) / (self._cumsums.take(slot) - (j + 1.0) * anchor)
         rates = np.where(j < 0, 1.0, np.maximum(rates, 0.0))
         # a row short of its tail: a model of processes keeps its end state, one of curves only its floor

@@ -751,6 +751,44 @@ class TestCurveOverflowExitsCleanly:
         self.check_simulate_tiny_rate(tmp_path, capsys, fixture_with(tmp_path, "simulation", "horizon", 100))
 
 
+class TestEntriesNearTheFloatMaximum:
+    """Matrix entries and a first step size near the float maximum end each command with its exit code and
+    at most one line on stderr: no traceback and no warning."""
+
+    HUGE = [[1e308, 0.0], [0.0, 1e308]]
+
+    def run(self, capsys, argv, code):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") <= 1 and "Traceback" not in err and "Warning" not in err
+        return err
+
+    @pytest.mark.parametrize("key, codes", [
+        ("Q", (EXIT_OK, EXIT_CONFIG_ERROR)),  # the curve overflows at its first step
+        ("R", (EXIT_OK, EXIT_CONFIG_ERROR)),
+        ("Pi0", (EXIT_OK, EXIT_OK)),  # the filter forgets its start
+        ("skew Q", (EXIT_CONFIG_ERROR, EXIT_CONFIG_ERROR)),  # Q - Q' overflows: not symmetric
+    ])
+    def test_matrix(self, tmp_path, capsys, key, codes):
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        if key == "skew Q":
+            payload["processes"][0]["Q"] = [[1.0, 1e308], [-1e308, 1.0]]
+        else:
+            payload["processes"][0][key] = self.HUGE
+        path = str(write_config(tmp_path, payload))
+        for command, code in zip(("validate-config", "solve"), codes):
+            err = self.run(capsys, [command, "--config", path, "--out", str(tmp_path / command)], code)
+            if key == "skew Q":
+                assert err == "config error: processes[0]: Q must be symmetric\n"
+
+    @pytest.mark.parametrize("eps0", [1e308, 1.7e308])
+    def test_first_step_size(self, tmp_path, capsys, eps0):
+        out = tmp_path / "out"
+        self.run(capsys, ["solve", "--config", str(fixture_with(tmp_path, "solver", "eps0", eps0)), "--out", str(out)],
+                 EXIT_OK)
+        assert json.loads((out / "summary.json").read_text())["status"] == "converged"
+
+
 class TestValidateCommand:
     def test_ok(self):
         assert main(["validate-config", "--config", str(fs.fixture_path("paper_sec4"))]) == EXIT_OK

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import sys
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 import fairsched as fs
 from fairsched import sensors
 from fairsched.allocation import CostDomainError
+from fairsched.config import ConfigError, load_config
 from fairsched.sensors import _WINDOW, _no_comm_covs, prediction_traces
 from helpers import (
+    reference_build_processes,
     reference_cost_curve,
     reference_cost_eval,
     reference_filter_cov,
@@ -379,15 +382,39 @@ def rank_test_mix(seed=7):
 
 
 class TestBatchedValidation:
-    def test_rank_tests_match_per_process(self):
+    def test_rank_tests_match_per_process(self, tmp_path):
         processes = rank_test_mix()
         reasons = [reference_rank_failure(p) for p in processes]
         assert any(r is None for r in reasons)
         assert {r for r in reasons if r} == {"(A, C) is not observable", "(A, sqrt(Q)) is not controllable"}
         assert any(r and p.C.shape[0] < p.dim for p, r in zip(processes, reasons))
-        for start in range(len(processes)):
-            expected = next(((i - start, r) for i, r in enumerate(reasons) if i >= start and r), None)
-            assert fs.first_rank_failure(processes[start:]) == expected
+        # each shape group as one stack, tested from every row on: the first failing row, as each alone
+        groups = {}
+        for p, reason in zip(processes, reasons):
+            groups.setdefault((p.A.shape, p.C.shape), []).append((p, reason))
+        assert any(len({r for _, r in g}) == 2 and g[0][0].C.shape[0] < g[0][0].dim for g in groups.values())
+        for group in groups.values():
+            A, Q, C = (np.array([getattr(p, name) for p, _ in group]) for name in ("A", "Q", "C"))
+            for start in range(len(group)):
+                expected = next(((i - start, r) for i, (_, r) in enumerate(group) if i >= start and r), None)
+                assert sensors._stack_rank_failure(A[start:], Q[start:], C[start:]) == expected
+        # loaded as a config from every start: the processes, or the message, that checking each entry in turn gives
+        entries = [{"A": p.A.tolist(), "Q": p.Q.tolist(), "C": p.C.tolist(), "R": p.R_meas.tolist(),
+                    **({} if p.Pi0 is None else {"Pi0": p.Pi0.tolist()})} for p in processes]
+        path = tmp_path / "mix.json"
+        for start in range(len(entries)):
+            path.write_text(json.dumps({"total_rate": 1.0, "processes": entries[start:]}))
+            try:
+                expected = reference_build_processes(entries[start:])
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as raised:
+                    load_config(path)
+                assert str(raised.value) == str(exc)
+            else:
+                for p, ref in zip(load_config(path).processes, expected, strict=True):
+                    for name in ("A", "Q", "C", "R_meas", "Pi0"):
+                        got, want = getattr(p, name), getattr(ref, name)
+                        assert got is want is None or got.tobytes() == want.tobytes()
         for p, reason in zip(processes, reasons):
             if reason is None:
                 p.validate()
