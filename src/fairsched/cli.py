@@ -183,14 +183,14 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
     horizon = cfg.simulation.horizon
     use_seed = cfg.simulation.seed if seed is None else seed
     try:
+        # each curve is built only down to its own rate, the one point it is read at; solver.eta plays no part
         results = simulate_allocation(cfg.processes, rates, horizon, use_seed)
-        # each curve only down to its own rate, the one point it is read at; solver.eta plays no part
-        analytic = CurveCostModel.from_floors(cfg.processes, np.minimum(rates, 1.0)).values(rates)
     except (CostDomainError, NumericalError) as exc:
         print(f"allocation is outside the supported rate domain: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     empirical_errors = np.array([res.empirical_avg_error for res in results])
+    analytic = np.array([res.analytical_error for res in results])
     gaps = np.abs(empirical_errors - analytic) / analytic
     budget_exceeded = bool(rates.sum() > cfg.total_rate + 1e-9)
     try:

@@ -32,9 +32,9 @@ an error naming ``alpha`` and ``beta``. Every process is fully validated at load
 time (finite entries, shapes, definiteness, observability and controllability), with
 errors naming the first offending process. The entries are converted and checked one
 shape group at a time, one ``np.array`` per matrix of a group and the checks of
-``ProcessModel`` and its rank tests on those stacks. Only if any of that fails are the
-entries built one by one, each converted, checked and rank tested in full before the
-next, and the first that fails is named with its first failure.
+``ProcessModel`` and its rank tests on those stacks. If any of that fails, the stacks
+tell the first entry that fails, and only that entry is built alone, to name it with
+its first failure.
 """
 
 from __future__ import annotations
@@ -137,54 +137,90 @@ def _convert_process(entry, idx) -> ProcessModel:
     return process
 
 
-def _stacked_processes(entries) -> list[ProcessModel] | None:
-    """Every process, built one shape group at a time, or None if any entry, group or check fails.
+def _shape(entry) -> tuple | None:
+    """Per matrix, its row count and first-row length, or None where the entry lacks it; None for an entry
+    or a matrix that is no object or list."""
+    try:
+        return tuple([(len(entry[key]), len(entry[key][0])) if key in entry else None for key, _ in _MATRICES])
+    except (TypeError, KeyError, IndexError):
+        return None
+
+
+def _stacks(entries, rows, shape) -> dict | None:
+    """The matrices of ``entries[rows]``, which share ``shape``, as one float stack per field, or None if they do
+    not convert to ``(len(rows), ., .)`` stacks of numbers with square ``A``."""
+    given = [(field, [entries[i][key] for i in rows]) for (key, field), at in zip(_MATRICES, shape) if at]
+    try:
+        stacks = {field: np.array(matrices, dtype=float) for field, matrices in given}
+    except (TypeError, ValueError, OverflowError):
+        return None
+    # numpy would read a string such as "0.5" as its number, a boolean as 0 or 1 and null as NaN
+    cells = chain.from_iterable(chain.from_iterable(chain.from_iterable(matrices for _, matrices in given)))
+    A = stacks["A"]
+    if (any(S.ndim != 3 for S in stacks.values()) or A.shape[1] != A.shape[2]
+            or not set(map(type, cells)) <= {int, float}):
+        return None
+    return stacks
+
+
+def _group_processes(entries, rows, shape) -> list[ProcessModel] | int:
+    """The processes of the entries ``rows``, which share ``shape``, converted and checked as stacks
+    (``ProcessModel._of_stacks``), or the index of the first of them that fails on its own."""
+    if shape is None or None in shape[:2]:  # malformed, or A or Q missing: each entry fails
+        return rows[0]
+    stacks = _stacks(entries, rows, shape)
+    if stacks is not None:
+        group = ProcessModel._of_stacks(**stacks)
+        return rows[group] if isinstance(group, int) else group
+    # the first entry that does not convert alone, unless one before it, all of which convert, fails a check
+    j = next((j for j, i in enumerate(rows) if _stacks(entries, [i], shape) is None), 0)
+    before = _stacks(entries, rows[:j], shape) if j else None
+    group = ProcessModel._of_stacks(**before) if before else []
+    return rows[group] if isinstance(group, int) else rows[j]
+
+
+def _stacked_processes(entries) -> list[ProcessModel] | int | None:
+    """Every process, built one shape group at a time, or the index of the first entry that fails.
 
     A group is the entries whose matrices have equal row counts and first-row lengths, the optional
     ones present in each or in none. Each of its matrices is converted with one ``np.array`` and
-    checked as one stack (``ProcessModel._of_stacks``).
+    checked as one stack. A group reports its first entry that fails, found without building any entry
+    alone, so every entry before the one returned passed the same checks in a stack. Once one fails, a
+    later group checks only its entries before it. None if a rank test cannot run on a stack.
     """
-    try:
-        shapes = [tuple([(len(entry[key]), len(entry[key][0])) if key in entry else None for key, _ in _MATRICES])
-                  for entry in entries]
-    except (TypeError, KeyError, IndexError):  # an entry or a matrix that is no object or list
-        return None
     groups = {}
-    for i, shape in enumerate(shapes):
-        groups.setdefault(shape, []).append(i)
-    processes = [None] * len(entries)
+    for i, entry in enumerate(entries):
+        groups.setdefault(_shape(entry), []).append(i)
+    processes, first = [None] * len(entries), len(entries)
     for shape, rows in groups.items():
-        if None in shape[:2]:  # A or Q missing
-            return None
-        given = [(field, [entries[i][key] for i in rows]) for (key, field), at in zip(_MATRICES, shape) if at]
+        rows = [i for i in rows if i < first]  # only an entry before the first failure found can move it
+        if not rows:
+            continue
         try:
-            stacks = {field: np.array(matrices, dtype=float) for field, matrices in given}
-        except (TypeError, ValueError, OverflowError):
+            group = _group_processes(entries, rows, shape)
+        except np.linalg.LinAlgError:  # an SVD that does not converge on entries near the float maximum
             return None
-        # numpy would read a string such as "0.5" as its number, a boolean as 0 or 1 and null as NaN
-        cells = chain.from_iterable(chain.from_iterable(chain.from_iterable(matrices for _, matrices in given)))
-        A = stacks["A"]
-        if (any(S.ndim != 3 for S in stacks.values()) or A.shape[1] != A.shape[2]
-                or not set(map(type, cells)) <= {int, float}):
-            return None
-        group = ProcessModel._of_stacks(**stacks)
-        if group is None:
-            return None
-        for i, p in zip(rows, group):
-            processes[i] = p
-    return processes
+        if isinstance(group, int):
+            first = group
+        else:
+            for i, p in zip(rows, group):
+                processes[i] = p
+    return processes if first == len(entries) else first
 
 
 def _build_processes(entries) -> list[ProcessModel]:
     """Every process, converted, checked and rank tested; errors name the first bad one.
 
-    Entries are built one shape group at a time (:func:`_stacked_processes`). If anything fails
-    there, they are built again one at a time, each in full, and the first that fails is named with
-    its first failure: conversion, then the checks of ``ProcessModel``, then its rank tests.
+    Entries are built one shape group at a time (:func:`_stacked_processes`). If anything fails there,
+    the first entry that fails is built alone and named with its first failure: conversion, then the
+    checks of ``ProcessModel``, then its rank tests. If the stacks cannot tell which entry fails first,
+    every entry is built one at a time, in full, until one fails.
     """
     processes = _stacked_processes(entries)
-    if processes is not None:
+    if isinstance(processes, list):
         return processes
+    if processes is not None:
+        _convert_process(entries[processes], processes)  # raises: the entries before it passed the same checks
     return [_convert_process(entry, i) for i, entry in enumerate(entries)]
 
 

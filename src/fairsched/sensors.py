@@ -33,8 +33,6 @@ shapes, definiteness) and the rank tests (observability, controllability)
 each run on a stack of equally shaped processes. ``config.load_config``
 converts a config one shape group at a time, one stack per matrix, and checks
 the stacks; ``ProcessModel`` runs the same checks on a stack of one.
-Each process keeps its filter steady state ``Pbar`` from the first batched
-Riccati iteration that runs it, so a command runs it once per process.
 """
 
 from __future__ import annotations
@@ -113,22 +111,22 @@ class ProcessModel:
         return self
 
     @classmethod
-    def _of_stacks(cls, A, Q, C=None, R_meas=None, Pi0=None) -> list[ProcessModel] | None:
+    def _of_stacks(cls, A, Q, C=None, R_meas=None, Pi0=None) -> list[ProcessModel] | int:
         """The processes of equally shaped ``(k, ., .)`` float stacks, square ``A``, if every row passes the
-        construction checks and the rank tests of :meth:`validate`, else None.
+        construction checks and the rank tests of :meth:`validate`, else the first row that fails one.
 
         The stacks are made read-only and each process holds row views of them; a missing ``C`` or
         ``R_meas`` is one identity that every process of the stacks shares.
         """
-        if _stack_invalid(A, Q, C, R_meas, Pi0) is not None:
-            return None
-        k, n = A.shape[:2]
+        invalid = _stack_invalid(A, Q, C, R_meas, Pi0)
+        k, n = (len(A) if invalid is None else invalid[0]), A.shape[1]  # the rows that pass the checks
         if C is None:
-            C = np.broadcast_to(np.eye(n), (k, n, n))  # read-only, and no copy per row
+            C = np.broadcast_to(np.eye(n), (len(A), n, n))  # read-only, and no copy per row
         if R_meas is None:
-            R_meas = np.broadcast_to(np.eye(C.shape[1]), (k, C.shape[1], C.shape[1]))
-        if _stack_rank_failure(A, Q, C) is not None:
-            return None
+            R_meas = np.broadcast_to(np.eye(C.shape[1]), (len(A), C.shape[1], C.shape[1]))
+        rank = _stack_rank_failure(A[:k], Q[:k], C[:k]) if k else None
+        if rank is not None or invalid is not None:
+            return k if rank is None else rank[0]
         for M in (A, Q, C, R_meas, Pi0):
             if M is not None:
                 M.setflags(write=False)
@@ -321,8 +319,10 @@ def _transposed(A) -> np.ndarray:
     return np.ascontiguousarray(_mT(A))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a row that overflows is reported by the caller
 def _filter_covs(group) -> np.ndarray:
-    """Filter steady states of processes sharing one shape, as a stack; each row stops where it would alone."""
+    """Filter steady states of processes sharing one shape, as a stack; each row stops where it would alone,
+    one that overflows at its first non-finite iterate, which it keeps."""
     A, Q, C, R = (_stack(group, name) for name in ("A", "Q", "C", "R_meas"))
     At = _transposed(A)
     X = np.stack([np.zeros(p.A.shape) if p.Pi0 is None else p.Pi0 for p in group])
@@ -335,9 +335,9 @@ def _filter_covs(group) -> np.ndarray:
         M = Xp - G @ np.linalg.solve(C @ Xp @ _mT(C) + R, _mT(G))
         X_new = M + _mT(M)
         X_new *= 0.5
-        with np.errstate(over="ignore"):  # a change too large to square is no convergence
-            done = np.sqrt(((X_new - X) ** 2).sum(axis=(1, 2))) <= _COV_TOL
+        done = np.sqrt(((X_new - X) ** 2).sum(axis=(1, 2))) <= _COV_TOL  # a change too large to square is none
         done |= (recent == X_new[:, None]).all(axis=(2, 3)).any(axis=1)
+        done |= ~np.isfinite(X_new).all(axis=(1, 2))
         recent[:, step % _CYCLE] = X_new
         if done.any():
             out[rows[done]] = X_new[done]
@@ -349,20 +349,13 @@ def _filter_covs(group) -> np.ndarray:
     raise NumericalError("filter covariance iteration did not converge; the model is ill posed")
 
 
-def _pbars(group) -> np.ndarray:
-    """The filter steady states of processes sharing one shape, as a new stack.
-
-    A process keeps its own, read-only, from the first batched iteration that runs it, so a command runs
-    each process's Riccati iteration once. Its fields never change, so a concurrent run can only keep
-    the same bits.
-    """
-    todo = [p for p in group if "_pbar" not in vars(p)]
-    if todo:
-        covs = _filter_covs(todo)
-        covs.setflags(write=False)
-        for p, X in zip(todo, covs):
-            vars(p)["_pbar"] = X
-    return np.array([vars(p)["_pbar"] for p in group])
+def _finite_pbars(covs, rows) -> np.ndarray:
+    """``covs``, the filter steady states of the processes numbered ``rows``; the first whose iteration
+    overflowed raises :class:`NumericalError`."""
+    bad = ~np.isfinite(covs).all(axis=(1, 2))
+    if bad.any():
+        raise NumericalError(f"the filter covariance of process {rows[bad.argmax()]} overflowed; the model is ill posed")
+    return covs
 
 
 def _no_comm_covs(A, Q) -> np.ndarray:
@@ -380,9 +373,10 @@ def steady_state_filter_cov(p: ProcessModel) -> np.ndarray:
 
     Iterates ``X- = A X A' + Q`` followed by the measurement update
     ``X = X- - X- C' (C X- C' + R)^-1 C X-`` from ``Pi0`` (zero by default)
-    until the Frobenius change is within 1e-12, for at most 10**6 steps. The array is the caller's own.
+    until the Frobenius change is within 1e-12, for at most 10**6 steps; an iterate that overflows raises
+    :class:`NumericalError`. The array is the caller's own.
     """
-    return _pbars([p])[0]
+    return _finite_pbars(_filter_covs([p]), [0])[0]
 
 
 def no_comm_limit(p: ProcessModel) -> float:
@@ -443,7 +437,7 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
         # Ms[2 + j] holds the covariances of step depth + t0 + j; Ms[0] and Ms[1] the two before it
         Ms = np.zeros((_WINDOW + 2,) + A.shape)
         if starts is None:
-            Ms[2], j0 = _pbars(members), 3
+            Ms[2], j0 = _finite_pbars(_filter_covs(members), group), 3
         else:
             Ms[:2], j0 = np.array([covs[i] for i in group]).swapaxes(0, 1), 2
         steps, t0, block_t0, failures = [], 0, 0, []
@@ -479,7 +473,8 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
                     if raised.any():
                         step = depth + t0 + at
                         k = np.flatnonzero(raised & (step == step[raised].min()))[0]
-                        why = (f"its mean has not reached the level {level[k]}" if level[k] < np.inf
+                        why = ("the stable process's prediction covariance overflows" if s[k]
+                               else f"its mean has not reached the level {level[k]}" if level[k] < np.inf
                                else f"the rate {rates[rows[k]]} is too small")
                         failures.append((step[k], rows[k], f"trace sequence overflowed at step {step[k]}; {why}"))
                         gone |= raised
@@ -800,6 +795,10 @@ class CurveCostModel(CostModel):
         held = self._floors > 0 if self._ends is None else np.array([e is not None for e in self._ends], dtype=bool)
         return rates, np.flatnonzero((~self.stable | held) & (j == self._sizes - 1))
 
+    def _stopped(self, i: int) -> bool:
+        """Whether row ``i``, of a model of processes, stopped for good: at its tail or a repeated covariance."""
+        return self._ends is not None and self._ends[i] is None
+
     def values(self, rates) -> np.ndarray:
         """``J_i(rates[i])`` of every agent by one gather from the table.
 
@@ -825,6 +824,9 @@ class CurveCostModel(CostModel):
                     raise CostDomainError("rate 0 is outside the domain of an unstable cost curve")
                 if not 0 <= ri <= _RATE_MAX:
                     raise CostDomainError(f"rate must lie in [0, 1], got {ri}")
+                if ri >= self._lo[i] and self._stopped(i):
+                    raise CostDomainError(f"rate {ri} lies past segment {int(self._xi_max[i])}, where the curve's "
+                                          "trace sequence stopped for good")
                 raise CostDomainError(f"rate {ri} lies below the curve's domain floor {float(self._floors[i])}")
             # as +0.0 past every stored segment, the rate reads the stable limit
             r, xi = np.where(zero, 0.0, r), np.where(zero, np.inf, xi)
@@ -874,6 +876,9 @@ class CurveCostModel(CostModel):
             if below[i]:
                 raise CostDomainError(f"lower bound {float(lb[i])} lies below the curve's domain floor "
                                       f"{float(self._floors[i])}")
+            if past[i] and self._stopped(i):
+                raise CostDomainError(f"lower bound {float(lb[i])} lies past segment {int(self._xi_max[i])}, where the "
+                                      "curve's trace sequence stopped for good")
             if past[i]:
                 raise CostDomainError(f"segment {_xi_of(float(lb[i]))} is below the curve's domain floor")
             raise CostDomainError("cost curve has a flat segment; strict monotonicity is violated")

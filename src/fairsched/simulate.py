@@ -1,12 +1,16 @@
 """Monte Carlo simulation of the remote-estimation covariance recursion.
 
-Serves as the independent oracle for the closed-form cost curves: it never
-touches the piecewise-linear formula, only the raw recursion
+Serves as the oracle for the closed-form cost curves: its cycle sums never
+evaluate the piecewise-linear formula, only the raw recursion
 ``P(k+1) = Pbar`` after a transmission and ``P(k+1) = A P A' + Q`` otherwise,
 driven by the randomized threshold rule on the age counter. The recursion
-itself, the trace sequence ``Tr(h^t(Pbar))``, is shared with the curve
-builder (``sensors.prediction_traces``); what the simulator checks is the
-formula built on it.
+itself, the trace sequence ``Tr(h^t(Pbar))``, is read from the cost model
+built for the rates (``CurveCostModel.from_floors``, each curve down to its
+own rate), whose formula gives each result's ``analytical_error``; what the
+simulator checks is the formula built on the shared sequence. Past its
+stored end, a sequence that reached its stable tail goes on with its limit,
+and one that stopped at a repeated covariance with its last two entries,
+alternating.
 
 The age sequence is a renewal process, so the step loop is not executed:
 each cycle is short (``xi + 1`` steps) with probability ``b``, else long,
@@ -15,11 +19,13 @@ cycle's cost being a prefix sum of the trace sequence, so it can differ from
 the scalar loop's running sum in the last bits. The cycles are taken in runs
 of as many as surely fit; the short ones among a run's ``m`` are one draw
 from their Binomial(m, b) law. A process thus takes about log(horizon)
-draws, and the cycles' time and memory do not grow with the horizon. A
-rate so small that the recursion overflows within the horizon raises
-``NumericalError``. Results are deterministic given (inputs, horizon, seed);
-per-process streams in ``simulate_allocation`` are split off a single
-``SeedSequence`` (PCG64), so they are independent and order-insensitive.
+draws, and the cycles' time and memory do not grow with the horizon. The
+cost model raises what it raises for the rates: ``NumericalError`` for a
+sequence that overflows or runs 10**6 steps short of its rate's segment, and
+``CostDomainError`` for a rate past a sequence that stopped for good.
+Results are deterministic given (inputs, horizon, seed); per-process streams
+in ``simulate_allocation`` are split off a single ``SeedSequence`` (PCG64),
+so they are independent and order-insensitive.
 """
 
 from __future__ import annotations
@@ -30,9 +36,10 @@ import numpy as np
 
 from .allocation import CostDomainError
 from .sensors import (
+    _TAIL_TOL,
+    CurveCostModel,
     ProcessModel,
     ThresholdPolicy,
-    prediction_traces,
     stable_mask,
     threshold_from_rate,
 )
@@ -47,34 +54,33 @@ _MAX_HORIZON = 2**64 - 1
 class SimResult:
     empirical_rate: float
     empirical_avg_error: float
+    analytical_error: float
     horizon: int
     seed: int
 
 
-def _summed(seq: np.ndarray):
-    """``k -> seq[0] + ... + seq[k - 1]``, with ``seq`` continued past its end by its last two entries, alternating."""
+def _summed(seq: np.ndarray, limit: float | None = None):
+    """``k -> seq[0] + ... + seq[k - 1]``. Past its end ``seq`` goes on with ``limit`` if its last entry lies
+    at that stable limit's tail (within ``_TAIL_TOL``), else with its last two entries, alternating."""
     prefix = np.concatenate(([0.0], np.cumsum(seq)))
+    tail = limit is not None and abs(seq[-1] - limit) <= _TAIL_TOL * max(limit, 1e-300)
 
     def total(k: int) -> float:
         if k <= seq.size:
             return prefix[k]
         m = k - seq.size
+        if tail:
+            return prefix[-1] + m * limit
         return prefix[-1] + ((m + 1) // 2) * seq[-2] + (m // 2) * seq[-1]
 
     return total
 
 
-def _trace_sums(ps, policies, horizon: int) -> list:
-    """Per process, ``k -> Tr(P)`` summed over its first ``k`` steps from its filter steady state.
-
-    ``policies[i]`` is None for a process that never transmits. No cycle reads
-    past step ``xi + 1``, nor the run past step ``horizon - 1``, so the
-    sequences stop there, or earlier at a repeated covariance.
-    """
-    caps = [horizon - 2 if pol is None else min(pol.xi, horizon - 2) for pol in policies]
-    rates = [0.0 if pol is None else pol.rate for pol in policies]
-    traces, first, lengths, _, _ = prediction_traces(ps, caps, rates)
-    return [_summed(traces[f:f + n]) for f, n in zip(first.tolist(), lengths.tolist())]
+def _costs_and_sums(ps, rates) -> tuple[list, list]:
+    """The cost of each process at its rate and, per process, ``k -> Tr(P)`` summed over its first ``k``
+    steps from its filter steady state, both read from one model of each curve down to its rate."""
+    model = CurveCostModel.from_floors(ps, np.minimum(rates, 1.0))
+    return model.values(rates).tolist(), [_summed(c.traces, c.stable_limit) for c in model.curves]
 
 
 def _run_cycles(total, policy: ThresholdPolicy, horizon: int, rng) -> tuple[float, int]:
@@ -113,14 +119,9 @@ def simulate_policy(p: ProcessModel, policy: ThresholdPolicy, horizon: int, seed
     """Simulate one sensor under a randomized threshold policy."""
     if not 1 <= horizon <= _MAX_HORIZON:
         raise ValueError(f"horizon must lie in [1, 2**64 - 1], got {horizon}")
-    (total,) = _trace_sums([p], [policy], horizon)
+    (cost,), (total,) = _costs_and_sums([p], [policy.rate])
     err_sum, n_tx = _run_cycles(total, policy, horizon, np.random.default_rng(seed))
-    return SimResult(
-        empirical_rate=n_tx / horizon,
-        empirical_avg_error=float(err_sum) / horizon,
-        horizon=horizon,
-        seed=seed,
-    )
+    return SimResult(n_tx / horizon, float(err_sum) / horizon, cost, horizon, seed)
 
 
 def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResult]:
@@ -130,9 +131,9 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
     meaningful for stable processes; its error is the trace sum over the
     whole horizon. An unstable process at rate 0 raises
     :class:`CostDomainError` naming it. The trace sequences of all processes
-    come from the curve builder's batched recursion (``prediction_traces``);
-    its piecewise-linear formula is never evaluated. A rate so small that the recursion overflows
-    within the horizon raises :class:`NumericalError`.
+    come from one cost model, each curve built down to its own rate, whose
+    ``values(rates)`` are the results' ``analytical_error``; the cycle sums never
+    evaluate its formula.
     """
     rates = np.asarray(rates, dtype=float)
     if len(ps) != rates.size:
@@ -147,12 +148,12 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
 
     children = np.random.SeedSequence(seed).spawn(len(ps))
     policies = [None if r == 0.0 else threshold_from_rate(r) for r in rates.tolist()]
-    totals = _trace_sums(ps, policies, horizon)
+    costs, totals = _costs_and_sums(ps, rates)
     results = []
-    for total, policy, child in zip(totals, policies, children):
+    for cost, total, policy, child in zip(costs, totals, policies, children):
         if policy is None:
             err_sum, n_tx = total(horizon), 0
         else:
             err_sum, n_tx = _run_cycles(total, policy, horizon, np.random.default_rng(child))
-        results.append(SimResult(n_tx / horizon, float(err_sum) / horizon, horizon, seed))
+        results.append(SimResult(n_tx / horizon, float(err_sum) / horizon, cost, horizon, seed))
     return results

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fairsched as fs
-from fairsched import cli
+from fairsched import cli, config
 from fairsched.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, _region_and_costs, _write_csv, main
 from fairsched.config import ConfigError, load_config
 from helpers import reference_build_processes, reference_csv_bytes, reference_process, time_limit
@@ -230,6 +230,19 @@ class TestBatchedLoad:
                 load_config(write_config(tmp_path, {"total_rate": 1.0, "processes": mixed}))
             assert str(raised.value) == str(expected.value)
             assert str(raised.value).startswith(f"processes[{at}]")
+
+    def test_only_the_first_failing_entry_is_built_alone(self, tmp_path, monkeypatch):
+        # the stacks tell which entry fails first; no entry before it is built one by one
+        rng = np.random.default_rng(30)
+        entries = [good_entry(rng, dim) for dim in rng.integers(1, 4, 200).tolist()]
+        _, bad = load_mix()
+        built, convert = [], config._convert_process
+        monkeypatch.setattr(config, "_convert_process", lambda entry, i: built.append(i) or convert(entry, i))
+        for entry in bad:
+            built.clear()
+            with pytest.raises(ConfigError, match=r"^processes\[200\]"):
+                load_config(write_config(tmp_path, {"total_rate": 1.0, "processes": entries + [entry, entry]}))
+            assert built == [200]
 
 
 class TestUnreadableInputs:
@@ -780,6 +793,26 @@ class TestEntriesNearTheFloatMaximum:
             err = self.run(capsys, [command, "--config", path, "--out", str(tmp_path / command)], code)
             if key == "skew Q":
                 assert err == "config error: processes[0]: Q must be symmetric\n"
+
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_filter_covariance_that_overflows(self, tmp_path, capsys, index):
+        # the Riccati row ends at its first non-finite iterate, not after 10^6 steps
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        payload["processes"][index]["Pi0"] = self.HUGE
+        argv = ["solve", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "o")]
+        with time_limit(5, "solve"):
+            err = self.run(capsys, argv, EXIT_CONFIG_ERROR)
+        assert err == (f"cannot solve this configuration: the filter covariance of process {index} overflowed; "
+                       "the model is ill posed\n")
+
+    def test_stable_prediction_that_overflows(self, tmp_path, capsys):
+        # the stable row's floor is 0: no rate is at fault
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        payload["processes"][3]["Q"] = self.HUGE
+        argv = ["solve", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "o")]
+        err = self.run(capsys, argv, EXIT_CONFIG_ERROR)
+        assert err == ("cannot solve this configuration: trace sequence overflowed at step 1; the stable process's "
+                       "prediction covariance overflows\n")
 
     @pytest.mark.parametrize("eps0", [1e308, 1.7e308])
     def test_first_step_size(self, tmp_path, capsys, eps0):

@@ -677,24 +677,8 @@ class TestBatchedBuild:
                 np.testing.assert_array_equal(X, reference_filter_cov(p))
                 np.testing.assert_array_equal(fs.steady_state_filter_cov(p), X)
 
-    def test_filter_steady_state_is_kept_read_only_and_reused(self, monkeypatch):
-        processes, floors = mixed_processes()
-        model = fs.CurveCostModel.from_floors(processes, floors)
-        for p in processes:
-            fresh = fs.ProcessModel(A=p.A, Q=p.Q, C=p.C, R_meas=p.R_meas, Pi0=p.Pi0)
-            assert not p._pbar.flags.writeable
-            np.testing.assert_array_equal(p._pbar, reference_filter_cov(p))
-            assert p._pbar.tobytes() == sensors._filter_covs([fresh])[0].tobytes()
-            pbar = fs.steady_state_filter_cov(p)
-            assert pbar.flags.writeable and pbar.tobytes() == p._pbar.tobytes()
-            pbar += 1.0  # the caller's own array
-        calls = []
-        monkeypatch.setattr(sensors, "_filter_covs", calls.append)
-        assert_same_table(fs.CurveCostModel.from_floors(processes, floors), model)
-        assert not calls
-
     def test_concurrent_builds_keep_the_same_steady_state(self):
-        # threads that find no kept Pbar each run the iteration, and each keeps the same bits
+        # threads that build from the same processes at once each get the table built alone
         processes, floors = mixed_processes()
         want = fs.CurveCostModel.from_floors(mixed_processes()[0], floors)
         interval = sys.getswitchinterval()
@@ -706,8 +690,6 @@ class TestBatchedBuild:
             sys.setswitchinterval(interval)
         for model in models:
             assert_same_table(model, want)
-        for p, fresh in zip(processes, mixed_processes()[0]):
-            assert p._pbar.tobytes() == fs.steady_state_filter_cov(fresh).tobytes()
 
     def test_one_element_calls_match_batch(self):
         processes, floors = mixed_processes()
@@ -1104,6 +1086,21 @@ class TestContinuedRows:
         deep = shallow.with_floor([1 / 250])
         assert deep._sizes.tolist() == [43] and stop_kinds(deep) == ["repeat"]
         assert_same_table(deep, fs.CurveCostModel.from_floors([SATURATING], [1 / 250]))
+
+    def test_a_rate_past_a_row_that_stopped_for_good_names_the_stop(self):
+        model = fs.CurveCostModel.from_floors([SATURATING], [0.004])
+        assert model._sizes.tolist() == [43] and stop_kinds(model) == ["repeat"]
+        past = "lies past segment 41, where the curve's trace sequence stopped for good$"
+        for rate in (0.01, 0.004):
+            with pytest.raises(CostDomainError, match=f"^rate {rate} {past}"):
+                model.values([rate])
+        with pytest.raises(CostDomainError, match=f"^lower bound 0.004 {past}"):
+            model.slope_bounds([0.004])
+        with pytest.raises(CostDomainError, match="^rate 0.003 lies below the curve's domain floor 0.004$"):
+            model.values([0.003])
+        # the simulator reads the same model
+        with pytest.raises(CostDomainError, match=f"^rate 0.004 {past}"):
+            fs.simulate_policy(SATURATING, fs.threshold_from_rate(0.004), horizon=100)
 
     def test_rows_that_need_no_step_take_none(self, monkeypatch):
         walk, stable = fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), fs.ProcessModel(A=[[0.5]], Q=[[1.0]])

@@ -140,6 +140,11 @@ def test_sums_past_the_stored_sequence_alternate_its_last_two_entries():
     total = simulate._summed(np.array([1.0, 2.0, 4.0]))
     continued = [1.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0]
     assert [total(k) for k in range(9)] == [sum(continued[:k]) for k in range(9)]
+    # a stable limit that the last entry has not reached changes nothing; one it has reached goes on
+    short = simulate._summed(np.array([1.0, 2.0, 4.0]), 4.0 * (1.0 + 1e-9))
+    assert [short(k) for k in range(9)] == [sum(continued[:k]) for k in range(9)]
+    tail = simulate._summed(np.array([1.0, 2.0, 4.0]), 4.0 * (1.0 + 1e-11))
+    assert [tail(k) for k in range(9)] == [7.0 + (k - 3) * 4.0 * (1.0 + 1e-11) if k > 3 else sum(continued[:k]) for k in range(9)]
 
 
 def test_tiny_rate_on_a_two_cycle_is_fast():
@@ -158,6 +163,26 @@ def test_zero_rate_error_is_the_exact_trace_sum(bench_config, which):
     res = fs.simulate_allocation([p], [0.0], horizon=horizon, seed=2)[0]
     exact = reference_trace_sum(p, fs.steady_state_filter_cov(p), horizon) / horizon
     assert res.empirical_avg_error == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_analytical_error_is_the_cost_models_value(bench_config):
+    # the cycle sums and the analytical errors are read from one model, each curve down to its rate
+    ps = bench_config.processes
+    rates = np.array([0.45, 0.21, 1.0 + 1e-13, 0.0, 0.3])
+    results = fs.simulate_allocation(ps, rates, horizon=10_000, seed=4)
+    want = fs.CurveCostModel.from_floors(ps, np.minimum(rates, 1.0)).values(rates)
+    assert np.array([res.analytical_error for res in results]).tobytes() == want.tobytes()
+    policy = fs.ThresholdPolicy(2, 0.37)
+    res = fs.simulate_policy(ps[1], policy, horizon=10_000, seed=4)
+    assert res.analytical_error == fs.CurveCostModel.from_floors([ps[1]], [policy.rate]).values([policy.rate])[0]
+
+
+def test_marginal_row_at_a_tiny_rate_raises_at_its_step_budget():
+    # the random walk's curve reaches the segment of rate 1e-7 only after ~10^7 steps; its build stops at 10^6
+    ps = [fs.ProcessModel(A=[[1.0]], Q=[[1.0]]), fs.ProcessModel(A=[[0.5]], Q=[[1.0]])]
+    message = "^trace sequence did not stop within 1000000 steps; the rate floor 1e-07 is too small$"
+    with time_limit(30, "simulate_allocation"), pytest.raises(fs.NumericalError, match=message):
+        fs.simulate_allocation(ps, [1e-7, 0.4], horizon=10**6, seed=0)
 
 
 def test_invalid_horizon():
@@ -211,7 +236,7 @@ class TestChunkedCyclesMatchReference:
         # at b in {0, 1} every stream gives the same cycles, so the step-by-step run takes the seeded one;
         # otherwise it replays the cycles counted, which checks the error and the last cycle, not the law
         pbar = fs.steady_state_filter_cov(self.PROCESS)
-        (total,) = simulate._trace_sums([self.PROCESS], [policy], horizon)
+        (total,) = simulate._costs_and_sums([self.PROCESS], [policy.rate])[1]
         spy = SpyGenerator(seed)
         err, n_tx = simulate._run_cycles(total, policy, horizon, spy)
         if policy.b in (0.0, 1.0):
@@ -237,10 +262,13 @@ class TestChunkedCyclesMatchReference:
 
     @pytest.mark.parametrize("b", [0.0, 0.37, 1.0])
     def test_cycles_longer_than_the_horizon(self, b):
-        # xi + 1 >= horizon: the trace table stops at the horizon, not at xi + 1
-        for xi, horizons in ((48, (1, 47, 48, 49, 50, 51)), (10**5, (1, 2, 500))):
-            for horizon in horizons:
-                self._check(fs.ThresholdPolicy(xi, b), horizon)
+        # xi + 1 >= horizon: the cycles read the trace table only up to the horizon
+        for horizon in (1, 47, 48, 49, 50, 51):
+            self._check(fs.ThresholdPolicy(48, b), horizon)
+        # the table is built down to the rate's segment whatever the horizon, and this unstable one overflows first
+        for horizon in (1, 2, 500):
+            with pytest.raises(fs.NumericalError, match="^trace sequence overflowed at step .*; the rate .* is too small$"):
+                fs.simulate_policy(self.PROCESS, fs.ThresholdPolicy(10**5, b), horizon)
 
 
 def exact_cycle_law(xi, b, horizon) -> dict:
@@ -299,7 +327,7 @@ class TestBoundedMemory:
     def test_draws_at_a_long_horizon(self, xi, b):
         # each run of cycles leaves a share of the steps it started from; at (0, 1) a half, ~27 runs at 10^8
         p, policy, horizon = TestChunkedCyclesMatchReference.PROCESS, fs.ThresholdPolicy(xi, b), 10**8
-        (total,) = simulate._trace_sums([p], [policy], horizon)
+        (total,) = simulate._costs_and_sums([p], [policy.rate])[1]
         spy = SpyGenerator(5)
         got = simulate._run_cycles(total, policy, horizon, spy)
         assert len(spy.draws) <= 64
