@@ -171,21 +171,28 @@ def _as_matrix(name: str, value) -> np.ndarray:
 
 
 def _stack_rank_failure(A, Q, C) -> tuple[int, str] | None:
-    """``(row, reason)`` of the first unobservable ``(A, C)`` or uncontrollable ``(A, sqrt(Q))`` of a stack.
+    """``(row, reason)`` of the first unobservable ``(A, C)`` or uncontrollable ``(A, sqrt(Q))`` of a stack,
+    or of the first whose powers of ``A`` overflow, which no rank test can take.
 
-    Each test is one rank computation over the whole stack.
+    Each test is one rank computation over the stack's rows before the first that overflows.
     """
     n = A.shape[-1]
-    powers = [np.linalg.matrix_power(A, k) for k in range(n)]
-    obs = np.concatenate([C @ P for P in powers], axis=1)
-    vals, vecs = np.linalg.eigh(0.5 * Q + 0.5 * _mT(Q))  # halved before the sum, which could overflow
-    sqrt_q = (vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]) @ _mT(vecs)
-    ctr = np.concatenate([P @ sqrt_q for P in powers], axis=2)
-    unobservable = np.linalg.matrix_rank(obs) < n
-    uncontrollable = np.linalg.matrix_rank(ctr) < n
+    with np.errstate(over="ignore", invalid="ignore"):  # stacks that overflow are refused below
+        powers = [np.linalg.matrix_power(A, k) for k in range(n)]
+        obs = np.concatenate([C @ P for P in powers], axis=1)
+        vals, vecs = np.linalg.eigh(0.5 * Q + 0.5 * _mT(Q))  # halved before the sum, which could overflow
+        sqrt_q = (vecs * np.sqrt(np.maximum(vals, 0.0))[:, None, :]) @ _mT(vecs)
+        ctr = np.concatenate([P @ sqrt_q for P in powers], axis=2)
+    finite = np.isfinite(obs).all(axis=(1, 2)) & np.isfinite(ctr).all(axis=(1, 2))
+    k = int(finite.argmin()) if not finite.all() else len(A)  # the rows before the first that overflows
+    overflow = None if k == len(A) else (k, "the powers of A overflow, so its rank tests cannot run")
+    if not k:
+        return overflow
+    unobservable = np.linalg.matrix_rank(obs[:k]) < n
+    uncontrollable = np.linalg.matrix_rank(ctr[:k]) < n
     bad = np.flatnonzero(unobservable | uncontrollable)
     if not bad.size:
-        return None
+        return overflow
     j = int(bad[0])
     return j, "(A, C) is not observable" if unobservable[j] else "(A, sqrt(Q)) is not controllable"
 
@@ -855,8 +862,9 @@ class CurveCostModel(CostModel):
         mags = np.repeat(-self._first, self._sizes + 1)
         mags += np.arange(1.0, mags.size + 1.0)
         slopes = mags[:-1]
-        slopes *= self._traces[1:]
-        np.subtract(self._cumsums[:-1], slopes, out=slopes)
+        with np.errstate(over="ignore"):  # near the float maximum, a slot that no bound reads may overflow
+            slopes *= self._traces[1:]
+            np.subtract(self._cumsums[:-1], slopes, out=slopes)
         np.abs(mags, out=mags)
         mags[-1] = np.nan  # the last slot holds a limit, no segment; ranges may end there
         first = self._first.astype(np.intp)

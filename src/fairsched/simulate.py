@@ -59,19 +59,19 @@ class SimResult:
     seed: int
 
 
-def _summed(seq: np.ndarray, limit: float | None = None):
-    """``k -> seq[0] + ... + seq[k - 1]``. Past its end ``seq`` goes on with ``limit`` if its last entry lies
-    at that stable limit's tail (within ``_TAIL_TOL``), else with its last two entries, alternating."""
-    prefix = np.concatenate(([0.0], np.cumsum(seq)))
+def _summed(seq: np.ndarray, sums: np.ndarray, limit: float | None = None):
+    """``k -> seq[0] + ... + seq[k - 1]``, read from ``sums``, the running sums of ``seq``. Past its end ``seq``
+    goes on with ``limit`` if its last entry lies at that stable limit's tail (within ``_TAIL_TOL``), else with
+    its last two entries, alternating."""
     tail = limit is not None and abs(seq[-1] - limit) <= _TAIL_TOL * max(limit, 1e-300)
 
     def total(k: int) -> float:
         if k <= seq.size:
-            return prefix[k]
+            return sums[k - 1] if k else 0.0
         m = k - seq.size
         if tail:
-            return prefix[-1] + m * limit
-        return prefix[-1] + ((m + 1) // 2) * seq[-2] + (m // 2) * seq[-1]
+            return sums[-1] + m * limit
+        return sums[-1] + ((m + 1) // 2) * seq[-2] + (m // 2) * seq[-1]
 
     return total
 
@@ -80,7 +80,7 @@ def _costs_and_sums(ps, rates) -> tuple[list, list]:
     """The cost of each process at its rate and, per process, ``k -> Tr(P)`` summed over its first ``k``
     steps from its filter steady state, both read from one model of each curve down to its rate."""
     model = CurveCostModel.from_floors(ps, np.minimum(rates, 1.0))
-    return model.values(rates).tolist(), [_summed(c.traces, c.stable_limit) for c in model.curves]
+    return model.values(rates).tolist(), [_summed(c.traces, c.cumsums, c.stable_limit) for c in model.curves]
 
 
 def _run_cycles(total, policy: ThresholdPolicy, horizon: int, rng) -> tuple[float, int]:

@@ -76,35 +76,43 @@ def test_solve_maxmin_all_stable_runs_single_pass(example1):
     assert r[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def assert_floor_rule(costs, region, trace, start_lower):
-    """Each agent whose cost at the start point is below the largest, ``U``, is floored at the rate
-    where its cost is ``U`` (or at the region's bound, where its cost stays below ``U``); the
-    others keep their start floors. Returns the mask of the agents floored at cost ``U``."""
+def assert_floor_rule(costs, region, trace, start_lower, mask):
+    """Each agent whose cost at the start point is below the largest, ``U``, and, if some agent's is, each
+    unstable agent at ``U`` is floored at the rate where its cost is ``U`` (or at the region's bound, where
+    its cost stays below ``U``), which for an unstable agent at ``U`` is its start rate. The others keep their
+    start floors. Returns the mask of the agents floored at cost ``U``."""
     start = trace.costs[0]
     level = start.max()
     below = start < level
-    np.testing.assert_array_equal(trace.lower[~below], start_lower[~below])
-    at_level = below & (trace.lower > region.lower)
+    top = mask & ~below & below.any()
+    bounded = below | top
+    np.testing.assert_array_equal(trace.lower[~bounded], start_lower[~bounded])
+    at_level = bounded & (trace.lower > region.lower)
     floored = costs.with_floor(trace.lower).values(trace.lower)
     np.testing.assert_allclose(floored[at_level], level, rtol=1e-12)
-    assert (floored[below & ~at_level] <= level).all()
+    assert (floored[bounded & ~at_level] <= level).all()
+    assert (trace.lower[top] <= trace.rates[0][top]).all()
+    np.testing.assert_allclose(trace.lower[top], trace.rates[0][top], rtol=1e-12)
     assert (trace.lower <= trace.rates[-1]).all()
     return at_level
 
 
 def test_solve_maxmin_floors_unstable_agents_at_the_value_bound():
-    # agent 2 wants ~0.06 at the fair point but starts floored at eta=0.2; its cost at the start
-    # point is below agent 1's, so it is floored where its cost reaches agent 1's, below 0.2
+    # agent 1 wants ~0.06 at the fair point but starts floored at eta=0.2; its cost at the start
+    # point is below agent 0's, so it is floored where its cost reaches agent 0's, below 0.2.
+    # Agent 0, the costliest at the start point, is floored at its start rate 0.25, above eta
     p1 = fs.ProcessModel(A=[[1.4]], Q=[[1.0]])
     p2 = fs.ProcessModel(A=[[1.05]], Q=[[0.1]])
     costs = fs.CurveCostModel.from_processes([p1, p2], unstable_floor=0.2)
     region = fs.FeasibleRegion(0.5, np.zeros(2), np.ones(2))
     cfg = fs.SolverConfig(eps0=0.05, eta=0.2, eps_r=1e-8)
-    r, trace = fs.solve_maxmin(costs, region, cfg, [True, True])
+    mask = np.array([True, True])
+    r, trace = fs.solve_maxmin(costs, region, cfg, mask)
     assert trace.converged
-    assert assert_floor_rule(costs, region, trace, np.array([0.2, 0.2])).tolist() == [False, True]
-    assert trace.lower[1] < 0.2
-    assert r[1] > trace.lower[1] + 1e-9
+    assert assert_floor_rule(costs, region, trace, np.array([0.2, 0.2]), mask).tolist() == [True, True]
+    assert trace.lower[1] < 0.2 < trace.lower[0] <= 0.25
+    assert trace.lower[0] == pytest.approx(0.25, rel=1e-12)
+    assert r[1] > trace.lower[1] + 1e-9 and r[0] > trace.lower[0] + 1e-9
     # the solve worked on its own floored models: the caller's keeps its floors and still raises below them
     assert [c.domain_floor for c in costs.curves] == [0.2, 0.2]
     with pytest.raises(fs.CostDomainError, match="below the curve's domain floor 0.2"):
@@ -113,7 +121,7 @@ def test_solve_maxmin_floors_unstable_agents_at_the_value_bound():
     # rerunning with a tiny floor lands at the same point
     costs2 = fs.CurveCostModel.from_processes([p1, p2], unstable_floor=1e-3)
     cfg2 = fs.SolverConfig(eps0=0.05, eta=1e-3, eps_r=1e-8)
-    r2, trace2 = fs.solve_maxmin(costs2, region, cfg2, [True, True])
+    r2, trace2 = fs.solve_maxmin(costs2, region, cfg2, mask)
     assert trace2.converged
     np.testing.assert_allclose(r, r2, atol=1e-4)
 
@@ -143,7 +151,7 @@ def test_five_process_instance_floors_hold_the_value_bound(bench_instance):
     rates, trace = fs.solve_maxmin(costs, region, cfg.solver, mask)
     assert trace.converged
     start_lower = np.where(mask, cfg.solver.eta, 0.0)
-    assert assert_floor_rule(costs, region, trace, start_lower).tolist() == [True, True, True, False, False]
+    assert assert_floor_rule(costs, region, trace, start_lower, mask).tolist() == [True, True, True, False, False]
 
 
 def solve_to_level(processes, total, cfg):
@@ -208,7 +216,8 @@ def test_fair_rate_below_eta_converges():
     assert trace.converged
     assert rates[0] == pytest.approx(7.19e-4, rel=1e-3)
     assert rates.sum() == pytest.approx(0.3)
-    assert assert_floor_rule(costs, region, trace, np.array([1e-3, 0.0])).tolist() == [True, False]
+    mask = np.array([True, False])
+    assert assert_floor_rule(costs, region, trace, np.array([1e-3, 0.0]), mask).tolist() == [True, False]
     floored = costs.with_floor(trace.lower)
     assert floored.values(rates).max() == pytest.approx(solve_level(floored, region), rel=1e-2)
 
@@ -240,7 +249,7 @@ def test_floor_rule_on_a_seeded_fleet(seed):
         region = fs.FeasibleRegion(total, np.zeros(40), np.ones(40))
         rates, trace = fs.solve_maxmin(costs, region, cfg, mask)
         assert trace.converged
-        floored_at_level += assert_floor_rule(costs, region, trace, np.where(mask, cfg.eta, 0.0)).sum()
+        floored_at_level += assert_floor_rule(costs, region, trace, np.where(mask, cfg.eta, 0.0), mask).sum()
     assert floored_at_level >= 40
 
 
@@ -311,12 +320,14 @@ def test_base_floors_at_bisects_values_to_the_lower_end_of_its_bracket():
 
 def test_fair_rate_below_the_start_floor_of_a_model_with_the_base_floors_at():
     # agent 0's fair rate 1/101 lies below its start floor eta = 0.1; the bisected bound floors it at
-    # the rate where its cost reaches agent 1's at the start point, 1/200, so the solve finds it
+    # the rate where its cost reaches agent 1's at the start point, 1/200, so the solve finds it.
+    # Agent 1 costs the most at the start point, and its bound is its start rate 0.5 exactly
     costs = _ReciprocalCosts([1.0, 100.0])
     region = fs.FeasibleRegion(1.0, np.zeros(2), np.ones(2))
     rates, trace = fs.solve_maxmin(costs, region, fs.SolverConfig(eta=0.1), [True, True])
     assert trace.converged
-    assert trace.lower[0] <= 1 / 200 and trace.lower[1] == 0.1
+    assert trace.rates[0].tolist() == [0.5, 0.5]
+    assert trace.lower[0] <= 1 / 200 and trace.lower[1] == 0.5
     np.testing.assert_allclose(rates, [1 / 101, 100 / 101], rtol=1e-4)
 
 
@@ -580,3 +591,90 @@ def test_solver_config_validation():
         fs.SolverConfig(eps0=0.0)
     with pytest.raises(ValueError):
         fs.SolverConfig(eps_r=-1e-6)
+
+
+def warm_segments(monkeypatch):
+    """Record what each warm search of the projection returns: its segment, or None before the sort search.
+    The search runs at any number of agents."""
+    monkeypatch.setattr(fs.allocation, "_WARM_MIN_AGENTS", 1)
+    found = []
+    search = fs.allocation._warm_segment
+
+    def recorded(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(fs.allocation, "_warm_segment", recorded)
+    return found
+
+
+def assert_warm_projection_is_the_sort_search(x, region, lam):
+    point, multiplier = fs.allocation._projection(x, region, lam)
+    sorted_point, sorted_multiplier = fs.allocation._projection(x, region)  # no multiplier: the sort search
+    assert point.tobytes() == sorted_point.tobytes() == fs.project_feasible(x, region).tobytes()
+    if sorted_multiplier is not None:
+        assert multiplier == sorted_multiplier
+    return multiplier
+
+
+def test_warm_projection_is_the_sort_search_on_random_points(monkeypatch):
+    found = warm_segments(monkeypatch)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 200))
+        lower = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 0.2, n))
+        upper = lower + np.where(rng.random(n) < 0.3, 1.0, rng.uniform(1e-3, 1.0, n))
+        region = fs.FeasibleRegion(lower.sum() + rng.uniform(1e-3, 1.0) * (upper - lower).sum(), lower, upper)
+        x = rng.normal(0.0, float(rng.choice([0.1, 1.0, 1e3])), n) + lower
+        exact = fs.allocation._projection(x, region)[1]
+        scale = 1.0 if exact is None else abs(exact) + 1.0
+        for lam in (None if exact is None else exact, 0.0, rng.normal(0.0, scale), -1e300, 1e300):
+            assert_warm_projection_is_the_sort_search(x, region, lam)
+        # a chain of nearby points, as a solve projects them
+        lam = None
+        for _ in range(5):
+            lam = assert_warm_projection_is_the_sort_search(x, region, lam)
+            x = x + rng.normal(0.0, 1e-3, n)
+    assert any(s is not None for s in found) and None in found  # both the warm answer and the fallback ran
+
+
+@pytest.mark.parametrize("x, lower, upper, total", [
+    # the root lies on the kinks x - ub of agents 0 and 1 and x - lb of agents 2 and 3, all at 0.5
+    ([1.5, 1.5, 0.5, 0.5], [0.0] * 4, [1.0] * 4, 2.0),
+    # four agents share both kinks; the root lies between them, with all four free
+    ([1.0, 1.0, 1.0, 1.0], [0.0] * 4, [0.5] * 4, 1.0),
+    # the root lies on the lower kink of agent 0; agents 1 and 2 share theirs
+    ([0.5, 0.9, 0.9], [0.0] * 3, [1.0] * 3, 0.8),
+    # rounding merged the kinks around the root: no coordinate is free, the segment's right end is returned
+    ([2.0**60, 2.0**60 + 2.0**9], [0.0, 0.0], [1.0, 1.0], 1.0),
+    # ties between an upper kink of one agent and a lower kink of another, with a free agent left over
+    ([1.25, 0.25, 0.6], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.35),
+])
+def test_warm_projection_is_the_sort_search_at_tied_kinks(monkeypatch, x, lower, upper, total):
+    found = warm_segments(monkeypatch)
+    x, region = np.array(x), fs.FeasibleRegion(total, np.array(lower), np.array(upper))
+    kinks = np.concatenate((x - region.upper, x - region.lower))
+    exact = fs.allocation._projection(x, region)[1]
+    guesses = [exact, -1.0, 0.0, 1.0, *kinks, *np.nextafter(kinks, np.inf), *np.nextafter(kinks, -np.inf)]
+    for lam in guesses:
+        assert_warm_projection_is_the_sort_search(x, region, lam)
+    assert len(found) == len(guesses)
+
+
+@pytest.mark.parametrize("total", [8.0, 40.0])
+def test_solve_with_warm_projections_is_the_sorted_one_bit_for_bit(monkeypatch, total):
+    rng = np.random.default_rng(5)
+    processes = [fs.ProcessModel(A=[[rng.uniform(0.2, 1.15) * rng.choice([-1, 1])]], Q=[[rng.uniform(0.5, 4.0)]])
+                 for _ in range(100)]
+    mask = ~fs.stable_mask([p.A for p in processes])
+    cfg = fs.SolverConfig(eps0=0.05, eta=1e-3)
+    costs = fs.CurveCostModel.from_processes(processes, unstable_floor=1.0)
+    region = fs.FeasibleRegion(total, np.zeros(100), np.ones(100))
+    found = warm_segments(monkeypatch)
+    rates, trace = fs.solve_maxmin(costs, region, cfg, mask)
+    assert trace.converged and sum(s is not None for s in found) >= len(trace) // 2
+    monkeypatch.setattr(fs.allocation, "_WARM_MIN_AGENTS", 101)  # the sort search on every call
+    sorted_rates, sorted_trace = fs.solve_maxmin(costs, region, cfg, mask)
+    assert rates.tobytes() == sorted_rates.tobytes()
+    for name in ("rates", "costs", "step_sizes", "residuals", "lower"):
+        assert getattr(trace, name).tobytes() == getattr(sorted_trace, name).tobytes(), name

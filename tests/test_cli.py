@@ -1,7 +1,10 @@
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -692,24 +695,27 @@ class TestDistributedCommand:
             assert comparison["linf_gap"] <= 1e-2
 
 
-def tiny_eta_fixture(tmp_path, total_rate=None):
+def tiny_eta_fixture(tmp_path, total_rate=None, tied=False):
     """The paper fixture with ``eta = 1e-9``, at budget ``total_rate`` if given: a rho = 1.2 curve
-    built down to ``eta`` overflows."""
+    built down to ``eta`` overflows. ``tied`` keeps two copies of its first process, the rho = 1.2 one,
+    on a two-node graph."""
     payload = json.loads(fs.fixture_path("paper_sec4").read_text())
     payload["solver"]["eta"] = 1e-9
     if total_rate is not None:
         payload["total_rate"] = total_rate
-    return write_config(tmp_path, payload, name=f"tiny_eta_{total_rate}.json")
+    if tied:
+        payload["processes"] = payload["processes"][:1] * 2
+        payload["distributed"]["graph"] = [[1], [0]]
+    return write_config(tmp_path, payload, name=f"tiny_eta_{total_rate}_{tied}.json")
 
 
 class TestCurveOverflowExitsCleanly:
     """A curve that overflows while it is built ends a command with exit 2 and one line on stderr.
 
-    ``solve`` and ``distributed`` build each curve only as deep as the solve reads it. At
-    budget 0.2 the start point's costliest agent is the rho = 1.2 process, which keeps its
-    start floor ``solver.eta``, so its curve is read, and built, down to ``eta``.
-    ``simulate`` builds each curve only down to the allocated rate, so only a
-    rate that small can overflow it.
+    ``solve`` and ``distributed`` build each curve only as deep as the solve reads it. Two copies of
+    the rho = 1.2 process tie at the start point, so each keeps its start floor ``solver.eta``, and
+    their curves are read, and built, down to ``eta``. ``simulate`` builds each curve only down to the
+    allocated rate, so only a rate that small can overflow it.
     """
 
     def check(self, capsys, argv):
@@ -719,7 +725,8 @@ class TestCurveOverflowExitsCleanly:
         assert "overflowed" in err
 
     def test_solve(self, tmp_path, capsys):
-        self.check(capsys, ["solve", "--config", str(tiny_eta_fixture(tmp_path, 0.2)), "--out", str(tmp_path / "s")])
+        config = tiny_eta_fixture(tmp_path, 0.2, tied=True)
+        self.check(capsys, ["solve", "--config", str(config), "--out", str(tmp_path / "s")])
 
     def test_simulate(self, tmp_path, capsys):
         # simulate does not read solver.eta: the report is the shipped fixture's, byte for byte
@@ -733,18 +740,25 @@ class TestCurveOverflowExitsCleanly:
         assert (tmp_path / "tiny" / report).read_bytes() == (tmp_path / "shipped" / report).read_bytes()
 
     def test_distributed(self, tmp_path, capsys):
-        self.check(capsys, ["distributed", "--config", str(tiny_eta_fixture(tmp_path, 0.2)),
-                            "--out", str(tmp_path / "d")])
+        config = tiny_eta_fixture(tmp_path, 0.2, tied=True)
+        self.check(capsys, ["distributed", "--config", str(config), "--out", str(tmp_path / "d")])
 
     @pytest.mark.parametrize("command", ["solve", "distributed"])
     def test_curve_the_solve_does_not_read_is_not_built(self, tmp_path, capsys, command):
-        # at budget 2 every unstable agent gets a value-bound floor far above eta, and no curve is
-        # built down to eta; the overflow that eta would cause never happens
-        out = tmp_path / command
-        assert main([command, "--config", str(tiny_eta_fixture(tmp_path, 2.0)), "--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr().err == ""
-        summary = "summary.json" if command == "solve" else "comparison.json"
-        assert "converged" in (out / summary).read_text()
+        # every unstable agent gets a value-bound floor far above eta, the costliest one at the start
+        # point its start rate, and no curve is built down to eta; the overflow that eta would cause
+        # never happens. At budget 0.2 the distributed solve may stall, as it does at eta = 1e-3
+        for total_rate, codes in ((0.2, {EXIT_OK} if command == "solve" else {EXIT_OK, EXIT_NOT_CONVERGED}),
+                                  (2.0, {EXIT_OK})):
+            out = tmp_path / f"{command}_{total_rate}"
+            assert main([command, "--config", str(tiny_eta_fixture(tmp_path, total_rate)), "--out", str(out)]) in codes
+            assert capsys.readouterr().err == ""
+            if command == "solve":
+                summary = json.loads((out / "summary.json").read_text())
+                assert summary["status"] == "converged"
+                assert min(summary["allocation"][:3]) > 1e-2  # the three unstable agents
+            else:
+                assert json.loads((out / "comparison.json").read_text())["centralized_status"] == "converged"
 
     def check_simulate_tiny_rate(self, tmp_path, capsys, config):
         # rate 1e-9 on the rho = 1.2 process: a 10^9-step cycle, which must
@@ -778,7 +792,7 @@ class TestEntriesNearTheFloatMaximum:
 
     @pytest.mark.parametrize("key, codes", [
         ("Q", (EXIT_OK, EXIT_CONFIG_ERROR)),  # the curve overflows at its first step
-        ("R", (EXIT_OK, EXIT_CONFIG_ERROR)),
+        ("R", (EXIT_OK, EXIT_OK)),  # solves; slope products near the float maximum that no bound reads overflow
         ("Pi0", (EXIT_OK, EXIT_OK)),  # the filter forgets its start
         ("skew Q", (EXIT_CONFIG_ERROR, EXIT_CONFIG_ERROR)),  # Q - Q' overflows: not symmetric
     ])
@@ -793,6 +807,10 @@ class TestEntriesNearTheFloatMaximum:
             err = self.run(capsys, [command, "--config", path, "--out", str(tmp_path / command)], code)
             if key == "skew Q":
                 assert err == "config error: processes[0]: Q must be symmetric\n"
+        if codes[1] == EXIT_OK:
+            summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+            assert summary["status"] == "converged"
+            assert np.isfinite(summary["lipschitz_bounds"]["alpha"] + summary["lipschitz_bounds"]["beta"]).all()
 
     @pytest.mark.parametrize("index", [1, 2])
     def test_filter_covariance_that_overflows(self, tmp_path, capsys, index):
@@ -820,6 +838,18 @@ class TestEntriesNearTheFloatMaximum:
         self.run(capsys, ["solve", "--config", str(fixture_with(tmp_path, "solver", "eps0", eps0)), "--out", str(out)],
                  EXIT_OK)
         assert json.loads((out / "summary.json").read_text())["status"] == "converged"
+
+    def test_powers_of_a_that_overflow(self, tmp_path):
+        # A^2 overflows: the rank tests refuse the entry before any SVD runs. In a separate process, as
+        # LAPACK writes its complaints about non-finite input to the process's own stderr
+        path = write_config(tmp_path, {"total_rate": 1.0, "processes": [
+            {"A": [[-1.0, 0.0, -2.0], [-2.0, 1e308, -2.0], [2.0, -1.0, -1e308]], "Q": np.eye(3).tolist()}]})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(fs.__file__).parents[1]),
+                                                          os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "fairsched.cli", "validate-config", "--config", str(path)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == EXIT_CONFIG_ERROR
+        assert run.stderr == "config error: processes[0]: the powers of A overflow, so its rank tests cannot run\n"
 
 
 class TestValidateCommand:
@@ -1021,6 +1051,26 @@ class TestArgumentRanges:
         assert exc.value.code == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err and "Traceback" not in err
+
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        # main parses with the parser built at import: a command builds none
+        def no_parser(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+        fixture = str(fs.fixture_path("paper_sec4"))
+        out = tmp_path / "solve"
+        assert main(["validate-config", "--config", fixture]) == EXIT_OK
+        assert main(["solve", "--config", fixture, "--out", str(out)]) == EXIT_OK
+        assert main(["simulate", "--config", str(fixture_with(tmp_path, "simulation", "horizon", 1000)),
+                     "--allocation", str(out / "allocation.json"), "--out", str(tmp_path / "sim")]) == EXIT_OK
+        assert main(["distributed", "--config", fixture, "--max-iters", "10", "--out", str(tmp_path / "d")]) == \
+            EXIT_NOT_CONVERGED
+        for argv in (["solve", "--config", fixture, "--bad"], ["solve", "--config", fixture, "--max-iters", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_CONFIG_ERROR
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCsvWriter:

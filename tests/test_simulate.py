@@ -137,14 +137,24 @@ def test_trace_table_stops_at_a_two_cycle():
 
 
 def test_sums_past_the_stored_sequence_alternate_its_last_two_entries():
-    total = simulate._summed(np.array([1.0, 2.0, 4.0]))
+    seq = np.array([1.0, 2.0, 4.0])
+    total = simulate._summed(seq, np.cumsum(seq))
     continued = [1.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0]
     assert [total(k) for k in range(9)] == [sum(continued[:k]) for k in range(9)]
     # a stable limit that the last entry has not reached changes nothing; one it has reached goes on
-    short = simulate._summed(np.array([1.0, 2.0, 4.0]), 4.0 * (1.0 + 1e-9))
+    short = simulate._summed(seq, np.cumsum(seq), 4.0 * (1.0 + 1e-9))
     assert [short(k) for k in range(9)] == [sum(continued[:k]) for k in range(9)]
-    tail = simulate._summed(np.array([1.0, 2.0, 4.0]), 4.0 * (1.0 + 1e-11))
+    tail = simulate._summed(seq, np.cumsum(seq), 4.0 * (1.0 + 1e-11))
     assert [tail(k) for k in range(9)] == [7.0 + (k - 3) * 4.0 * (1.0 + 1e-11) if k > 3 else sum(continued[:k]) for k in range(9)]
+
+
+def test_running_sums_the_simulator_reads_are_the_cumsum_of_its_traces(bench_config):
+    # the cycle sums read the model's running sums: they must be np.cumsum of each row, bit for bit
+    rng = np.random.default_rng(7)
+    fleet = [fs.ProcessModel(A=[[rng.uniform(0.2, 1.15)]], Q=[[rng.uniform(0.5, 4.0)]]) for _ in range(30)]
+    for ps, rates in ((bench_config.processes, [0.01, 0.02, 0.05, 0.0, 0.3]), (fleet, rng.uniform(1e-3, 1.0, 30))):
+        for curve in fs.CurveCostModel.from_floors(ps, rates).curves:
+            assert curve.cumsums.tobytes() == np.cumsum(curve.traces).tobytes()
 
 
 def test_tiny_rate_on_a_two_cycle_is_fast():
@@ -307,7 +317,8 @@ def test_cycle_counts_follow_their_exact_law(run, xi, b, horizon):
                 n_short + n_long): (n_short, n_long) for n_short, n_long in law}
     assert len(outcome) == len(law)
     seeds = 20_000 if run == "counted" else 2_000
-    policy, total = fs.ThresholdPolicy(xi, b), simulate._summed(np.arange(xi + 2.0))
+    ages = np.arange(xi + 2.0)
+    policy, total = fs.ThresholdPolicy(xi, b), simulate._summed(ages, np.cumsum(ages))
     counts = dict.fromkeys(law, 0)
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
