@@ -4,7 +4,7 @@ Each agent carries a strictly decreasing, convex, positive cost as a function
 of its allocated rate. The solver looks for the allocation that minimises the
 largest cost over the budget polytope ``{r : sum(r) <= total, lb <= r <= ub}``.
 
-The core update is
+The paper's update is
 
     r(t+1) = P(r(t) + eps(t) * J(r(t)))
 
@@ -13,12 +13,12 @@ onto the polytope: expensive agents pull resource toward themselves, cheap
 agents donate, and the projection settles the exchange. Fixed points of this
 map are max-min fair allocations. The step size follows the diminishing rule
 ``eps <- 1 / (1/eps + 1)`` so that it eventually enters the contraction range
-without prior knowledge of the cost slopes.
+without prior knowledge of the cost slopes. :func:`solve_inner` runs it.
 
 On an iteration where the raw step ``eps * J`` would move some coordinate
 farther than the box is wide (costs near an unstable agent's floor reach
-1e157), the solver steps on ``eps * log1p(J)`` instead; such a step is at
-most ~710 eps, with eps capped at the float maximum / 710 so that it stays
+1e157), :func:`solve_inner` steps on ``eps * log1p(J)`` instead; such a step is
+at most ~710 eps, with eps capped at the float maximum / 710 so that it stays
 finite. Other iterations keep the raw step until the guard has followed one
 ``_GUARD_RETURNS`` times. Then it stays on: a raw step at costs
 near 1/eps lies outside the contraction range, and such steps and the guard
@@ -30,14 +30,24 @@ slack. That depends only on how ``g`` orders the costs and on its sign,
 both of which ``log1p`` keeps for positive costs. ``log`` would not: costs
 below 1 would turn negative and make agents give up a slack budget.
 
-``solve_maxmin`` runs the iteration once, over rate floors from a bound on
-the game value: no agent holds less at the fair point than the rate at which
-its cost reaches the largest cost of a feasible point, and agents whose cost
-blows up as the rate approaches zero need such a floor.
+The paper's step contracts only while ``eps * |J_i'| < 2`` for every agent at
+once, so the steepest curve sets eps for all of them. :func:`solve_maxmin`
+takes the slope-scaled step instead,
 
-On fleets of ``_WARM_MIN_AGENTS`` or more, each step's projection starts
-from the last step's multiplier; it gives :func:`project_feasible`'s point
-bit for bit.
+    r(t+1) = clip(r + D (J(r) - lam), lb, ub),   D = diag(1 / |J_i'(r_i)|),
+
+with ``lam`` the multiplier that meets the budget (0 where the clipped point
+leaves it slack). Its fixed points are the same: free agents share the cost
+``lam``. It is the projected Newton method (Bertsekas, *SIAM J. Control
+Optim.* 20(2), 1982); on piecewise-linear convex costs it lands on the
+water-filling level in a few steps. It needs the slopes of
+:meth:`CostModel.values_and_slopes`; for a model that gives none, or where a
+slope is zero or not finite, the solve runs :func:`solve_inner` instead.
+
+``solve_maxmin`` runs over rate floors from a bound on the game value: no
+agent holds less at the fair point than the rate at which its cost reaches
+the largest cost of a feasible point, and agents whose cost blows up as the
+rate approaches zero need such a floor.
 """
 
 from __future__ import annotations
@@ -148,6 +158,12 @@ class CostModel:
         """The cost of every agent at its rate; rates of any shape but ``(n,)`` raise ``ValueError``."""
         raise NotImplementedError
 
+    def values_and_slopes(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(values(rates), slopes)``, ``slopes[i]`` the magnitude of agent ``i``'s cost slope at its rate, on
+        the segment its value is read on; here no slopes (None), so :func:`solve_maxmin` runs
+        :func:`solve_inner` on this model."""
+        return self.values(rates), None
+
     def with_floor(self, lower: np.ndarray) -> CostModel:
         """A model of the same costs that evaluates agent ``i`` down to ``lower[i]``; here, this model."""
         return self
@@ -191,6 +207,10 @@ class AffineCostModel(CostModel):
             raise ValueError(f"expected {self.n} rates, got shape {rates.shape}")
         return self.intercepts - self.slopes * rates
 
+    def values_and_slopes(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The costs at ``rates`` and ``slopes`` itself, the same at every rate."""
+        return self.values(rates), self.slopes
+
     def slope_bounds(self, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.slopes.copy(), self.slopes.copy()
 
@@ -203,7 +223,10 @@ class AffineCostModel(CostModel):
 class SolverConfig:
     """Knobs of the solver.
 
-    eps0             initial step size of the diminishing schedule
+    eps0             initial step size of the diminishing schedule; it moves
+                     the point only in :func:`solve_inner`, which
+                     :func:`solve_maxmin` runs on a model without slopes, and
+                     is recorded in ``SolverTrace.step_sizes`` either way
     eta              in (0,1): the rate floor of agents flagged unstable at
                      the start point, shrunk by the factor ``eta`` until the
                      floors fit the budget
@@ -280,94 +303,44 @@ def project_feasible(x, region: FeasibleRegion) -> np.ndarray:
     around the root (``|x|`` some 2**52 box widths out) none is free, and the
     segment's feasible end is returned.
     """
-    return _projection(x, region)[0]
-
-
-_WARM_PASSES = 8  # multiplier updates a warm projection tries before it sorts the kinks
-# the fewest agents a warm projection is tried for: below ~48 the sort search's few bisection passes cost
-# less than the warm search's fixed work (2-core x86_64 VM, Python 3.11, numpy 2.4)
-_WARM_MIN_AGENTS = 64
-
-
-def _projection(x, region: FeasibleRegion, lam=None) -> tuple[np.ndarray, float | None]:
-    """:func:`project_feasible`'s point, bit for bit, and its multiplier (``lam`` itself where clamping fits
-    the budget).
-
-    Given the last multiplier ``lam`` and at least ``_WARM_MIN_AGENTS`` agents, the root's segment is first
-    sought from it (:func:`_warm_segment`); the kinks are sorted and bisected only where that search gives
-    none.
-    """
     x = np.asarray(x, dtype=float)
     if x.shape != region.lower.shape:
         raise ValueError(f"point has shape {x.shape}, region expects {region.lower.shape}")
     if not np.isfinite(x).all():
         raise ValueError("cannot project a non-finite point")
+    return _projection(x, np.ones(x.size), region)
 
+
+def _projection(x: np.ndarray, weights: np.ndarray, region: FeasibleRegion) -> np.ndarray:
+    """``clamp(x - weights * lam, lb, ub)`` for a finite float ``x`` of the region's shape and finite positive
+    ``weights``: ``lam = 0`` where clamping fits the budget, else the root of
+    ``sum(clamp(x - weights * lam, lb, ub)) = total``, found as :func:`project_feasible` describes over the
+    kinks ``(x - ub) / weights`` and ``(x - lb) / weights``. Unit weights give the Euclidean projection:
+    dividing and multiplying by 1, and counting the free coordinates by a dot product with ones, are exact."""
     lb, ub, total = region.lower, region.upper, region.total
     clamped = x.clip(lb, ub)
     if clamped.sum() <= total:
-        return clamped, lam
+        return clamped
 
-    to_upper, to_lower = x - ub, x - lb
-    warm = lam is not None and x.size >= _WARM_MIN_AGENTS
-    segment = _warm_segment(x, lb, ub, total, to_upper, to_lower, lam) if warm else None
-    if segment is None:
-        # invariant S(kinks[lo]) > total >= S(kinks[hi]): S(min kink) = sum(ub), S(max kink) = sum(lb)
-        kinks = np.concatenate((to_upper, to_lower))
-        kinks.sort()
-        lo, hi = 0, kinks.size - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (x - kinks[mid]).clip(lb, ub).sum() > total:
-                lo = mid
-            else:
-                hi = mid
-        at_lower = to_lower <= kinks[lo]
-        at_upper = to_upper >= kinks[hi]
-        right = kinks[hi]
-    else:
-        at_lower, at_upper, right = segment
+    to_upper, to_lower = (x - ub) / weights, (x - lb) / weights
+    # invariant S(kinks[lo]) > total >= S(kinks[hi]): S(min kink) = sum(ub), S(max kink) = sum(lb)
+    kinks = np.concatenate((to_upper, to_lower))
+    kinks.sort()
+    lo, hi = 0, kinks.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (x - weights * kinks[mid]).clip(lb, ub).sum() > total:
+            lo = mid
+        else:
+            hi = mid
+    at_lower = to_lower <= kinks[lo]
+    at_upper = to_upper >= kinks[hi]
     free = ~(at_lower | at_upper)
-    n_free = np.count_nonzero(free)
-    if not n_free:  # rounding merged the kinks around the root
-        return (x - right).clip(lb, ub), right
+    if not free.any():  # rounding merged the kinks around the root
+        return (x - weights * kinks[hi]).clip(lb, ub)
     fixed_sum = lb[at_lower].sum() + ub[at_upper].sum()
-    lam = (x[free].sum() + fixed_sum - total) / n_free
-    return (x - lam).clip(lb, ub), lam
-
-
-def _warm_segment(x, lb, ub, total, to_upper, to_lower, lam):
-    """The segment of ``S`` that holds its root, found from the multiplier ``lam``, as ``(at_lower, at_upper,
-    right)``: which coordinates it holds at their lower and upper bounds, and its right end; or None.
-
-    ``lam`` is solved again with :func:`project_feasible`'s formula on the coordinates free at ``lam``
-    until the free set repeats, at most ``_WARM_PASSES`` times. The kinks ``left <= lam < right`` next to
-    the last ``lam`` then bound the segment if ``S(left) > total >= S(right)``, the invariant of the sort
-    search. ``S`` is computed as it computes it, which does not increase from kink to kink, so exactly one
-    pair of adjacent kinks meets it: the segment is the one the sort search finds. None if a free set is
-    empty, none repeats, or the kinks do not meet the invariant.
-    """
-    at_lower, at_upper = to_lower <= lam, to_upper > lam
-    free = ~(at_lower | at_upper)
-    for _ in range(_WARM_PASSES):
-        n_free = np.count_nonzero(free)
-        if not n_free:
-            return None
-        lam = (x.dot(free) + lb.dot(at_lower) + ub.dot(at_upper) - total) / n_free
-        at_lower, at_upper = to_lower <= lam, to_upper > lam
-        was, free = free, ~(at_lower | at_upper)
-        if (was == free).all():
-            break
-    else:
-        return None
-    # no kink lies in (left, lam] or (lam, right): at_lower is to_lower <= left, at_upper to_upper >= right
-    left = np.where(at_upper, -math.inf, np.where(at_lower, to_lower, to_upper)).max()
-    right = np.where(at_lower, math.inf, np.where(at_upper, to_upper, to_lower)).min()
-    if not -math.inf < left < right < math.inf:
-        return None
-    if (x - left).clip(lb, ub).sum() > total >= (x - right).clip(lb, ub).sum():
-        return at_lower, at_upper, right
-    return None
+    lam = (x[free].sum() + fixed_sum - total) / weights.dot(free)
+    return (x - weights * lam).clip(lb, ub)
 
 
 def step_map(r, eps: float, costs: CostModel, region: FeasibleRegion) -> np.ndarray:
@@ -389,19 +362,12 @@ _GUARD_RETURNS = 20  # guarded steps that may follow a raw one before every step
 _GUARDED_EPS_MAX = sys.float_info.max / 710
 
 
-def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig):
-    """Run the projected iteration from ``r0`` with a fixed region.
-
-    Iterates until the residual drops below ``eps_r``, guarding steps as the
-    module docstring describes, on ``costs.with_floor(region.lower)``, which
-    ``trace.model`` holds. Returns ``(rates, trace)``. Non-convergence
-    within the iteration budget is reported through ``trace.status``, never
-    raised. ``cfg.max_inner_iters`` only caps the loop: the trace's memory
-    follows the iterations run.
-    """
-    costs = costs.with_floor(region.lower)
-    r, lam = _projection(r0, region)
-    width = float((region.upper - region.lower).max())
+def _iterate(r, read, step, region: FeasibleRegion, model: CostModel, cfg: SolverConfig):
+    """Iterate ``r <- step(r, values, slopes, eps)`` from the feasible point ``r``, with ``(values, slopes) =
+    read(r)`` and ``eps`` on the diminishing schedule from ``cfg.eps0``, until the residual
+    ``||r(t) - r(t-1)||`` drops to ``cfg.eps_r`` or ``cfg.max_inner_iters`` steps have run. Returns
+    ``(rates, trace)`` over ``region`` and ``model``, or None as soon as a step returns None. The trace's
+    memory follows the iterations run."""
     rows = array("d")  # one row an iteration: step size, residual, rates, costs
 
     def record(eps, residual, rates, values):
@@ -409,24 +375,17 @@ def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig)
         rows.frombytes(rates.tobytes())
         rows.frombytes(np.asarray(values, dtype=float).tobytes())  # 8 bytes a cost, whatever values returns
 
-    values = costs.values(r)
+    values, slopes = read(r)
     eps = cfg.eps0
     record(eps, math.nan, r, values)  # row 0: the initial point
     status = MAX_INNER_ITERS
-    raw, returns = False, 0  # whether the last step was raw; guarded steps that followed a raw one
     for _ in range(cfg.max_inner_iters):
-        # a Python float product overflows to inf silently, where eps * values would warn
-        guarded = returns >= _GUARD_RETURNS or eps * float(values.max()) > width
-        if guarded:
-            step = min(eps, _GUARDED_EPS_MAX) * np.log1p(values)
-            returns += raw
-        else:
-            step = eps * values
-        raw = not guarded
-        r_next, lam = _projection(r + step, region, lam)  # warm-started from the last step's multiplier
+        r_next = step(r, values, slopes, eps)
+        if r_next is None:
+            return None
         d = r_next - r
         residual = math.sqrt(d.dot(d))  # np.linalg.norm's own formula, without its wrapper
-        values = costs.values(r_next)
+        values, slopes = read(r_next)
         record(eps, residual, r_next, values)
         eps = 1.0 / (1.0 / eps + 1.0)
         r = r_next
@@ -436,12 +395,42 @@ def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig)
     table = np.frombuffer(rows).reshape(-1, 2 + 2 * r.size)
     rates, values = np.hsplit(table[:, 2:], 2)
     trace = SolverTrace(rates=rates, costs=values, step_sizes=table[:, 0], residuals=table[:, 1],
-                        status=status, lower=region.lower, model=costs)
+                        status=status, lower=region.lower, model=model)
     return r, trace
 
 
+def solve_inner(r0, costs: CostModel, region: FeasibleRegion, cfg: SolverConfig):
+    """Run the paper's projected iteration from ``r0`` with a fixed region.
+
+    Iterates until the residual drops below ``eps_r``, guarding steps as the
+    module docstring describes, on ``costs.with_floor(region.lower)``, which
+    ``trace.model`` holds. Returns ``(rates, trace)``. Non-convergence
+    within the iteration budget is reported through ``trace.status``, never
+    raised. ``cfg.max_inner_iters`` only caps the loop: the trace's memory
+    follows the iterations run.
+    """
+    costs = costs.with_floor(region.lower)
+    width = float((region.upper - region.lower).max())
+    raw, returns = False, 0  # whether the last step was raw; guarded steps that followed a raw one
+
+    def step(r, values, _, eps):
+        nonlocal raw, returns
+        # a Python float product overflows to inf silently, where eps * values would warn
+        guarded = returns >= _GUARD_RETURNS or eps * float(values.max()) > width
+        if guarded:
+            move = min(eps, _GUARDED_EPS_MAX) * np.log1p(values)
+            returns += raw
+        else:
+            move = eps * values
+        raw = not guarded
+        return project_feasible(r + move, region)
+
+    return _iterate(project_feasible(r0, region), lambda r: (costs.values(r), None), step, region, costs, cfg)
+
+
 def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, unstable_mask):
-    """One :func:`solve_inner` pass over rate floors that cannot cut off the max-min fair point.
+    """The slope-scaled iteration of the module docstring over rate floors that cannot cut off the max-min
+    fair point.
 
     The start point ``r0`` is :func:`initial_allocation` over start floors: ``cfg.eta`` for the
     agents flagged in ``unstable_mask`` (their costs diverge at rate zero), shrunk by the factor
@@ -454,10 +443,17 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     keeps its start floor: floors at ``r0`` would fill the budget. So does an agent whose bound is 0,
     which a model gives where it knows no bound.
 
+    From ``r0``, each step reads ``costs.values_and_slopes`` and solves the weighted projection for the
+    multiplier that meets the budget. It stops on :func:`solve_inner`'s rule, ``eps_r`` and
+    ``max_inner_iters``, and records the same trace; ``trace.step_sizes`` holds the paper's schedule
+    from ``cfg.eps0``, which the step does not read. The one fallback: on a model that gives no slopes,
+    or at an iterate where a slope is zero or not finite, the whole solve is :func:`solve_inner` from
+    ``r0`` over the same floors and model, the paper's step with its log1p guard.
+
     ``costs`` is extended along one chain, only as deep as the solve reads it: down to ``r0`` before
-    ``J(r0)`` is read, by ``floors_at`` to ``U``, then by :func:`solve_inner` down to the final floors;
-    a curve model continues each row where the last extension stopped it. ``costs`` itself is left
-    as it was; ``trace.model`` is the extended model.
+    ``J(r0)`` is read, by ``floors_at`` to ``U``, then down to the final floors; a curve model continues
+    each row where the last extension stopped it. ``costs`` itself is left as it was; ``trace.model`` is
+    the extended model.
     """
     mask = np.atleast_1d(np.asarray(unstable_mask, dtype=bool))
     if mask.size != region.n:
@@ -473,9 +469,24 @@ def solve_maxmin(costs: CostModel, region: FeasibleRegion, cfg: SolverConfig, un
     level = values.max()
     bound, costs = costs.floors_at(level)
     below = values < level
-    floored = (below | (mask & below.any())) & (bound > 0)
-    lower = np.where(floored, np.maximum(region.lower, np.minimum(bound, r0)), lower)
-    return solve_inner(r0, costs, FeasibleRegion(region.total, lower, region.upper), cfg)
+    raised = (below | (mask & below.any())) & (bound > 0)
+    lower = np.where(raised, np.maximum(region.lower, np.minimum(bound, r0)), lower)
+    floored = FeasibleRegion(region.total, lower, region.upper)
+    costs = costs.with_floor(lower)
+
+    def scaled(r, values, slopes, _):
+        if slopes is None:
+            return None
+        weights = 1.0 / slopes
+        x = r + weights * values
+        # a NaN, infinite, negative or zero slope makes a weight NaN, 0 or negative, or x not finite
+        if not (weights.min() > 0 and math.isfinite(x.sum())):
+            return None
+        return _projection(x, weights, floored)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a bad slope gives up the step
+        solved = _iterate(project_feasible(r0, floored), costs.values_and_slopes, scaled, floored, costs, cfg)
+    return solve_inner(r0, costs, floored, cfg) if solved is None else solved
 
 
 @dataclass

@@ -480,9 +480,11 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
                     if raised.any():
                         step = depth + t0 + at
                         k = np.flatnonzero(raised & (step == step[raised].min()))[0]
+                        # every curve reads step 1, so an unstable row that overflows there does so at any rate
                         why = ("the stable process's prediction covariance overflows" if s[k]
-                               else f"its mean has not reached the level {level[k]}" if level[k] < np.inf
-                               else f"the rate {rates[rows[k]]} is too small")
+                               else f"the prediction covariance of process {rows[k]} overflows at any rate"
+                               if step[k] <= 1 else f"its mean has not reached the level {level[k]}"
+                               if level[k] < np.inf else f"the rate {rates[rows[k]]} is too small")
                         failures.append((step[k], rows[k], f"trace sequence overflowed at step {step[k]}; {why}"))
                         gone |= raised
                 steps.append(tr)
@@ -652,12 +654,12 @@ class CurveCostModel(CostModel):
     its stable limit in ``traces`` (NaN if unstable). Its segment ``j`` has
     ``anchor = traces[first + j + 1]`` and ``cumsum = cumsums[first + j]``,
     also for the affine tail ``j = size - 1`` of a stable curve that reached
-    it. ``values``,
-    ``slope_bounds`` and ``floors_at`` work on all agents at once; the first
-    two raise :class:`CostDomainError` for the first agent, in index order,
-    that lies outside its curve's domain. ``stable[i]`` says whether curve
-    ``i`` is stable, i.e. defined down to rate 0. :attr:`curves` builds a
-    :class:`CostCurve` view of each row when read.
+    it. ``values`` (and ``values_and_slopes``, which adds each value's
+    segment slope), ``slope_bounds`` and ``floors_at`` work on all agents at
+    once; the first two raise :class:`CostDomainError` for the first agent,
+    in index order, that lies outside its curve's domain. ``stable[i]`` says
+    whether curve ``i`` is stable, i.e. defined down to rate 0.
+    :attr:`curves` builds a :class:`CostCurve` view of each row when read.
 
     The model never changes, so concurrent readers need no lock. Built from
     processes, it keeps each row's end state: the covariances of its last two
@@ -815,6 +817,21 @@ class CurveCostModel(CostModel):
         -0.0 on a stable curve gives its limit, whatever its floor. Rates of
         any shape but ``(n,)`` raise ``ValueError``.
         """
+        r, anchor, slopes = self._segments(rates)
+        return anchor - r * slopes
+
+    def values_and_slopes(self, rates) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`values`, with its errors, and the slope magnitude of the segment each value is read on:
+        ``-CostCurve.segment_slope`` of it, bit for bit. At a knot that is the steeper segment, left of it;
+        at a stable row's rate 0, its affine tail."""
+        r, anchor, slopes = self._segments(rates)
+        return anchor - r * slopes, slopes
+
+    def _segments(self, rates):
+        """``(r, anchor, slope)``: the rates as floats (a stable row's rate 0 as +0.0), and per agent the
+        anchor and slope magnitude of the segment its value is read on. The value ``anchor - r * slope``
+        equals ``anchor + r * (cumsum - (j + 1) * anchor)`` bit for bit: the magnitude is that difference
+        negated, and negation is exact."""
         r = np.asarray(rates, dtype=float)
         if r.shape != (self.n,):
             raise ValueError(f"expected {self.n} rates, got shape {r.shape}")
@@ -840,7 +857,7 @@ class CurveCostModel(CostModel):
         j = np.minimum(xi, self._last)
         k = (self._first + j).astype(np.intp)
         anchor = self._traces.take(k + 1)
-        return anchor + r * (self._cumsums.take(k) - (j + 1.0) * anchor)
+        return r, anchor, (j + 1.0) * anchor - self._cumsums.take(k)
 
     def slope_bounds(self, lower) -> tuple[np.ndarray, np.ndarray]:
         """Per curve, ``(alpha, beta)``: the smallest and largest slope magnitude over the segments meeting

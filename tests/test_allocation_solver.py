@@ -192,7 +192,8 @@ def test_random_scalar_fleet_reaches_the_water_filling_level(seed):
 
 
 def test_fixture_converges_at_every_budget_of_the_sweep(bench_instance):
-    # 0.02 to 4.86 in steps of 0.04; under eta-guessed floors 0.22, 0.26 and 0.30 ran to the iteration cap
+    # 0.02 to 4.86 in steps of 0.04; under eta-guessed floors 0.22, 0.26 and 0.30 ran to the iteration cap,
+    # and the paper's step stopped as far as 1.1e-3 (R = 0.02) above the level
     cfg, _, costs, mask = bench_instance
     for k in range(122):
         total = round(0.02 + 0.04 * k, 2)
@@ -200,8 +201,9 @@ def test_fixture_converges_at_every_budget_of_the_sweep(bench_instance):
         with time_limit(2, f"solve at budget {total}"):
             rates, trace = fs.solve_maxmin(costs, region, cfg.solver, mask)
         assert trace.converged, f"budget {total}: {trace.status}"
+        assert region.contains(rates, tol=1e-9), total
         floored = costs.with_floor(trace.lower)
-        assert floored.values(rates).max() == pytest.approx(solve_level(floored, region), rel=1e-2), total
+        assert floored.values(rates).max() == pytest.approx(solve_level(floored, region), rel=1e-12), total
 
 
 def test_fair_rate_below_eta_converges():
@@ -263,9 +265,11 @@ def test_guard_stays_on_after_it_has_followed_raw_steps_often_enough():
     cfg = fs.SolverConfig(eps0=0.05, eta=1e-3, max_inner_iters=5_000)
     costs = fs.CurveCostModel.from_processes(processes, unstable_floor=cfg.eta)
     region = fs.FeasibleRegion(0.8, np.zeros(40), np.ones(40))
-    rates, trace = fs.solve_maxmin(costs, region, cfg, mask)
+    # the guard lives in solve_inner, run here from the start point, floors and model solve_maxmin builds
+    _, built = fs.solve_maxmin(costs, region, cfg, mask)
+    solved = fs.FeasibleRegion(region.total, built.lower, region.upper)
+    rates, trace = fs.solve_inner(built.rates[0], built.model, solved, cfg)
     assert trace.converged
-    solved = fs.FeasibleRegion(region.total, trace.lower, region.upper)
     wide = trace.step_sizes[1:] * trace.costs[:-1].max(axis=1) > (solved.upper - solved.lower).max()
     returns = np.cumsum(wide[1:] & ~wide[:-1])  # after step t + 2
     latched = np.flatnonzero(returns == fs.allocation._GUARD_RETURNS)[0] + 2  # that return's iteration
@@ -294,6 +298,63 @@ class _UnboundedReciprocalCosts(_ReciprocalCosts):
 
     def floors_at(self, level):
         return np.zeros(self.n), self
+
+
+def test_values_and_slopes_of_the_affine_and_base_models():
+    affine = fs.AffineCostModel([4.0, 1.5, 1.5], [1.0, 0.5, 2.0])
+    rates = np.array([0.25, 0.5, 0.75])
+    values, slopes = affine.values_and_slopes(rates)
+    assert values.tobytes() == affine.values(rates).tobytes()
+    assert slopes is affine.slopes
+    values, slopes = _ReciprocalCosts([1.0, 2.0, 3.0]).values_and_slopes(rates)
+    assert slopes is None and values.tolist() == [4.0, 4.0, 4.0]
+
+
+def test_model_without_slopes_solves_with_the_paper_step():
+    # the base model gives no slopes: solve_maxmin is solve_inner from its start point, floors and model
+    costs, region = _ReciprocalCosts([1.0, 2.0, 4.0]), fs.FeasibleRegion(1.0, np.zeros(3), np.ones(3))
+    cfg = fs.SolverConfig(eta=0.1)
+    rates, trace = fs.solve_maxmin(costs, region, cfg, [True] * 3)
+    assert trace.converged
+    floored = fs.FeasibleRegion(region.total, trace.lower, region.upper)
+    inner_rates, inner = fs.solve_inner(trace.rates[0], trace.model, floored, cfg)
+    assert rates.tobytes() == inner_rates.tobytes()
+    for name in ("rates", "costs", "step_sizes", "residuals"):
+        assert getattr(trace, name).tobytes() == getattr(inner, name).tobytes(), name
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_a_slope_that_is_zero_or_not_finite_runs_the_paper_step(bad):
+    class _BadSlopes(fs.AffineCostModel):
+        def values_and_slopes(self, rates):
+            values, slopes = super().values_and_slopes(rates)
+            return values, np.where(np.arange(self.n) == 1, bad, slopes)
+
+    costs, region = _BadSlopes([4.0, 3.0, 2.0], [1.0, 1.0, 1.0]), fs.FeasibleRegion(1.5, np.zeros(3), np.ones(3))
+    with np.errstate(all="raise"):  # no warning on the way: the step gives up before it forms a NaN
+        rates, trace = fs.solve_maxmin(costs, region, fs.SolverConfig(), [False] * 3)
+    inner_rates, inner = fs.solve_inner(trace.rates[0], costs, region, fs.SolverConfig())
+    assert trace.converged and rates.tobytes() == inner_rates.tobytes() and len(trace) == len(inner) > 3
+
+
+def test_slope_scaled_step_lands_on_the_water_filling_level():
+    # affine costs: one step from the start point reaches the fair point, the next confirms it
+    costs = fs.AffineCostModel([4.0, 3.0, 2.0, 6.0], [1.0, 5.0, 0.25, 40.0])
+    region = fs.FeasibleRegion(1.2, np.zeros(4), np.ones(4))
+    rates, trace = fs.solve_maxmin(costs, region, fs.SolverConfig(), [False] * 4)
+    assert trace.converged and len(trace) <= 4
+    assert region.contains(rates, tol=1e-9) and rates.sum() == pytest.approx(1.2, abs=1e-15)
+    values = costs.values(rates)
+    free = (rates > 0) & (rates < 1)
+    level = values[free].max()
+    assert free.sum() >= 2 and np.ptp(values[free]) <= 1e-14 * level
+    assert (values[rates == 0] <= level).all() and (values[rates == 1] >= level).all()
+    # the paper's schedule is recorded, though the step does not read it
+    eps = [fs.SolverConfig().eps0]
+    for _ in range(len(trace) - 1):
+        eps.append(1.0 / (1.0 / eps[-1] + 1.0))
+    np.testing.assert_array_equal(trace.step_sizes[0], eps[0])
+    np.testing.assert_array_equal(trace.step_sizes[1:], eps[:-1])
 
 
 def test_agent_without_a_value_bound_keeps_its_start_floor():
@@ -384,10 +445,13 @@ def test_guarded_step_keeps_slack_budget_fixed_points():
 
 
 def test_fixture_takes_only_raw_steps(bench_instance):
-    # criteria 2 and 10 derive their bounds for the raw step r + eps J(r);
-    # on the fixture no step reaches the box width 1, so the guard never fires
+    # criterion 10 derives its bound for the raw step r + eps J(r); on the fixture, from the start point,
+    # floors and model solve_maxmin builds, no paper step reaches the box width 1, so the guard never fires
     cfg, region, costs, mask = bench_instance
-    _, trace = fs.solve_maxmin(costs, region, cfg.solver, mask)
+    _, built = fs.solve_maxmin(costs, region, cfg.solver, mask)
+    floored = fs.FeasibleRegion(region.total, built.lower, region.upper)
+    _, trace = fs.solve_inner(built.rates[0], built.model, floored, cfg.solver)
+    assert trace.converged and len(trace) > 10
     assert (trace.step_sizes[:-1] * trace.costs[:-1].max(axis=1)).max() <= 1.0
 
 
@@ -593,32 +657,28 @@ def test_solver_config_validation():
         fs.SolverConfig(eps_r=-1e-6)
 
 
-def warm_segments(monkeypatch):
-    """Record what each warm search of the projection returns: its segment, or None before the sort search.
-    The search runs at any number of agents."""
-    monkeypatch.setattr(fs.allocation, "_WARM_MIN_AGENTS", 1)
-    found = []
-    search = fs.allocation._warm_segment
-
-    def recorded(*args):
-        found.append(search(*args))
-        return found[-1]
-
-    monkeypatch.setattr(fs.allocation, "_warm_segment", recorded)
-    return found
-
-
-def assert_warm_projection_is_the_sort_search(x, region, lam):
-    point, multiplier = fs.allocation._projection(x, region, lam)
-    sorted_point, sorted_multiplier = fs.allocation._projection(x, region)  # no multiplier: the sort search
-    assert point.tobytes() == sorted_point.tobytes() == fs.project_feasible(x, region).tobytes()
-    if sorted_multiplier is not None:
-        assert multiplier == sorted_multiplier
-    return multiplier
+def assert_weighted_projection_solves_its_multiplier(x, region, weights):
+    """``_projection(x, weights, region)`` lies in the region and is ``clip(x - weights * lam)`` for one ``lam``
+    that meets the budget, ``lam = 0`` where clipping fits it: its optimality conditions, checked apart from
+    the kink search."""
+    point = fs.allocation._projection(x, weights, region)
+    assert region.contains(point, tol=1e-9)
+    lb, ub = region.lower, region.upper
+    if x.clip(lb, ub).sum() <= region.total:
+        assert point.tobytes() == x.clip(lb, ub).tobytes()
+        return
+    assert point.sum() == pytest.approx(region.total, rel=1e-12, abs=1e-12)
+    shift = (x - point) / weights  # lam on free coordinates, at least lam at upper bounds, at most it at lower
+    tol = 1e-12 * (np.abs(x).max() + np.abs(ub).max() + 1.0) / weights
+    free = (point > lb) & (point < ub)
+    if free.any():
+        lam = np.median(shift[free])
+        assert (np.abs(shift[free] - lam) <= tol[free]).all()
+        assert (shift[point >= ub] >= lam - tol[point >= ub]).all()
+        assert (shift[point <= lb] <= lam + tol[point <= lb]).all()
 
 
-def test_warm_projection_is_the_sort_search_on_random_points(monkeypatch):
-    found = warm_segments(monkeypatch)
+def test_weighted_projection_solves_its_multiplier_on_random_points():
     rng = np.random.default_rng(11)
     for _ in range(300):
         n = int(rng.integers(1, 200))
@@ -626,16 +686,13 @@ def test_warm_projection_is_the_sort_search_on_random_points(monkeypatch):
         upper = lower + np.where(rng.random(n) < 0.3, 1.0, rng.uniform(1e-3, 1.0, n))
         region = fs.FeasibleRegion(lower.sum() + rng.uniform(1e-3, 1.0) * (upper - lower).sum(), lower, upper)
         x = rng.normal(0.0, float(rng.choice([0.1, 1.0, 1e3])), n) + lower
-        exact = fs.allocation._projection(x, region)[1]
-        scale = 1.0 if exact is None else abs(exact) + 1.0
-        for lam in (None if exact is None else exact, 0.0, rng.normal(0.0, scale), -1e300, 1e300):
-            assert_warm_projection_is_the_sort_search(x, region, lam)
-        # a chain of nearby points, as a solve projects them
-        lam = None
-        for _ in range(5):
-            lam = assert_warm_projection_is_the_sort_search(x, region, lam)
-            x = x + rng.normal(0.0, 1e-3, n)
-    assert any(s is not None for s in found) and None in found  # both the warm answer and the fallback ran
+        # weights 1 / |J'| of curves as flat as 1e-2 and as steep as 1e6
+        weights = 10.0 ** rng.uniform(-6.0, 2.0, n)
+        assert_weighted_projection_solves_its_multiplier(x, region, weights)
+        # equal weights that are powers of 2 scale the multiplier exactly: project_feasible's point, bit for bit
+        for power in (1.0, 2.0**-20, 2.0**30):
+            weighted = fs.allocation._projection(x, np.full(n, power), region)
+            assert weighted.tobytes() == fs.project_feasible(x, region).tobytes()
 
 
 @pytest.mark.parametrize("x, lower, upper, total", [
@@ -650,31 +707,11 @@ def test_warm_projection_is_the_sort_search_on_random_points(monkeypatch):
     # ties between an upper kink of one agent and a lower kink of another, with a free agent left over
     ([1.25, 0.25, 0.6], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.35),
 ])
-def test_warm_projection_is_the_sort_search_at_tied_kinks(monkeypatch, x, lower, upper, total):
-    found = warm_segments(monkeypatch)
+def test_weighted_projection_at_tied_kinks(x, lower, upper, total):
     x, region = np.array(x), fs.FeasibleRegion(total, np.array(lower), np.array(upper))
-    kinks = np.concatenate((x - region.upper, x - region.lower))
-    exact = fs.allocation._projection(x, region)[1]
-    guesses = [exact, -1.0, 0.0, 1.0, *kinks, *np.nextafter(kinks, np.inf), *np.nextafter(kinks, -np.inf)]
-    for lam in guesses:
-        assert_warm_projection_is_the_sort_search(x, region, lam)
-    assert len(found) == len(guesses)
-
-
-@pytest.mark.parametrize("total", [8.0, 40.0])
-def test_solve_with_warm_projections_is_the_sorted_one_bit_for_bit(monkeypatch, total):
-    rng = np.random.default_rng(5)
-    processes = [fs.ProcessModel(A=[[rng.uniform(0.2, 1.15) * rng.choice([-1, 1])]], Q=[[rng.uniform(0.5, 4.0)]])
-                 for _ in range(100)]
-    mask = ~fs.stable_mask([p.A for p in processes])
-    cfg = fs.SolverConfig(eps0=0.05, eta=1e-3)
-    costs = fs.CurveCostModel.from_processes(processes, unstable_floor=1.0)
-    region = fs.FeasibleRegion(total, np.zeros(100), np.ones(100))
-    found = warm_segments(monkeypatch)
-    rates, trace = fs.solve_maxmin(costs, region, cfg, mask)
-    assert trace.converged and sum(s is not None for s in found) >= len(trace) // 2
-    monkeypatch.setattr(fs.allocation, "_WARM_MIN_AGENTS", 101)  # the sort search on every call
-    sorted_rates, sorted_trace = fs.solve_maxmin(costs, region, cfg, mask)
-    assert rates.tobytes() == sorted_rates.tobytes()
-    for name in ("rates", "costs", "step_sizes", "residuals", "lower"):
-        assert getattr(trace, name).tobytes() == getattr(sorted_trace, name).tobytes(), name
+    expected = fs.project_feasible(x, region)
+    for power in (1.0, 0.5, 2.0**-40, 2.0**40):  # the kinks tie as they do without weights
+        assert fs.allocation._projection(x, np.full(x.size, power), region).tobytes() == expected.tobytes()
+    # unequal weights: the point still solves its multiplier where no rounding merges the kinks
+    if abs(x).max() < 2.0**50:
+        assert_weighted_projection_solves_its_multiplier(x, region, np.arange(1.0, x.size + 1.0))

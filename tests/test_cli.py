@@ -374,13 +374,30 @@ class TestSolveCommand:
         payload = dict(SINGLE_STABLE)
         payload["processes"] = [{"A": [[0.5]], "Q": [[1.0]]}, {"A": [[0.6]], "Q": [[2.0]]}]
         payload["total_rate"] = 1.0
-        payload["solver"] = {"eps0": 0.1, "eta": 0.5, "eps_r": 1e-13, "max_inner_iters": 4}
+        payload["solver"] = {"eps0": 0.1, "eta": 0.5, "eps_r": 1e-13, "max_inner_iters": 1}
         path = write_config(tmp_path, payload)
         out = tmp_path / "nc"
         assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_NOT_CONVERGED
         assert (out / "allocation_trace.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] != "converged"
+
+    def test_steep_stable_curve_converges(self, tmp_path):
+        # processes[3].Q x 10^6: the paper's step, whose eps the steepest curve sets, ran 200,000 iterations
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        payload["processes"][3]["Q"] = (np.array(payload["processes"][3]["Q"]) * 1e6).tolist()
+        out = tmp_path / "out"
+        with time_limit(5, "solve"):
+            assert main(["solve", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["status"] == "converged"
+
+    def test_budget_4_meets_the_active_set_lemma(self, tmp_path):
+        # the paper's step stopped 6.6e-5 above the level at R = 4, with four of five costs counted active
+        payload = dict(json.loads(fs.fixture_path("paper_sec4").read_text()), total_rate=4.0)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "converged" and summary["active_set_lemma_ok"] is True
 
     def test_stable_curve_out_of_tail_cut_reach_converges(self, tmp_path):
         # the first curve's tail cut was once out of reach of its iterated limit, and it built forever
@@ -832,6 +849,16 @@ class TestEntriesNearTheFloatMaximum:
         assert err == ("cannot solve this configuration: trace sequence overflowed at step 1; the stable process's "
                        "prediction covariance overflows\n")
 
+    def test_unstable_prediction_that_overflows(self, tmp_path, capsys):
+        # every rate reads step 1, where the unstable row overflows: the process is at fault, no rate
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        payload["processes"][0]["Q"] = self.HUGE
+        argv = ["solve", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "o")]
+        err = self.run(capsys, argv, EXIT_CONFIG_ERROR)
+        assert err == ("cannot solve this configuration: trace sequence overflowed at step 1; the prediction "
+                       "covariance of process 0 overflows at any rate\n")
+        assert "rate 1.0" not in err and "too small" not in err
+
     @pytest.mark.parametrize("eps0", [1e308, 1.7e308])
     def test_first_step_size(self, tmp_path, capsys, eps0):
         out = tmp_path / "out"
@@ -1226,9 +1253,18 @@ class TestTraceThinning:
             return solved[-1]
 
         monkeypatch.setattr(fs.allocation, "solve_maxmin", spied_solve)
+        config_path = seed7_fleet(tmp_path)
+        assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "solve")]) == EXIT_OK
+        ((_, built),) = solved
+        # the solve's own trace fits the cap; the paper's step from its start point, floors and model
+        # takes some 300 iterations, whose report is thinned
+        cfg = load_config(config_path)
+        region, _, mask = _region_and_costs(cfg)
+        floored = fs.FeasibleRegion(region.total, built.lower, region.upper)
+        rates, trace = fs.solve_inner(built.rates[0], built.model, floored, cfg.solver)
         out = tmp_path / "out"
-        assert main(["solve", "--config", str(seed7_fleet(tmp_path)), "--out", str(out)]) == EXIT_OK
-        ((rates, trace),) = solved
+        out.mkdir()
+        cli._write_solve_report(out, rates, trace, region, mask)
         n, iterations = rates.size, json.loads((out / "summary.json").read_text())["iterations"]
         for name, values, column in (("allocation_trace", trace.rates, "r"), ("cost_trace", trace.costs, "J")):
             header = ["iteration"] + [f"{column}{i + 1}" for i in range(n)]

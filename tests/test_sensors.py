@@ -577,6 +577,31 @@ class TestCurveCostModel:
         assert assert_slope_bounds_equal_scalar(costs, [0.5]) == "raised"
         assert_same_error(lambda: reference_cost_eval(curve, 0.5), lambda: costs.values([0.5]))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_values_and_slopes_read_the_segment_values_reads(self, seed):
+        # the slope magnitude is -segment_slope of the segment each value is read on, bit for bit: at a
+        # knot 1/(k+1) segment k, the steeper one left of it; at a stable row's rate 0, its affine tail
+        processes, floors = mixed_processes(seed)
+        costs = fs.CurveCostModel.from_floors(processes, floors)
+        curves, floors, rng = costs.curves, np.array(floors), np.random.default_rng(seed)
+        last = np.array([c.traces.size - (1 if c.stable_limit is not None else 2) for c in curves])
+        knots = 1.0 / (1.0 + np.floor(rng.uniform(0, 1, last.size) * (last + 1)))
+        knots = np.where(knots >= floors, knots, 1.0)
+        cases = [floors + rng.uniform(0, 1, floors.size) * (1 - floors), knots, np.where(costs.stable, 0.0, floors),
+                 np.ones(floors.size)]
+        for rates in cases:
+            values, slopes = costs.values_and_slopes(rates)
+            assert values.tobytes() == costs.values(rates).tobytes()
+            segments = [curve.traces.size if r == 0 else fs.threshold_from_rate(r).xi
+                        for curve, r in zip(curves, rates.tolist())]
+            expected = [-curve.segment_slope(k) for curve, k in zip(curves, segments)]
+            assert slopes.tobytes() == np.array(expected).tobytes()
+        assert (slopes > 0).all()
+        at_knots = costs.values_and_slopes(knots)[1]
+        assert (at_knots >= costs.values_and_slopes(np.minimum(knots * (1 + 1e-9), 1.0))[1]).all()
+        with pytest.raises(CostDomainError, match="rate 0 is outside the domain of an unstable cost curve"):
+            costs.values_and_slopes(np.zeros(floors.size))
+
     def test_slope_bounds_raise_for_flat_curve(self, bench_config):
         flat = fs.ProcessModel(A=[[0.4]], Q=[[0.0]])
         costs = fs.CurveCostModel.from_processes([*bench_config.processes, flat, flat])
