@@ -172,21 +172,33 @@ class CostModel:
         """Per-agent (alpha_i, beta_i) slope-magnitude bounds on [lower_i, ub], if known."""
         return None
 
+    def elasticity_bounds(self, lower: np.ndarray) -> np.ndarray | None:
+        """Per agent, a bound on the elasticity ``J_i / |J_i'|`` over [lower_i, 1], if known. Here the cost at
+        ``lower`` over the smallest slope magnitude of :meth:`slope_bounds`, or None without those bounds."""
+        bounds = self.slope_bounds(lower)
+        return None if bounds is None else self.values(lower) / bounds[0]
+
     def floors_at(self, level: float) -> tuple[np.ndarray, CostModel]:
         """``(floors, model)``: per agent, a rate at or below the one at which its cost equals ``level``,
-        and a model that covers it (one a model extended to find it hands back). Here the lower end of a
-        bracket around that rate, narrowed by bisecting [0, 1] on :meth:`values` for all agents at once
-        (``values`` is never asked at rate 0), and this model. The cost there is at least ``level``.
-        The floor is 0, no bound, where the cost stays below ``level`` down to a rate of 2**-64."""
+        and a model that covers it (one a model extended to find it hands back). Here :meth:`rates_at` at
+        ``level`` for every agent, and this model. The floor is 0, no bound, where the cost stays below
+        ``level`` down to a rate of 2**-64."""
+        return self.rates_at(level), self
+
+    def rates_at(self, levels) -> np.ndarray:
+        """Per agent, the rate in [0, 1] at which its cost equals ``levels[i]`` (a scalar serves every agent).
+        Here the lower end of a bracket around that rate, narrowed by bisecting [0, 1] on :meth:`values` for
+        all agents at once (``values`` is never asked at rate 0); the cost there is at least the level. It is
+        0 where the cost stays below the level down to a rate of 2**-64."""
         lo, hi = np.zeros(self.n), np.ones(self.n)
         for _ in range(_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            above = self.values(mid) >= level
+            above = self.values(mid) >= levels
             lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-        return lo, self
+        return lo
 
 
-_BISECTIONS = 64  # halvings of [0, 1] in CostModel.floors_at; its brackets end 2**-64 wide
+_BISECTIONS = 64  # halvings of [0, 1] in CostModel.rates_at; its brackets end 2**-64 wide
 
 
 class AffineCostModel(CostModel):
@@ -217,6 +229,10 @@ class AffineCostModel(CostModel):
     def floors_at(self, level: float) -> tuple[np.ndarray, AffineCostModel]:
         """Zeros, no bound, and this model: an affine cost is finite at rate 0; its agents need no rate floor."""
         return np.zeros(self.n), self
+
+    def rates_at(self, levels) -> np.ndarray:
+        """The exact inverse ``(intercepts - levels) / slopes``, at any rate: the line has no domain to clip to."""
+        return (self.intercepts - levels) / self.slopes
 
 
 @dataclass

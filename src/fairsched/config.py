@@ -13,7 +13,7 @@ A run config is a single JSON object:
                  "max_inner_iters": 100000},                 # optional, defaults shown
       "simulation": {"horizon": 1000000, "seed": 0},         # optional
       "distributed": {"graph": [[1,4],[0,2],[1,3],[2,4],[3,0]],
-                      "alpha": 0.01, "beta": 1.0,
+                      "alpha": 0.3, "beta": 1.0,
                       "eps_r": 1e-6, "max_iters": 200000},  # optional section
       "output_dir": "out"                                    # optional
     }
@@ -22,9 +22,12 @@ All matrices are 2-d row-major nested lists of numbers; a string or a boolean is
 no number. ``C`` and ``R`` default to identity. ``simulation.horizon`` is an
 integer from 1 to 2**64 - 1, the longest horizon whose cycle counts the
 simulator's binomial draws can hold.
-``distributed.graph`` is an adjacency list (neighbors per node);
-``distributed.alpha`` and ``distributed.beta`` are the constant primal and dual
-steps of the distributed solver. A legacy ``distributed.dual_mode`` key is accepted
+``distributed.graph`` is an adjacency list (neighbors per node). The distributed
+solver answers log prices with each node's best response: ``distributed.alpha``,
+in (0, 1], is the fraction of the way each rate moves to its best response in a
+round, and ``distributed.beta`` scales the step of the log prices, taken from the
+curves' elasticities and the graph (``fairsched.distributed.solve_distributed``).
+A legacy ``distributed.dual_mode`` key is accepted
 only as ``"mixing"``, the one coupling of the distributed solver, and ignored, as
 are the legacy ``solver.projection_tol`` and ``solver.max_outer_iters`` keys. The
 ``step_a`` and ``step_c`` keys of the removed diminishing schedule are rejected with
@@ -68,7 +71,7 @@ class SimulationSettings:
 @dataclass
 class DistributedSettings:
     adjacency: list
-    alpha: float = 0.01
+    alpha: float = 0.3
     beta: float = 1.0
     eps_r: float = 1e-6
     max_iters: int = 200_000
@@ -288,6 +291,7 @@ def load_config(path) -> RunConfig:
         except TypeError as exc:
             raise ConfigError(f"distributed section: {exc}") from exc
         _check_fields("distributed", distributed, positive=("alpha", "beta", "eps_r"), counts=("max_iters",))
+        _require(distributed.alpha <= 1, f"distributed.alpha must lie in (0, 1], got {distributed.alpha!r}")
 
     output_dir = None
     if "output_dir" in raw:

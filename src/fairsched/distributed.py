@@ -1,21 +1,27 @@
 """Distributed computation of the max-min fair allocation.
 
-The centralized projected iteration is gradient descent on the separable
-objective ``sum_i I_i(r_i)`` with ``I_i(r) = integral of -J_i`` subject to the
-budget. Dualizing the budget with one multiplier copy per node turns the
-problem into a consensus-constrained dual ascent that needs only neighbor
-communication: each node updates its own rate from its own cost and its own
-multiplier copy, and the copies are driven toward agreement over the graph.
+Max-min fairness depends only on how the costs are ordered, so the fair
+point is also the optimum of a separable problem whose dual has one price
+``p`` for the budget: at price ``p`` each agent's best response is the rate at
+which its cost equals ``p``, ``BR_i(p) = clip(J_i^-1(p), lb_i, ub_i)``, and the
+fair point is where the best responses fill the budget. That is dual
+decomposition (Palomar and Chiang, IEEE JSAC 24(8), 2006): a node needs only
+its own curve.
 
-The round is gradient tracking with constant steps (DIGing; Nedic, Olshevsky
-and Shi, SIAM J. Optim. 2017) applied to the dual of the budget constraint,
-as in Xiao and Boyd 2006. Each node also keeps an estimate ``y_i`` of the
-network-average budget excess: it mixes the neighbours' estimates with fixed
-Metropolis weights and adds its own change of rate. The multiplier copies mix
-the same way and step along ``y``. Because the weights are doubly
-stochastic, ``sum(y)`` always equals ``sum(r) - R``, so at a fixed point the
-budget is met, the copies agree and every free agent's cost equals the
-common multiplier: the centralized max-min fair allocation.
+Each node keeps a log price ``mu_i`` and an estimate ``y_i`` of the
+network-average budget excess, and a round is gradient tracking with a
+constant step (DIGing; Nedic, Olshevsky and Shi, SIAM J. Optim. 27(4), 2017):
+each node answers its price ``exp(mu_i)`` with its exact best response, mixes
+its neighbours' estimates with fixed Metropolis weights and adds its own
+change of rate, then mixes its neighbours' log prices and steps along its new
+estimate. Because the weights are doubly stochastic, ``sum(y)`` always equals
+``sum(r) - R``, so at a fixed point the budget is met, the prices agree and
+every free agent's cost equals the common price: the centralized max-min fair
+allocation. In log prices the best response moves by the elasticity
+``J_i / |J_i'|`` per unit step, which stays bounded over a curve's whole box
+(1.44 on the paper's fixture, whose slopes span four orders of magnitude) where
+a slope does not, so one step, taken from that bound and the mixing weights,
+suits every budget.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ class GraphError(ValueError):
 
 
 class DivergenceError(NumericalError):
-    """The distributed iteration diverged: its multiplier norm passed 1e6."""
+    """The distributed iteration diverged: a price or the residual stopped being finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +154,7 @@ def metropolis_matrix(g: CommGraph) -> np.ndarray:
 
 @dataclass
 class DualState:
-    """Per-node multiplier copies and the primal iterate they pair with."""
+    """Per-node prices, in cost units, and the primal iterate they pair with."""
 
     lambdas: np.ndarray
     rates: np.ndarray
@@ -175,80 +181,103 @@ def solve_distributed(
     costs: CostModel,
     region: FeasibleRegion,
     graph: CommGraph,
-    alpha: float = 0.01,
+    alpha: float = 0.3,
     beta: float = 1.0,
     max_iters: int = 200_000,
     eps_r: float = 1e-6,
     init_lambdas=None,
 ):
-    """Constant-step gradient tracking over the communication graph.
+    """Log-price gradient tracking over the communication graph, each node answering with its best response.
 
-    Per round, with ``g(r) = r - R/n`` the local budget excess,
-    ``y = g(r)`` at the start and ``W`` the Metropolis weights of the graph:
+    Per round, with ``p = exp(mu)`` the prices, ``y = r - R/n`` and ``mu = log J(r)`` at the start
+    (:func:`initial_allocation`) and ``W`` the Metropolis weights of the graph:
 
-        r'   = P_box(r + alpha * (J(r) - lam))
-        y'   = W y + g(r') - g(r)
-        lam' = max(W lam + beta * y', 0)
+        r'  = r + alpha * (clip(J^-1(p), lb, ub) - r)
+        y'  = W y + (r' - r)
+        mu' = W mu + step * y',    step = beta (2 - alpha) (1 + lam_min)^2 / (4 alpha e_max)
 
-    ``alpha`` must stay below about 2 / (the cost slope where the iterates
-    live); ``beta`` near 1 suits Metropolis weights. Stops once
-    ``||dr|| + ||dlam|| <= eps_r``, or with status ``"stalled"`` once the best
-    residual has not dropped by 1 % in 10,000 rounds (a step too large for
-    the slopes makes the iterate cycle). The returned allocation is the final
-    primal iterate projected onto the full region, so it is always feasible;
-    the raw iterate is available through the dual state. Costs are read on
-    ``costs.with_floor(region.lower)``, which continues a curve model's rows
-    down to the box: no step at all on a centralized solve's ``trace.model``.
+    ``J^-1`` is ``costs.rates_at``. ``alpha`` in (0, 1] relaxes the move to the best response; at 1 the
+    rate is the best response itself. ``beta`` scales the step of the log prices. ``e_max`` is the largest
+    elasticity ``J_i / |J_i'|`` over the agents' boxes, from ``costs.elasticity_bounds`` (a
+    :class:`ValueError` on a model that gives none), and ``lam_min`` the smallest eigenvalue of ``W``.
+    Linearized with every agent at elasticity ``e``, the round is stable on the mode of ``W`` with
+    eigenvalue ``lam`` exactly while ``step * e < (2 - alpha) (1 + lam)^2 / (2 alpha)``: ``beta = 1`` takes
+    half the largest step stable at ``e = e_max`` on every mode. A full best response on a graph whose
+    weights have a negative eigenvalue (an even ring's -1/3) oscillates between neighbours under a step
+    blind to it. ``init_lambdas``, if given, are the starting prices; an entry that is not a positive
+    price starts at the node's own cost, as by default.
 
-    Returns ``(rates, DualState, DistributedTrace)``. The trace is one table
-    grown a row per round run: ``max_iters`` only caps the loop.
+    Stops with status ``"converged"`` once ``||dr|| + ||dp|| <= eps_r``, the change of rates and prices
+    (in cost units), or, on a slack budget (``sum(ub) <= R``, where the prices fall forever), once every
+    rate sits at its upper bound; with status ``"stalled"`` once the best residual has not dropped by 1 %
+    in 10,000 rounds. A price or residual that is not finite raises :class:`DivergenceError`. The
+    returned allocation is the final primal iterate projected onto the full region, so it is always
+    feasible; the raw iterate and the prices are in the dual state. Costs are read on
+    ``costs.with_floor(region.lower)``, which continues a curve model's rows down to the box: no step at
+    all on a centralized solve's ``trace.model``.
+
+    Returns ``(rates, DualState, DistributedTrace)``; the trace records the residual and the prices'
+    spread and minimum each round. It is one table grown a row per round run: ``max_iters`` only caps
+    the loop.
     """
     if graph.n != region.n:
         raise GraphError(f"graph has {graph.n} nodes but the region has {region.n} agents")
     if not (alpha > 0 and beta > 0):
         raise ValueError("step sizes must be positive")
+    if alpha > 1:
+        raise ValueError(f"alpha relaxes the move to the best response and must lie in (0, 1], got {alpha}")
 
     costs = costs.with_floor(region.lower)
     lb, ub = region.lower, region.upper
+    elasticities = costs.elasticity_bounds(lb)
+    if elasticities is None:
+        raise ValueError("the cost model gives no elasticity bound, which the distributed step is taken from")
     W = metropolis_matrix(graph)
+    step = beta * (2.0 - alpha) * (1.0 + np.linalg.eigvalsh(W)[0]) ** 2 / (4.0 * alpha * float(elasticities.max()))
 
     r = initial_allocation(region)
-    # warm-start the multiplier copies at the local costs: each node can
-    # evaluate its own cost, and the dual settles near the common cost level
-    lam = costs.values(r).copy() if init_lambdas is None else np.array(init_lambdas, dtype=float)
-    lam = np.maximum(lam, 0.0)
+    prices = costs.values(r)
+    if init_lambdas is not None:
+        init = np.asarray(init_lambdas, dtype=float)
+        prices = np.where(init > 0, init, prices)
     y = r - region.total / region.n
+    slack = ub.sum() <= region.total
 
-    rows = array("d")  # one row a round: residual, multiplier spread, smallest multiplier
+    rows = array("d")  # one row a round: residual, price spread, smallest price
     status = MAX_INNER_ITERS
     best, best_round = np.inf, 0
-    for k in range(max_iters):
-        r_new = (r + alpha * (costs.values(r) - lam)).clip(lb, ub)
-        dr = r_new - r
-        y = W @ y + dr  # g(r') - g(r) = r' - r
-        lam_new = np.maximum(W @ lam + beta * y, 0.0)
+    # a cost that is not positive has no log, and a price may overflow: either ends in DivergenceError below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mu = np.log(prices)
+        for k in range(max_iters):
+            target = costs.rates_at(prices).clip(lb, ub)  # the best responses
+            # a slack budget's answer is every upper bound: once the best responses reach it, take them
+            r_new = target if alpha == 1.0 or (slack and (target == ub).all()) else r + alpha * (target - r)
+            dr = r_new - r
+            y = W @ y + dr  # g(r') - g(r) = r' - r
+            mu = W @ mu + step * y
+            new = np.exp(mu)
 
-        # the norms are np.linalg.norm's own formula, sqrt(x . x), without its wrapper
-        dlam = lam_new - lam
-        residual = math.sqrt(dr.dot(dr)) + math.sqrt(dlam.dot(dlam))
-        r, lam = r_new, lam_new
-        lam_min = lam.min()
-        rows.extend((residual, lam.max() - lam_min, lam_min))
-        # NaN and inf fail the comparison too
-        if not math.sqrt(lam.dot(lam)) < 1e6:
-            raise DivergenceError("distributed iteration diverged (multiplier norm exceeded 1e6)")
-        if residual <= eps_r:
-            status = CONVERGED
-            break
-        if residual < 0.99 * best:
-            best, best_round = residual, k
-        elif k - best_round >= _STALL_ROUNDS:
-            status = STALLED
-            break
+            # the norms are np.linalg.norm's own formula, sqrt(x . x), without its wrapper
+            dp = new - prices
+            residual = math.sqrt(dr.dot(dr)) + math.sqrt(dp.dot(dp))
+            r, prices = r_new, new
+            low = prices.min()
+            rows.extend((residual, prices.max() - low, low))
+            if not math.isfinite(residual):  # NaN too
+                raise DivergenceError("distributed iteration diverged (a price or the residual is not finite)")
+            if residual <= eps_r or (slack and (r == ub).all()):
+                status = CONVERGED
+                break
+            if residual < 0.99 * best:
+                best, best_round = residual, k
+            elif k - best_round >= _STALL_ROUNDS:
+                status = STALLED
+                break
 
     rates = project_feasible(r, region)
     trace = DistributedTrace(*np.frombuffer(rows).reshape(-1, 3).T, status=status)  # views of the table's columns
-    return rates, DualState(lambdas=lam, rates=r), trace
+    return rates, DualState(lambdas=prices, rates=r), trace
 
 
 @dataclass

@@ -41,6 +41,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -356,12 +357,19 @@ def _filter_covs(group) -> np.ndarray:
     raise NumericalError("filter covariance iteration did not converge; the model is ill posed")
 
 
-def _finite_pbars(covs, rows) -> np.ndarray:
-    """``covs``, the filter steady states of the processes numbered ``rows``; the first whose iteration
-    overflowed raises :class:`NumericalError`."""
+def _finite_pbars(covs, rows, Q) -> np.ndarray:
+    """``covs``, the filter steady states of the processes numbered ``rows``, whose noise covariances are
+    ``Q``; the first whose iteration overflowed raises :class:`NumericalError`, and then the first whose
+    steady state has a trace of 0 or less while its ``Q`` does not: the update's difference cancelled, as
+    it does where the prediction covariance dwarfs ``R`` some 10**16 times. A ``Q`` of 0 may give 0."""
     bad = ~np.isfinite(covs).all(axis=(1, 2))
     if bad.any():
         raise NumericalError(f"the filter covariance of process {rows[bad.argmax()]} overflowed; the model is ill posed")
+    with np.errstate(over="ignore"):  # a trace too large for a float is positive
+        cancelled = (_traces(covs) <= 0) & (np.diagonal(Q, axis1=1, axis2=2) > 0).any(axis=1)
+    if cancelled.any():
+        raise NumericalError(f"the filter covariance of process {rows[cancelled.argmax()]} cancelled to 0 in its "
+                             "measurement update (Q is too large against R); the model is ill posed")
     return covs
 
 
@@ -380,10 +388,11 @@ def steady_state_filter_cov(p: ProcessModel) -> np.ndarray:
 
     Iterates ``X- = A X A' + Q`` followed by the measurement update
     ``X = X- - X- C' (C X- C' + R)^-1 C X-`` from ``Pi0`` (zero by default)
-    until the Frobenius change is within 1e-12, for at most 10**6 steps; an iterate that overflows raises
+    until the Frobenius change is within 1e-12, for at most 10**6 steps; an iterate that overflows, or a
+    steady state whose update cancelled to a trace of 0 or less while ``Tr(Q) > 0``, raises
     :class:`NumericalError`. The array is the caller's own.
     """
-    return _finite_pbars(_filter_covs([p]), [0])[0]
+    return _finite_pbars(_filter_covs([p]), [0], p.Q[None])[0]
 
 
 def no_comm_limit(p: ProcessModel) -> float:
@@ -444,7 +453,7 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
         # Ms[2 + j] holds the covariances of step depth + t0 + j; Ms[0] and Ms[1] the two before it
         Ms = np.zeros((_WINDOW + 2,) + A.shape)
         if starts is None:
-            Ms[2], j0 = _finite_pbars(_filter_covs(members), group), 3
+            Ms[2], j0 = _finite_pbars(_filter_covs(members), group, Q), 3
         else:
             Ms[:2], j0 = np.array([covs[i] for i in group]).swapaxes(0, 1), 2
         steps, t0, block_t0, failures = [], 0, 0, []
@@ -655,13 +664,16 @@ class CurveCostModel(CostModel):
     ``anchor = traces[first + j + 1]`` and ``cumsum = cumsums[first + j]``,
     also for the affine tail ``j = size - 1`` of a stable curve that reached
     it. ``values`` (and ``values_and_slopes``, which adds each value's
-    segment slope), ``slope_bounds`` and ``floors_at`` work on all agents at
+    segment slope), ``slope_bounds``, ``elasticity_bounds``, ``floors_at``
+    and ``rates_at`` (the inverse, one level per agent) work on all agents at
     once; the first two raise :class:`CostDomainError` for the first agent,
     in index order, that lies outside its curve's domain. ``stable[i]`` says
     whether curve ``i`` is stable, i.e. defined down to rate 0.
     :attr:`curves` builds a :class:`CostCurve` view of each row when read.
 
-    The model never changes, so concurrent readers need no lock. Built from
+    The model never changes, so concurrent readers need no lock; the knot
+    costs that ``floors_at`` and ``rates_at`` search are computed on first
+    use and kept. Built from
     processes, it keeps each row's end state: the covariances of its last two
     steps (none once it has stopped for good); its running sum is its last
     ``cumsums`` slot. :meth:`with_floor` and :meth:`floors_at` continue rows
@@ -694,9 +706,13 @@ class CurveCostModel(CostModel):
             arr.setflags(write=False)
         self.stable, self._traces, self._cumsums, self._sizes, self._floors = stable, traces, cumsums, sizes, floors
         self.n, self._processes, self._ends = sizes.size, processes, ends
-        self._first = (np.cumsum(sizes + 1) - (sizes + 1)).astype(float)
+        # each row's slot count and first slot, as indices and as floats
+        self._spans = sizes + 1
+        self._starts = np.cumsum(self._spans) - self._spans
+        self._first = self._starts.astype(float)
         # the row that rates below the stored range use, the largest threshold index covered, the smallest rate
         self._last = np.where(stable, sizes - 1.0, sizes - 2.0)
+        self._tops = np.where(stable, sizes, sizes - 1)  # one past the last segment, as an index
         self._xi_max = np.where(stable, np.inf, sizes - 2.0)
         self._lo = floors * (1.0 - 1e-9)
         return self
@@ -729,7 +745,7 @@ class CurveCostModel(CostModel):
 
     @property
     def curves(self) -> list[CostCurve]:
-        first, sizes = self._first.astype(np.intp).tolist(), self._sizes.tolist()
+        first, sizes = self._starts.tolist(), self._sizes.tolist()
         return [CostCurve(traces=self._traces[f:f + n], cumsums=self._cumsums[f:f + n],
                           stable_limit=float(self._traces[f + n]) if s else None, domain_floor=floor)
                 for f, n, s, floor in zip(first, sizes, self.stable.tolist(), self._floors.tolist())]
@@ -745,7 +761,7 @@ class CurveCostModel(CostModel):
         grow, depth = rows[go], depth[go]
         traces, cumsums, sizes, ends = self._traces, self._cumsums, self._sizes, self._ends
         if grow.size:
-            end = self._first.astype(np.intp)[grow] + depth  # each row's limit slot
+            end = self._starts[grow] + depth  # each row's limit slot
             new, first, lengths, sums, new_ends = prediction_traces(
                 [self._processes[i] for i in grow.tolist()], caps[go], floors[go], self.stable[grow], _MAX_STEPS,
                 None if level is None else np.full(grow.size, level),
@@ -792,17 +808,41 @@ class CurveCostModel(CostModel):
 
     def _level_rates(self, level: float):
         """:meth:`floors_at`'s rates on the stored knots, and its short rows."""
-        knots = np.arange(1.0, self._traces.size + 1.0) - np.repeat(self._first, self._sizes + 1)  # k + 1
-        knots = np.divide(self._cumsums, knots, out=knots)  # the knots' costs, and NaN in each limit slot
-        j = np.add.reduceat(knots < level, self._first.astype(np.intp), dtype=np.intp) - 1.0  # -1: above rate 1
-        slot = (self._first + np.maximum(j, 0.0)).astype(np.intp)
-        anchor = self._traces.take(slot + 1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            rates = (level - anchor) / (self._cumsums.take(slot) - (j + 1.0) * anchor)
-        rates = np.where(j < 0, 1.0, np.maximum(rates, 0.0))
+            rates, count = self._inverse(level, level)
         # a row short of its tail: a model of processes keeps its end state, one of curves only its floor
         held = self._floors > 0 if self._ends is None else np.array([e is not None for e in self._ends], dtype=bool)
-        return rates, np.flatnonzero((~self.stable | held) & (j == self._sizes - 1))
+        return rates, np.flatnonzero((~self.stable | held) & (count == self._sizes))
+
+    def rates_at(self, levels) -> np.ndarray:
+        """Per agent, the rate at which its cost equals ``levels[i]``, solved on the stored segment holding it:
+        1 at or below its cost at rate 1, 0 at or past a stable limit, and, where the level lies past the
+        stored range, a rate below that range, at least 0, read on the row's last segment (a stable row's
+        last knot joined to its limit). It equals :meth:`floors_at`'s rates bit for bit at equal levels, on a
+        model that ``floors_at`` need not continue. No row is continued, and no warning is silenced: a table
+        near the float maximum, or a flat segment, may warn."""
+        levels = np.asarray(levels, dtype=float)
+        if levels.shape != (self.n,):
+            raise ValueError(f"expected {self.n} levels, got shape {levels.shape}")
+        return self._inverse(levels, np.repeat(levels, self._spans))[0]
+
+    def _inverse(self, levels, slot_levels):
+        """``(rates, count)``: the knot search of :meth:`rates_at`, with each slot's level in ``slot_levels``
+        (a scalar serves every slot), and per row the number of its knots below its level. The segment holding
+        a level is the one left of the last such knot: a count, as each row's knot costs increase."""
+        count = np.add.reduceat(self._knots < slot_levels, self._starts, dtype=np.intp)
+        # segment + 1: above rate 1, segment 0, which reads a rate of at least 1; past the stored range, the last
+        seg = np.minimum(np.maximum(count, 1), self._tops)
+        at = self._starts + seg  # the segment's anchor
+        anchor = self._traces.take(at)
+        rates = (levels - anchor) / (self._cumsums.take(at - 1) - seg * anchor)
+        return np.minimum(np.maximum(rates, 0.0), 1.0), count
+
+    @cached_property
+    def _knots(self) -> np.ndarray:
+        """The table's knot costs, ``cumsums[k] / (k + 1)`` at rate ``1 / (k + 1)``, and NaN in each limit slot."""
+        knots = np.arange(1.0, self._traces.size + 1.0) - np.repeat(self._first, self._spans)  # k + 1
+        return np.divide(self._cumsums, knots, out=knots)
 
     def _stopped(self, i: int) -> bool:
         """Whether row ``i``, of a model of processes, stopped for good: at its tail or a repeated covariance."""
@@ -869,6 +909,26 @@ class CurveCostModel(CostModel):
         curve, lies below its curve's floor or past its stored range, or whose
         segments down to ``lower`` include a flat one.
         """
+        _, mags, ranges, alphas = self._box_segments(lower)
+        return alphas, np.maximum.reduceat(mags, ranges)[::2]
+
+    def elasticity_bounds(self, lower) -> np.ndarray:
+        """Per curve, the largest elasticity ``J / |J'|`` over [lower, 1], in one pass over the table: on each
+        segment meeting it, the cost at the segment's left end, or at ``lower`` on the segment holding it,
+        over the segment's slope magnitude, as the cost grows toward the left end of a segment while the
+        magnitude stays. Raises as :meth:`slope_bounds` does."""
+        lb, mags, ranges, _ = self._box_segments(lower)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in slots that no range reads
+            ratios = np.append(self._knots[1:] / mags[:-1], np.nan)  # each segment's left knot over its magnitude
+        values, slopes = self.values_and_slopes(lb)  # on the segment holding lb, the last of each range
+        ratios[ranges[1::2] - 1] = values / slopes
+        return np.maximum.reduceat(ratios, ranges)[::2]
+
+    def _box_segments(self, lower):
+        """``(lb, mags, ranges, alphas)`` for :meth:`slope_bounds`, which raises its errors: ``lower`` as
+        floats, the slope magnitude of the segment in every slot (NaN in the last), the ``reduceat`` ranges
+        ``[first, first + last + 1)`` of each row's segments meeting [lower, 1], and the smallest magnitude
+        over each."""
         lb = np.asarray(lower, dtype=float)
         if lb.shape != (self.n,):
             raise ValueError(f"expected {self.n} lower bounds, got shape {lb.shape}")
@@ -876,7 +936,7 @@ class CurveCostModel(CostModel):
         last = np.clip(_caps(lb), 0, tail).astype(np.intp)  # segments 0..last meet [lb, 1]
         # segment j of curve i sits in slot first[i] + j, with slope cumsums[slot] - (j + 1) traces[slot + 1];
         # worked in place, as the table holds ~3e5 slots for 1000 sensors
-        mags = np.repeat(-self._first, self._sizes + 1)
+        mags = np.repeat(-self._first, self._spans)
         mags += np.arange(1.0, mags.size + 1.0)
         slopes = mags[:-1]
         with np.errstate(over="ignore"):  # near the float maximum, a slot that no bound reads may overflow
@@ -884,9 +944,8 @@ class CurveCostModel(CostModel):
             np.subtract(self._cumsums[:-1], slopes, out=slopes)
         np.abs(mags, out=mags)
         mags[-1] = np.nan  # the last slot holds a limit, no segment; ranges may end there
-        first = self._first.astype(np.intp)
-        ranges = np.column_stack([first, first + last + 1]).ravel()
-        alphas, betas = (f.reduceat(mags, ranges)[::2] for f in (np.minimum, np.maximum))
+        ranges = np.column_stack([self._starts, self._starts + last + 1]).ravel()
+        alphas = np.minimum.reduceat(mags, ranges)[::2]
         outside = ~((lb >= 0) & (lb <= 1))
         zero = (lb == 0) & ~self.stable
         below = (lb > 0) & (lb < self._lo)
@@ -907,4 +966,4 @@ class CurveCostModel(CostModel):
             if past[i]:
                 raise CostDomainError(f"segment {_xi_of(float(lb[i]))} is below the curve's domain floor")
             raise CostDomainError("cost curve has a flat segment; strict monotonicity is violated")
-        return alphas, betas
+        return lb, mags, ranges, alphas

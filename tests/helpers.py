@@ -374,24 +374,46 @@ def reference_lipschitz_bounds(curve: CostCurve, lb: float) -> tuple[float, floa
     return alpha, beta
 
 
+def reference_node(costs, i, lb: float):
+    """Node ``i``'s own best-response inverse and elasticity bound over [lb, 1], from its curve's knots
+    (a curve model) or its line (an affine one), one node at a time."""
+    if not hasattr(costs, "curves"):
+        a, s = float(costs.intercepts[i]), float(costs.slopes[i])
+        return (lambda level: (a - level) / s), (a - s * lb) / s
+    rates, costs_ = _curve_knots(costs.curves[i])
+
+    def inverse(level):
+        if level > costs_[-1]:  # past the stored range: below the box, whose floor the curve covers
+            return 0.0
+        return _inverse_rate((rates, costs_), level)
+
+    bound = 0.0
+    for k in range(rates.size - 1):  # segment k runs from knot k + 1 (left) to knot k (right)
+        if rates[k] < lb:
+            break
+        slope = (costs_[k + 1] - costs_[k]) / (rates[k] - rates[k + 1])
+        left = costs_[k + 1] if rates[k + 1] >= lb else costs_[k] + (rates[k] - lb) * slope
+        bound = max(bound, left / slope)
+    return inverse, bound
+
+
 def reference_solve_distributed(
     costs,
     region: FeasibleRegion,
     graph,
-    alpha: float = 0.01,
+    alpha: float = 0.3,
     beta: float = 1.0,
     max_iters: int = 200_000,
     eps_r: float = 1e-6,
-    init_rates=None,
     init_lambdas=None,
 ):
-    """``solve_distributed`` node by node, each node reading only its neighbours' values.
+    """``solve_distributed`` node by node, each node reading only its neighbours' values and its own curve.
 
-    Node ``i`` weighs neighbour ``j`` by ``1 / (1 + max(deg_i, deg_j))`` and
-    itself by what is left; no weight matrix is formed. Per round every node
-    steps its rate on its own cost and multiplier copy, mixes its neighbours'
-    excess estimates and adds its own change of rate, then mixes the
-    neighbours' multiplier copies and steps along its new estimate.
+    Node ``i`` weighs neighbour ``j`` by ``1 / (1 + max(deg_i, deg_j))`` and itself by what is left; the
+    weights are put in a matrix only for the smallest eigenvalue that the step reads. Each node inverts its
+    own curve on its knots, or its own line, and bounds its own elasticity segment by segment. Per round
+    every node moves its rate toward its best response to its price, mixes its neighbours' excess estimates
+    and adds its own change of rate, then mixes its neighbours' log prices and steps along its new estimate.
     """
     if graph.n != region.n:
         raise GraphError(f"graph has {graph.n} nodes but the region has {region.n} agents")
@@ -407,36 +429,57 @@ def reference_solve_distributed(
         return sum(w * values[j] for j, w in sorted(weights[i].items()))
 
     lb, ub = region.lower.tolist(), region.upper.tolist()
-    r = (initial_allocation(region) if init_rates is None else np.array(init_rates, dtype=float)).tolist()
-    lam = costs.values(r).tolist() if init_lambdas is None else [float(v) for v in init_lambdas]
-    lam = [max(v, 0.0) for v in lam]
+    costs = costs.with_floor(region.lower)
+    nodes = [reference_node(costs, i, lb[i]) for i in range(n)]
+    W = np.zeros((n, n))
+    for i, row in enumerate(weights):
+        for j, w in row.items():
+            W[i, j] = w
+    step = beta * (2.0 - alpha) * (1.0 + np.linalg.eigvalsh(W)[0]) ** 2 / (4.0 * alpha * max(e for _, e in nodes))
+
+    def exp(m):
+        try:
+            return math.exp(m)
+        except OverflowError:
+            return math.inf
+
+    r = initial_allocation(region).tolist()
+    prices = costs.values(r).tolist()
+    if init_lambdas is not None:
+        prices = [float(v) if v > 0 else p for v, p in zip(init_lambdas, prices)]
+    mu = [math.log(p) for p in prices]
     y = [ri - region.total / n for ri in r]
+    slack = sum(ub) <= region.total
 
     residuals, spreads, mins = [], [], []
     status = MAX_INNER_ITERS
     for _ in range(max_iters):
-        values = costs.values(r).tolist()
-        r_new = [min(max(r[i] + alpha * (values[i] - lam[i]), lb[i]), ub[i]) for i in range(n)]
+        targets = [min(max(inverse(p), lo), hi) for (inverse, _), p, lo, hi in zip(nodes, prices, lb, ub)]
+        if alpha == 1.0 or (slack and targets == ub):
+            r_new = targets
+        else:
+            r_new = [ri + alpha * (t - ri) for ri, t in zip(r, targets)]
         y = [mix(y, i) + r_new[i] - r[i] for i in range(n)]
-        lam_new = [max(mix(lam, i) + beta * y[i], 0.0) for i in range(n)]
+        mu = [mix(mu, i) + step * y[i] for i in range(n)]
+        new = [exp(m) for m in mu]
 
         residual = (math.sqrt(sum((a - b) ** 2 for a, b in zip(r_new, r)))
-                    + math.sqrt(sum((a - b) ** 2 for a, b in zip(lam_new, lam))))
-        r, lam = r_new, lam_new
+                    + math.sqrt(sum((a - b) ** 2 for a, b in zip(new, prices))))
+        r, prices = r_new, new
         residuals.append(residual)
-        spreads.append(max(lam) - min(lam))
-        mins.append(min(lam))
-        if not math.sqrt(sum(v * v for v in lam)) < 1e6:
-            raise NumericalError("distributed iteration diverged (multiplier norm exceeded 1e6)")
-        if residual <= eps_r:
+        spreads.append(max(prices) - min(prices))
+        mins.append(min(prices))
+        if not math.isfinite(residual):
+            raise NumericalError("distributed iteration diverged (a price or the residual is not finite)")
+        if residual <= eps_r or (slack and r == ub):
             status = CONVERGED
             break
 
-    r, lam = np.array(r), np.array(lam)
+    r, prices = np.array(r), np.array(prices)
     trace = DistributedTrace(
         residuals=np.array(residuals), lambda_spreads=np.array(spreads), lambda_mins=np.array(mins), status=status
     )
-    return project_feasible(r, region), DualState(lambdas=lam, rates=r), trace
+    return project_feasible(r, region), DualState(lambdas=prices, rates=r), trace
 
 
 def reference_rank_failure(p) -> str | None:

@@ -379,6 +379,22 @@ def test_base_floors_at_bisects_values_to_the_lower_end_of_its_bracket():
     assert _ReciprocalCosts([1e-30]).floors_at(1.0)[0].tolist() == [0.0]
 
 
+def test_base_and_affine_rates_at_invert_one_level_per_agent():
+    costs = _ReciprocalCosts([1.0, 100.0, 1000.0])
+    levels = np.array([200.0, 400.0, 2000.0])
+    rates = costs.rates_at(levels)
+    roots = np.array([1 / 200, 1 / 4, 1 / 2])
+    assert (rates <= roots).all() and (costs.values(rates) >= levels).all()
+    np.testing.assert_allclose(rates, roots, rtol=1e-15)
+    # at equal levels, floors_at's bisection bit for bit
+    assert costs.rates_at(np.full(3, 200.0)).tobytes() == costs.floors_at(200.0)[0].tobytes()
+    affine = fs.AffineCostModel([4.0, 1.5, 3.0], [1.0, 0.5, 2.0])
+    assert affine.rates_at([3.0, 1.25, 0.0]).tolist() == [1.0, 0.5, 1.5]  # exact, and not clipped to [0, 1]
+    # a bound on the elasticity J / |J'|: the cost at the lower bound over the slope, or none without slopes
+    assert affine.elasticity_bounds(np.array([0.5, 0.0, 0.25])).tolist() == [3.5, 3.0, 1.25]
+    assert costs.elasticity_bounds(np.full(3, 0.1)) is None
+
+
 def test_fair_rate_below_the_start_floor_of_a_model_with_the_base_floors_at():
     # agent 0's fair rate 1/101 lies below its start floor eta = 0.1; the bisected bound floors it at
     # the rate where its cost reaches agent 1's at the start point, 1/200, so the solve finds it.

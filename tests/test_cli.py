@@ -545,6 +545,15 @@ class TestSolveCommand:
             assert alpha <= slope <= beta
 
 
+def cycling_fixture(tmp_path):
+    """The paper fixture at budget 4 with ``distributed.beta = 10``: a log-price step too large for the
+    curves, on which the distributed iterate settles into a 2-cycle."""
+    payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+    payload["total_rate"] = 4.0
+    payload["distributed"]["beta"] = 10.0
+    return write_config(tmp_path, payload, name="cycling.json")
+
+
 def eta_half_fixture(tmp_path, total_rate):
     """The paper fixture with ``eta = 0.5`` at budget ``total_rate``: the three unstable floors sum to 1.5."""
     payload = json.loads(fs.fixture_path("paper_sec4").read_text())
@@ -669,6 +678,21 @@ class TestDistributedCommand:
         assert "dual_mode" not in comparison
         assert (out / "dual_trace.csv").exists()
 
+    @pytest.mark.parametrize("budget", [0.2, 0.5, 1.0, "two-process"])
+    def test_converges_at_tight_budgets(self, tmp_path, capsys, budget):
+        # the old round, r' = clip(r + alpha (J(r) - lam)), stalled (exit 3) in each of these
+        if budget == "two-process":
+            payload = TWO_PROCESS
+        else:
+            payload = dict(json.loads(fs.fixture_path("paper_sec4").read_text()), total_rate=budget)
+        out = tmp_path / "d"
+        with time_limit(20, "distributed"):
+            assert main(["distributed", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        comparison = json.loads((out / "comparison.json").read_text())
+        assert comparison["distributed_status"] == "converged"
+        assert comparison["linf_gap"] <= 1e-2 and comparison["lambda_spread"] <= 1e-4
+
     def test_disconnected_graph_is_config_error(self, tmp_path):
         payload = {
             "total_rate": 1.0,
@@ -679,29 +703,28 @@ class TestDistributedCommand:
         assert main(["distributed", "--config", str(path), "--out", str(tmp_path / "dg")]) == EXIT_CONFIG_ERROR
 
     def test_diverging_iterate_exits_3_with_one_line(self, tmp_path, capsys):
-        # beta 1e7 drives the multiplier norm past 1e6 within a few rounds; only a curve overflow
-        # in the centralized solve, also a NumericalError, is a configuration error
+        # beta 1e7 scales the log-price step so far that a price overflows within a few rounds; only a
+        # curve overflow in the centralized solve, also a NumericalError, is a configuration error
         config = fixture_with(tmp_path, "distributed", "beta", 1e7)
         assert main(["distributed", "--config", str(config), "--out", str(tmp_path / "dv")]) == EXIT_NOT_CONVERGED
         err = capsys.readouterr().err
         assert err.startswith("distributed solve failed: distributed iteration diverged") and err.count("\n") == 1
 
     def test_cycling_iterate_stops_as_stalled(self, tmp_path):
-        # alpha 0.1 on the fixture: the iterate cycles with the residual stuck
-        # at 8.18, so the run ends long before its 600,000 rounds
+        # beta 10 at budget 4: the log prices overshoot into a 2-cycle with the residual stuck
+        # at 8.14, so the run ends long before its 600,000 rounds
         out = tmp_path / "st"
         with time_limit(5, "distributed"):
-            rc = main(["distributed", "--config", str(fixture_with(tmp_path, "distributed", "alpha", 0.1)),
-                       "--out", str(out)])
+            rc = main(["distributed", "--config", str(cycling_fixture(tmp_path)), "--out", str(out)])
         assert rc == EXIT_NOT_CONVERGED
         comparison = json.loads((out / "comparison.json").read_text())
         assert comparison["distributed_status"] == "stalled"
         assert comparison["lambda_spread"] > 1.0
 
-    @pytest.mark.parametrize("total_rate, codes", [(1.4, {EXIT_OK}), (1.0, {EXIT_OK, EXIT_NOT_CONVERGED})])
+    @pytest.mark.parametrize("total_rate, codes", [(1.4, {EXIT_OK}), (1.0, {EXIT_OK})])
     def test_floors_over_budget_use_the_centralized_floors(self, tmp_path, capsys, total_rate, codes):
         # eta = 0.5 floors sum to 1.5, past the budget: the distributed box takes the centralized
-        # solve's floors, as low as 0.125 at R = 1.0, where alpha = 0.01 may stall
+        # solve's floors, as low as 0.125 at R = 1.0
         out = tmp_path / "d"
         with time_limit(20, "distributed"):
             rc = main(["distributed", "--config", str(eta_half_fixture(tmp_path, total_rate)), "--out", str(out)])
@@ -710,6 +733,25 @@ class TestDistributedCommand:
         comparison = json.loads((out / "comparison.json").read_text())
         if rc == EXIT_OK:
             assert comparison["linf_gap"] <= 1e-2
+
+
+@pytest.mark.parametrize("factor", [1e20, 1e306])
+@pytest.mark.parametrize("command", ["solve", "simulate", "distributed"])
+def test_cancelled_filter_covariance_exits_2_with_one_line(tmp_path, capsys, command, factor):
+    # Q of the stable process 3 scaled by 1e20 cancels its filter covariance to 0: solve and simulate
+    # exited 0 with a cost of 0, and at 1e306 solve, simulate and distributed printed RuntimeWarnings
+    payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+    payload["processes"][3]["Q"] = [[v * factor for v in row] for row in payload["processes"][3]["Q"]]
+    argv = [command, "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "out")]
+    if command == "simulate":
+        alloc_path = tmp_path / "rates.json"
+        alloc_path.write_text(json.dumps({"rates": [0.4] * 5}))
+        argv += ["--allocation", str(alloc_path)]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Warning" not in err and "Traceback" not in err
+    assert err.endswith("the filter covariance of process 3 cancelled to 0 in its measurement update "
+                        "(Q is too large against R); the model is ill posed\n")
 
 
 def tiny_eta_fixture(tmp_path, total_rate=None, tied=False):
@@ -764,9 +806,8 @@ class TestCurveOverflowExitsCleanly:
     def test_curve_the_solve_does_not_read_is_not_built(self, tmp_path, capsys, command):
         # every unstable agent gets a value-bound floor far above eta, the costliest one at the start
         # point its start rate, and no curve is built down to eta; the overflow that eta would cause
-        # never happens. At budget 0.2 the distributed solve may stall, as it does at eta = 1e-3
-        for total_rate, codes in ((0.2, {EXIT_OK} if command == "solve" else {EXIT_OK, EXIT_NOT_CONVERGED}),
-                                  (2.0, {EXIT_OK})):
+        # never happens
+        for total_rate, codes in ((0.2, {EXIT_OK}), (2.0, {EXIT_OK})):
             out = tmp_path / f"{command}_{total_rate}"
             assert main([command, "--config", str(tiny_eta_fixture(tmp_path, total_rate)), "--out", str(out)]) in codes
             assert capsys.readouterr().err == ""
@@ -840,10 +881,13 @@ class TestEntriesNearTheFloatMaximum:
         assert err == (f"cannot solve this configuration: the filter covariance of process {index} overflowed; "
                        "the model is ill posed\n")
 
+    # an R of 1e300 I keeps the filter update from cancelling against a Q of 1e308 I, so the prediction overflows
+    LARGE_R = [[1e300, 0.0], [0.0, 1e300]]
+
     def test_stable_prediction_that_overflows(self, tmp_path, capsys):
         # the stable row's floor is 0: no rate is at fault
         payload = json.loads(fs.fixture_path("paper_sec4").read_text())
-        payload["processes"][3]["Q"] = self.HUGE
+        payload["processes"][3].update(Q=self.HUGE, R=self.LARGE_R)
         argv = ["solve", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "o")]
         err = self.run(capsys, argv, EXIT_CONFIG_ERROR)
         assert err == ("cannot solve this configuration: trace sequence overflowed at step 1; the stable process's "
@@ -852,7 +896,7 @@ class TestEntriesNearTheFloatMaximum:
     def test_unstable_prediction_that_overflows(self, tmp_path, capsys):
         # every rate reads step 1, where the unstable row overflows: the process is at fault, no rate
         payload = json.loads(fs.fixture_path("paper_sec4").read_text())
-        payload["processes"][0]["Q"] = self.HUGE
+        payload["processes"][0].update(Q=self.HUGE, R=self.LARGE_R)
         argv = ["solve", "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "o")]
         err = self.run(capsys, argv, EXIT_CONFIG_ERROR)
         assert err == ("cannot solve this configuration: trace sequence overflowed at step 1; the prediction "
@@ -952,6 +996,7 @@ class TestSectionsValidatedAtLoad:
         ("dual_mode", "penalty"),
         ("dual_mode", "penalty-asym"),
         ("alpha", -1),
+        ("alpha", 1.5),  # a relaxation toward the best response, in (0, 1]
         ("beta", 0),
         ("alpha", True),
         ("beta", "1"),
@@ -1307,7 +1352,7 @@ class TestTraceThinning:
 
 
 def test_stalled_distributed_run_ends_its_dual_trace_with_the_last_round(tmp_path, monkeypatch):
-    # at budget 0.5 the fixture's distributed run stalls after some 10^4 rounds
+    # the cycling fixture's distributed run stalls after some 10^4 rounds
     reports, compare = [], fs.distributed.compare_with_centralized
 
     def spied_compare(*args, **kwargs):
@@ -1315,8 +1360,7 @@ def test_stalled_distributed_run_ends_its_dual_trace_with_the_last_round(tmp_pat
         return reports[-1]
 
     monkeypatch.setattr(fs.distributed, "compare_with_centralized", spied_compare)
-    payload = json.loads(fs.fixture_path("paper_sec4").read_text())
-    config = write_config(tmp_path, dict(payload, total_rate=0.5))
+    config = cycling_fixture(tmp_path)
     assert main(["distributed", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_NOT_CONVERGED
     (report,) = reports
     trace = report.distributed_trace

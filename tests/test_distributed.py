@@ -79,15 +79,18 @@ class TestSolveDistributed:
 
     def test_lambdas_stay_nonnegative_and_final_point_feasible(self, example1):
         costs, region = example1
+        init = np.array([-1.0, 5.0, 0.0])  # entries that are no price start at the node's own cost
         rates, dual, trace = fs.solve_distributed(
-            costs, region, fs.CommGraph.ring(3),
-            max_iters=50_000, eps_r=1e-7,
-            init_lambdas=np.array([-1.0, 5.0, 0.0]),  # projected to >= 0 on entry
+            costs, region, fs.CommGraph.ring(3), max_iters=50_000, eps_r=1e-7, init_lambdas=init,
         )
-        assert np.all(trace.lambda_mins >= 0.0)  # after every iteration, not just the last
-        assert np.all(dual.lambdas >= 0.0)
+        assert np.all(trace.lambda_mins > 0.0)  # after every round, not just the last: exp of the log prices
+        assert np.all(dual.lambdas > 0.0)
         assert region.contains(rates, tol=1e-9)
         assert rates.sum() <= region.total + 1e-6
+        own = np.where(init > 0, init, costs.values(fs.initial_allocation(region)))
+        again = fs.solve_distributed(costs, region, fs.CommGraph.ring(3), max_iters=50_000, eps_r=1e-7,
+                                     init_lambdas=own)
+        assert again[2].residuals.tobytes() == trace.residuals.tobytes()
 
     def test_round_cap_allocates_nothing(self):
         # the trace grows a row per round run: a cap of 10^12 rounds asks for no memory up front
@@ -102,8 +105,9 @@ class TestSolveDistributed:
             assert getattr(capped[2], name).tobytes() == getattr(default[2], name).tobytes(), name
 
     def test_divergence_detector(self, example1):
+        # beta 1e7 scales the log-price step until a price overflows
         costs, region = example1
-        with pytest.raises(fs.NumericalError):
+        with pytest.raises(fs.NumericalError, match="diverged"):
             fs.solve_distributed(
                 costs, region, fs.CommGraph.path(3),
                 alpha=1.0, beta=1e7, max_iters=10_000, eps_r=1e-9,
@@ -114,6 +118,42 @@ class TestSolveDistributed:
         for steps in ({"alpha": 0.0}, {"beta": -1.0}):
             with pytest.raises(ValueError, match="step sizes must be positive"):
                 fs.solve_distributed(costs, region, fs.CommGraph.path(3), **steps)
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\], got 1.5"):
+            fs.solve_distributed(costs, region, fs.CommGraph.path(3), alpha=1.5)
+
+    def test_model_without_an_elasticity_bound_is_refused(self):
+        class Reciprocal(fs.CostModel):  # J_i(r) = 1 / r, no slope bounds
+            n = 2
+
+            def values(self, rates):
+                return 1.0 / np.asarray(rates, dtype=float)
+
+        region = fs.FeasibleRegion(1.0, [0.1, 0.1], [1.0, 1.0])
+        with pytest.raises(ValueError, match="no elasticity bound"):
+            fs.solve_distributed(Reciprocal(), region, fs.CommGraph.path(2))
+
+    @pytest.mark.parametrize("budget", [2.5, 4.0, 9.0])
+    def test_slack_budget_ends_converged_at_the_upper_bounds(self, budget):
+        # sum(ub) = 2 < R: the prices fall forever; the run ends once every rate reaches its upper bound
+        costs = fs.AffineCostModel([2.0, 3.0, 2.5, 2.0], [1.0, 2.0, 1.5, 1.0])
+        region = fs.FeasibleRegion(budget, np.zeros(4), [0.5, 0.2, 0.8, 0.5])
+        for alpha in (1.0, 0.5):
+            rates, dual, trace = fs.solve_distributed(costs, region, fs.CommGraph.ring(4), alpha=alpha, eps_r=1e-300)
+            assert trace.converged and len(trace) < 1000
+            assert rates.tolist() == dual.rates.tolist() == region.upper.tolist()
+
+    def test_fixture_budget_2_converges_within_200_rounds(self, bench_instance):
+        # the old round, r' = clip(r + alpha (J(r) - lam)), took 338 rounds here
+        cfg, region, costs, mask = bench_instance
+        settings = cfg.distributed
+        report = fs.compare_with_centralized(
+            costs, region, fs.CommGraph.from_adjacency(settings.adjacency), unstable_mask=mask,
+            solver_cfg=cfg.solver, alpha=settings.alpha, beta=settings.beta, max_iters=1000, eps_r=settings.eps_r,
+        )
+        assert report.distributed_status == fs.CONVERGED and len(report.distributed_trace) <= 200
+        # the step reads the largest elasticity J / |J'| over the boxes, that of the stable process 4 at rate 0
+        elasticities = costs.elasticity_bounds(mask * cfg.solver.eta)
+        assert elasticities.max() == pytest.approx(1.44, abs=5e-3) and elasticities.argmax() == 4
 
     @pytest.mark.parametrize("graph", ["ring", "path", "star", "complete"])
     def test_fixture_converges_in_hundreds_of_rounds(self, bench_instance, graph):
@@ -155,7 +195,7 @@ def fixture_ring(bench_instance):
     cfg, region, costs, mask = bench_instance
     floored = np.where(mask, np.maximum(cfg.solver.eta, region.lower), region.lower)
     region = fs.FeasibleRegion(region.total, floored, region.upper)
-    kwargs = dict(alpha=0.01, beta=1.0, init_lambdas=np.array([3.0, -2.0, 40.0, -0.5, 7.0]))
+    kwargs = dict(alpha=1.0, beta=1.0, init_lambdas=np.array([3.0, -2.0, 40.0, -0.5, 7.0]))
     return costs, region, fs.CommGraph.from_adjacency(cfg.distributed.adjacency), kwargs
 
 
@@ -172,8 +212,8 @@ class TestFusedRoundMatchesReference:
         for got, want in ((rates, ref_rates), (dual.lambdas, ref_dual.lambdas), (dual.rates, ref_dual.rates),
                           (trace.lambda_mins, ref_trace.lambda_mins)):
             np.testing.assert_allclose(got, want, rtol=1e-12)
-        # residuals and spreads are differences of the O(1)-O(10) multiplier
-        # copies, so the two summation orders leave them a few ulps of those apart
+        # residuals and spreads are differences of the O(1)-O(10) prices, so the two
+        # summation orders and the two inverses leave them a few ulps of those apart
         for got, want in ((trace.residuals, ref_trace.residuals), (trace.lambda_spreads, ref_trace.lambda_spreads)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
         assert trace.status == ref_trace.status
@@ -182,5 +222,5 @@ class TestFusedRoundMatchesReference:
         costs, region = example1
         kwargs = dict(alpha=1.0, beta=1e7, max_iters=10_000, eps_r=1e-9)
         for solve in (fs.solve_distributed, reference_solve_distributed):
-            with pytest.raises(fs.NumericalError):
+            with pytest.raises(fs.NumericalError, match="diverged"):
                 solve(costs, region, fs.CommGraph.path(3), **kwargs)

@@ -22,6 +22,7 @@ from helpers import (
     reference_floors_at,
     reference_lipschitz_bounds,
     reference_no_comm_limit,
+    reference_node,
     reference_prediction_traces,
     reference_rank_failure,
     time_limit,
@@ -65,6 +66,15 @@ class TestFilterSteadyState:
     def test_no_noise_gives_zero(self):
         p = fs.ProcessModel(A=[[0.4, 0.1], [0.0, 0.2]], Q=np.zeros((2, 2)))
         np.testing.assert_allclose(fs.steady_state_filter_cov(p), 0.0, atol=1e-12)
+
+    def test_cancelled_update_raises_and_names_the_process(self):
+        # A = 0.5, C = R = 1: the steady state is 1 - O(1/Q), and from Q = 1e16 the update's difference cancels to 0
+        ps = [fs.ProcessModel(A=[[0.5]], Q=[[1.0]]), fs.ProcessModel(A=[[0.5]], Q=[[1e17]])]
+        with pytest.raises(fs.NumericalError, match="process 0 cancelled to 0 in its measurement update"):
+            fs.steady_state_filter_cov(ps[1])
+        with pytest.raises(fs.NumericalError, match="process 1 cancelled to 0 in its measurement update"):
+            fs.CurveCostModel.from_processes(ps)
+        assert fs.steady_state_filter_cov(fs.ProcessModel(A=[[0.5]], Q=[[1e8]]))[0, 0] > 0.99
 
     def test_fixed_point_residual_and_symmetry(self, bench_config):
         for p in bench_config.processes:
@@ -474,6 +484,55 @@ class TestCurveCostModel:
             inside = (floors > 0) & (floors < 1)
             got = costs.with_floor(floors).values(floors)
             np.testing.assert_allclose(got[inside], level, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rates_at_searches_the_knots_one_level_per_agent(self, seed):
+        processes, _ = mixed_processes(seed)
+        costs = fs.CurveCostModel.from_processes(processes, unstable_floor=0.004)
+        curves = costs.curves
+        knot_costs = np.concatenate([c.cumsums / np.arange(1.0, c.cumsums.size + 1.0) for c in curves])
+        top = min(c.cumsums[-1] / c.cumsums.size for c, s in zip(curves, costs.stable) if not s)
+        rng = np.random.default_rng(seed)
+        levels = [*rng.choice(knot_costs[knot_costs <= top], 20), *rng.uniform(knot_costs.min(), top, 20),
+                  *[c.stable_limit for c in curves if c.stable_limit is not None and c.stable_limit <= top],
+                  knot_costs.min() / 2]
+        for level in levels:
+            # at equal levels, the scalar floors_at bit for bit
+            assert costs.rates_at(np.full(costs.n, level)).tobytes() == costs.floors_at(level)[0].tobytes()
+        for row in rng.choice(levels, (10, costs.n)):
+            want = [reference_floors_at([curve], level)[0] for curve, level in zip(curves, row)]
+            np.testing.assert_allclose(costs.rates_at(row), want, rtol=1e-12)
+        with pytest.raises(ValueError, match=f"expected {costs.n} levels"):
+            costs.rates_at(levels[:3])
+
+    def test_rates_at_past_the_stored_range_reads_below_it(self):
+        # both rows stop short: the unstable one at its floor 0.5, the stable one at its cap for floor 0.3
+        ps = [fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), fs.ProcessModel(A=[[0.9]], Q=[[1.0]])]
+        shallow = fs.CurveCostModel.from_floors(ps, [0.5, 0.3])
+        curves = shallow.curves
+        lowest = np.array([1.0 / c.traces.size for c in curves])  # each row's last knot
+        last = np.array([c.cumsums[-1] / c.cumsums.size for c in curves])
+        limit = curves[1].stable_limit
+        for levels in (last * (1 + 1e-9), [last[0] * 2, (last[1] + limit) / 2], [1e300, limit], [np.inf, np.inf]):
+            rates = shallow.rates_at(levels)
+            assert np.isfinite(rates).all() and (0 <= rates).all() and (rates < lowest).all(), levels
+        assert shallow.rates_at([np.inf, np.inf]).tolist() == [0.0, 0.0]
+        # the deeper model that floors_at continues to reads the level itself
+        level = float(last[0] * 1.5)
+        rates, deep = shallow.floors_at(level)
+        assert deep.rates_at([level, level]).tobytes() == rates.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_elasticity_bounds_equal_the_segment_by_segment_bound(self, seed):
+        processes, floors = mixed_processes(seed)
+        costs = fs.CurveCostModel(fs.CurveCostModel.from_floors(processes, floors).curves)
+        rng = np.random.default_rng(seed)
+        floors = np.array(floors)
+        for lower in (floors, floors + rng.uniform(0, 1, floors.size) * (1 - floors), np.maximum(floors, 0.5)):
+            want = [reference_node(costs, i, lb)[1] for i, lb in enumerate(lower.tolist())]
+            np.testing.assert_allclose(costs.elasticity_bounds(lower), want, rtol=1e-12)
+        with pytest.raises(CostDomainError, match="below the curve's domain floor"):
+            costs.elasticity_bounds(np.where(floors > 0, floors / 2, 0.0))
 
     def test_floors_at_builds_short_curves_to_the_level(self):
         ps = [fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), fs.ProcessModel(A=[[0.9]], Q=[[1.0]])]
