@@ -19,10 +19,12 @@ stacked ``(k, d, d)`` arrays. The stable no-communication limit, the fixed
 point of ``P = A P A' + Q``, is linear in ``P`` and solved exactly; the
 Riccati steady state and the trace sequence are iterated, each process to
 its own stop rule, so a batched curve equals the one built for that process
-alone. The trace recursion checks its stop rules once per window of steps
+alone; the Riccati update ``(I + X- C' R^-1 C)^-1 X-`` has no difference to
+cancel. The trace recursion checks its stop rules once per window of steps
 and drops the steps run past a stop. A Riccati row or a curve's trace
-sequence that runs 10**6 steps raises :class:`NumericalError` (a stable
-spectral radius too close to 1, or an unstable curve's floor too small).
+sequence that runs 10**6 steps raises :class:`NumericalError` (a slow Riccati
+row, a stable spectral radius too close to 1, or an unstable curve's floor
+too small), and so does a stable row whose running sums overflow.
 ``CurveCostModel`` keeps every curve's affine segments in one flat table,
 never changed once built, and evaluates all agents by a gather; a deeper model
 (``with_floor``'s, or the one ``floors_at`` returns) continues each row from
@@ -312,14 +314,9 @@ def _stack(ps, name: str) -> np.ndarray:
 
 # steps a recursion runs between two checks of its stop rules
 _WINDOW = 32
-# a Riccati row converges once its Frobenius change is within _COV_TOL; it, and a curve's
-# trace sequence (stable ones stop at the relative tail cut _TAIL_TOL), run at most _MAX_STEPS steps
+# a Riccati row converges once its largest entry change is within _COV_TOL of its largest entry; it, and a
+# curve's trace sequence (stable ones stop at the relative tail cut _TAIL_TOL), run at most _MAX_STEPS steps
 _COV_TOL, _TAIL_TOL, _MAX_STEPS = 1e-12, 1e-10, 10**6
-# A Riccati row also stops when it repeats one of its last _CYCLE iterates bitwise. Each step is a
-# fixed function of the row, so it then cycles for good: a large covariance (Q ~ 1e6) whose last
-# bits keep moving enters a 2- or 4-cycle within a few steps, and a row that meets _COV_TOL meets it
-# no later than it closes a cycle, so its steady state is unchanged.
-_CYCLE = 4
 
 
 def _transposed(A) -> np.ndarray:
@@ -330,46 +327,41 @@ def _transposed(A) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # a row that overflows is reported by the caller
 def _filter_covs(group) -> np.ndarray:
     """Filter steady states of processes sharing one shape, as a stack; each row stops where it would alone,
-    one that overflows at its first non-finite iterate, which it keeps."""
+    one that overflows (``I + Xp G`` not finite, or singular once rounded) at its first non-finite iterate."""
     A, Q, C, R = (_stack(group, name) for name in ("A", "Q", "C", "R_meas"))
-    At = _transposed(A)
+    At, G, eye = _transposed(A), _mT(C) @ np.linalg.solve(R, C), np.eye(A.shape[1])
     X = np.stack([np.zeros(p.A.shape) if p.Pi0 is None else p.Pi0 for p in group])
     out, rows = np.empty_like(X), np.arange(len(X))
-    recent = np.full((len(X), _CYCLE, *X.shape[1:]), np.nan)  # each row's last _CYCLE iterates, in a ring
-    recent[:, -1] = X
-    for step in range(_MAX_STEPS):
+    for _ in range(_MAX_STEPS):
         Xp = A @ X @ At + Q
-        G = Xp @ _mT(C)
-        M = Xp - G @ np.linalg.solve(C @ Xp @ _mT(C) + R, _mT(G))
+        F = Xp @ G + eye
+        over = ~np.isfinite(F).all(axis=(1, 2))
+        try:
+            M = np.linalg.solve(F, Xp)
+        except np.linalg.LinAlgError:  # its eigenvalues are at least 1, but at a large scale its sums round
+            over |= np.linalg.det(F) == 0
+            M = np.linalg.solve(np.where(over[:, None, None], eye, F), Xp)
+        M[over] = np.nan
         X_new = M + _mT(M)
         X_new *= 0.5
-        done = np.sqrt(((X_new - X) ** 2).sum(axis=(1, 2))) <= _COV_TOL  # a change too large to square is none
-        done |= (recent == X_new[:, None]).all(axis=(2, 3)).any(axis=1)
-        done |= ~np.isfinite(X_new).all(axis=(1, 2))
-        recent[:, step % _CYCLE] = X_new
+        # a non-finite row makes either side NaN or infinite, and stops
+        done = ~(np.abs(X_new - X).max(axis=(1, 2)) > _COV_TOL * np.abs(X_new).max(axis=(1, 2)))
         if done.any():
             out[rows[done]] = X_new[done]
             if done.all():
                 return out
             keep = ~done
-            rows, X_new, recent, A, At, Q, C, R = (x[keep] for x in (rows, X_new, recent, A, At, Q, C, R))
+            rows, X_new, A, At, Q, G = (x[keep] for x in (rows, X_new, A, At, Q, G))
         X = X_new
     raise NumericalError("filter covariance iteration did not converge; the model is ill posed")
 
 
-def _finite_pbars(covs, rows, Q) -> np.ndarray:
-    """``covs``, the filter steady states of the processes numbered ``rows``, whose noise covariances are
-    ``Q``; the first whose iteration overflowed raises :class:`NumericalError`, and then the first whose
-    steady state has a trace of 0 or less while its ``Q`` does not: the update's difference cancelled, as
-    it does where the prediction covariance dwarfs ``R`` some 10**16 times. A ``Q`` of 0 may give 0."""
+def _finite_pbars(covs, rows) -> np.ndarray:
+    """``covs``, the filter steady states of the processes numbered ``rows``; the first whose iteration
+    overflowed raises :class:`NumericalError`."""
     bad = ~np.isfinite(covs).all(axis=(1, 2))
     if bad.any():
         raise NumericalError(f"the filter covariance of process {rows[bad.argmax()]} overflowed; the model is ill posed")
-    with np.errstate(over="ignore"):  # a trace too large for a float is positive
-        cancelled = (_traces(covs) <= 0) & (np.diagonal(Q, axis1=1, axis2=2) > 0).any(axis=1)
-    if cancelled.any():
-        raise NumericalError(f"the filter covariance of process {rows[cancelled.argmax()]} cancelled to 0 in its "
-                             "measurement update (Q is too large against R); the model is ill posed")
     return covs
 
 
@@ -387,12 +379,12 @@ def steady_state_filter_cov(p: ProcessModel) -> np.ndarray:
     """Steady state of the predict-then-update error covariance recursion.
 
     Iterates ``X- = A X A' + Q`` followed by the measurement update
-    ``X = X- - X- C' (C X- C' + R)^-1 C X-`` from ``Pi0`` (zero by default)
-    until the Frobenius change is within 1e-12, for at most 10**6 steps; an iterate that overflows, or a
-    steady state whose update cancelled to a trace of 0 or less while ``Tr(Q) > 0``, raises
-    :class:`NumericalError`. The array is the caller's own.
+    ``X = (I + X- C' R^-1 C)^-1 X-``, which equals ``X- - X- C' (C X- C' + R)^-1 C X-`` with no
+    difference to cancel, from ``Pi0`` (zero by default) until no entry moves by more than 1e-12 times
+    the largest, for at most 10**6 steps; an iterate that overflows raises :class:`NumericalError`. A row
+    that contracts too slowly for that stop runs all the steps and raises too. The array is the caller's own.
     """
-    return _finite_pbars(_filter_covs([p]), [0], p.Q[None])[0]
+    return _finite_pbars(_filter_covs([p]), [0])[0]
 
 
 def no_comm_limit(p: ProcessModel) -> float:
@@ -453,7 +445,7 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
         # Ms[2 + j] holds the covariances of step depth + t0 + j; Ms[0] and Ms[1] the two before it
         Ms = np.zeros((_WINDOW + 2,) + A.shape)
         if starts is None:
-            Ms[2], j0 = _finite_pbars(_filter_covs(members), group, Q), 3
+            Ms[2], j0 = _finite_pbars(_filter_covs(members), group), 3
         else:
             Ms[:2], j0 = np.array([covs[i] for i in group]).swapaxes(0, 1), 2
         steps, t0, block_t0, failures = [], 0, 0, []
@@ -715,6 +707,10 @@ class CurveCostModel(CostModel):
         self._tops = np.where(stable, sizes, sizes - 1)  # one past the last segment, as an index
         self._xi_max = np.where(stable, np.inf, sizes - 2.0)
         self._lo = floors * (1.0 - 1e-9)
+        # a stable row's sums only grow, and its costs read them; an unstable row's last, read by none, may overflow
+        over = np.isinf(cumsums[self._starts + sizes - 1]) & stable
+        if over.any():
+            raise NumericalError(f"the trace sums of process {over.argmax()} overflowed; the model is ill posed")
         return self
 
     @classmethod
@@ -857,21 +853,20 @@ class CurveCostModel(CostModel):
         -0.0 on a stable curve gives its limit, whatever its floor. Rates of
         any shape but ``(n,)`` raise ``ValueError``.
         """
-        r, anchor, slopes = self._segments(rates)
-        return anchor - r * slopes
+        return self._segments(rates)[0]
 
     def values_and_slopes(self, rates) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`values`, with its errors, and the slope magnitude of the segment each value is read on:
         ``-CostCurve.segment_slope`` of it, bit for bit. At a knot that is the steeper segment, left of it;
         at a stable row's rate 0, its affine tail."""
-        r, anchor, slopes = self._segments(rates)
-        return anchor - r * slopes, slopes
+        values, anchor, cumsum, count = self._segments(rates)
+        return values, count * anchor - cumsum
 
     def _segments(self, rates):
-        """``(r, anchor, slope)``: the rates as floats (a stable row's rate 0 as +0.0), and per agent the
-        anchor and slope magnitude of the segment its value is read on. The value ``anchor - r * slope``
-        equals ``anchor + r * (cumsum - (j + 1) * anchor)`` bit for bit: the magnitude is that difference
-        negated, and negation is exact."""
+        """``(values, anchor, cumsum, j + 1)``: per agent its value and the anchor, running sum and ``j + 1`` of
+        the segment ``j`` it is read on (a stable row's rate 0 as +0.0). The value is taken as ``r * cumsum +
+        anchor * (1 - (j + 1) * r)``, not ``anchor - r * slope``, which loses every trace below ``ulp(anchor)``
+        at rate 1: exact there, and on segment 0 ``1 - r`` is exact (Sterbenz) however large the anchor."""
         r = np.asarray(rates, dtype=float)
         if r.shape != (self.n,):
             raise ValueError(f"expected {self.n} rates, got shape {r.shape}")
@@ -894,10 +889,10 @@ class CurveCostModel(CostModel):
                 raise CostDomainError(f"rate {ri} lies below the curve's domain floor {float(self._floors[i])}")
             # as +0.0 past every stored segment, the rate reads the stable limit
             r, xi = np.where(zero, 0.0, r), np.where(zero, np.inf, xi)
-        j = np.minimum(xi, self._last)
-        k = (self._first + j).astype(np.intp)
-        anchor = self._traces.take(k + 1)
-        return r, anchor, (j + 1.0) * anchor - self._cumsums.take(k)
+        count = np.minimum(xi, self._last) + 1.0
+        k = (self._first + count).astype(np.intp)  # the anchor's slot, one past the running sum's
+        anchor, cumsum = self._traces.take(k), self._cumsums.take(k - 1)
+        return r * cumsum + anchor * (1.0 - count * r), anchor, cumsum, count
 
     def slope_bounds(self, lower) -> tuple[np.ndarray, np.ndarray]:
         """Per curve, ``(alpha, beta)``: the smallest and largest slope magnitude over the segments meeting

@@ -22,7 +22,8 @@ from their Binomial(m, b) law. A process thus takes about log(horizon)
 draws, and the cycles' time and memory do not grow with the horizon. The
 cost model raises what it raises for the rates: ``NumericalError`` for a
 sequence that overflows or runs 10**6 steps short of its rate's segment, and
-``CostDomainError`` for a rate past a sequence that stopped for good.
+``CostDomainError`` for a rate past a sequence that stopped for good; an error
+sum past the float maximum raises ``NumericalError`` naming its process.
 Results are deterministic given (inputs, horizon, seed); per-process streams
 in ``simulate_allocation`` are split off a single ``SeedSequence`` (PCG64),
 so they are independent and order-insensitive.
@@ -38,6 +39,7 @@ from .allocation import CostDomainError
 from .sensors import (
     _TAIL_TOL,
     CurveCostModel,
+    NumericalError,
     ProcessModel,
     ThresholdPolicy,
     stable_mask,
@@ -150,10 +152,11 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
     policies = [None if r == 0.0 else threshold_from_rate(r) for r in rates.tolist()]
     costs, totals = _costs_and_sums(ps, rates)
     results = []
-    for cost, total, policy, child in zip(costs, totals, policies, children):
-        if policy is None:
-            err_sum, n_tx = total(horizon), 0
-        else:
-            err_sum, n_tx = _run_cycles(total, policy, horizon, np.random.default_rng(child))
+    for i, (cost, total, policy, child) in enumerate(zip(costs, totals, policies, children)):
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float maximum raises below
+            err_sum, n_tx = ((total(horizon), 0) if policy is None
+                             else _run_cycles(total, policy, horizon, np.random.default_rng(child)))
+        if not np.isfinite(err_sum):
+            raise NumericalError(f"the simulated error sum of process {i} overflowed; the model is ill posed")
         results.append(SimResult(n_tx / horizon, float(err_sum) / horizon, cost, horizon, seed))
     return results

@@ -191,7 +191,8 @@ def _inverse_rate(knots, level: float) -> float:
     if k == costs.size:
         assert rates[-1] == 0.0, f"level {level} lies beyond the curve's domain floor"
         return 0.0
-    return float(rates[k - 1] + (level - costs[k - 1]) * (rates[k] - rates[k - 1]) / (costs[k] - costs[k - 1]))
+    # the share of the segment taken first, so that a level at either knot reads that knot's rate exactly
+    return float(rates[k - 1] + (rates[k] - rates[k - 1]) * ((level - costs[k - 1]) / (costs[k] - costs[k - 1])))
 
 
 def reference_floors_at(curves, level: float) -> np.ndarray:
@@ -268,15 +269,16 @@ def random_feasible_cloud(region: FeasibleRegion, rng, count: int) -> np.ndarray
 
 
 def reference_filter_cov(p, tol: float = 1e-12, max_iters: int = 10**6) -> np.ndarray:
-    """Scalar predict-then-update Riccati iteration from ``Pi0`` (zero by default)."""
+    """Scalar predict-then-update Riccati iteration from ``Pi0`` (zero by default), the update taken as
+    ``(I + Xp C' R^-1 C)^-1 Xp``; it stops once no entry moves by more than ``tol`` times the largest."""
     X = np.zeros((p.dim, p.dim)) if p.Pi0 is None else np.array(p.Pi0)
     A, Q, C, R = p.A, p.Q, p.C, p.R_meas
+    G = C.T @ np.linalg.solve(R, C)
     for _ in range(max_iters):
         Xp = A @ X @ A.T + Q
-        G = Xp @ C.T
-        X_new = Xp - G @ np.linalg.solve(C @ Xp @ C.T + R, G.T)
+        X_new = np.linalg.solve(Xp @ G + np.eye(p.dim), Xp)
         X_new = 0.5 * (X_new + X_new.T)
-        if np.linalg.norm(X_new - X) <= tol:
+        if np.abs(X_new - X).max() <= tol * np.abs(X_new).max():
             return X_new
         X = X_new
     raise NumericalError("filter covariance iteration did not converge")
@@ -341,10 +343,10 @@ def reference_cost_eval(curve: CostCurve, r: float) -> float:
     xi = _reference_xi(min(r, 1.0))
     if xi + 1 < curve.traces.size:
         anchor = curve.traces[xi + 1]
-        return float(anchor + r * (curve.cumsums[xi] - (xi + 1) * anchor))
+        return float(r * curve.cumsums[xi] + anchor * (1.0 - (xi + 1) * r))
     if curve.stable_limit is None:
         raise CostDomainError(f"rate {r} lies below the curve's domain floor {curve.domain_floor}")
-    return float(curve.stable_limit + r * curve.segment_slope(xi))
+    return float(r * curve.cumsums[-1] + curve.stable_limit * (1.0 - curve.traces.size * r))
 
 
 def reference_lipschitz_bounds(curve: CostCurve, lb: float) -> tuple[float, float]:

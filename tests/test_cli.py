@@ -735,23 +735,64 @@ class TestDistributedCommand:
             assert comparison["linf_gap"] <= 1e-2
 
 
-@pytest.mark.parametrize("factor", [1e20, 1e306])
-@pytest.mark.parametrize("command", ["solve", "simulate", "distributed"])
-def test_cancelled_filter_covariance_exits_2_with_one_line(tmp_path, capsys, command, factor):
-    # Q of the stable process 3 scaled by 1e20 cancels its filter covariance to 0: solve and simulate
-    # exited 0 with a cost of 0, and at 1e306 solve, simulate and distributed printed RuntimeWarnings
+def scaled_fixture(tmp_path, factor, r_factor=1.0):
+    """The paper fixture with the stable process 3's ``Q`` scaled by ``factor`` and its ``R`` set to ``r_factor`` I."""
     payload = json.loads(fs.fixture_path("paper_sec4").read_text())
-    payload["processes"][3]["Q"] = [[v * factor for v in row] for row in payload["processes"][3]["Q"]]
-    argv = [command, "--config", str(write_config(tmp_path, payload)), "--out", str(tmp_path / "out")]
+    process = payload["processes"][3]
+    process["Q"] = [[v * factor for v in row] for row in process["Q"]]
+    process["R"] = (r_factor * np.eye(len(process["Q"]))).tolist()
+    return write_config(tmp_path, payload, name=f"q3_{factor}_{r_factor}.json")
+
+
+def run_scaled(tmp_path, capsys, command, config):
+    """``(exit code, stderr)`` of a command on ``config``; simulate reads rates of 0.4."""
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
     if command == "simulate":
         alloc_path = tmp_path / "rates.json"
         alloc_path.write_text(json.dumps({"rates": [0.4] * 5}))
         argv += ["--allocation", str(alloc_path)]
-    assert main(argv) == EXIT_CONFIG_ERROR
+    code = main(argv)
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "Warning" not in err and "Traceback" not in err
-    assert err.endswith("the filter covariance of process 3 cancelled to 0 in its measurement update "
-                        "(Q is too large against R); the model is ill posed\n")
+    assert "Warning" not in err and "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("factor", [1e20, 1e306])
+@pytest.mark.parametrize("command", ["solve", "simulate", "distributed"])
+def test_cancelled_filter_covariance_exits_2_with_one_line(tmp_path, capsys, command, factor):
+    # Q of the stable process 3 scaled by 1e20 cancelled the subtracting update's filter covariance to 0, which
+    # exited 2; the update by the matrix inversion lemma reads Tr(Pbar) = 2 and each command exits 0. At 1e306
+    # the row's running sums overflow: each command exits 2, naming the process, with no RuntimeWarning
+    code, err = run_scaled(tmp_path, capsys, command, scaled_fixture(tmp_path, factor))
+    if factor == 1e20:
+        assert code == EXIT_OK and err == ""
+        if command == "solve":
+            assert json.loads((tmp_path / "out" / "summary.json").read_text())["costs"][3] == 2.0
+    else:
+        assert code == EXIT_CONFIG_ERROR and err.count("\n") == 1
+        assert re.search(r"the (trace|simulated error) sums? of process 3 overflowed; the model is ill posed\n$", err)
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "distributed"])
+def test_stable_sums_that_overflow_exit_2_with_one_line(tmp_path, capsys, command):
+    # R scaled with Q keeps the steady state near 1e306 too: solve exited 0 with RuntimeWarnings, and
+    # distributed exited 3 "diverged"
+    code, err = run_scaled(tmp_path, capsys, command, scaled_fixture(tmp_path, 1e306, 1e306))
+    assert code == EXIT_CONFIG_ERROR and err.count("\n") == 1
+    assert re.search(r"the (trace|simulated error) sums? of process 3 overflowed; the model is ill posed\n$", err)
+
+
+@pytest.mark.parametrize("q, expected", [(1.0, EXIT_OK), (1e10, EXIT_CONFIG_ERROR)])
+@pytest.mark.parametrize("command", ["solve", "distributed"])
+def test_a_precise_sensor(tmp_path, capsys, command, q, expected):
+    # R = 1e-300 I on process 0: the subtracting update cancelled, and exited 2. A Q of 1e10 I against it
+    # makes I + Xp C' R^-1 C overflow, which names the process
+    payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+    payload["processes"][0].update(Q=(q * np.eye(2)).tolist(), R=(1e-300 * np.eye(2)).tolist())
+    code, err = run_scaled(tmp_path, capsys, command, write_config(tmp_path, payload))
+    assert code == expected and err.count("\n") == (expected != EXIT_OK)
+    if expected != EXIT_OK:
+        assert err.endswith("the filter covariance of process 0 overflowed; the model is ill posed\n")
 
 
 def tiny_eta_fixture(tmp_path, total_rate=None, tied=False):
@@ -881,7 +922,7 @@ class TestEntriesNearTheFloatMaximum:
         assert err == (f"cannot solve this configuration: the filter covariance of process {index} overflowed; "
                        "the model is ill posed\n")
 
-    # an R of 1e300 I keeps the filter update from cancelling against a Q of 1e308 I, so the prediction overflows
+    # an R of 1e300 I against a Q of 1e308 I: the filter steady state is finite, and the prediction overflows
     LARGE_R = [[1e300, 0.0], [0.0, 1e300]]
 
     def test_stable_prediction_that_overflows(self, tmp_path, capsys):

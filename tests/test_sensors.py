@@ -3,6 +3,7 @@ import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,13 +69,59 @@ class TestFilterSteadyState:
         np.testing.assert_allclose(fs.steady_state_filter_cov(p), 0.0, atol=1e-12)
 
     def test_cancelled_update_raises_and_names_the_process(self):
-        # A = 0.5, C = R = 1: the steady state is 1 - O(1/Q), and from Q = 1e16 the update's difference cancels to 0
+        # A = 0.5, C = R = 1: the steady state is 1 - O(1/Q). The subtracting update cancelled it to 0 from
+        # Q = 1e16 on, and raised; the update by the matrix inversion lemma has no difference to cancel
         ps = [fs.ProcessModel(A=[[0.5]], Q=[[1.0]]), fs.ProcessModel(A=[[0.5]], Q=[[1e17]])]
-        with pytest.raises(fs.NumericalError, match="process 0 cancelled to 0 in its measurement update"):
-            fs.steady_state_filter_cov(ps[1])
-        with pytest.raises(fs.NumericalError, match="process 1 cancelled to 0 in its measurement update"):
-            fs.CurveCostModel.from_processes(ps)
+        assert fs.steady_state_filter_cov(ps[1])[0, 0] == pytest.approx(1.0, rel=1e-12, abs=0)
+        model = fs.CurveCostModel.from_processes(ps)
+        assert model.values([1.0, 1.0])[1] == pytest.approx(1.0, rel=1e-12, abs=0)
         assert fs.steady_state_filter_cov(fs.ProcessModel(A=[[0.5]], Q=[[1e8]]))[0, 0] > 0.99
+
+    @pytest.mark.parametrize("a", [0.5, 1.2, 30.0])
+    def test_scalar_closed_form_at_every_scale(self, a):
+        # C = R = 1: the prior P solves P^2 + b P - Q = 0, b = 1 - a^2 - Q, and the steady state is
+        # X = 1 / (1/P + 1); the root is taken without cancellation, and the discriminant without overflow.
+        # A stop at a relative change of 1e-12 leaves 1e-12 rho / (1 - rho) of X, rho = a^2 (1 - X)^2 the
+        # map's contraction there: 2.3e-12 at a = 1.2 and a small Q
+        for q in 10.0 ** np.arange(-30, 301, 5):
+            b, q = 1.0 - a * a - q, float(q)
+            root = math.hypot(b, 2.0 * math.sqrt(q))
+            prior = 2.0 * q / (b + root) if b > 0 else (root - b) / 2.0
+            exact = 1.0 / (1.0 / prior + 1.0)
+            rho = a * a * (1.0 - exact) ** 2
+            pbar = fs.steady_state_filter_cov(fs.ProcessModel(A=[[a]], Q=[[q]]))[0, 0]
+            assert pbar == pytest.approx(exact, rel=1e-12 / (1.0 - rho), abs=0), q
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_three_dimensional_rows_at_extreme_scales_end_at_once(self, seed):
+        # A uniform in [-30, 30], Q and R at scales far apart: the subtracting update ran some of these past
+        # 3 s or cancelled them to 0. With C = I the steady state lies below R, and above 0 as Q > 0
+        rng = np.random.default_rng(seed)
+        for q_scale in (1.0, 1e30, 1e100, 1e200):
+            for r_scale in (1e-30, 1.0, 1e100, 1e300):
+                B = rng.normal(size=(3, 3))
+                p = fs.ProcessModel(A=rng.uniform(-30.0, 30.0, (3, 3)), Q=q_scale * (B @ B.T + np.eye(3)),
+                                    R_meas=r_scale * np.eye(3))
+                with time_limit(1, "the Riccati iteration"):
+                    pbar = fs.steady_state_filter_cov(p)
+                assert 0 < np.trace(pbar) <= 3 * r_scale * (1 + 1e-9)
+                assert np.linalg.eigvalsh(r_scale * np.eye(3) - pbar).min() >= -1e-9 * r_scale
+
+    def test_update_that_overflows_names_the_process(self):
+        # G = C' R^-1 C is 1e300, so I + Xp G overflows at the first step
+        ps = [fs.ProcessModel(A=[[0.5]], Q=[[1.0]]), fs.ProcessModel(A=[[0.5]], Q=[[1e10]], R_meas=[[1e-300]])]
+        with pytest.raises(fs.NumericalError, match="^the filter covariance of process 1 overflowed"):
+            fs.CurveCostModel.from_processes(ps)
+
+    def test_a_row_that_rounds_to_a_singular_update_overflows(self):
+        # a rank-one Q of 1e300: I + Xp G rounds to a singular matrix, whose solve fails; the row overflows
+        # and the other row of the batch is left as it would be alone
+        v = np.array([[1.0], [1.0]])
+        ps = [fs.ProcessModel(A=[[0.9, 0.3], [-0.3, 0.9]], Q=np.eye(2)),
+              fs.ProcessModel(A=[[0.9, 0.3], [-0.3, 0.9]], Q=1e300 * (v @ v.T))]
+        with pytest.raises(fs.NumericalError, match="^the filter covariance of process 1 overflowed"):
+            fs.CurveCostModel.from_processes(ps)
+        np.testing.assert_array_equal(sensors._filter_covs(ps)[0], sensors._filter_covs(ps[:1])[0])
 
     def test_fixed_point_residual_and_symmetry(self, bench_config):
         for p in bench_config.processes:
@@ -88,7 +135,8 @@ class TestFilterSteadyState:
 
     @pytest.mark.parametrize("seed, scale", [(0, 1e4), (0, 1e6), (1, 1e6), (2, 1e6), (1, 1e9)])
     def test_large_covariance_stops_on_a_cycle(self, seed, scale):
-        # the last bits of Pbar keep moving, above the 1e-12 Frobenius change, in a 2- or 4-cycle
+        # the last bits of Pbar keep moving above an absolute change of 1e-12, in a 2- or 4-cycle; a
+        # change relative to the iterate stops it
         B = np.random.default_rng(seed).normal(size=(2, 2))
         p = fs.ProcessModel(A=[[0.9, 0.3], [0.0, 0.7]], Q=scale * (B @ B.T + np.eye(2)))
         with time_limit(1, "the Riccati iteration"):
@@ -916,6 +964,49 @@ def probe_rates(curve, rng, count=40):
     return rng.permutation(np.resize(points, count))
 
 
+def exact_cost(curve, r: float) -> Fraction:
+    """A curve's cost at rate ``r``, read on the segment ``values`` reads, in exact arithmetic on its stored
+    traces and running sums."""
+    k = sensors._xi_of(min(r, 1.0)) if r > 0 else math.inf
+    if k + 1 < curve.traces.size:
+        anchor, total, count = curve.traces[k + 1], curve.cumsums[k], k + 1
+    else:  # a stable curve's affine tail
+        anchor, total, count = curve.stable_limit, curve.cumsums[-1], curve.traces.size
+    anchor = Fraction(anchor)
+    return anchor + Fraction(r) * (Fraction(total) - count * anchor)
+
+
+class TestValuesAgainstExactArithmetic:
+    """``values`` lies within 1e-13 of exact arithmetic on the table. Read as ``anchor - r * slope``, a cost
+    near rate 1 lost every trace below ``ulp(anchor)``: 6.5e-6 relative where ``Tr(h(Pbar))`` lies 1e12
+    times above ``Tr(Pbar)``, and 0 in place of 2 at 1e20 times."""
+
+    def check(self, processes, unstable_floor, rates):
+        model = fs.CurveCostModel.from_processes(processes, unstable_floor=unstable_floor)
+        for row in rates(model.curves):
+            got = model.values(row)
+            for curve, r, value in zip(model.curves, row.tolist(), got.tolist()):
+                exact = exact_cost(curve, r)
+                assert abs(Fraction(value) - exact) <= Fraction(1e-13) * abs(exact), (r, value, float(exact))
+
+    @pytest.mark.parametrize("factor", [1e12, 1e20])
+    def test_a_steep_stable_row_near_rate_1(self, bench_config, factor):
+        ps = list(bench_config.processes)
+        p = ps[3]
+        ps[3] = fs.ProcessModel(A=p.A, Q=factor * p.Q, C=p.C, R_meas=p.R_meas)
+        stable = fs.stable_mask([p.A for p in ps])
+        near_one = [1.0, 1.0 - 4e-13, 1.0 - 1e-9, 0.75, 0.5 + 1e-12, 0.5, 0.3, 0.01, 0.0]
+        self.check(ps, 0.005, lambda curves: [np.where(stable, r, max(r, 0.005)) for r in near_one])
+        model = fs.CurveCostModel.from_processes(ps, unstable_floor=0.005)
+        assert model.values(np.ones(len(ps)))[3] == np.trace(fs.steady_state_filter_cov(ps[3]))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_fleets_at_probe_points(self, seed):
+        processes, _ = mixed_processes(seed)
+        rng = np.random.default_rng(seed)
+        self.check(processes, 0.004, lambda curves: np.array([probe_rates(c, rng) for c in curves]).T)
+
+
 @pytest.mark.parametrize("n", [5, 43])
 class TestValuesMatchCostEval:
     def model(self, n):
@@ -1074,8 +1165,9 @@ class TestSubnormalRate:
 
 
 # an unstable row whose covariance grows by 1 a step until it reaches 2**53, where adding 1 leaves it as
-# it is: it repeats from step 41 on, and the repeat rule stops it at step 42, two steps back
-SATURATING = fs.ProcessModel(A=[[1.0]], Q=[[1.0]], R_meas=[[2.0**106]], Pi0=[[2.0**53 - 40]])
+# it is: from its filter steady state 2**53 - 40, one step past Pi0, it repeats from step 41 on, and the
+# repeat rule stops it at step 42, two steps back
+SATURATING = fs.ProcessModel(A=[[1.0]], Q=[[1.0]], R_meas=[[2.0**106]], Pi0=[[2.0**53 - 41]])
 
 
 def assert_same_table(got, want) -> None:
