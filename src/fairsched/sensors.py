@@ -451,8 +451,10 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
         steps, t0, block_t0, failures = [], 0, 0, []
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             while True:
+                AM, M = np.empty_like(A), np.empty_like(A)  # the two products of a step, for the rows left
                 for j in range(j0, _WINDOW + 2):  # Ms[j] = sym(h(Ms[j - 1]))
-                    M = A @ Ms[j - 1] @ At + Q
+                    np.matmul(np.matmul(A, Ms[j - 1], out=AM), At, out=M)
+                    M += Q
                     np.add(M, _mT(M), out=Ms[j])
                     Ms[j] *= 0.5
                 j0 = 2

@@ -24,9 +24,12 @@ cost model raises what it raises for the rates: ``NumericalError`` for a
 sequence that overflows or runs 10**6 steps short of its rate's segment, and
 ``CostDomainError`` for a rate past a sequence that stopped for good; an error
 sum past the float maximum raises ``NumericalError`` naming its process.
-Results are deterministic given (inputs, horizon, seed); per-process streams
-in ``simulate_allocation`` are split off a single ``SeedSequence`` (PCG64),
-so they are independent and order-insensitive.
+Only those draws run process by process; the cycle sums of all processes are
+gathered from the model's flat table at once. Results are deterministic given
+(inputs, horizon, seed); the per-process streams of ``simulate_allocation``
+are those of ``SeedSequence(seed).spawn(n)`` (PCG64), bit for bit, with the
+children's states hashed for all processes in one pass, so they are
+independent and order-insensitive.
 """
 
 from __future__ import annotations
@@ -61,42 +64,68 @@ class SimResult:
     seed: int
 
 
-def _summed(seq: np.ndarray, sums: np.ndarray, limit: float | None = None):
-    """``k -> seq[0] + ... + seq[k - 1]``, read from ``sums``, the running sums of ``seq``. Past its end ``seq``
-    goes on with ``limit`` if its last entry lies at that stable limit's tail (within ``_TAIL_TOL``), else with
-    its last two entries, alternating."""
-    tail = limit is not None and abs(seq[-1] - limit) <= _TAIL_TOL * max(limit, 1e-300)
-
-    def total(k: int) -> float:
-        if k <= seq.size:
-            return sums[k - 1] if k else 0.0
-        m = k - seq.size
-        if tail:
-            return sums[-1] + m * limit
-        return sums[-1] + ((m + 1) // 2) * seq[-2] + (m // 2) * seq[-1]
-
-    return total
+# SeedSequence's hash constants (numpy.random.bit_generator; O'Neill's seed_seq_fe, NEP 19)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-def _costs_and_sums(ps, rates) -> tuple[list, list]:
-    """The cost of each process at its rate and, per process, ``k -> Tr(P)`` summed over its first ``k``
-    steps from its filter steady state, both read from one model of each curve down to its rate."""
-    model = CurveCostModel.from_floors(ps, np.minimum(rates, 1.0))
-    return model.values(rates).tolist(), [_summed(c.traces, c.cumsums, c.stable_limit) for c in model.curves]
+class _Seeded:
+    """Hands ``np.random.PCG64`` the four uint64 words it asks a seed sequence for. It is registered as an
+    ``ISeedSequence`` where first used: importing ``numpy.random`` with this module would cost every command,
+    simulating or not, some 6 MB of resident memory."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
-def _run_cycles(total, policy: ThresholdPolicy, horizon: int, rng) -> tuple[float, int]:
-    """(total error, transmissions) over `horizon` steps of the recursion.
+def _hash_consts(init: int, mult: int, skip: int, count: int) -> np.ndarray:
+    """``init * mult**j mod 2**32`` for ``j = skip .. skip + count``, as uint32."""
+    return np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(skip, skip + count + 1)], dtype=np.uint32)
+
+
+def _spawned_states(seed: int, n: int) -> np.ndarray:
+    """Row ``i``: the four words ``SeedSequence(seed).spawn(n)[i]`` seeds PCG64 with, bit for bit.
+
+    A child's entropy is the root's, padded with zeros to the pool's four words, then its key ``i``. The
+    padding hashes as the root's missing words do, so a child's pool is the root's with ``hashmix(i)`` mixed
+    into each word, the hash constant going on from its last use in the root: 4 + 12 uses, and 4 more per
+    entropy word past the fourth. ``generate_state(4, uint64)`` then hashes the pool, cycled, into 8 words.
+    """
+    root = np.random.SeedSequence(seed)
+    used = 16 + 4 * max(-(-int(root.entropy).bit_length() // 32) - 4, 0)
+    a, b = _hash_consts(_INIT_A, _MULT_A, used, 4), _hash_consts(_INIT_B, _MULT_B, 0, 8)
+    key = np.arange(n, dtype=np.uint32)[:, None]
+    mixed = (key ^ a[:-1]) * a[1:]  # hashmix(i), once per pool word
+    mixed ^= mixed >> 16
+    pool = root.pool * np.uint32(_MIX_L) - mixed * np.uint32(_MIX_R)  # mix(pool word, hashmix(i))
+    pool ^= pool >> 16
+    state = (np.tile(pool, 2) ^ b[:-1]) * b[1:]
+    state ^= state >> 16
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _spawned_rngs(seed: int, n: int) -> list:
+    """``default_rng(SeedSequence(seed).spawn(n)[i])`` for each ``i``, seeded from the states hashed in one pass."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_Seeded)
+    return [np.random.Generator(np.random.PCG64(_Seeded(words))) for words in _spawned_states(seed, n)]
+
+
+def _cycles(policy: ThresholdPolicy, horizon: int, rng) -> tuple[int, int, int]:
+    """(short cycles, long cycles, the steps they take) within `horizon` steps of the recursion.
 
     Starting right after a transmission the age visits 0..xi and the cycle
-    closes there with probability b, else it runs one step longer. A cycle of
-    length L contributes ``total(L)``, the sum of the first L traces, and
-    exactly one transmission, decided at its last step. The cycles are taken
-    in runs of as many as surely fit, even if all of them are long; the short
-    ones among a run's m are Binomial(m, b), one draw. The steps left shrink
-    geometrically, and once fewer than a long cycle remain, one uniform decides
-    whether a last short cycle fits. A cycle cut by the horizon contributes its
-    first entries and no transmission.
+    closes there with probability b, else it runs one step longer. Each
+    cycle ends in exactly one transmission, decided at its last step. The
+    cycles are taken in runs of as many as surely fit, even if all of them are
+    long; the short ones among a run's m are Binomial(m, b), one draw. The
+    steps left shrink geometrically, and once fewer than a long cycle remain,
+    one uniform decides whether a last short cycle fits. The steps after the
+    last cycle are a cycle cut by the horizon, with no transmission.
     """
     xi, b = policy.xi, policy.b
     short_len, long_len = xi + 1, xi + 2
@@ -111,19 +140,68 @@ def _run_cycles(total, policy: ThresholdPolicy, horizon: int, rng) -> tuple[floa
     if done + short_len <= horizon and rng.random() < b:
         n_short += 1
         done += short_len
-    # a cycle longer than the horizon never completes; its count is 0 and its
-    # clamped sum adds exactly 0.0
-    err_sum = n_short * total(min(short_len, horizon)) + n_long * total(min(long_len, horizon)) + total(horizon - done)
-    return float(err_sum), n_short + n_long
+    return n_short, n_long, done
+
+
+def _cycle_sums(model: CurveCostModel, k: np.ndarray) -> np.ndarray:
+    """``k[i, j]`` (uint64) -> the sum of row ``i``'s first ``k[i, j]`` traces, read from its running sums.
+
+    Past its stored end a row goes on with its stable limit if its last entry lies at that limit's tail
+    (within ``_TAIL_TOL``), else with its last two entries, alternating. A count past the end converts to
+    float as Python's ``int * float`` does.
+    """
+    sizes = model._sizes.astype(np.uint64)[:, None]
+    stored = np.minimum(k, sizes)
+    past = k - stored
+    last = model._starts + model._sizes - 1
+    before, trace, limit = model._traces.take(last - 1), model._traces.take(last), model._traces.take(last + 1)
+    total = model._cumsums.take(last)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float maximum is reported by the caller
+        tail = np.abs(trace - limit) <= _TAIL_TOL * np.maximum(limit, 1e-300)  # False where unstable: NaN
+        half = past // 2
+        alternating = (total[:, None] + (past - half).astype(float) * before[:, None]
+                       + half.astype(float) * trace[:, None])
+        continued = np.where(tail[:, None], total[:, None] + past.astype(float) * limit[:, None], alternating)
+        stored_sums = model._cumsums.take(model._starts[:, None] + stored.astype(np.intp) - 1)
+    return np.where(past > 0, continued, np.where(k > 0, stored_sums, 0.0))
+
+
+def _tallied(model: CurveCostModel, policies, horizon: int, rngs) -> tuple[np.ndarray, list[int]]:
+    """Each row's error sum over `horizon` steps, and its transmissions.
+
+    A row's cycles, of a length L each, contribute the sum of its first L traces each; a cycle longer than
+    the horizon never completes, and its count is 0. A policy of None never transmits: the row's error is its
+    trace sum over the whole horizon.
+    """
+    drawn = [(0, 0, 0) if policy is None else _cycles(policy, horizon, rng) for policy, rng in zip(policies, rngs)]
+    steps = np.array([(0, 0, horizon - done) if policy is None else
+                      (min(policy.xi + 1, horizon), min(policy.xi + 2, horizon), horizon - done)
+                      for policy, (_, _, done) in zip(policies, drawn)], dtype=np.uint64).reshape(-1, 3)
+    counts = np.array([cycles[:2] for cycles in drawn], dtype=np.uint64).reshape(-1, 2).astype(float)
+    sums = _cycle_sums(model, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = counts[:, 0] * sums[:, 0] + counts[:, 1] * sums[:, 1] + sums[:, 2]
+    return errors, [n_short + n_long for n_short, n_long, _ in drawn]
+
+
+def _simulated(ps, rates: np.ndarray, policies, horizon: int, rngs, seed) -> list[SimResult]:
+    """Process ``i`` at ``rates[i]`` under ``policies[i]``, drawing from ``rngs[i]``; the trace sequences
+    and the analytical errors come from one cost model, each curve built down to its own rate."""
+    model = CurveCostModel.from_floors(ps, np.minimum(rates, 1.0))
+    costs = model.values(rates).tolist()
+    errors, n_tx = _tallied(model, policies, horizon, rngs)
+    bad = ~np.isfinite(errors)
+    if bad.any():
+        raise NumericalError(f"the simulated error sum of process {bad.argmax()} overflowed; the model is ill posed")
+    return [SimResult(n / horizon, err / horizon, cost, horizon, seed)
+            for n, err, cost in zip(n_tx, errors.tolist(), costs)]
 
 
 def simulate_policy(p: ProcessModel, policy: ThresholdPolicy, horizon: int, seed: int = 0) -> SimResult:
-    """Simulate one sensor under a randomized threshold policy."""
+    """Simulate one sensor under a randomized threshold policy, drawing from ``default_rng(seed)``."""
     if not 1 <= horizon <= _MAX_HORIZON:
         raise ValueError(f"horizon must lie in [1, 2**64 - 1], got {horizon}")
-    (cost,), (total,) = _costs_and_sums([p], [policy.rate])
-    err_sum, n_tx = _run_cycles(total, policy, horizon, np.random.default_rng(seed))
-    return SimResult(n_tx / horizon, float(err_sum) / horizon, cost, horizon, seed)
+    return _simulated([p], np.array([policy.rate]), [policy], horizon, [np.random.default_rng(seed)], seed)[0]
 
 
 def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResult]:
@@ -135,7 +213,8 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
     :class:`CostDomainError` naming it. The trace sequences of all processes
     come from one cost model, each curve built down to its own rate, whose
     ``values(rates)`` are the results' ``analytical_error``; the cycle sums never
-    evaluate its formula.
+    evaluate its formula. Process ``i`` draws from
+    ``default_rng(SeedSequence(seed).spawn(len(ps))[i])``, bit for bit.
     """
     rates = np.asarray(rates, dtype=float)
     if len(ps) != rates.size:
@@ -148,15 +227,6 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
     if refused.size:
         raise CostDomainError(f"process {refused[0]} is unstable and cannot run at rate 0: its error is unbounded")
 
-    children = np.random.SeedSequence(seed).spawn(len(ps))
+    rngs = _spawned_rngs(seed, len(ps))
     policies = [None if r == 0.0 else threshold_from_rate(r) for r in rates.tolist()]
-    costs, totals = _costs_and_sums(ps, rates)
-    results = []
-    for i, (cost, total, policy, child) in enumerate(zip(costs, totals, policies, children)):
-        with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float maximum raises below
-            err_sum, n_tx = ((total(horizon), 0) if policy is None
-                             else _run_cycles(total, policy, horizon, np.random.default_rng(child)))
-        if not np.isfinite(err_sum):
-            raise NumericalError(f"the simulated error sum of process {i} overflowed; the model is ill posed")
-        results.append(SimResult(n_tx / horizon, float(err_sum) / horizon, cost, horizon, seed))
-    return results
+    return _simulated(ps, rates, policies, horizon, rngs, seed)

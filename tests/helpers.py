@@ -9,8 +9,9 @@ agents, against the water-filling level, the cost model's inverse against
 each curve's knots, the batched cost-curve build against
 a scalar one-process-at-a-time recursion, the vectorised
 distributed round against a node-by-node neighbour-list round, the chunked
-Monte Carlo against a step-by-step simulation, the batched rank tests
-against one process at a time, the batched config load against the
+Monte Carlo against a step-by-step simulation, the array-pass Monte Carlo
+against the per-process loop with ``SeedSequence.spawn`` streams it
+replaced, the batched rank tests against one process at a time, the batched config load against the
 per-entry load it replaced, the windowed trace recursion against the
 recursion that checks its stop rules after every step, the streaming
 CSV writer against the per-cell formatting rule it replaced, and the cost
@@ -33,6 +34,8 @@ from fairsched import CostCurve, CostDomainError, FeasibleRegion, NumericalError
 from fairsched.allocation import CONVERGED, MAX_INNER_ITERS, initial_allocation, project_feasible
 from fairsched.config import ConfigError
 from fairsched.distributed import DistributedTrace, DualState, GraphError
+from fairsched.sensors import _TAIL_TOL, CurveCostModel, stable_mask, threshold_from_rate
+from fairsched.simulate import SimResult
 
 
 @contextlib.contextmanager
@@ -683,6 +686,61 @@ def reference_run_cycles(p, pbar, policy, horizon: int, rng) -> tuple[float, int
             P = 0.5 * (P + P.T)
             age += 1
     return err_sum, n_tx
+
+
+def reference_simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list:
+    """``simulate_allocation`` one process at a time, as it ran before its array passes: a
+    ``SeedSequence(seed).spawn`` child and a closure over each curve's running sums per process, and the
+    error summed from Python-int cycle counts. The simulator matches it bit for bit."""
+
+    def summed(seq, sums, limit=None):
+        tail = limit is not None and abs(seq[-1] - limit) <= _TAIL_TOL * max(limit, 1e-300)
+
+        def total(k):
+            if k <= seq.size:
+                return sums[k - 1] if k else 0.0
+            m = k - seq.size
+            if tail:
+                return sums[-1] + m * limit
+            return sums[-1] + ((m + 1) // 2) * seq[-2] + (m // 2) * seq[-1]
+
+        return total
+
+    def run_cycles(total, policy, rng):
+        xi, b = policy.xi, policy.b
+        short_len, long_len = xi + 1, xi + 2
+        n_short = n_long = 0
+        done = 0
+        while m := (horizon - done) // long_len:
+            k_short = int(rng.binomial(m, b))
+            n_short += k_short
+            n_long += m - k_short
+            done += m * long_len - k_short
+        if done + short_len <= horizon and rng.random() < b:
+            n_short += 1
+            done += short_len
+        err_sum = (n_short * total(min(short_len, horizon)) + n_long * total(min(long_len, horizon))
+                   + total(horizon - done))
+        return float(err_sum), n_short + n_long
+
+    rates = np.asarray(rates, dtype=float)
+    idle = np.flatnonzero(rates == 0.0)
+    refused = idle[~stable_mask([ps[i].A for i in idle.tolist()])]
+    if refused.size:
+        raise CostDomainError(f"process {refused[0]} is unstable and cannot run at rate 0: its error is unbounded")
+    children = np.random.SeedSequence(seed).spawn(len(ps))
+    policies = [None if r == 0.0 else threshold_from_rate(r) for r in rates.tolist()]
+    model = CurveCostModel.from_floors(ps, np.minimum(rates, 1.0))
+    costs, totals = model.values(rates).tolist(), [summed(c.traces, c.cumsums, c.stable_limit) for c in model.curves]
+    results = []
+    for i, (cost, total, policy, child) in enumerate(zip(costs, totals, policies, children)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            err_sum, n_tx = ((total(horizon), 0) if policy is None
+                             else run_cycles(total, policy, np.random.default_rng(child)))
+        if not np.isfinite(err_sum):
+            raise NumericalError(f"the simulated error sum of process {i} overflowed; the model is ill posed")
+        results.append(SimResult(n_tx / horizon, float(err_sum) / horizon, cost, horizon, seed))
+    return results
 
 
 def reference_trace_table(p, pbar, upto: int, lag: int = 1) -> tuple[np.ndarray, int | None]:

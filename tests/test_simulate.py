@@ -1,5 +1,13 @@
+import importlib.util
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +17,13 @@ from fairsched import simulate
 from fairsched.allocation import CostDomainError
 from fairsched.sensors import prediction_traces
 
-from helpers import reference_run_cycles, reference_trace_sum, reference_trace_table, time_limit
+from helpers import (
+    reference_run_cycles,
+    reference_simulate_allocation,
+    reference_trace_sum,
+    reference_trace_table,
+    time_limit,
+)
 
 # process 33 of the seed-7 perfbench fleet: its covariance settles into a
 # last-bit 2-cycle and never repeats with period 1
@@ -137,15 +151,14 @@ def test_trace_table_stops_at_a_two_cycle():
 
 
 def test_sums_past_the_stored_sequence_alternate_its_last_two_entries():
-    seq = np.array([1.0, 2.0, 4.0])
-    total = simulate._summed(seq, np.cumsum(seq))
+    # three rows of one table holding the same sequence: no limit, a stable limit that the last entry has not
+    # reached, which changes nothing, and one it has reached, which goes on
+    seq, limits = np.array([1.0, 2.0, 4.0]), [None, 4.0 * (1.0 + 1e-9), 4.0 * (1.0 + 1e-11)]
+    model = fs.CurveCostModel([fs.CostCurve(seq, np.cumsum(seq), limit, 0.0) for limit in limits])
+    sums = simulate._cycle_sums(model, np.tile(np.arange(9, dtype=np.uint64), (3, 1))).tolist()
     continued = [1.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0]
-    assert [total(k) for k in range(9)] == [sum(continued[:k]) for k in range(9)]
-    # a stable limit that the last entry has not reached changes nothing; one it has reached goes on
-    short = simulate._summed(seq, np.cumsum(seq), 4.0 * (1.0 + 1e-9))
-    assert [short(k) for k in range(9)] == [sum(continued[:k]) for k in range(9)]
-    tail = simulate._summed(seq, np.cumsum(seq), 4.0 * (1.0 + 1e-11))
-    assert [tail(k) for k in range(9)] == [7.0 + (k - 3) * 4.0 * (1.0 + 1e-11) if k > 3 else sum(continued[:k]) for k in range(9)]
+    assert sums[0] == sums[1] == [sum(continued[:k]) for k in range(9)]
+    assert sums[2] == [7.0 + (k - 3) * limits[2] if k > 3 else sum(continued[:k]) for k in range(9)]
 
 
 def test_running_sums_the_simulator_reads_are_the_cumsum_of_its_traces(bench_config):
@@ -204,6 +217,12 @@ def test_invalid_horizon():
             fs.simulate_allocation([p], [1.0], horizon=horizon, seed=0)
 
 
+def tallied(p, policy, horizon, rng) -> tuple[float, int]:
+    """(error sum, transmissions) of one process, its cycles drawn from ``rng``."""
+    errors, n_tx = simulate._tallied(fs.CurveCostModel.from_floors([p], [policy.rate]), [policy], horizon, [rng])
+    return float(errors[0]), n_tx[0]
+
+
 class SpyGenerator:
     """A ``Generator`` that records its draws: each ``binomial`` as (trials, successes), each ``random`` as its uniform."""
 
@@ -246,9 +265,8 @@ class TestChunkedCyclesMatchReference:
         # at b in {0, 1} every stream gives the same cycles, so the step-by-step run takes the seeded one;
         # otherwise it replays the cycles counted, which checks the error and the last cycle, not the law
         pbar = fs.steady_state_filter_cov(self.PROCESS)
-        (total,) = simulate._costs_and_sums([self.PROCESS], [policy.rate])[1]
         spy = SpyGenerator(seed)
-        err, n_tx = simulate._run_cycles(total, policy, horizon, spy)
+        err, n_tx = tallied(self.PROCESS, policy, horizon, spy)
         if policy.b in (0.0, 1.0):
             # numpy's binomial is exact there, so the counts, and the error's bits, are those of a uniform per cycle
             assert all(d[1] == d[0] * policy.b for d in spy.draws if isinstance(d, tuple))
@@ -317,16 +335,17 @@ def test_cycle_counts_follow_their_exact_law(run, xi, b, horizon):
                 n_short + n_long): (n_short, n_long) for n_short, n_long in law}
     assert len(outcome) == len(law)
     seeds = 20_000 if run == "counted" else 2_000
-    ages = np.arange(xi + 2.0)
-    policy, total = fs.ThresholdPolicy(xi, b), simulate._summed(ages, np.cumsum(ages))
+    policy = fs.ThresholdPolicy(xi, b)
     counts = dict.fromkeys(law, 0)
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
         if run == "counted":
-            got = simulate._run_cycles(total, policy, horizon, rng)
+            n_short, n_long, done = simulate._cycles(policy, horizon, rng)
+            assert done == n_short * (xi + 1) + n_long * (xi + 2)
+            cell = n_short, n_long
         else:
-            got = reference_run_cycles(AGES, AGES_PBAR, policy, horizon, rng)
-        counts[outcome[got]] += 1  # a KeyError is an outcome the law rules out
+            cell = outcome[reference_run_cycles(AGES, AGES_PBAR, policy, horizon, rng)]
+        counts[cell] += 1  # a KeyError is an outcome the law rules out
     for cell, p in law.items():
         assert abs(counts[cell] - seeds * p) <= 4.0 * math.sqrt(seeds * p * (1.0 - p)), (cell, counts[cell], seeds * p)
 
@@ -338,11 +357,10 @@ class TestBoundedMemory:
     def test_draws_at_a_long_horizon(self, xi, b):
         # each run of cycles leaves a share of the steps it started from; at (0, 1) a half, ~27 runs at 10^8
         p, policy, horizon = TestChunkedCyclesMatchReference.PROCESS, fs.ThresholdPolicy(xi, b), 10**8
-        (total,) = simulate._costs_and_sums([p], [policy.rate])[1]
         spy = SpyGenerator(5)
-        got = simulate._run_cycles(total, policy, horizon, spy)
+        got = tallied(p, policy, horizon, spy)
         assert len(spy.draws) <= 64
-        assert got == simulate._run_cycles(total, policy, horizon, np.random.default_rng(5))
+        assert got == tallied(p, policy, horizon, np.random.default_rng(5))
 
     def test_horizon_of_a_trillion_steps(self, bench_config):
         p, policy = bench_config.processes[1], fs.threshold_from_rate(0.37)
@@ -368,3 +386,95 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         assert res.empirical_rate == pytest.approx(0.37, rel=1e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**40])
+@pytest.mark.parametrize("n", [1, 2, 5, 1000])
+def test_hashed_states_are_those_of_spawn(seed, n):
+    # one to five entropy words: a seed past four words mixes its fifth in before the key
+    children = np.random.SeedSequence(seed).spawn(n)
+    states = simulate._spawned_states(seed, n)
+    assert states.dtype == np.uint64
+    assert states.tobytes() == np.array([c.generate_state(4, np.uint64) for c in children]).tobytes()
+    for rng, child in zip(simulate._spawned_rngs(seed, n), children):
+        want = np.random.default_rng(child)
+        assert (rng.random(), rng.binomial(10**12, 0.3)) == (want.random(), want.binomial(10**12, 0.3))
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy.random costs some 6 MB of resident memory, which commands that never simulate should not pay
+    code = "import sys, fairsched; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(fs.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_negative_seed_fails_as_seed_sequence_does():
+    with pytest.raises(ValueError) as want:
+        np.random.SeedSequence(-1)
+    message = f"^{re.escape(str(want.value))}$"
+    with pytest.raises(ValueError, match=message):
+        simulate._spawned_states(-1, 3)
+    with pytest.raises(ValueError, match=message):
+        fs.simulate_allocation([fs.ProcessModel(A=[[0.5]], Q=[[1.0]])], [0.5], horizon=10, seed=-1)
+
+
+def assert_as_reference(ps, rates, horizon, seed):
+    got = fs.simulate_allocation(ps, rates, horizon, seed)
+    want = reference_simulate_allocation(ps, rates, horizon, seed)
+    assert got == want
+
+    def bits(results):
+        return np.array([(r.empirical_rate, r.empirical_avg_error, r.analytical_error) for r in results]).tobytes()
+
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 5, 10**5, 10**12, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 4])
+def test_fixture_simulates_as_the_per_process_loop(bench_config, horizon, seed):
+    # a stable row at rate 0 and a rate past 1 by 1e-13; horizons 1 to 3 are shorter than a cycle at 0.21
+    assert_as_reference(bench_config.processes, [0.45, 0.21, 1.0 + 1e-13, 0.0, 0.3], horizon, seed)
+
+
+def seeded_fleet(n: int, seed: int) -> list:
+    """The processes of ``perfbench/fleet.py``'s fleet of ``n`` sensors for ``seed``."""
+    spec = importlib.util.spec_from_file_location("fleet", Path(__file__).parents[1] / "perfbench" / "fleet.py")
+    fleet = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fleet)
+    solver = json.loads(fs.fixture_path("paper_sec4").read_text())["solver"]
+    return [fs.ProcessModel(A=e["A"], Q=e["Q"]) for e in fleet.fleet_config(n, seed, solver, 10)["processes"]]
+
+
+@pytest.mark.parametrize("fleet_seed", [3, 11])
+def test_seeded_fleets_simulate_as_the_per_process_loop(fleet_seed):
+    ps = seeded_fleet(200, fleet_seed)
+    rng = np.random.default_rng(fleet_seed)
+    stable = fs.stable_mask([p.A for p in ps])
+    rates = np.where(stable, rng.uniform(0.0, 1.0, len(ps)), rng.uniform(0.05, 1.0, len(ps)))
+    rates[np.flatnonzero(stable)[:10]] = 0.0
+    rates[np.flatnonzero(~stable)[0]] = 1.0 + 1e-13
+    for horizon in (4, 10**5, 2**64 - 1):
+        assert_as_reference(ps, rates, horizon, fleet_seed)
+
+
+@pytest.mark.parametrize("horizon", [10**6, 10**12, 2**64 - 1])
+def test_sums_past_a_two_cycle_as_the_per_process_loop(horizon):
+    # PERIOD_TWO's table ends at step 33: at rate 0 and at 1e-9 the sums read far past it, alternating
+    assert_as_reference([PERIOD_TWO] * 3, [0.0, 1e-9, 0.5], horizon, 9)
+
+
+def test_empty_allocation():
+    assert fs.simulate_allocation([], [], horizon=10, seed=0) == reference_simulate_allocation([], [], 10, 0) == []
+
+
+def test_error_sum_overflow_raises_in_both_entry_points():
+    # Tr(Pbar) ~ 1e306: the curve's own sums fit, but 10^6 steps of error do not
+    p, ok = fs.ProcessModel(A=[[0.5]], Q=[[1e306]]), fs.ProcessModel(A=[[0.5]], Q=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = "^the simulated error sum of process 0 overflowed; the model is ill posed$"
+        with pytest.raises(fs.NumericalError, match=message):
+            fs.simulate_policy(p, fs.threshold_from_rate(0.5), horizon=10**6)
+        for run in (fs.simulate_allocation, reference_simulate_allocation):
+            with pytest.raises(fs.NumericalError, match="^the simulated error sum of process 1 overflowed"):
+                run([ok, p, p], [0.3, 0.5, 0.5], 10**6, 0)
