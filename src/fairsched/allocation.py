@@ -519,6 +519,8 @@ class EquilibriumReport:
     not trigger the check.
     ``equal_costs_ok``: with every agent active, all costs must agree.
     Both checks are vacuously true when their premise does not hold.
+    ``fixed_point_residual``: ``||P(r + s J(r)) - r||`` at the probe step
+    ``s = max(ub - lb) / max J``, not at any solver's step size.
     """
 
     game_value: float
@@ -537,10 +539,11 @@ def check_equilibrium(
     rates,
     costs: CostModel,
     region: FeasibleRegion,
-    eps_probe: float = 1e-3,
     active_tol: float = 1e-6,
 ) -> EquilibriumReport:
-    """Probe whether ``rates`` is a fixed point and report equilibrium structure."""
+    """Probe whether ``rates`` is a fixed point of ``P(r + s J)``, the same for every ``s > 0``, and report
+    equilibrium structure. ``s = max(ub - lb) / max J``, :func:`solve_inner`'s guard bound, keeps the raw
+    move within the widest box; a box of width 0 has residual 0."""
     rates = np.asarray(rates, dtype=float)
     values = costs.values(rates)
     vmax = float(values.max())
@@ -548,7 +551,8 @@ def check_equilibrium(
     top = values >= vmax - active_tol * scale
     active = np.flatnonzero(top)
 
-    residual = float(np.linalg.norm(step_map(rates, eps_probe, costs, region) - rates))
+    width = float((region.upper - region.lower).max())
+    residual = float(np.linalg.norm(step_map(rates, width / vmax, costs, region) - rates)) if width > 0 else 0.0
 
     if active.size < region.n:
         below = np.setdiff1d(np.arange(region.n), active)

@@ -114,9 +114,7 @@ def _write_solve_report(out_dir: Path, rates, trace, region, mask) -> None:
 
     # widen the cost-equality window to what the solve actually resolved
     active_tol = max(1e-6, 100.0 * trace.final_residual) if trace.converged else 1e-3
-    report = alloc.check_equilibrium(
-        rates, costs, region, eps_probe=trace.step_sizes[-1], active_tol=active_tol
-    )
+    report = alloc.check_equilibrium(rates, costs, region, active_tol=active_tol)
     try:
         alphas, betas = costs.slope_bounds(trace.lower)
         bounds = {"alpha": alphas.tolist(), "beta": betas.tolist()}

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -71,83 +71,80 @@ class DivergenceError(NumericalError):
 
 @dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Undirected connected graph over ``n`` nodes, no self-loops."""
+    """Undirected connected graph over ``n`` nodes, no self-loops, held as one edge array.
+
+    Any iterable of node pairs is normalised to ``edges``: a read-only ``(m, 2)`` integer array with
+    ``i < j`` in each row, sorted, without duplicates.
+    """
 
     n: int
-    edges: frozenset
+    edges: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise GraphError("graph needs at least one node")
-        norm = set()
-        for e in self.edges:
-            i, j = e
-            if i == j:
-                raise GraphError(f"self-loop at node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise GraphError(f"edge {e} references a node outside 0..{self.n - 1}")
-            norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(norm))
-        if not self._connected():
+        pairs = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        pairs = np.array(pairs).reshape(len(pairs), 2)  # Python ints past int64 stay objects, refused below
+        if pairs.size and pairs.dtype.kind not in "iuO":
+            raise GraphError(f"node indices must be integers, got {pairs.dtype} pairs")
+        lo, hi = np.sort(pairs, axis=1).T
+        if (lo == hi).any():
+            raise GraphError(f"self-loop at node {lo[lo == hi][0]}")
+        outside = (lo < 0) | (hi >= n)
+        if outside.any():
+            raise GraphError(f"edge {tuple(pairs[outside][0].tolist())} references a node outside 0..{n - 1}")
+        key = np.unique((lo * n + hi).astype(np.int64))  # sorted and deduplicated in one pass over scalars
+        edges = np.column_stack((key // n, key % n))
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        # connectivity by min-label propagation: each edge hooks the larger of its ends' labels to the
+        # smaller, then every node jumps to its label's label, until every edge's ends agree
+        i, j = edges.T
+        label = np.arange(n)
+        while (label[i] != label[j]).any():
+            a, b = label[i], label[j]
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            label = label[label]
+        if label.any():  # each component settles on its smallest node's label
             raise GraphError("graph is disconnected; consensus is unattainable")
 
-    def _connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        adj = self.neighbor_lists()
-        while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return len(seen) == self.n
-
-    def neighbor_lists(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return [sorted(a) for a in adj]
-
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.neighbor_lists()])
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     @classmethod
     def from_adjacency(cls, adjacency) -> "CommGraph":
-        n = len(adjacency)
-        edges = {(i, int(j)) for i, neigh in enumerate(adjacency) for j in neigh}
-        return cls(n, frozenset(edges))
+        heads = np.repeat(np.arange(len(adjacency)), [len(neigh) for neigh in adjacency])
+        tails = np.array(list(chain.from_iterable(adjacency)))
+        return cls(len(adjacency), np.column_stack((heads, tails)))
 
     @classmethod
     def ring(cls, n: int) -> "CommGraph":
-        if n == 1:
-            return cls(1, frozenset())
-        if n == 2:
-            return cls.path(2)
-        return cls(n, frozenset((i, (i + 1) % n) for i in range(n)))
+        # below three nodes the closing edge would repeat an edge or loop on node 0: that ring is the path
+        i = np.arange(n if n > 2 else n - 1)
+        return cls(n, np.column_stack((i, (i + 1) % n)))
 
     @classmethod
     def path(cls, n: int) -> "CommGraph":
-        return cls(n, frozenset((i, i + 1) for i in range(n - 1)))
+        return cls(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
 
     @classmethod
     def complete(cls, n: int) -> "CommGraph":
-        return cls(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+        return cls(n, np.column_stack(np.triu_indices(n, 1)))
 
     @classmethod
     def star(cls, n: int) -> "CommGraph":
-        return cls(n, frozenset((0, i) for i in range(1, n)))
+        leaves = np.arange(1, n)
+        return cls(n, np.column_stack((np.zeros_like(leaves), leaves)))
 
 
 def metropolis_matrix(g: CommGraph) -> np.ndarray:
-    """Symmetric doubly stochastic averaging weights: ``1/(1 + max(deg_i, deg_j))`` per edge."""
+    """Symmetric doubly stochastic averaging weights (Xiao & Boyd, *Systems & Control Letters* 53, 2004):
+    ``1/(1 + max(deg_i, deg_j))`` per edge, filled from ``g.edges``, and the rest of each row on its diagonal."""
     W = np.zeros((g.n, g.n))
     deg = g.degrees()
-    for i, j in g.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = w
-        W[j, i] = w
+    i, j = g.edges.T
+    W[i, j] = W[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return W
 

@@ -402,6 +402,48 @@ def reference_node(costs, i, lb: float):
     return inverse, bound
 
 
+def reference_neighbor_lists(graph) -> list[list[int]]:
+    """Each node's sorted neighbours, read pair by pair off ``graph.edges``."""
+    neighbors = [[] for _ in range(graph.n)]
+    for i, j in graph.edges.tolist():
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    return [sorted(a) for a in neighbors]
+
+
+def reference_metropolis_weights(graph) -> list[dict]:
+    """Node by node: node ``i`` weighs neighbour ``j`` by ``1 / (1 + max(deg_i, deg_j))`` and itself by what
+    is left of 1. What is left is summed as numpy sums a row of ``n`` entries, zeros included: from 9 nodes
+    up, numpy's pairwise sum and a left-to-right one can part in the last bit."""
+    neighbors = reference_neighbor_lists(graph)
+    weights = []
+    for i in range(graph.n):
+        row = {j: 1.0 / (1 + max(len(neighbors[i]), len(neighbors[j]))) for j in neighbors[i]}
+        dense = np.zeros(graph.n)
+        dense[list(row)] = list(row.values())
+        row[i] = 1.0 - dense.sum()
+        weights.append(row)
+    return weights
+
+
+def reference_metropolis_matrix(graph) -> np.ndarray:
+    """The node-by-node Metropolis weights, written into a dense matrix."""
+    W = np.zeros((graph.n, graph.n))
+    for i, row in enumerate(reference_metropolis_weights(graph)):
+        for j, w in row.items():
+            W[i, j] = w
+    return W
+
+
+def reference_connected(graph) -> bool:
+    """Breadth-first search from node 0 over the neighbour lists."""
+    neighbors = reference_neighbor_lists(graph)
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [j for i in frontier for j in neighbors[i] if j not in seen and not seen.add(j)]
+    return len(seen) == graph.n
+
+
 def reference_solve_distributed(
     costs,
     region: FeasibleRegion,
@@ -423,12 +465,7 @@ def reference_solve_distributed(
     if graph.n != region.n:
         raise GraphError(f"graph has {graph.n} nodes but the region has {region.n} agents")
     n = region.n
-    neighbors = graph.neighbor_lists()
-    weights = []
-    for i in range(n):
-        row = {j: 1.0 / (1 + max(len(neighbors[i]), len(neighbors[j]))) for j in neighbors[i]}
-        row[i] = 1.0 - sum(row.values())
-        weights.append(row)
+    weights = reference_metropolis_weights(graph)
 
     def mix(values, i):
         return sum(w * values[j] for j, w in sorted(weights[i].items()))
@@ -436,10 +473,7 @@ def reference_solve_distributed(
     lb, ub = region.lower.tolist(), region.upper.tolist()
     costs = costs.with_floor(region.lower)
     nodes = [reference_node(costs, i, lb[i]) for i in range(n)]
-    W = np.zeros((n, n))
-    for i, row in enumerate(weights):
-        for j, w in row.items():
-            W[i, j] = w
+    W = reference_metropolis_matrix(graph)
     step = beta * (2.0 - alpha) * (1.0 + np.linalg.eigvalsh(W)[0]) ** 2 / (4.0 * alpha * max(e for _, e in nodes))
 
     def exp(m):

@@ -191,10 +191,12 @@ def test_random_scalar_fleet_reaches_the_water_filling_level(seed):
         assert costs.values(rates).max() == pytest.approx(level, rel=1e-2)
 
 
-def test_fixture_converges_at_every_budget_of_the_sweep(bench_instance):
+def test_fixture_converges_at_every_budget_of_the_sweep(bench_instance, monkeypatch):
     # 0.02 to 4.86 in steps of 0.04; under eta-guessed floors 0.22, 0.26 and 0.30 ran to the iteration cap,
     # and the paper's step stopped as far as 1.1e-3 (R = 0.02) above the level
     cfg, _, costs, mask = bench_instance
+    papers_steps, solve_inner = [], fs.allocation.solve_inner
+    monkeypatch.setattr(fs.allocation, "solve_inner", lambda *args: papers_steps.append(args) or solve_inner(*args))
     for k in range(122):
         total = round(0.02 + 0.04 * k, 2)
         region = fs.FeasibleRegion(total, np.zeros(5), np.ones(5))
@@ -204,6 +206,7 @@ def test_fixture_converges_at_every_budget_of_the_sweep(bench_instance):
         assert region.contains(rates, tol=1e-9), total
         floored = costs.with_floor(trace.lower)
         assert floored.values(rates).max() == pytest.approx(solve_level(floored, region), rel=1e-12), total
+    assert papers_steps == []  # the slope-scaled step solved every budget, with no fallback
 
 
 def test_fair_rate_below_eta_converges():
@@ -519,7 +522,7 @@ def test_check_equilibrium_flags_perturbed_point(example1):
     cfg = fs.SolverConfig()
     r, _ = fs.solve_inner(fs.initial_allocation(region), costs, region, cfg)
     bumped = fs.project_feasible(r + np.array([0.0, 0.05, 0.0]), region)
-    report = fs.check_equilibrium(bumped, costs, region, eps_probe=0.05)
+    report = fs.check_equilibrium(bumped, costs, region)
     assert report.fixed_point_residual > cfg.eps_r
 
 
@@ -532,7 +535,7 @@ def test_perturbed_point_reprojection_matches_grid_oracle():
     bumped_raw = r + np.array([0.0, 0.05])
     bumped = fs.project_feasible(bumped_raw, region)
     assert np.linalg.norm(bumped - grid_project(bumped_raw, region, 1e-3)) <= 2e-3
-    report = fs.check_equilibrium(bumped, costs, region, eps_probe=0.05)
+    report = fs.check_equilibrium(bumped, costs, region)
     assert report.fixed_point_residual > cfg.eps_r
 
 

@@ -702,6 +702,18 @@ class TestDistributedCommand:
         path = write_config(tmp_path, payload)
         assert main(["distributed", "--config", str(path), "--out", str(tmp_path / "dg")]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("node", [2, -1, 10**30])
+    def test_node_outside_the_graph_is_one_line_graph_error(self, tmp_path, capsys, node):
+        # an index past int64 is refused like any other, not by an overflow in the conversion
+        payload = {
+            "total_rate": 1.0,
+            "processes": [{"A": [[0.5]], "Q": [[1.0]]}, {"A": [[0.7]], "Q": [[0.8]]}],
+            "distributed": {"graph": [[1], [0, node]]},
+        }
+        path = write_config(tmp_path, payload)
+        assert main(["distributed", "--config", str(path), "--out", str(tmp_path / "dg")]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"graph error: edge (1, {node}) references a node outside 0..1\n"
+
     def test_diverging_iterate_exits_3_with_one_line(self, tmp_path, capsys):
         # beta 1e7 scales the log-price step so far that a price overflows within a few rounds; only a
         # curve overflow in the centralized solve, also a NumericalError, is a configuration error
@@ -951,6 +963,19 @@ class TestEntriesNearTheFloatMaximum:
                  EXIT_OK)
         assert json.loads((out / "summary.json").read_text())["status"] == "converged"
 
+    def test_first_step_size_on_a_slack_budget(self, tmp_path, capsys):
+        # the budget is slack, so the solve stops after one step with the schedule still at eps0; the
+        # equilibrium probe once stepped eps0 * J from it, which overflowed into a ValueError
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        payload["total_rate"] = 10.0
+        payload["solver"]["eps0"] = 1e308
+        payload["processes"][3]["R"] = (10.0 * np.eye(2)).tolist()
+        out = tmp_path / "out"
+        self.run(capsys, ["solve", "--config", str(write_config(tmp_path, payload)), "--out", str(out)], EXIT_OK)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "converged" and summary["final_step_size"] == 1e308
+        assert summary["allocation"] == [1.0] * 5 and summary["fixed_point_residual"] == 0.0
+
     def test_powers_of_a_that_overflow(self, tmp_path):
         # A^2 overflows: the rank tests refuse the entry before any SVD runs. In a separate process, as
         # LAPACK writes its complaints about non-finite input to the process's own stderr
@@ -1007,6 +1032,34 @@ class TestValidateCommand:
         path = write_config(tmp_path, {"total_rate": 1.0, "processes": [entry]})
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == f"config error: processes[0]: {reason}\n"
+
+
+def spy_papers_step(monkeypatch) -> list:
+    """Record every call of the paper's step, ``allocation.solve_inner``, and still run it."""
+    calls, solve_inner = [], fs.allocation.solve_inner
+
+    def spied(*args):
+        calls.append(args)
+        return solve_inner(*args)
+
+    monkeypatch.setattr(fs.allocation, "solve_inner", spied)
+    return calls
+
+
+@pytest.mark.parametrize("which, commands", [
+    ("fixture", ("solve", "distributed")),
+    ("R of 1e308 I", ("solve",)),  # the CI's r_1e308 case
+])
+def test_no_command_takes_the_papers_step(tmp_path, monkeypatch, which, commands):
+    # the slope-scaled step solves these; the paper's step is the fallback for a model without usable slopes
+    payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+    if which != "fixture":
+        payload["processes"][0]["R"] = [[1e308, 0.0], [0.0, 1e308]]
+    path = str(write_config(tmp_path, payload))
+    calls = spy_papers_step(monkeypatch)
+    for command in commands:
+        assert main([command, "--config", path, "--out", str(tmp_path / command)]) == EXIT_OK
+    assert calls == []
 
 
 def fixture_with(tmp_path, section, key, value):
@@ -1283,8 +1336,10 @@ class TestTraceOutputMemory:
             return solved[-1]
 
         monkeypatch.setattr(fs.allocation, "solve_maxmin", spied_solve)
+        papers_steps = spy_papers_step(monkeypatch)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(seed7_fleet(tmp_path)), "--out", str(out)]) == EXIT_OK
+        assert papers_steps == []  # the slope-scaled step solved all 1000 agents
         ((rates, trace),) = solved
         assert trace.iterations.tolist() == list(range(len(trace)))
         assert trace.rates.shape == trace.costs.shape == (len(trace), rates.size)

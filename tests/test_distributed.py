@@ -1,28 +1,109 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import fairsched as fs
 from fairsched.distributed import GraphError
-from helpers import reference_solve_distributed
+from helpers import (
+    reference_connected,
+    reference_metropolis_matrix,
+    reference_neighbor_lists,
+    reference_solve_distributed,
+)
+
+
+def chord_graph(n: int, chords: int, seed: int) -> fs.CommGraph:
+    """A ring over ``n`` nodes plus ``chords`` seeded random node pairs, self-pairs dropped."""
+    pairs = np.random.default_rng(seed).integers(0, n, size=(chords, 2))
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    return fs.CommGraph(n, ring + [(i, j) for i, j in pairs.tolist() if i != j])
 
 
 class TestCommGraph:
     def test_disconnected_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="disconnected"):
             fs.CommGraph(2, frozenset())
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="disconnected"):
             fs.CommGraph(4, frozenset({(0, 1), (2, 3)}))
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="self-loop at node 0"):
             fs.CommGraph(2, frozenset({(0, 0)}))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_graph_rejected(self, n):
+        with pytest.raises(GraphError, match="at least one node"):
+            fs.CommGraph(n, [])
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 1), (2, 10**30), (-10**30, 0)])
+    def test_node_out_of_range_rejected(self, edge):
+        with pytest.raises(GraphError, match=r"references a node outside 0\.\.2"):
+            fs.CommGraph(3, [(0, 1), (1, 2), edge])
+
+    @pytest.mark.parametrize("edge", [(1, 2.0), (1.5, 2)])
+    def test_node_that_is_no_integer_rejected(self, edge):
+        with pytest.raises(GraphError, match="node indices must be integers"):
+            fs.CommGraph(3, [(0, 1), edge])
 
     def test_adjacency_round_trip(self):
         g = fs.CommGraph.from_adjacency([[1, 4], [0, 2], [1, 3], [2, 4], [3, 0]])
-        assert g.edges == fs.CommGraph.ring(5).edges
+        np.testing.assert_array_equal(g.edges, fs.CommGraph.ring(5).edges)
+        assert g.edges.tolist() == [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
+
+    def test_edges_are_one_sorted_read_only_array(self):
+        # reversed pairs, repeats and any iterable of pairs all normalise to the same (m, 2) array, i < j
+        pairs = [(3, 2), (0, 1), (1, 0), (2, 1), (3, 2), (0, 3)]
+        want = [[0, 1], [0, 3], [1, 2], [2, 3]]
+        for given in (pairs, frozenset(pairs), iter(pairs), np.array(pairs)):
+            g = fs.CommGraph(4, given)
+            assert g.edges.shape == (4, 2) and g.edges.dtype.kind == "i"
+            assert g.edges.tolist() == want
+            assert not g.edges.flags.writeable
+        for n, edges in ((1, []), (2, [[0, 1]]), (3, [[0, 1], [0, 2], [1, 2]])):
+            assert fs.CommGraph.ring(n).edges.tolist() == edges
+        assert fs.CommGraph(1, frozenset()).edges.shape == (0, 2)
 
     def test_degrees(self):
         assert list(fs.CommGraph.star(4).degrees()) == [3, 1, 1, 1]
+        assert list(fs.CommGraph.ring(1).degrees()) == [0]
+        g = chord_graph(30, 20, seed=1)
+        assert g.degrees().tolist() == [len(a) for a in reference_neighbor_lists(g)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_connectivity_agrees_with_breadth_first_search(self, seed):
+        # sparse random pair sets on 1-40 nodes land on both sides of connectivity; GraphError is the verdict
+        rng = np.random.default_rng(seed)
+        verdicts = set()
+        for _ in range(100):
+            n = int(rng.integers(1, 41))
+            pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            try:
+                fs.CommGraph(n, pairs)
+                connected = True
+            except GraphError:
+                connected = False
+            verdicts.add(connected)
+            # a graph built without the check, on the same normalised array, through the reference search
+            edges = np.unique(np.sort(pairs, axis=1), axis=0).reshape(-1, 2)
+            assert connected == reference_connected(SimpleNamespace(n=n, edges=edges))
+        assert verdicts == {True, False}
+
+    def test_connectivity_on_long_rings(self):
+        # a 10^4-node ring has diameter 5,000: pointer jumping needs no pass per unit of it
+        n = 10_000
+        assert fs.CommGraph.ring(n).degrees().tolist() == [2] * n
+        with pytest.raises(GraphError, match="disconnected"):
+            fs.CommGraph(n, [(i, i + 1) for i in range(n - 1) if i != n // 2])
+
+
+def metropolis_graphs(fixture_adjacency):
+    for n in range(1, 13):
+        for family in ("ring", "path", "star", "complete"):
+            yield f"{family}({n})", getattr(fs.CommGraph, family)(n)
+    yield "fixture", fs.CommGraph.from_adjacency(fixture_adjacency)
+    yield "chords", chord_graph(60, 60, seed=5)
 
 
 class TestConsensusMatrix:
@@ -35,6 +116,10 @@ class TestConsensusMatrix:
             np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(W, W.T)
             assert np.all(W >= 0)
+
+    def test_metropolis_matches_node_by_node_reference_bitwise(self, bench_config):
+        for name, g in metropolis_graphs(bench_config.distributed.adjacency):
+            assert fs.metropolis_matrix(g).tobytes() == reference_metropolis_matrix(g).tobytes(), name
 
 
 class TestSolveDistributed:
@@ -224,3 +309,41 @@ class TestFusedRoundMatchesReference:
         for solve in (fs.solve_distributed, reference_solve_distributed):
             with pytest.raises(fs.NumericalError, match="diverged"):
                 solve(costs, region, fs.CommGraph.path(3), **kwargs)
+
+
+def sweep_graph(family: str, n: int, rng) -> fs.CommGraph:
+    if family in ("ring", "path", "star", "complete"):
+        return getattr(fs.CommGraph, family)(n)
+    tree = [(int(rng.integers(0, k)), k) for k in range(1, n)]  # each node hangs off an earlier one
+    if family == "tree":
+        return fs.CommGraph(n, tree)
+    chords = [(i, j) for i, j in rng.integers(0, n, size=(n, 2)).tolist() if i != j]
+    return fs.CommGraph(n, tree + chords)
+
+
+GRAPH_FAMILIES = ("ring", "path", "star", "complete", "tree", "tree+chords")
+
+
+def test_seeded_graph_sweep_converges_to_the_centralized_point(bench_config):
+    # 36 seeded instances of 2-12 agents, alternately affine and Kalman (fixture processes drawn with
+    # replacement), each on the next of six graph families in turn, at budgets U(0.15, 0.85) n. All
+    # converge within 3,577 rounds, at most 5.2e-7 from the centralized rates
+    rng = np.random.default_rng(38)
+    for k in range(36):
+        n = int(rng.integers(2, 13))
+        if k % 2 == 0:
+            slopes = rng.uniform(0.5, 3.0, n)
+            costs, mask = fs.AffineCostModel(slopes + rng.uniform(0.1, 3.0, n), slopes), None  # J > 0 on [0, 1]
+        else:
+            ps = [bench_config.processes[i] for i in rng.integers(0, len(bench_config.processes), n)]
+            costs = fs.CurveCostModel.from_processes(ps, unstable_floor=1.0)
+            mask = ~costs.stable
+        region = fs.FeasibleRegion(rng.uniform(0.15, 0.85) * n, np.zeros(n), np.ones(n))
+        family = GRAPH_FAMILIES[k % len(GRAPH_FAMILIES)]
+        report = fs.compare_with_centralized(
+            costs, region, sweep_graph(family, n, rng), unstable_mask=mask, solver_cfg=bench_config.solver,
+            alpha=0.3, eps_r=1e-8, max_iters=50_000,
+        )
+        where = f"instance {k}: {n} agents, {family}"
+        assert report.centralized_status == report.distributed_status == fs.CONVERGED, where
+        assert report.linf_gap <= 1e-5, where
