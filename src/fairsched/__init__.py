@@ -40,7 +40,6 @@ from .distributed import (
     DivergenceError,
     GraphError,
     compare_with_centralized,
-    metropolis_matrix,
     solve_distributed,
 )
 from .sensors import (

@@ -23,10 +23,10 @@ no number. ``C`` and ``R`` default to identity. ``simulation.horizon`` is an
 integer from 1 to 2**64 - 1, the longest horizon whose cycle counts the
 simulator's binomial draws can hold.
 ``distributed.graph`` is an adjacency list (neighbors per node). The distributed
-solver answers log prices with each node's best response: ``distributed.alpha``,
-in (0, 1], is the fraction of the way each rate moves to its best response in a
-round, and ``distributed.beta`` scales the step of the log prices, taken from the
-curves' elasticities and the graph (``fairsched.distributed.solve_distributed``).
+solver answers log prices with each node's best response, in two gossip exchanges a
+round: ``distributed.alpha``, in (0, 1], is the fraction of the way each rate moves
+to its best response in a round, and ``distributed.beta`` scales the step of the log
+prices, taken from the curves' elasticities alone (``solve_distributed``).
 A legacy ``distributed.dual_mode`` key is accepted
 only as ``"mixing"``, the one coupling of the distributed solver, and ignored, as
 are the legacy ``solver.projection_tol`` and ``solver.max_outer_iters`` keys. The

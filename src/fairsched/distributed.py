@@ -10,18 +10,12 @@ its own curve.
 
 Each node keeps a log price ``mu_i`` and an estimate ``y_i`` of the
 network-average budget excess, and a round is gradient tracking with a
-constant step (DIGing; Nedic, Olshevsky and Shi, SIAM J. Optim. 27(4), 2017):
-each node answers its price ``exp(mu_i)`` with its exact best response, mixes
-its neighbours' estimates with fixed Metropolis weights and adds its own
-change of rate, then mixes its neighbours' log prices and steps along its new
-estimate. Because the weights are doubly stochastic, ``sum(y)`` always equals
-``sum(r) - R``, so at a fixed point the budget is met, the prices agree and
-every free agent's cost equals the common price: the centralized max-min fair
-allocation. In log prices the best response moves by the elasticity
-``J_i / |J_i'|`` per unit step, which stays bounded over a curve's whole box
-(1.44 on the paper's fixture, whose slopes span four orders of magnitude) where
-a slope does not, so one step, taken from that bound and the mixing weights,
-suits every budget.
+constant step (DIGing; Nedic, Olshevsky and Shi, SIAM J. Optim. 27(4), 2017)
+over fixed Metropolis weights read off the graph's edge array
+(:func:`solve_distributed`). Because the weights are doubly stochastic,
+``sum(y)`` always equals ``sum(r) - R``, so at a fixed point the budget is
+met, the prices agree and every free agent's cost equals the common price:
+the centralized max-min fair allocation.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ __all__ = [
     "DualState",
     "DistributedTrace",
     "ComparisonReport",
-    "metropolis_matrix",
     "solve_distributed",
     "compare_with_centralized",
 ]
@@ -138,15 +131,20 @@ class CommGraph:
         return cls(n, np.column_stack((np.zeros_like(leaves), leaves)))
 
 
-def metropolis_matrix(g: CommGraph) -> np.ndarray:
-    """Symmetric doubly stochastic averaging weights (Xiao & Boyd, *Systems & Control Letters* 53, 2004):
-    ``1/(1 + max(deg_i, deg_j))`` per edge, filled from ``g.edges``, and the rest of each row on its diagonal."""
-    W = np.zeros((g.n, g.n))
-    deg = g.degrees()
+def _metropolis_arcs(g: CommGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric doubly stochastic weights (Xiao & Boyd, *Systems & Control Letters* 53, 2004) on arcs ``tails ->
+    heads``: each node's loop at the rest of its row, then each edge both ways at ``1/(1 + max(deg_i, deg_j))``."""
+    deg, nodes = g.degrees(), np.arange(g.n)
     i, j = g.edges.T
-    W[i, j] = W[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    return W
+    w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    own = 1.0 - np.bincount(np.r_[i, j], np.r_[w, w], g.n)
+    return np.r_[nodes, j, i], np.r_[nodes, i, j], np.r_[own, w, w]
+
+
+def _norm(x: np.ndarray) -> float:
+    """``sqrt(x . x)``, np.linalg.norm's own formula; past the float maximum ``math.hypot``'s, which scales."""
+    total = x.dot(x)
+    return math.sqrt(total) if math.isfinite(total) else math.hypot(*x)
 
 
 @dataclass
@@ -187,22 +185,20 @@ def solve_distributed(
     """Log-price gradient tracking over the communication graph, each node answering with its best response.
 
     Per round, with ``p = exp(mu)`` the prices, ``y = r - R/n`` and ``mu = log J(r)`` at the start
-    (:func:`initial_allocation`) and ``W`` the Metropolis weights of the graph:
+    (:func:`initial_allocation`) and ``W`` the Metropolis weights, mixed in two gossip exchanges a round:
 
         r'  = r + alpha * (clip(J^-1(p), lb, ub) - r)
-        y'  = W y + (r' - r)
-        mu' = W mu + step * y',    step = beta (2 - alpha) (1 + lam_min)^2 / (4 alpha e_max)
+        y'  = W (W y) + (r' - r)
+        mu' = W (W mu) + step * y',    step = beta (2 - alpha) / (4 alpha e_max)
 
     ``J^-1`` is ``costs.rates_at``. ``alpha`` in (0, 1] relaxes the move to the best response; at 1 the
     rate is the best response itself. ``beta`` scales the step of the log prices. ``e_max`` is the largest
     elasticity ``J_i / |J_i'|`` over the agents' boxes, from ``costs.elasticity_bounds`` (a
-    :class:`ValueError` on a model that gives none), and ``lam_min`` the smallest eigenvalue of ``W``.
-    Linearized with every agent at elasticity ``e``, the round is stable on the mode of ``W`` with
-    eigenvalue ``lam`` exactly while ``step * e < (2 - alpha) (1 + lam)^2 / (2 alpha)``: ``beta = 1`` takes
-    half the largest step stable at ``e = e_max`` on every mode. A full best response on a graph whose
-    weights have a negative eigenvalue (an even ring's -1/3) oscillates between neighbours under a step
-    blind to it. ``init_lambdas``, if given, are the starting prices; an entry that is not a positive
-    price starts at the node's own cost, as by default.
+    :class:`ValueError` on a model that gives none). Linearized with every agent at elasticity ``e``, the
+    round is stable on a mode of ``W^2`` with eigenvalue ``lam``, in [0, 1] on any graph, exactly while
+    ``step * e < (2 - alpha) (1 + lam)^2 / (2 alpha)``: ``beta = 1`` takes half the largest step stable at
+    ``e = e_max`` on every mode. ``init_lambdas``, if given, are the starting prices; an entry that is not
+    a positive price starts at the node's own cost.
 
     Stops with status ``"converged"`` once ``||dr|| + ||dp|| <= eps_r``, the change of rates and prices
     (in cost units), or, on a slack budget (``sum(ub) <= R``, where the prices fall forever), once every
@@ -229,15 +225,17 @@ def solve_distributed(
     elasticities = costs.elasticity_bounds(lb)
     if elasticities is None:
         raise ValueError("the cost model gives no elasticity bound, which the distributed step is taken from")
-    W = metropolis_matrix(graph)
-    step = beta * (2.0 - alpha) * (1.0 + np.linalg.eigvalsh(W)[0]) ** 2 / (4.0 * alpha * float(elasticities.max()))
+    step = beta * (2.0 - alpha) / (4.0 * alpha * float(elasticities.max()))
 
+    n = region.n
+    tails, heads, weights = _metropolis_arcs(graph)  # repeated on n..2n - 1, where mu sits beside y
+    tails, heads, weights = np.r_[tails, tails + n], np.r_[heads, heads + n], np.r_[weights, weights]
     r = initial_allocation(region)
     prices = costs.values(r)
     if init_lambdas is not None:
         init = np.asarray(init_lambdas, dtype=float)
         prices = np.where(init > 0, init, prices)
-    y = r - region.total / region.n
+    y = r - region.total / n
     slack = ub.sum() <= region.total
 
     rows = array("d")  # one row a round: residual, price spread, smallest price
@@ -251,13 +249,14 @@ def solve_distributed(
             # a slack budget's answer is every upper bound: once the best responses reach it, take them
             r_new = target if alpha == 1.0 or (slack and (target == ub).all()) else r + alpha * (target - r)
             dr = r_new - r
-            y = W @ y + dr  # g(r') - g(r) = r' - r
-            mu = W @ mu + step * y
+            mixed = np.concatenate((y, mu))
+            for _ in range(2):  # a gossip exchange: node h sums w x_t over the arcs t -> h into it
+                mixed = np.bincount(heads, weights * mixed[tails], 2 * n)
+            y = mixed[:n] + dr  # g(r') - g(r) = r' - r
+            mu = mixed[n:] + step * y
             new = np.exp(mu)
 
-            # the norms are np.linalg.norm's own formula, sqrt(x . x), without its wrapper
-            dp = new - prices
-            residual = math.sqrt(dr.dot(dr)) + math.sqrt(dp.dot(dp))
+            residual = _norm(dr) + _norm(new - prices)
             r, prices = r_new, new
             low = prices.min()
             rows.extend((residual, prices.max() - low, low))

@@ -456,11 +456,12 @@ def reference_solve_distributed(
 ):
     """``solve_distributed`` node by node, each node reading only its neighbours' values and its own curve.
 
-    Node ``i`` weighs neighbour ``j`` by ``1 / (1 + max(deg_i, deg_j))`` and itself by what is left; the
-    weights are put in a matrix only for the smallest eigenvalue that the step reads. Each node inverts its
-    own curve on its knots, or its own line, and bounds its own elasticity segment by segment. Per round
-    every node moves its rate toward its best response to its price, mixes its neighbours' excess estimates
-    and adds its own change of rate, then mixes its neighbours' log prices and steps along its new estimate.
+    Node ``i`` weighs neighbour ``j`` by ``1 / (1 + max(deg_i, deg_j))`` and itself by what is left. Each
+    node inverts its own curve on its knots, or its own line, and bounds its own elasticity segment by
+    segment; the step reads the largest of those bounds and nothing of the graph. Per round every node
+    moves its rate toward its best response to its price, mixes its neighbours' excess estimates twice and
+    adds its own change of rate, then mixes its neighbours' log prices twice and steps along its new
+    estimate. The residual's norms are ``math.hypot``'s, which no finite change overflows.
     """
     if graph.n != region.n:
         raise GraphError(f"graph has {graph.n} nodes but the region has {region.n} agents")
@@ -473,8 +474,7 @@ def reference_solve_distributed(
     lb, ub = region.lower.tolist(), region.upper.tolist()
     costs = costs.with_floor(region.lower)
     nodes = [reference_node(costs, i, lb[i]) for i in range(n)]
-    W = reference_metropolis_matrix(graph)
-    step = beta * (2.0 - alpha) * (1.0 + np.linalg.eigvalsh(W)[0]) ** 2 / (4.0 * alpha * max(e for _, e in nodes))
+    step = beta * (2.0 - alpha) / (4.0 * alpha * max(e for _, e in nodes))
 
     def exp(m):
         try:
@@ -498,12 +498,13 @@ def reference_solve_distributed(
             r_new = targets
         else:
             r_new = [ri + alpha * (t - ri) for ri, t in zip(r, targets)]
-        y = [mix(y, i) + r_new[i] - r[i] for i in range(n)]
-        mu = [mix(mu, i) + step * y[i] for i in range(n)]
+        once = [mix(y, i) for i in range(n)]
+        y = [mix(once, i) + r_new[i] - r[i] for i in range(n)]
+        once = [mix(mu, i) for i in range(n)]
+        mu = [mix(once, i) + step * y[i] for i in range(n)]
         new = [exp(m) for m in mu]
 
-        residual = (math.sqrt(sum((a - b) ** 2 for a, b in zip(r_new, r)))
-                    + math.sqrt(sum((a - b) ** 2 for a, b in zip(new, prices))))
+        residual = math.hypot(*(a - b for a, b in zip(r_new, r))) + math.hypot(*(a - b for a, b in zip(new, prices)))
         r, prices = r_new, new
         residuals.append(residual)
         spreads.append(max(prices) - min(prices))

@@ -724,7 +724,7 @@ class TestDistributedCommand:
 
     def test_cycling_iterate_stops_as_stalled(self, tmp_path):
         # beta 10 at budget 4: the log prices overshoot into a 2-cycle with the residual stuck
-        # at 8.14, so the run ends long before its 600,000 rounds
+        # at 8.59, so the run ends long before its 600,000 rounds
         out = tmp_path / "st"
         with time_limit(5, "distributed"):
             rc = main(["distributed", "--config", str(cycling_fixture(tmp_path)), "--out", str(out)])
@@ -1048,7 +1048,7 @@ def spy_papers_step(monkeypatch) -> list:
 
 @pytest.mark.parametrize("which, commands", [
     ("fixture", ("solve", "distributed")),
-    ("R of 1e308 I", ("solve",)),  # the CI's r_1e308 case
+    ("R of 1e308 I", ("solve", "distributed")),  # the CI's r_1e308 case
 ])
 def test_no_command_takes_the_papers_step(tmp_path, monkeypatch, which, commands):
     # the slope-scaled step solves these; the paper's step is the fallback for a model without usable slopes
