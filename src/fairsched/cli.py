@@ -183,8 +183,11 @@ def run_simulate(cfg: RunConfig, allocation_file: Path, out_dir: Path, seed: int
     try:
         # each curve is built only down to its own rate, the one point it is read at; solver.eta plays no part
         results = simulate_allocation(cfg.processes, rates, horizon, use_seed)
-    except (CostDomainError, NumericalError) as exc:
+    except CostDomainError as exc:
         print(f"allocation is outside the supported rate domain: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except NumericalError as exc:  # an overflow or a step budget: the process may be at fault, not the rates
+        print(f"cannot simulate this configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     empirical_errors = np.array([res.empirical_avg_error for res in results])

@@ -21,7 +21,9 @@ Riccati steady state and the trace sequence are iterated, each process to
 its own stop rule, so a batched curve equals the one built for that process
 alone; the Riccati update ``(I + X- C' R^-1 C)^-1 X-`` has no difference to
 cancel. The trace recursion checks its stop rules once per window of steps
-and drops the steps run past a stop. A Riccati row or a curve's trace
+and drops the steps run past a stop; a window runs 32 steps while a row has a
+stable tail or a level to look for, else to the latest cap of the rows left,
+and its length moves no bit. A Riccati row or a curve's trace
 sequence that runs 10**6 steps raises :class:`NumericalError` (a slow Riccati
 row, a stable spectral radius too close to 1, or an unstable curve's floor
 too small), and so does a stable row whose running sums overflow.
@@ -312,8 +314,10 @@ def _stack(ps, name: str) -> np.ndarray:
     return np.array([getattr(p, name) for p in ps])
 
 
-# steps a recursion runs between two checks of its stop rules
+# steps a recursion runs between two checks of its stop rules, while a row left has a stop found only by looking
 _WINDOW = 32
+# the most steps times rows a window of prediction_traces holds, beyond _WINDOW steps: a 32-step window of 512 rows
+_WINDOW_CELLS = 2**14
 # a Riccati row converges once its largest entry change is within _COV_TOL of its largest entry; it, and a
 # curve's trace sequence (stable ones stop at the relative tail cut _TAIL_TOL), run at most _MAX_STEPS steps
 _COV_TOL, _TAIL_TOL, _MAX_STEPS = 1e-12, 1e-10, 10**6
@@ -416,9 +420,12 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
     Overflow raises :class:`NumericalError`, and so does a process not stopped within ``max_steps`` steps,
     if given: of several, the one at the earliest step, then the first in the batch.
 
-    The recursion runs ``_WINDOW`` steps at a time and checks the stop rules on the whole window: a
+    The recursion runs a window of steps at a time and checks the stop rules on the whole window: a
     process stops at the first step of the window that meets one, and the steps run past it are
-    dropped, so every process stops, and raises, exactly where checking after each step would.
+    dropped, so every process stops, and raises, exactly where checking after each step would, and the
+    window's length moves no bit. While a row left has a stop found only by looking (a stable tail or a
+    level), a window is ``_WINDOW`` steps; once every row left stops at its cap, it runs to the latest
+    cap, 1 to ``max(_WINDOW, _WINDOW_CELLS // rows)`` steps, and rows that stop earlier leave at their stop.
     """
     ps = list(ps)
     caps, rates = np.asarray(caps, dtype=float), np.asarray(rates, dtype=float)
@@ -432,38 +439,48 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
     # blocks ``(t0, rows, traces)``: the traces of steps t0, t0 + 1, ... past each row's depth (one row each)
     # of the processes ``rows`` (one column each); entries past a process's length ran past its stop
     blocks = []
-    offsets = np.arange(_WINDOW, dtype=float)[:, None]
     for group in _groups(ps):
         members = [ps[i] for i in group]
         A, Q, s = _stack(members, "A"), _stack(members, "Q"), stable[group]
         limits[group[s]] = _traces(_no_comm_covs(A[s], Q[s]))
         rows, At, limit, level = group, _transposed(A), limits[group], levels[group]
+        # a 1x1 matmul sums its product onto 0.0, which changes a -0.0 only, and (a x) a is never -0.0 for a
+        # covariance x >= +0: np.multiply gives its bits
+        product = np.multiply if A.shape[1] == 1 else np.matmul
         cap = np.minimum(caps[group], budget - 1.0)  # a stop at the step budget is a failure
         run, depth = sums[group], depths[group]  # each row's sum of the traces before the window, its depth
         cut = _TAIL_TOL * np.maximum(limit, 1e-300)
-        tails = bool(s.any())  # whether any row has a tail rule to check
-        # Ms[2 + j] holds the covariances of step depth + t0 + j; Ms[0] and Ms[1] the two before it
-        Ms = np.zeros((_WINDOW + 2,) + A.shape)
+        # the first window's first j0 slots: a start's last two covariances, or two unread slots and Pbar
         if starts is None:
-            Ms[2], j0 = _finite_pbars(_filter_covs(members), group), 3
+            head, j0 = np.zeros((3,) + A.shape), 3
+            head[2] = _finite_pbars(_filter_covs(members), group)
         else:
-            Ms[:2], j0 = np.array([covs[i] for i in group]).swapaxes(0, 1), 2
-        steps, t0, block_t0, failures = [], 0, 0, []
+            head, j0 = np.array([covs[i] for i in group]).swapaxes(0, 1), 2
+        Ms, steps, t0, block_t0, failures = None, [], 0, 0, []
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             while True:
-                AM, M = np.empty_like(A), np.empty_like(A)  # the two products of a step, for the rows left
-                for j in range(j0, _WINDOW + 2):  # Ms[j] = sym(h(Ms[j - 1]))
-                    np.matmul(np.matmul(A, Ms[j - 1], out=AM), At, out=M)
-                    M += Q
-                    np.add(M, _mT(M), out=Ms[j])
-                    Ms[j] *= 0.5
-                j0 = 2
+                tails, searching = bool(s.any()), bool(np.isfinite(level).any())
+                if tails or searching:  # a stop found only by looking: a stable tail, or a level
+                    n = _WINDOW
+                else:  # every row left stops at its cap: run to the latest, within the cell bound
+                    n = int(min(max((cap - (depth + t0)).max() + 2.0, 1.0), max(_WINDOW, _WINDOW_CELLS // rows.size)))
+                if Ms is None or Ms.shape[:2] != (n + 2, rows.size):
+                    # Ms[2 + j] holds the covariances of step depth + t0 + j; Ms[0] and Ms[1] the two before it
+                    Ms = np.empty((n + 2,) + A.shape)
+                    slots, AM, M = list(Ms), np.empty_like(A), np.empty_like(A)  # AM, M: the products of a step
+                    MT = _mT(M)
+                Ms[:j0] = head
+                for j in range(j0, n + 2):  # Ms[j] = sym(h(Ms[j - 1]))
+                    product(product(A, slots[j - 1], out=AM), At, out=M)
+                    np.add(M, Q, out=M)
+                    np.add(M, MT, out=slots[j])
+                    np.multiply(slots[j], 0.5, out=slots[j])
                 trs = _traces(Ms)
-                tr, t = trs[2:], (depth + t0) + offsets
+                tr, t = trs[2:], (depth + t0) + np.arange(n, dtype=float)[:, None]
                 stop = t > cap
                 # stops for good: at the stable tail, or at a covariance repeated bit for bit
                 final = (t >= 1) & (np.abs(tr - limit) <= cut) if tails else np.zeros_like(stop)
-                if np.isfinite(level).any():  # summed onto the run in order, as np.cumsum sums a sequence
+                if searching:  # summed onto the run in order, as np.cumsum sums a sequence
                     window = np.cumsum(np.vstack((run, tr)), axis=0)[1:]
                     stop |= window / (t + 1.0) >= level
                     run = window[-1]
@@ -473,9 +490,9 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
                     same = (Ms[w + 2, r] == Ms[w, r]).all(axis=(1, 2))
                     final[w[same], r[same]] = True
                 stop |= final
-                # per row, the offset of its stop in the window, or _WINDOW
-                at_stop = np.where(stop.any(axis=0), stop.argmax(axis=0), _WINDOW)
-                gone = at_stop < _WINDOW
+                # per row, the offset of its stop in the window, or n
+                at_stop = np.where(stop.any(axis=0), stop.argmax(axis=0), n)
+                gone = at_stop < n
                 if not np.isfinite(tr).all():
                     bad = ~np.isfinite(tr) & (t >= 1) & (t < budget)
                     at = bad.argmax(axis=0)
@@ -493,7 +510,7 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
                 steps.append(tr)
                 if gone.any():  # rows that fail are recorded too, but never returned: the call raises
                     last = depth + t0 + at_stop
-                    failed = np.flatnonzero((at_stop < _WINDOW) & (last >= budget))
+                    failed = np.flatnonzero((at_stop < n) & (last >= budget))
                     if failed.size:
                         k = failed[0]
                         why = (f"the stable process's spectral radius {np.abs(np.linalg.eigvals(A[k])).max():.9g} "
@@ -502,24 +519,24 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
                         failures.append((budget, rows[k],
                                          f"trace sequence did not stop within {max_steps} steps; {why}"))
                     lengths[rows[gone]] = last[gone] + 1
-                    cols = np.flatnonzero(at_stop < _WINDOW)
+                    cols = np.flatnonzero(at_stop < n)
                     for c in cols[~final[at_stop[cols], cols]].tolist():  # stopped, but not for good
                         ends[rows[c]] = Ms[at_stop[c] + 1:at_stop[c] + 3, c].copy()
-                t0 += _WINDOW
+                t0 += n
                 if gone.any() or t0 - block_t0 >= 1024:  # 1024: a lone long run keeps few arrays
                     blocks.append((block_t0, rows, np.concatenate(steps)))
                     steps, block_t0 = [], t0
+                head, j0 = Ms[-2:], 2
                 if gone.any():
                     keep = ~gone
                     rows, A, At, Q, s, cap, limit, cut, level, run, depth = (
                         x[keep] for x in (rows, A, At, Q, s, cap, limit, cut, level, run, depth))
-                    Ms = Ms[:, keep]
+                    head = Ms[-2:, keep]
                 # a failure is raised once every row left has run past its step
                 if failures and (not rows.size or (depth + t0).min() > min(failures)[0]):
                     raise NumericalError(min(failures)[2])
                 if not rows.size:
                     break
-                Ms[:2] = Ms[-2:]
 
     added = lengths - depths
     first = np.cumsum(added + 1) - (added + 1)

@@ -934,6 +934,21 @@ class TestEntriesNearTheFloatMaximum:
         assert err == (f"cannot solve this configuration: the filter covariance of process {index} overflowed; "
                        "the model is ill posed\n")
 
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_simulate_names_the_process_that_overflows(self, tmp_path, capsys, index):
+        # the process is at fault, not the allocation: simulate read "allocation is outside the supported rate
+        # domain:" here, a line kept for a rate outside a curve's domain
+        payload = json.loads(fs.fixture_path("paper_sec4").read_text())
+        payload["processes"][index]["Pi0"] = self.HUGE
+        alloc_path = tmp_path / "rates.json"
+        alloc_path.write_text(json.dumps({"rates": [0.4] * 5}))
+        argv = ["simulate", "--config", str(write_config(tmp_path, payload)), "--allocation", str(alloc_path),
+                "--out", str(tmp_path / "o")]
+        with time_limit(5, "simulate"):
+            err = self.run(capsys, argv, EXIT_CONFIG_ERROR)
+        assert err == (f"cannot simulate this configuration: the filter covariance of process {index} overflowed; "
+                       "the model is ill posed\n")
+
     # an R of 1e300 I against a Q of 1e308 I: the filter steady state is finite, and the prediction overflows
     LARGE_R = [[1e300, 0.0], [0.0, 1e300]]
 

@@ -14,7 +14,7 @@ import fairsched as fs
 from fairsched import sensors
 from fairsched.allocation import CostDomainError
 from fairsched.config import ConfigError, load_config
-from fairsched.sensors import _WINDOW, _no_comm_covs, prediction_traces
+from fairsched.sensors import _WINDOW, _WINDOW_CELLS, _no_comm_covs, prediction_traces
 from helpers import (
     reference_build_processes,
     reference_cost_curve,
@@ -844,8 +844,10 @@ class TestBatchedBuild:
 
 
 class TestWindowedTraces:
-    """``prediction_traces`` checks its stop rules once per window of ``_WINDOW`` steps; each sequence
-    still stops, and raises, at the step where the recursion that checks after every step did."""
+    """``prediction_traces`` checks its stop rules once per window of steps: ``_WINDOW`` steps while a row
+    left has a stable tail or a level to look for, else a window run to the latest cap of the rows left, at
+    most ``max(_WINDOW, _WINDOW_CELLS // rows)`` steps. Each sequence still stops, and raises, at the step
+    where the recursion that checks after every step did, with the same bits."""
 
     def check(self, ps, caps, rates, stable=None):
         """The traces, starts and lengths, bitwise those of the per-step recursion, or its error."""
@@ -950,6 +952,74 @@ class TestWindowedTraces:
     def test_lone_long_run(self):
         _, _, lengths = self.check([fs.ProcessModel(A=[[1.0002]], Q=[[1.0]])], [5000], [1e-4])
         assert lengths.tolist() == [5002]
+
+    @pytest.mark.parametrize("k", [1, 3, 200, 600])
+    def test_capped_rows_around_the_sized_window(self, k):
+        # every row stops at its cap: the window runs to the latest cap, within the cell bound b. Caps put
+        # stops on the last step of a window, the one before and the one after, at the bound and short of it
+        b = max(_WINDOW, _WINDOW_CELLS // k)
+        ps = ([fs.ProcessModel(A=[[1.0002]], Q=[[1.0]])] if k == 1
+              else [fs.ProcessModel(A=[[1.0002, 0.1], [0.0, 0.5]], Q=np.eye(2)),
+                    fs.ProcessModel(A=[[-1.0001, 0.0], [0.3, 0.9]], Q=np.diag([1.0, 2.0]))] if k == 3
+              else [fs.ProcessModel(A=[[a]], Q=[[1.0]]) for a in (1.0, -1.01, 1.2, 1.05)])
+        short = b // 2
+        for pattern in ([b - 3, b - 2, b - 1], [b, b + 1], [short - 1, short], [short - 1, b + 1]):
+            for caps in ([[cap] for cap in pattern] if k == 1 else [np.resize(pattern, k)]):
+                _, _, lengths = self.check((ps * k)[:k], caps, [0.5] * k)
+                assert lengths.tolist() == [cap + 2 for cap in caps]
+
+    def test_caps_spread_over_200_steps(self, bench_config):
+        caps = np.random.default_rng(5).permutation(np.arange(1, 201))
+        for ps in ([fs.ProcessModel(A=[[1.05]], Q=[[1.0]])], bench_config.processes[:3]):
+            _, _, lengths = self.check((list(ps) * 200)[:200], caps, [0.5] * 200)
+            assert lengths.tolist() == (caps + 2).tolist()
+
+    def test_repeat_and_overflow_in_a_sized_window(self):
+        # with no tail or level to look for, one window runs to the cap of 1000: the 2-cycle's repeat at step
+        # _WINDOW + 1, and the overflow at step _WINDOW + 1, lie inside it, past the first _WINDOW steps
+        for caps in ([_WINDOW - 1], [_WINDOW], [_WINDOW + 1], [1000], [_WINDOW, 1000, 5, 2 * _WINDOW]):
+            _, _, lengths = self.check([PERIOD_TWO] * len(caps), caps, [0.5] * len(caps))
+            assert lengths.tolist() == [min(cap + 2, _WINDOW + 2) for cap in caps]
+        blowup, healthy = fs.ProcessModel(A=[[5.5e4]], Q=[[1.0]]), fs.ProcessModel(A=[[1.1]], Q=[[1.0]])
+        for caps in ([1000], [1000, 3000], [3000, _WINDOW - 1], [_WINDOW + 5, 20]):
+            with pytest.raises(fs.NumericalError, match=f"overflowed at step {_WINDOW + 1}; the rate 0.01 is too"):
+                prediction_traces([blowup, healthy][:len(caps)], caps, [0.01, 0.2][:len(caps)])
+            assert self.check([blowup, healthy][:len(caps)], caps, [0.01, 0.2][:len(caps)]) is None
+        # stopped at its cap just before the overflow, the row is returned
+        assert self.check([blowup, healthy], [_WINDOW - 1, 3000], [0.01, 0.2])[2].tolist() == [_WINDOW + 1, 3002]
+
+    @pytest.mark.parametrize("extra", [1, 2])
+    def test_continuation_by_one_or_two_steps(self, bench_config, extra):
+        # a row continued from its end state through starts runs a window of extra steps, and splices into the
+        # sequence built at once to the deeper cap
+        ps = [*bench_config.processes[:3], fs.ProcessModel(A=[[1.2]], Q=[[1.0]]), fs.ProcessModel(A=[[1.0]], Q=[[1.0]])]
+        caps, rates = np.array([0, 5, _WINDOW - 2, _WINDOW, 100]), [0.5] * len(ps)
+        traces, first, lengths, cumsums, ends = prediction_traces(ps, caps, rates)
+        sums = cumsums[first + lengths - 1]
+        deep_traces, deep_first, deep_lengths = self.check(ps, caps + extra, rates)
+        deep_cumsums = prediction_traces(ps, caps + extra, rates)[3]
+        got, got_first, got_lengths, got_cumsums, _ = prediction_traces(ps, caps + extra, rates,
+                                                                        starts=(lengths, ends, sums))
+        assert got_lengths.tolist() == deep_lengths.tolist() == (lengths + extra).tolist()
+        for i, depth in enumerate(lengths.tolist()):
+            new = slice(got_first[i], got_first[i] + extra)
+            old = slice(deep_first[i] + depth, deep_first[i] + depth + extra)
+            assert got[new].tobytes() == deep_traces[old].tobytes()
+            assert got_cumsums[new].tobytes() == deep_cumsums[old].tobytes()
+
+    @pytest.mark.parametrize("budget", [100, _WINDOW_CELLS - 1, _WINDOW_CELLS, _WINDOW_CELLS + 1, 20000])
+    def test_lone_row_runs_to_the_step_budget(self, monkeypatch, budget):
+        # a lone capped row runs windows sized to the budget, and fails at it with the same text
+        monkeypatch.setattr(sensors, "_MAX_STEPS", budget)
+        walk = fs.ProcessModel(A=[[1.0]], Q=[[1.0]])
+        with pytest.raises(fs.NumericalError) as raised:
+            fs.CurveCostModel.from_floors([walk], [1e-5])
+        assert str(raised.value) == (f"trace sequence did not stop within {budget} steps; "
+                                     "the rate floor 1e-05 is too small")
+        # a cap one step short of the budget: the row stops at its last step
+        assert fs.CurveCostModel.from_floors([walk], [1.0 / (budget - 1)])._sizes.tolist() == [budget]
+        with pytest.raises(fs.NumericalError, match=f"within {budget} steps"):
+            fs.CurveCostModel.from_floors([walk], [1.0 / budget])
 
 
 def probe_rates(curve, rng, count=40):
