@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +64,35 @@ def _kept_rows(rows: int, max_rows: int) -> np.ndarray:
     return kept if kept[-1] == rows - 1 else np.append(kept, rows - 1)
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, bit for bit, each line after the first indented by
+    ``indent`` more. ``indent=2`` runs the pure-Python encoder, ~1.2 us a float against the C encoder's ~0.6 us
+    (2-core x86 box, Python 3.11), so a scalar, or a list of scalars, goes through the C encoder in one call,
+    a list's item separator a newline and the indent; an object with string keys, or a list holding
+    containers, is laid out here, item by item."""
+    if type(value) in _SCALARS:
+        return json.dumps(value)  # the C encoder: one line, as with indent=2
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, list) and value:
+        if set(map(type, value)) <= _SCALARS:  # the "[" and "]" of the C encoder's text are laid out here
+            body = json.JSONEncoder(separators=(sep, ": ")).encode(value)[1:-1]
+        else:
+            body = sep.join(_json_text(v, inner) for v in value)
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        body = sep.join(f"{encode_basestring_ascii(key)}: {_json_text(v, inner)}" for key, v in sorted(value.items()))
+        return f"{{\n{inner}{body}\n{indent}}}"
+    # a tuple, an empty container, an object with other keys or a subclass: no string holds a raw newline
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` writes it, and a newline."""
+    path.write_text(_json_text(payload) + "\n")
 
 
 def _region_and_costs(cfg: RunConfig):

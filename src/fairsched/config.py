@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import SolverConfig
-from .sensors import ProcessModel
+from .sensors import ProcessModel, _Fleet, _Group
 from .simulate import _MAX_HORIZON
 
 __all__ = ["ConfigError", "SimulationSettings", "DistributedSettings", "RunConfig", "load_config", "fixture_path"]
@@ -166,9 +166,9 @@ def _stacks(entries, rows, shape) -> dict | None:
     return stacks
 
 
-def _group_processes(entries, rows, shape) -> list[ProcessModel] | int:
-    """The processes of the entries ``rows``, which share ``shape``, converted and checked as stacks
-    (``ProcessModel._of_stacks``), or the index of the first of them that fails on its own."""
+def _group_processes(entries, rows, shape) -> tuple[list[ProcessModel], tuple] | int:
+    """The processes of the entries ``rows``, which share ``shape``, converted and checked as stacks, and the
+    stacks (``ProcessModel._of_stacks``), or the index of the first of them that fails on its own."""
     if shape is None or None in shape[:2]:  # malformed, or A or Q missing: each entry fails
         return rows[0]
     stacks = _stacks(entries, rows, shape)
@@ -183,7 +183,8 @@ def _group_processes(entries, rows, shape) -> list[ProcessModel] | int:
 
 
 def _stacked_processes(entries) -> list[ProcessModel] | int | None:
-    """Every process, built one shape group at a time, or the index of the first entry that fails.
+    """Every process, built one shape group at a time, or the index of the first entry that fails. The
+    processes come as a list that holds the stacks too, for the curve builds (``sensors._grouped``).
 
     A group is the entries whose matrices have equal row counts and first-row lengths, the optional
     ones present in each or in none. Each of its matrices is converted with one ``np.array`` and
@@ -194,7 +195,7 @@ def _stacked_processes(entries) -> list[ProcessModel] | int | None:
     groups = {}
     for i, entry in enumerate(entries):
         groups.setdefault(_shape(entry), []).append(i)
-    processes, first = [None] * len(entries), len(entries)
+    processes, parts, first = [None] * len(entries), [], len(entries)
     for shape, rows in groups.items():
         rows = [i for i in rows if i < first]  # only an entry before the first failure found can move it
         if not rows:
@@ -206,9 +207,11 @@ def _stacked_processes(entries) -> list[ProcessModel] | int | None:
         if isinstance(group, int):
             first = group
         else:
-            for i, p in zip(rows, group):
+            members, stacks = group
+            for i, p in zip(rows, members):
                 processes[i] = p
-    return processes if first == len(entries) else first
+            parts.append(_Group(np.array(rows), *stacks))
+    return _Fleet(processes, parts) if first == len(entries) else first
 
 
 def _build_processes(entries) -> list[ProcessModel]:

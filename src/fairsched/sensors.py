@@ -14,8 +14,14 @@ and strictly decreasing; this module builds that curve and evaluates it in
 closed form. The Monte Carlo simulator in ``fairsched.simulate`` checks the
 closed form; it shares the trace sequence (:func:`prediction_traces`).
 
-Curves are built in batches: processes are grouped by dimension and run on
-stacked ``(k, d, d)`` arrays. The stable no-communication limit, the fixed
+Curves are built in batches, and a batch of processes is held as groups: one
+per shape of ``C``, in order of first appearance, each a set of rows and
+read-only ``(k, d, d)`` stacks of their ``A``, ``Q``, ``C``, ``R_meas`` and
+``Pi0``. ``config.load_config`` hands its own stacks on with the processes,
+which hold row views of them, and they are taken as they are; any other list
+is stacked once per field. Each row steps alone within its stacks, so a batch's
+curves do not depend on how its rows are grouped; only which failure is named
+first does, and that follows the groups' order. The stable no-communication limit, the fixed
 point of ``P = A P A' + Q``, is linear in ``P`` and solved exactly; the
 Riccati steady state and the trace sequence are iterated, each process to
 its own stop rule, so a batched curve equals the one built for that process
@@ -30,7 +36,8 @@ too small), and so does a stable row whose running sums overflow.
 ``CurveCostModel`` keeps every curve's affine segments in one flat table,
 never changed once built, and evaluates all agents by a gather; a deeper model
 (``with_floor``'s, or the one ``floors_at`` returns) continues each row from
-its kept end state and splices the new steps in.
+its kept end state, with its group's stacks sliced to the rows that step, and
+splices the new steps in.
 
 Processes are validated in stacks too: the construction checks (finiteness,
 shapes, definiteness) and the rank tests (observability, controllability)
@@ -116,12 +123,13 @@ class ProcessModel:
         return self
 
     @classmethod
-    def _of_stacks(cls, A, Q, C=None, R_meas=None, Pi0=None) -> list[ProcessModel] | int:
-        """The processes of equally shaped ``(k, ., .)`` float stacks, square ``A``, if every row passes the
-        construction checks and the rank tests of :meth:`validate`, else the first row that fails one.
+    def _of_stacks(cls, A, Q, C=None, R_meas=None, Pi0=None) -> tuple[list[ProcessModel], tuple] | int:
+        """The processes of equally shaped ``(k, ., .)`` float stacks, square ``A``, and the stacks, if every
+        row passes the construction checks and the rank tests of :meth:`validate`, else the first row that
+        fails one.
 
         The stacks are made read-only and each process holds row views of them; a missing ``C`` or
-        ``R_meas`` is one identity that every process of the stacks shares.
+        ``R_meas`` is one identity that every process of the stacks shares, and is returned so.
         """
         invalid = _stack_invalid(A, Q, C, R_meas, Pi0)
         k, n = (len(A) if invalid is None else invalid[0]), A.shape[1]  # the rows that pass the checks
@@ -135,8 +143,8 @@ class ProcessModel:
         for M in (A, Q, C, R_meas, Pi0):
             if M is not None:
                 M.setflags(write=False)
-        Pi0 = [None] * k if Pi0 is None else Pi0
-        return [object.__new__(cls)._hold(*fields) for fields in zip(A, Q, C, R_meas, Pi0)]
+        rows = zip(A, Q, C, R_meas, [None] * k if Pi0 is None else Pi0)
+        return [object.__new__(cls)._hold(*fields) for fields in rows], (A, Q, C, R_meas, Pi0)
 
     @property
     def dim(self) -> int:
@@ -289,6 +297,14 @@ def stable_mask(matrices) -> np.ndarray:
     return out
 
 
+def _stable_rows(groups) -> np.ndarray:
+    """:func:`stable_mask` of the groups' ``A``, per row, one eigenvalue call per group."""
+    out = np.empty(sum(map(len, groups)), dtype=bool)
+    for group in groups:
+        out[group.rows] = _stable(group.A)
+    return out
+
+
 def classify_stability(A) -> bool:
     """True iff the spectral radius of ``A`` is below 1; the boundary counts as unstable."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -302,16 +318,74 @@ def _group_by(keys) -> list[np.ndarray]:
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    return [np.array(g) for g in groups.values()]
+    return [np.array(g, dtype=np.intp) for g in groups.values()]
 
 
-def _groups(ps) -> list[np.ndarray]:
-    """Indices of ``ps`` grouped by the shape of ``C`` (measurement by state dimension)."""
-    return _group_by([p.C.shape for p in ps])
+_FIELDS = ("A", "Q", "C", "R_meas", "Pi0")
 
 
-def _stack(ps, name: str) -> np.ndarray:
-    return np.array([getattr(p, name) for p in ps])
+class _Group:
+    """Rows of a batch that share the shape of ``C``: ``rows``, their indices in the batch, in order, and
+    read-only ``(len(rows), ., .)`` stacks of their fields, ``Pi0`` None where no row's is given (zeros)."""
+
+    __slots__ = ("rows",) + _FIELDS
+
+    def __init__(self, rows, A, Q, C, R_meas, Pi0=None):
+        self.rows, self.A, self.Q, self.C, self.R_meas, self.Pi0 = rows, A, Q, C, R_meas, Pi0
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, at, rows) -> _Group:
+        """The rows at positions ``at`` of this group, numbered ``rows``."""
+        return _Group(rows, *(None if M is None else M[at] for M in (self.A, self.Q, self.C, self.R_meas, self.Pi0)))
+
+
+def _group_of(rows, pieces, join) -> _Group:
+    """The group of ``rows`` whose stacks ``join`` makes of ``pieces``, one list of arrays per field; a ``Pi0``
+    piece of None stands for zeros, and the group's ``Pi0`` is None where every one is."""
+    *fields, pi0 = pieces
+    if any(M is not None for M in pi0):
+        fields.append([np.zeros(A.shape) if M is None else M for A, M in zip(fields[0], pi0)])
+    stacks = [join(Ms) for Ms in fields]
+    for M in stacks:
+        M.setflags(write=False)
+    return _Group(rows, *stacks)
+
+
+def _joined(parts) -> _Group:
+    """Groups of disjoint rows with one shape of ``C`` as one group, its rows in order; a group alone as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    rows = np.concatenate([g.rows for g in parts])
+    order = np.argsort(rows)
+    return _group_of(rows[order], [[getattr(g, name) for g in parts] for name in _FIELDS],
+                     lambda Ms: np.concatenate(Ms)[order])
+
+
+class _Fleet(list):
+    """A list of processes that also holds them as groups (:func:`_grouped`), built from the stacks their
+    fields are row views of: ``config.load_config`` returns its processes so."""
+
+    def __init__(self, processes, parts):
+        """``parts``: groups of the processes' rows, each holding the stacks its rows are views of, in order of
+        their first rows; those that share a shape of ``C`` are joined."""
+        super().__init__(processes)
+        by_shape = {}
+        for part in parts:
+            by_shape.setdefault(part.C.shape[1:], []).append(part)
+        self.groups, self._members = [_joined(same) for same in by_shape.values()], list(processes)
+
+
+def _grouped(ps) -> list[_Group]:
+    """The processes as groups, one per shape of ``C`` in order of first appearance, each row numbered by its
+    index in ``ps``: the groups of a :class:`_Fleet` whose members are as built, with no copy, else one
+    ``np.array`` per field of each group."""
+    if isinstance(ps, _Fleet) and ps._members == ps:  # == compares members by identity
+        return ps.groups
+    ps = list(ps)
+    return [_group_of(rows, [[getattr(ps[i], name) for i in rows.tolist()] for name in _FIELDS], np.array)
+            for rows in _group_by([p.C.shape for p in ps])]
 
 
 # steps a recursion runs between two checks of its stop rules, while a row left has a stop found only by looking
@@ -329,12 +403,12 @@ def _transposed(A) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a row that overflows is reported by the caller
-def _filter_covs(group) -> np.ndarray:
-    """Filter steady states of processes sharing one shape, as a stack; each row stops where it would alone,
-    one that overflows (``I + Xp G`` not finite, or singular once rounded) at its first non-finite iterate."""
-    A, Q, C, R = (_stack(group, name) for name in ("A", "Q", "C", "R_meas"))
+def _filter_covs(group: _Group) -> np.ndarray:
+    """Filter steady states of a group's rows, as a stack; each row stops where it would alone, one that
+    overflows (``I + Xp G`` not finite, or singular once rounded) at its first non-finite iterate."""
+    A, Q, C, R = group.A, group.Q, group.C, group.R_meas
     At, G, eye = _transposed(A), _mT(C) @ np.linalg.solve(R, C), np.eye(A.shape[1])
-    X = np.stack([np.zeros(p.A.shape) if p.Pi0 is None else p.Pi0 for p in group])
+    X = np.zeros(A.shape) if group.Pi0 is None else group.Pi0
     out, rows = np.empty_like(X), np.arange(len(X))
     for _ in range(_MAX_STEPS):
         Xp = A @ X @ At + Q
@@ -388,7 +462,7 @@ def steady_state_filter_cov(p: ProcessModel) -> np.ndarray:
     the largest, for at most 10**6 steps; an iterate that overflows raises :class:`NumericalError`. A row
     that contracts too slowly for that stop runs all the steps and raises too. The array is the caller's own.
     """
-    return _finite_pbars(_filter_covs([p]), [0])[0]
+    return _finite_pbars(_filter_covs(_grouped([p])[0]), [0])[0]
 
 
 def no_comm_limit(p: ProcessModel) -> float:
@@ -427,35 +501,55 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
     level), a window is ``_WINDOW`` steps; once every row left stops at its cap, it runs to the latest
     cap, 1 to ``max(_WINDOW, _WINDOW_CELLS // rows)`` steps, and rows that stop earlier leave at their stop.
     """
-    ps = list(ps)
+    groups = _grouped(ps)
+    if starts is not None:  # each group's start covariances as one stack
+        starts = starts[0], [np.array([starts[1][i] for i in g.rows.tolist()]) for g in groups], starts[2]
+    traces, first, lengths, cumsums, stacks, held = _traced(groups, caps, rates, stable, max_steps, levels, starts)
+    ends = [None] * len(held)
+    for group, stack in zip(groups, stacks):
+        for i, end in zip(group.rows.tolist(), stack):
+            if held[i]:
+                ends[i] = end
+    return traces, first, lengths, cumsums, ends
+
+
+def _traced(groups, caps, rates, stable=None, max_steps=None, levels=None, starts=None):
+    """:func:`prediction_traces` of the rows of ``groups``, numbered ``0 .. n - 1`` together, in the groups' order;
+    ``starts = (depths, covs, sums)`` with ``covs`` one ``(k, 2, d, d)`` stack per group. Its ``ends`` are
+    ``(stacks, held)``: per group, a stack of each row's last two covariances, and per row whether it holds
+    them (did not stop for good); a row that does not holds no meaning in its stack."""
+    size = sum(map(len, groups))
     caps, rates = np.asarray(caps, dtype=float), np.asarray(rates, dtype=float)
-    stable = np.zeros(len(ps), dtype=bool) if stable is None else np.asarray(stable, dtype=bool)
-    levels = np.full(len(ps), np.inf) if levels is None else np.where(stable, np.inf, levels)
+    stable = np.zeros(size, dtype=bool) if stable is None else np.asarray(stable, dtype=bool)
+    levels = np.full(size, np.inf) if levels is None else np.where(stable, np.inf, levels)
     # from step 0, each sum starts at -0.0, which leaves a first trace as it is, bit for bit
-    depths, covs, sums = ((np.zeros(len(ps), dtype=np.intp), None, np.full(len(ps), -0.0)) if starts is None
+    depths, covs, sums = ((np.zeros(size, dtype=np.intp), None, np.full(size, -0.0)) if starts is None
                           else (np.asarray(starts[0], dtype=np.intp), starts[1], np.array(starts[2], dtype=float)))
     budget = math.inf if max_steps is None else max_steps
-    limits, lengths, ends = np.full(len(ps), np.nan), np.empty(len(ps), dtype=np.intp), [None] * len(ps)
+    limits, lengths, held = np.full(size, np.nan), np.empty(size, dtype=np.intp), np.zeros(size, dtype=bool)
+    ends = []
     # blocks ``(t0, rows, traces)``: the traces of steps t0, t0 + 1, ... past each row's depth (one row each)
     # of the processes ``rows`` (one column each); entries past a process's length ran past its stop
     blocks = []
-    for group in _groups(ps):
-        members = [ps[i] for i in group]
-        A, Q, s = _stack(members, "A"), _stack(members, "Q"), stable[group]
-        limits[group[s]] = _traces(_no_comm_covs(A[s], Q[s]))
-        rows, At, limit, level = group, _transposed(A), limits[group], levels[group]
+    for g, group in enumerate(groups):
+        A, Q, rows = group.A, group.Q, group.rows
+        s = stable[rows]
+        limits[rows[s]] = _traces(_no_comm_covs(A[s], Q[s]))
+        At, limit, level = _transposed(A), limits[rows], levels[rows]
         # a 1x1 matmul sums its product onto 0.0, which changes a -0.0 only, and (a x) a is never -0.0 for a
         # covariance x >= +0: np.multiply gives its bits
         product = np.multiply if A.shape[1] == 1 else np.matmul
-        cap = np.minimum(caps[group], budget - 1.0)  # a stop at the step budget is a failure
-        run, depth = sums[group], depths[group]  # each row's sum of the traces before the window, its depth
+        cap = np.minimum(caps[rows], budget - 1.0)  # a stop at the step budget is a failure
+        run, depth = sums[rows], depths[rows]  # each row's sum of the traces before the window, its depth
+        # each row's last two covariances, by its position in the group, which ``pos`` holds while it runs
+        end, pos = np.empty((len(rows), 2) + A.shape[1:]), np.arange(len(rows))
         cut = _TAIL_TOL * np.maximum(limit, 1e-300)
         # the first window's first j0 slots: a start's last two covariances, or two unread slots and Pbar
         if starts is None:
             head, j0 = np.zeros((3,) + A.shape), 3
-            head[2] = _finite_pbars(_filter_covs(members), group)
+            head[2] = _finite_pbars(_filter_covs(group), rows)
         else:
-            head, j0 = np.array([covs[i] for i in group]).swapaxes(0, 1), 2
+            head, j0 = covs[g].swapaxes(0, 1), 2
         Ms, steps, t0, block_t0, failures = None, [], 0, 0, []
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             while True:
@@ -520,8 +614,9 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
                                          f"trace sequence did not stop within {max_steps} steps; {why}"))
                     lengths[rows[gone]] = last[gone] + 1
                     cols = np.flatnonzero(at_stop < n)
-                    for c in cols[~final[at_stop[cols], cols]].tolist():  # stopped, but not for good
-                        ends[rows[c]] = Ms[at_stop[c] + 1:at_stop[c] + 3, c].copy()
+                    cols = cols[~final[at_stop[cols], cols]]  # stopped, but not for good
+                    end[pos[cols], 0], end[pos[cols], 1] = Ms[at_stop[cols] + 1, cols], Ms[at_stop[cols] + 2, cols]
+                    held[rows[cols]] = True
                 t0 += n
                 if gone.any() or t0 - block_t0 >= 1024:  # 1024: a lone long run keeps few arrays
                     blocks.append((block_t0, rows, np.concatenate(steps)))
@@ -529,14 +624,15 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
                 head, j0 = Ms[-2:], 2
                 if gone.any():
                     keep = ~gone
-                    rows, A, At, Q, s, cap, limit, cut, level, run, depth = (
-                        x[keep] for x in (rows, A, At, Q, s, cap, limit, cut, level, run, depth))
+                    rows, pos, A, At, Q, s, cap, limit, cut, level, run, depth = (
+                        x[keep] for x in (rows, pos, A, At, Q, s, cap, limit, cut, level, run, depth))
                     head = Ms[-2:, keep]
                 # a failure is raised once every row left has run past its step
                 if failures and (not rows.size or (depth + t0).min() > min(failures)[0]):
                     raise NumericalError(min(failures)[2])
                 if not rows.size:
                     break
+        ends.append(end)
 
     added = lengths - depths
     first = np.cumsum(added + 1) - (added + 1)
@@ -552,7 +648,7 @@ def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None,
             sums[rows] = np.cumsum(block, axis=0, out=block)[-1]  # summed in order, as np.cumsum sums a row
         cumsums[at] = block[kept]
     traces[first + added], cumsums[first + added] = limits, np.nan
-    return traces, first, lengths, cumsums, ends
+    return traces, first, lengths, cumsums, ends, held
 
 
 @dataclass(frozen=True)
@@ -685,8 +781,9 @@ class CurveCostModel(CostModel):
     The model never changes, so concurrent readers need no lock; the knot
     costs that ``floors_at`` and ``rates_at`` search are computed on first
     use and kept. Built from
-    processes, it keeps each row's end state: the covariances of its last two
-    steps (none once it has stopped for good); its running sum is its last
+    processes, it keeps their groups and each row's end state: the covariances
+    of its last two steps, in one stack per group, and a mask of the rows that
+    hold one (not a row that stopped for good); its running sum is its last
     ``cumsums`` slot. :meth:`with_floor` and :meth:`floors_at` continue rows
     from there and splice the new steps into a new model (``floors_at``
     returns it); a row continued to a floor or a level equals, bit for bit,
@@ -707,16 +804,16 @@ class CurveCostModel(CostModel):
                 traces[at + n] = c.stable_limit
             at += n + 1
         stable = np.array([c.stable_limit is not None for c in curves], dtype=bool)
-        self._hold(traces, cumsums, sizes, stable, [c.domain_floor for c in curves], None, None)
+        self._hold(traces, cumsums, sizes, stable, [c.domain_floor for c in curves], None, None, None)
 
-    def _hold(self, traces, cumsums, sizes, stable, floors, processes, ends) -> CurveCostModel:
+    def _hold(self, traces, cumsums, sizes, stable, floors, groups, ends, held) -> CurveCostModel:
         """Take the table, the rows' sizes, stability and floors, and, to continue the rows from, their
-        processes and end states; return this model."""
+        processes' groups, each group's stack of end states and which rows hold one; return this model."""
         sizes, floors = np.asarray(sizes, dtype=np.intp), np.array(floors, dtype=float)
         for arr in (stable, traces, cumsums, floors):  # shared by every curve's views and deeper models
             arr.setflags(write=False)
         self.stable, self._traces, self._cumsums, self._sizes, self._floors = stable, traces, cumsums, sizes, floors
-        self.n, self._processes, self._ends = sizes.size, processes, ends
+        self.n, self._groups, self._ends, self._held = sizes.size, groups, ends, held
         # each row's slot count and first slot, as indices and as floats
         self._spans = sizes + 1
         self._starts = np.cumsum(self._spans) - self._spans
@@ -734,29 +831,30 @@ class CurveCostModel(CostModel):
 
     @classmethod
     def from_processes(cls, processes, unstable_floor: float = 1e-3):
-        processes = list(processes)
-        stable = stable_mask([p.A for p in processes])
-        return cls._built(processes, np.where(stable, 0.0, float(unstable_floor)), stable)
+        groups = _grouped(processes)
+        stable = _stable_rows(groups)
+        return cls._built(groups, np.where(stable, 0.0, float(unstable_floor)), stable)
 
     @classmethod
     def from_floors(cls, processes, domain_floors) -> CurveCostModel:
         """Each process's curve down to its own floor in [0, 1], in one table."""
-        processes = list(processes)
-        return cls._built(processes, domain_floors, stable_mask([p.A for p in processes]))
+        groups = _grouped(processes)
+        return cls._built(groups, domain_floors, _stable_rows(groups))
 
     @classmethod
-    def _built(cls, processes, domain_floors, stable) -> CurveCostModel:
-        """Every row built from its process's ``Pbar`` down to its floor, in one batch per shape."""
+    def _built(cls, groups, domain_floors, stable) -> CurveCostModel:
+        """Every row built from its process's ``Pbar`` down to its floor, in one batch per group."""
         floors = np.asarray(domain_floors, dtype=float)
-        if floors.shape != (len(processes),):
+        if floors.shape != stable.shape:
             raise ValueError(f"need one domain floor per process, got shape {floors.shape}")
-        for floor, is_stable in zip(floors.tolist(), stable.tolist()):
-            if not 0 <= floor <= 1:
-                raise CostDomainError(f"domain floor must lie in [0, 1], got {floor}")
-            if not is_stable and floor == 0:
-                raise CostDomainError("an unstable process needs a positive rate floor; its cost is unbounded at 0")
-        traces, _, lengths, cumsums, ends = prediction_traces(processes, _caps(floors), floors, stable, _MAX_STEPS)
-        return cls.__new__(cls)._hold(traces, cumsums, lengths, stable, floors, processes, ends)
+        outside = ~((0 <= floors) & (floors <= 1))
+        bad = outside | (~stable & (floors == 0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise CostDomainError(f"domain floor must lie in [0, 1], got {float(floors[i])}" if outside[i] else
+                                  "an unstable process needs a positive rate floor; its cost is unbounded at 0")
+        traces, _, lengths, cumsums, ends, held = _traced(groups, _caps(floors), floors, stable, _MAX_STEPS)
+        return cls.__new__(cls)._hold(traces, cumsums, lengths, stable, floors, groups, ends, held)
 
     @property
     def curves(self) -> list[CostCurve]:
@@ -772,27 +870,37 @@ class CurveCostModel(CostModel):
         already takes no step; the others' new steps go in before their limit slots."""
         caps, depth = _caps(floors) if level is None else np.full(rows.size, np.inf), self._sizes[rows]
         # a row steps on unless it stopped for good or its last step, depth - 1, lies past its cap already
-        go = (depth <= caps + 1) & np.array([self._ends[i] is not None for i in rows.tolist()], dtype=bool)
+        go = (depth <= caps + 1) & self._held[rows]
         grow, depth = rows[go], depth[go]
-        traces, cumsums, sizes, ends = self._traces, self._cumsums, self._sizes, self._ends
+        traces, cumsums, sizes, ends, held = self._traces, self._cumsums, self._sizes, self._ends, self._held
         if grow.size:
             end = self._starts[grow] + depth  # each row's limit slot
-            new, first, lengths, sums, new_ends = prediction_traces(
-                [self._processes[i] for i in grow.tolist()], caps[go], floors[go], self.stable[grow], _MAX_STEPS,
+            batch = np.full(self.n, -1)  # each grown row's index in the batch
+            batch[grow] = np.arange(grow.size)
+            parts = []  # each group holding grown rows: its first one, its index, their positions in it
+            for g, group in enumerate(self._groups):
+                pos = np.flatnonzero(batch[group.rows] >= 0)
+                if pos.size:
+                    parts.append((group.rows[pos[0]], g, pos))
+            parts.sort()  # the batch's groups in order of first appearance in it
+            new, first, lengths, sums, stacks, grown = _traced(
+                [self._groups[g].take(pos, batch[self._groups[g].rows[pos]]) for _, g, pos in parts],
+                caps[go], floors[go], self.stable[grow], _MAX_STEPS,
                 None if level is None else np.full(grow.size, level),
-                (depth, [ends[i] for i in grow.tolist()], cumsums[end - 1]))
+                (depth, [ends[g][pos] for _, g, pos in parts], cumsums[end - 1]))
             slots = np.ones(new.size, dtype=bool)
             slots[first + lengths - depth] = False  # the limit slots, which the table has already
             at = np.repeat(end, lengths - depth)
             traces, cumsums = np.insert(traces, at, new[slots]), np.insert(cumsums, at, sums[slots])
-            sizes, ends = sizes.copy(), list(ends)
-            sizes[grow] = lengths
-            for i, pair in zip(grow.tolist(), new_ends):
-                ends[i] = pair
+            sizes, ends, held = sizes.copy(), list(ends), held.copy()
+            sizes[grow], held[grow] = lengths, grown
+            for (_, g, pos), stack in zip(parts, stacks):
+                ends[g] = ends[g].copy()
+                ends[g][pos] = stack
         moved = self._floors.copy()
         moved[rows] = floors
         return CurveCostModel.__new__(CurveCostModel)._hold(traces, cumsums, sizes, self.stable, moved,
-                                                            self._processes, ends)
+                                                            self._groups, ends, held)
 
     def with_floor(self, lower) -> CurveCostModel:
         """A new model with each curve whose floor lies above its ``lower > 0`` continued down to it; this
@@ -801,7 +909,7 @@ class CurveCostModel(CostModel):
         if len(lower) != self.n:
             raise ValueError(f"expected {self.n} floors, got {len(lower)}")
         rows = np.flatnonzero((0 < lower) & (lower < self._floors))
-        return self if not rows.size or self._processes is None else self._continued(rows, lower[rows])
+        return self if not rows.size or self._groups is None else self._continued(rows, lower[rows])
 
     def floors_at(self, level) -> tuple[np.ndarray, CurveCostModel]:
         """``(rates, model)``: the rate at which each agent's cost equals ``level``, solved on the segment holding
@@ -814,7 +922,7 @@ class CurveCostModel(CostModel):
         level = float(level)
         rates, short = self._level_rates(level)
         model = self
-        if short.size and self._processes is not None:
+        if short.size and self._groups is not None:
             model = self._continued(short, self._floors[short], level)
             rates, short = model._level_rates(level)
         if short.size:
@@ -826,7 +934,7 @@ class CurveCostModel(CostModel):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             rates, count = self._inverse(level, level)
         # a row short of its tail: a model of processes keeps its end state, one of curves only its floor
-        held = self._floors > 0 if self._ends is None else np.array([e is not None for e in self._ends], dtype=bool)
+        held = self._floors > 0 if self._held is None else self._held
         return rates, np.flatnonzero((~self.stable | held) & (count == self._sizes))
 
     def rates_at(self, levels) -> np.ndarray:
@@ -861,7 +969,7 @@ class CurveCostModel(CostModel):
 
     def _stopped(self, i: int) -> bool:
         """Whether row ``i``, of a model of processes, stopped for good: at its tail or a repeated covariance."""
-        return self._ends is not None and self._ends[i] is None
+        return self._held is not None and not self._held[i]
 
     def values(self, rates) -> np.ndarray:
         """``J_i(rates[i])`` of every agent by one gather from the table.

@@ -22,11 +22,13 @@ from their Binomial(m, b) law. A process thus takes about log(horizon)
 draws, and the cycles' time and memory do not grow with the horizon. The
 cost model raises what it raises for the rates: ``NumericalError`` for a
 sequence that overflows or runs 10**6 steps short of its rate's segment, and
-``CostDomainError`` for a rate past a sequence that stopped for good; an error
-sum past the float maximum raises ``NumericalError`` naming its process.
-Only those draws run process by process; the cycle sums of all processes are
-gathered from the model's flat table at once. Results are deterministic given
-(inputs, horizon, seed); the per-process streams of ``simulate_allocation``
+``CostDomainError`` for a rate past a sequence that stopped for good. A row
+whose error summed over the horizon is past the float maximum takes its mean
+with each cycle count divided by the horizon first; a mean past it still
+raises ``NumericalError`` naming its process. Only the draws run process by
+process; every threshold is taken in one array pass, and the cycle sums of
+all processes are gathered from the model's flat table at once. Results are
+deterministic given (inputs, horizon, seed); the per-process streams of ``simulate_allocation``
 are those of ``SeedSequence(seed).spawn(n)`` (PCG64), bit for bit, with the
 children's states hashed for all processes in one pass, so they are
 independent and order-insensitive.
@@ -40,13 +42,15 @@ import numpy as np
 
 from .allocation import CostDomainError
 from .sensors import (
+    _RATE_MAX,
     _TAIL_TOL,
+    _XI_NUMERATOR,
     CurveCostModel,
     NumericalError,
     ProcessModel,
     ThresholdPolicy,
-    stable_mask,
-    threshold_from_rate,
+    _grouped,
+    _stable_rows,
 )
 
 __all__ = ["SimResult", "simulate_policy", "simulate_allocation"]
@@ -107,15 +111,36 @@ def _spawned_states(seed: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _spawned_rngs(seed: int, n: int) -> list:
-    """``default_rng(SeedSequence(seed).spawn(n)[i])`` for each ``i``, seeded from the states hashed in one pass."""
+def _spawned_rngs(seed: int, n: int, rows) -> list:
+    """``default_rng(SeedSequence(seed).spawn(n)[i])`` for each ``i`` in ``rows``, seeded from the states hashed
+    in one pass."""
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_Seeded)
-    return [np.random.Generator(np.random.PCG64(_Seeded(words))) for words in _spawned_states(seed, n)]
+    return [np.random.Generator(np.random.PCG64(_Seeded(words))) for words in _spawned_states(seed, n)[rows]]
 
 
-def _cycles(policy: ThresholdPolicy, horizon: int, rng) -> tuple[int, int, int]:
+def _thresholds(rates: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """``(xi, b)`` of ``threshold_from_rate`` at each rate, bit for bit, in one array pass: ``xi`` as exact
+    ints (past int64 for a rate below ~1e-19). Raises its :class:`CostDomainError` for the first rate that
+    it refuses."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        outside = ~((0.0 < rates) & (rates <= _RATE_MAX))
+        over = _XI_NUMERATOR / rates == np.inf
+        bad = outside | over
+        if bad.any():
+            i = int(bad.argmax())
+            r = float(rates[i])
+            raise CostDomainError(f"rate must lie in (0, 1], got {r}" if outside[i] else
+                                  f"rate {r} is too small for a threshold policy: its reciprocal overflows")
+        r = np.minimum(rates, 1.0)
+        # sensors._xi_of: the largest finite reciprocal stands for one that overflows
+        xi = np.maximum(np.floor(np.minimum(_XI_NUMERATOR / r, np.finfo(float).max) - 1.0), 0.0)
+        b = xi + 1.0 + (r - 1.0) / r
+    return [int(x) for x in xi.tolist()], np.minimum(np.maximum(b, 0.0), 1.0)
+
+
+def _cycles(xi: int, b: float, horizon: int, rng) -> tuple[int, int, int]:
     """(short cycles, long cycles, the steps they take) within `horizon` steps of the recursion.
 
     Starting right after a transmission the age visits 0..xi and the cycle
@@ -127,7 +152,6 @@ def _cycles(policy: ThresholdPolicy, horizon: int, rng) -> tuple[int, int, int]:
     one uniform decides whether a last short cycle fits. The steps after the
     last cycle are a cycle cut by the horizon, with no transmission.
     """
-    xi, b = policy.xi, policy.b
     short_len, long_len = xi + 1, xi + 2
 
     n_short = n_long = 0
@@ -166,42 +190,56 @@ def _cycle_sums(model: CurveCostModel, k: np.ndarray) -> np.ndarray:
     return np.where(past > 0, continued, np.where(k > 0, stored_sums, 0.0))
 
 
-def _tallied(model: CurveCostModel, policies, horizon: int, rngs) -> tuple[np.ndarray, list[int]]:
-    """Each row's error sum over `horizon` steps, and its transmissions.
+def _tallied(model: CurveCostModel, rows, xi, b, horizon: int, rngs) -> tuple[np.ndarray, list[int]]:
+    """Each row's error over `horizon` steps, and its transmissions: row ``rows[j]`` follows the threshold
+    ``(xi[j], b[j])`` and draws from ``rngs[j]``; every other row never transmits.
 
     A row's cycles, of a length L each, contribute the sum of its first L traces each; a cycle longer than
-    the horizon never completes, and its count is 0. A policy of None never transmits: the row's error is its
-    trace sum over the whole horizon.
+    the horizon never completes, and its count is 0. A row that never transmits has its trace sum over the
+    whole horizon. The error is the mean over the horizon, of the row's sum or, where that sum is past the
+    float maximum, of ``sum_L (count_L / horizon) * (sum of the first L traces)``, which may overflow too.
     """
-    drawn = [(0, 0, 0) if policy is None else _cycles(policy, horizon, rng) for policy, rng in zip(policies, rngs)]
-    steps = np.array([(0, 0, horizon - done) if policy is None else
-                      (min(policy.xi + 1, horizon), min(policy.xi + 2, horizon), horizon - done)
-                      for policy, (_, _, done) in zip(policies, drawn)], dtype=np.uint64).reshape(-1, 3)
-    counts = np.array([cycles[:2] for cycles in drawn], dtype=np.uint64).reshape(-1, 2).astype(float)
+    steps = np.zeros((model.n, 3), dtype=np.uint64)  # the short and long cycles' lengths, the cut cycle's
+    steps[:, 2] = horizon
+    counts = np.zeros((model.n, 2), dtype=np.uint64)  # short and long cycles
+    if len(rows):
+        drawn = np.array([_cycles(x, p, horizon, rng) for x, p, rng in zip(xi, b.tolist(), rngs)], dtype=np.uint64)
+        counts[rows] = drawn[:, :2]
+        steps[rows, :2] = np.array([(min(x + 1, horizon), min(x + 2, horizon)) for x in xi], dtype=np.uint64)
+        steps[rows, 2] -= drawn[:, 2]
     sums = _cycle_sums(model, steps)
+    n_tx = (counts[:, 0] + counts[:, 1]).tolist()
+    counts = counts.astype(float)
+    h = float(horizon)  # as Python divides a float by an int
     with np.errstate(over="ignore", invalid="ignore"):
-        errors = counts[:, 0] * sums[:, 0] + counts[:, 1] * sums[:, 1] + sums[:, 2]
-    return errors, [n_short + n_long for n_short, n_long, _ in drawn]
+        errors = (counts[:, 0] * sums[:, 0] + counts[:, 1] * sums[:, 1] + sums[:, 2]) / h
+        over = ~np.isfinite(errors)
+        if over.any():  # each count scaled first: the mean may be finite where the sum is not
+            shares, parts = counts[over] / h, sums[over]
+            errors[over] = shares[:, 0] * parts[:, 0] + shares[:, 1] * parts[:, 1] + parts[:, 2] / h
+    return errors, n_tx
 
 
-def _simulated(ps, rates: np.ndarray, policies, horizon: int, rngs, seed) -> list[SimResult]:
-    """Process ``i`` at ``rates[i]`` under ``policies[i]``, drawing from ``rngs[i]``; the trace sequences
-    and the analytical errors come from one cost model, each curve built down to its own rate."""
-    model = CurveCostModel.from_floors(ps, np.minimum(rates, 1.0))
+def _simulated(groups, stable, rates: np.ndarray, rows, xi, b, horizon: int, rngs, seed) -> list[SimResult]:
+    """The processes of ``groups`` at ``rates``, row ``rows[j]`` under the threshold ``(xi[j], b[j])`` drawing from
+    ``rngs[j]``, the others never transmitting; the trace sequences and the analytical errors come from one
+    cost model, each curve built down to its own rate."""
+    model = CurveCostModel._built(groups, np.minimum(rates, 1.0), stable)
     costs = model.values(rates).tolist()
-    errors, n_tx = _tallied(model, policies, horizon, rngs)
+    errors, n_tx = _tallied(model, rows, xi, b, horizon, rngs)
     bad = ~np.isfinite(errors)
     if bad.any():
         raise NumericalError(f"the simulated error sum of process {bad.argmax()} overflowed; the model is ill posed")
-    return [SimResult(n / horizon, err / horizon, cost, horizon, seed)
-            for n, err, cost in zip(n_tx, errors.tolist(), costs)]
+    return [SimResult(n / horizon, err, cost, horizon, seed) for n, err, cost in zip(n_tx, errors.tolist(), costs)]
 
 
 def simulate_policy(p: ProcessModel, policy: ThresholdPolicy, horizon: int, seed: int = 0) -> SimResult:
     """Simulate one sensor under a randomized threshold policy, drawing from ``default_rng(seed)``."""
     if not 1 <= horizon <= _MAX_HORIZON:
         raise ValueError(f"horizon must lie in [1, 2**64 - 1], got {horizon}")
-    return _simulated([p], np.array([policy.rate]), [policy], horizon, [np.random.default_rng(seed)], seed)[0]
+    groups = _grouped([p])
+    return _simulated(groups, _stable_rows(groups), np.array([policy.rate]), [0], [policy.xi], np.array([policy.b]),
+                      horizon, [np.random.default_rng(seed)], seed)[0]
 
 
 def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResult]:
@@ -214,7 +252,8 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
     come from one cost model, each curve built down to its own rate, whose
     ``values(rates)`` are the results' ``analytical_error``; the cycle sums never
     evaluate its formula. Process ``i`` draws from
-    ``default_rng(SeedSequence(seed).spawn(len(ps))[i])``, bit for bit.
+    ``default_rng(SeedSequence(seed).spawn(len(ps))[i])``, bit for bit; a
+    process at rate 0 draws nothing, and no generator is built for it.
     """
     rates = np.asarray(rates, dtype=float)
     if len(ps) != rates.size:
@@ -222,11 +261,13 @@ def simulate_allocation(ps, rates, horizon: int, seed: int = 0) -> list[SimResul
     if not 1 <= horizon <= _MAX_HORIZON:
         raise ValueError(f"horizon must lie in [1, 2**64 - 1], got {horizon}")
 
-    idle = np.flatnonzero(rates == 0.0)
-    refused = idle[~stable_mask([ps[i].A for i in idle.tolist()])]
+    groups = _grouped(ps)
+    stable = _stable_rows(groups)
+    refused = np.flatnonzero((rates == 0.0) & ~stable)
     if refused.size:
         raise CostDomainError(f"process {refused[0]} is unstable and cannot run at rate 0: its error is unbounded")
 
-    rngs = _spawned_rngs(seed, len(ps))
-    policies = [None if r == 0.0 else threshold_from_rate(r) for r in rates.tolist()]
-    return _simulated(ps, rates, policies, horizon, rngs, seed)
+    rows = np.flatnonzero(rates != 0.0)
+    rngs = _spawned_rngs(seed, len(ps), rows)
+    xi, b = _thresholds(rates[rows])
+    return _simulated(groups, stable, rates, rows, xi, b, horizon, rngs, seed)

@@ -38,6 +38,17 @@ from fairsched.sensors import _TAIL_TOL, CurveCostModel, stable_mask, threshold_
 from fairsched.simulate import SimResult
 
 
+def row_ends(model) -> list:
+    """Each row's end state in a curve model of processes, the covariances of its last two steps, or None
+    where the row stopped for good; read from the model's per-group stacks and its ``_held`` mask."""
+    ends = [None] * model.n
+    for group, stack in zip(model._groups, model._ends):
+        for i, end in zip(group.rows.tolist(), stack):
+            if model._held[i]:
+                ends[i] = end
+    return ends
+
+
 @contextlib.contextmanager
 def time_limit(seconds, what):
     """Raise ``TimeoutError`` in the block if it runs longer than ``seconds``."""

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairsched as fs
 from fairsched import cli, config
@@ -434,9 +436,9 @@ class TestSolveCommand:
     def test_curves_are_built_only_as_deep_as_the_solve_reads_them(self, tmp_path, monkeypatch):
         # the fixture at budget 2: every unstable row stops within its final floor's segment, which
         # holds a row of threshold index xi + 2 entries deep, and each process's Riccati runs once
-        loaded, solved, built, riccati = [], [], [], []
+        loaded, solved, models, riccati = [], [], [], []
         load, solve = cli.load_config, fs.allocation.solve_maxmin
-        prediction_traces, filter_covs = fs.sensors.prediction_traces, fs.sensors._filter_covs
+        hold, filter_covs = fs.CurveCostModel._hold, fs.sensors._filter_covs
 
         def spy_load(path):
             loaded.append(load(path))
@@ -446,27 +448,27 @@ class TestSolveCommand:
             solved.append(solve(*args))
             return solved[-1]
 
-        def spy_traces(ps, *args):
-            out = prediction_traces(ps, *args)
-            built.extend(zip(ps, out[2].tolist()))
-            return out
+        def spy_hold(model, *args):
+            models.append(hold(model, *args))
+            return models[-1]
 
         def spy_filter_covs(group):
-            riccati.extend(group)
+            riccati.extend(group.rows.tolist())
             return filter_covs(group)
 
         monkeypatch.setattr(cli, "load_config", spy_load)
         monkeypatch.setattr(fs.allocation, "solve_maxmin", spy_solve)
-        monkeypatch.setattr(fs.sensors, "prediction_traces", spy_traces)
+        monkeypatch.setattr(fs.CurveCostModel, "_hold", spy_hold)
         monkeypatch.setattr(fs.sensors, "_filter_covs", spy_filter_covs)
         assert main(["solve", "--config", str(fs.fixture_path("paper_sec4")), "--out", str(tmp_path / "s")]) == EXIT_OK
         (cfg,), ((_, trace),) = loaded, solved
-        assert sorted(map(id, riccati)) == sorted(map(id, cfg.processes))
+        assert sorted(riccati) == list(range(len(cfg.processes)))
         unstable = ~fs.stable_mask([p.A for p in cfg.processes])
         deepest = {i: fs.threshold_from_rate(lb).xi + 2 for i, lb in enumerate(trace.lower.tolist()) if unstable[i]}
-        rows = [(next(i for i, q in enumerate(cfg.processes) if q is p), length) for p, length in built]
-        assert all(length <= deepest[i] for i, length in rows if unstable[i])
-        assert max(length for i, length in rows if unstable[i]) <= 7  # no unstable row read past segment 5
+        # every model of the processes built on the way, each row as deep as it was built
+        rows = [(i, size) for model in models if model._groups is not None for i, size in enumerate(model._sizes)]
+        assert rows and all(size <= deepest[i] for i, size in rows if unstable[i])
+        assert max(size for i, size in rows if unstable[i]) <= 7  # no unstable row read past segment 5
 
     def test_simulate_runs_each_riccati_once(self, tmp_path, monkeypatch):
         # the simulator's traces and the analytic curves start from the same Pbar, kept on each process
@@ -491,40 +493,47 @@ class TestSolveCommand:
         # between its depth in the input model and its depth in the solve's model
         config = {"fixture": lambda: fs.fixture_path("paper_sec4"), "seed-7 fleet": lambda: seed7_fleet(tmp_path),
                   "two-process": lambda: write_config(tmp_path, TWO_PROCESS)}[which]()
-        solved, calls, curves = [], [], []
-        solve, prediction_traces, cost_curve = fs.allocation.solve_maxmin, fs.sensors.prediction_traces, fs.CostCurve
+        solved, calls, continued, curves = [], [], [], []
+        solve, traced, cost_curve = fs.allocation.solve_maxmin, fs.sensors._traced, fs.CostCurve
+        extend = fs.CurveCostModel._continued
 
         def spy_solve(costs, *args):
             solved.append((costs, solve(costs, *args)))
             return solved[-1][1]
 
-        def spy_traces(ps, *args):
-            out = prediction_traces(ps, *args)
-            depths = np.zeros(len(ps), dtype=int) if len(args) < 6 else np.asarray(args[5][0])
-            calls.append((ps, depths, out[2], len(args) > 4 and args[4] is not None))
+        def spy_traced(groups, *args):  # args: caps, rates, stable, max_steps[, levels, starts]
+            out = traced(groups, *args)
+            depths = None if len(args) < 6 else np.asarray(args[5][0])
+            calls.append((sum(map(len, groups)), depths, out[2], len(args) > 4 and args[4] is not None))
             return out
+
+        def spy_continued(model, *args):
+            continued.append((model, extend(model, *args)))
+            return continued[-1][1]
 
         def spy_curve(**fields):
             curves.append(fields)
             return cost_curve(**fields)
 
         monkeypatch.setattr(fs.allocation, "solve_maxmin", spy_solve)
-        monkeypatch.setattr(fs.sensors, "prediction_traces", spy_traces)
+        monkeypatch.setattr(fs.sensors, "_traced", spy_traced)
+        monkeypatch.setattr(fs.CurveCostModel, "_continued", spy_continued)
         monkeypatch.setattr(fs.sensors, "CostCurve", spy_curve)
         assert main(["solve", "--config", str(config), "--out", str(tmp_path / "s")]) == EXIT_OK
         assert not curves  # no CostCurve view is built on the way
         ((costs, (_, trace)),) = solved
-        index = {id(p): i for i, p in enumerate(costs._processes)}
-        (ps, depths, lengths, _), *extensions = calls
-        assert [index[id(p)] for p in ps] == list(range(costs.n)) and not depths.any()
-        assert lengths.tolist() == costs._sizes.tolist()
-        steps, held = np.zeros(costs.n, dtype=int), costs._sizes.copy()  # held: each row's depth so far
-        for ps, depths, lengths, _ in extensions:
-            rows = [index[id(p)] for p in ps]
-            assert len(set(rows)) == len(rows)
-            assert depths.tolist() == held[rows].tolist()  # each call starts where the last one stopped
-            held[rows] = lengths
-            np.add.at(steps, rows, lengths - depths)
+        (size, depths, lengths, _), *extensions = calls
+        assert size == costs.n and depths is None and lengths.tolist() == costs._sizes.tolist()
+        # a continuation runs only the rows that take a step, each of them one step at least
+        grown = [(model, out) for model, out in continued if (out._sizes > model._sizes).any()]
+        assert len(grown) == len(extensions)
+        steps = np.zeros(costs.n, dtype=int)
+        for (model, out), (size, depths, lengths, _) in zip(grown, extensions):
+            rows = np.flatnonzero(out._sizes > model._sizes)
+            assert size == rows.size
+            assert depths.tolist() == model._sizes[rows].tolist()  # each row starts where the model it extends stopped
+            assert lengths.tolist() == out._sizes[rows].tolist()
+            steps[rows] += lengths - depths
         assert steps.tolist() == (trace.model._sizes - costs._sizes).tolist()
         assert 2 <= len(extensions) <= 3 and sum(levelled for *_, levelled in extensions) == 1
 
@@ -774,22 +783,48 @@ def run_scaled(tmp_path, capsys, command, config):
 def test_cancelled_filter_covariance_exits_2_with_one_line(tmp_path, capsys, command, factor):
     # Q of the stable process 3 scaled by 1e20 cancelled the subtracting update's filter covariance to 0, which
     # exited 2; the update by the matrix inversion lemma reads Tr(Pbar) = 2 and each command exits 0. At 1e306
-    # the row's running sums overflow: each command exits 2, naming the process, with no RuntimeWarning
+    # the row's running sums overflow: solve and distributed exit 2, naming the process, with no RuntimeWarning.
+    # simulate builds the row down to rate 0.4 only, whose sums stay finite: its error sum over the horizon
+    # overflows, but its mean, ~1.2e307, does not, and it exits 0
     code, err = run_scaled(tmp_path, capsys, command, scaled_fixture(tmp_path, factor))
-    if factor == 1e20:
+    if factor == 1e20 or command == "simulate":
         assert code == EXIT_OK and err == ""
         if command == "solve":
             assert json.loads((tmp_path / "out" / "summary.json").read_text())["costs"][3] == 2.0
+        if command == "simulate" and factor == 1e306:
+            rows = np.loadtxt(tmp_path / "out" / "simulation_report.csv", delimiter=",", skiprows=2, ndmin=2)
+            assert 1e307 < rows[3, 3] < math.inf and rows[3, 5] < 1e-2
     else:
         assert code == EXIT_CONFIG_ERROR and err.count("\n") == 1
         assert re.search(r"the (trace|simulated error) sums? of process 3 overflowed; the model is ill posed\n$", err)
 
 
+def test_simulate_reads_a_finite_mean_whose_error_sum_overflows(tmp_path, capsys):
+    # the fixture's allocation on the fixture with process 3's Q scaled by 1e306: its error summed over 10^6
+    # steps is past the float maximum, but its mean, ~4.6e306, is not; every other row keeps its bytes
+    fixture = str(fs.fixture_path("paper_sec4"))
+    assert main(["solve", "--config", fixture, "--out", str(tmp_path / "s")]) == EXIT_OK
+    allocation = str(tmp_path / "s" / "allocation.json")
+    assert main(["simulate", "--config", fixture, "--allocation", allocation, "--out", str(tmp_path / "plain")]) == EXIT_OK
+    capsys.readouterr()
+    scaled = str(scaled_fixture(tmp_path, 1e306))
+    assert main(["simulate", "--config", scaled, "--allocation", allocation, "--out", str(tmp_path / "big")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    plain, big = ((tmp_path / d / "simulation_report.csv").read_text().splitlines() for d in ("plain", "big"))
+    assert plain[:5] + plain[6:] == big[:5] + big[6:]  # line 5 is process 4's, index 3
+    row = [float(v) for v in big[5].split(",")]
+    assert 1e306 < row[3] < math.inf and row[5] < 1e-2
+
+
 @pytest.mark.parametrize("command", ["solve", "simulate", "distributed"])
 def test_stable_sums_that_overflow_exit_2_with_one_line(tmp_path, capsys, command):
     # R scaled with Q keeps the steady state near 1e306 too: solve exited 0 with RuntimeWarnings, and
-    # distributed exited 3 "diverged"
+    # distributed exited 3 "diverged". simulate builds the row down to rate 0.4 only, whose sums fit, and
+    # so does its mean over the horizon: it exits 0
     code, err = run_scaled(tmp_path, capsys, command, scaled_fixture(tmp_path, 1e306, 1e306))
+    if command == "simulate":
+        assert code == EXIT_OK and err == ""
+        return
     assert code == EXIT_CONFIG_ERROR and err.count("\n") == 1
     assert re.search(r"the (trace|simulated error) sums? of process 3 overflowed; the model is ill posed\n$", err)
 
@@ -1516,3 +1551,41 @@ class TestTinyRates:
                      "--out", str(out)]) == EXIT_OK
         row = (out / "simulation_report.csv").read_text().splitlines()[5].split(",")
         assert row[:3] == ["4.0", "1e-150", "0.0"]
+
+
+# scalars as the JSON outputs hold them, and the corners of their text: NaN, infinities, -0.0, the smallest
+# subnormal, integers past 2^63, and strings holding ", ", quotes, escapes or non-ASCII
+JSON_SCALARS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 2.0**63]),
+    st.integers(min_value=-2**80, max_value=2**80), st.booleans(), st.none(),
+    st.text(alphabet=st.sampled_from([",", " ", "a", "é", "日", "\n", '"', "\\", "\x00", "\u2028", "\U0001f600"]),
+            max_size=6),
+    st.sampled_from(["a, b", ", ", "[1, 2]"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=40)
+# solve's summary: lipschitz_bounds holds an error or two lists
+SUMMARIES = st.fixed_dictionaries({
+    "allocation": st.lists(st.floats(), max_size=30), "unstable": st.lists(st.booleans(), max_size=30),
+    "active_set": st.lists(st.integers(min_value=0, max_value=2**64), max_size=5), "status": st.text(max_size=8),
+    "lipschitz_bounds": st.one_of(st.fixed_dictionaries({"error": st.text(max_size=20)}),
+                                  st.fixed_dictionaries({"alpha": st.lists(st.floats()), "beta": st.lists(st.floats())})),
+    "game_value": JSON_SCALARS, "rest": JSON_VALUES,
+})
+
+
+class TestJsonWriter:
+    """``_write_json`` writes ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, byte for byte."""
+
+    @given(st.one_of(SUMMARIES, JSON_VALUES))
+    @settings(max_examples=400, deadline=None)
+    def test_text_equals_the_stdlib(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_file_bytes_equal_the_stdlib(self, tmp_path):
+        payload = {"b": [1.0, -0.0, 5e-324, math.nan, -math.inf, 2**64, True, None, "a, b", "é"], "a": {},
+                   "c": [[], {}, [1, [2.5]], {"z": (1, 2), "y": "x"}], "d": {1: "int key", 2: [3.0]}, "e": (),
+                   "lipschitz_bounds": {"error": "segment 3, past the floor"}}
+        cli._write_json(tmp_path / "out.json", payload)
+        assert (tmp_path / "out.json").read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()

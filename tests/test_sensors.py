@@ -26,6 +26,7 @@ from helpers import (
     reference_node,
     reference_prediction_traces,
     reference_rank_failure,
+    row_ends,
     time_limit,
 )
 from test_simulate import PERIOD_TWO
@@ -121,7 +122,8 @@ class TestFilterSteadyState:
               fs.ProcessModel(A=[[0.9, 0.3], [-0.3, 0.9]], Q=1e300 * (v @ v.T))]
         with pytest.raises(fs.NumericalError, match="^the filter covariance of process 1 overflowed"):
             fs.CurveCostModel.from_processes(ps)
-        np.testing.assert_array_equal(sensors._filter_covs(ps)[0], sensors._filter_covs(ps[:1])[0])
+        np.testing.assert_array_equal(sensors._filter_covs(sensors._grouped(ps)[0])[0],
+                                      sensors._filter_covs(sensors._grouped(ps[:1])[0])[0])
 
     def test_fixed_point_residual_and_symmetry(self, bench_config):
         for p in bench_config.processes:
@@ -805,7 +807,7 @@ class TestBatchedBuild:
             groups.setdefault(p.C.shape, []).append(p)
         assert len(groups) > 1
         for group in groups.values():  # one batched iteration per shape
-            for p, X in zip(group, sensors._filter_covs(group)):
+            for p, X in zip(group, sensors._filter_covs(sensors._grouped(group)[0])):
                 np.testing.assert_array_equal(X, reference_filter_cov(p))
                 np.testing.assert_array_equal(fs.steady_state_filter_cov(p), X)
 
@@ -1245,7 +1247,7 @@ def assert_same_table(got, want) -> None:
     assert got._sizes.tolist() == want._sizes.tolist()
     for name in ("_traces", "_cumsums", "_floors", "stable"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    for a, b in zip(got._ends, want._ends, strict=True):
+    for a, b in zip(row_ends(got), row_ends(want), strict=True):
         assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
 
 
@@ -1263,7 +1265,7 @@ def assert_same_answer(got, want) -> None:
 def stop_kinds(model) -> list[str]:
     """Why each row stopped: at its "cap", at its stable "tail", or at a "repeat"ed covariance."""
     kinds = []
-    for curve, end in zip(model.curves, model._ends):
+    for curve, end in zip(model.curves, row_ends(model)):
         limit = curve.stable_limit
         tail = limit is not None and abs(curve.traces[-1] - limit) <= sensors._TAIL_TOL * limit
         kinds.append("cap" if end is not None else "tail" if tail else "repeat")
@@ -1355,7 +1357,7 @@ class TestContinuedRows:
         assert stop_kinds(model) == ["cap", "tail", "repeat"]
         lower = [0.0999, 1e-3, 1e-3]  # 0.0999 lies in 0.1's segment: the row holds it already
         calls = []
-        monkeypatch.setattr(sensors, "prediction_traces", lambda *args: calls.append(args))
+        monkeypatch.setattr(sensors, "_traced", lambda *args: calls.append(args))
         moved = model.with_floor(lower)
         assert not calls and moved._traces is model._traces and moved._cumsums is model._cumsums
         assert moved._floors.tolist() == lower and model._floors.tolist() == [0.1, 0.02, 1 / 250]

@@ -218,9 +218,11 @@ def test_invalid_horizon():
 
 
 def tallied(p, policy, horizon, rng) -> tuple[float, int]:
-    """(error sum, transmissions) of one process, its cycles drawn from ``rng``."""
-    errors, n_tx = simulate._tallied(fs.CurveCostModel.from_floors([p], [policy.rate]), [policy], horizon, [rng])
-    return float(errors[0]), n_tx[0]
+    """(error sum, transmissions) of one process, its cycles drawn from ``rng``; the sum is the tallied mean
+    times the horizon, within an ulp of the sum."""
+    model = fs.CurveCostModel.from_floors([p], [policy.rate])
+    errors, n_tx = simulate._tallied(model, [0], [policy.xi], np.array([policy.b]), horizon, [rng])
+    return float(errors[0]) * horizon, n_tx[0]
 
 
 class SpyGenerator:
@@ -340,7 +342,7 @@ def test_cycle_counts_follow_their_exact_law(run, xi, b, horizon):
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
         if run == "counted":
-            n_short, n_long, done = simulate._cycles(policy, horizon, rng)
+            n_short, n_long, done = simulate._cycles(policy.xi, policy.b, horizon, rng)
             assert done == n_short * (xi + 1) + n_long * (xi + 2)
             cell = n_short, n_long
         else:
@@ -396,7 +398,7 @@ def test_hashed_states_are_those_of_spawn(seed, n):
     states = simulate._spawned_states(seed, n)
     assert states.dtype == np.uint64
     assert states.tobytes() == np.array([c.generate_state(4, np.uint64) for c in children]).tobytes()
-    for rng, child in zip(simulate._spawned_rngs(seed, n), children):
+    for rng, child in zip(simulate._spawned_rngs(seed, n, np.arange(n)), children, strict=True):
         want = np.random.default_rng(child)
         assert (rng.random(), rng.binomial(10**12, 0.3)) == (want.random(), want.binomial(10**12, 0.3))
 
@@ -468,13 +470,16 @@ def test_empty_allocation():
 
 
 def test_error_sum_overflow_raises_in_both_entry_points():
-    # Tr(Pbar) ~ 1e306: the curve's own sums fit, but 10^6 steps of error do not
+    # traces ~1e306: at rate 0.5 the curve's own sums fit, and so does the mean of 10^6 steps of error, though
+    # their sum does not; at rate 1e-3 a cycle's own sum, ~1e309, overflows, and the mean with it
     p, ok = fs.ProcessModel(A=[[0.5]], Q=[[1e306]]), fs.ProcessModel(A=[[0.5]], Q=[[1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        res = fs.simulate_policy(p, fs.threshold_from_rate(0.5), horizon=10**6)
+        assert res.empirical_avg_error == pytest.approx(res.analytical_error, rel=1e-2)
         message = "^the simulated error sum of process 0 overflowed; the model is ill posed$"
         with pytest.raises(fs.NumericalError, match=message):
-            fs.simulate_policy(p, fs.threshold_from_rate(0.5), horizon=10**6)
+            fs.simulate_policy(p, fs.threshold_from_rate(1e-3), horizon=10**6)
         for run in (fs.simulate_allocation, reference_simulate_allocation):
             with pytest.raises(fs.NumericalError, match="^the simulated error sum of process 1 overflowed"):
-                run([ok, p, p], [0.3, 0.5, 0.5], 10**6, 0)
+                run([ok, p, p], [0.3, 1e-3, 1e-3], 10**6, 0)
