@@ -12,16 +12,19 @@ threshold transmission policy the long-run average of ``Tr(P)`` as a function
 of the average transmission rate ``r`` is piecewise linear, convex, continuous
 and strictly decreasing; this module builds that curve and evaluates it in
 closed form. The Monte Carlo simulator in ``fairsched.simulate`` checks the
-closed form; it shares the trace sequence (:func:`prediction_traces`).
+closed form; it shares the trace sequence, which one recursion over groups
+(``_traced``) builds for both; :func:`prediction_traces` is its public
+per-process wrapper.
 
 Curves are built in batches, and a batch of processes is held as groups: one
 per shape of ``C``, in order of first appearance, each a set of rows and
 read-only ``(k, d, d)`` stacks of their ``A``, ``Q``, ``C``, ``R_meas`` and
 ``Pi0``. ``config.load_config`` hands its own stacks on with the processes,
-which hold row views of them, and they are taken as they are; any other list
-is stacked once per field. Each row steps alone within its stacks, so a batch's
-curves do not depend on how its rows are grouped; only which failure is named
-first does, and that follows the groups' order. The stable no-communication limit, the fixed
+which hold row views of them, and where each shape of ``C`` has one set of
+stacks they are taken as they are; any other list is stacked once per field.
+Each row steps alone within its stacks, so a batch's curves do not depend on
+how its rows are grouped; only which failure is named first does, and that
+follows the groups' order. The stable no-communication limit, the fixed
 point of ``P = A P A' + Q``, is linear in ``P`` and solved exactly; the
 Riccati steady state and the trace sequence are iterated, each process to
 its own stop rule, so a batched curve equals the one built for that process
@@ -341,50 +344,39 @@ class _Group:
         return _Group(rows, *(None if M is None else M[at] for M in (self.A, self.Q, self.C, self.R_meas, self.Pi0)))
 
 
-def _group_of(rows, pieces, join) -> _Group:
-    """The group of ``rows`` whose stacks ``join`` makes of ``pieces``, one list of arrays per field; a ``Pi0``
-    piece of None stands for zeros, and the group's ``Pi0`` is None where every one is."""
+def _group_of(rows, pieces) -> _Group:
+    """The group of ``rows`` whose stacks are ``pieces``, one list of arrays per field, each made one array; a
+    ``Pi0`` piece of None stands for zeros, and the group's ``Pi0`` is None where every one is."""
     *fields, pi0 = pieces
     if any(M is not None for M in pi0):
         fields.append([np.zeros(A.shape) if M is None else M for A, M in zip(fields[0], pi0)])
-    stacks = [join(Ms) for Ms in fields]
+    stacks = [np.array(Ms) for Ms in fields]
     for M in stacks:
         M.setflags(write=False)
     return _Group(rows, *stacks)
 
 
-def _joined(parts) -> _Group:
-    """Groups of disjoint rows with one shape of ``C`` as one group, its rows in order; a group alone as it is."""
-    if len(parts) == 1:
-        return parts[0]
-    rows = np.concatenate([g.rows for g in parts])
-    order = np.argsort(rows)
-    return _group_of(rows[order], [[getattr(g, name) for g in parts] for name in _FIELDS],
-                     lambda Ms: np.concatenate(Ms)[order])
-
-
 class _Fleet(list):
-    """A list of processes that also holds them as groups (:func:`_grouped`), built from the stacks their
-    fields are row views of: ``config.load_config`` returns its processes so."""
+    """A list of processes that may also hold them as groups (:func:`_grouped`): the stacks their fields are row
+    views of, where each shape of ``C`` has one set of them. ``config.load_config`` returns its processes so."""
 
     def __init__(self, processes, parts):
         """``parts``: groups of the processes' rows, each holding the stacks its rows are views of, in order of
-        their first rows; those that share a shape of ``C`` are joined."""
+        their first rows. ``groups`` is None where two of them share a shape of ``C``, which only entries that give
+        ``C``, ``R`` or ``Pi0`` in some rows and not in others make: those are stacked afresh."""
         super().__init__(processes)
-        by_shape = {}
-        for part in parts:
-            by_shape.setdefault(part.C.shape[1:], []).append(part)
-        self.groups, self._members = [_joined(same) for same in by_shape.values()], list(processes)
+        one_each = len({part.C.shape[1:] for part in parts}) == len(parts)
+        self.groups, self._members = (list(parts) if one_each else None), list(processes)
 
 
 def _grouped(ps) -> list[_Group]:
     """The processes as groups, one per shape of ``C`` in order of first appearance, each row numbered by its
     index in ``ps``: the groups of a :class:`_Fleet` whose members are as built, with no copy, else one
     ``np.array`` per field of each group."""
-    if isinstance(ps, _Fleet) and ps._members == ps:  # == compares members by identity
+    if isinstance(ps, _Fleet) and ps.groups is not None and ps._members == ps:  # == compares members by identity
         return ps.groups
     ps = list(ps)
-    return [_group_of(rows, [[getattr(ps[i], name) for i in rows.tolist()] for name in _FIELDS], np.array)
+    return [_group_of(rows, [[getattr(ps[i], name) for i in rows.tolist()] for name in _FIELDS])
             for rows in _group_by([p.C.shape for p in ps])]
 
 

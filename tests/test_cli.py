@@ -765,12 +765,12 @@ def scaled_fixture(tmp_path, factor, r_factor=1.0):
     return write_config(tmp_path, payload, name=f"q3_{factor}_{r_factor}.json")
 
 
-def run_scaled(tmp_path, capsys, command, config):
-    """``(exit code, stderr)`` of a command on ``config``; simulate reads rates of 0.4."""
+def run_scaled(tmp_path, capsys, command, config, rate3=0.4):
+    """``(exit code, stderr)`` of a command on ``config``; simulate reads rates of 0.4, and ``rate3`` for process 3."""
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
     if command == "simulate":
         alloc_path = tmp_path / "rates.json"
-        alloc_path.write_text(json.dumps({"rates": [0.4] * 5}))
+        alloc_path.write_text(json.dumps({"rates": [0.4, 0.4, 0.4, rate3, 0.4]}))
         argv += ["--allocation", str(alloc_path)]
     code = main(argv)
     err = capsys.readouterr().err
@@ -783,32 +783,35 @@ def run_scaled(tmp_path, capsys, command, config):
 def test_cancelled_filter_covariance_exits_2_with_one_line(tmp_path, capsys, command, factor):
     # Q of the stable process 3 scaled by 1e20 cancelled the subtracting update's filter covariance to 0, which
     # exited 2; the update by the matrix inversion lemma reads Tr(Pbar) = 2 and each command exits 0. At 1e306
-    # the row's running sums overflow: solve and distributed exit 2, naming the process, with no RuntimeWarning.
-    # simulate builds the row down to rate 0.4 only, whose sums stay finite: its error sum over the horizon
-    # overflows, but its mean, ~1.2e307, does not, and it exits 0
-    code, err = run_scaled(tmp_path, capsys, command, scaled_fixture(tmp_path, factor))
-    if factor == 1e20 or command == "simulate":
+    # the row's running sums overflow: each command exits 2, naming the process, with no RuntimeWarning.
+    # simulate reads process 3 at rate 1e-3, whose curve runs deep enough to overflow
+    code, err = run_scaled(tmp_path, capsys, command, scaled_fixture(tmp_path, factor), rate3=1e-3)
+    if factor == 1e20:
         assert code == EXIT_OK and err == ""
         if command == "solve":
             assert json.loads((tmp_path / "out" / "summary.json").read_text())["costs"][3] == 2.0
-        if command == "simulate" and factor == 1e306:
-            rows = np.loadtxt(tmp_path / "out" / "simulation_report.csv", delimiter=",", skiprows=2, ndmin=2)
-            assert 1e307 < rows[3, 3] < math.inf and rows[3, 5] < 1e-2
     else:
         assert code == EXIT_CONFIG_ERROR and err.count("\n") == 1
         assert re.search(r"the (trace|simulated error) sums? of process 3 overflowed; the model is ill posed\n$", err)
 
 
-def test_simulate_reads_a_finite_mean_whose_error_sum_overflows(tmp_path, capsys):
-    # the fixture's allocation on the fixture with process 3's Q scaled by 1e306: its error summed over 10^6
-    # steps is past the float maximum, but its mean, ~4.6e306, is not; every other row keeps its bytes
+@pytest.mark.parametrize("r_factor, rates", [(1.0, None), (1.0, 0.4), (1e306, 0.4)])
+def test_simulate_reads_a_finite_mean_whose_error_sum_overflows(tmp_path, capsys, r_factor, rates):
+    # process 3's Q scaled by 1e306 and its R set to r_factor I, at the fixture's allocation (None) or at rates
+    # of 0.4: the curve is built down to the row's rate only, and its sums fit. The row's error summed over
+    # 10^6 steps is past the float maximum, which exited 2, but its mean, 1e306 to 1.4e307, is not; every other
+    # row keeps its bytes
     fixture = str(fs.fixture_path("paper_sec4"))
-    assert main(["solve", "--config", fixture, "--out", str(tmp_path / "s")]) == EXIT_OK
-    allocation = str(tmp_path / "s" / "allocation.json")
-    assert main(["simulate", "--config", fixture, "--allocation", allocation, "--out", str(tmp_path / "plain")]) == EXIT_OK
+    allocation = tmp_path / "rates.json"
+    if rates is None:
+        assert main(["solve", "--config", fixture, "--out", str(tmp_path / "s")]) == EXIT_OK
+        allocation = tmp_path / "s" / "allocation.json"
+    else:
+        allocation.write_text(json.dumps({"rates": [rates] * 5}))
+    assert main(["simulate", "--config", fixture, "--allocation", str(allocation), "--out", str(tmp_path / "plain")]) == EXIT_OK
     capsys.readouterr()
-    scaled = str(scaled_fixture(tmp_path, 1e306))
-    assert main(["simulate", "--config", scaled, "--allocation", allocation, "--out", str(tmp_path / "big")]) == EXIT_OK
+    scaled = str(scaled_fixture(tmp_path, 1e306, r_factor))
+    assert main(["simulate", "--config", scaled, "--allocation", str(allocation), "--out", str(tmp_path / "big")]) == EXIT_OK
     assert capsys.readouterr().err == ""
     plain, big = ((tmp_path / d / "simulation_report.csv").read_text().splitlines() for d in ("plain", "big"))
     assert plain[:5] + plain[6:] == big[:5] + big[6:]  # line 5 is process 4's, index 3
@@ -816,15 +819,20 @@ def test_simulate_reads_a_finite_mean_whose_error_sum_overflows(tmp_path, capsys
     assert 1e306 < row[3] < math.inf and row[5] < 1e-2
 
 
+def test_simulate_exits_2_where_the_mean_error_overflows(tmp_path, capsys):
+    # process 3's Q scaled by 1e304 at rate 1e-3: the curve's sums fit, down to its stable tail, but a cycle of
+    # about 1000 steps sums past the float maximum, and so does the mean of 10^6 steps of error
+    code, err = run_scaled(tmp_path, capsys, "simulate", scaled_fixture(tmp_path, 1e304), rate3=1e-3)
+    assert code == EXIT_CONFIG_ERROR and err.count("\n") == 1
+    assert re.search(r"the simulated error sum of process 3 overflowed; the model is ill posed\n$", err)
+
+
 @pytest.mark.parametrize("command", ["solve", "simulate", "distributed"])
 def test_stable_sums_that_overflow_exit_2_with_one_line(tmp_path, capsys, command):
     # R scaled with Q keeps the steady state near 1e306 too: solve exited 0 with RuntimeWarnings, and
-    # distributed exited 3 "diverged". simulate builds the row down to rate 0.4 only, whose sums fit, and
-    # so does its mean over the horizon: it exits 0
-    code, err = run_scaled(tmp_path, capsys, command, scaled_fixture(tmp_path, 1e306, 1e306))
-    if command == "simulate":
-        assert code == EXIT_OK and err == ""
-        return
+    # distributed exited 3 "diverged". simulate reads process 3 at rate 1e-3, whose curve runs deep enough to
+    # overflow
+    code, err = run_scaled(tmp_path, capsys, command, scaled_fixture(tmp_path, 1e306, 1e306), rate3=1e-3)
     assert code == EXIT_CONFIG_ERROR and err.count("\n") == 1
     assert re.search(r"the (trace|simulated error) sums? of process 3 overflowed; the model is ill posed\n$", err)
 

@@ -1,9 +1,9 @@
 """The group layout: a batch of processes held as groups, each a set of rows and read-only stacks of their
 fields, from ``load_config`` to the last output.
 
-``load_config`` hands its stacks on with the processes (``sensors._Fleet``); a hand-built list is stacked
-once per field. Either way every table, end state and error equals, bit for bit, what the per-process
-layout before it gave: the digests below were taken from that layout.
+``load_config`` hands its stacks on with the processes (``sensors._Fleet``) where each shape of ``C`` has one
+set of them; any other list is stacked once per field. Either way every table, end state and error equals,
+bit for bit, what the per-process layout before it gave: the digests below were taken from that layout.
 """
 
 import hashlib
@@ -117,24 +117,29 @@ def test_fleet_groups_are_load_configs_stacks(tmp_path):
     assert digest(fs.CurveCostModel.from_processes(ps)) == digest(fs.CurveCostModel.from_processes(copies(ps)))
 
 
-def mixed_entries(seed: int, n: int = 60) -> list:
+def mixed_entries(seed: int, uniform: bool, n: int = 60) -> list:
     """Seeded config entries of 1-, 2- and 3-d processes, interleaved: stable and unstable, with ``C`` of full
-    or fewer rows or none, ``R`` and ``Pi0`` given or not, so that load_config's shape groups join into one
-    group per shape of ``C`` (a 2-d ``C`` given as the identity and one left out share it)."""
+    or fewer rows or none, ``R`` and ``Pi0`` given or not. Which of them an entry gives is drawn per entry, so
+    that entries of one shape of ``C`` differ in it (a 2-d ``C`` given as the identity and one left out share
+    a shape), or, if ``uniform``, once per dimension, so that each shape of ``C`` is one of load_config's
+    shape groups."""
     rng = np.random.default_rng(seed)
-    entries = []
+    entries, styles = [], {}
     while len(entries) < n:
         d = int(rng.integers(1, 4))
         rho = rng.uniform(1.01, 1.1) if rng.random() < 0.3 else rng.uniform(0.1, 0.95)
         B = rng.normal(size=(d, d))
         A = rho * np.linalg.qr(B)[0] if d > 1 else np.array([[rho * rng.choice([-1.0, 1.0])]])
         entry = {"A": A.tolist(), "Q": (B @ B.T + np.eye(d)).tolist()}
-        m = d if rng.random() < 0.6 else max(1, d - 1)
-        if rng.random() < 0.5:
+        style = rng.random(4)  # fewer rows of C, C given, R given, Pi0 given
+        if uniform:
+            style = styles.setdefault(d, style)
+        m = d if style[0] < 0.6 else max(1, d - 1)
+        if style[1] < 0.5:
             entry["C"] = (np.eye(d) if m == d and rng.random() < 0.5 else rng.normal(size=(m, d))).tolist()
-        if rng.random() < 0.4:
+        if style[2] < 0.4:
             entry["R"] = (rng.uniform(0.5, 2.0) * np.eye(len(entry.get("C", A)))).tolist()
-        if rng.random() < 0.3:
+        if style[3] < 0.3:
             entry["Pi0"] = (rng.uniform(0.0, 3.0) * np.eye(d)).tolist()
         try:
             fs.ProcessModel(*(entry.get(k) for k in ("A", "Q", "C", "R", "Pi0"))).validate()
@@ -162,17 +167,20 @@ def same_outcome(got, want) -> str | None:
     return None
 
 
+@pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_loaded_and_hand_made_processes_build_the_same_models(tmp_path, seed):
-    entries = mixed_entries(seed)
+def test_loaded_and_hand_made_processes_build_the_same_models(tmp_path, seed, uniform):
+    entries = mixed_entries(seed, uniform)
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({"total_rate": 10.0, "processes": entries}))
     loaded = fs.load_config(path).processes
     made = copies(loaded)
     groups, stacked = sensors._grouped(loaded), sensors._grouped(made)
-    assert groups is loaded.groups and len(groups) == len({p.C.shape for p in made}) > 3
-    # load_config's groups of equal shapes of C were joined: some rows are no views of their group's stacks
-    assert any(not np.shares_memory(loaded[i].A, g.A) for g in groups for i in g.rows.tolist())
+    if uniform:  # load_config's stacks, as they are
+        assert groups is loaded.groups and len(groups) == 3
+        assert all(np.shares_memory(loaded[i].A, g.A) for g in groups for i in g.rows.tolist())
+    else:  # two of load_config's shape groups share a shape of C: the processes are stacked afresh
+        assert loaded.groups is None and len(groups) == len({p.C.shape for p in made}) > 3
     for g, h in zip(groups, stacked, strict=True):
         assert g.rows.tolist() == h.rows.tolist()
         for name in sensors._FIELDS:
@@ -186,18 +194,20 @@ def test_loaded_and_hand_made_processes_build_the_same_models(tmp_path, seed):
 @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [3, 1, 4, 0, 2], [2, 4, 3, 1, 0]])
 def test_errors_name_the_same_process_in_both_layouts(tmp_path, monkeypatch, order):
     # a filter covariance that overflows (1-d), a trace sequence that overflows (2-d), a 3-d row that is
-    # fine and a walk that runs out of steps (1-d, C of its own shape), in several orders: each layout
-    # raises the same error, the same way named
+    # fine and a walk that runs out of steps (1-d, C = 2), in several orders: each layout raises the same
+    # error, the same way named. The 1-d rows give C, R and Pi0 each, so that they are one of load_config's
+    # shape groups, whose stacks the loaded processes are built from
     entries = [
-        {"A": [[0.5]], "Q": [[1e10]], "R": [[1e-300]]},
+        {"A": [[0.5]], "Q": [[1e10]], "C": [[1.0]], "R": [[1e-300]], "Pi0": [[0.0]]},
         {"A": [[1e5, 0.0], [0.0, 0.5]], "Q": [[1.0, 0.0], [0.0, 1.0]]},
         {"A": np.diag([0.5, 1.05, 0.2]).tolist(), "Q": np.eye(3).tolist()},
-        {"A": [[1.0]], "Q": [[1.0]], "C": [[2.0]]},
-        {"A": [[2645.0]], "Q": [[1.0]], "Pi0": [[1.0]]},
+        {"A": [[1.0]], "Q": [[1.0]], "C": [[2.0]], "R": [[1.0]], "Pi0": [[0.0]]},
+        {"A": [[2645.0]], "Q": [[1.0]], "C": [[1.0]], "R": [[1.0]], "Pi0": [[1.0]]},
     ]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"total_rate": 1.0, "processes": [entries[i] for i in order]}))
     loaded = fs.load_config(path).processes
+    assert sensors._grouped(loaded) is loaded.groups
     made = copies(loaded)
     for ps in (loaded, made):
         with pytest.raises(fs.NumericalError, match="^the filter covariance of process"):
