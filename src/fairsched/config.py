@@ -37,13 +37,14 @@ errors naming the first offending process. The entries are converted and checked
 shape group at a time, one ``np.array`` per matrix of a group and the checks of
 ``ProcessModel`` and its rank tests on those stacks. If any of that fails, the stacks
 tell the first entry that fails, and only that entry is built alone, to name it with
-its first failure.
+its first failure. Only the checked groups are kept: a process is a row view of them.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain
@@ -52,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import SolverConfig
-from .sensors import ProcessModel, _Fleet, _Group
+from .sensors import ProcessModel, _Fleet, _Group, _grouped
 from .simulate import _MAX_HORIZON
 
 __all__ = ["ConfigError", "SimulationSettings", "DistributedSettings", "RunConfig", "load_config", "fixture_path"]
@@ -79,7 +80,10 @@ class DistributedSettings:
 
 @dataclass
 class RunConfig:
-    processes: list
+    """A loaded config: ``processes`` is an immutable sequence of :class:`ProcessModel`, held as the checked groups
+    of their read-only stacks only; an item, a slice or an iteration makes row views of them."""
+
+    processes: Sequence[ProcessModel]
     total_rate: float
     solver: SolverConfig = field(default_factory=SolverConfig)
     simulation: SimulationSettings = field(default_factory=SimulationSettings)
@@ -166,36 +170,37 @@ def _stacks(entries, rows, shape) -> dict | None:
     return stacks
 
 
-def _group_processes(entries, rows, shape) -> tuple[list[ProcessModel], tuple] | int:
-    """The processes of the entries ``rows``, which share ``shape``, converted and checked as stacks, and the
-    stacks (``ProcessModel._of_stacks``), or the index of the first of them that fails on its own."""
+def _group_processes(entries, rows, shape) -> _Group | int:
+    """The entries ``rows``, which share ``shape``, converted and checked as one group of stacks
+    (``_Group.of_stacks``), or the index of the first of them that fails on its own."""
     if shape is None or None in shape[:2]:  # malformed, or A or Q missing: each entry fails
         return rows[0]
     stacks = _stacks(entries, rows, shape)
     if stacks is not None:
-        group = ProcessModel._of_stacks(**stacks)
+        group = _Group.of_stacks(np.array(rows), **stacks)
         return rows[group] if isinstance(group, int) else group
     # the first entry that does not convert alone, unless one before it, all of which convert, fails a check
     j = next((j for j, i in enumerate(rows) if _stacks(entries, [i], shape) is None), 0)
     before = _stacks(entries, rows[:j], shape) if j else None
-    group = ProcessModel._of_stacks(**before) if before else []
+    group = _Group.of_stacks(None, **before) if before else None
     return rows[group] if isinstance(group, int) else rows[j]
 
 
-def _stacked_processes(entries) -> list[ProcessModel] | int | None:
-    """Every process, built one shape group at a time, or the index of the first entry that fails. The
-    processes come as a list that holds the stacks too, for the curve builds (``sensors._grouped``).
+def _build_processes(entries) -> _Fleet:
+    """Every process, converted, checked and rank tested, held as its shape groups; errors name the first bad one.
 
     A group is the entries whose matrices have equal row counts and first-row lengths, the optional
     ones present in each or in none. Each of its matrices is converted with one ``np.array`` and
     checked as one stack. A group reports its first entry that fails, found without building any entry
-    alone, so every entry before the one returned passed the same checks in a stack. Once one fails, a
-    later group checks only its entries before it. None if a rank test cannot run on a stack.
+    alone, so every entry before the one reported passed the same checks in a stack. Once one fails, a
+    later group checks only its entries before it. The first entry that fails is built alone and named
+    with its first failure: conversion, then the checks of ``ProcessModel``, then its rank tests. If a
+    rank test cannot run on a stack, every entry is built one at a time, in full, until one fails.
     """
     groups = {}
     for i, entry in enumerate(entries):
         groups.setdefault(_shape(entry), []).append(i)
-    processes, parts, first = [None] * len(entries), [], len(entries)
+    parts, first = [], len(entries)
     for shape, rows in groups.items():
         rows = [i for i in rows if i < first]  # only an entry before the first failure found can move it
         if not rows:
@@ -203,31 +208,16 @@ def _stacked_processes(entries) -> list[ProcessModel] | int | None:
         try:
             group = _group_processes(entries, rows, shape)
         except np.linalg.LinAlgError:  # an SVD that does not converge on entries near the float maximum
-            return None
+            break
         if isinstance(group, int):
             first = group
         else:
-            members, stacks = group
-            for i, p in zip(rows, members):
-                processes[i] = p
-            parts.append(_Group(np.array(rows), *stacks))
-    return _Fleet(processes, parts) if first == len(entries) else first
-
-
-def _build_processes(entries) -> list[ProcessModel]:
-    """Every process, converted, checked and rank tested; errors name the first bad one.
-
-    Entries are built one shape group at a time (:func:`_stacked_processes`). If anything fails there,
-    the first entry that fails is built alone and named with its first failure: conversion, then the
-    checks of ``ProcessModel``, then its rank tests. If the stacks cannot tell which entry fails first,
-    every entry is built one at a time, in full, until one fails.
-    """
-    processes = _stacked_processes(entries)
-    if isinstance(processes, list):
-        return processes
-    if processes is not None:
-        _convert_process(entries[processes], processes)  # raises: the entries before it passed the same checks
-    return [_convert_process(entry, i) for i, entry in enumerate(entries)]
+            parts.append(group)
+    else:  # every group ran its checks
+        if first == len(entries):
+            return _Fleet(parts)
+        _convert_process(entries[first], first)  # raises: the entries before it passed the same checks
+    return _Fleet(_grouped([_convert_process(entry, i) for i, entry in enumerate(entries)]))
 
 
 def load_config(path) -> RunConfig:

@@ -13,18 +13,17 @@ of the average transmission rate ``r`` is piecewise linear, convex, continuous
 and strictly decreasing; this module builds that curve and evaluates it in
 closed form. The Monte Carlo simulator in ``fairsched.simulate`` checks the
 closed form; it shares the trace sequence, which one recursion over groups
-(``_traced``) builds for both; :func:`prediction_traces` is its public
-per-process wrapper.
+(``_traced``) builds for both.
 
-Curves are built in batches, and a batch of processes is held as groups: one
-per shape of ``C``, in order of first appearance, each a set of rows and
-read-only ``(k, d, d)`` stacks of their ``A``, ``Q``, ``C``, ``R_meas`` and
-``Pi0``. ``config.load_config`` hands its own stacks on with the processes,
-which hold row views of them, and where each shape of ``C`` has one set of
-stacks they are taken as they are; any other list is stacked once per field.
-Each row steps alone within its stacks, so a batch's curves do not depend on
-how its rows are grouped; only which failure is named first does, and that
-follows the groups' order. The stable no-communication limit, the fixed
+Curves are built in batches, and a batch of processes is held as groups, each
+a set of rows and read-only ``(k, d, d)`` stacks of their ``A``, ``Q``, ``C``,
+``R_meas`` and ``Pi0``. ``config.load_config`` returns its processes as the
+groups it checked, one per shape of its entries, and nothing else: an item of
+them is a row view made when read. A list of processes is stacked once per
+field, one group per shape of ``C``. Each row steps alone within its stacks,
+and of several failures the one at the earliest step, then of the least row,
+is named, so neither a batch's curves nor its errors depend on how its rows
+are grouped. The stable no-communication limit, the fixed
 point of ``P = A P A' + Q``, is linear in ``P`` and solved exactly; the
 Riccati steady state and the trace sequence are iterated, each process to
 its own stop rule, so a batched curve equals the one built for that process
@@ -54,6 +53,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,7 +100,8 @@ class ProcessModel:
     to identities of the state dimension. Construction converts the entries
     and checks them as a stack of one: finiteness, shapes and definiteness.
     ``config.load_config`` converts many processes as stacks and runs the same
-    checks once per stack. The observability / controllability rank tests
+    checks once per stack; its processes are read-only row views of those stacks,
+    made when read. The observability / controllability rank tests
     live in :meth:`validate` so degenerate fixtures (for instance ``Q = 0``)
     can still be built for targeted tests.
     """
@@ -124,30 +125,6 @@ class ProcessModel:
         """Set the fields to these read-only arrays as they are; return this process."""
         vars(self).update(A=A, Q=Q, C=C, R_meas=R_meas, Pi0=Pi0)
         return self
-
-    @classmethod
-    def _of_stacks(cls, A, Q, C=None, R_meas=None, Pi0=None) -> tuple[list[ProcessModel], tuple] | int:
-        """The processes of equally shaped ``(k, ., .)`` float stacks, square ``A``, and the stacks, if every
-        row passes the construction checks and the rank tests of :meth:`validate`, else the first row that
-        fails one.
-
-        The stacks are made read-only and each process holds row views of them; a missing ``C`` or
-        ``R_meas`` is one identity that every process of the stacks shares, and is returned so.
-        """
-        invalid = _stack_invalid(A, Q, C, R_meas, Pi0)
-        k, n = (len(A) if invalid is None else invalid[0]), A.shape[1]  # the rows that pass the checks
-        if C is None:
-            C = np.broadcast_to(np.eye(n), (len(A), n, n))  # read-only, and no copy per row
-        if R_meas is None:
-            R_meas = np.broadcast_to(np.eye(C.shape[1]), (len(A), C.shape[1], C.shape[1]))
-        rank = _stack_rank_failure(A[:k], Q[:k], C[:k]) if k else None
-        if rank is not None or invalid is not None:
-            return k if rank is None else rank[0]
-        for M in (A, Q, C, R_meas, Pi0):
-            if M is not None:
-                M.setflags(write=False)
-        rows = zip(A, Q, C, R_meas, [None] * k if Pi0 is None else Pi0)
-        return [object.__new__(cls)._hold(*fields) for fields in rows], (A, Q, C, R_meas, Pi0)
 
     @property
     def dim(self) -> int:
@@ -328,61 +305,91 @@ _FIELDS = ("A", "Q", "C", "R_meas", "Pi0")
 
 
 class _Group:
-    """Rows of a batch that share the shape of ``C``: ``rows``, their indices in the batch, in order, and
-    read-only ``(len(rows), ., .)`` stacks of their fields, ``Pi0`` None where no row's is given (zeros)."""
+    """Equally shaped rows of a batch: ``rows``, their indices in the batch, in order, and ``(len(rows), ., .)``
+    stacks of their fields, made read-only, ``Pi0`` None where no row's is given (zeros)."""
 
     __slots__ = ("rows",) + _FIELDS
 
     def __init__(self, rows, A, Q, C, R_meas, Pi0=None):
         self.rows, self.A, self.Q, self.C, self.R_meas, self.Pi0 = rows, A, Q, C, R_meas, Pi0
+        for M in self._stacks():
+            if M is not None:
+                M.setflags(write=False)
+
+    def _stacks(self) -> tuple:
+        return self.A, self.Q, self.C, self.R_meas, self.Pi0
+
+    @classmethod
+    def of_stacks(cls, rows, A, Q, C=None, R_meas=None, Pi0=None) -> _Group | int:
+        """The group of ``rows`` with these equally shaped ``(k, ., .)`` float stacks, square ``A``, if every row
+        passes the construction checks and the rank tests of :meth:`ProcessModel.validate`, else the position of
+        the first row that fails one. A missing ``C`` or ``R_meas`` is one identity, broadcast over the rows."""
+        invalid = _stack_invalid(A, Q, C, R_meas, Pi0)
+        k, n = (len(A) if invalid is None else invalid[0]), A.shape[1]  # the rows that pass the checks
+        if C is None:
+            C = np.broadcast_to(np.eye(n), (len(A), n, n))  # read-only, and no copy per row
+        if R_meas is None:
+            R_meas = np.broadcast_to(np.eye(C.shape[1]), (len(A), C.shape[1], C.shape[1]))
+        rank = _stack_rank_failure(A[:k], Q[:k], C[:k]) if k else None
+        if rank is not None or invalid is not None:
+            return k if rank is None else rank[0]
+        return cls(rows, A, Q, C, R_meas, Pi0)
 
     def __len__(self) -> int:
         return len(self.rows)
 
+    def process(self, at: int) -> ProcessModel:
+        """The row at position ``at`` as a process that holds read-only views of the stacks."""
+        return object.__new__(ProcessModel)._hold(*(None if M is None else M[at] for M in self._stacks()))
+
     def take(self, at, rows) -> _Group:
         """The rows at positions ``at`` of this group, numbered ``rows``."""
-        return _Group(rows, *(None if M is None else M[at] for M in (self.A, self.Q, self.C, self.R_meas, self.Pi0)))
+        return _Group(rows, *(None if M is None else M[at] for M in self._stacks()))
 
 
-def _group_of(rows, pieces) -> _Group:
-    """The group of ``rows`` whose stacks are ``pieces``, one list of arrays per field, each made one array; a
-    ``Pi0`` piece of None stands for zeros, and the group's ``Pi0`` is None where every one is."""
-    *fields, pi0 = pieces
-    if any(M is not None for M in pi0):
-        fields.append([np.zeros(A.shape) if M is None else M for A, M in zip(fields[0], pi0)])
-    stacks = [np.array(Ms) for Ms in fields]
-    for M in stacks:
-        M.setflags(write=False)
-    return _Group(rows, *stacks)
+class _Fleet(Sequence):
+    """An immutable sequence of processes held as groups only, ``groups``, whose rows number ``0 .. n - 1``
+    together; an item, a slice (a list) or an iteration makes read-only row views of their stacks when read.
+    ``config.load_config`` returns its processes so."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups):
+        self.groups = tuple(groups)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.groups))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        i = range(len(self))[i]  # an IndexError past the end, a negative index counted from it
+        group = next(g for g in self.groups if i in g.rows)
+        return group.process(int(np.searchsorted(group.rows, i)))
+
+    def __iter__(self):
+        views = {i: group.process(at) for group in self.groups for at, i in enumerate(group.rows.tolist())}
+        return (views[i] for i in range(len(views)))
 
 
-class _Fleet(list):
-    """A list of processes that may also hold them as groups (:func:`_grouped`): the stacks their fields are row
-    views of, where each shape of ``C`` has one set of them. ``config.load_config`` returns its processes so."""
-
-    def __init__(self, processes, parts):
-        """``parts``: groups of the processes' rows, each holding the stacks its rows are views of, in order of
-        their first rows. ``groups`` is None where two of them share a shape of ``C``, which only entries that give
-        ``C``, ``R`` or ``Pi0`` in some rows and not in others make: those are stacked afresh."""
-        super().__init__(processes)
-        one_each = len({part.C.shape[1:] for part in parts}) == len(parts)
-        self.groups, self._members = (list(parts) if one_each else None), list(processes)
-
-
-def _grouped(ps) -> list[_Group]:
-    """The processes as groups, one per shape of ``C`` in order of first appearance, each row numbered by its
-    index in ``ps``: the groups of a :class:`_Fleet` whose members are as built, with no copy, else one
-    ``np.array`` per field of each group."""
-    if isinstance(ps, _Fleet) and ps.groups is not None and ps._members == ps:  # == compares members by identity
+def _grouped(ps) -> Sequence[_Group]:
+    """The processes as groups, each row numbered by its index in ``ps``: a :class:`_Fleet`'s own, else one group
+    per shape of ``C``, with one ``np.array`` per field."""
+    if isinstance(ps, _Fleet):
         return ps.groups
-    ps = list(ps)
-    return [_group_of(rows, [[getattr(ps[i], name) for i in rows.tolist()] for name in _FIELDS])
-            for rows in _group_by([p.C.shape for p in ps])]
+    ps, groups = list(ps), []
+    for rows in _group_by([p.C.shape for p in ps]):
+        members = [ps[i] for i in rows.tolist()]
+        stacks = [np.array([getattr(p, name) for p in members]) for name in _FIELDS[:4]]
+        if any(p.Pi0 is not None for p in members):  # zeros where not given; else None stands for every row's
+            stacks.append(np.array([np.zeros(p.A.shape) if p.Pi0 is None else p.Pi0 for p in members]))
+        groups.append(_Group(rows, *stacks))
+    return groups
 
 
 # steps a recursion runs between two checks of its stop rules, while a row left has a stop found only by looking
 _WINDOW = 32
-# the most steps times rows a window of prediction_traces holds, beyond _WINDOW steps: a 32-step window of 512 rows
+# the most steps times rows a window of _traced holds, beyond _WINDOW steps: a 32-step window of 512 rows
 _WINDOW_CELLS = 2**14
 # a Riccati row converges once its largest entry change is within _COV_TOL of its largest entry; it, and a
 # curve's trace sequence (stable ones stop at the relative tail cut _TAIL_TOL), run at most _MAX_STEPS steps
@@ -426,12 +433,13 @@ def _filter_covs(group: _Group) -> np.ndarray:
     raise NumericalError("filter covariance iteration did not converge; the model is ill posed")
 
 
-def _finite_pbars(covs, rows) -> np.ndarray:
-    """``covs``, the filter steady states of the processes numbered ``rows``; the first whose iteration
-    overflowed raises :class:`NumericalError`."""
-    bad = ~np.isfinite(covs).all(axis=(1, 2))
-    if bad.any():
-        raise NumericalError(f"the filter covariance of process {rows[bad.argmax()]} overflowed; the model is ill posed")
+def _pbars(groups) -> list[np.ndarray]:
+    """Each group's filter steady states, as a stack; of the rows whose iteration overflowed, in any group, the
+    least raises :class:`NumericalError`."""
+    covs = [_filter_covs(group) for group in groups]
+    bad = [i for group, X in zip(groups, covs) for i in group.rows[~np.isfinite(X).all(axis=(1, 2))].tolist()]
+    if bad:
+        raise NumericalError(f"the filter covariance of process {min(bad)} overflowed; the model is ill posed")
     return covs
 
 
@@ -454,7 +462,7 @@ def steady_state_filter_cov(p: ProcessModel) -> np.ndarray:
     the largest, for at most 10**6 steps; an iterate that overflows raises :class:`NumericalError`. A row
     that contracts too slowly for that stop runs all the steps and raises too. The array is the caller's own.
     """
-    return _finite_pbars(_filter_covs(_grouped([p])[0]), [0])[0]
+    return _pbars(_grouped([p]))[0][0]
 
 
 def no_comm_limit(p: ProcessModel) -> float:
@@ -468,48 +476,29 @@ def no_comm_limit(p: ProcessModel) -> float:
     return float(np.trace(_no_comm_covs(p.A[None], p.Q[None])[0]))
 
 
-def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None, starts=None):
-    """``Tr(h^t(Pbar))``, ``t = 0, 1, ...``, ``h(X) = A X A' + Q``, from each process's filter steady state
-    ``Pbar``; given ``starts = (depths, covs, sums)``, sequence ``i`` goes on after its ``depths[i]`` steps
-    from ``covs[i]``, the covariances of its last two, and ``sums[i]``, the sum of its traces.
-
-    One batched recursion per shape, whatever the depths; each process leaves it at its own stop, so its
-    sequence is the one it would get alone: after step ``caps[i] + 1``; from step 1 on, where ``stable``
-    is set, within ``_TAIL_TOL`` (relative) of its no-communication limit; where ``levels`` is given and
-    ``stable`` is not, at the first step ``k`` with ``cumsum(traces)[k] / (k + 1) >= levels[i]``; or at a
-    covariance equal, bit for bit, to the one two steps back, after which the sequence repeats its last
-    two entries forever. Returns ``(traces, first, lengths, cumsums, ends)``: sequence ``i`` is
-    ``lengths[i]`` steps long; its steps from its depth on, then a slot holding its limit (NaN where
-    ``stable`` is not set), lie from ``traces[first[i]]``, their running sums (and NaN) from
-    ``cumsums[first[i]]``; ``ends[i]`` stacks its last two covariances, or is None where it stopped for
-    good, at its tail or a repeat.
-    Overflow raises :class:`NumericalError`, and so does a process not stopped within ``max_steps`` steps,
-    if given: of several, the one at the earliest step, then the first in the batch.
-
-    The recursion runs a window of steps at a time and checks the stop rules on the whole window: a
-    process stops at the first step of the window that meets one, and the steps run past it are
-    dropped, so every process stops, and raises, exactly where checking after each step would, and the
-    window's length moves no bit. While a row left has a stop found only by looking (a stable tail or a
-    level), a window is ``_WINDOW`` steps; once every row left stops at its cap, it runs to the latest
-    cap, 1 to ``max(_WINDOW, _WINDOW_CELLS // rows)`` steps, and rows that stop earlier leave at their stop.
-    """
-    groups = _grouped(ps)
-    if starts is not None:  # each group's start covariances as one stack
-        starts = starts[0], [np.array([starts[1][i] for i in g.rows.tolist()]) for g in groups], starts[2]
-    traces, first, lengths, cumsums, stacks, held = _traced(groups, caps, rates, stable, max_steps, levels, starts)
-    ends = [None] * len(held)
-    for group, stack in zip(groups, stacks):
-        for i, end in zip(group.rows.tolist(), stack):
-            if held[i]:
-                ends[i] = end
-    return traces, first, lengths, cumsums, ends
-
-
 def _traced(groups, caps, rates, stable=None, max_steps=None, levels=None, starts=None):
-    """:func:`prediction_traces` of the rows of ``groups``, numbered ``0 .. n - 1`` together, in the groups' order;
-    ``starts = (depths, covs, sums)`` with ``covs`` one ``(k, 2, d, d)`` stack per group. Its ``ends`` are
-    ``(stacks, held)``: per group, a stack of each row's last two covariances, and per row whether it holds
-    them (did not stop for good); a row that does not holds no meaning in its stack."""
+    """``Tr(h^t(Pbar))``, ``t = 0, 1, ...``, ``h(X) = A X A' + Q``, from the filter steady state ``Pbar`` of each
+    row of ``groups``, numbered ``0 .. n - 1`` together; given ``starts = (depths, covs, sums)``, with ``covs`` one
+    ``(k, 2, d, d)`` stack per group, row ``i`` goes on after ``depths[i]`` steps from its last two covariances
+    and ``sums[i]``, the sum of its traces.
+
+    One batched recursion per group; each row leaves it at its own stop, so its sequence is the one it would get
+    alone: after step ``caps[i] + 1``; from step 1 on, where ``stable`` is set, within ``_TAIL_TOL`` (relative) of
+    its no-communication limit; where ``levels`` is given and ``stable`` is not, at the first step ``k`` with
+    ``cumsum(traces)[k] / (k + 1) >= levels[i]``; or at a covariance equal, bit for bit, to the one two steps
+    back, after which it repeats its last two entries forever. Returns ``(traces, first, lengths, cumsums,
+    stacks, held)``: sequence ``i`` is ``lengths[i]`` steps long; its steps from its depth on, then a slot holding
+    its limit (NaN where ``stable`` is not set), lie from ``traces[first[i]]``, their running sums (and NaN) from
+    ``cumsums[first[i]]``; ``stacks`` holds, per group, each row's last two covariances, which row ``i`` holds if
+    ``held[i]``, not having stopped for good (at its tail or a repeat).
+
+    Every ``Pbar`` is taken first, and the least row whose iteration overflows raises :class:`NumericalError`;
+    then so does a trace overflow, or a row not stopped within ``max_steps`` steps, if given: of several, in any
+    groups, the one at the earliest step, then the least row. The stop rules are checked once per window of
+    steps, and the steps run past a stop are dropped, so each row stops, and raises, where a check after each
+    step would: a window is ``_WINDOW`` steps while a row left has a stable tail or a level to look for, else it
+    runs to the latest cap of the rows left, at most ``max(_WINDOW, _WINDOW_CELLS // rows)`` steps.
+    """
     size = sum(map(len, groups))
     caps, rates = np.asarray(caps, dtype=float), np.asarray(rates, dtype=float)
     stable = np.zeros(size, dtype=bool) if stable is None else np.asarray(stable, dtype=bool)
@@ -519,7 +508,8 @@ def _traced(groups, caps, rates, stable=None, max_steps=None, levels=None, start
                           else (np.asarray(starts[0], dtype=np.intp), starts[1], np.array(starts[2], dtype=float)))
     budget = math.inf if max_steps is None else max_steps
     limits, lengths, held = np.full(size, np.nan), np.empty(size, dtype=np.intp), np.zeros(size, dtype=bool)
-    ends = []
+    # failures ``(step, row, text)``, of any group: the least is raised once every group has stopped
+    ends, failures, pbars = [], [], _pbars(groups) if starts is None else None
     # blocks ``(t0, rows, traces)``: the traces of steps t0, t0 + 1, ... past each row's depth (one row each)
     # of the processes ``rows`` (one column each); entries past a process's length ran past its stop
     blocks = []
@@ -539,12 +529,13 @@ def _traced(groups, caps, rates, stable=None, max_steps=None, levels=None, start
         # the first window's first j0 slots: a start's last two covariances, or two unread slots and Pbar
         if starts is None:
             head, j0 = np.zeros((3,) + A.shape), 3
-            head[2] = _finite_pbars(_filter_covs(group), rows)
+            head[2] = pbars[g]
         else:
             head, j0 = covs[g].swapaxes(0, 1), 2
-        Ms, steps, t0, block_t0, failures = None, [], 0, 0, []
+        Ms, steps, t0, block_t0 = None, [], 0, 0
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            while True:
+            # until every row left has run past the earliest failure recorded, which no later step can precede
+            while rows.size and not (failures and (depth + t0).min() > min(failures)[0]):
                 tails, searching = bool(s.any()), bool(np.isfinite(level).any())
                 if tails or searching:  # a stop found only by looking: a stable tail, or a level
                     n = _WINDOW
@@ -619,12 +610,9 @@ def _traced(groups, caps, rates, stable=None, max_steps=None, levels=None, start
                     rows, pos, A, At, Q, s, cap, limit, cut, level, run, depth = (
                         x[keep] for x in (rows, pos, A, At, Q, s, cap, limit, cut, level, run, depth))
                     head = Ms[-2:, keep]
-                # a failure is raised once every row left has run past its step
-                if failures and (not rows.size or (depth + t0).min() > min(failures)[0]):
-                    raise NumericalError(min(failures)[2])
-                if not rows.size:
-                    break
         ends.append(end)
+    if failures:
+        raise NumericalError(min(failures)[2])
 
     added = lengths - depths
     first = np.cumsum(added + 1) - (added + 1)
@@ -869,24 +857,21 @@ class CurveCostModel(CostModel):
             end = self._starts[grow] + depth  # each row's limit slot
             batch = np.full(self.n, -1)  # each grown row's index in the batch
             batch[grow] = np.arange(grow.size)
-            parts = []  # each group holding grown rows: its first one, its index, their positions in it
-            for g, group in enumerate(self._groups):
-                pos = np.flatnonzero(batch[group.rows] >= 0)
-                if pos.size:
-                    parts.append((group.rows[pos[0]], g, pos))
-            parts.sort()  # the batch's groups in order of first appearance in it
+            # each group holding grown rows: its index, their positions in it
+            parts = [(g, pos) for g, group in enumerate(self._groups)
+                     if (pos := np.flatnonzero(batch[group.rows] >= 0)).size]
             new, first, lengths, sums, stacks, grown = _traced(
-                [self._groups[g].take(pos, batch[self._groups[g].rows[pos]]) for _, g, pos in parts],
+                [self._groups[g].take(pos, batch[self._groups[g].rows[pos]]) for g, pos in parts],
                 caps[go], floors[go], self.stable[grow], _MAX_STEPS,
                 None if level is None else np.full(grow.size, level),
-                (depth, [ends[g][pos] for _, g, pos in parts], cumsums[end - 1]))
+                (depth, [ends[g][pos] for g, pos in parts], cumsums[end - 1]))
             slots = np.ones(new.size, dtype=bool)
             slots[first + lengths - depth] = False  # the limit slots, which the table has already
             at = np.repeat(end, lengths - depth)
             traces, cumsums = np.insert(traces, at, new[slots]), np.insert(cumsums, at, sums[slots])
             sizes, ends, held = sizes.copy(), list(ends), held.copy()
             sizes[grow], held[grow] = lengths, grown
-            for (_, g, pos), stack in zip(parts, stacks):
+            for (g, pos), stack in zip(parts, stacks):
                 ends[g] = ends[g].copy()
                 ends[g][pos] = stack
         moved = self._floors.copy()

@@ -34,19 +34,35 @@ from fairsched import CostCurve, CostDomainError, FeasibleRegion, NumericalError
 from fairsched.allocation import CONVERGED, MAX_INNER_ITERS, initial_allocation, project_feasible
 from fairsched.config import ConfigError
 from fairsched.distributed import DistributedTrace, DualState, GraphError
-from fairsched.sensors import _TAIL_TOL, CurveCostModel, stable_mask, threshold_from_rate
+from fairsched.sensors import _TAIL_TOL, CurveCostModel, _grouped, _traced, stable_mask, threshold_from_rate
 from fairsched.simulate import SimResult
 
 
 def row_ends(model) -> list:
     """Each row's end state in a curve model of processes, the covariances of its last two steps, or None
     where the row stopped for good; read from the model's per-group stacks and its ``_held`` mask."""
-    ends = [None] * model.n
-    for group, stack in zip(model._groups, model._ends):
+    return _row_ends(model._groups, model._ends, model._held)
+
+
+def _row_ends(groups, stacks, held) -> list:
+    """Per row, its stack entry in its group, or None where ``held`` is not set."""
+    ends = [None] * len(held)
+    for group, stack in zip(groups, stacks):
         for i, end in zip(group.rows.tolist(), stack):
-            if model._held[i]:
+            if held[i]:
                 ends[i] = end
     return ends
+
+
+def prediction_traces(ps, caps, rates, stable=None, max_steps=None, levels=None, starts=None):
+    """``sensors._traced`` of a list of processes, one group per shape of ``C``, with one end state per row:
+    ``(traces, first, lengths, cumsums, ends)``, where ``ends[i]`` stacks row ``i``'s last two covariances, or
+    is None where it stopped for good. ``starts = (depths, ends, sums)`` takes such ends back."""
+    groups = _grouped(ps)
+    if starts is not None:  # each group's start covariances as one stack
+        starts = starts[0], [np.array([starts[1][i] for i in g.rows.tolist()]) for g in groups], starts[2]
+    traces, first, lengths, cumsums, stacks, held = _traced(groups, caps, rates, stable, max_steps, levels, starts)
+    return traces, first, lengths, cumsums, _row_ends(groups, stacks, held)
 
 
 @contextlib.contextmanager
@@ -644,7 +660,7 @@ def reference_build_processes(entries) -> list:
 
 
 def reference_prediction_traces(ps, caps, rates, stable=None, tail_tol: float = 0.0):
-    """``sensors.prediction_traces`` with every stop rule checked after every step.
+    """:func:`prediction_traces` with every stop rule checked after every step.
 
     Processes are batched by the shape of ``C``; the filter steady states and
     the no-communication limits come from :func:`reference_filter_cov` and

@@ -1,13 +1,15 @@
 """The group layout: a batch of processes held as groups, each a set of rows and read-only stacks of their
 fields, from ``load_config`` to the last output.
 
-``load_config`` hands its stacks on with the processes (``sensors._Fleet``) where each shape of ``C`` has one
-set of them; any other list is stacked once per field. Either way every table, end state and error equals,
-bit for bit, what the per-process layout before it gave: the digests below were taken from that layout.
+``load_config`` returns its processes as its checked groups only (``sensors._Fleet``), one per shape of the
+entries; a list of processes is stacked once per field, one group per shape of ``C``. Either way every table,
+end state and error equals, bit for bit, what the per-process layout before it gave: the digests below were
+taken from that layout.
 """
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import re
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 import fairsched as fs
-from fairsched import sensors, simulate
+from fairsched import cli, sensors, simulate
 from fairsched.allocation import CostDomainError
 from helpers import row_ends
 
@@ -102,19 +104,31 @@ def test_models_equal_the_per_process_layout(tmp_path, which):
 
 
 def test_fleet_groups_are_load_configs_stacks(tmp_path):
-    cfg = fs.load_config(perfbench_fleet(tmp_path / "f.json", 200, 3))
+    path = perfbench_fleet(tmp_path / "f.json", 200, 3)
+    cfg = fs.load_config(path)
     groups = cfg.processes.groups
+    assert len(cfg.processes) == 200
     assert [g.A.shape[1] for g in groups] == [cfg.processes[0].dim, 3 - cfg.processes[0].dim]
     for group in groups:
         assert not group.A.flags.writeable and group.Pi0 is None
         for i, row in enumerate(group.rows.tolist()):
             p = cfg.processes[row]
-            assert np.shares_memory(p.A, group.A) and np.array_equal(p.A, group.A[i])
-    # a list changed after the load is stacked afresh, and builds what a hand-built one builds
-    ps = cfg.processes
-    ps[0], ps[1] = ps[1], ps[0]
-    assert sensors._grouped(ps) is not groups
-    assert digest(fs.CurveCostModel.from_processes(ps)) == digest(fs.CurveCostModel.from_processes(copies(ps)))
+            assert p.Pi0 is None
+            for name in sensors._FIELDS[:4]:  # read-only views of the group's stacks
+                M, stack = getattr(p, name), getattr(group, name)
+                assert not M.flags.writeable and np.shares_memory(M, stack) and np.array_equal(M, stack[i])
+    # the processes are their groups only: no item can be set, and a slice, an item or an iteration reads the
+    # entries back
+    with pytest.raises(TypeError):
+        cfg.processes[0] = cfg.processes[1]
+    entries = json.loads(path.read_text())["processes"]
+    first = cfg.processes[:3]
+    assert len(first) == 3
+    for p, entry in zip([*first, cfg.processes[-1]], entries[:3] + entries[-1:]):
+        eye = np.eye(len(entry["A"]))
+        assert np.array_equal(p.A, entry["A"]) and np.array_equal(p.Q, entry["Q"]) and p.Pi0 is None
+        assert np.array_equal(p.C, eye) and np.array_equal(p.R_meas, eye)
+    assert [p.A.tolist() for p in cfg.processes] == [entry["A"] for entry in entries]
 
 
 def mixed_entries(seed: int, uniform: bool, n: int = 60) -> list:
@@ -167,6 +181,17 @@ def same_outcome(got, want) -> str | None:
     return None
 
 
+def test_a_fleet_command_makes_no_process_object(tmp_path, monkeypatch):
+    # load_config, solve and simulate on 1000 sensors read the groups' stacks only: no row view is made
+    path = perfbench_fleet(tmp_path / "f.json", 1000, 7)
+    held, hold = [], fs.ProcessModel._hold
+    monkeypatch.setattr(fs.ProcessModel, "_hold", lambda self, *fields: held.append(self) or hold(self, *fields))
+    cfg = fs.load_config(path)
+    assert cli.run_solve(cfg, tmp_path / "solve") == cli.EXIT_OK
+    assert cli.run_simulate(cfg, tmp_path / "solve" / "allocation.json", tmp_path / "simulate") == cli.EXIT_OK
+    assert len(held) == 0
+
+
 @pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_loaded_and_hand_made_processes_build_the_same_models(tmp_path, seed, uniform):
@@ -176,27 +201,30 @@ def test_loaded_and_hand_made_processes_build_the_same_models(tmp_path, seed, un
     loaded = fs.load_config(path).processes
     made = copies(loaded)
     groups, stacked = sensors._grouped(loaded), sensors._grouped(made)
-    if uniform:  # load_config's stacks, as they are
-        assert groups is loaded.groups and len(groups) == 3
-        assert all(np.shares_memory(loaded[i].A, g.A) for g in groups for i in g.rows.tolist())
-    else:  # two of load_config's shape groups share a shape of C: the processes are stacked afresh
-        assert loaded.groups is None and len(groups) == len({p.C.shape for p in made}) > 3
-    for g, h in zip(groups, stacked, strict=True):
-        assert g.rows.tolist() == h.rows.tolist()
-        for name in sensors._FIELDS:
-            a, b = getattr(g, name), getattr(h, name)
-            assert (a is None) == (b is None) and (a is None or a.tobytes() == np.ascontiguousarray(b).tobytes())
+    # load_config's stacks, as they are, one group per shape of the entries
+    assert groups is loaded.groups
+    assert all(np.shares_memory(loaded[i].A, g.A) for g in groups for i in g.rows.tolist())
+    if uniform:  # each shape of C is one of load_config's shape groups: the groups of a list
+        assert len(groups) == 3
+        for g, h in zip(groups, stacked, strict=True):
+            assert g.rows.tolist() == h.rows.tolist()
+            for name in sensors._FIELDS:
+                a, b = getattr(g, name), getattr(h, name)
+                assert (a is None) == (b is None) and (a is None or a.tobytes() == np.ascontiguousarray(b).tobytes())
+    else:  # two of load_config's shape groups share a shape of C: more groups than a list's, the same models
+        assert len(groups) > len(stacked) == len({p.C.shape for p in made}) > 3
     assert model_digests(loaded, 1e-3, False) == model_digests(made, 1e-3, False)
     rates = np.where(fs.stable_mask([p.A for p in made]), 0.0, 0.2)
     assert simulate.simulate_allocation(loaded, rates, 10**5, 3) == simulate.simulate_allocation(made, rates, 10**5, 3)
 
 
-@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [3, 1, 4, 0, 2], [2, 4, 3, 1, 0]])
+@pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [3, 1, 4, 0, 2], [2, 4, 3, 1, 0], [1, 2, 4, 0, 3]])
 def test_errors_name_the_same_process_in_both_layouts(tmp_path, monkeypatch, order):
     # a filter covariance that overflows (1-d), a trace sequence that overflows (2-d), a 3-d row that is
     # fine and a walk that runs out of steps (1-d, C = 2), in several orders: each layout raises the same
     # error, the same way named. The 1-d rows give C, R and Pi0 each, so that they are one of load_config's
-    # shape groups, whose stacks the loaded processes are built from
+    # shape groups, whose stacks the loaded processes are built from; in the last order the 2-d row's group
+    # comes first, and the filter covariance still fails before its trace sequence
     entries = [
         {"A": [[0.5]], "Q": [[1e10]], "C": [[1.0]], "R": [[1e-300]], "Pi0": [[0.0]]},
         {"A": [[1e5, 0.0], [0.0, 0.5]], "Q": [[1.0, 0.0], [0.0, 1.0]]},
@@ -229,17 +257,39 @@ def test_errors_name_the_same_process_in_both_layouts(tmp_path, monkeypatch, ord
     assert any("did not stop within 64 steps" in t for t in texts - {None})
 
 
-def test_a_continuation_runs_its_groups_in_order_of_first_appearance_among_the_rows_it_grows():
-    # rows 1 (2-d, overflowing at step 31) and 2 (1-d, at step 40) grow: the continuation runs the 2-d group
-    # first and names its failure, as the per-process layout did; a fresh build of all three rows runs the
-    # 1-d group first, row 0 being 1-d, and names step 40
+def test_a_continuation_and_a_fresh_build_name_the_earliest_step():
+    # rows 1 (2-d, overflowing at step 31) and 2 (1-d, at step 40) fail: the continuation of the two and a
+    # fresh build of all three rows, whose 1-d group runs first, both name step 31
     ps = [fs.ProcessModel(A=[[0.5]], Q=[[1.0]]), fs.ProcessModel(A=np.diag([1e5, 0.5]), Q=np.eye(2)),
           fs.ProcessModel(A=[[7080.0]], Q=[[1.0]])]
     staged = fs.CurveCostModel.from_floors(ps, [0.0, 0.5, 0.5])
     with pytest.raises(fs.NumericalError, match=r"^trace sequence overflowed at step 31; the rate 0\.01 is too small$"):
         staged.with_floor([0.0, 0.01, 0.01])
-    with pytest.raises(fs.NumericalError, match=r"^trace sequence overflowed at step 40; the rate 0\.01 is too small$"):
+    with pytest.raises(fs.NumericalError, match=r"^trace sequence overflowed at step 31; the rate 0\.01 is too small$"):
         fs.CurveCostModel.from_floors(ps, [0.0, 0.01, 0.01])
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_a_build_names_the_earliest_failing_step_whatever_its_rows_order(order):
+    ps = [fs.ProcessModel(A=[[0.5]], Q=[[1.0]]), fs.ProcessModel(A=np.diag([1e5, 0.5]), Q=np.eye(2)),
+          fs.ProcessModel(A=[[7080.0]], Q=[[1.0]])]
+    floors = [0.0, 0.01, 0.01]
+    with pytest.raises(fs.NumericalError, match=r"^trace sequence overflowed at step 31; the rate 0\.01 is too small$"):
+        fs.CurveCostModel.from_floors([ps[i] for i in order], [floors[i] for i in order])
+
+
+def test_of_failures_at_one_step_in_two_groups_the_least_row_is_named(tmp_path):
+    # rows 1 and 2 overflow at step 40; row 1's group, of the entries that give C, comes after row 2's, and a
+    # list of the processes is one group: both name row 1, at its floor 0.02
+    entries = [{"A": [[0.5]], "Q": [[1.0]]}, {"A": [[7080.0]], "Q": [[1.0]], "C": [[1.0]]},
+               {"A": [[7080.0]], "Q": [[1.0]]}]
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps({"total_rate": 1.0, "processes": entries}))
+    loaded = fs.load_config(path).processes
+    assert [g.rows.tolist() for g in loaded.groups] == [[0, 2], [1]]
+    for ps in (loaded, copies(loaded)):
+        with pytest.raises(fs.NumericalError, match=r"^trace sequence overflowed at step 40; the rate 0\.02 is too"):
+            fs.CurveCostModel.from_floors(ps, [0.0, 0.02, 0.01])
 
 
 def edge_rates() -> np.ndarray:

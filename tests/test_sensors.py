@@ -14,8 +14,9 @@ import fairsched as fs
 from fairsched import sensors
 from fairsched.allocation import CostDomainError
 from fairsched.config import ConfigError, load_config
-from fairsched.sensors import _WINDOW, _WINDOW_CELLS, _no_comm_covs, prediction_traces
+from fairsched.sensors import _WINDOW, _WINDOW_CELLS, _no_comm_covs
 from helpers import (
+    prediction_traces,
     reference_build_processes,
     reference_cost_curve,
     reference_cost_eval,

@@ -15,9 +15,9 @@ import pytest
 import fairsched as fs
 from fairsched import simulate
 from fairsched.allocation import CostDomainError
-from fairsched.sensors import prediction_traces
 
 from helpers import (
+    prediction_traces,
     reference_run_cycles,
     reference_simulate_allocation,
     reference_trace_sum,
