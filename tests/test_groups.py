@@ -257,25 +257,18 @@ def test_errors_name_the_same_process_in_both_layouts(tmp_path, monkeypatch, ord
     assert any("did not stop within 64 steps" in t for t in texts - {None})
 
 
-def test_a_continuation_and_a_fresh_build_name_the_earliest_step():
-    # rows 1 (2-d, overflowing at step 31) and 2 (1-d, at step 40) fail: the continuation of the two and a
-    # fresh build of all three rows, whose 1-d group runs first, both name step 31
-    ps = [fs.ProcessModel(A=[[0.5]], Q=[[1.0]]), fs.ProcessModel(A=np.diag([1e5, 0.5]), Q=np.eye(2)),
-          fs.ProcessModel(A=[[7080.0]], Q=[[1.0]])]
-    staged = fs.CurveCostModel.from_floors(ps, [0.0, 0.5, 0.5])
-    with pytest.raises(fs.NumericalError, match=r"^trace sequence overflowed at step 31; the rate 0\.01 is too small$"):
-        staged.with_floor([0.0, 0.01, 0.01])
-    with pytest.raises(fs.NumericalError, match=r"^trace sequence overflowed at step 31; the rate 0\.01 is too small$"):
-        fs.CurveCostModel.from_floors(ps, [0.0, 0.01, 0.01])
-
-
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
-def test_a_build_names_the_earliest_failing_step_whatever_its_rows_order(order):
+def test_a_continuation_and_a_fresh_build_name_the_earliest_step(order):
+    # the 2-d row (overflowing at step 31) and the 1-d row A = 7080 (at step 40) fail: a continuation of the two
+    # and a fresh build of all three rows name step 31, in every order of the rows and so of their groups
     ps = [fs.ProcessModel(A=[[0.5]], Q=[[1.0]]), fs.ProcessModel(A=np.diag([1e5, 0.5]), Q=np.eye(2)),
           fs.ProcessModel(A=[[7080.0]], Q=[[1.0]])]
-    floors = [0.0, 0.01, 0.01]
+    ps, staged_floors, floors = ([xs[i] for i in order] for xs in (ps, [0.0, 0.5, 0.5], [0.0, 0.01, 0.01]))
+    staged = fs.CurveCostModel.from_floors(ps, staged_floors)
     with pytest.raises(fs.NumericalError, match=r"^trace sequence overflowed at step 31; the rate 0\.01 is too small$"):
-        fs.CurveCostModel.from_floors([ps[i] for i in order], [floors[i] for i in order])
+        staged.with_floor(floors)
+    with pytest.raises(fs.NumericalError, match=r"^trace sequence overflowed at step 31; the rate 0\.01 is too small$"):
+        fs.CurveCostModel.from_floors(ps, floors)
 
 
 def test_of_failures_at_one_step_in_two_groups_the_least_row_is_named(tmp_path):
